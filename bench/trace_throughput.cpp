@@ -36,9 +36,7 @@
 // sampled noiseless all-styles campaign (expect >= 3x total).
 //
 // An accumulation table times the block-factored distinguisher path
-// (dpa/block_stats.hpp) against the per-trace Welford update for
-// CPA/DoM/MultiCpa — traces/s both ways plus the speedup, advisory
-// stderr warning when the 8-bit CPA row lands under 4x (expect >= 5x).
+// (dpa/block_stats.hpp) for CPA/DoM/MultiCpa in traces/s.
 //
 // Usage: bench_trace_throughput [--threads N] [--traces N] [--round N]
 //                               [--lanes LIST] [--json PATH]
@@ -529,19 +527,14 @@ std::vector<RoundThroughput> measure_round_scaling(std::size_t max_round,
 
 // Distinguisher accumulation: the block-factored sufficient-statistics
 // path (add_block: per-plaintext histogram + one contraction per block)
-// against the historic per-trace Welford update (add_batch / add), on
-// synthetic traces so nothing but the accumulator is on the clock.
+// on synthetic traces, so nothing but the accumulator is on the clock.
 // Blocks are engine-shard-sized. One thread — accumulation is per-shard
-// sequential inside the engine; this isolates the per-trace cost the
-// factoring removes. Advisory only (the 8-bit CPA row is the acceptance
-// evidence: expect >= 5x, warn under 4x); the exit code stays pinned to
-// the >=10x engine gate.
+// sequential inside the engine. Informational only; the exit code stays
+// pinned to the >=10x engine gate.
 struct AccumulationRow {
   const char* kind = nullptr;
   std::size_t num_traces = 0;
-  double per_trace_tps = 0.0;
   double block_tps = 0.0;
-  double speedup = 0.0;
 };
 
 // Repeats fn (one full pass over `count` traces through a fresh
@@ -583,83 +576,37 @@ std::vector<AccumulationRow> measure_accumulation() {
       }
     }
   };
-  const auto blocked = [&shard_of](std::size_t count, const auto& feed) {
-    const std::size_t block = shard_of(count);
-    for (std::size_t off = 0; off < count; off += block) {
-      feed(off, std::min(block, count - off));
-    }
-  };
 
   std::vector<AccumulationRow> out;
   std::vector<std::uint8_t> pts;
   std::vector<double> samples;
-
-  const auto cpa_row = [&](const char* kind, const SboxSpec& spec,
-                           std::size_t num_pts, std::size_t count) {
-    make_traces(count, num_pts, 1, &pts, &samples);
-    AccumulationRow row;
-    row.kind = kind;
-    row.num_traces = count;
-    row.per_trace_tps = accumulation_tps(count, [&] {
-      StreamingCpa acc(spec, PowerModel::kHammingWeight);
-      acc.add_batch(pts.data(), samples.data(), count);
-    });
-    row.block_tps = accumulation_tps(count, [&] {
-      StreamingCpa acc(spec, PowerModel::kHammingWeight);
-      blocked(count, [&](std::size_t off, std::size_t n) {
-        acc.add_block(pts.data() + off, samples.data() + off, n);
-      });
-    });
-    row.speedup = row.block_tps / row.per_trace_tps;
-    out.push_back(row);
-  };
-  cpa_row("cpa_4bit", present_spec(), 16, 2000000);
-  cpa_row("cpa_8bit", aes_spec(), 256, 400000);
-
-  {
-    const std::size_t count = 2000000;
-    make_traces(count, 16, 1, &pts, &samples);
-    AccumulationRow row;
-    row.kind = "dom_4bit";
-    row.num_traces = count;
-    row.per_trace_tps = accumulation_tps(count, [&] {
-      StreamingDom acc(present_spec(), 0);
-      acc.add_batch(pts.data(), samples.data(), count);
-    });
-    row.block_tps = accumulation_tps(count, [&] {
-      StreamingDom acc(present_spec(), 0);
-      blocked(count, [&](std::size_t off, std::size_t n) {
-        acc.add_block(pts.data() + off, samples.data() + off, n);
-      });
-    });
-    row.speedup = row.block_tps / row.per_trace_tps;
-    out.push_back(row);
-  }
-
-  {
-    constexpr std::size_t kWidth = 8;
-    const std::size_t count = 250000;
-    make_traces(count, 16, kWidth, &pts, &samples);
-    AccumulationRow row;
-    row.kind = "multi_cpa_4bit_w8";
-    row.num_traces = count;
-    row.per_trace_tps = accumulation_tps(count, [&] {
-      StreamingMultiCpa acc(present_spec(), PowerModel::kHammingWeight,
-                            kWidth);
-      for (std::size_t i = 0; i < count; ++i) {
-        acc.add(pts[i], samples.data() + i * kWidth);
+  // One row: `make` builds a fresh accumulator per pass, fed one
+  // add_block call per engine-shard-sized block of `width`-sample rows.
+  const auto row = [&](const char* kind, std::size_t num_pts,
+                       std::size_t width, std::size_t count,
+                       const auto& make) {
+    make_traces(count, num_pts, width, &pts, &samples);
+    const std::size_t block = shard_of(count);
+    const double tps = accumulation_tps(count, [&] {
+      auto acc = make();
+      for (std::size_t off = 0; off < count; off += block) {
+        acc.add_block(pts.data() + off, samples.data() + off * width,
+                      std::min(block, count - off));
       }
     });
-    row.block_tps = accumulation_tps(count, [&] {
-      StreamingMultiCpa acc(present_spec(), PowerModel::kHammingWeight,
-                            kWidth);
-      blocked(count, [&](std::size_t off, std::size_t n) {
-        acc.add_block(pts.data() + off, samples.data() + off * kWidth, n);
-      });
-    });
-    row.speedup = row.block_tps / row.per_trace_tps;
-    out.push_back(row);
-  }
+    out.push_back({kind, count, tps});
+  };
+  row("cpa_4bit", 16, 1, 2000000, [] {
+    return StreamingCpa(present_spec(), PowerModel::kHammingWeight);
+  });
+  row("cpa_8bit", 256, 1, 400000, [] {
+    return StreamingCpa(aes_spec(), PowerModel::kHammingWeight);
+  });
+  row("dom_4bit", 16, 1, 2000000,
+      [] { return StreamingDom(present_spec(), 0); });
+  row("multi_cpa_4bit_w8", 16, 8, 250000, [] {
+    return StreamingMultiCpa(present_spec(), PowerModel::kHammingWeight, 8);
+  });
   return out;
 }
 
@@ -704,16 +651,15 @@ void write_json(const std::string& path, std::size_t num_traces,
                cpu_features().avx512vbmi ? "true" : "false",
                cpu_features().gfni ? "true" : "false",
                max_runtime_lane_width());
-  // The width-0 default resolves per style through style_lane_width_cap
-  // (no style is capped today: with the per-tier transpose packing every
-  // style scales monotonically through 512). On server parts with
-  // license-based AVX-512 frequency throttling, pin lane_width = 256 in
-  // CampaignOptions if wall-clock regresses under sustained 512-bit use
-  // and compare against the lane_widths rows above.
+  // The width-0 default takes the widest runtime word for every style
+  // (with the per-tier transpose packing every style scales monotonically
+  // through 512). On server parts with license-based AVX-512 frequency
+  // throttling, pin lane_width = 256 in CampaignOptions if wall-clock
+  // regresses under sustained 512-bit use and compare against the
+  // lane_widths rows above.
   std::fprintf(f,
                "  \"lane_width_advice\": \"lane_width=0 takes the widest "
-               "runtime word per style (style_lane_width_cap; no cap "
-               "needed on this machine). If sustained AVX-512 use "
+               "runtime word for every style. If sustained AVX-512 use "
                "downclocks your part, pin lane_width=256 and compare "
                "lane_widths rows.\",\n");
   std::fprintf(f, "  \"styles\": [\n");
@@ -828,10 +774,9 @@ void write_json(const std::string& path, std::size_t num_traces,
     const AccumulationRow& r = accumulation_rows[i];
     std::fprintf(f,
                  "    {\"kind\": \"%s\", \"num_traces\": %zu, "
-                 "\"per_trace_tps\": %.1f, \"block_tps\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 r.kind, r.num_traces, r.per_trace_tps, r.block_tps,
-                 r.speedup, i + 1 < accumulation_rows.size() ? "," : "");
+                 "\"block_tps\": %.1f}%s\n",
+                 r.kind, r.num_traces, r.block_tps,
+                 i + 1 < accumulation_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
@@ -1085,24 +1030,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(v2_total), total_ratio,
               total_ratio >= 3.0 ? "yes" : "NO");
 
-  // Distinguisher accumulation: block-factored vs per-trace, one thread
-  // (advisory; the 8-bit CPA speedup is the acceptance evidence).
+  // Distinguisher accumulation: the block-factored path, one thread.
   const std::vector<AccumulationRow> accumulation_rows =
       measure_accumulation();
-  std::printf(
-      "\ndistinguisher accumulation (block-factored vs per-trace, 1 "
-      "thread):\n%-20s %10s %17s %14s %8s\n",
-      "kind", "traces", "per-trace [tr/s]", "block [tr/s]", "speedup");
+  std::printf("\ndistinguisher accumulation (block-factored, 1 thread):\n"
+              "%-20s %10s %14s\n",
+              "kind", "traces", "block [tr/s]");
   for (const AccumulationRow& r : accumulation_rows) {
-    std::printf("%-20s %10zu %17.0f %14.0f %7.1fx\n", r.kind, r.num_traces,
-                r.per_trace_tps, r.block_tps, r.speedup);
-    if (std::strcmp(r.kind, "cpa_8bit") == 0 && r.speedup < 4.0) {
-      std::fprintf(stderr,
-                   "ADVISORY: block-factored 8-bit CPA accumulation only "
-                   "%.2fx over per-trace (expect >= 5x, warn < 4x) — the "
-                   "contraction kernels are not earning the factoring\n",
-                   r.speedup);
-    }
+    std::printf("%-20s %10zu %14.0f\n", r.kind, r.num_traces, r.block_tps);
   }
 
   // End-to-end: streaming one-pass CPA at MTD scale, nothing retained,

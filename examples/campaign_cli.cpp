@@ -27,13 +27,15 @@
 // through the exact fixed-shape reduction of a single-process run — the
 // JSON reports compare byte-identical (%.17g scores), which is what the
 // CI two-process smoke asserts.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
-#include <vector>
-
 #include <memory>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "engine/trace_engine.hpp"
 #include "io/campaign_state.hpp"
@@ -86,6 +88,35 @@ bool parse_style(const char* name, LogicStyle* style) {
     }
   }
   return false;
+}
+
+// Checked numeric flag values: the whole string must be one number, with
+// no sign, no trailing characters and no overflow, so a typo fails loudly
+// instead of turning "abc" into 0 or "12x" into 12. Integers also take a
+// 0x hex prefix; --noise must be finite. Prints the error naming `flag`.
+template <typename T>
+bool parse_number(const char* flag, std::string_view text, T* out) {
+  const char* first = text.data();
+  const char* last = first + text.size();
+  std::from_chars_result parsed{};
+  if constexpr (std::is_floating_point_v<T>) {
+    parsed = std::from_chars(first, last, *out);
+  } else {
+    int base = 10;
+    if (text.size() > 2 && text[0] == '0' && (text[1] | 0x20) == 'x') {
+      first += 2;
+      base = 16;
+    }
+    parsed = std::from_chars(first, last, *out, base);
+  }
+  bool ok = !text.empty() && text[0] != '-' && parsed.ec == std::errc() &&
+            parsed.ptr == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(*out);
+  if (!ok) {
+    std::fprintf(stderr, "%s expects a non-negative number, got '%.*s'\n",
+                 flag, static_cast<int>(text.size()), text.data());
+  }
+  return ok;
 }
 
 int usage(const char* argv0) {
@@ -270,27 +301,32 @@ int main(int argc, char** argv) {
   Cli cli;
   for (int i = 2; i < argc; ++i) {
     const auto has_value = [&] { return i + 1 < argc; };
+    // Consumes the flag's value into `out`, checked.
+    const auto number = [&](auto* out) {
+      const char* flag = argv[i];
+      return parse_number(flag, argv[++i], out);
+    };
     if (std::strcmp(argv[i], "--style") == 0 && has_value()) {
       if (!parse_style(argv[++i], &cli.style)) {
         std::fprintf(stderr, "unknown --style %s\n", argv[i]);
         return 2;
       }
     } else if (std::strcmp(argv[i], "--round") == 0 && has_value()) {
-      cli.round_size = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(&cli.round_size)) return 2;
     } else if (std::strcmp(argv[i], "--attack-sbox") == 0 && has_value()) {
-      cli.attack_sbox = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(&cli.attack_sbox)) return 2;
     } else if (std::strcmp(argv[i], "--traces") == 0 && has_value()) {
-      cli.num_traces = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(&cli.num_traces)) return 2;
     } else if (std::strcmp(argv[i], "--seed") == 0 && has_value()) {
-      cli.seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!number(&cli.seed)) return 2;
     } else if (std::strcmp(argv[i], "--noise") == 0 && has_value()) {
-      cli.noise = std::strtod(argv[++i], nullptr);
+      if (!number(&cli.noise)) return 2;
     } else if (std::strcmp(argv[i], "--shard-size") == 0 && has_value()) {
-      cli.shard_size = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(&cli.shard_size)) return 2;
     } else if (std::strcmp(argv[i], "--threads") == 0 && has_value()) {
-      cli.num_threads = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(&cli.num_threads)) return 2;
     } else if (std::strcmp(argv[i], "--lanes") == 0 && has_value()) {
-      cli.lane_width = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(&cli.lane_width)) return 2;
     } else if (std::strcmp(argv[i], "--out") == 0 && has_value()) {
       cli.out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--corpus") == 0 && has_value()) {
@@ -302,7 +338,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--checkpoint") == 0 && has_value()) {
       cli.checkpoint_path = argv[++i];
     } else if (std::strcmp(argv[i], "--every") == 0 && has_value()) {
-      cli.checkpoint_every = std::strtoull(argv[++i], nullptr, 10);
+      if (!number(&cli.checkpoint_every)) return 2;
     } else if (std::strcmp(argv[i], "--shards") == 0 && has_value()) {
       const std::string range = argv[++i];
       const std::size_t colon = range.find(':');
@@ -310,11 +346,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--shards expects A:B (B empty = end)\n");
         return 2;
       }
-      cli.shard_begin = std::strtoull(range.substr(0, colon).c_str(),
-                                      nullptr, 10);
-      const std::string end = range.substr(colon + 1);
-      cli.shard_end =
-          end.empty() ? kAllShards : std::strtoull(end.c_str(), nullptr, 10);
+      const std::string_view end = std::string_view(range).substr(colon + 1);
+      if (!parse_number("--shards", std::string_view(range).substr(0, colon),
+                        &cli.shard_begin) ||
+          (!end.empty() && !parse_number("--shards", end, &cli.shard_end))) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--partials") == 0 && has_value()) {
       std::string paths = argv[++i];
       std::size_t pos = 0;

@@ -55,7 +55,7 @@ AttackResult cpa_attack(const TraceSet& traces, const SboxSpec& spec,
                 "attacks consume sub-plaintexts: extract the attacked "
                 "instance's bytes (RoundSpec::sub_words) first");
   StreamingCpa acc(spec, model, bit);
-  acc.add_batch(traces.plaintexts.data(), traces.samples.data(),
+  acc.add_block(traces.plaintexts.data(), traces.samples.data(),
                 traces.size());
   return acc.result();
 }
@@ -66,9 +66,8 @@ MultiAttackResult cpa_attack_multisample(const MultiTraceSet& traces,
   SABLE_REQUIRE(traces.width > 0 && traces.size() >= 2,
                 "multisample CPA requires non-empty traces");
   StreamingMultiCpa acc(spec, model, traces.width, bit);
-  for (std::size_t t = 0; t < traces.size(); ++t) {
-    acc.add(traces.plaintexts[t], traces.samples.data() + t * traces.width);
-  }
+  acc.add_block(traces.plaintexts.data(), traces.samples.data(),
+                traces.size());
   return acc.result();
 }
 
@@ -79,7 +78,7 @@ AttackResult dom_attack(const TraceSet& traces, const SboxSpec& spec,
                 "attacks consume sub-plaintexts: extract the attacked "
                 "instance's bytes (RoundSpec::sub_words) first");
   StreamingDom acc(spec, bit);
-  acc.add_batch(traces.plaintexts.data(), traces.samples.data(),
+  acc.add_block(traces.plaintexts.data(), traces.samples.data(),
                 traces.size());
   return acc.result();
 }

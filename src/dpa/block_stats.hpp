@@ -1,10 +1,10 @@
 // Block-factored sufficient statistics for the streaming distinguishers.
 //
-// The per-trace accumulators (dpa/streaming.hpp) historically did
-// O(num_guesses) Welford work per trace — a dependent divide plus a
-// 2^in_bits guess loop for every sample. But a ShardBlock's contribution
-// to every per-guess moment factors through a tiny per-plaintext
-// histogram: the prediction h[pt][g] only depends on the plaintext, so
+// A per-trace Welford update does O(num_guesses) work per trace — a
+// dependent divide plus a 2^in_bits guess loop for every sample. But a
+// ShardBlock's contribution to every per-guess moment factors through a
+// tiny per-plaintext histogram: the prediction h[pt][g] only depends on
+// the plaintext, so
 //
 //   Σ_i h[pt_i][g]          = Σ_p n_p · h[p][g]
 //   Σ_i h[pt_i][g]·x_i      = Σ_p S_p · h[p][g]      (S_p = Σ_{i: pt_i=p} x_i)
@@ -19,8 +19,8 @@
 // ~1e-15 J data-dependent variation instead of the ~1e-13 J energy
 // offset; co-moments are shift-invariant and the accumulators convert
 // the block sums back to Welford form before folding them in (see
-// streaming.cpp), which keeps the scores within ~1e-13 of the per-trace
-// formulation.
+// streaming.cpp), which keeps the scores within ~1e-13 of the two-pass
+// Pearson formulation.
 //
 // Determinism: every kernel fixes the floating-point summation order per
 // output element — histogram passes accumulate sequentially in trace
@@ -42,7 +42,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "util/cpu_dispatch.hpp"
 #include "util/lane_word.hpp"
@@ -157,38 +156,5 @@ struct BlockStatKernels {
 /// Widest kernel set the given tier may execute (every body computes
 /// bit-identical results; the tiers differ only in vector width).
 const BlockStatKernels& block_stat_kernels(DispatchTier tier);
-
-/// Per-accumulator scratch for the block passes, reused across blocks so
-/// the steady state never allocates. Not part of the accumulator's
-/// logical state: never serialized, never merged.
-struct BlockScratch {
-  std::vector<std::uint64_t> counts;  // [kBlockPts]
-  std::vector<double> sums;           // [kBlockPts * width]
-  std::vector<double> shifts;         // [width]
-  std::vector<double> sum_sq;         // [width]
-  std::vector<double> sum_h;          // [num_guesses]  (DoM: sum0)
-  std::vector<double> sum_h2;         // [num_guesses]  (DoM: sum1)
-  std::vector<std::uint64_t> cnt0;    // [num_guesses]  (DoM partitions)
-  std::vector<std::uint64_t> cnt1;    // [num_guesses]
-  std::vector<double> r;              // [width * num_guesses]
-  std::vector<double> col_sum;        // [width]
-  std::vector<double> col_mean;       // [width]
-  std::vector<double> col_m2;         // [width]
-
-  void resize(std::size_t width, std::size_t num_guesses) {
-    counts.resize(detail::kBlockPts);
-    sums.resize(detail::kBlockPts * width);
-    shifts.resize(width);
-    sum_sq.resize(width);
-    sum_h.resize(num_guesses);
-    sum_h2.resize(num_guesses);
-    cnt0.resize(num_guesses);
-    cnt1.resize(num_guesses);
-    r.resize(width * num_guesses);
-    col_sum.resize(width);
-    col_mean.resize(width);
-    col_m2.resize(width);
-  }
-};
 
 }  // namespace sable

@@ -133,11 +133,11 @@ class SecondOrderShardAccumulator final : public ShardAccumulator {
 
 // MTD shard state: the shard's full accumulator plus a partial snapshot at
 // every checkpoint falling inside the shard's trace range. The ordered
-// left fold replays ShardedMtd's checkpoint/append sequence: settle()
-// turns the fold root (canonically the first shard) into a driver, each
-// merge() feeds it the next raw shard — the exact call sequence the
-// engine's bespoke MTD loop used to make, so MTD curves stay
-// bit-identical.
+// left fold settles the fold root (canonically the first shard) — its own
+// snapshots are already exact prefixes — and from then on acc_ is the
+// merged prefix of every shard folded so far: each merge() ranks the
+// peer's snapshots against prefix + snapshot, then appends the peer's
+// full state.
 class MtdShardAccumulator final : public ShardAccumulator {
  public:
   MtdShardAccumulator(StreamingCpa acc,
@@ -147,36 +147,38 @@ class MtdShardAccumulator final : public ShardAccumulator {
         ladder_(std::move(ladder)),
         correct_key_(correct_key) {}
 
-  // Deliberately stays on the per-trace add_batch path: the checkpoint
-  // ladder splits blocks at arbitrary trace counts, and the snapshots
-  // must be bit-identical to the sequential prefix driver (a block-
-  // factored prefix would round differently at every split).
+  // The ladder cuts the shard into segments, each fed through one
+  // add_block call. Segment boundaries are fixed by the ladder and the
+  // shard layout alone, so the MTD curve is bit-identical across thread
+  // counts, lane widths and dispatch tiers.
   void accumulate(const ShardBlock& block) override {
     require_scalar(block);
-    SABLE_ASSERT(!driver_, "cannot accumulate into a settled MTD fold root");
+    SABLE_ASSERT(!settled_, "cannot accumulate into a settled MTD fold root");
     const std::vector<std::size_t>& ladder = *ladder_;
     std::size_t done = 0;
     for (auto it =
              std::upper_bound(ladder.begin(), ladder.end(), block.start);
          it != ladder.end() && *it <= block.start + block.count; ++it) {
       const std::size_t upto = *it - block.start;
-      acc_.add_batch(block.sub_pts + done, block.data + done, upto - done);
+      acc_.add_block(block.sub_pts + done, block.data + done, upto - done);
       done = upto;
       snapshots_.emplace_back(*it, acc_);
     }
-    acc_.add_batch(block.sub_pts + done, block.data + done,
+    acc_.add_block(block.sub_pts + done, block.data + done,
                    block.count - done);
   }
 
   void merge(ShardAccumulator& other) override {
     settle();
     MtdShardAccumulator& peer = cast_peer<MtdShardAccumulator>(other);
-    SABLE_ASSERT(!peer.driver_,
+    SABLE_ASSERT(!peer.settled_,
                  "ordered MTD fold operands must be raw shard states");
     for (const auto& [count, snapshot] : peer.snapshots_) {
-      driver_->checkpoint(count, snapshot);
+      StreamingCpa prefix = acc_;
+      prefix.merge(snapshot);
+      rank(count, prefix);
     }
-    driver_->append(peer.acc_);
+    acc_.merge(peer.acc_);
   }
 
   // Persistence covers RAW shard states only (the engine checkpoints
@@ -185,7 +187,7 @@ class MtdShardAccumulator final : public ShardAccumulator {
   // reconstituted as copies of acc_ (same spec-derived configuration)
   // overwritten with the stored moments.
   void save(ByteWriter& writer) const override {
-    SABLE_ASSERT(!driver_, "cannot serialize a settled MTD fold root");
+    SABLE_ASSERT(!settled_, "cannot serialize a settled MTD fold root");
     writer.u32(kMtdShardTag);
     acc_.save(writer);
     writer.u64(snapshots_.size());
@@ -195,7 +197,7 @@ class MtdShardAccumulator final : public ShardAccumulator {
     }
   }
   void load(ByteReader& reader) override {
-    SABLE_ASSERT(!driver_, "cannot load into a settled MTD fold root");
+    SABLE_ASSERT(!settled_, "cannot load into a settled MTD fold root");
     SABLE_REQUIRE(reader.u32() == kMtdShardTag,
                   "serialized state is not an MTD shard accumulator");
     acc_.load(reader);
@@ -211,25 +213,29 @@ class MtdShardAccumulator final : public ShardAccumulator {
 
   MtdResult settle_and_result() {
     settle();
-    return driver_->result();
+    return mtd_from_history(rank_history_);
   }
 
  private:
   void settle() {
-    if (driver_) return;
-    driver_.emplace(correct_key_);
-    for (const auto& [count, snapshot] : snapshots_) {
-      driver_->checkpoint(count, snapshot);
-    }
-    driver_->append(acc_);
+    if (settled_) return;
+    settled_ = true;
+    for (const auto& [count, snapshot] : snapshots_) rank(count, snapshot);
     snapshots_.clear();
   }
 
-  StreamingCpa acc_;
+  void rank(std::size_t count, const StreamingCpa& prefix) {
+    SABLE_REQUIRE(prefix.count() == count,
+                  "checkpoint count must equal merged prefix trace count");
+    rank_history_.emplace_back(count, prefix.result().rank_of(correct_key_));
+  }
+
+  StreamingCpa acc_;  // the shard; once settled, the merged prefix
   std::shared_ptr<const std::vector<std::size_t>> ladder_;
   std::size_t correct_key_;
   std::vector<std::pair<std::size_t, StreamingCpa>> snapshots_;
-  std::optional<ShardedMtd> driver_;  // set once this state becomes the root
+  bool settled_ = false;  // set once this state becomes the fold root
+  std::vector<std::pair<std::size_t, std::size_t>> rank_history_;
 };
 
 template <typename Result>

@@ -214,11 +214,14 @@ class SecondOrderCpaDistinguisher final : public Distinguisher {
 };
 
 /// The measurements-to-disclosure experiment as an ordered distinguisher:
-/// shard accumulators snapshot the in-shard checkpoints, the left fold
-/// replays ShardedMtd's checkpoint/append sequence in canonical order, so
-/// the MTD curve is bit-identical to the sequential StreamingMtd driver.
-/// The checkpoint ladder is canonicalized at construction: sorted, unique,
-/// restricted to [2, num_traces].
+/// each shard accumulator feeds its shard through StreamingCpa::add_block
+/// one checkpoint segment at a time and snapshots the in-shard
+/// checkpoints; the left fold in canonical shard order ranks every
+/// snapshot against the merged prefix of the shards before it. Segments
+/// and merge order are fixed by the ladder and the shard layout, so the
+/// MTD curve is bit-identical across thread counts, lane widths and
+/// dispatch tiers. The checkpoint ladder is canonicalized at
+/// construction: sorted, unique, restricted to [2, num_traces].
 class MtdDistinguisher final : public Distinguisher {
  public:
   MtdDistinguisher(const SboxSpec& spec, const AttackSelector& selector,

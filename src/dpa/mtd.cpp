@@ -1,17 +1,6 @@
 #include "dpa/mtd.hpp"
 
-#include <algorithm>
-
-#include "io/serial.hpp"
-#include "util/error.hpp"
-
 namespace sable {
-
-namespace {
-
-constexpr std::uint32_t kShardedMtdTag = 0x53AB1005;
-
-}  // namespace
 
 MtdResult mtd_from_history(
     std::vector<std::pair<std::size_t, std::size_t>> rank_history) {
@@ -28,135 +17,6 @@ MtdResult mtd_from_history(
     result.mtd = result.rank_history[stable_from].first;
   }
   return result;
-}
-
-MtdResult measurements_to_disclosure(
-    const TraceSet& traces, std::size_t correct_key,
-    const std::vector<std::size_t>& checkpoints,
-    const std::function<AttackResult(const TraceSet&)>& attack) {
-  std::vector<std::pair<std::size_t, std::size_t>> history;
-  for (std::size_t n : checkpoints) {
-    if (n > traces.size() || n < 2) continue;
-    TraceSet prefix;
-    prefix.pt_width = traces.pt_width;
-    prefix.plaintexts.assign(
-        traces.plaintexts.begin(),
-        traces.plaintexts.begin() +
-            static_cast<std::ptrdiff_t>(n * traces.pt_width));
-    prefix.samples.assign(traces.samples.begin(), traces.samples.begin() + n);
-    const AttackResult r = attack(prefix);
-    history.emplace_back(n, r.rank_of(correct_key));
-  }
-  return mtd_from_history(std::move(history));
-}
-
-StreamingMtd::StreamingMtd(StreamingCpa attack, std::size_t correct_key,
-                           std::vector<std::size_t> checkpoints)
-    : attack_(std::move(attack)),
-      correct_key_(correct_key),
-      checkpoints_(std::move(checkpoints)) {
-  std::sort(checkpoints_.begin(), checkpoints_.end());
-  // Checkpoints below two traces can never be evaluated, and neither can
-  // ones a pre-fed accumulator has already passed; skip both so the
-  // ladder matches the prefix-based driver (and the remaining-distance
-  // arithmetic in add_batch can never underflow).
-  while (next_checkpoint_ < checkpoints_.size() &&
-         (checkpoints_[next_checkpoint_] < 2 ||
-          checkpoints_[next_checkpoint_] < attack_.count())) {
-    ++next_checkpoint_;
-  }
-  // A checkpoint sitting exactly at the pre-fed count is due now.
-  snapshot_if_due();
-}
-
-void StreamingMtd::snapshot_if_due() {
-  while (next_checkpoint_ < checkpoints_.size() &&
-         attack_.count() == checkpoints_[next_checkpoint_]) {
-    rank_history_.emplace_back(attack_.count(),
-                               attack_.result().rank_of(correct_key_));
-    ++next_checkpoint_;
-  }
-}
-
-void StreamingMtd::add(std::uint8_t pt, double sample) {
-  attack_.add(pt, sample);
-  snapshot_if_due();
-}
-
-void StreamingMtd::add_batch(const std::uint8_t* pts, const double* samples,
-                             std::size_t count) {
-  std::size_t done = 0;
-  while (done < count) {
-    // Feed up to the next checkpoint in one go, then snapshot.
-    std::size_t chunk = count - done;
-    if (next_checkpoint_ < checkpoints_.size()) {
-      const std::size_t to_checkpoint =
-          checkpoints_[next_checkpoint_] - attack_.count();
-      chunk = std::min(chunk, to_checkpoint);
-    }
-    attack_.add_batch(pts + done, samples + done, chunk);
-    done += chunk;
-    snapshot_if_due();
-  }
-}
-
-void ShardedMtd::checkpoint(std::size_t count, const StreamingCpa& partial) {
-  SABLE_REQUIRE(rank_history_.empty() || rank_history_.back().first < count,
-                "MTD checkpoints must arrive in ascending trace order");
-  // A merged copy is O(guesses) — the same cost StreamingMtd pays to
-  // snapshot, so checkpoint density is as cheap as in the sequential path.
-  if (!merged_) {
-    rank_history_.emplace_back(count,
-                               partial.result().rank_of(correct_key_));
-    return;
-  }
-  StreamingCpa prefix = *merged_;
-  prefix.merge(partial);
-  SABLE_REQUIRE(prefix.count() == count,
-                "checkpoint count must equal merged prefix trace count");
-  rank_history_.emplace_back(count, prefix.result().rank_of(correct_key_));
-}
-
-void ShardedMtd::append(const StreamingCpa& full) {
-  if (!merged_) {
-    merged_ = full;
-  } else {
-    merged_->merge(full);
-  }
-}
-
-void ShardedMtd::save(ByteWriter& writer) const {
-  writer.u32(kShardedMtdTag);
-  writer.u64(correct_key_);
-  writer.u8(merged_ ? 1 : 0);
-  if (merged_) merged_->save(writer);
-  writer.u64(rank_history_.size());
-  for (const auto& [count, rank] : rank_history_) {
-    writer.u64(count);
-    writer.u64(rank);
-  }
-}
-
-void ShardedMtd::load(ByteReader& reader, const StreamingCpa& prototype) {
-  SABLE_REQUIRE(reader.u32() == kShardedMtdTag,
-                "serialized state is not a ShardedMtd driver");
-  SABLE_REQUIRE(reader.u64() == correct_key_,
-                "serialized MTD state targets a different correct key");
-  if (reader.u8() != 0) {
-    merged_ = prototype;
-    merged_->load(reader);
-  } else {
-    merged_.reset();
-  }
-  const std::uint64_t entries = reader.checked_count(16);
-  rank_history_.clear();
-  rank_history_.reserve(entries);
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    const std::uint64_t count = reader.u64();
-    const std::uint64_t rank = reader.u64();
-    rank_history_.emplace_back(static_cast<std::size_t>(count),
-                               static_cast<std::size_t>(rank));
-  }
 }
 
 std::vector<std::size_t> default_checkpoints(std::size_t max_traces) {

@@ -1,20 +1,15 @@
 // Measurements-to-disclosure (MTD): the number of traces after which the
 // attack ranks the correct key first and keeps it first — the standard
-// effectiveness metric for DPA countermeasures.
+// effectiveness metric for DPA countermeasures. Campaigns compute it with
+// MtdDistinguisher (dpa/distinguisher.hpp); this header holds the result
+// type and the checkpoint-ladder helpers it shares with its callers.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <optional>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
-#include "dpa/attack.hpp"
-#include "dpa/streaming.hpp"
-
 namespace sable {
-
-class ByteReader;
-class ByteWriter;
 
 struct MtdResult {
   bool disclosed = false;
@@ -29,81 +24,6 @@ struct MtdResult {
 /// checkpoint from which the rank stays 0 through the end.
 MtdResult mtd_from_history(
     std::vector<std::pair<std::size_t, std::size_t>> rank_history);
-
-/// Runs `attack` on growing prefixes of the trace set at the given
-/// checkpoints. `attack` maps a TraceSet prefix to an AttackResult.
-MtdResult measurements_to_disclosure(
-    const TraceSet& traces, std::size_t correct_key,
-    const std::vector<std::size_t>& checkpoints,
-    const std::function<AttackResult(const TraceSet&)>& attack);
-
-/// Incremental MTD driver over a streaming CPA accumulator: traces are fed
-/// once, the attack is snapshotted as the stream crosses each checkpoint,
-/// and no trace is ever retained — O(guesses) memory however long the MTD
-/// curve runs. Equivalent to measurements_to_disclosure over the same
-/// stream and checkpoints.
-class StreamingMtd {
- public:
-  StreamingMtd(StreamingCpa attack, std::size_t correct_key,
-               std::vector<std::size_t> checkpoints);
-
-  void add(std::uint8_t pt, double sample);
-  void add_batch(const std::uint8_t* pts, const double* samples,
-                 std::size_t count);
-
-  std::size_t count() const { return attack_.count(); }
-  const StreamingCpa& attack() const { return attack_; }
-
-  /// MTD verdict over the checkpoints crossed so far.
-  MtdResult result() const { return mtd_from_history(rank_history_); }
-
- private:
-  void snapshot_if_due();
-
-  StreamingCpa attack_;
-  std::size_t correct_key_;
-  std::vector<std::size_t> checkpoints_;  // sorted, ascending
-  std::size_t next_checkpoint_ = 0;
-  std::vector<std::pair<std::size_t, std::size_t>> rank_history_;
-};
-
-/// Order-correct MTD assembly from per-shard streaming accumulators: the
-/// thread-sharded TraceEngine hands each campaign shard's full accumulator
-/// (append) and, for checkpoints falling inside a shard, the shard's
-/// partial accumulator up to that trace count (checkpoint). Both must
-/// arrive in canonical shard/trace order; each checkpoint is then ranked
-/// from merge(all prior shards, partial) — the exact accumulator state a
-/// sequential StreamingMtd would have held at that count. Because the
-/// shard decomposition and the merge order are fixed by the campaign (not
-/// by the thread count), the resulting MTD curve is bit-identical for any
-/// number of workers, and identical to StreamingMtd for a single shard.
-class ShardedMtd {
- public:
-  explicit ShardedMtd(std::size_t correct_key) : correct_key_(correct_key) {}
-
-  /// Ranks the attack at `count` traces from the merged prefix plus
-  /// `partial` (the current shard's accumulator up to `count`).
-  void checkpoint(std::size_t count, const StreamingCpa& partial);
-
-  /// Folds a completed shard's accumulator into the merged prefix.
-  void append(const StreamingCpa& full);
-
-  std::size_t count() const { return merged_ ? merged_->count() : 0; }
-  MtdResult result() const { return mtd_from_history(rank_history_); }
-
-  /// Bit-exact tagged (de)serialization (io/serial.hpp; the contract
-  /// documented in streaming.hpp). load() rebuilds the merged prefix by
-  /// copying `prototype` — a fresh accumulator of the campaign's
-  /// spec/model/bit — and loading the stored moments into it, so the
-  /// prediction table is rebuilt from the spec, never read from disk.
-  void save(ByteWriter& writer) const;
-  void load(ByteReader& reader, const StreamingCpa& prototype);
-
- private:
-  std::size_t correct_key_;
-  std::optional<StreamingCpa> merged_;  // shards appended so far
-  std::vector<std::pair<std::size_t, std::size_t>> rank_history_;
-};
 
 /// Convenience checkpoint ladder: roughly logarithmic up to `max_traces`.
 std::vector<std::size_t> default_checkpoints(std::size_t max_traces);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dpa/block_stats.hpp"
 #include "io/serial.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
@@ -27,6 +28,46 @@ void require_block_pts(const std::uint64_t* counts,
   }
 }
 
+// Working set of the block passes. It lives per thread, not per
+// accumulator: a campaign keeps every raw shard state and every MTD
+// checkpoint snapshot alive until its reduction, and a per-accumulator
+// copy of these buffers would multiply into the campaign's resident
+// memory. Never serialized, never merged.
+struct BlockScratch {
+  std::vector<std::uint64_t> counts;  // [kBlockPts]
+  std::vector<double> sums;           // [kBlockPts * width]
+  std::vector<double> shifts;         // [width]
+  std::vector<double> sum_sq;         // [width]
+  std::vector<double> sum_h;          // [num_guesses]  (DoM: sum0)
+  std::vector<double> sum_h2;         // [num_guesses]  (DoM: sum1)
+  std::vector<std::uint64_t> cnt0;    // [num_guesses]  (DoM partitions)
+  std::vector<std::uint64_t> cnt1;    // [num_guesses]
+  std::vector<double> r;              // [width * num_guesses]
+  std::vector<double> col_sum;        // [width]
+  std::vector<double> col_mean;       // [width]
+  std::vector<double> col_m2;         // [width]
+};
+
+// The calling thread's scratch, sized for one block pass. Every kernel
+// zeroes its outputs first, so stale contents from a previous pass (of
+// any accumulator) never leak in.
+BlockScratch& block_scratch(std::size_t width, std::size_t num_guesses) {
+  thread_local BlockScratch s;
+  s.counts.resize(detail::kBlockPts);
+  s.sums.resize(detail::kBlockPts * width);
+  s.shifts.resize(width);
+  s.sum_sq.resize(width);
+  s.sum_h.resize(num_guesses);
+  s.sum_h2.resize(num_guesses);
+  s.cnt0.resize(num_guesses);
+  s.cnt1.resize(num_guesses);
+  s.r.resize(width * num_guesses);
+  s.col_sum.resize(width);
+  s.col_mean.resize(width);
+  s.col_m2.resize(width);
+  return s;
+}
+
 }  // namespace
 
 // The prediction tables come from crypto/leakage.hpp — the same
@@ -46,60 +87,41 @@ StreamingCpa::StreamingCpa(const SboxSpec& spec, PowerModel model,
       m2_h_(num_guesses_, 0.0),
       c_ht_(num_guesses_, 0.0) {}
 
-void StreamingCpa::add(std::uint8_t pt, double sample) {
-  SABLE_REQUIRE(pt < num_plaintexts_, "plaintext out of range");
-  const double dt_new = t_.add(sample);
-  const double inv_n = 1.0 / static_cast<double>(t_.count());
-  const double* pred = predictions_->data() + pt * num_guesses_;
-  for (std::size_t g = 0; g < num_guesses_; ++g) {
-    const double h = pred[g];
-    const double dh = h - mean_h_[g];
-    c_ht_[g] += dh * dt_new;
-    mean_h_[g] += dh * inv_n;
-    m2_h_[g] += dh * (h - mean_h_[g]);
-  }
-}
-
-void StreamingCpa::add_batch(const std::uint8_t* pts, const double* samples,
-                             std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) add(pts[i], samples[i]);
-}
-
 void StreamingCpa::add_block(const std::uint8_t* pts, const double* samples,
                              std::size_t count) {
   if (count == 0) return;
   const BlockStatKernels& kernels = block_stat_kernels(active_tier());
-  scratch_.resize(1, num_guesses_);
+  BlockScratch& scratch = block_scratch(1, num_guesses_);
   // Shift by the block's first sample: the per-plaintext sums then carry
   // the ~1e-15 J data-dependent variation, not the ~1e-13 J energy
   // offset, and the co-moments are shift-invariant.
   const double shift = samples[0];
   double sum_sq = 0.0;
   kernels.histogram_scalar(pts, samples, count, shift,
-                           scratch_.counts.data(), scratch_.sums.data(),
+                           scratch.counts.data(), scratch.sums.data(),
                            &sum_sq);
-  require_block_pts(scratch_.counts.data(), num_plaintexts_);
+  require_block_pts(scratch.counts.data(), num_plaintexts_);
   const double* pred = predictions_->data();
-  kernels.contract_counts(pred, scratch_.counts.data(), num_plaintexts_,
-                          num_guesses_, scratch_.sum_h.data(),
-                          scratch_.sum_h2.data());
-  kernels.contract_sums(pred, scratch_.sums.data(), scratch_.counts.data(),
-                        num_plaintexts_, 1, num_guesses_, scratch_.r.data());
+  kernels.contract_counts(pred, scratch.counts.data(), num_plaintexts_,
+                          num_guesses_, scratch.sum_h.data(),
+                          scratch.sum_h2.data());
+  kernels.contract_sums(pred, scratch.sums.data(), scratch.counts.data(),
+                        num_plaintexts_, 1, num_guesses_, scratch.r.data());
   // Convert the block's raw (shifted) sums to Welford form, in place.
   const double n = static_cast<double>(count);
   double t_sum = 0.0;
-  for (std::size_t p = 0; p < num_plaintexts_; ++p) t_sum += scratch_.sums[p];
+  for (std::size_t p = 0; p < num_plaintexts_; ++p) t_sum += scratch.sums[p];
   const double mean_t = shift + t_sum / n;
   const double m2_t = std::max(0.0, sum_sq - t_sum * t_sum / n);
   for (std::size_t g = 0; g < num_guesses_; ++g) {
-    const double mh = scratch_.sum_h[g] / n;
-    scratch_.sum_h[g] = mh;
-    scratch_.sum_h2[g] = std::max(0.0, scratch_.sum_h2[g] - mh * mh * n);
+    const double mh = scratch.sum_h[g] / n;
+    scratch.sum_h[g] = mh;
+    scratch.sum_h2[g] = std::max(0.0, scratch.sum_h2[g] - mh * mh * n);
     // Σ (h−mh)(t−mt) = Σ h·d − mh·Σ d for any shift (Σ (h−mh) = 0).
-    scratch_.r[g] -= mh * t_sum;
+    scratch.r[g] -= mh * t_sum;
   }
-  fold_block(count, mean_t, m2_t, scratch_.sum_h.data(),
-             scratch_.sum_h2.data(), scratch_.r.data());
+  fold_block(count, mean_t, m2_t, scratch.sum_h.data(),
+             scratch.sum_h2.data(), scratch.r.data());
 }
 
 void StreamingCpa::fold_block(std::size_t count, double mean_t, double m2_t,
@@ -198,45 +220,29 @@ StreamingDom::StreamingDom(const SboxSpec& spec, std::size_t bit)
   }
 }
 
-void StreamingDom::add(std::uint8_t pt, double sample) {
-  SABLE_REQUIRE(pt < num_plaintexts_, "plaintext out of range");
-  ++n_;
-  const std::uint8_t* pred = predicted_bit_->data() + pt * num_guesses_;
-  for (std::size_t g = 0; g < num_guesses_; ++g) {
-    const std::uint8_t p = pred[g];
-    sum_[p][g] += sample;
-    ++cnt_[p][g];
-  }
-}
-
-void StreamingDom::add_batch(const std::uint8_t* pts, const double* samples,
-                             std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) add(pts[i], samples[i]);
-}
-
 void StreamingDom::add_block(const std::uint8_t* pts, const double* samples,
                              std::size_t count) {
   if (count == 0) return;
   const BlockStatKernels& kernels = block_stat_kernels(active_tier());
-  scratch_.resize(1, num_guesses_);
+  BlockScratch& scratch = block_scratch(1, num_guesses_);
   // No shift: the partition state is raw sums, and DoM forms no squares,
   // so raw accumulation loses nothing.
   double sum_sq = 0.0;
-  kernels.histogram_scalar(pts, samples, count, 0.0, scratch_.counts.data(),
-                           scratch_.sums.data(), &sum_sq);
-  require_block_pts(scratch_.counts.data(), num_plaintexts_);
-  double* sum0 = scratch_.sum_h.data();
-  double* sum1 = scratch_.sum_h2.data();
-  kernels.contract_dom(predicted_bit_->data(), scratch_.counts.data(),
-                       scratch_.sums.data(), num_plaintexts_, num_guesses_,
-                       sum0, sum1, scratch_.cnt0.data(),
-                       scratch_.cnt1.data());
+  kernels.histogram_scalar(pts, samples, count, 0.0, scratch.counts.data(),
+                           scratch.sums.data(), &sum_sq);
+  require_block_pts(scratch.counts.data(), num_plaintexts_);
+  double* sum0 = scratch.sum_h.data();
+  double* sum1 = scratch.sum_h2.data();
+  kernels.contract_dom(predicted_bit_->data(), scratch.counts.data(),
+                       scratch.sums.data(), num_plaintexts_, num_guesses_,
+                       sum0, sum1, scratch.cnt0.data(),
+                       scratch.cnt1.data());
   n_ += count;
   for (std::size_t g = 0; g < num_guesses_; ++g) {
     sum_[0][g] += sum0[g];
     sum_[1][g] += sum1[g];
-    cnt_[0][g] += scratch_.cnt0[g];
-    cnt_[1][g] += scratch_.cnt1[g];
+    cnt_[0][g] += scratch.cnt0[g];
+    cnt_[1][g] += scratch.cnt1[g];
   }
 }
 
@@ -302,77 +308,56 @@ StreamingMultiCpa::StreamingMultiCpa(const SboxSpec& spec, PowerModel model,
       mean_h_(num_guesses_, 0.0),
       m2_h_(num_guesses_, 0.0),
       t_(width),
-      c_ht_(width * num_guesses_, 0.0),
-      dt_(width, 0.0) {
+      c_ht_(width * num_guesses_, 0.0) {
   SABLE_REQUIRE(width > 0, "multisample CPA requires at least one column");
-}
-
-void StreamingMultiCpa::add(std::uint8_t pt, const double* row) {
-  SABLE_REQUIRE(pt < num_plaintexts_, "plaintext out of range");
-  ++n_;
-  const double inv_n = 1.0 / static_cast<double>(n_);
-  for (std::size_t s = 0; s < width_; ++s) {
-    dt_[s] = t_[s].add(row[s]);
-  }
-  const double* pred = predictions_->data() + pt * num_guesses_;
-  for (std::size_t g = 0; g < num_guesses_; ++g) {
-    const double h = pred[g];
-    const double dh = h - mean_h_[g];
-    double* c = c_ht_.data() + g;
-    for (std::size_t s = 0; s < width_; ++s) {
-      c[s * num_guesses_] += dh * dt_[s];
-    }
-    mean_h_[g] += dh * inv_n;
-    m2_h_[g] += dh * (h - mean_h_[g]);
-  }
 }
 
 void StreamingMultiCpa::add_block(const std::uint8_t* pts, const double* rows,
                                   std::size_t count) {
   if (count == 0) return;
   const BlockStatKernels& kernels = block_stat_kernels(active_tier());
-  scratch_.resize(width_, num_guesses_);
+  BlockScratch& scratch = block_scratch(width_, num_guesses_);
   // Per-column shifts from the block's first row (see the scalar path).
-  for (std::size_t l = 0; l < width_; ++l) scratch_.shifts[l] = rows[l];
-  kernels.histogram_sampled(pts, rows, count, width_, scratch_.shifts.data(),
-                            scratch_.counts.data(), scratch_.sums.data(),
-                            scratch_.sum_sq.data());
-  require_block_pts(scratch_.counts.data(), num_plaintexts_);
+  for (std::size_t l = 0; l < width_; ++l) scratch.shifts[l] = rows[l];
+  kernels.histogram_sampled(pts, rows, count, width_, scratch.shifts.data(),
+                            scratch.counts.data(), scratch.sums.data(),
+                            scratch.sum_sq.data());
+  require_block_pts(scratch.counts.data(), num_plaintexts_);
   const double* pred = predictions_->data();
-  kernels.contract_counts(pred, scratch_.counts.data(), num_plaintexts_,
-                          num_guesses_, scratch_.sum_h.data(),
-                          scratch_.sum_h2.data());
-  kernels.contract_sums(pred, scratch_.sums.data(), scratch_.counts.data(),
+  kernels.contract_counts(pred, scratch.counts.data(), num_plaintexts_,
+                          num_guesses_, scratch.sum_h.data(),
+                          scratch.sum_h2.data());
+  kernels.contract_sums(pred, scratch.sums.data(), scratch.counts.data(),
                         num_plaintexts_, width_, num_guesses_,
-                        scratch_.r.data());
+                        scratch.r.data());
   // Convert to Welford form: per-column totals and moments, then the
   // shared prediction moments, then the per-column co-moments in place.
   const double n = static_cast<double>(count);
   for (std::size_t l = 0; l < width_; ++l) {
     double t_sum = 0.0;
     for (std::size_t p = 0; p < num_plaintexts_; ++p) {
-      t_sum += scratch_.sums[p * width_ + l];
+      t_sum += scratch.sums[p * width_ + l];
     }
-    scratch_.col_sum[l] = t_sum;
-    scratch_.col_mean[l] = scratch_.shifts[l] + t_sum / n;
-    scratch_.col_m2[l] =
-        std::max(0.0, scratch_.sum_sq[l] - t_sum * t_sum / n);
+    scratch.col_sum[l] = t_sum;
+    scratch.col_mean[l] = scratch.shifts[l] + t_sum / n;
+    scratch.col_m2[l] =
+        std::max(0.0, scratch.sum_sq[l] - t_sum * t_sum / n);
   }
   for (std::size_t g = 0; g < num_guesses_; ++g) {
-    const double mh = scratch_.sum_h[g] / n;
-    scratch_.sum_h[g] = mh;
-    scratch_.sum_h2[g] = std::max(0.0, scratch_.sum_h2[g] - mh * mh * n);
+    const double mh = scratch.sum_h[g] / n;
+    scratch.sum_h[g] = mh;
+    scratch.sum_h2[g] = std::max(0.0, scratch.sum_h2[g] - mh * mh * n);
   }
   for (std::size_t l = 0; l < width_; ++l) {
-    double* rl = scratch_.r.data() + l * num_guesses_;
-    const double t_sum = scratch_.col_sum[l];
+    double* rl = scratch.r.data() + l * num_guesses_;
+    const double t_sum = scratch.col_sum[l];
     for (std::size_t g = 0; g < num_guesses_; ++g) {
-      rl[g] -= scratch_.sum_h[g] * t_sum;
+      rl[g] -= scratch.sum_h[g] * t_sum;
     }
   }
-  fold_block(count, scratch_.col_mean.data(), scratch_.col_m2.data(),
-             scratch_.sum_h.data(), scratch_.sum_h2.data(),
-             scratch_.r.data());
+  fold_block(count, scratch.col_mean.data(), scratch.col_m2.data(),
+             scratch.sum_h.data(), scratch.sum_h2.data(),
+             scratch.r.data());
 }
 
 void StreamingMultiCpa::fold_block(std::size_t count, const double* mean_t,
@@ -423,12 +408,12 @@ void StreamingMultiCpa::merge(const StreamingMultiCpa& other) {
                     *predictions_ == *other.predictions_,
                 "merge requires accumulators over the same S-box spec");
   if (other.n_ == 0) return;
-  scratch_.resize(width_, num_guesses_);
+  BlockScratch& scratch = block_scratch(width_, num_guesses_);
   for (std::size_t s = 0; s < width_; ++s) {
-    scratch_.col_mean[s] = other.t_[s].mean();
-    scratch_.col_m2[s] = other.t_[s].m2();
+    scratch.col_mean[s] = other.t_[s].mean();
+    scratch.col_m2[s] = other.t_[s].m2();
   }
-  fold_block(other.n_, scratch_.col_mean.data(), scratch_.col_m2.data(),
+  fold_block(other.n_, scratch.col_mean.data(), scratch.col_m2.data(),
              other.mean_h_.data(), other.m2_h_.data(), other.c_ht_.data());
 }
 

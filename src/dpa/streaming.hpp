@@ -7,17 +7,18 @@
 // and can be snapshotted at any point, which is exactly what an
 // incremental measurements-to-disclosure driver needs.
 //
-// Numerics: Welford-style online means and co-moments (not raw-moment
-// sums), so the scores agree with the two-pass Pearson formulation to
-// ~1e-14 even though trace energies sit at ~1e-13 J with ~1e-15 J of
-// data-dependent variation.
+// Numerics: Welford-form means and co-moments (not raw-moment sums), so
+// the scores agree with the two-pass Pearson formulation to ~1e-13 even
+// though trace energies sit at ~1e-13 J with ~1e-15 J of data-dependent
+// variation.
 //
-// Two consumption paths: add()/add_batch() is the per-trace Welford
-// update (O(num_guesses) per trace), add_block() the block-factored path
-// (dpa/block_stats.hpp) — per-plaintext sufficient statistics in one
+// One consumption path: add_block() — the block-factored path
+// (dpa/block_stats.hpp): per-plaintext sufficient statistics in one
 // O(count) pass, one dense contraction per block, then a pairwise fold.
-// The engine's shard pipeline feeds add_block once per shard; the two
-// paths agree to ~1e-13.
+// The engine's shard pipeline feeds add_block once per shard (MTD once
+// per checkpoint segment). The block passes' working set is per thread,
+// not per accumulator, so retained shard states and MTD snapshots carry
+// only their logical moments.
 //
 // Every accumulator is copyable (copies share the immutable prediction
 // table) and mergeable: merge() folds another accumulator over a disjoint
@@ -32,7 +33,6 @@
 
 #include "crypto/sboxes.hpp"
 #include "dpa/attack.hpp"
-#include "dpa/block_stats.hpp"
 #include "dpa/hypothesis.hpp"
 #include "power/stats.hpp"
 
@@ -57,20 +57,12 @@ class StreamingCpa {
  public:
   StreamingCpa(const SboxSpec& spec, PowerModel model, std::size_t bit = 0);
 
-  /// Per-trace compat shims: the historic O(num_guesses)-per-trace
-  /// Welford path, kept for incremental feeds (the MTD checkpoint ladder
-  /// splits blocks at arbitrary trace counts) and as the reference the
-  /// block path is benchmarked against.
-  void add(std::uint8_t pt, double sample);
-  void add_batch(const std::uint8_t* pts, const double* samples,
-                 std::size_t count);
-
   /// Block-factored hot path (dpa/block_stats.hpp): one O(count)
   /// histogram pass with no guess loop, one G×P contraction against the
   /// prediction table, then a pairwise fold of the block's moments into
   /// the running state. The plaintext range check is hoisted to once per
-  /// block. Scores agree with feeding the same traces through add() to
-  /// ~1e-13 and are bit-identical across dispatch tiers; one add_block
+  /// block. Scores agree with the two-pass Pearson formulation to ~1e-13
+  /// and are bit-identical across dispatch tiers; one add_block
   /// call per engine shard makes sharded campaigns bit-identical across
   /// thread counts and lane widths.
   void add_block(const std::uint8_t* pts, const double* samples,
@@ -111,11 +103,10 @@ class StreamingCpa {
       predictions_;  // [pt * num_guesses_ + guess]
   OnlineMoments t_;  // shared sample-stream moments
   // Per-guess prediction moments and co-moments, kept as flat arrays (not
-  // one OnlineMoments per guess) so the per-trace guess loop stays tight.
+  // one OnlineMoments per guess) so the fold's guess loop stays tight.
   std::vector<double> mean_h_;
   std::vector<double> m2_h_;
   std::vector<double> c_ht_;
-  BlockScratch scratch_;  // add_block working set; not logical state
 };
 
 /// One-pass difference-of-means DPA on one predicted output bit. The
@@ -125,14 +116,10 @@ class StreamingDom {
  public:
   StreamingDom(const SboxSpec& spec, std::size_t bit = 0);
 
-  void add(std::uint8_t pt, double sample);
-  void add_batch(const std::uint8_t* pts, const double* samples,
-                 std::size_t count);
-
   /// Block-factored hot path: per-plaintext counts/sums in one pass with
   /// no guess loop, then one partitioned contraction against the
   /// predicted-bit table. Counts are exact; the partition sums differ
-  /// from trace-order add() only in addition order (~1e-15 relative).
+  /// from trace-order sums only in addition order (~1e-15 relative).
   void add_block(const std::uint8_t* pts, const double* samples,
                  std::size_t count);
 
@@ -155,7 +142,6 @@ class StreamingDom {
   std::size_t n_ = 0;
   std::vector<double> sum_[2];
   std::vector<std::size_t> cnt_[2];
-  BlockScratch scratch_;  // add_block working set; not logical state
 };
 
 /// One-pass time-resolved CPA: one correlation accumulator per sample
@@ -165,8 +151,6 @@ class StreamingMultiCpa {
  public:
   StreamingMultiCpa(const SboxSpec& spec, PowerModel model, std::size_t width,
                     std::size_t bit = 0);
-
-  void add(std::uint8_t pt, const double* row);
 
   /// Block-factored hot path over `count` rows of `width()` samples: one
   /// histogram pass building per-plaintext per-level column sums, a
@@ -209,8 +193,6 @@ class StreamingMultiCpa {
   std::vector<double> m2_h_;
   std::vector<OnlineMoments> t_;     // per column
   std::vector<double> c_ht_;         // [column * num_guesses_ + guess]
-  std::vector<double> dt_;           // per-column scratch
-  BlockScratch scratch_;             // add_block working set
 };
 
 }  // namespace sable

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -85,38 +84,9 @@ std::size_t campaign_lane_width(const CampaignOptions& options) {
       "this build and CPU support (see runtime_lane_widths())");
 }
 
-std::size_t style_lane_width_cap(LogicStyle style) {
-  // Measured on the avx512 tier with the per-tier transpose packing
-  // (bench_trace_throughput --lanes 64,128,256,512): every style now
-  // scales monotonically through 512, so no style is capped. The
-  // pre-vectorization 512 static-CMOS regression (29.2 vs 70.7 Mt/s at
-  // 256) was the wide-word pack silently falling back to the scalar
-  // 64x64 transpose — a packing-tier bug, not a property of the style.
-  // Keep this switch exhaustive so a new style makes a conscious choice.
-  switch (style) {
-    case LogicStyle::kStaticCmos:
-    case LogicStyle::kSablGenuine:
-    case LogicStyle::kSablEnhanced:
-    case LogicStyle::kSablFullyConnected:
-    case LogicStyle::kWddlBalanced:
-    case LogicStyle::kWddlMismatched:
-      return std::numeric_limits<std::size_t>::max();
-  }
-  SABLE_ASSERT(false, "unreachable logic style");
-}
-
 std::size_t campaign_lane_width(const CampaignOptions& options,
-                                LogicStyle style) {
-  // An explicit width is an instruction; only the width-0 default
-  // consults the per-style heuristic. The cap picks among the widths the
-  // machine offers, so it can never make a campaign unrunnable.
-  if (options.lane_width != 0) return campaign_lane_width(options);
-  const std::size_t cap = style_lane_width_cap(style);
-  std::size_t best = 0;
-  for (std::size_t width : runtime_lane_widths()) {
-    if (width <= cap && width > best) best = width;
-  }
-  return best != 0 ? best : max_runtime_lane_width();
+                                LogicStyle) {
+  return campaign_lane_width(options);
 }
 
 // ---- per-width engine state ----------------------------------------------
@@ -512,7 +482,7 @@ const RoundTargetT<W>& ensure_variant(const RoundTarget& base,
 template <typename Fn>
 decltype(auto) with_lane(const RoundTarget& base, detail::EnginePools& pools,
                          const CampaignOptions& options, Fn&& fn) {
-  switch (campaign_lane_width(options, base.round().style)) {
+  switch (campaign_lane_width(options)) {
     case 64:
       return fn(base, pools.p64);
     case 128:

@@ -138,24 +138,10 @@ std::size_t campaign_thread_count(const CampaignOptions& options);
 /// for widths this build or machine cannot execute.
 std::size_t campaign_lane_width(const CampaignOptions& options);
 
-/// Style-aware resolution — what the engine actually uses: an explicit
-/// lane_width behaves exactly as above, but the width-0 default is
-/// additionally clamped to style_lane_width_cap(style). Results are
-/// bit-identical at every width, so the cap is purely a throughput
-/// heuristic and an explicit width always wins.
+/// Same as above; the style does not change the resolution. Kept as a
+/// forward for callers written against the former per-style overload.
 std::size_t campaign_lane_width(const CampaignOptions& options,
                                 LogicStyle style);
-
-/// Per-style cap the lane_width = 0 default honors: the widest word
-/// measured to actually help this style, or SIZE_MAX for "no cap" (take
-/// the machine's widest). Today every style scales monotonically to 512
-/// — the historic static-CMOS 512 regression turned out to be the scalar
-/// fallback of the wide-word bit-transpose packing, not the style — so
-/// no style carries a cap; the table is the pinned place to register one
-/// if a style/machine pair measures a sustained 512 penalty (e.g.
-/// license-based AVX-512 downclocking on older server parts; see the
-/// lane_width rows of BENCH_trace_throughput.json).
-std::size_t style_lane_width_cap(LogicStyle style);
 
 /// Deterministic fixed-shape binary reduction of per-shard accumulators:
 /// round r merges shard i + 2^r into shard i for every i ≡ 0 (mod
@@ -320,8 +306,9 @@ class TraceEngine {
   /// Incremental MTD curve for the selected subkey: workers snapshot each
   /// shard's partial accumulator at the checkpoints falling inside it;
   /// the snapshots are then ranked in order against the merged prefix
-  /// (ShardedMtd) — the full measurements-to-disclosure experiment in a
-  /// single parallel pass over generated-and-dropped traces. The correct
+  /// (MtdDistinguisher's ordered fold) — the full measurements-to-
+  /// disclosure experiment in a single parallel pass over
+  /// generated-and-dropped traces. The correct
   /// subkey is read from options.key. Duplicate checkpoints are evaluated
   /// once.
   MtdResult mtd_campaign(const CampaignOptions& options,

@@ -11,8 +11,8 @@ void TraceSet::add(std::uint8_t pt, double sample) {
   samples.push_back(sample);
 }
 
-void TraceSet::add_batch(const std::uint8_t* pts, const double* values,
-                         std::size_t count) {
+void TraceSet::append(const std::uint8_t* pts, const double* values,
+                      std::size_t count) {
   plaintexts.insert(plaintexts.end(), pts, pts + count * pt_width);
   samples.insert(samples.end(), values, values + count);
 }

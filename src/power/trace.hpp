@@ -33,8 +33,8 @@ struct TraceSet {
   void add(std::uint8_t pt, double sample);
   /// Appends `count` traces at once (batched producer path); `pts` holds
   /// count * pt_width bytes.
-  void add_batch(const std::uint8_t* pts, const double* values,
-                 std::size_t count);
+  void append(const std::uint8_t* pts, const double* values,
+              std::size_t count);
 };
 
 /// Time-resolved traces: `width` samples per encryption (row-major). This

@@ -2,10 +2,10 @@
 // paths in dpa/streaming.hpp): the three contracts the pipeline leans
 // on.
 //
-//  1. Equivalence — the block-factored path scores within 1e-12 of the
-//     historic per-trace Welford formulation, for CPA (4- and 8-bit
-//     sboxes), DoM (whose partition COUNTS must match exactly) and
-//     MultiCpa.
+//  1. Equivalence — the block-factored path over a ragged block split
+//     scores within 1e-12 of the textbook two-pass formulations
+//     (tests/reference_attacks.hpp), for CPA (4- and 8-bit sboxes), DoM
+//     and MultiCpa.
 //  2. Cross-tier bit-identity — the same blocks produce byte-identical
 //     serialized state under every dispatch tier the build and the
 //     machine support, and the raw kernels agree bitwise output-for-
@@ -28,6 +28,7 @@
 #include "dpa/block_stats.hpp"
 #include "dpa/streaming.hpp"
 #include "io/serial.hpp"
+#include "reference_attacks.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -39,15 +40,29 @@ namespace {
 // `width` samples at campaign-realistic magnitude (~1e-13 J) so the
 // test exercises the same cancellation regime the shift-by-first-sample
 // trick exists for.
-struct TraceSet {
+struct Traces {
   std::vector<std::uint8_t> pts;
   std::vector<double> rows;  // [trace * width + column]
   std::size_t width;
+
+  // The same traces in the oracles' containers.
+  TraceSet scalar() const {
+    TraceSet out;
+    out.append(pts.data(), rows.data(), pts.size());
+    return out;
+  }
+  MultiTraceSet multi() const {
+    MultiTraceSet out;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      out.add(pts[i], rows.data() + i * width, width);
+    }
+    return out;
+  }
 };
 
-TraceSet make_traces(std::size_t count, std::size_t num_pts,
+Traces make_traces(std::size_t count, std::size_t num_pts,
                      std::size_t width, std::uint64_t seed) {
-  TraceSet t;
+  Traces t;
   t.width = width;
   t.pts.resize(count);
   t.rows.resize(count * width);
@@ -69,7 +84,7 @@ constexpr std::size_t kBlockSizes[] = {448, 448, 131};
 constexpr std::size_t kTotal = 448 + 448 + 131;
 
 template <typename Feed>
-void for_each_block(const TraceSet& t, const Feed& feed) {
+void for_each_block(const Traces& t, const Feed& feed) {
   std::size_t off = 0;
   for (const std::size_t n : kBlockSizes) {
     feed(t.pts.data() + off, t.rows.data() + off * t.width, n);
@@ -79,10 +94,11 @@ void for_each_block(const TraceSet& t, const Feed& feed) {
 }
 
 void expect_near_scores(const std::vector<double>& block,
-                        const std::vector<double>& per_trace) {
-  ASSERT_EQ(block.size(), per_trace.size());
+                        const std::vector<double>& reference,
+                        double tolerance = 1e-12) {
+  ASSERT_EQ(block.size(), reference.size());
   for (std::size_t g = 0; g < block.size(); ++g) {
-    EXPECT_NEAR(block[g], per_trace[g], 1e-12) << "guess " << g;
+    EXPECT_NEAR(block[g], reference[g], tolerance) << "guess " << g;
   }
 }
 
@@ -102,59 +118,55 @@ std::vector<std::uint8_t> saved_bytes(const auto& acc) {
   return writer.buffer();
 }
 
-// ---- equivalence: block path vs per-trace Welford -------------------------
+// ---- equivalence: block path vs the two-pass oracles ----------------------
 
-TEST(BlockStatsTest, CpaBlockPathMatchesPerTrace4Bit) {
-  const TraceSet t = make_traces(kTotal, 16, 1, 0xB10C);
-  StreamingCpa per_trace(present_spec(), PowerModel::kHammingWeight);
-  per_trace.add_batch(t.pts.data(), t.rows.data(), t.pts.size());
+TEST(BlockStatsTest, CpaBlockPathMatchesTwoPass4Bit) {
+  const Traces t = make_traces(kTotal, 16, 1, 0xB10C);
   StreamingCpa block(present_spec(), PowerModel::kHammingWeight);
   for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
                         std::size_t n) { block.add_block(pts, rows, n); });
-  EXPECT_EQ(block.count(), per_trace.count());
-  expect_near_scores(block.result().score, per_trace.result().score);
+  EXPECT_EQ(block.count(), kTotal);
+  expect_near_scores(block.result().score,
+                     reference_cpa_scores(t.scalar(), present_spec(),
+                                          PowerModel::kHammingWeight, 0));
 }
 
-TEST(BlockStatsTest, CpaBlockPathMatchesPerTrace8Bit) {
+TEST(BlockStatsTest, CpaBlockPathMatchesTwoPass8Bit) {
   // 8-bit sbox: 256 plaintext classes over ~1000 traces — sparse
   // histogram rows, many zero-count classes, the skip branch exercised.
-  const TraceSet t = make_traces(kTotal, 256, 1, 0xAE5);
-  StreamingCpa per_trace(aes_spec(), PowerModel::kHammingWeight);
-  per_trace.add_batch(t.pts.data(), t.rows.data(), t.pts.size());
+  const Traces t = make_traces(kTotal, 256, 1, 0xAE5);
   StreamingCpa block(aes_spec(), PowerModel::kHammingWeight);
   for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
                         std::size_t n) { block.add_block(pts, rows, n); });
-  expect_near_scores(block.result().score, per_trace.result().score);
+  expect_near_scores(block.result().score,
+                     reference_cpa_scores(t.scalar(), aes_spec(),
+                                          PowerModel::kHammingWeight, 0));
 }
 
-TEST(BlockStatsTest, DomBlockPathMatchesPerTrace) {
-  const TraceSet t = make_traces(kTotal, 16, 1, 0xD0A1);
-  StreamingDom per_trace(present_spec(), 2);
-  per_trace.add_batch(t.pts.data(), t.rows.data(), t.pts.size());
+TEST(BlockStatsTest, DomBlockPathMatchesTwoPass) {
+  const Traces t = make_traces(kTotal, 16, 1, 0xD0A1);
   StreamingDom block(present_spec(), 2);
   for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
                         std::size_t n) { block.add_block(pts, rows, n); });
-  // Partition counts are integers: EXACTLY equal, not approximately.
-  EXPECT_EQ(block.count(), per_trace.count());
-  expect_near_scores(block.result().score, per_trace.result().score);
+  EXPECT_EQ(block.count(), kTotal);
+  // A DoM score is a difference of ~1e-13 J partition means, so the
+  // budget is 1e-12 relative to those means.
+  expect_near_scores(block.result().score,
+                     reference_dom_scores(t.scalar(), present_spec(), 2),
+                     1e-12 * 1e-13);
 }
 
-TEST(BlockStatsTest, MultiCpaBlockPathMatchesPerTrace) {
+TEST(BlockStatsTest, MultiCpaBlockPathMatchesTwoPass) {
   constexpr std::size_t kWidth = 5;
-  const TraceSet t = make_traces(kTotal, 16, kWidth, 0x3C0A);
-  StreamingMultiCpa per_trace(present_spec(), PowerModel::kHammingWeight,
-                              kWidth);
-  for (std::size_t i = 0; i < t.pts.size(); ++i) {
-    per_trace.add(t.pts[i], t.rows.data() + i * kWidth);
-  }
+  const Traces t = make_traces(kTotal, 16, kWidth, 0x3C0A);
   StreamingMultiCpa block(present_spec(), PowerModel::kHammingWeight,
                           kWidth);
   for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
                         std::size_t n) { block.add_block(pts, rows, n); });
-  EXPECT_EQ(block.count(), per_trace.count());
-  const MultiAttackResult a = block.result();
-  const MultiAttackResult b = per_trace.result();
-  expect_near_scores(a.combined.score, b.combined.score);
+  EXPECT_EQ(block.count(), kTotal);
+  expect_near_scores(block.result().combined.score,
+                     reference_multi_cpa_scores(t.multi(), present_spec(),
+                                                PowerModel::kHammingWeight));
 }
 
 // ---- cross-tier bit-identity ----------------------------------------------
@@ -169,7 +181,7 @@ std::vector<DispatchTier> testable_tiers() {
 }
 
 TEST(BlockStatsTest, CpaBitIdenticalAcrossDispatchTiers) {
-  const TraceSet t = make_traces(kTotal, 16, 1, 0x71E5);
+  const Traces t = make_traces(kTotal, 16, 1, 0x71E5);
   std::vector<std::uint8_t> reference;
   for (const DispatchTier tier : testable_tiers()) {
     ScopedDispatchTierCap cap(tier);
@@ -187,7 +199,7 @@ TEST(BlockStatsTest, CpaBitIdenticalAcrossDispatchTiers) {
 
 TEST(BlockStatsTest, MultiCpaBitIdenticalAcrossDispatchTiers) {
   constexpr std::size_t kWidth = 7;
-  const TraceSet t = make_traces(kTotal, 16, kWidth, 0x71E6);
+  const Traces t = make_traces(kTotal, 16, kWidth, 0x71E6);
   std::vector<std::uint8_t> reference;
   for (const DispatchTier tier : testable_tiers()) {
     ScopedDispatchTierCap cap(tier);
@@ -211,7 +223,7 @@ TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
   constexpr std::size_t kPts = 16;
   constexpr std::size_t kGuesses = 16;
   constexpr std::size_t kWidth = 3;
-  const TraceSet t = make_traces(kCount, kPts, kWidth, 0xFACE);
+  const Traces t = make_traces(kCount, kPts, kWidth, 0xFACE);
   std::vector<double> pred(kPts * kGuesses);
   std::vector<std::uint8_t> pred_bit(kPts * kGuesses);
   Rng rng(0xBEEF);
@@ -279,7 +291,7 @@ TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
 // fold as add_block.
 
 template <typename Acc, typename Make>
-void check_persistence_shape(const TraceSet& t, const Make& make) {
+void check_persistence_shape(const Traces& t, const Make& make) {
   // Straight-through: all blocks, one accumulator.
   Acc straight = make();
   for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
@@ -322,21 +334,21 @@ void check_persistence_shape(const TraceSet& t, const Make& make) {
 }
 
 TEST(BlockStatsTest, CpaSaveLoadAccumulateMergeMatchesStraightThrough) {
-  const TraceSet t = make_traces(kTotal, 16, 1, 0x5A7E);
+  const Traces t = make_traces(kTotal, 16, 1, 0x5A7E);
   check_persistence_shape<StreamingCpa>(t, [] {
     return StreamingCpa(present_spec(), PowerModel::kHammingWeight);
   });
 }
 
 TEST(BlockStatsTest, DomSaveLoadAccumulateMergeMatchesStraightThrough) {
-  const TraceSet t = make_traces(kTotal, 16, 1, 0x5A7F);
+  const Traces t = make_traces(kTotal, 16, 1, 0x5A7F);
   check_persistence_shape<StreamingDom>(
       t, [] { return StreamingDom(present_spec(), 1); });
 }
 
 TEST(BlockStatsTest, MultiCpaSaveLoadAccumulateMergeMatchesStraightThrough) {
   constexpr std::size_t kWidth = 4;
-  const TraceSet t = make_traces(kTotal, 16, kWidth, 0x5A80);
+  const Traces t = make_traces(kTotal, 16, kWidth, 0x5A80);
   check_persistence_shape<StreamingMultiCpa>(t, [] {
     return StreamingMultiCpa(present_spec(), PowerModel::kHammingWeight,
                              kWidth);
@@ -349,7 +361,7 @@ TEST(BlockStatsTest, OutOfRangePlaintextThrowsBeforeMutating) {
   // Validation happens once per block, after the histogram pass but
   // before any statistic folds in: a bad plaintext anywhere in the
   // block throws and leaves the accumulator untouched.
-  TraceSet t = make_traces(64, 16, 1, 0xBAD);
+  Traces t = make_traces(64, 16, 1, 0xBAD);
   t.pts[37] = 200;  // >= present's 16 plaintext classes
 
   StreamingCpa cpa(present_spec(), PowerModel::kHammingWeight);
@@ -366,10 +378,6 @@ TEST(BlockStatsTest, OutOfRangePlaintextThrowsBeforeMutating) {
   EXPECT_THROW(multi.add_block(t.pts.data(), t.rows.data(), t.pts.size()),
                InvalidArgument);
   EXPECT_EQ(multi.count(), 0u);
-
-  // The per-trace shim still validates too — the contract moved, it
-  // did not weaken.
-  EXPECT_THROW(cpa.add(200, 1e-13), InvalidArgument);
 }
 
 }  // namespace

@@ -88,24 +88,31 @@ void write_bytes(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-// Deterministic sub-plaintext / sample streams for accumulator-level
-// round trips (no engine involved).
-template <typename Feed>
-void feed_traces(std::size_t count, const Feed& feed) {
+// Deterministic sub-plaintexts and rows of `width` samples for
+// accumulator-level round trips (no engine involved).
+struct Block {
+  std::vector<std::uint8_t> pts;
+  std::vector<double> rows;  // [trace * width + column]
+};
+
+Block make_block(std::size_t count, std::size_t width) {
+  Block block;
   Rng rng(0xF00D);
   for (std::size_t i = 0; i < count; ++i) {
-    const auto pt = static_cast<std::uint8_t>(rng.below(16));
-    feed(pt, rng);
+    block.pts.push_back(static_cast<std::uint8_t>(rng.below(16)));
+    for (std::size_t w = 0; w < width; ++w) {
+      block.rows.push_back(1e-13 * rng.uniform());
+    }
   }
+  return block;
 }
 
 // ---- accumulator serialization --------------------------------------------
 
 TEST(CampaignIoTest, StreamingCpaRoundTripsBitExactly) {
   StreamingCpa original(present_spec(), PowerModel::kHammingWeight);
-  feed_traces(257, [&](std::uint8_t pt, Rng& rng) {
-    original.add(pt, 1e-13 * rng.uniform());
-  });
+  const Block block = make_block(257, 1);
+  original.add_block(block.pts.data(), block.rows.data(), block.pts.size());
   ByteWriter writer;
   original.save(writer);
 
@@ -124,9 +131,8 @@ TEST(CampaignIoTest, StreamingCpaRoundTripsBitExactly) {
 
 TEST(CampaignIoTest, StreamingDomRoundTripsBitExactly) {
   StreamingDom original(present_spec(), 2);
-  feed_traces(300, [&](std::uint8_t pt, Rng& rng) {
-    original.add(pt, 1e-13 * rng.uniform());
-  });
+  const Block block = make_block(300, 1);
+  original.add_block(block.pts.data(), block.rows.data(), block.pts.size());
   ByteWriter writer;
   original.save(writer);
   StreamingDom loaded(present_spec(), 2);
@@ -142,11 +148,8 @@ TEST(CampaignIoTest, StreamingMultiCpaRoundTripsBitExactly) {
   constexpr std::size_t kWidth = 3;
   StreamingMultiCpa original(present_spec(), PowerModel::kHammingWeight,
                              kWidth);
-  feed_traces(211, [&](std::uint8_t pt, Rng& rng) {
-    double row[kWidth];
-    for (double& x : row) x = 1e-13 * rng.uniform();
-    original.add(pt, row);
-  });
+  const Block block = make_block(211, kWidth);
+  original.add_block(block.pts.data(), block.rows.data(), block.pts.size());
   ByteWriter writer;
   original.save(writer);
   StreamingMultiCpa loaded(present_spec(), PowerModel::kHammingWeight,
@@ -164,16 +167,9 @@ TEST(CampaignIoTest, SecondOrderCpaRoundTripsBitExactly) {
   constexpr std::size_t kWidth = 4;
   StreamingSecondOrderCpa original(present_spec(),
                                    PowerModel::kHammingWeight);
-  std::vector<std::uint8_t> pts(128);
-  std::vector<double> rows(pts.size() * kWidth);
-  Rng rng(0xF00D);
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    pts[i] = static_cast<std::uint8_t>(rng.below(16));
-    for (std::size_t w = 0; w < kWidth; ++w) {
-      rows[i * kWidth + w] = 1e-13 * rng.uniform();
-    }
-  }
-  original.add_block(pts.data(), rows.data(), pts.size(), kWidth);
+  const Block block = make_block(128, kWidth);
+  original.add_block(block.pts.data(), block.rows.data(), block.pts.size(),
+                     kWidth);
   ByteWriter writer;
   original.save(writer);
   StreamingSecondOrderCpa loaded(present_spec(),
@@ -197,27 +193,6 @@ TEST(CampaignIoTest, NeverFedSecondOrderRoundTripsAsWidthZero) {
   ByteReader reader(writer.buffer().data(), writer.buffer().size(), "mem");
   loaded.load(reader);
   EXPECT_EQ(loaded.count(), 0u);
-}
-
-TEST(CampaignIoTest, ShardedMtdRoundTripsBitExactly) {
-  const StreamingCpa prototype(present_spec(), PowerModel::kHammingWeight);
-  ShardedMtd original(0xB);
-  StreamingCpa shard(prototype);
-  feed_traces(200, [&](std::uint8_t pt, Rng& rng) {
-    shard.add(pt, 1e-13 * rng.uniform());
-  });
-  original.checkpoint(64, shard);  // pre-append in-shard checkpoint
-  original.append(shard);
-  ByteWriter writer;
-  original.save(writer);
-  ShardedMtd loaded(0xB);
-  ByteReader reader(writer.buffer().data(), writer.buffer().size(), "mem");
-  loaded.load(reader, prototype);
-  EXPECT_EQ(loaded.count(), original.count());
-  EXPECT_EQ(loaded.result().rank_history, original.result().rank_history);
-  ByteWriter again;
-  loaded.save(again);
-  EXPECT_EQ(again.buffer(), writer.buffer());
 }
 
 TEST(CampaignIoTest, AccumulatorLoadRejectsWrongTypeAndConfig) {

@@ -8,6 +8,7 @@
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
 #include "power/stats.hpp"
+#include "reference_attacks.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -161,13 +162,11 @@ TEST(MtdTest, DisclosureOrdering) {
   const TraceSet traces_cmos = collect_traces(cmos, key, n, 2e-16, rng);
   const TraceSet traces_fc = collect_traces(fc, key, n, 2e-16, rng);
   const auto checkpoints = default_checkpoints(n);
-  const auto attack = [&](const TraceSet& t) {
-    return cpa_attack(t, present_spec(), PowerModel::kHammingWeight);
-  };
-  const MtdResult mtd_cmos =
-      measurements_to_disclosure(traces_cmos, key, checkpoints, attack);
-  const MtdResult mtd_fc =
-      measurements_to_disclosure(traces_fc, key, checkpoints, attack);
+  const MtdResult mtd_cmos = reference_mtd(
+      traces_cmos, present_spec(), PowerModel::kHammingWeight, key,
+      checkpoints);
+  const MtdResult mtd_fc = reference_mtd(
+      traces_fc, present_spec(), PowerModel::kHammingWeight, key, checkpoints);
   EXPECT_TRUE(mtd_cmos.disclosed);
   // The FC implementation either never discloses or takes far longer.
   if (mtd_fc.disclosed) {

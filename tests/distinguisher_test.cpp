@@ -2,9 +2,9 @@
 //
 //  * every wrapped campaign (cpa/dom/mtd/multi_cpa) is BIT-IDENTICAL to
 //    the pre-pipeline formulation — per-shard streaming accumulators over
-//    the streamed campaign, reduced by the fixed-shape merge tree (or
-//    ShardedMtd's ordered fold) — which is exactly the reference
-//    reconstructed by hand here;
+//    the streamed campaign, reduced by the fixed-shape merge tree (or, for
+//    MTD, the ordered prefix fold over checkpoint segments) — which is
+//    exactly the reference reconstructed by hand here;
 //  * the second-order centered-product CPA matches the retained-trace
 //    reference (full-campaign means, centered products, Pearson) to
 //    1e-12;
@@ -134,7 +134,11 @@ TEST(DistinguisherPipelineTest, MtdCampaignBitIdenticalToManualShards) {
 
   TraceEngine engine(round, kTech);
   const std::size_t subkey = round.sub_word(options.key.data(), 0);
-  ShardedMtd driver(subkey);
+  // Each shard is fed one add_block per checkpoint segment; a checkpoint
+  // ranks the merged prefix of the earlier shards plus the shard's
+  // partial accumulator.
+  StreamingCpa prefix(round.sboxes[0], selector.model, selector.bit);
+  std::vector<std::pair<std::size_t, std::size_t>> history;
   for_each_shard(
       engine, options, 0, /*sampled=*/false,
       [&](std::size_t shard, const std::uint8_t* pts, const double* samples,
@@ -144,14 +148,16 @@ TEST(DistinguisherPipelineTest, MtdCampaignBitIdenticalToManualShards) {
         std::size_t done = 0;
         for (auto it = std::upper_bound(ladder.begin(), ladder.end(), start);
              it != ladder.end() && *it <= start + n; ++it) {
-          acc.add_batch(pts + done, samples + done, *it - start - done);
+          acc.add_block(pts + done, samples + done, *it - start - done);
           done = *it - start;
-          driver.checkpoint(*it, acc);
+          StreamingCpa at_checkpoint = prefix;
+          at_checkpoint.merge(acc);
+          history.emplace_back(*it, at_checkpoint.result().rank_of(subkey));
         }
-        acc.add_batch(pts + done, samples + done, n - done);
-        driver.append(acc);
+        acc.add_block(pts + done, samples + done, n - done);
+        prefix.merge(acc);
       });
-  const MtdResult reference = driver.result();
+  const MtdResult reference = mtd_from_history(std::move(history));
   const MtdResult result = engine.mtd_campaign(options, selector, checkpoints);
   EXPECT_EQ(result.disclosed, reference.disclosed);
   EXPECT_EQ(result.mtd, reference.mtd);

@@ -20,6 +20,7 @@
 #include "dpa/streaming.hpp"
 #include "engine/trace_engine.hpp"
 #include "power/stats.hpp"
+#include "reference_attacks.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "util/rng.hpp"
 
@@ -78,7 +79,7 @@ TEST(EngineDeterminismTest, StreamDeliversCanonicalOrderAcrossThreadCounts) {
     collected.reserve(options.num_traces);
     engine.stream(options,
                   [&](const std::uint8_t* pts, const double* samples,
-                      std::size_t n) { collected.add_batch(pts, samples, n); });
+                      std::size_t n) { collected.append(pts, samples, n); });
     ASSERT_EQ(collected.size(), reference.size()) << threads;
     for (std::size_t i = 0; i < reference.size(); ++i) {
       ASSERT_EQ(collected.plaintexts[i], reference.plaintexts[i])
@@ -158,6 +159,54 @@ TEST(EngineDeterminismTest, MtdCampaignIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The MTD ladder cuts every shard into add_block segments. On a ragged
+// layout (six 448-trace shards and a 312-trace tail) with checkpoints
+// inside shards, exactly on shard boundaries, on the last trace and
+// outside [2, num_traces] (dropped), the curve must be bit-identical
+// across threads × lane widths × dispatch tiers, and its ranks must equal
+// a from-scratch two-pass CPA on every prefix. (No 2-trace checkpoint:
+// there every non-constant prediction correlates at exactly |rho| = 1,
+// so the rank among those ties is decided by rounding alone.)
+TEST(EngineDeterminismTest, MtdCampaignOnRaggedShardsMatchesOracleEverywhere) {
+  CampaignOptions options = sharded_options();
+  options.num_threads = 1;
+  options.lane_width = 64;
+  const std::vector<std::size_t> checkpoints = {
+      1, 16, 100, 447, 448, 449, 896, 1000, 1344, 1344, 2000,
+      2688, 2689, 2999, 3000, 3001};
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  const MtdResult reference =
+      engine.mtd_campaign(options, selector, checkpoints);
+  const MtdResult oracle =
+      reference_mtd(engine.run(options), present_spec(),
+                    PowerModel::kHammingWeight, options.key[0], checkpoints);
+  EXPECT_TRUE(oracle.disclosed);
+  EXPECT_EQ(reference.disclosed, oracle.disclosed);
+  EXPECT_EQ(reference.mtd, oracle.mtd);
+  EXPECT_EQ(reference.rank_history, oracle.rank_history);
+  ASSERT_EQ(reference.rank_history.size(), 13u);
+
+  for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
+                            DispatchTier::kAvx512}) {
+    ScopedDispatchTierCap cap(tier);
+    for (std::size_t width : runtime_lane_widths()) {
+      for (std::size_t threads :
+           {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+        options.lane_width = width;
+        options.num_threads = threads;
+        const MtdResult result =
+            engine.mtd_campaign(options, selector, checkpoints);
+        EXPECT_EQ(result.disclosed, reference.disclosed);
+        EXPECT_EQ(result.mtd, reference.mtd);
+        EXPECT_EQ(result.rank_history, reference.rank_history)
+            << "tier " << to_string(tier) << " width " << width
+            << " threads " << threads;
+      }
+    }
+  }
+}
+
 // ---- accumulator merges ---------------------------------------------------
 
 TraceSet cmos_traces(std::size_t count, std::uint8_t key, std::uint64_t seed) {
@@ -201,13 +250,13 @@ TEST(MergeTest, StreamingCpaMergeMatchesSequential) {
   const SboxSpec spec = present_spec();
   const TraceSet traces = cmos_traces(4000, 0x6, 0xCAB1E);
   StreamingCpa sequential(spec, PowerModel::kHammingWeight);
-  sequential.add_batch(traces.plaintexts.data(), traces.samples.data(),
+  sequential.add_block(traces.plaintexts.data(), traces.samples.data(),
                        traces.size());
   StreamingCpa merged(spec, PowerModel::kHammingWeight);
   const std::size_t bounds[] = {0, 700, 701, 2048, 4000};
   for (std::size_t p = 0; p + 1 < std::size(bounds); ++p) {
     StreamingCpa part(spec, PowerModel::kHammingWeight);
-    part.add_batch(traces.plaintexts.data() + bounds[p],
+    part.add_block(traces.plaintexts.data() + bounds[p],
                    traces.samples.data() + bounds[p],
                    bounds[p + 1] - bounds[p]);
     merged.merge(part);
@@ -227,13 +276,13 @@ TEST(MergeTest, StreamingDomMergeMatchesSequential) {
   const TraceSet traces = cmos_traces(3000, 0x9, 0xD0D1);
   for (std::size_t bit = 0; bit < 2; ++bit) {
     StreamingDom sequential(spec, bit);
-    sequential.add_batch(traces.plaintexts.data(), traces.samples.data(),
+    sequential.add_block(traces.plaintexts.data(), traces.samples.data(),
                          traces.size());
     StreamingDom merged(spec, bit);
     const std::size_t bounds[] = {0, 123, 2000, 3000};
     for (std::size_t p = 0; p + 1 < std::size(bounds); ++p) {
       StreamingDom part(spec, bit);
-      part.add_batch(traces.plaintexts.data() + bounds[p],
+      part.add_block(traces.plaintexts.data() + bounds[p],
                      traces.samples.data() + bounds[p],
                      bounds[p + 1] - bounds[p]);
       merged.merge(part);
@@ -263,17 +312,15 @@ TEST(MergeTest, StreamingMultiCpaMergeMatchesSequential) {
   }
   StreamingMultiCpa sequential(spec, PowerModel::kHammingWeight,
                                traces.width);
-  for (std::size_t t = 0; t < traces.size(); ++t) {
-    sequential.add(traces.plaintexts[t],
-                   traces.samples.data() + t * traces.width);
-  }
+  sequential.add_block(traces.plaintexts.data(), traces.samples.data(),
+                       traces.size());
   StreamingMultiCpa merged(spec, PowerModel::kHammingWeight, traces.width);
   const std::size_t bounds[] = {0, 311, 900, 1200};
   for (std::size_t p = 0; p + 1 < std::size(bounds); ++p) {
     StreamingMultiCpa part(spec, PowerModel::kHammingWeight, traces.width);
-    for (std::size_t t = bounds[p]; t < bounds[p + 1]; ++t) {
-      part.add(traces.plaintexts[t], traces.samples.data() + t * traces.width);
-    }
+    part.add_block(traces.plaintexts.data() + bounds[p],
+                   traces.samples.data() + bounds[p] * traces.width,
+                   bounds[p + 1] - bounds[p]);
     merged.merge(part);
   }
   const MultiAttackResult a = merged.result();
@@ -283,48 +330,6 @@ TEST(MergeTest, StreamingMultiCpaMergeMatchesSequential) {
     EXPECT_NEAR(a.combined.score[g], b.combined.score[g], 1e-12) << g;
   }
   EXPECT_EQ(a.best_sample, b.best_sample);
-}
-
-TEST(MergeTest, ShardedMtdMatchesStreamingMtd) {
-  const SboxSpec spec = present_spec();
-  const std::uint8_t key = 0xB;
-  const TraceSet traces = cmos_traces(3000, key, 0x17D8);
-  const auto checkpoints = default_checkpoints(traces.size());
-
-  StreamingMtd sequential(StreamingCpa(spec, PowerModel::kHammingWeight), key,
-                          checkpoints);
-  sequential.add_batch(traces.plaintexts.data(), traces.samples.data(),
-                       traces.size());
-  const MtdResult reference = sequential.result();
-
-  // Feed ShardedMtd exactly as the engine does: 512-trace shards, partial
-  // snapshots at in-shard checkpoints, full accumulators appended after.
-  ShardedMtd sharded(key);
-  const std::size_t shard_size = 512;
-  std::vector<std::size_t> ladder(checkpoints);
-  std::sort(ladder.begin(), ladder.end());
-  for (std::size_t start = 0; start < traces.size(); start += shard_size) {
-    const std::size_t count = std::min(shard_size, traces.size() - start);
-    StreamingCpa acc(spec, PowerModel::kHammingWeight);
-    std::size_t done = 0;
-    for (std::size_t c : ladder) {
-      if (c <= start || c > start + count || c < 2) continue;
-      acc.add_batch(traces.plaintexts.data() + start + done,
-                    traces.samples.data() + start + done, c - start - done);
-      done = c - start;
-      sharded.checkpoint(c, acc);
-    }
-    acc.add_batch(traces.plaintexts.data() + start + done,
-                  traces.samples.data() + start + done, count - done);
-    sharded.append(acc);
-  }
-  const MtdResult result = sharded.result();
-  EXPECT_EQ(result.disclosed, reference.disclosed);
-  EXPECT_EQ(result.mtd, reference.mtd);
-  ASSERT_EQ(result.rank_history.size(), reference.rank_history.size());
-  for (std::size_t i = 0; i < reference.rank_history.size(); ++i) {
-    EXPECT_EQ(result.rank_history[i], reference.rank_history[i]) << i;
-  }
 }
 
 // The engine's attack reduction is the fixed-shape binary merge tree —

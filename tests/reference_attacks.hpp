@@ -1,0 +1,105 @@
+// Test-only oracles for the streaming attack accumulators: the textbook
+// two-pass formulations, written with no shared code beyond the leakage
+// model and pearson(), so the block-factored production path is checked
+// against something independent of it.
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "crypto/leakage.hpp"
+#include "dpa/attack.hpp"
+#include "dpa/mtd.hpp"
+#include "power/stats.hpp"
+#include "power/trace.hpp"
+
+namespace sable {
+
+/// Two-pass reference CPA over the first `n` traces (all of them when n
+/// is 0): |Pearson| of every guess's predicted leakage against the
+/// samples.
+inline std::vector<double> reference_cpa_scores(const TraceSet& traces,
+                                                const SboxSpec& spec,
+                                                PowerModel model,
+                                                std::size_t bit,
+                                                std::size_t n = 0) {
+  if (n == 0) n = traces.size();
+  const std::size_t num_guesses = std::size_t{1} << spec.in_bits;
+  const std::vector<double> samples(traces.samples.begin(),
+                                    traces.samples.begin() +
+                                        static_cast<std::ptrdiff_t>(n));
+  std::vector<double> scores(num_guesses);
+  std::vector<double> prediction(n);
+  for (std::size_t g = 0; g < num_guesses; ++g) {
+    for (std::size_t t = 0; t < n; ++t) {
+      prediction[t] = predict_leakage(spec, model, traces.plaintexts[t],
+                                      static_cast<std::uint8_t>(g), bit);
+    }
+    scores[g] = std::fabs(pearson(prediction, samples));
+  }
+  return scores;
+}
+
+/// Trace-order difference of means on one predicted output bit:
+/// |mean(partition 1) - mean(partition 0)| per guess.
+inline std::vector<double> reference_dom_scores(const TraceSet& traces,
+                                                const SboxSpec& spec,
+                                                std::size_t bit) {
+  std::vector<double> scores(std::size_t{1} << spec.in_bits, 0.0);
+  for (std::size_t g = 0; g < scores.size(); ++g) {
+    double sum[2] = {0.0, 0.0};
+    std::size_t n[2] = {0, 0};
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+      const double pred = predict_leakage(spec, PowerModel::kSboxOutputBit,
+                                          traces.plaintexts[t],
+                                          static_cast<std::uint8_t>(g), bit);
+      const int p = pred > 0.5 ? 1 : 0;
+      sum[p] += traces.samples[t];
+      ++n[p];
+    }
+    if (n[0] == 0 || n[1] == 0) continue;
+    scores[g] = std::fabs(sum[1] / static_cast<double>(n[1]) -
+                          sum[0] / static_cast<double>(n[0]));
+  }
+  return scores;
+}
+
+/// Time-resolved reference: two-pass CPA per sample column, best |rho|
+/// over the columns per guess.
+inline std::vector<double> reference_multi_cpa_scores(
+    const MultiTraceSet& traces, const SboxSpec& spec, PowerModel model) {
+  std::vector<double> combined(std::size_t{1} << spec.in_bits, 0.0);
+  for (std::size_t s = 0; s < traces.width; ++s) {
+    const std::vector<double> column =
+        reference_cpa_scores(traces.column(s), spec, model, 0);
+    for (std::size_t g = 0; g < combined.size(); ++g) {
+      combined[g] = std::max(combined[g], column[g]);
+    }
+  }
+  return combined;
+}
+
+/// Prefix MTD oracle: re-runs the two-pass CPA from scratch on every
+/// checkpoint prefix (ascending, restricted to [2, traces.size()], like
+/// MtdDistinguisher's ladder) and ranks the correct key.
+inline MtdResult reference_mtd(const TraceSet& traces, const SboxSpec& spec,
+                               PowerModel model, std::size_t correct_key,
+                               std::vector<std::size_t> checkpoints) {
+  std::sort(checkpoints.begin(), checkpoints.end());
+  checkpoints.erase(std::unique(checkpoints.begin(), checkpoints.end()),
+                    checkpoints.end());
+  std::vector<std::pair<std::size_t, std::size_t>> history;
+  for (std::size_t n : checkpoints) {
+    if (n < 2 || n > traces.size()) continue;
+    const AttackResult prefix =
+        make_attack_result(reference_cpa_scores(traces, spec, model, 0, n));
+    history.emplace_back(n, prefix.rank_of(correct_key));
+  }
+  return mtd_from_history(std::move(history));
+}
+
+}  // namespace sable

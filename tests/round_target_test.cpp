@@ -264,7 +264,7 @@ TEST(RoundEngineTest, RunRetainsWideStatesAndStreamMatches) {
   collected.reserve(options.num_traces);
   engine2.stream(options,
                  [&](const std::uint8_t* pts, const double* samples,
-                     std::size_t n) { collected.add_batch(pts, samples, n); });
+                     std::size_t n) { collected.append(pts, samples, n); });
   ASSERT_EQ(collected.size(), traces.size());
   EXPECT_EQ(collected.plaintexts, traces.plaintexts);
   for (std::size_t i = 0; i < traces.size(); ++i) {

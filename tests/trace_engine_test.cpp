@@ -19,6 +19,7 @@
 #include "expr/random_expr.hpp"
 #include "expr/truth_table.hpp"
 #include "power/stats.hpp"
+#include "reference_attacks.hpp"
 #include "switchsim/energy.hpp"
 #include "util/rng.hpp"
 
@@ -279,30 +280,13 @@ TraceSet cmos_traces(std::size_t count, std::uint8_t key, std::uint64_t seed) {
   return traces;
 }
 
-// Two-pass reference CPA (the pre-streaming formulation).
-std::vector<double> reference_cpa_scores(const TraceSet& traces,
-                                         const SboxSpec& spec,
-                                         PowerModel model, std::size_t bit) {
-  const std::size_t num_guesses = std::size_t{1} << spec.in_bits;
-  std::vector<double> scores(num_guesses);
-  std::vector<double> prediction(traces.size());
-  for (std::size_t g = 0; g < num_guesses; ++g) {
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-      prediction[t] = predict_leakage(spec, model, traces.plaintexts[t],
-                                      static_cast<std::uint8_t>(g), bit);
-    }
-    scores[g] = std::fabs(pearson(prediction, traces.samples));
-  }
-  return scores;
-}
-
 TEST(StreamingCpaTest, MatchesTwoPassPearson) {
   const TraceSet traces = cmos_traces(3000, 0xB, 0x7EA5);
   const SboxSpec spec = present_spec();
   for (PowerModel model :
        {PowerModel::kHammingWeight, PowerModel::kSboxOutputBit}) {
     StreamingCpa acc(spec, model, 1);
-    acc.add_batch(traces.plaintexts.data(), traces.samples.data(),
+    acc.add_block(traces.plaintexts.data(), traces.samples.data(),
                   traces.size());
     const AttackResult streamed = acc.result();
     const std::vector<double> reference =
@@ -314,20 +298,23 @@ TEST(StreamingCpaTest, MatchesTwoPassPearson) {
   }
 }
 
-TEST(StreamingCpaTest, SplitFeedEqualsSingleFeed) {
+TEST(StreamingCpaTest, SplitFeedMatchesSingleFeed) {
+  // Block boundaries change only the summation order: a split feed (the
+  // MTD segment shape) stays within the 1e-12 budget of one block.
   const TraceSet traces = cmos_traces(1000, 0x4, 0x5717);
   const SboxSpec spec = present_spec();
   StreamingCpa whole(spec, PowerModel::kHammingWeight);
-  whole.add_batch(traces.plaintexts.data(), traces.samples.data(),
+  whole.add_block(traces.plaintexts.data(), traces.samples.data(),
                   traces.size());
   StreamingCpa split(spec, PowerModel::kHammingWeight);
-  split.add_batch(traces.plaintexts.data(), traces.samples.data(), 311);
-  split.add_batch(traces.plaintexts.data() + 311, traces.samples.data() + 311,
+  split.add_block(traces.plaintexts.data(), traces.samples.data(), 311);
+  split.add_block(traces.plaintexts.data() + 311, traces.samples.data() + 311,
                   traces.size() - 311);
+  EXPECT_EQ(split.count(), whole.count());
   const AttackResult a = whole.result();
   const AttackResult b = split.result();
   for (std::size_t g = 0; g < a.score.size(); ++g) {
-    EXPECT_DOUBLE_EQ(a.score[g], b.score[g]);
+    EXPECT_NEAR(a.score[g], b.score[g], 1e-12) << g;
   }
 }
 
@@ -336,26 +323,19 @@ TEST(StreamingDomTest, MatchesPartitionMeans) {
   const SboxSpec spec = present_spec();
   for (std::size_t bit = 0; bit < spec.out_bits; ++bit) {
     StreamingDom acc(spec, bit);
-    acc.add_batch(traces.plaintexts.data(), traces.samples.data(),
+    acc.add_block(traces.plaintexts.data(), traces.samples.data(),
                   traces.size());
     const AttackResult streamed = acc.result();
-    for (std::size_t g = 0; g < streamed.score.size(); ++g) {
-      double sum[2] = {0.0, 0.0};
-      std::size_t n[2] = {0, 0};
-      for (std::size_t t = 0; t < traces.size(); ++t) {
-        const double pred = predict_leakage(
-            spec, PowerModel::kSboxOutputBit, traces.plaintexts[t],
-            static_cast<std::uint8_t>(g), bit);
-        const int p = pred > 0.5 ? 1 : 0;
-        sum[p] += traces.samples[t];
-        ++n[p];
-      }
-      const double expected =
-          n[0] == 0 || n[1] == 0
-              ? 0.0
-              : std::fabs(sum[1] / static_cast<double>(n[1]) -
-                          sum[0] / static_cast<double>(n[0]));
-      EXPECT_DOUBLE_EQ(streamed.score[g], expected) << g;
+    const std::vector<double> expected =
+        reference_dom_scores(traces, spec, bit);
+    ASSERT_EQ(streamed.score.size(), expected.size());
+    for (std::size_t g = 0; g < expected.size(); ++g) {
+      // The block path sums per plaintext first: only the addition order
+      // differs from the trace-order partition sums. The score is a
+      // difference of ~1e-13 J means, so the bound is 1e-12 relative to
+      // those means, not to the (cancelled) score.
+      EXPECT_NEAR(streamed.score[g], expected[g], 1e-12 * traces.samples[0])
+          << g;
     }
   }
 }
@@ -376,38 +356,53 @@ TEST(StreamingMultiCpaTest, MatchesPerColumnTwoPass) {
   }
   const MultiAttackResult streamed =
       cpa_attack_multisample(traces, spec, PowerModel::kHammingWeight);
-  std::vector<double> combined(std::size_t{1} << spec.in_bits, 0.0);
-  for (std::size_t s = 0; s < traces.width; ++s) {
-    const std::vector<double> column = reference_cpa_scores(
-        traces.column(s), spec, PowerModel::kHammingWeight, 0);
-    for (std::size_t g = 0; g < combined.size(); ++g) {
-      combined[g] = std::max(combined[g], column[g]);
-    }
-  }
+  const std::vector<double> combined =
+      reference_multi_cpa_scores(traces, spec, PowerModel::kHammingWeight);
   for (std::size_t g = 0; g < combined.size(); ++g) {
     EXPECT_NEAR(streamed.combined.score[g], combined[g], 1e-12) << g;
   }
 }
 
-TEST(StreamingMtdTest, MatchesPrefixDriver) {
+TEST(MtdCampaignTest, MatchesPrefixOracle) {
+  // One campaign shard holds every trace, so the ladder alone cuts the
+  // block: the checkpoint snapshots are segment-fed prefixes whose ranks
+  // must equal a from-scratch two-pass CPA on every prefix.
   const std::uint8_t key = 0xB;
-  const TraceSet traces = cmos_traces(3000, key, 0x17D7);
   const SboxSpec spec = present_spec();
+  TraceEngine engine(spec, LogicStyle::kStaticCmos, kTech);
+  CampaignOptions options;
+  options.num_traces = 3000;
+  options.key = {key};
+  options.noise_sigma = 2e-16;
+  options.seed = 0x17D7;
+  options.shard_size = 4096;
+  const TraceSet traces = engine.run(options);
   const auto checkpoints = default_checkpoints(traces.size());
-  const MtdResult prefix = measurements_to_disclosure(
-      traces, key, checkpoints, [&](const TraceSet& t) {
-        return cpa_attack(t, spec, PowerModel::kHammingWeight);
-      });
-  StreamingMtd streaming(StreamingCpa(spec, PowerModel::kHammingWeight), key,
-                         checkpoints);
-  streaming.add_batch(traces.plaintexts.data(), traces.samples.data(),
-                      traces.size());
-  const MtdResult result = streaming.result();
-  EXPECT_EQ(result.disclosed, prefix.disclosed);
-  EXPECT_EQ(result.mtd, prefix.mtd);
-  ASSERT_EQ(result.rank_history.size(), prefix.rank_history.size());
-  for (std::size_t i = 0; i < prefix.rank_history.size(); ++i) {
-    EXPECT_EQ(result.rank_history[i], prefix.rank_history[i]) << i;
+  const MtdResult oracle = reference_mtd(
+      traces, spec, PowerModel::kHammingWeight, key, checkpoints);
+  const MtdResult result = engine.mtd_campaign(
+      options, AttackSelector{.model = PowerModel::kHammingWeight},
+      checkpoints);
+  EXPECT_TRUE(oracle.disclosed);
+  EXPECT_EQ(result.disclosed, oracle.disclosed);
+  EXPECT_EQ(result.mtd, oracle.mtd);
+  EXPECT_EQ(result.rank_history, oracle.rank_history);
+
+  // The snapshot scores behind those ranks: a segment-fed accumulator at
+  // every checkpoint stays within 1e-12 of the prefix's two-pass scores.
+  StreamingCpa acc(spec, PowerModel::kHammingWeight);
+  std::size_t done = 0;
+  for (std::size_t n : checkpoints) {
+    acc.add_block(traces.plaintexts.data() + done,
+                  traces.samples.data() + done, n - done);
+    done = n;
+    const std::vector<double> want = reference_cpa_scores(
+        traces, spec, PowerModel::kHammingWeight, 0, n);
+    const AttackResult got = acc.result();
+    ASSERT_EQ(got.score.size(), want.size());
+    for (std::size_t g = 0; g < want.size(); ++g) {
+      EXPECT_NEAR(got.score[g], want[g], 1e-12) << n << " guess " << g;
+    }
   }
 }
 
@@ -532,18 +527,18 @@ TEST(TraceEngineTest, StreamingCampaignEqualsRetainedCampaign) {
   }
   EXPECT_EQ(streamed.best_guess, options.key[0]);
 
-  // And the one-pass MTD campaign agrees with the prefix driver over the
+  // And the one-pass MTD campaign agrees with the prefix oracle over the
   // retained traces.
   TraceEngine engine3(present_spec(), LogicStyle::kStaticCmos, kTech);
   const auto checkpoints = default_checkpoints(options.num_traces);
   const MtdResult streamed_mtd = engine3.mtd_campaign(
       options, AttackSelector{.model = PowerModel::kHammingWeight}, checkpoints);
-  const MtdResult prefix = measurements_to_disclosure(
-      traces, options.key[0], checkpoints, [&](const TraceSet& t) {
-        return cpa_attack(t, present_spec(), PowerModel::kHammingWeight);
-      });
+  const MtdResult prefix =
+      reference_mtd(traces, present_spec(), PowerModel::kHammingWeight,
+                    options.key[0], checkpoints);
   EXPECT_EQ(streamed_mtd.disclosed, prefix.disclosed);
   EXPECT_EQ(streamed_mtd.mtd, prefix.mtd);
+  EXPECT_EQ(streamed_mtd.rank_history, prefix.rank_history);
 }
 
 TEST(TraceEngineTest, RepeatedCampaignsOnOneEngineAreReproducible) {
