@@ -27,6 +27,7 @@
 // through the exact fixed-shape reduction of a single-process run — the
 // JSON reports compare byte-identical (%.17g scores), which is what the
 // CI two-process smoke asserts.
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -299,7 +300,9 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
   Cli cli;
+  std::vector<std::string_view> given;  // every flag on the command line
   for (int i = 2; i < argc; ++i) {
+    given.push_back(argv[i]);
     const auto has_value = [&] { return i + 1 < argc; };
     // Consumes the flag's value into `out`, checked.
     const auto number = [&](auto* out) {
@@ -379,6 +382,27 @@ int main(int argc, char** argv) {
                  cli.round_size);
     return 2;
   }
+  // Persistence flags the invocation would otherwise drop silently.
+  const auto has_flag = [&](std::string_view flag) {
+    return std::find(given.begin(), given.end(), flag) != given.end();
+  };
+  if (cli.all_subkeys) {
+    for (const char* flag :
+         {"--resume", "--checkpoint", "--every", "--shards", "--partial"}) {
+      if (has_flag(flag)) {
+        std::fprintf(stderr,
+                     "%s cannot be combined with --all-subkeys (the shared "
+                     "corpus pass is one shot)\n",
+                     flag);
+        return 2;
+      }
+    }
+  }
+  if (has_flag("--every") && !has_flag("--checkpoint") &&
+      !has_flag("--partial")) {
+    std::fprintf(stderr, "--every needs --checkpoint or --partial\n");
+    return 2;
+  }
 
   try {
     if (mode == "corpus-info") {
@@ -432,6 +456,8 @@ int main(int argc, char** argv) {
       // pass over one shared mapping — each chunk is decoded once
       // however many sets consume it.
       SharedCorpus corpus(cli.corpus_path);
+      require_manifest_match(cli.corpus_path, engine.campaign_manifest(options),
+                             corpus.manifest().campaign);
       std::vector<std::unique_ptr<AttackSet>> sets;
       std::vector<std::size_t> subkeys;
       std::vector<std::span<Distinguisher* const>> spans;
@@ -476,6 +502,11 @@ int main(int argc, char** argv) {
       bool complete = false;
       if (!cli.corpus_path.empty()) {
         const CorpusReader corpus(cli.corpus_path);
+        // The corpus must hold the campaign the flags describe, or the
+        // report would name flags the scores were not computed from.
+        require_manifest_match(cli.corpus_path,
+                               engine.campaign_manifest(options),
+                               corpus.manifest().campaign);
         complete =
             engine.replay(corpus, attacks.list, persist, cli.num_threads);
       } else {

@@ -1,13 +1,66 @@
 #include "engine/shard_reduce.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <vector>
+#include <string>
 
-#include "engine/worker_pool.hpp"
+#include "crypto/round_target.hpp"
 #include "util/error.hpp"
 
 namespace sable {
+
+ShardStates make_shard_states(std::size_t distinguishers, std::size_t shards) {
+  ShardStates states(distinguishers);
+  for (auto& row : states) row.resize(shards);
+  return states;
+}
+
+ShardFeed::ShardFeed(const RoundSpec& round,
+                     std::span<Distinguisher* const> distinguishers,
+                     std::size_t shard_size, std::size_t levels)
+    : round_(round),
+      distinguishers_(distinguishers),
+      shard_size_(shard_size),
+      levels_(levels),
+      slot_of_(distinguishers.size()) {
+  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
+    const std::size_t index = distinguishers[d]->sbox_index();
+    const auto it = std::find(slot_sbox_.begin(), slot_sbox_.end(), index);
+    slot_of_[d] = static_cast<std::size_t>(it - slot_sbox_.begin());
+    if (it == slot_sbox_.end()) slot_sbox_.push_back(index);
+  }
+}
+
+std::vector<std::uint8_t> ShardFeed::make_scratch() const {
+  return std::vector<std::uint8_t>(shard_size_ * slot_sbox_.size());
+}
+
+void ShardFeed::feed(std::size_t s, const ShardData& data,
+                     std::vector<std::uint8_t>& scratch,
+                     ShardStates& states) const {
+  // The accumulators are constructed here, by the party that runs the
+  // shard, not serially up front: with thousands of shards the upfront
+  // loop was serial work on the caller, and consecutive heap allocations
+  // from one thread pack accumulators of different shards into shared
+  // cache lines, which the workers then dirty from different cores.
+  for (std::size_t d = 0; d < distinguishers_.size(); ++d) {
+    states[d][s] = distinguishers_[d]->make_shard_accumulator();
+  }
+  for (std::size_t slot = 0; slot < slot_sbox_.size(); ++slot) {
+    round_.sub_words(data.pts, data.count, slot_sbox_[slot],
+                     scratch.data() + slot * shard_size_);
+  }
+  for (std::size_t d = 0; d < distinguishers_.size(); ++d) {
+    const bool scalar =
+        distinguishers_[d]->data_kind() == TraceDataKind::kScalar;
+    ShardBlock block;
+    block.start = s * shard_size_;
+    block.sub_pts = scratch.data() + slot_of_[d] * shard_size_;
+    block.data = scalar ? data.samples : data.rows;
+    block.width = scalar ? 1 : levels_;
+    block.count = data.count;
+    states[d][s]->accumulate(block);
+  }
+}
 
 void reduce_and_finalize_distinguishers(
     std::span<Distinguisher* const> distinguishers, ShardStates& states,
@@ -44,33 +97,19 @@ void reduce_and_finalize_distinguishers(
       unordered.push_back(d);
     }
   }
-  if (!unordered.empty()) {
-    std::vector<std::size_t> lefts;  // the round's merge targets i
-    for (std::size_t stride = 1; stride < num_shards; stride *= 2) {
-      lefts.clear();
-      for (std::size_t i = 0; i + stride < num_shards; i += 2 * stride) {
-        lefts.push_back(i);
-      }
-      const std::size_t merges = unordered.size() * lefts.size();
-      const std::size_t merge_threads = std::min(threads, merges);
-      if (merge_threads <= 1) {
-        for (std::size_t d : unordered) {
-          for (std::size_t i : lefts) {
-            states[d][i]->merge(*states[d][i + stride]);
-          }
-        }
-      } else {
-        std::atomic<std::size_t> next{0};
-        workers.run(merge_threads, [&](std::size_t) {
-          for (std::size_t k = next.fetch_add(1); k < merges;
-               k = next.fetch_add(1)) {
-            const std::size_t d = unordered[k / lefts.size()];
-            const std::size_t i = lefts[k % lefts.size()];
-            states[d][i]->merge(*states[d][i + stride]);
-          }
-        });
-      }
+  std::vector<std::size_t> lefts;  // the round's merge targets i
+  for (std::size_t stride = 1; !unordered.empty() && stride < num_shards;
+       stride *= 2) {
+    lefts.clear();
+    for (std::size_t i = 0; i + stride < num_shards; i += 2 * stride) {
+      lefts.push_back(i);
     }
+    workers.parallel_for(unordered.size() * lefts.size(), threads,
+                         [] { return 0; }, [&](int, std::size_t k) {
+                           const std::size_t d = unordered[k / lefts.size()];
+                           const std::size_t i = lefts[k % lefts.size()];
+                           states[d][i]->merge(*states[d][i + stride]);
+                         });
   }
   for (std::size_t d = 0; d < distinguishers.size(); ++d) {
     distinguishers[d]->finalize(*states[d][0]);

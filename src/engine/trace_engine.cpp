@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <exception>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,8 +61,7 @@ std::uint64_t campaign_shard_seed(std::uint64_t campaign_seed,
 }
 
 std::size_t campaign_thread_count(const CampaignOptions& options) {
-  if (options.num_threads != 0) return options.num_threads;
-  return std::max(1u, std::thread::hardware_concurrency());
+  return resolve_thread_count(options.num_threads);
 }
 
 std::size_t campaign_lane_width(const CampaignOptions& options) {
@@ -145,57 +141,37 @@ ShardLayout layout_for(const CampaignOptions& options) {
   return layout;
 }
 
-std::size_t resolve_threads(const CampaignOptions& options,
-                            std::size_t num_shards) {
-  return std::max<std::size_t>(
-      1, std::min(campaign_thread_count(options), num_shards));
-}
-
 void validate_key(const RoundSpec& round, const CampaignOptions& options) {
   SABLE_REQUIRE(options.key.size() == round.state_bytes(),
                 "CampaignOptions::key must hold round().state_bytes() packed "
                 "bytes (use RoundSpec::pack_subkeys)");
 }
 
-// Shard s's wide plaintexts: RoundSpec::fill_random_states over the
-// shard's counter-derived plaintext sub-stream — for a single byte-wide
-// S-box this is the historic one-draw-per-trace stream, bit for bit.
-void generate_shard_plaintexts(const RoundSpec& round,
-                               const CampaignOptions& options,
-                               std::size_t shard, std::size_t count,
-                               std::uint8_t* pts) {
-  Rng pt_rng(campaign_shard_seed(options.seed, shard, 0));
-  round.fill_random_states(pt_rng, count, pts);
-}
-
-// Simulates one shard into caller-provided storage: per-shard RNG streams
-// and fresh simulator state make the result a pure function of (options,
-// shard) — the invariant every determinism guarantee rests on. The
-// simulation word width is a pure throughput knob (see lane_word.hpp).
+// Simulates one shard of `kind` into caller-provided storage: `out`
+// takes count samples (kScalar) or count rows of num_levels() samples
+// (kSampled). The plaintexts are RoundSpec::fill_random_states over the
+// shard's counter-derived sub-stream 0 — for a single byte-wide S-box the
+// historic one-draw-per-trace stream, bit for bit — and the noise comes
+// from sub-stream 1. Per-shard RNG streams and fresh simulator state make
+// the result a pure function of (options, shard, kind) — the invariant
+// every determinism guarantee rests on. The simulation word width is a
+// pure throughput knob (see lane_word.hpp).
 template <typename W>
 void simulate_shard(RoundTargetT<W>& target, const CampaignOptions& options,
                     const ShardLayout& layout, std::size_t shard,
-                    std::uint8_t* pts, double* samples) {
+                    TraceDataKind kind, std::uint8_t* pts, double* out) {
   const std::size_t count = layout.count(shard);
-  generate_shard_plaintexts(target.round(), options, shard, count, pts);
+  Rng pt_rng(campaign_shard_seed(options.seed, shard, 0));
+  target.round().fill_random_states(pt_rng, count, pts);
   Rng noise_rng(campaign_shard_seed(options.seed, shard, 1));
   target.reset_state();
-  target.trace_batch(pts, count, options.key.data(), options.noise_sigma,
-                     noise_rng, samples);
-}
-
-// Time-resolved sibling: `rows` holds count rows of num_levels() samples.
-template <typename W>
-void simulate_shard_sampled(RoundTargetT<W>& target,
-                            const CampaignOptions& options,
-                            const ShardLayout& layout, std::size_t shard,
-                            std::uint8_t* pts, double* rows) {
-  const std::size_t count = layout.count(shard);
-  generate_shard_plaintexts(target.round(), options, shard, count, pts);
-  Rng noise_rng(campaign_shard_seed(options.seed, shard, 1));
-  target.reset_state();
-  target.trace_batch_sampled(pts, count, options.key.data(),
-                             options.noise_sigma, noise_rng, rows);
+  if (kind == TraceDataKind::kScalar) {
+    target.trace_batch(pts, count, options.key.data(), options.noise_sigma,
+                       noise_rng, out);
+  } else {
+    target.trace_batch_sampled(pts, count, options.key.data(),
+                               options.noise_sigma, noise_rng, out);
+  }
 }
 
 // RAII lease of a worker target from the engine's persistent pool: an
@@ -233,109 +209,34 @@ class WorkerLease {
   std::unique_ptr<RoundTargetT<W>> worker_;
 };
 
-// Per-worker context: a leased target clone plus optional reusable trace
-// buffers, so the shard loop never allocates or shares mutable state.
-// Buffers are lazy — consumers that simulate into external storage (run's
-// TraceSet slices, the stream paths' per-shard slots) never pay for them.
-// `sample_width` is 1 for scalar campaigns and num_levels() for
-// time-resolved ones. The distinguisher driver uses the attack buffers
-// instead: `samples` and `rows` hold the shard's scalar / time-resolved
-// data side by side (a mixed campaign needs both), and `sub_pts` holds
-// one shard-sized slot of sub-plaintexts per distinct attacked instance.
+// Per-party context of a simulating campaign: a leased target clone plus
+// trace buffers for one shard, so the shard loop never allocates or
+// shares mutable state. `samples` holds `sample_width` doubles per trace
+// (1 for scalar data, num_levels() for a time-resolved stream); the
+// attack driver fills `rows` with time-resolved data beside the scalar
+// samples, since a mixed campaign needs both. Consumers that simulate
+// into external storage (run's TraceSet slices, the stream ring's slots)
+// lease a bare WorkerLease instead.
 template <typename W>
 struct WorkerCtx {
   WorkerLease<W> lease;
   std::vector<std::uint8_t> pts;
   std::vector<double> samples;
   std::vector<double> rows;
-  std::vector<std::uint8_t> sub_pts;
 
-  WorkerCtx(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool)
-      : lease(prototype, pool) {}
-
-  RoundTargetT<W>& target() { return lease.target(); }
-
-  void ensure_buffers(std::size_t shard_size, std::size_t pt_stride,
-                      std::size_t sample_width) {
-    if (pts.size() < shard_size * pt_stride) {
-      pts.resize(shard_size * pt_stride);
-    }
-    if (samples.size() < shard_size * sample_width) {
-      samples.resize(shard_size * sample_width);
-    }
-  }
-
-  void ensure_attack_buffers(std::size_t shard_size, std::size_t pt_stride,
-                             bool scalar, std::size_t levels,
-                             std::size_t slots) {
-    if (pts.size() < shard_size * pt_stride) {
-      pts.resize(shard_size * pt_stride);
-    }
-    if (scalar && samples.size() < shard_size) samples.resize(shard_size);
-    if (levels > 0 && rows.size() < shard_size * levels) {
-      rows.resize(shard_size * levels);
-    }
-    if (sub_pts.size() < shard_size * slots) {
-      sub_pts.resize(shard_size * slots);
-    }
-  }
+  WorkerCtx(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool,
+            std::size_t shard_size, std::size_t sample_width,
+            std::size_t row_width)
+      : lease(prototype, pool),
+        pts(shard_size * prototype.round().state_bytes()),
+        samples(shard_size * sample_width),
+        rows(shard_size * row_width) {}
 };
 
-// Dynamic shard scheduler: `fn(ctx, shard)` runs for every shard index on
-// `threads` parked pool workers (inline on the calling thread when
-// threads == 1; the calling thread is always party 0 of the pool run).
-// fn must only touch ctx and shard-indexed slots, keeping the scheduler
-// free of locks on the hot path. Worker exceptions are rethrown on the
-// caller.
-template <typename W, typename Fn>
-void run_pool(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool,
-              WorkerPool& workers, const ShardLayout& layout,
-              std::size_t threads, Fn&& fn) {
-  if (layout.num_shards == 0) return;
-  if (threads <= 1) {
-    WorkerCtx<W> ctx(prototype, pool);
-    for (std::size_t s = 0; s < layout.num_shards; ++s) fn(ctx, s);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  workers.run(threads, [&](std::size_t) {
-    WorkerCtx<W> ctx(prototype, pool);
-    for (std::size_t s = next.fetch_add(1); s < layout.num_shards;
-         s = next.fetch_add(1)) {
-      fn(ctx, s);
-    }
-  });
-}
-
-// Worklist sibling of run_pool: `fn(ctx, shard)` runs for every shard in
-// `work` (any subset of the canonical shards — resumed and range-split
-// campaigns accumulate only their uncovered slice). Scheduling order is
-// free; per-shard work is order-independent by construction.
-template <typename W, typename Fn>
-void run_pool_list(const RoundTargetT<W>& prototype,
-                   detail::LanePool<W>& pool, WorkerPool& workers,
-                   const std::vector<std::size_t>& work, std::size_t threads,
-                   Fn&& fn) {
-  if (work.empty()) return;
-  if (threads <= 1) {
-    WorkerCtx<W> ctx(prototype, pool);
-    for (std::size_t s : work) fn(ctx, s);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  workers.run(std::min(threads, work.size()), [&](std::size_t) {
-    WorkerCtx<W> ctx(prototype, pool);
-    for (std::size_t k = next.fetch_add(1); k < work.size();
-         k = next.fetch_add(1)) {
-      fn(ctx, work[k]);
-    }
-  });
-}
-
-// Shared machinery of stream() and stream_sampled(): workers fill shard
-// slots via `simulate(target, shard, pts, samples)`; the calling thread
-// emits them to `sink` in canonical shard order. `pt_stride` /
-// `sample_width` size the per-trace storage.
+// The ordered stream behind stream(), stream_sampled() and record():
+// workers simulate shards of `kind` into ring slots; the calling thread
+// emits them to `sink` in canonical shard order. `sample_width` doubles
+// per trace size the sample storage.
 //
 // In-flight storage is a RING of `window` slots (window grows with the
 // thread count: enough slack that workers at different shard speeds
@@ -348,20 +249,21 @@ void run_pool_list(const RoundTargetT<W>& prototype,
 // not allocate. The pool runs threads + 1 parties: party 0 — the calling
 // thread — is the emitter (the sink never runs concurrently with itself,
 // matching the sequential contract), parties 1..threads simulate.
-template <typename W, typename SimulateFn>
+template <typename W>
 void stream_shards(const RoundTargetT<W>& prototype,
                    detail::LanePool<W>& pool, WorkerPool& workers,
-                   const CampaignOptions& options, std::size_t pt_stride,
-                   std::size_t sample_width, SimulateFn&& simulate,
-                   const TraceSink& sink) {
+                   const CampaignOptions& options, TraceDataKind kind,
+                   std::size_t sample_width, const TraceSink& sink) {
   const ShardLayout layout = layout_for(options);
   if (layout.num_shards == 0) return;
-  const std::size_t threads = resolve_threads(options, layout.num_shards);
+  const std::size_t pt_stride = prototype.round().state_bytes();
+  const std::size_t threads =
+      std::min(campaign_thread_count(options), layout.num_shards);
   if (threads <= 1) {
-    WorkerCtx<W> ctx(prototype, pool);
-    ctx.ensure_buffers(layout.shard_size, pt_stride, sample_width);
+    WorkerCtx<W> ctx(prototype, pool, layout.shard_size, sample_width, 0);
     for (std::size_t s = 0; s < layout.num_shards; ++s) {
-      simulate(ctx.target(), s, ctx.pts.data(), ctx.samples.data());
+      simulate_shard(ctx.lease.target(), options, layout, s, kind,
+                     ctx.pts.data(), ctx.samples.data());
       sink(ctx.pts.data(), ctx.samples.data(), layout.count(s));
     }
     return;
@@ -440,7 +342,8 @@ void stream_shards(const RoundTargetT<W>& prototype,
         if (slot->samples.size() < slot->count * sample_width) {
           slot->samples.resize(slot->count * sample_width);
         }
-        simulate(lease.target(), s, slot->pts.data(), slot->samples.data());
+        simulate_shard(lease.target(), options, layout, s, kind,
+                       slot->pts.data(), slot->samples.data());
         {
           std::lock_guard<std::mutex> lock(mutex);
           slot->ready = true;
@@ -499,6 +402,20 @@ decltype(auto) with_lane(const RoundTarget& base, detail::EnginePools& pools,
   SABLE_ASSERT(false, "unreachable lane width");
 }
 
+// The one body behind stream(), stream_sampled() and record().
+void stream_campaign(const RoundTarget& target, detail::EnginePools& pools,
+                     const CampaignOptions& options, TraceDataKind kind,
+                     const TraceSink& sink) {
+  validate_key(target.round(), options);
+  const std::size_t width =
+      kind == TraceDataKind::kScalar ? 1 : target.num_levels();
+  SABLE_REQUIRE(width > 0,
+                "time-resolved campaigns need at least one logic level");
+  with_lane(target, pools, options, [&](const auto& prototype, auto& pool) {
+    stream_shards(prototype, pool, pools.workers, options, kind, width, sink);
+  });
+}
+
 // ---- width-generic campaign bodies ----------------------------------------
 
 template <typename W>
@@ -513,29 +430,24 @@ TraceSet run_campaign(const RoundTargetT<W>& prototype,
   traces.samples.resize(options.num_traces);
   // Shards map to disjoint slices of the canonical trace order, so workers
   // simulate straight into the final TraceSet with no ordering hand-off.
-  run_pool(prototype, pool, workers, layout,
-           resolve_threads(options, layout.num_shards),
-           [&](WorkerCtx<W>& ctx, std::size_t s) {
-             simulate_shard(ctx.target(), options, layout, s,
-                            traces.plaintexts.data() + layout.start(s) * stride,
-                            traces.samples.data() + layout.start(s));
-           });
+  workers.parallel_for(
+      layout.num_shards, campaign_thread_count(options),
+      [&] { return WorkerLease<W>(prototype, pool); },
+      [&](WorkerLease<W>& lease, std::size_t s) {
+        simulate_shard(lease.target(), options, layout, s,
+                       TraceDataKind::kScalar,
+                       traces.plaintexts.data() + layout.start(s) * stride,
+                       traces.samples.data() + layout.start(s));
+      });
   return traces;
 }
 
-// The ONE campaign driver behind every attack: shard scheduling, worker
-// leasing, lane-width dispatch and shard reduction, written once for any
-// set of distinguishers. Per shard the worker simulates the trace data
-// each data kind needs (scalar and/or time-resolved — both streams are
-// exactly what the single-kind campaigns generate, so sharing a campaign
-// never changes a result), extracts sub-plaintexts once per distinct
-// attacked instance, and hands every distinguisher's per-shard
-// accumulator its block: ONE virtual dispatch per distinguisher per
-// shard, per-trace loops devirtualized inside the concrete accumulators.
-// Unordered distinguishers reduce through the fixed-shape binary merge
-// tree (shape a function of the shard count only); ordered ones (MTD)
-// through a strict left fold in canonical shard order. Either way the
-// result is bit-identical for any num_threads / lane_width.
+// The live source of the attack driver (engine/shard_reduce.hpp): each
+// party leases a simulator clone and simulates the trace data each data
+// kind needs. A mixed campaign simulates the shard once per kind; the
+// plaintext stream is regenerated identically (same counter-derived seed)
+// and each kind draws its noise exactly as its single-kind campaign
+// would, so sharing a campaign never changes a result.
 template <typename W>
 bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
                              detail::LanePool<W>& pool, WorkerPool& workers,
@@ -543,12 +455,8 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
                              const CampaignManifest& manifest,
                              std::span<Distinguisher* const> distinguishers,
                              const CampaignPersistence& persist) {
-  const RoundSpec& round = prototype.round();
   const ShardLayout layout = layout_for(options);
-  const std::size_t threads = resolve_threads(options, layout.num_shards);
-  const std::size_t stride = round.state_bytes();
   const std::size_t levels = prototype.num_levels();
-
   bool any_scalar = false;
   bool any_sampled = false;
   for (Distinguisher* d : distinguishers) {
@@ -558,87 +466,27 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
       any_sampled = true;
     }
   }
-
-  // Sub-plaintext extraction slots, deduplicated: distinguishers attacking
-  // the same instance share one extraction per shard.
-  std::vector<std::size_t> slot_sbox;                     // slot -> instance
-  std::vector<std::size_t> slot_of(distinguishers.size());  // d -> slot
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    const std::size_t index = distinguishers[d]->sbox_index();
-    const auto it = std::find(slot_sbox.begin(), slot_sbox.end(), index);
-    slot_of[d] = static_cast<std::size_t>(it - slot_sbox.begin());
-    if (it == slot_sbox.end()) slot_sbox.push_back(index);
-  }
-
-  // states[d][s]: distinguisher d's accumulator for shard s. Workers only
-  // touch their own shard's states — distinct vector elements — so the
-  // matrix needs no locking. The accumulators themselves are constructed
-  // lazily BY the worker that runs the shard (below), not serially up
-  // front: with thousands of shards the upfront loop was serial work on
-  // the caller, and consecutive heap allocations from one thread pack
-  // accumulators of different shards into shared cache lines, which the
-  // workers then dirty from different cores. Worker-side construction
-  // spreads the allocations over the workers' own malloc arenas, killing
-  // both the serial section and the false sharing at once.
-  ShardStates states(distinguishers.size());
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    states[d].resize(layout.num_shards);
-  }
-
-  const auto accumulate = [&](const std::vector<std::size_t>& work) {
-    run_pool_list(
-      prototype, pool, workers, work, threads,
+  return drive_attack_campaign(
+      manifest, prototype.round(), distinguishers, levels, persist, workers,
+      campaign_thread_count(options),
+      [&] {
+        return WorkerCtx<W>(prototype, pool, layout.shard_size,
+                            any_scalar ? 1 : 0, any_sampled ? levels : 0);
+      },
       [&](WorkerCtx<W>& ctx, std::size_t s) {
-        for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-          states[d][s] = distinguishers[d]->make_shard_accumulator();
-        }
-        ctx.ensure_attack_buffers(layout.shard_size, stride, any_scalar,
-                                  any_sampled ? levels : 0, slot_sbox.size());
-        const std::size_t count = layout.count(s);
-        // A mixed campaign simulates the shard once per data kind; the
-        // plaintext stream is regenerated identically (same counter-derived
-        // seed) and each kind draws its noise exactly as its single-kind
-        // campaign would, so both blocks match the standalone paths bit
-        // for bit.
         if (any_scalar) {
-          simulate_shard(ctx.target(), options, layout, s, ctx.pts.data(),
+          simulate_shard(ctx.lease.target(), options, layout, s,
+                         TraceDataKind::kScalar, ctx.pts.data(),
                          ctx.samples.data());
         }
         if (any_sampled) {
-          simulate_shard_sampled(ctx.target(), options, layout, s,
-                                 ctx.pts.data(), ctx.rows.data());
+          simulate_shard(ctx.lease.target(), options, layout, s,
+                         TraceDataKind::kSampled, ctx.pts.data(),
+                         ctx.rows.data());
         }
-        for (std::size_t slot = 0; slot < slot_sbox.size(); ++slot) {
-          round.sub_words(ctx.pts.data(), count, slot_sbox[slot],
-                          ctx.sub_pts.data() + slot * layout.shard_size);
-        }
-        for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-          const bool scalar =
-              distinguishers[d]->data_kind() == TraceDataKind::kScalar;
-          ShardBlock block;
-          block.start = layout.start(s);
-          block.sub_pts =
-              ctx.sub_pts.data() + slot_of[d] * layout.shard_size;
-          block.data = scalar ? ctx.samples.data() : ctx.rows.data();
-          block.width = scalar ? 1 : levels;
-          block.count = count;
-          states[d][s]->accumulate(block);
-        }
+        return ShardData{ctx.pts.data(), ctx.samples.data(), ctx.rows.data(),
+                         layout.count(s)};
       });
-  };
-
-  // The persistence wrapper (resume, wave checkpoints, range splits) is a
-  // no-op for default persistence: the worklist is then every shard in
-  // one wave — the historic in-memory run, bit for bit. The reduction
-  // (fixed-shape tree / ordered fold) lives in engine/shard_reduce.cpp,
-  // shared with the replay and partial-merge paths.
-  if (!run_persisted_waves(manifest, distinguishers, states, persist,
-                           accumulate)) {
-    return false;
-  }
-  reduce_and_finalize_distinguishers(distinguishers, states, workers,
-                                     threads);
-  return true;
 }
 
 }  // namespace
@@ -675,38 +523,12 @@ TraceSet TraceEngine::run(const CampaignOptions& options) {
 
 void TraceEngine::stream(const CampaignOptions& options,
                          const TraceSink& sink) {
-  validate_key(round(), options);
-  const ShardLayout layout = layout_for(options);
-  with_lane(target_, *pools_, options,
-            [&](const auto& prototype, auto& pool) {
-              stream_shards(prototype, pool, pools_->workers, options,
-                            round().state_bytes(), 1,
-                            [&](auto& target, std::size_t s, std::uint8_t* pts,
-                                double* samples) {
-                              simulate_shard(target, options, layout, s, pts,
-                                             samples);
-                            },
-                            sink);
-            });
+  stream_campaign(target_, *pools_, options, TraceDataKind::kScalar, sink);
 }
 
 void TraceEngine::stream_sampled(const CampaignOptions& options,
                                  const SampledTraceSink& sink) {
-  validate_key(round(), options);
-  SABLE_REQUIRE(target_.num_levels() > 0,
-                "time-resolved campaigns need at least one logic level");
-  const ShardLayout layout = layout_for(options);
-  with_lane(target_, *pools_, options,
-            [&](const auto& prototype, auto& pool) {
-              stream_shards(prototype, pool, pools_->workers, options,
-                            round().state_bytes(), target_.num_levels(),
-                            [&](auto& target, std::size_t s, std::uint8_t* pts,
-                                double* rows) {
-                              simulate_shard_sampled(target, options, layout,
-                                                     s, pts, rows);
-                            },
-                            sink);
-            });
+  stream_campaign(target_, *pools_, options, TraceDataKind::kSampled, sink);
 }
 
 void TraceEngine::run_distinguishers(
@@ -756,19 +578,15 @@ void TraceEngine::merge_partials(
     d->validate(round());
   }
   const CampaignManifest manifest = campaign_manifest(options);
-  ShardStates states(distinguishers.size());
-  for (auto& row : states) {
-    row.resize(static_cast<std::size_t>(manifest.num_shards));
-  }
+  ShardStates states = make_shard_states(
+      distinguishers.size(), static_cast<std::size_t>(manifest.num_shards));
   // Overlaps between files throw ShardIndexError from the loader; gaps
   // surface in the reducer's full-coverage check.
   for (const std::string& path : partial_paths) {
     load_campaign_state(path, manifest, distinguishers, states);
   }
-  const ShardLayout layout = layout_for(options);
-  reduce_and_finalize_distinguishers(
-      distinguishers, states, pools_->workers,
-      resolve_threads(options, layout.num_shards));
+  reduce_and_finalize_distinguishers(distinguishers, states, pools_->workers,
+                                     campaign_thread_count(options));
 }
 
 void TraceEngine::record(const CampaignOptions& options, TraceDataKind kind,
@@ -791,17 +609,13 @@ void TraceEngine::record(const CampaignOptions& options, TraceDataKind kind,
     manifest.sample_width = target_.num_levels();
   }
   CorpusWriter writer(path, manifest, version);
-  // stream()/stream_sampled() emit shards in canonical order on the
-  // calling thread — exactly append_shard's contract.
-  const auto sink = [&](const std::uint8_t* pts, const double* samples,
-                        std::size_t count) {
-    writer.append_shard(pts, samples, count);
-  };
-  if (kind == TraceDataKind::kScalar) {
-    stream(options, sink);
-  } else {
-    stream_sampled(options, sink);
-  }
+  // The stream emits shards in canonical order on the calling thread —
+  // exactly append_shard's contract.
+  stream_campaign(target_, *pools_, options, kind,
+                  [&](const std::uint8_t* pts, const double* samples,
+                      std::size_t count) {
+                    writer.append_shard(pts, samples, count);
+                  });
   writer.finish();
 }
 

@@ -1,6 +1,13 @@
 #include "engine/worker_pool.hpp"
 
+#include <algorithm>
+
 namespace sable {
+
+std::size_t resolve_thread_count(std::size_t requested) {
+  if (requested != 0) return requested;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 WorkerPool::~WorkerPool() {
   {
@@ -44,22 +51,28 @@ void WorkerPool::run(std::size_t parties,
     body(0);
     return;
   }
-  std::unique_lock<std::mutex> run_lock(run_mutex_, std::try_to_lock);
-  if (!run_lock.owns_lock()) {
-    run_ephemeral(parties, body);
-    return;
-  }
+  bool parked = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    while (threads_.size() < parties - 1) {
-      const std::size_t index = threads_.size() + 1;
-      threads_.emplace_back([this, index] { worker_main(index); });
+    // A run in flight (body_ set) owns the parked threads: an overlapping
+    // run(), including a nested one from the calling thread's own body,
+    // takes the ephemeral path below.
+    if (body_ == nullptr) {
+      parked = true;
+      while (threads_.size() < parties - 1) {
+        const std::size_t index = threads_.size() + 1;
+        threads_.emplace_back([this, index] { worker_main(index); });
+      }
+      body_ = &body;
+      participants_ = parties - 1;
+      active_ = parties - 1;
+      error_ = nullptr;
+      ++generation_;
     }
-    body_ = &body;
-    participants_ = parties - 1;
-    active_ = parties - 1;
-    error_ = nullptr;
-    ++generation_;
+  }
+  if (!parked) {
+    run_ephemeral(parties, body);
+    return;
   }
   work_cv_.notify_all();
   std::exception_ptr caller_error;

@@ -13,12 +13,15 @@
 // largest party count ever requested and live for the pool's lifetime
 // (the engine's lifetime — EnginePools owns one).
 //
-// Scheduling stays OUTSIDE the pool: bodies claim shards from an atomic
-// counter (or play a fixed role, like the ordered-stream emitter), so
-// the pool itself is a plain barrier with no work-queue of its own and
-// adds nothing to the per-shard hot path.
+// The pool itself is a plain barrier with no work-queue of its own.
+// parallel_for() is the one dynamic scheduler every campaign path uses —
+// simulated and replayed shards, shared multi-set replay, merge-tree
+// rounds — and costs one atomic fetch_add per index. Only the ordered
+// stream's emitter plays a fixed role instead.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -29,6 +32,10 @@
 #include <vector>
 
 namespace sable {
+
+/// Worker threads a campaign resolves to: `requested`, or the hardware
+/// concurrency (at least 1) when `requested` is 0.
+std::size_t resolve_thread_count(std::size_t requested);
 
 class WorkerPool {
  public:
@@ -51,20 +58,42 @@ class WorkerPool {
   /// threads for that call — correct, merely without the parking win.
   void run(std::size_t parties, const std::function<void(std::size_t)>& body);
 
+  /// Runs fn(local, k) for every k < n on min(threads, n) parties. Each
+  /// party builds its own `local` once through make_local() — per-party
+  /// scratch, leased simulators — and claims indices from one atomic
+  /// counter, so the order is free and the scheduler takes no lock.
+  /// When fn throws, the other parties stop claiming indices and the
+  /// exception reaches the caller after every party has joined (run()'s
+  /// contract).
+  template <typename MakeLocal, typename Fn>
+  void parallel_for(std::size_t n, std::size_t threads, MakeLocal&& make_local,
+                    Fn&& fn) {
+    if (n == 0) return;
+    std::atomic<std::size_t> next{0};
+    run(std::min(threads, n), [&](std::size_t) {
+      auto local = make_local();
+      try {
+        for (std::size_t k = next.fetch_add(1); k < n; k = next.fetch_add(1)) {
+          fn(local, k);
+        }
+      } catch (...) {
+        next.store(n);
+        throw;
+      }
+    });
+  }
+
  private:
   void worker_main(std::size_t index);
   static void run_ephemeral(std::size_t parties,
                             const std::function<void(std::size_t)>& body);
 
-  // Serializes run() calls on the parked threads; try-locked so overlap
-  // degrades to run_ephemeral instead of blocking a campaign.
-  std::mutex run_mutex_;
-
   // Everything below is guarded by mutex_. A run is a "generation":
   // run() publishes the body and the participant count and bumps
   // generation_; workers with index <= participants_ wake, execute, and
   // decrement active_; the last decrement releases run() through
-  // done_cv_.
+  // done_cv_. body_ stays non-null while a run is in flight, which is
+  // how an overlapping run() knows to go ephemeral instead.
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

@@ -1,15 +1,8 @@
 #include "io/replay.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-#include <utility>
-#include <vector>
-
 #include "crypto/round_target.hpp"
 #include "engine/shard_reduce.hpp"
 #include "engine/worker_pool.hpp"
-#include "io/campaign_state.hpp"
 #include "io/corpus_cache.hpp"
 #include "util/error.hpp"
 
@@ -17,21 +10,14 @@ namespace sable {
 
 namespace {
 
-// Sub-plaintext extraction slots, deduplicated per attacked instance —
-// the live driver's exact scheme.
-struct SubSlots {
-  std::vector<std::size_t> sbox;
-  std::vector<std::size_t> of;
-};
-
 // The per-evaluation validation replay performs ONCE up front (the
 // corpus structure itself was already validated when the reader was
 // constructed): spec hash when `check_spec` (SharedCorpus memoizes it
 // across evaluations), stride, and every distinguisher's contract.
-SubSlots validate_for_replay(const CorpusManifest& cm,
-                             const std::string& path, const RoundSpec& round,
-                             std::span<Distinguisher* const> distinguishers,
-                             bool check_spec) {
+void validate_for_replay(const CorpusManifest& cm, const std::string& path,
+                         const RoundSpec& round,
+                         std::span<Distinguisher* const> distinguishers,
+                         bool check_spec) {
   const CampaignManifest& manifest = cm.campaign;
   SABLE_REQUIRE(!distinguishers.empty(),
                 "replay needs at least one distinguisher");
@@ -49,114 +35,38 @@ SubSlots validate_for_replay(const CorpusManifest& cm,
   const TraceDataKind kind = cm.kind == kCorpusKindScalar
                                  ? TraceDataKind::kScalar
                                  : TraceDataKind::kSampled;
-  SubSlots slots;
-  slots.of.resize(distinguishers.size());
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    Distinguisher* dist = distinguishers[d];
+  for (Distinguisher* dist : distinguishers) {
     SABLE_REQUIRE(dist != nullptr, "distinguisher must not be null");
     dist->validate(round);
     SABLE_REQUIRE(dist->data_kind() == kind,
                   "distinguisher's trace data kind does not match the "
                   "corpus (scalar vs cycle-sampled)");
-    const std::size_t index = dist->sbox_index();
-    const auto it = std::find(slots.sbox.begin(), slots.sbox.end(), index);
-    slots.of[d] = static_cast<std::size_t>(it - slots.sbox.begin());
-    if (it == slots.sbox.end()) slots.sbox.push_back(index);
-  }
-  return slots;
-}
-
-// One shard block into one attack set's accumulators — identical to the
-// live engine's per-shard feed, whatever storage backs `view`.
-void accumulate_shard(const RoundSpec& round,
-                      std::span<Distinguisher* const> distinguishers,
-                      const SubSlots& slots, const CorpusShardView& view,
-                      std::size_t s, std::size_t shard_size, std::size_t width,
-                      std::vector<std::uint8_t>& sub_pts, ShardStates& states) {
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    states[d][s] = distinguishers[d]->make_shard_accumulator();
-  }
-  for (std::size_t slot = 0; slot < slots.sbox.size(); ++slot) {
-    round.sub_words(view.pts, view.count, slots.sbox[slot],
-                    sub_pts.data() + slot * shard_size);
-  }
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    ShardBlock block;
-    block.start = s * shard_size;
-    block.sub_pts = sub_pts.data() + slots.of[d] * shard_size;
-    block.data = view.samples;
-    block.width = width;
-    block.count = view.count;
-    states[d][s]->accumulate(block);
   }
 }
 
-// A fetched shard: the view plus whatever keeps it alive (a SharedCorpus
-// lease, or nothing when the view aliases a scratch or the mapping).
-struct FetchedShard {
-  SharedCorpus::Lease lease;
-  CorpusShardView view;
-};
+// A corpus holds one data kind, validated against every distinguisher,
+// so both ShardData streams point at its samples.
+ShardData shard_data(const CorpusShardView& view) {
+  return ShardData{view.pts, view.samples, view.samples, view.count};
+}
 
-// The common replay driver. `fetch(s, scratch)` produces shard s's
-// traces; everything else — wave scheduling, checkpointing, threading,
-// reduction — is storage-agnostic.
-template <typename Fetch>
-bool replay_impl(const CorpusManifest& cm, const RoundSpec& round,
-                 std::span<Distinguisher* const> distinguishers,
-                 const SubSlots& slots, const CampaignPersistence& persist,
-                 std::size_t num_threads, WorkerPool* pool, Fetch&& fetch) {
-  const CampaignManifest& manifest = cm.campaign;
-  ShardStates states(distinguishers.size());
-  for (auto& row : states) {
-    row.resize(static_cast<std::size_t>(manifest.num_shards));
-  }
-  const std::size_t shard_size =
-      static_cast<std::size_t>(manifest.shard_size);
-  const std::size_t width = static_cast<std::size_t>(cm.sample_width);
-
-  WorkerPool local_pool;
-  WorkerPool& workers = pool ? *pool : local_pool;
-  const std::size_t max_threads =
-      num_threads != 0 ? num_threads
-                       : std::max(1u, std::thread::hardware_concurrency());
-
-  const auto accumulate = [&](const std::vector<std::size_t>& work) {
-    const std::size_t threads =
-        std::max<std::size_t>(1, std::min(max_threads, work.size()));
-    std::atomic<std::size_t> next{0};
-    const auto run_one = [&](std::vector<std::uint8_t>& sub_pts,
-                             CorpusDecodeScratch& scratch, std::size_t s) {
-      const FetchedShard fetched = fetch(s, scratch);
-      accumulate_shard(round, distinguishers, slots, fetched.view, s,
-                       shard_size, width, sub_pts, states);
-    };
-    if (threads <= 1) {
-      std::vector<std::uint8_t> sub_pts(shard_size * slots.sbox.size());
-      CorpusDecodeScratch scratch;
-      for (std::size_t s : work) run_one(sub_pts, scratch, s);
-      return;
-    }
-    workers.run(threads, [&](std::size_t) {
-      std::vector<std::uint8_t> sub_pts(shard_size * slots.sbox.size());
-      CorpusDecodeScratch scratch;
-      for (std::size_t k = next.fetch_add(1); k < work.size();
-           k = next.fetch_add(1)) {
-        run_one(sub_pts, scratch, work[k]);
-      }
-    });
-  };
-
-  if (!run_persisted_waves(manifest, distinguishers, states, persist,
-                           accumulate)) {
-    return false;
-  }
-  reduce_and_finalize_distinguishers(
-      distinguishers, states, workers,
-      std::max<std::size_t>(
-          1, std::min(max_threads,
-                      static_cast<std::size_t>(manifest.num_shards))));
-  return true;
+// The SharedCorpus source of the attack driver: each party holds one
+// lease, dropped before the next acquire, so a party pins at most one
+// cached slot.
+bool replay_leased(SharedCorpus& corpus, const RoundSpec& round,
+                   std::span<Distinguisher* const> distinguishers,
+                   const CampaignPersistence& persist, WorkerPool& workers,
+                   std::size_t threads) {
+  const CorpusManifest& cm = corpus.manifest();
+  return drive_attack_campaign(
+      cm.campaign, round, distinguishers,
+      static_cast<std::size_t>(cm.sample_width), persist, workers, threads,
+      [] { return SharedCorpus::Lease(); },
+      [&](SharedCorpus::Lease& lease, std::size_t s) {
+        lease = SharedCorpus::Lease();
+        lease = corpus.acquire(s);
+        return shard_data(lease.view());
+      });
 }
 
 }  // namespace
@@ -165,14 +75,18 @@ bool replay_distinguishers(const CorpusReader& corpus, const RoundSpec& round,
                            std::span<Distinguisher* const> distinguishers,
                            const CampaignPersistence& persist,
                            std::size_t num_threads, WorkerPool* pool) {
-  const SubSlots slots = validate_for_replay(
-      corpus.manifest(), corpus.path(), round, distinguishers,
-      /*check_spec=*/true);
-  return replay_impl(corpus.manifest(), round, distinguishers, slots, persist,
-                     num_threads, pool,
-                     [&](std::size_t s, CorpusDecodeScratch& scratch) {
-                       return FetchedShard{{}, corpus.read_shard(s, scratch)};
-                     });
+  const CorpusManifest& cm = corpus.manifest();
+  validate_for_replay(cm, corpus.path(), round, distinguishers,
+                      /*check_spec=*/true);
+  WorkerPool local_pool;
+  return drive_attack_campaign(
+      cm.campaign, round, distinguishers,
+      static_cast<std::size_t>(cm.sample_width), persist,
+      pool ? *pool : local_pool, resolve_thread_count(num_threads),
+      [] { return CorpusDecodeScratch(); },
+      [&](CorpusDecodeScratch& scratch, std::size_t s) {
+        return shard_data(corpus.read_shard(s, scratch));
+      });
 }
 
 bool replay_distinguishers(SharedCorpus& corpus, const RoundSpec& round,
@@ -181,81 +95,38 @@ bool replay_distinguishers(SharedCorpus& corpus, const RoundSpec& round,
                            std::size_t num_threads, WorkerPool* pool) {
   const std::uint64_t hash = round_spec_hash(round);
   const bool check_spec = !corpus.spec_validated(hash);
-  const SubSlots slots =
-      validate_for_replay(corpus.manifest(), corpus.reader().path(), round,
-                          distinguishers, check_spec);
+  validate_for_replay(corpus.manifest(), corpus.reader().path(), round,
+                      distinguishers, check_spec);
   if (check_spec) corpus.note_spec_validated(hash);
-  return replay_impl(corpus.manifest(), round, distinguishers, slots, persist,
-                     num_threads, pool,
-                     [&](std::size_t s, CorpusDecodeScratch&) {
-                       SharedCorpus::Lease lease = corpus.acquire(s);
-                       const CorpusShardView view = lease.view();
-                       return FetchedShard{std::move(lease), view};
-                     });
+  WorkerPool local_pool;
+  return replay_leased(corpus, round, distinguishers, persist,
+                       pool ? *pool : local_pool,
+                       resolve_thread_count(num_threads));
 }
 
 void replay_shared(SharedCorpus& corpus, const RoundSpec& round,
                    std::span<const std::span<Distinguisher* const>> sets,
                    std::size_t num_threads, WorkerPool* pool) {
   SABLE_REQUIRE(!sets.empty(), "replay_shared needs at least one attack set");
-  const CorpusManifest& cm = corpus.manifest();
   const std::uint64_t hash = round_spec_hash(round);
   const bool check_spec = !corpus.spec_validated(hash);
-  std::vector<SubSlots> slots;
-  slots.reserve(sets.size());
   for (std::size_t k = 0; k < sets.size(); ++k) {
-    slots.push_back(validate_for_replay(cm, corpus.reader().path(), round,
-                                        sets[k], check_spec && k == 0));
+    validate_for_replay(corpus.manifest(), corpus.reader().path(), round,
+                        sets[k], check_spec && k == 0);
   }
   if (check_spec) corpus.note_spec_validated(hash);
 
-  const std::size_t num_shards =
-      static_cast<std::size_t>(cm.campaign.num_shards);
-  const std::size_t shard_size =
-      static_cast<std::size_t>(cm.campaign.shard_size);
-  const std::size_t width = static_cast<std::size_t>(cm.sample_width);
-  std::vector<ShardStates> states(sets.size());
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    states[k].resize(sets[k].size());
-    for (auto& row : states[k]) row.resize(num_shards);
-  }
-
+  // Parties claim whole sets and drive each, start to finish, on their
+  // own thread: the set's shard loop streams every chunk through the
+  // shared cache, so concurrent sets decode each chunk once between them
+  // instead of once each.
   WorkerPool local_pool;
   WorkerPool& workers = pool ? *pool : local_pool;
-  const std::size_t max_threads =
-      num_threads != 0 ? num_threads
-                       : std::max(1u, std::thread::hardware_concurrency());
-
-  // Workers claim whole sets; the shard loop inside streams every chunk
-  // through the shared cache, so concurrent sets decode each chunk once
-  // between them instead of once each.
-  const std::size_t threads =
-      std::max<std::size_t>(1, std::min(max_threads, sets.size()));
-  std::atomic<std::size_t> next{0};
-  const auto run_set = [&](std::size_t k) {
-    std::vector<std::uint8_t> sub_pts(shard_size * slots[k].sbox.size());
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      const SharedCorpus::Lease lease = corpus.acquire(s);
-      accumulate_shard(round, sets[k], slots[k], lease.view(), s, shard_size,
-                       width, sub_pts, states[k]);
-    }
-  };
-  if (threads <= 1) {
-    for (std::size_t k = 0; k < sets.size(); ++k) run_set(k);
-  } else {
-    workers.run(threads, [&](std::size_t) {
-      for (std::size_t k = next.fetch_add(1); k < sets.size();
-           k = next.fetch_add(1)) {
-        run_set(k);
-      }
-    });
-  }
-  const std::size_t reduce_threads =
-      std::max<std::size_t>(1, std::min(max_threads, num_shards));
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    reduce_and_finalize_distinguishers(sets[k], states[k], workers,
-                                       reduce_threads);
-  }
+  workers.parallel_for(sets.size(), resolve_thread_count(num_threads),
+                       [] { return 0; }, [&](int, std::size_t k) {
+                         replay_leased(corpus, round, sets[k], {}, workers,
+                                       /*threads=*/1);
+                       });
 }
 
 }  // namespace sable
