@@ -219,13 +219,20 @@ int main(int argc, char** argv) {
       options.noise_sigma = noise;
       options.seed = 0xDEC0DE;
       options.num_threads = num_threads;
-      const std::vector<AttackResult> results =
-          engine.cpa_campaign_all_subkeys(options,
-                                          PowerModel::kHammingWeight);
+      std::vector<CpaDistinguisher> attacks;
+      for (std::size_t j = 0; j < round_size; ++j) {
+        attacks.emplace_back(
+            engine.spec(j),
+            AttackSelector{.sbox_index = j,
+                           .model = PowerModel::kHammingWeight});
+      }
+      std::vector<Distinguisher*> list;
+      for (CpaDistinguisher& attack : attacks) list.push_back(&attack);
+      engine.run_distinguishers(options, list);
       std::printf("%-22s", to_string(style));
-      for (std::size_t j = 0; j < results.size(); ++j) {
-        std::printf(" %zu",
-                    results[j].rank_of(round.sub_word(options.key.data(), j)));
+      for (std::size_t j = 0; j < attacks.size(); ++j) {
+        std::printf(" %zu", attacks[j].result().rank_of(
+                                round.sub_word(options.key.data(), j)));
       }
       std::printf("\n");
     }
@@ -260,11 +267,10 @@ int main(int argc, char** argv) {
     for (LogicStyle style :
          {LogicStyle::kStaticCmos, LogicStyle::kSablFullyConnected}) {
       TraceEngine engine(spec, style, tech);
-      ranks[col++] =
-          engine
-              .cpa_campaign(options,
-                            AttackSelector{.model = PowerModel::kHammingWeight})
-              .rank_of(options.key[0]);
+      const AttackSelector selector{.model = PowerModel::kHammingWeight};
+      const AttackResult cpa =
+          run_attack(engine, options, CpaDistinguisher(spec, selector));
+      ranks[col++] = cpa.rank_of(options.key[0]);
     }
     std::printf("%-10s %8zu %22zu %22zu\n", spec.name,
                 std::size_t{1} << spec.in_bits, ranks[0], ranks[1]);

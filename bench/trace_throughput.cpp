@@ -32,8 +32,9 @@
 // The replay row compares compressed (v2) and raw corpus replay against
 // live simulation and reports corpus_bytes_per_trace, the compression
 // ratio and the decode cost (compressed vs raw replay tps, expect
-// >= 0.7x). A compression table records the v1-vs-v2 file sizes of the
-// sampled noiseless all-styles campaign (expect >= 3x total).
+// >= 0.7x). A compression table records the raw-vs-compressed v2 file
+// sizes of the sampled noiseless all-styles campaign (expect >= 3x
+// total).
 //
 // An accumulation table times the block-factored distinguisher path
 // (dpa/block_stats.hpp) for CPA/DoM/MultiCpa in traces/s.
@@ -327,24 +328,31 @@ MultiAttackBench measure_multi_attack(std::size_t threads) {
   options.num_threads = threads;
   options.lane_width = 64;  // comparable across PRs, like round_scaling
 
+  const auto selector = [](std::size_t j) {
+    return AttackSelector{.sbox_index = j, .model = PowerModel::kHammingWeight};
+  };
   auto start = Clock::now();
-  const std::vector<AttackResult> one_pass =
-      engine.cpa_campaign_all_subkeys(options, PowerModel::kHammingWeight);
+  std::vector<CpaDistinguisher> one_pass;
+  std::vector<Distinguisher*> list;
+  for (std::size_t j = 0; j < bench.num_sboxes; ++j) {
+    one_pass.emplace_back(engine.spec(j), selector(j));
+  }
+  for (CpaDistinguisher& attack : one_pass) list.push_back(&attack);
+  engine.run_distinguishers(options, list);
   bench.one_pass_seconds = seconds_since(start);
 
   start = Clock::now();
   std::vector<AttackResult> independent;
   for (std::size_t j = 0; j < bench.num_sboxes; ++j) {
-    independent.push_back(engine.cpa_campaign(
-        options,
-        AttackSelector{.sbox_index = j, .model = PowerModel::kHammingWeight}));
+    independent.push_back(run_attack(
+        engine, options, CpaDistinguisher(engine.spec(j), selector(j))));
   }
   bench.independent_seconds = seconds_since(start);
   bench.speedup = bench.independent_seconds / bench.one_pass_seconds;
 
   bench.all_recovered = true;
   for (std::size_t j = 0; j < bench.num_sboxes; ++j) {
-    if (one_pass[j].best_guess != subkeys[j] ||
+    if (one_pass[j].result().best_guess != subkeys[j] ||
         independent[j].best_guess != subkeys[j]) {
       bench.all_recovered = false;
     }
@@ -447,7 +455,7 @@ ReplayBench measure_replay(std::size_t threads) {
 
 struct CompressionRow {
   const char* style = nullptr;
-  std::uint64_t v1_bytes = 0;
+  std::uint64_t raw_bytes = 0;
   std::uint64_t v2_bytes = 0;
   double ratio = 0.0;
 };
@@ -463,7 +471,7 @@ std::vector<CompressionRow> measure_compression(std::size_t num_traces,
                                                 std::size_t threads) {
   const Technology tech = Technology::generic_180nm();
   std::vector<CompressionRow> rows;
-  const std::string v1 = "bench_compress_v1.corpus";
+  const std::string raw = "bench_compress_raw.corpus";
   const std::string v2 = "bench_compress_v2.corpus";
   for (LogicStyle style :
        {LogicStyle::kStaticCmos, LogicStyle::kSablGenuine,
@@ -476,18 +484,18 @@ std::vector<CompressionRow> measure_compression(std::size_t num_traces,
     options.noise_sigma = 0.0;
     options.seed = 0xBE7C;
     options.num_threads = threads;
-    engine.record(options, TraceDataKind::kSampled, v1,
-                  kCorpusCompressionNone, kCorpusVersion1);
+    engine.record(options, TraceDataKind::kSampled, raw,
+                  kCorpusCompressionNone);
     engine.record(options, TraceDataKind::kSampled, v2);
     CompressionRow row;
     row.style = to_string(style);
-    row.v1_bytes = file_size(v1);
+    row.raw_bytes = file_size(raw);
     row.v2_bytes = file_size(v2);
-    row.ratio = static_cast<double>(row.v1_bytes) /
+    row.ratio = static_cast<double>(row.raw_bytes) /
                 static_cast<double>(row.v2_bytes);
     rows.push_back(row);
   }
-  std::remove(v1.c_str());
+  std::remove(raw.c_str());
   std::remove(v2.c_str());
   return rows;
 }
@@ -745,17 +753,17 @@ void write_json(const std::string& path, std::size_t num_traces,
                replay.decode_vs_raw, replay.corpus_bytes_per_trace,
                replay.compression_ratio,
                replay.bit_identical ? "true" : "false");
-  std::uint64_t v1_total = 0;
+  std::uint64_t raw_total = 0;
   std::uint64_t v2_total = 0;
   std::fprintf(f, "  \"compression\": [\n");
   for (std::size_t i = 0; i < compression_rows.size(); ++i) {
     const CompressionRow& r = compression_rows[i];
-    v1_total += r.v1_bytes;
+    raw_total += r.raw_bytes;
     v2_total += r.v2_bytes;
     std::fprintf(f,
-                 "    {\"style\": \"%s\", \"v1_bytes\": %llu, "
+                 "    {\"style\": \"%s\", \"raw_bytes\": %llu, "
                  "\"v2_bytes\": %llu, \"ratio\": %.2f}%s\n",
-                 r.style, static_cast<unsigned long long>(r.v1_bytes),
+                 r.style, static_cast<unsigned long long>(r.raw_bytes),
                  static_cast<unsigned long long>(r.v2_bytes), r.ratio,
                  i + 1 < compression_rows.size() ? "," : "");
   }
@@ -766,7 +774,7 @@ void write_json(const std::string& path, std::size_t num_traces,
                "\"total_ratio\": %.2f},\n",
                compression_traces,
                v2_total > 0
-                   ? static_cast<double>(v1_total) /
+                   ? static_cast<double>(raw_total) /
                          static_cast<double>(v2_total)
                    : 0.0);
   std::fprintf(f, "  \"accumulation\": [\n");
@@ -1001,32 +1009,32 @@ int main(int argc, char** argv) {
       replay.corpus_bytes_per_trace, replay.compression_ratio,
       replay.bit_identical ? "yes" : "NO");
 
-  // Compression: the sampled all-styles noiseless campaign (v1 raw file
-  // vs v2 compressed file; acceptance: total >= 3x).
+  // Compression: the sampled all-styles noiseless campaign (raw v2 file
+  // vs delta-compressed v2 file; acceptance: total >= 3x).
   const std::size_t compression_traces =
       std::min<std::size_t>(num_traces, 12000);
   const std::vector<CompressionRow> compression_rows =
       measure_compression(compression_traces, threads);
-  std::uint64_t v1_total = 0;
+  std::uint64_t raw_total = 0;
   std::uint64_t v2_total = 0;
   std::printf(
       "\ncorpus compression (sampled, noiseless, %zu traces):\n"
       "%-22s %12s %12s %8s\n",
-      compression_traces, "logic style", "v1 [bytes]", "v2 [bytes]",
+      compression_traces, "logic style", "raw [bytes]", "v2 [bytes]",
       "ratio");
   for (const CompressionRow& r : compression_rows) {
-    v1_total += r.v1_bytes;
+    raw_total += r.raw_bytes;
     v2_total += r.v2_bytes;
     std::printf("%-22s %12llu %12llu %7.1fx\n", r.style,
-                static_cast<unsigned long long>(r.v1_bytes),
+                static_cast<unsigned long long>(r.raw_bytes),
                 static_cast<unsigned long long>(r.v2_bytes), r.ratio);
   }
   const double total_ratio =
       v2_total > 0
-          ? static_cast<double>(v1_total) / static_cast<double>(v2_total)
+          ? static_cast<double>(raw_total) / static_cast<double>(v2_total)
           : 0.0;
   std::printf("%-22s %12llu %12llu %7.1fx (expect >= 3x: %s)\n", "total",
-              static_cast<unsigned long long>(v1_total),
+              static_cast<unsigned long long>(raw_total),
               static_cast<unsigned long long>(v2_total), total_ratio,
               total_ratio >= 3.0 ? "yes" : "NO");
 
@@ -1054,9 +1062,10 @@ int main(int argc, char** argv) {
     options.num_threads = threads;
     options.lane_width = 0;  // showcase: widest compiled-in word
     const auto start = Clock::now();
-    const AttackResult r =
-        engine.cpa_campaign(
-            options, AttackSelector{.model = PowerModel::kHammingWeight});
+    const AttackResult r = run_attack(
+        engine, options,
+        CpaDistinguisher(engine.spec(),
+                         AttackSelector{.model = PowerModel::kHammingWeight}));
     cpa_seconds = seconds_since(start);
     std::printf(
         "\nstreaming CPA campaign: %zu traces in %.2f s (%.0f traces/s),\n"

@@ -2,7 +2,7 @@
 // the multi-process fan-out recipe of README's "Recording & distributed
 // campaigns" section as one binary.
 //
-//   campaign_cli record  --traces N --out corpus [--codec delta|none|v1]
+//   campaign_cli record  --traces N --out corpus [--codec delta|none]
 //   campaign_cli attack  [--corpus corpus] [--all-subkeys]
 //                        [--shards A:B --partial P]
 //                        [--resume P] [--checkpoint P --every K]
@@ -11,12 +11,16 @@
 //   campaign_cli corpus-info --corpus PATH
 //
 // record writes the v2 delta+plane+RLE compressed corpus by default
-// (--codec none for raw v2 chunks, --codec v1 for the legacy format —
-// all three replay bit-identically). attack --corpus --all-subkeys runs
-// one CPA+DoM+MTD set per round instance in a single pass over a
-// SharedCorpus: one mapping, every chunk decoded once however many sets
-// consume it. corpus-info prints any v1/v2 corpus's manifest, shard
-// layout and per-shard stored/raw sizes.
+// (--codec none for raw v2 chunks; both replay bit-identically). attack
+// --corpus --all-subkeys runs one CPA+DoM+MTD set per round instance in
+// a single pass over a SharedCorpus: one mapping, every chunk decoded
+// once however many sets consume it. corpus-info prints any corpus's
+// manifest, shard layout and per-shard stored/raw sizes — including
+// read-only legacy v1 files.
+//
+// Each subcommand accepts exactly the flags it reads (subcommand_reads);
+// any other flag exits 2 naming the flag and the subcommand, so a flag
+// the subcommand would ignore never passes silently.
 //
 // Every invocation rebuilds the same campaign (style, round, traces,
 // seed, noise, shard size define it; the manifest machinery verifies the
@@ -32,6 +36,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -68,7 +73,7 @@ struct Cli {
   std::size_t shard_end = kAllShards;
   std::vector<std::string> partials;  // merge inputs
   std::string json_path;
-  std::string codec = "delta";  // record: delta | none | v1
+  std::string codec = "delta";  // record: delta | none
   bool all_subkeys = false;     // attack --corpus: one set per instance
 };
 
@@ -120,25 +125,53 @@ bool parse_number(const char* flag, std::string_view text, T* out) {
   return ok;
 }
 
+// The flags each subcommand reads. The campaign flags define the
+// campaign (record, attack, merge); --attack-sbox picks the attack set,
+// so record has no use for it, and merge never simulates, so it has no
+// use for --lanes.
+bool subcommand_reads(std::string_view mode, std::string_view flag) {
+  static constexpr std::string_view kCampaign[] = {
+      "--style", "--round", "--traces", "--seed", "--noise", "--shard-size",
+      "--threads"};
+  static constexpr std::string_view kRecord[] = {"--lanes", "--out",
+                                                 "--codec"};
+  static constexpr std::string_view kAttack[] = {
+      "--lanes", "--attack-sbox", "--corpus", "--all-subkeys", "--shards",
+      "--partial", "--resume", "--checkpoint", "--every", "--json"};
+  static constexpr std::string_view kMerge[] = {"--attack-sbox",
+                                                "--partials", "--json"};
+  const auto in = [&](const auto& list) {
+    return std::find(std::begin(list), std::end(list), flag) != std::end(list);
+  };
+  if (mode == "corpus-info") return flag == "--corpus";
+  if (in(kCampaign)) return true;
+  if (mode == "record") return in(kRecord);
+  if (mode == "attack") return in(kAttack);
+  return in(kMerge);
+}
+
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s record --out PATH [--codec delta|none|v1] [campaign flags]\n"
-      "       %s attack [--corpus PATH [--all-subkeys]]\n"
+      "usage: %s record --out PATH [--codec delta|none] [--lanes W]\n"
+      "                 [campaign flags]\n"
+      "       %s attack [--corpus PATH [--all-subkeys]] [--attack-sbox I]\n"
       "                 [--shards A:B --partial PATH]\n"
       "                 [--resume PATH] [--checkpoint PATH --every K]\n"
-      "                 [--json PATH] [campaign flags]\n"
-      "       %s merge --partials P0,P1,... [--json PATH] [campaign flags]\n"
+      "                 [--json PATH] [--lanes W] [campaign flags]\n"
+      "       %s merge --partials P0,P1,... [--attack-sbox I] [--json PATH]\n"
+      "                [campaign flags]\n"
       "       %s corpus-info --corpus PATH\n"
-      "campaign flags: --style NAME --round N --attack-sbox I --traces N\n"
-      "                --seed S --noise X --shard-size Z --threads T "
-      "--lanes W\n",
+      "campaign flags: --style NAME --round N --traces N --seed S --noise X\n"
+      "                --shard-size Z --threads T\n"
+      "A flag the subcommand does not read exits 2.\n",
       argv0, argv0, argv0, argv0);
   return 2;
 }
 
-// corpus-info: everything the header + index pin down, for any v1/v2
-// file — no campaign flags needed, the corpus is self-describing.
+// corpus-info: everything the header + index pin down, for any v2 or
+// legacy v1 file — no campaign flags needed, the corpus is
+// self-describing.
 int print_corpus_info(const std::string& path) {
   const CorpusReader corpus(path);
   const CorpusManifest& m = corpus.manifest();
@@ -302,6 +335,10 @@ int main(int argc, char** argv) {
   Cli cli;
   std::vector<std::string_view> given;  // every flag on the command line
   for (int i = 2; i < argc; ++i) {
+    if (!subcommand_reads(mode, argv[i])) {
+      std::fprintf(stderr, "%s does not take %s\n", mode.c_str(), argv[i]);
+      return usage(argv[0]);
+    }
     given.push_back(argv[i]);
     const auto has_value = [&] { return i + 1 < argc; };
     // Consumes the flag's value into `out`, checked.
@@ -426,18 +463,14 @@ int main(int argc, char** argv) {
         return 2;
       }
       std::uint32_t compression = kCorpusCompressionDeltaPlaneRle;
-      std::uint32_t version = kCorpusVersion2;
       if (cli.codec == "none") {
         compression = kCorpusCompressionNone;
-      } else if (cli.codec == "v1") {
-        compression = kCorpusCompressionNone;
-        version = kCorpusVersion1;
       } else if (cli.codec != "delta") {
-        std::fprintf(stderr, "--codec must be delta, none or v1\n");
+        std::fprintf(stderr, "--codec must be delta or none\n");
         return 2;
       }
       engine.record(options, TraceDataKind::kScalar, cli.out_path,
-                    compression, version);
+                    compression);
       const CampaignManifest m = engine.campaign_manifest(options);
       std::printf("recorded %llu traces (%llu shards of %llu) to %s\n",
                   static_cast<unsigned long long>(m.num_traces),

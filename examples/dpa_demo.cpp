@@ -106,9 +106,9 @@ void attack_style(LogicStyle style, std::size_t round_size,
   // second-order centered-product CPA across logic-level pairs, driven
   // through the same distinguisher pipeline over a time-resolved campaign.
   if (second_order) {
-    const SecondOrderAttackResult so = engine.second_order_cpa_campaign(
-        options, AttackSelector{.sbox_index = attack_sbox,
-                                .model = PowerModel::kHammingWeight});
+    const SecondOrderAttackResult so = run_attack(
+        engine, options,
+        SecondOrderCpaDistinguisher(engine.spec(attack_sbox), selector));
     std::printf("%-22s   2nd-order: best guess = 0x%zX (|rho| = %.3f, "
                 "level pair (%zu,%zu)), correct subkey rank %zu\n",
                 "", so.combined.best_guess,

@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "crypto/leakage.hpp"
 #include "crypto/sboxes.hpp"
-#include "dpa/hypothesis.hpp"
 #include "power/trace.hpp"
 
 namespace sable {

@@ -123,9 +123,9 @@ class Distinguisher {
   virtual void finalize(ShardAccumulator& root) = 0;
 };
 
-/// First-order streaming CPA on one subkey (wraps StreamingCpa; the
-/// engine's cpa_campaign is this distinguisher alone). Many instances in
-/// one run_distinguishers() call attack many subkeys in one pass.
+/// First-order streaming CPA on one subkey (wraps StreamingCpa; run alone
+/// through run_attack). Many instances in one run_distinguishers() call
+/// attack many subkeys in one pass.
 class CpaDistinguisher final : public Distinguisher {
  public:
   CpaDistinguisher(const SboxSpec& spec, const AttackSelector& selector);

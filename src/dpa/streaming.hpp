@@ -31,9 +31,9 @@
 #include <memory>
 #include <vector>
 
+#include "crypto/leakage.hpp"
 #include "crypto/sboxes.hpp"
 #include "dpa/attack.hpp"
-#include "dpa/hypothesis.hpp"
 #include "power/stats.hpp"
 
 namespace sable {

@@ -590,8 +590,7 @@ void TraceEngine::merge_partials(
 }
 
 void TraceEngine::record(const CampaignOptions& options, TraceDataKind kind,
-                         const std::string& path, std::uint32_t compression,
-                         std::uint32_t version) {
+                         const std::string& path, std::uint32_t compression) {
   validate_key(round(), options);
   SABLE_REQUIRE(options.num_traces >= 1,
                 "recording requires at least one trace");
@@ -608,7 +607,7 @@ void TraceEngine::record(const CampaignOptions& options, TraceDataKind kind,
     manifest.kind = kCorpusKindSampled;
     manifest.sample_width = target_.num_levels();
   }
-  CorpusWriter writer(path, manifest, version);
+  CorpusWriter writer(path, manifest);
   // The stream emits shards in canonical order on the calling thread —
   // exactly append_shard's contract.
   stream_campaign(target_, *pools_, options, kind,
@@ -639,90 +638,6 @@ CampaignManifest TraceEngine::campaign_manifest(
   manifest.noise_sigma = options.noise_sigma;
   manifest.key = options.key;
   return manifest;
-}
-
-AttackResult TraceEngine::cpa_campaign(const CampaignOptions& options,
-                                       const AttackSelector& selector) {
-  SABLE_REQUIRE(options.num_traces >= 2, "CPA requires at least two traces");
-  validate_attack_selector(round(), selector, /*require_bit=*/false);
-  CpaDistinguisher cpa(round().sboxes[selector.sbox_index], selector);
-  Distinguisher* const list[] = {&cpa};
-  run_distinguishers(options, list);
-  return cpa.result();
-}
-
-std::vector<AttackResult> TraceEngine::cpa_campaign_all_subkeys(
-    const CampaignOptions& options, PowerModel model, std::size_t bit) {
-  std::vector<CpaDistinguisher> attacks;
-  attacks.reserve(round().num_sboxes());
-  std::vector<Distinguisher*> list;
-  list.reserve(round().num_sboxes());
-  for (std::size_t i = 0; i < round().num_sboxes(); ++i) {
-    const AttackSelector selector{.sbox_index = i, .model = model, .bit = bit};
-    validate_attack_selector(round(), selector, /*require_bit=*/false);
-    attacks.emplace_back(round().sboxes[i], selector);
-  }
-  for (CpaDistinguisher& attack : attacks) list.push_back(&attack);
-  run_distinguishers(options, list);
-  std::vector<AttackResult> results;
-  results.reserve(attacks.size());
-  for (const CpaDistinguisher& attack : attacks) {
-    results.push_back(attack.result());
-  }
-  return results;
-}
-
-SecondOrderAttackResult TraceEngine::second_order_cpa_campaign(
-    const CampaignOptions& options, const AttackSelector& selector) {
-  SABLE_REQUIRE(options.num_traces >= 2,
-                "second-order CPA requires at least two traces");
-  validate_attack_selector(round(), selector, /*require_bit=*/false);
-  SABLE_REQUIRE(target_.num_levels() >= 2,
-                "second-order CPA needs at least two logic levels to pair");
-  SecondOrderCpaDistinguisher attack(round().sboxes[selector.sbox_index],
-                                     selector);
-  Distinguisher* const list[] = {&attack};
-  run_distinguishers(options, list);
-  return attack.result();
-}
-
-AttackResult TraceEngine::dom_campaign(const CampaignOptions& options,
-                                       const AttackSelector& selector) {
-  SABLE_REQUIRE(options.num_traces >= 2, "DPA requires at least two traces");
-  validate_attack_selector(round(), selector, /*require_bit=*/true);
-  DomDistinguisher dom(round().sboxes[selector.sbox_index], selector);
-  Distinguisher* const list[] = {&dom};
-  run_distinguishers(options, list);
-  return dom.result();
-}
-
-MtdResult TraceEngine::mtd_campaign(const CampaignOptions& options,
-                                    const AttackSelector& selector,
-                                    const std::vector<std::size_t>& checkpoints) {
-  SABLE_REQUIRE(options.num_traces >= 2, "MTD requires at least two traces");
-  validate_key(round(), options);
-  validate_attack_selector(round(), selector, /*require_bit=*/false);
-  MtdDistinguisher mtd(round().sboxes[selector.sbox_index], selector,
-                       round().sub_word(options.key.data(),
-                                        selector.sbox_index),
-                       checkpoints, options.num_traces);
-  Distinguisher* const list[] = {&mtd};
-  run_distinguishers(options, list);
-  return mtd.result();
-}
-
-MultiAttackResult TraceEngine::multi_cpa_campaign(
-    const CampaignOptions& options, const AttackSelector& selector) {
-  SABLE_REQUIRE(options.num_traces >= 2,
-                "multisample CPA requires at least two traces");
-  validate_attack_selector(round(), selector, /*require_bit=*/false);
-  SABLE_REQUIRE(target_.num_levels() > 0,
-                "time-resolved campaigns need at least one logic level");
-  MultiCpaDistinguisher attack(round().sboxes[selector.sbox_index], selector,
-                               target_.num_levels());
-  Distinguisher* const list[] = {&attack};
-  run_distinguishers(options, list);
-  return attack.result();
 }
 
 }  // namespace sable

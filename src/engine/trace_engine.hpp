@@ -14,10 +14,10 @@
 // accumulators ride the worker pool and reduce through a fixed-shape
 // binary merge tree (or an ordered fold for MTD), so an attack over 10^7
 // traces needs O(guesses) memory per shard, one pass, and 1/(64 * cores)
-// of the scalar simulation time. The historic campaigns
-// (cpa/dom/mtd/multi_cpa) are thin wrappers over that pipeline, and any
-// number of distinguishers — e.g. a CPA per subkey of a 16-S-box round —
-// share ONE simulated campaign instead of re-simulating per attack.
+// of the scalar simulation time. run_distinguishers is the one attack
+// driver: any number of distinguishers — e.g. a CPA per subkey of a
+// 16-S-box round — share ONE simulated campaign instead of re-simulating
+// per attack, and run_attack below is that driver with a single attack.
 //
 // Attacks select one instance via AttackSelector{sbox_index, model, bit}:
 // the accumulators consume that instance's sub-plaintexts and guess its
@@ -212,11 +212,12 @@ class TraceEngine {
                       const SampledTraceSink& sink);
 
   /// Drives any set of pluggable distinguishers through ONE simulated
-  /// campaign — the generic path every attack campaign below wraps. Per
-  /// shard, each distinguisher's ShardAccumulator consumes the shard's
-  /// block (sub-plaintext extraction deduplicated per attacked instance,
-  /// one virtual dispatch per distinguisher per shard); per-shard states
-  /// reduce through the fixed-shape merge tree, or the ordered left fold
+  /// campaign — the engine's one attack driver (run_attack is the
+  /// single-attack shorthand). Per shard, each distinguisher's
+  /// ShardAccumulator consumes the shard's block (sub-plaintext
+  /// extraction deduplicated per attacked instance, one virtual dispatch
+  /// per distinguisher per shard); per-shard states reduce through the
+  /// fixed-shape merge tree, or the ordered left fold
   /// for Distinguisher::ordered() (MTD prefix semantics). Afterwards each
   /// distinguisher holds its typed result. Mixing scalar and
   /// time-resolved distinguishers simulates each shard once per data
@@ -253,16 +254,14 @@ class TraceEngine {
 
   /// Records the campaign's trace stream to a corpus file at `path`
   /// (io/corpus.hpp): shards are simulated in parallel and written in
-  /// canonical order, scalar or cycle-sampled per `kind`. The default
-  /// writes the v2 delta+plane+RLE compressed format; pass
-  /// `kCorpusCompressionNone` for raw v2 chunks, and `version = 1` (raw
-  /// only) for a backward-compatible v1 file. Whatever the encoding, the
+  /// canonical order, scalar or cycle-sampled per `kind`, in the v2
+  /// format. The default compresses chunks with delta+plane+RLE; pass
+  /// `kCorpusCompressionNone` for raw chunks. Whatever the encoding, the
   /// corpus replays into any matching distinguisher set bit-identically
   /// to the live campaign.
   void record(const CampaignOptions& options, TraceDataKind kind,
               const std::string& path,
-              std::uint32_t compression = kCorpusCompressionDeltaPlaneRle,
-              std::uint32_t version = kCorpusVersion2);
+              std::uint32_t compression = kCorpusCompressionDeltaPlaneRle);
 
   /// Replays a recorded corpus into `distinguishers` — no simulation,
   /// same results, same persistence controls as run_distinguishers
@@ -278,51 +277,6 @@ class TraceEngine {
   /// campaign is validated against.
   CampaignManifest campaign_manifest(const CampaignOptions& options) const;
 
-  /// One-pass CPA on the selected instance's subkey over a streamed
-  /// campaign: a single CpaDistinguisher through run_distinguishers.
-  AttackResult cpa_campaign(const CampaignOptions& options,
-                            const AttackSelector& selector);
-
-  /// One-pass CPA on EVERY subkey of the round from one simulated
-  /// campaign (one CpaDistinguisher per instance): result[i] is
-  /// bit-identical to cpa_campaign with selector {i, model, bit}, at
-  /// roughly 1/num_sboxes of the cost of re-simulating per instance.
-  std::vector<AttackResult> cpa_campaign_all_subkeys(
-      const CampaignOptions& options, PowerModel model, std::size_t bit = 0);
-
-  /// Second-order centered-product CPA over `cycle_sampled` rows: scores
-  /// every logic-level pair's centered product against the selected
-  /// instance's predicted leakage, max-combined per guess (see
-  /// dpa/second_order.hpp). Covers every logic style.
-  SecondOrderAttackResult second_order_cpa_campaign(
-      const CampaignOptions& options, const AttackSelector& selector);
-
-  /// One-pass difference-of-means on the selected instance's output bit
-  /// over a streamed campaign (sharded; selector.model is ignored — DoM
-  /// is inherently the single-bit model).
-  AttackResult dom_campaign(const CampaignOptions& options,
-                            const AttackSelector& selector);
-
-  /// Incremental MTD curve for the selected subkey: workers snapshot each
-  /// shard's partial accumulator at the checkpoints falling inside it;
-  /// the snapshots are then ranked in order against the merged prefix
-  /// (MtdDistinguisher's ordered fold) — the full measurements-to-
-  /// disclosure experiment in a single parallel pass over
-  /// generated-and-dropped traces. The correct
-  /// subkey is read from options.key. Duplicate checkpoints are evaluated
-  /// once.
-  MtdResult mtd_campaign(const CampaignOptions& options,
-                         const AttackSelector& selector,
-                         const std::vector<std::size_t>& checkpoints);
-
-  /// Time-resolved one-pass CPA over `cycle_sampled` batches: one
-  /// correlation accumulator per logic level (StreamingMultiCpa), sharded
-  /// and tree-merged like cpa_campaign. Keeps, per guess, the largest
-  /// |rho| over the sample axis — the oscilloscope-style attack. Covers
-  /// every logic style (differential, static CMOS, WDDL).
-  MultiAttackResult multi_cpa_campaign(const CampaignOptions& options,
-                                       const AttackSelector& selector);
-
   RoundTarget& target() { return target_; }
   const RoundSpec& round() const { return target_.round(); }
   /// Spec of one S-box instance (the attacked one, usually).
@@ -334,5 +288,20 @@ class TraceEngine {
   // worker clones) from this header; see trace_engine.cpp.
   std::unique_ptr<detail::EnginePools> pools_;
 };
+
+/// Runs ONE attack through run_distinguishers and returns its typed
+/// result by value, e.g.
+///   run_attack(engine, options, CpaDistinguisher(engine.spec(i), selector))
+/// For MTD pass the correct subkey as
+/// engine.round().sub_word(options.key.data(), i). Every check of the
+/// driver applies: at least two traces, the key width, and the attack's
+/// validate() against the round.
+template <typename Attack>
+auto run_attack(TraceEngine& engine, const CampaignOptions& options,
+                Attack attack) {
+  Distinguisher* const list[] = {&attack};
+  engine.run_distinguishers(options, list);
+  return attack.result();
+}
 
 }  // namespace sable

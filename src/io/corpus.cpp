@@ -34,12 +34,11 @@ std::uint64_t layout_count(const CampaignManifest& m, std::uint64_t s) {
                                  m.num_traces - s * m.shard_size);
 }
 
-void write_header(ByteWriter& writer, const CorpusManifest& manifest,
-                  std::uint32_t version) {
+void write_header(ByteWriter& writer, const CorpusManifest& manifest) {
   writer.bytes(kCorpusMagic, sizeof(kCorpusMagic));
-  writer.u32(version);
+  writer.u32(kCorpusVersion2);
   writer.u32(manifest.kind);
-  if (version >= kCorpusVersion2) writer.u32(manifest.compression);
+  writer.u32(manifest.compression);
   manifest.campaign.save(writer);
   writer.u64(manifest.pt_stride);
   writer.u64(manifest.sample_width);
@@ -49,22 +48,15 @@ void write_header(ByteWriter& writer, const CorpusManifest& manifest,
 }  // namespace
 
 CorpusWriter::CorpusWriter(const std::string& path,
-                           const CorpusManifest& manifest,
-                           std::uint32_t version)
-    : path_(path), tmp_path_(path + ".tmp"), manifest_(manifest),
-      version_(version) {
+                           const CorpusManifest& manifest)
+    : path_(path), tmp_path_(path + ".tmp"), manifest_(manifest) {
   const CampaignManifest& c = manifest_.campaign;
-  SABLE_REQUIRE(version_ == kCorpusVersion1 || version_ == kCorpusVersion2,
-                "corpus writer version must be 1 or 2");
   SABLE_REQUIRE(manifest_.kind == kCorpusKindScalar ||
                     manifest_.kind == kCorpusKindSampled,
                 "corpus kind must be scalar or sampled");
   SABLE_REQUIRE(manifest_.compression == kCorpusCompressionNone ||
                     manifest_.compression == kCorpusCompressionDeltaPlaneRle,
                 "corpus compression must be none or delta+plane+RLE");
-  SABLE_REQUIRE(version_ >= kCorpusVersion2 ||
-                    manifest_.compression == kCorpusCompressionNone,
-                "corpus format v1 stores raw chunks only");
   SABLE_REQUIRE(manifest_.pt_stride >= 1 && manifest_.sample_width >= 1,
                 "corpus strides must be at least one");
   SABLE_REQUIRE(c.num_traces >= 1 && c.shard_size >= 1 &&
@@ -73,13 +65,10 @@ CorpusWriter::CorpusWriter(const std::string& path,
                 "corpus manifest must carry a resolved, consistent shard "
                 "layout");
   ByteWriter header;
-  write_header(header, manifest_, version_);
+  write_header(header, manifest_);
   index_offset_ = header.offset();
   // Index placeholder, back-patched by finish().
-  const std::size_t entry_words = version_ == kCorpusVersion1 ? 2 : 4;
-  for (std::uint64_t s = 0; s < c.num_shards; ++s) {
-    for (std::size_t w = 0; w < entry_words; ++w) header.u64(0);
-  }
+  for (std::uint64_t w = 0; w < 4 * c.num_shards; ++w) header.u64(0);
   file_ = std::fopen(tmp_path_.c_str(), "wb");
   if (!file_) {
     throw IoError(tmp_path_, "cannot open corpus file for writing");
@@ -133,12 +122,7 @@ void CorpusWriter::append_shard(const std::uint8_t* pts,
     write_raw(encoded_.data(), encoded_.size());
     write_raw(kZeros, static_cast<std::size_t>(pad8(samp_bytes) - samp_bytes));
   }
-  index_.push_back(offset);
-  index_.push_back(count);
-  if (version_ >= kCorpusVersion2) {
-    index_.push_back(pt_bytes);
-    index_.push_back(samp_bytes);
-  }
+  index_.insert(index_.end(), {offset, count, pt_bytes, samp_bytes});
   ++next_shard_;
 }
 

@@ -14,7 +14,7 @@
 // mmap-addressable as double arrays):
 //
 //   magic            8 bytes  "SABLCORP"
-//   version          u32      1 or 2
+//   version          u32      2 (1 in read-only legacy files)
 //   kind             u32      0 = scalar, 1 = cycle-sampled
 //   compression      u32      v2 only: 0 = none, 1 = delta+plane+RLE
 //   manifest         CampaignManifest (spec hash, seed, counts, key)
@@ -32,8 +32,8 @@
 // (pt_bytes = count * pt_stride, samp_bytes = count * sample_width * 8),
 // byte-identical to the v1 chunk layout; with delta+plane+RLE each
 // stream is the io/codec.hpp encoding and the index's stored sizes are
-// what make chunks independently seekable. v1 files (always raw) remain
-// fully readable.
+// what make chunks independently seekable. The writer emits v2 only; v1
+// files (always raw) remain fully readable.
 //
 // CorpusWriter streams: the header and index placeholder go out first,
 // shard chunks append in canonical order, finish() back-patches the
@@ -67,7 +67,8 @@ inline constexpr std::uint32_t kCorpusKindSampled = 1;
 inline constexpr std::uint32_t kCorpusCompressionNone = 0;
 inline constexpr std::uint32_t kCorpusCompressionDeltaPlaneRle = 1;
 
-/// Format versions the writer can emit and the reader accepts.
+/// Format versions the reader accepts. The writer emits v2 only; v1
+/// files (the historic raw-only format) are read-only.
 inline constexpr std::uint32_t kCorpusVersion1 = 1;
 inline constexpr std::uint32_t kCorpusVersion2 = 2;
 
@@ -101,12 +102,11 @@ struct CorpusDecodeScratch {
 /// Streaming corpus writer. Feed shards strictly in canonical order
 /// (shard 0, 1, ...), one append_shard per shard with the layout's exact
 /// trace count, then finish(). The destructor discards an unfinished
-/// file (removes the .tmp) — only finish() publishes. `version` selects
-/// the emitted format; version 1 requires compression none.
+/// file (removes the .tmp) — only finish() publishes. Always emits the
+/// v2 format.
 class CorpusWriter {
  public:
-  CorpusWriter(const std::string& path, const CorpusManifest& manifest,
-               std::uint32_t version = kCorpusVersion2);
+  CorpusWriter(const std::string& path, const CorpusManifest& manifest);
   ~CorpusWriter();
   CorpusWriter(const CorpusWriter&) = delete;
   CorpusWriter& operator=(const CorpusWriter&) = delete;
@@ -130,12 +130,11 @@ class CorpusWriter {
   std::string path_;
   std::string tmp_path_;
   CorpusManifest manifest_;
-  std::uint32_t version_;
   std::FILE* file_ = nullptr;
   std::size_t next_shard_ = 0;
   std::size_t index_offset_ = 0;  // file offset of the shard index
   std::size_t write_offset_ = 0;  // current file offset
-  std::vector<std::uint64_t> index_;  // flattened entries (2 or 4 u64s)
+  std::vector<std::uint64_t> index_;  // flattened 4-u64 entries
   CodecScratch scratch_;              // encode intermediates, reused
   std::vector<std::uint8_t> encoded_;  // encoded streams, reused
   bool finished_ = false;

@@ -45,8 +45,9 @@ enum class DispatchTier { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
 /// Stable lowercase name ("portable", "avx2", "avx512") for logs/JSON.
 const char* to_string(DispatchTier tier);
 
-/// Widest tier whose kernel instantiations are compiled into this binary
-/// (fixed at build time by SABLE_SIMD).
+/// Widest tier whose kernel instantiations are compiled into this binary:
+/// kAvx512 (or kAvx2) for the default SABLE_SIMD=RUNTIME build, kPortable
+/// for SABLE_SIMD=OFF or a compiler without multi-ISA support.
 DispatchTier compiled_tier();
 
 /// Widest tier the executing CPU supports, independent of what was built.

@@ -25,8 +25,7 @@
 //                  their kernels are only *instantiated* in the per-ISA
 //                  TUs under src/simd/, and only *selected* at runtime
 //                  when cpu_features() reports the ISA (util/cpu_dispatch).
-//                  Pinned builds (SABLE_SIMD=AVX2/AVX512/NATIVE) enable
-//                  the ISA for the whole binary instead.
+//                  The portable build (SABLE_SIMD=OFF) omits them.
 //
 // Multi-ISA safety rules (how one binary carries portable + AVX2 +
 // AVX-512 code without undefined behaviour):
@@ -52,13 +51,13 @@
 
 #include "util/error.hpp"
 
-#if defined(__AVX2__) || defined(SABLE_DISPATCH_AVX2)
+#if defined(SABLE_DISPATCH_AVX2)
 #define SABLE_HAVE_WORD256 1
 #else
 #define SABLE_HAVE_WORD256 0
 #endif
 
-#if defined(__AVX512F__) || defined(SABLE_DISPATCH_AVX512)
+#if defined(SABLE_DISPATCH_AVX512)
 #define SABLE_HAVE_WORD512 1
 #else
 #define SABLE_HAVE_WORD512 0
@@ -68,21 +67,12 @@
 #include <immintrin.h>
 #endif
 
-// Function-level ISA enablement: expands to a target attribute when the
-// TU itself is not compiled with the ISA (runtime-dispatch builds), and
-// to nothing when it already is (pinned builds, src/simd TUs after their
-// #pragma GCC target — the pragma updates the __AVX2__/__AVX512F__ macros
-// only for code after it; these headers are parsed before).
-#if SABLE_HAVE_WORD256 && !defined(__AVX2__)
+// Function-level ISA enablement: every TU is compiled for the base
+// architecture (the src/simd TUs parse these headers before their
+// #pragma GCC target), so each wide-word member carries its own target
+// attribute.
 #define SABLE_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define SABLE_TARGET_AVX2
-#endif
-#if SABLE_HAVE_WORD512 && !defined(__AVX512F__)
 #define SABLE_TARGET_AVX512 __attribute__((target("avx512f")))
-#else
-#define SABLE_TARGET_AVX512
-#endif
 
 // Forced inlining for the free helpers: their bodies adopt the caller's
 // target, so no portable/ISA ABI boundary ever materializes (see the
@@ -441,7 +431,7 @@ SABLE_LANE_INLINE void lane_add_delta(const W& lanes, double delta,
 
 /// Lane widths whose kernels are compiled into this binary, ascending.
 /// 64 and 128 are always available; 256/512 are carried by the default
-/// runtime-dispatch build and by pinned builds with the matching ISA.
+/// runtime-dispatch build (not by SABLE_SIMD=OFF).
 /// Whether a compiled width can actually run on THIS machine is a runtime
 /// question — see runtime_lane_widths() in util/cpu_dispatch.hpp.
 inline std::vector<std::size_t> supported_lane_widths() {

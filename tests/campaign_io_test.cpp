@@ -418,12 +418,11 @@ class HostileInputTest : public ::testing::Test {
     options_ = small_options();
     corpus_path_ = temp_path("hostile.corpus");
     engine.record(options_, TraceDataKind::kScalar, corpus_path_);
-    // The same campaign in the legacy raw format: every hostile sweep
-    // below runs over BOTH containers, so the v1 parser keeps its typed
-    // rejection contract alongside the compressed v2 decode path.
-    v1_path_ = temp_path("hostile_v1.corpus");
-    engine.record(options_, TraceDataKind::kScalar, v1_path_,
-                  kCorpusCompressionNone, kCorpusVersion1);
+    // The committed legacy fixture (no writer emits v1 any more): every
+    // hostile sweep below runs over BOTH containers, so the v1 parser
+    // keeps its typed rejection contract alongside the compressed v2
+    // decode path. The sweeps only read it and write mutated copies.
+    v1_path_ = std::string(SABLE_TEST_DATA_DIR) + "/golden_v1.sablcorp";
     CpaDistinguisher cpa(engine.spec(),
                          AttackSelector{.model = PowerModel::kHammingWeight});
     Distinguisher* const list[] = {&cpa};
@@ -447,7 +446,7 @@ class HostileInputTest : public ::testing::Test {
 
   CampaignOptions options_;
   std::string corpus_path_;  // current format: v2, delta+plane+RLE
-  std::string v1_path_;      // legacy format: v1, raw chunks
+  std::string v1_path_;      // legacy format: v1, raw chunks (fixture)
   std::string state_path_;
 };
 
@@ -611,21 +610,18 @@ TEST(CampaignIoTest, CompressionVariantsReplayBitIdentically) {
   struct Variant {
     const char* name;
     std::uint32_t compression;
-    std::uint32_t version;
   };
   const Variant variants[] = {
-      {"v1_raw", kCorpusCompressionNone, kCorpusVersion1},
-      {"v2_raw", kCorpusCompressionNone, kCorpusVersion2},
-      {"v2_delta", kCorpusCompressionDeltaPlaneRle, kCorpusVersion2},
+      {"v2_raw", kCorpusCompressionNone},
+      {"v2_delta", kCorpusCompressionDeltaPlaneRle},
   };
-  std::size_t v1_size = 0;
+  std::size_t raw_size = 0;
   std::size_t v2_delta_size = 0;
   for (const Variant& v : variants) {
     const std::string path = temp_path(std::string("variant_") + v.name);
-    engine.record(options, TraceDataKind::kScalar, path, v.compression,
-                  v.version);
+    engine.record(options, TraceDataKind::kScalar, path, v.compression);
     const CorpusReader corpus(path);
-    EXPECT_EQ(corpus.version(), v.version) << v.name;
+    EXPECT_EQ(corpus.version(), kCorpusVersion2) << v.name;
     EXPECT_EQ(corpus.compressed(),
               v.compression == kCorpusCompressionDeltaPlaneRle)
         << v.name;
@@ -635,14 +631,15 @@ TEST(CampaignIoTest, CompressionVariantsReplayBitIdentically) {
         << v.name;
     expect_same_scores(cpa.result().score, ref.result().score);
     const std::size_t size = read_file(path).size();
-    if (v.version == kCorpusVersion1) v1_size = size;
-    if (v.compression == kCorpusCompressionDeltaPlaneRle) {
+    if (v.compression == kCorpusCompressionNone) {
+      raw_size = size;
+    } else {
       v2_delta_size = size;
     }
   }
   // Even on this noisy scalar campaign (the codec's worst case — the
   // noise randomizes the low mantissa bits) compression must not lose.
-  EXPECT_LT(v2_delta_size, v1_size);
+  EXPECT_LT(v2_delta_size, raw_size);
 }
 
 TEST(CampaignIoTest, NoiselessSampledCorpusCompressesAtLeast3x) {
@@ -655,33 +652,33 @@ TEST(CampaignIoTest, NoiselessSampledCorpusCompressesAtLeast3x) {
   CampaignOptions options = small_options();
   options.num_traces = 1500;
   options.noise_sigma = 0.0;
-  const std::string v1 = temp_path("ratio_v1.corpus");
+  const std::string raw = temp_path("ratio_raw.corpus");
   const std::string v2 = temp_path("ratio_v2.corpus");
-  engine.record(options, TraceDataKind::kSampled, v1, kCorpusCompressionNone,
-                kCorpusVersion1);
+  engine.record(options, TraceDataKind::kSampled, raw, kCorpusCompressionNone);
   engine.record(options, TraceDataKind::kSampled, v2);
 
   const CorpusReader reader(v2);
-  std::uint64_t raw = 0;
+  std::uint64_t raw_bytes = 0;
   std::uint64_t stored = 0;
   for (std::size_t s = 0; s < reader.num_shards(); ++s) {
-    raw += reader.shard_raw_bytes(s);
+    raw_bytes += reader.shard_raw_bytes(s);
     stored += reader.shard_stored_bytes(s);
   }
-  EXPECT_GE(raw, 3 * stored) << "chunk ratio " << raw << "/" << stored;
-  EXPECT_GE(read_file(v1).size(), 3 * read_file(v2).size());
+  EXPECT_GE(raw_bytes, 3 * stored)
+      << "chunk ratio " << raw_bytes << "/" << stored;
+  EXPECT_GE(read_file(raw).size(), 3 * read_file(v2).size());
 
   // Compression is exact: both containers replay to the same bits.
   const std::size_t levels = engine.target().num_levels();
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  MultiCpaDistinguisher from_v1(engine.spec(), selector, levels);
+  MultiCpaDistinguisher from_raw(engine.spec(), selector, levels);
   MultiCpaDistinguisher from_v2(engine.spec(), selector, levels);
-  Distinguisher* const list1[] = {&from_v1};
+  Distinguisher* const list1[] = {&from_raw};
   Distinguisher* const list2[] = {&from_v2};
-  EXPECT_TRUE(replay_distinguishers(CorpusReader(v1), engine.round(), list1));
+  EXPECT_TRUE(replay_distinguishers(CorpusReader(raw), engine.round(), list1));
   EXPECT_TRUE(replay_distinguishers(reader, engine.round(), list2));
   expect_same_scores(from_v2.result().combined.score,
-                     from_v1.result().combined.score);
+                     from_raw.result().combined.score);
 }
 
 TEST(CampaignIoTest, HostileDecodedSizeCeilingRejectedAtOpen) {
@@ -745,8 +742,8 @@ std::uint64_t corpus_content_fingerprint(const CorpusReader& corpus) {
 TEST(CampaignIoTest, GoldenV1CorpusStaysReadable) {
   // A v1 corpus committed to the repo: the backward-compatibility lock.
   // If this test fails, either the v1 parser regressed (fix that) or the
-  // engine's trace stream changed (regenerate the fixture AND bump the
-  // fingerprint — see tests/data/README.md for the recipe).
+  // engine's trace stream changed (the fixture is frozen — no writer
+  // emits v1 — see tests/data/README.md for what to do then).
   const CorpusReader corpus(std::string(SABLE_TEST_DATA_DIR) +
                             "/golden_v1.sablcorp");
   EXPECT_EQ(corpus.version(), kCorpusVersion1);

@@ -68,7 +68,7 @@ class SharedCorpusTest : public ::testing::Test {
     engine.record(options_, TraceDataKind::kScalar, compressed_path_);
     raw_path_ = temp_path("raw.corpus");
     engine.record(options_, TraceDataKind::kScalar, raw_path_,
-                  kCorpusCompressionNone, kCorpusVersion2);
+                  kCorpusCompressionNone);
 
     const AttackSelector selector{.model = PowerModel::kHammingWeight};
     CpaDistinguisher ref(engine.spec(), selector);

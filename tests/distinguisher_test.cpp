@@ -77,7 +77,7 @@ void expect_same_result(const AttackResult& a, const AttackResult& b) {
   EXPECT_EQ(a.margin, b.margin);
 }
 
-// ---- wrapped campaigns vs the pre-pipeline formulation --------------------
+// ---- single-attack campaigns vs the pre-pipeline formulation -------------
 
 TEST(DistinguisherPipelineTest, CpaCampaignBitIdenticalToManualShards) {
   const RoundSpec round = present_round(2, LogicStyle::kSablGenuine);
@@ -97,7 +97,10 @@ TEST(DistinguisherPipelineTest, CpaCampaignBitIdenticalToManualShards) {
                  });
   ASSERT_EQ(shards.size(), 5u);
   const AttackResult reference = merge_shard_tree(std::move(shards)).result();
-  expect_same_result(engine.cpa_campaign(options, selector), reference);
+  expect_same_result(
+      run_attack(engine, options,
+                 CpaDistinguisher(engine.spec(selector.sbox_index), selector)),
+      reference);
 }
 
 TEST(DistinguisherPipelineTest, DomCampaignBitIdenticalToManualShards) {
@@ -114,7 +117,10 @@ TEST(DistinguisherPipelineTest, DomCampaignBitIdenticalToManualShards) {
                    shards.back().add_block(pts, samples, n);
                  });
   const AttackResult reference = merge_shard_tree(std::move(shards)).result();
-  expect_same_result(engine.dom_campaign(options, selector), reference);
+  expect_same_result(
+      run_attack(engine, options,
+                 DomDistinguisher(engine.spec(selector.sbox_index), selector)),
+      reference);
 }
 
 TEST(DistinguisherPipelineTest, MtdCampaignBitIdenticalToManualShards) {
@@ -158,7 +164,10 @@ TEST(DistinguisherPipelineTest, MtdCampaignBitIdenticalToManualShards) {
         prefix.merge(acc);
       });
   const MtdResult reference = mtd_from_history(std::move(history));
-  const MtdResult result = engine.mtd_campaign(options, selector, checkpoints);
+  const MtdResult result = run_attack(
+      engine, options,
+      MtdDistinguisher(engine.spec(), selector, subkey, checkpoints,
+                       options.num_traces));
   EXPECT_EQ(result.disclosed, reference.disclosed);
   EXPECT_EQ(result.mtd, reference.mtd);
   ASSERT_EQ(result.rank_history.size(), reference.rank_history.size());
@@ -184,8 +193,8 @@ TEST(DistinguisherPipelineTest, MultiCpaCampaignBitIdenticalToManualShards) {
                  });
   const MultiAttackResult reference =
       merge_shard_tree(std::move(shards)).result();
-  const MultiAttackResult result =
-      engine.multi_cpa_campaign(options, selector);
+  const MultiAttackResult result = run_attack(
+      engine, options, MultiCpaDistinguisher(engine.spec(), selector, width));
   expect_same_result(result.combined, reference.combined);
   EXPECT_EQ(result.best_sample, reference.best_sample);
 }
@@ -258,8 +267,8 @@ TEST(SecondOrderCpaTest, MatchesRetainedTraceReference) {
   });
   const SecondOrderAttackResult reference = retained_second_order(
       round.sboxes[0], selector.model, retained);
-  const SecondOrderAttackResult result =
-      engine.second_order_cpa_campaign(options, selector);
+  const SecondOrderAttackResult result = run_attack(
+      engine, options, SecondOrderCpaDistinguisher(engine.spec(), selector));
 
   ASSERT_EQ(result.combined.score.size(), reference.combined.score.size());
   for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
@@ -319,17 +328,24 @@ TEST(DistinguisherPipelineTest, OnePassAllSubkeysMatchesIndependentCampaigns) {
   const RoundSpec round = present_round(4, LogicStyle::kStaticCmos);
   const CampaignOptions options = reference_options(round);
   TraceEngine engine(round, kTech);
-  const std::vector<AttackResult> one_pass =
-      engine.cpa_campaign_all_subkeys(options, PowerModel::kHammingWeight);
-  ASSERT_EQ(one_pass.size(), round.num_sboxes());
+  std::vector<CpaDistinguisher> one_pass;
   for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
-    const AttackResult independent = engine.cpa_campaign(
-        options,
+    one_pass.emplace_back(
+        engine.spec(i),
         AttackSelector{.sbox_index = i, .model = PowerModel::kHammingWeight});
-    expect_same_result(one_pass[i], independent);
+  }
+  std::vector<Distinguisher*> list;
+  for (CpaDistinguisher& attack : one_pass) list.push_back(&attack);
+  engine.run_distinguishers(options, list);
+  for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
+    const AttackResult independent =
+        run_attack(engine, options,
+                   CpaDistinguisher(engine.spec(i), one_pass[i].selector()));
+    expect_same_result(one_pass[i].result(), independent);
     // Every subkey must actually be recovered from the single campaign —
     // static CMOS leaks, and each instance's neighbours are only noise.
-    EXPECT_EQ(one_pass[i].best_guess, round.sub_word(options.key.data(), i))
+    EXPECT_EQ(one_pass[i].result().best_guess,
+              round.sub_word(options.key.data(), i))
         << "sbox " << i;
   }
 }
@@ -348,10 +364,14 @@ TEST(DistinguisherPipelineTest, MixedKindsShareOneCampaignUnchanged) {
   std::vector<Distinguisher*> all = {&cpa, &dom, &second};
   engine.run_distinguishers(options, all);
 
-  expect_same_result(cpa.result(), engine.cpa_campaign(options, cpa_sel));
-  expect_same_result(dom.result(), engine.dom_campaign(options, dom_sel));
-  const SecondOrderAttackResult solo =
-      engine.second_order_cpa_campaign(options, cpa_sel);
+  expect_same_result(
+      cpa.result(),
+      run_attack(engine, options, CpaDistinguisher(engine.spec(0), cpa_sel)));
+  expect_same_result(
+      dom.result(),
+      run_attack(engine, options, DomDistinguisher(engine.spec(1), dom_sel)));
+  const SecondOrderAttackResult solo = run_attack(
+      engine, options, SecondOrderCpaDistinguisher(engine.spec(0), cpa_sel));
   expect_same_result(second.result().combined, solo.combined);
   EXPECT_EQ(second.result().best_pair_first, solo.best_pair_first);
   EXPECT_EQ(second.result().best_pair_second, solo.best_pair_second);

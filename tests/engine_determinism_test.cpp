@@ -97,12 +97,14 @@ TEST(EngineDeterminismTest, CpaCampaignIsBitIdenticalAcrossThreadCounts) {
   TraceEngine reference_engine(present_spec(), LogicStyle::kStaticCmos,
                                kTech);
   const AttackResult reference =
-      reference_engine.cpa_campaign(options, selector);
+      run_attack(reference_engine, options,
+                 CpaDistinguisher(reference_engine.spec(), selector));
   EXPECT_EQ(reference.best_guess, options.key[0]);
   for (std::size_t threads : thread_counts_under_test()) {
     TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
     options.num_threads = threads;
-    const AttackResult result = engine.cpa_campaign(options, selector);
+    const AttackResult result =
+        run_attack(engine, options, CpaDistinguisher(engine.spec(), selector));
     ASSERT_EQ(result.score.size(), reference.score.size());
     for (std::size_t g = 0; g < reference.score.size(); ++g) {
       // EXPECT_EQ on doubles is exact equality: bit-identical, not close.
@@ -119,13 +121,15 @@ TEST(EngineDeterminismTest, DomCampaignIsBitIdenticalAcrossThreadCounts) {
   options.num_threads = 1;
   TraceEngine reference_engine(present_spec(), LogicStyle::kStaticCmos,
                                kTech);
+  const AttackSelector selector{.bit = 0};
   const AttackResult reference =
-      reference_engine.dom_campaign(options, AttackSelector{.bit = 0});
+      run_attack(reference_engine, options,
+                 DomDistinguisher(reference_engine.spec(), selector));
   for (std::size_t threads : thread_counts_under_test()) {
     TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
     options.num_threads = threads;
     const AttackResult result =
-        engine.dom_campaign(options, AttackSelector{.bit = 0});
+        run_attack(engine, options, DomDistinguisher(engine.spec(), selector));
     ASSERT_EQ(result.score.size(), reference.score.size());
     for (std::size_t g = 0; g < reference.score.size(); ++g) {
       EXPECT_EQ(result.score[g], reference.score[g])
@@ -141,14 +145,18 @@ TEST(EngineDeterminismTest, MtdCampaignIsBitIdenticalAcrossThreadCounts) {
   TraceEngine reference_engine(present_spec(), LogicStyle::kStaticCmos,
                                kTech);
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  const MtdResult reference =
-      reference_engine.mtd_campaign(options, selector, checkpoints);
+  const MtdResult reference = run_attack(
+      reference_engine, options,
+      MtdDistinguisher(reference_engine.spec(), selector, options.key[0],
+                       checkpoints, options.num_traces));
   EXPECT_TRUE(reference.disclosed);
   for (std::size_t threads : thread_counts_under_test()) {
     TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
     options.num_threads = threads;
-    const MtdResult result =
-        engine.mtd_campaign(options, selector, checkpoints);
+    const MtdResult result = run_attack(
+        engine, options,
+        MtdDistinguisher(engine.spec(), selector, options.key[0], checkpoints,
+                         options.num_traces));
     EXPECT_EQ(result.disclosed, reference.disclosed) << threads;
     EXPECT_EQ(result.mtd, reference.mtd) << threads;
     ASSERT_EQ(result.rank_history.size(), reference.rank_history.size());
@@ -176,8 +184,9 @@ TEST(EngineDeterminismTest, MtdCampaignOnRaggedShardsMatchesOracleEverywhere) {
       2688, 2689, 2999, 3000, 3001};
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
-  const MtdResult reference =
-      engine.mtd_campaign(options, selector, checkpoints);
+  const MtdDistinguisher mtd(engine.spec(), selector, options.key[0],
+                             checkpoints, options.num_traces);
+  const MtdResult reference = run_attack(engine, options, mtd);
   const MtdResult oracle =
       reference_mtd(engine.run(options), present_spec(),
                     PowerModel::kHammingWeight, options.key[0], checkpoints);
@@ -195,8 +204,7 @@ TEST(EngineDeterminismTest, MtdCampaignOnRaggedShardsMatchesOracleEverywhere) {
            {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
         options.lane_width = width;
         options.num_threads = threads;
-        const MtdResult result =
-            engine.mtd_campaign(options, selector, checkpoints);
+        const MtdResult result = run_attack(engine, options, mtd);
         EXPECT_EQ(result.disclosed, reference.disclosed);
         EXPECT_EQ(result.mtd, reference.mtd);
         EXPECT_EQ(result.rank_history, reference.rank_history)
@@ -356,8 +364,10 @@ TEST(MergeTest, EngineCpaEqualsFixedShapeTreeMerge) {
   const AttackResult tree = merge_shard_tree(std::move(shards)).result();
 
   TraceEngine engine2(spec, LogicStyle::kStaticCmos, kTech);
-  const AttackResult campaign = engine2.cpa_campaign(
-      options, AttackSelector{.model = PowerModel::kHammingWeight});
+  const AttackResult campaign = run_attack(
+      engine2, options,
+      CpaDistinguisher(spec,
+                       AttackSelector{.model = PowerModel::kHammingWeight}));
   ASSERT_EQ(campaign.score.size(), tree.score.size());
   for (std::size_t g = 0; g < tree.score.size(); ++g) {
     EXPECT_EQ(campaign.score[g], tree.score[g]) << g;
@@ -393,14 +403,15 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossThreadCounts) {
   const AttackSelector selector{.sbox_index = 3,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine reference_engine(round, kTech);
-  const AttackResult reference =
-      reference_engine.cpa_campaign(options, selector);
+  const CpaDistinguisher cpa(reference_engine.spec(selector.sbox_index),
+                             selector);
+  const AttackResult reference = run_attack(reference_engine, options, cpa);
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
     TraceEngine engine(round, kTech);
     options.num_threads = threads;
-    const AttackResult result = engine.cpa_campaign(options, selector);
+    const AttackResult result = run_attack(engine, options, cpa);
     ASSERT_EQ(result.score.size(), reference.score.size());
     for (std::size_t g = 0; g < reference.score.size(); ++g) {
       EXPECT_EQ(result.score[g], reference.score[g])
@@ -431,12 +442,13 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossLaneWidths) {
   const AttackSelector selector{.sbox_index = 5,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine engine(round, kTech);
-  const AttackResult reference = engine.cpa_campaign(options, selector);
+  const CpaDistinguisher cpa(engine.spec(selector.sbox_index), selector);
+  const AttackResult reference = run_attack(engine, options, cpa);
   for (std::size_t width : runtime_lane_widths()) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
       options.lane_width = width;
       options.num_threads = threads;
-      const AttackResult result = engine.cpa_campaign(options, selector);
+      const AttackResult result = run_attack(engine, options, cpa);
       ASSERT_EQ(result.score.size(), reference.score.size());
       for (std::size_t g = 0; g < reference.score.size(); ++g) {
         EXPECT_EQ(result.score[g], reference.score[g])
@@ -467,8 +479,10 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
   const AttackSelector selector{.sbox_index = 1,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine engine(round, kTech);
+  const SecondOrderCpaDistinguisher attack(engine.spec(selector.sbox_index),
+                                           selector);
   const SecondOrderAttackResult reference =
-      engine.second_order_cpa_campaign(options, selector);
+      run_attack(engine, options, attack);
   for (std::size_t width : runtime_lane_widths()) {
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2},
@@ -476,7 +490,7 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
       options.lane_width = width;
       options.num_threads = threads;
       const SecondOrderAttackResult result =
-          engine.second_order_cpa_campaign(options, selector);
+          run_attack(engine, options, attack);
       ASSERT_EQ(result.combined.score.size(),
                 reference.combined.score.size());
       for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
@@ -504,8 +518,24 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
   options.num_threads = 1;
   options.lane_width = 64;
   TraceEngine engine(round, kTech);
-  const std::vector<AttackResult> reference =
-      engine.cpa_campaign_all_subkeys(options, PowerModel::kHammingWeight);
+  // One CPA per subkey, every one driven by a single simulated campaign.
+  const auto all_subkeys = [&] {
+    std::vector<CpaDistinguisher> attacks;
+    for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
+      attacks.emplace_back(
+          engine.spec(i),
+          AttackSelector{.sbox_index = i, .model = PowerModel::kHammingWeight});
+    }
+    std::vector<Distinguisher*> list;
+    for (CpaDistinguisher& attack : attacks) list.push_back(&attack);
+    engine.run_distinguishers(options, list);
+    std::vector<AttackResult> results;
+    for (const CpaDistinguisher& attack : attacks) {
+      results.push_back(attack.result());
+    }
+    return results;
+  };
+  const std::vector<AttackResult> reference = all_subkeys();
   ASSERT_EQ(reference.size(), 4u);
   for (std::size_t width : runtime_lane_widths()) {
     for (std::size_t threads :
@@ -513,9 +543,7 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
           std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
       options.lane_width = width;
       options.num_threads = threads;
-      const std::vector<AttackResult> results =
-          engine.cpa_campaign_all_subkeys(options,
-                                          PowerModel::kHammingWeight);
+      const std::vector<AttackResult> results = all_subkeys();
       ASSERT_EQ(results.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
         for (std::size_t g = 0; g < reference[i].score.size(); ++g) {
@@ -542,8 +570,9 @@ TEST(EngineDeterminismTest, AutotunedShardsBitIdenticalAcrossThreadCounts) {
   options.num_threads = 1;
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  const CpaDistinguisher attack(engine.spec(), selector);
   const TraceSet reference = engine.run(options);
-  const AttackResult cpa_reference = engine.cpa_campaign(options, selector);
+  const AttackResult cpa_reference = run_attack(engine, options, attack);
   EXPECT_EQ(cpa_reference.best_guess, options.key[0]);
   for (std::size_t threads : thread_counts_under_test()) {
     options.num_threads = threads;
@@ -555,7 +584,7 @@ TEST(EngineDeterminismTest, AutotunedShardsBitIdenticalAcrossThreadCounts) {
       ASSERT_EQ(traces.samples[i], reference.samples[i])
           << "threads " << threads << " trace " << i;
     }
-    const AttackResult cpa = engine.cpa_campaign(options, selector);
+    const AttackResult cpa = run_attack(engine, options, attack);
     ASSERT_EQ(cpa.score.size(), cpa_reference.score.size());
     for (std::size_t g = 0; g < cpa_reference.score.size(); ++g) {
       EXPECT_EQ(cpa.score[g], cpa_reference.score[g])
@@ -578,8 +607,9 @@ TEST(EngineDeterminismTest, CampaignsBitIdenticalAcrossDispatchTiers) {
   options.num_threads = 1;
   options.lane_width = 64;
   const TraceSet reference = engine.run(options);
-  const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  const AttackResult cpa_reference = engine.cpa_campaign(options, selector);
+  const CpaDistinguisher attack(
+      engine.spec(), AttackSelector{.model = PowerModel::kHammingWeight});
+  const AttackResult cpa_reference = run_attack(engine, options, attack);
   for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
                             DispatchTier::kAvx512}) {
     ScopedDispatchTierCap cap(tier);
@@ -596,7 +626,7 @@ TEST(EngineDeterminismTest, CampaignsBitIdenticalAcrossDispatchTiers) {
               << "tier " << to_string(tier) << " width " << width
               << " threads " << threads << " trace " << i;
         }
-        const AttackResult cpa = engine.cpa_campaign(options, selector);
+        const AttackResult cpa = run_attack(engine, options, attack);
         ASSERT_EQ(cpa.score.size(), cpa_reference.score.size());
         for (std::size_t g = 0; g < cpa_reference.score.size(); ++g) {
           EXPECT_EQ(cpa.score[g], cpa_reference.score[g])

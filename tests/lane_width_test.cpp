@@ -265,15 +265,17 @@ TEST(LaneWidthTest, AttackCampaignsBitIdenticalAcrossLaneWidths) {
     TraceEngine engine(present_spec(), style, kTech);
     CampaignOptions options = sharded_options();
     options.lane_width = 64;
-    const AttackResult cpa_ref = engine.cpa_campaign(options, cpa_sel);
-    const AttackResult dom_ref =
-        engine.dom_campaign(options, AttackSelector{.bit = 0});
-    const auto checkpoints = default_checkpoints(options.num_traces);
-    const MtdResult mtd_ref =
-        engine.mtd_campaign(options, cpa_sel, checkpoints);
+    const CpaDistinguisher cpa_attack(engine.spec(), cpa_sel);
+    const DomDistinguisher dom_attack(engine.spec(), AttackSelector{.bit = 0});
+    const MtdDistinguisher mtd_attack(
+        engine.spec(), cpa_sel, engine.round().sub_word(options.key.data(), 0),
+        default_checkpoints(options.num_traces), options.num_traces);
+    const AttackResult cpa_ref = run_attack(engine, options, cpa_attack);
+    const AttackResult dom_ref = run_attack(engine, options, dom_attack);
+    const MtdResult mtd_ref = run_attack(engine, options, mtd_attack);
     for (std::size_t width : runtime_lane_widths()) {
       options.lane_width = width;
-      const AttackResult cpa = engine.cpa_campaign(options, cpa_sel);
+      const AttackResult cpa = run_attack(engine, options, cpa_attack);
       ASSERT_EQ(cpa.score.size(), cpa_ref.score.size());
       for (std::size_t g = 0; g < cpa_ref.score.size(); ++g) {
         // EXPECT_EQ on doubles is exact: bit-identical, not just <= 1e-12.
@@ -282,13 +284,12 @@ TEST(LaneWidthTest, AttackCampaignsBitIdenticalAcrossLaneWidths) {
       }
       EXPECT_EQ(cpa.best_guess, cpa_ref.best_guess);
       EXPECT_EQ(cpa.margin, cpa_ref.margin);
-      const AttackResult dom =
-          engine.dom_campaign(options, AttackSelector{.bit = 0});
+      const AttackResult dom = run_attack(engine, options, dom_attack);
       for (std::size_t g = 0; g < dom_ref.score.size(); ++g) {
         EXPECT_EQ(dom.score[g], dom_ref.score[g])
             << to_string(style) << " width " << width << " guess " << g;
       }
-      const MtdResult mtd = engine.mtd_campaign(options, cpa_sel, checkpoints);
+      const MtdResult mtd = run_attack(engine, options, mtd_attack);
       EXPECT_EQ(mtd.disclosed, mtd_ref.disclosed);
       EXPECT_EQ(mtd.mtd, mtd_ref.mtd);
       ASSERT_EQ(mtd.rank_history.size(), mtd_ref.rank_history.size());
@@ -311,12 +312,12 @@ TEST(LaneWidthTest, MultiCpaCampaignBitIdenticalAcrossLaneWidthsAllStyles) {
     ASSERT_GT(engine.target().num_levels(), 0u) << to_string(style);
     CampaignOptions options = sharded_options();
     options.lane_width = 64;
-    const MultiAttackResult reference =
-        engine.multi_cpa_campaign(options, selector);
+    const MultiCpaDistinguisher attack(engine.spec(), selector,
+                                       engine.target().num_levels());
+    const MultiAttackResult reference = run_attack(engine, options, attack);
     for (std::size_t width : runtime_lane_widths()) {
       options.lane_width = width;
-      const MultiAttackResult result =
-          engine.multi_cpa_campaign(options, selector);
+      const MultiAttackResult result = run_attack(engine, options, attack);
       ASSERT_EQ(result.combined.score.size(),
                 reference.combined.score.size());
       for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
@@ -405,8 +406,10 @@ TEST(LaneWidthTest, PersistentWorkerPoolReusesCleanWorkers) {
 
   // Attack campaigns after trace campaigns share the same pool.
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  const AttackResult pooled_cpa = reused.cpa_campaign(second, selector);
-  const AttackResult fresh_cpa = fresh.cpa_campaign(second, selector);
+  const AttackResult pooled_cpa =
+      run_attack(reused, second, CpaDistinguisher(reused.spec(), selector));
+  const AttackResult fresh_cpa =
+      run_attack(fresh, second, CpaDistinguisher(fresh.spec(), selector));
   ASSERT_EQ(pooled_cpa.score.size(), fresh_cpa.score.size());
   for (std::size_t g = 0; g < fresh_cpa.score.size(); ++g) {
     EXPECT_EQ(pooled_cpa.score[g], fresh_cpa.score[g]) << g;

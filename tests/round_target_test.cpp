@@ -3,8 +3,8 @@
 // Under test: the packed-state layout (nibble packing for 4-bit S-boxes,
 // heterogeneous widths), per-instance functional correctness, summed
 // power against the single-S-box targets, per-subkey attack selection,
-// algorithmic-noise MTD monotonicity, and the time-resolved
-// multi_cpa_campaign against the retained-trace multisample attack.
+// algorithmic-noise MTD monotonicity, and the time-resolved multi-CPA
+// campaign against the retained-trace multisample attack.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -162,9 +162,11 @@ TEST(RoundEngineTest, CpaCampaignRecoversTheSelectedSubkey) {
   options.noise_sigma = 1e-16;
   options.seed = 0x40D;
   for (std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    const AttackResult result = engine.cpa_campaign(
-        options,
-        AttackSelector{.sbox_index = i, .model = PowerModel::kHammingWeight});
+    const AttackResult result = run_attack(
+        engine, options,
+        CpaDistinguisher(engine.spec(i),
+                         AttackSelector{.sbox_index = i,
+                                        .model = PowerModel::kHammingWeight}));
     EXPECT_EQ(result.score.size(), 16u);
     EXPECT_EQ(result.best_guess, subkeys[i]) << "attacked instance " << i;
   }
@@ -184,9 +186,13 @@ TEST(RoundEngineTest, AlgorithmicNoiseGrowsMtdWithRoundSize) {
     options.key = round.pack_subkeys(subkeys);
     options.noise_sigma = 2e-16;
     options.seed = 0x3D7;
-    const MtdResult mtd = engine.mtd_campaign(
-        options, AttackSelector{.model = PowerModel::kHammingWeight},
-        default_checkpoints(options.num_traces));
+    const MtdResult mtd = run_attack(
+        engine, options,
+        MtdDistinguisher(engine.spec(),
+                         AttackSelector{.model = PowerModel::kHammingWeight},
+                         round.sub_word(options.key.data(), 0),
+                         default_checkpoints(options.num_traces),
+                         options.num_traces));
     ASSERT_TRUE(mtd.disclosed) << "round size " << n;
     mtds.push_back(mtd.mtd);
   }
@@ -210,8 +216,10 @@ TEST(RoundEngineTest, MultiCpaCampaignMatchesRetainedMultisampleAttack) {
   options.shard_size = 448;  // several shards, one partial tail
 
   TraceEngine engine(round, kTech);
-  const MultiAttackResult streamed =
-      engine.multi_cpa_campaign(options, selector);
+  const MultiAttackResult streamed = run_attack(
+      engine, options,
+      MultiCpaDistinguisher(engine.spec(selector.sbox_index), selector,
+                            engine.target().num_levels()));
 
   // Retain the same campaign via stream_sampled and run the batch attack
   // on the attacked instance's sub-plaintexts.
@@ -278,7 +286,7 @@ TEST(RoundEngineTest, RunRetainsWideStatesAndStreamMatches) {
 }
 
 // Time-resolved campaigns cover the baseline style too: cycle_sampled on
-// the CMOS batch sim feeds multi_cpa_campaign, which must agree with the
+// the CMOS batch sim feeds the multi-CPA campaign, which must agree with the
 // batch multisample attack over the identically retained traces — and the
 // HD leak is strong enough that the oscilloscope-style attack recovers
 // the subkey.
@@ -296,8 +304,10 @@ TEST(RoundEngineTest, MultiCpaCampaignCoversStaticCmos) {
 
   TraceEngine engine(round, kTech);
   ASSERT_GT(engine.target().num_levels(), 0u);
-  const MultiAttackResult streamed =
-      engine.multi_cpa_campaign(options, selector);
+  const MultiAttackResult streamed = run_attack(
+      engine, options,
+      MultiCpaDistinguisher(engine.spec(selector.sbox_index), selector,
+                            engine.target().num_levels()));
   EXPECT_EQ(streamed.combined.best_guess, subkeys[0]);
 
   TraceEngine engine2(round, kTech);

@@ -380,9 +380,10 @@ TEST(MtdCampaignTest, MatchesPrefixOracle) {
   const auto checkpoints = default_checkpoints(traces.size());
   const MtdResult oracle = reference_mtd(
       traces, spec, PowerModel::kHammingWeight, key, checkpoints);
-  const MtdResult result = engine.mtd_campaign(
-      options, AttackSelector{.model = PowerModel::kHammingWeight},
-      checkpoints);
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
+  const MtdResult result = run_attack(
+      engine, options,
+      MtdDistinguisher(spec, selector, key, checkpoints, options.num_traces));
   EXPECT_TRUE(oracle.disclosed);
   EXPECT_EQ(result.disclosed, oracle.disclosed);
   EXPECT_EQ(result.mtd, oracle.mtd);
@@ -519,8 +520,9 @@ TEST(TraceEngineTest, StreamingCampaignEqualsRetainedCampaign) {
       cpa_attack(traces, present_spec(), PowerModel::kHammingWeight);
 
   TraceEngine engine2(present_spec(), LogicStyle::kStaticCmos, kTech);
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
   const AttackResult streamed =
-      engine2.cpa_campaign(options, AttackSelector{.model = PowerModel::kHammingWeight});
+      run_attack(engine2, options, CpaDistinguisher(engine2.spec(), selector));
   ASSERT_EQ(streamed.score.size(), batch.score.size());
   for (std::size_t g = 0; g < batch.score.size(); ++g) {
     EXPECT_NEAR(streamed.score[g], batch.score[g], 1e-12) << g;
@@ -531,8 +533,10 @@ TEST(TraceEngineTest, StreamingCampaignEqualsRetainedCampaign) {
   // retained traces.
   TraceEngine engine3(present_spec(), LogicStyle::kStaticCmos, kTech);
   const auto checkpoints = default_checkpoints(options.num_traces);
-  const MtdResult streamed_mtd = engine3.mtd_campaign(
-      options, AttackSelector{.model = PowerModel::kHammingWeight}, checkpoints);
+  const MtdResult streamed_mtd = run_attack(
+      engine3, options,
+      MtdDistinguisher(engine3.spec(), selector, options.key[0], checkpoints,
+                       options.num_traces));
   const MtdResult prefix =
       reference_mtd(traces, present_spec(), PowerModel::kHammingWeight,
                     options.key[0], checkpoints);
@@ -569,9 +573,10 @@ TEST(TraceEngineTest, ConstantPowerStylesStayFlatAtScale) {
   options.key = {0x5};
   options.noise_sigma = 1e-16;
   options.seed = 0x5AB1;
-  const AttackResult result =
-      engine.cpa_campaign(
-          options, AttackSelector{.model = PowerModel::kHammingWeight});
+  const AttackResult result = run_attack(
+      engine, options,
+      CpaDistinguisher(engine.spec(),
+                       AttackSelector{.model = PowerModel::kHammingWeight}));
   EXPECT_LT(result.score[result.best_guess], 0.1);
 }
 
