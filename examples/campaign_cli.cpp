@@ -7,14 +7,16 @@
 //                        [--shards A:B --partial P]
 //                        [--resume P] [--checkpoint P --every K]
 //                        [--json OUT]
-//   campaign_cli merge   --partials p0,p1,... --json OUT
+//   campaign_cli merge   --partials p0,p1,... [--all-subkeys] --json OUT
 //   campaign_cli corpus-info --corpus PATH
 //
 // record writes the v2 delta+plane+RLE compressed corpus by default
-// (--codec none for raw v2 chunks; both replay bit-identically). attack
-// --corpus --all-subkeys runs one CPA+DoM+MTD set per round instance in
-// a single pass over a SharedCorpus: one mapping, every chunk decoded
-// once however many sets consume it. corpus-info prints any corpus's
+// (--codec none for raw v2 chunks; both replay bit-identically).
+// --all-subkeys only changes which attack list is built: one
+// CPA+DoM+MTD set per round instance instead of the one --attack-sbox
+// set. The sets are flattened into one distinguisher list, so every
+// path — simulated, replayed, range-split, resumed, merged — produces
+// each shard once for all of them. corpus-info prints any corpus's
 // manifest, shard layout and per-shard stored/raw sizes — including
 // read-only legacy v1 files.
 //
@@ -46,8 +48,6 @@
 #include "engine/trace_engine.hpp"
 #include "io/campaign_state.hpp"
 #include "io/corpus.hpp"
-#include "io/corpus_cache.hpp"
-#include "io/replay.hpp"
 
 using namespace sable;
 
@@ -74,7 +74,7 @@ struct Cli {
   std::vector<std::string> partials;  // merge inputs
   std::string json_path;
   std::string codec = "delta";  // record: delta | none
-  bool all_subkeys = false;     // attack --corpus: one set per instance
+  bool all_subkeys = false;     // attack, merge: one set per instance
 };
 
 std::vector<std::size_t> cli_subkeys(std::size_t n) {
@@ -126,9 +126,9 @@ bool parse_number(const char* flag, std::string_view text, T* out) {
 }
 
 // The flags each subcommand reads. The campaign flags define the
-// campaign (record, attack, merge); --attack-sbox picks the attack set,
-// so record has no use for it, and merge never simulates, so it has no
-// use for --lanes.
+// campaign (record, attack, merge); --attack-sbox and --all-subkeys pick
+// the attack list, so record has no use for them, and merge never
+// simulates, so it has no use for --lanes.
 bool subcommand_reads(std::string_view mode, std::string_view flag) {
   static constexpr std::string_view kCampaign[] = {
       "--style", "--round", "--traces", "--seed", "--noise", "--shard-size",
@@ -138,8 +138,8 @@ bool subcommand_reads(std::string_view mode, std::string_view flag) {
   static constexpr std::string_view kAttack[] = {
       "--lanes", "--attack-sbox", "--corpus", "--all-subkeys", "--shards",
       "--partial", "--resume", "--checkpoint", "--every", "--json"};
-  static constexpr std::string_view kMerge[] = {"--attack-sbox",
-                                                "--partials", "--json"};
+  static constexpr std::string_view kMerge[] = {
+      "--attack-sbox", "--all-subkeys", "--partials", "--json"};
   const auto in = [&](const auto& list) {
     return std::find(std::begin(list), std::end(list), flag) != std::end(list);
   };
@@ -155,11 +155,12 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s record --out PATH [--codec delta|none] [--lanes W]\n"
       "                 [campaign flags]\n"
-      "       %s attack [--corpus PATH [--all-subkeys]] [--attack-sbox I]\n"
+      "       %s attack [--corpus PATH] [--attack-sbox I | --all-subkeys]\n"
       "                 [--shards A:B --partial PATH]\n"
       "                 [--resume PATH] [--checkpoint PATH --every K]\n"
       "                 [--json PATH] [--lanes W] [campaign flags]\n"
-      "       %s merge --partials P0,P1,... [--attack-sbox I] [--json PATH]\n"
+      "       %s merge --partials P0,P1,...\n"
+      "                [--attack-sbox I | --all-subkeys] [--json PATH]\n"
       "                [campaign flags]\n"
       "       %s corpus-info --corpus PATH\n"
       "campaign flags: --style NAME --round N --traces N --seed S --noise X\n"
@@ -225,25 +226,26 @@ CampaignOptions options_for(const Cli& cli, const RoundSpec& round) {
   return options;
 }
 
-// The shared attack set. Invocation order is part of the persisted-state
-// contract (blobs are stored in distinguisher order), so every
-// subcommand builds exactly this list.
+// The attack set on one round instance. Invocation order is part of the
+// persisted-state contract (blobs are stored in distinguisher order), so
+// every subcommand builds exactly this list.
 struct AttackSet {
   CpaDistinguisher cpa;
   DomDistinguisher dom;
   MtdDistinguisher mtd;
   std::vector<Distinguisher*> list;
 
-  AttackSet(const Cli& cli, const RoundSpec& round, std::size_t subkey)
-      : cpa(round.sboxes[cli.attack_sbox],
-            AttackSelector{.sbox_index = cli.attack_sbox,
+  AttackSet(const Cli& cli, const RoundSpec& round, std::size_t sbox,
+            std::size_t subkey)
+      : cpa(round.sboxes[sbox],
+            AttackSelector{.sbox_index = sbox,
                            .model = PowerModel::kHammingWeight}),
-        dom(round.sboxes[cli.attack_sbox],
-            AttackSelector{.sbox_index = cli.attack_sbox,
+        dom(round.sboxes[sbox],
+            AttackSelector{.sbox_index = sbox,
                            .model = PowerModel::kHammingWeight,
                            .bit = 0}),
-        mtd(round.sboxes[cli.attack_sbox],
-            AttackSelector{.sbox_index = cli.attack_sbox,
+        mtd(round.sboxes[sbox],
+            AttackSelector{.sbox_index = sbox,
                            .model = PowerModel::kHammingWeight},
             subkey, default_checkpoints(cli.num_traces), cli.num_traces),
         list{&cpa, &dom, &mtd} {}
@@ -419,21 +421,14 @@ int main(int argc, char** argv) {
                  cli.round_size);
     return 2;
   }
-  // Persistence flags the invocation would otherwise drop silently.
+  // Flag combinations the invocation would otherwise drop silently.
   const auto has_flag = [&](std::string_view flag) {
     return std::find(given.begin(), given.end(), flag) != given.end();
   };
-  if (cli.all_subkeys) {
-    for (const char* flag :
-         {"--resume", "--checkpoint", "--every", "--shards", "--partial"}) {
-      if (has_flag(flag)) {
-        std::fprintf(stderr,
-                     "%s cannot be combined with --all-subkeys (the shared "
-                     "corpus pass is one shot)\n",
-                     flag);
-        return 2;
-      }
-    }
+  if (cli.all_subkeys && has_flag("--attack-sbox")) {
+    std::fprintf(stderr, "--attack-sbox cannot be combined with --all-subkeys "
+                         "(which attacks every instance)\n");
+    return 2;
   }
   if (has_flag("--every") && !has_flag("--checkpoint") &&
       !has_flag("--partial")) {
@@ -454,8 +449,6 @@ int main(int argc, char** argv) {
     const RoundSpec round = present_round(cli.round_size, cli.style);
     TraceEngine engine(round, tech);
     const CampaignOptions options = options_for(cli, round);
-    const std::size_t subkey =
-        round.sub_word(options.key.data(), cli.attack_sbox);
 
     if (mode == "record") {
       if (cli.out_path.empty()) {
@@ -480,48 +473,27 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (mode == "attack" && cli.all_subkeys) {
-      if (cli.corpus_path.empty()) {
-        std::fprintf(stderr, "--all-subkeys needs --corpus PATH\n");
-        return 2;
-      }
-      // One CPA+DoM+MTD set per round instance, all driven in a single
-      // pass over one shared mapping — each chunk is decoded once
-      // however many sets consume it.
-      SharedCorpus corpus(cli.corpus_path);
-      require_manifest_match(cli.corpus_path, engine.campaign_manifest(options),
-                             corpus.manifest().campaign);
-      std::vector<std::unique_ptr<AttackSet>> sets;
-      std::vector<std::size_t> subkeys;
-      std::vector<std::span<Distinguisher* const>> spans;
-      for (std::size_t j = 0; j < cli.round_size; ++j) {
-        Cli sub = cli;
-        sub.attack_sbox = j;
-        subkeys.push_back(round.sub_word(options.key.data(), j));
-        sets.push_back(std::make_unique<AttackSet>(sub, round, subkeys[j]));
-      }
-      for (const auto& set : sets) spans.emplace_back(set->list);
-      replay_shared(corpus, round, spans, cli.num_threads);
-      for (std::size_t j = 0; j < sets.size(); ++j) {
-        std::printf("sbox %zu: CPA rank %zu, DoM rank %zu, MTD %s%zu\n", j,
-                    sets[j]->cpa.result().rank_of(subkeys[j]),
-                    sets[j]->dom.result().rank_of(subkeys[j]),
-                    sets[j]->mtd.result().disclosed ? "" : "not disclosed at ",
-                    sets[j]->mtd.result().disclosed ? sets[j]->mtd.result().mtd
-                                                    : cli.num_traces);
-      }
-      if (!cli.json_path.empty()) return write_json_multi(cli, sets, subkeys);
-      return 0;
+    // One CPA+DoM+MTD set per round instance under --all-subkeys,
+    // otherwise the one --attack-sbox set, flattened into one list.
+    std::vector<std::unique_ptr<AttackSet>> sets;
+    std::vector<std::size_t> subkeys;
+    std::vector<Distinguisher*> list;
+    const std::size_t first = cli.all_subkeys ? 0 : cli.attack_sbox;
+    const std::size_t last = cli.all_subkeys ? cli.round_size : first + 1;
+    for (std::size_t j = first; j < last; ++j) {
+      subkeys.push_back(round.sub_word(options.key.data(), j));
+      sets.push_back(
+          std::make_unique<AttackSet>(cli, round, j, subkeys.back()));
+      list.insert(list.end(), sets.back()->list.begin(),
+                  sets.back()->list.end());
     }
-
-    AttackSet attacks(cli, round, subkey);
 
     if (mode == "merge") {
       if (cli.partials.empty()) {
         std::fprintf(stderr, "merge needs --partials P0,P1,...\n");
         return 2;
       }
-      engine.merge_partials(options, attacks.list, cli.partials);
+      engine.merge_partials(options, list, cli.partials);
     } else {
       CampaignPersistence persist;
       persist.resume_path = cli.resume_path;
@@ -540,10 +512,9 @@ int main(int argc, char** argv) {
         require_manifest_match(cli.corpus_path,
                                engine.campaign_manifest(options),
                                corpus.manifest().campaign);
-        complete =
-            engine.replay(corpus, attacks.list, persist, cli.num_threads);
+        complete = engine.replay(corpus, list, persist, cli.num_threads);
       } else {
-        complete = engine.run_distinguishers(options, attacks.list, persist);
+        complete = engine.run_distinguishers(options, list, persist);
       }
       if (!complete) {
         std::printf("partial campaign state written to %s\n",
@@ -552,14 +523,19 @@ int main(int argc, char** argv) {
       }
     }
 
-    std::printf("CPA rank %zu, DoM rank %zu, MTD %s%zu\n",
-                attacks.cpa.result().rank_of(subkey),
-                attacks.dom.result().rank_of(subkey),
-                attacks.mtd.result().disclosed ? "" : "not disclosed at ",
-                attacks.mtd.result().disclosed ? attacks.mtd.result().mtd
-                                               : cli.num_traces);
-    if (!cli.json_path.empty()) return write_json(cli, attacks, subkey);
-    return 0;
+    for (std::size_t j = 0; j < sets.size(); ++j) {
+      const AttackSet& set = *sets[j];
+      if (cli.all_subkeys) std::printf("sbox %zu: ", j);
+      std::printf("CPA rank %zu, DoM rank %zu, MTD %s%zu\n",
+                  set.cpa.result().rank_of(subkeys[j]),
+                  set.dom.result().rank_of(subkeys[j]),
+                  set.mtd.result().disclosed ? "" : "not disclosed at ",
+                  set.mtd.result().disclosed ? set.mtd.result().mtd
+                                             : cli.num_traces);
+    }
+    if (cli.json_path.empty()) return 0;
+    return cli.all_subkeys ? write_json_multi(cli, sets, subkeys)
+                           : write_json(cli, *sets[0], subkeys[0]);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,9 +1,11 @@
-// The attack-campaign driver every path shares. Simulated campaigns,
-// corpus replay and shared multi-set replay feed their shards through
-// ONE per-shard feed on ONE scheduler, and they — like multi-process
-// partial-state merges — reduce and finalize through the SAME code, so
-// their results are bit-identical by construction: the same blocks
-// reach the same accumulators and reduce through the same fixed shape.
+// The attack-campaign driver every path shares. Simulated campaigns and
+// corpus replay feed their shards through ONE per-shard feed on ONE
+// scheduler, and they — like multi-process partial-state merges —
+// reduce and finalize through the SAME code, so their results are
+// bit-identical by construction: the same blocks reach the same
+// accumulators and reduce through the same fixed shape. Many attack
+// sets (every subkey of a round) are one flattened distinguisher list,
+// so each shard is produced once for all of them.
 #pragma once
 
 #include <cstddef>

@@ -84,7 +84,7 @@ struct CorpusManifest {
 /// One decoded (or raw, zero-copy) shard: `count` packed plaintext
 /// states of pt_stride bytes and `count * sample_width` doubles. Valid
 /// as long as its backing storage (the mapping, a scratch, or a
-/// SharedCorpus lease) stays alive.
+/// SharedCorpus) stays alive.
 struct CorpusShardView {
   const std::uint8_t* pts = nullptr;
   const double* samples = nullptr;

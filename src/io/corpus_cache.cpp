@@ -1,107 +1,55 @@
 #include "io/corpus_cache.hpp"
 
-#include <utility>
-
 namespace sable {
 
-SharedCorpus::SharedCorpus(const std::string& path,
-                           std::size_t max_cached_shards)
-    : reader_(path), max_cached_(max_cached_shards) {}
+SharedCorpus::SharedCorpus(const std::string& path) : reader_(path) {}
 
-SharedCorpus::Lease::Lease(Lease&& other) noexcept
-    : owner_(std::exchange(other.owner_, nullptr)),
-      shard_(other.shard_),
-      view_(other.view_) {}
-
-SharedCorpus::Lease& SharedCorpus::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    if (owner_) owner_->release(shard_);
-    owner_ = std::exchange(other.owner_, nullptr);
-    shard_ = other.shard_;
-    view_ = other.view_;
-  }
-  return *this;
-}
-
-SharedCorpus::Lease::~Lease() {
-  if (owner_) owner_->release(shard_);
+SharedCorpus::Lease SharedCorpus::lease(std::size_t shard,
+                                        const Slot& slot) const {
+  return Lease(CorpusShardView{
+      slot.pts.data(), slot.samples.data(),
+      static_cast<std::size_t>(reader_.shard_count(shard))});
 }
 
 SharedCorpus::Lease SharedCorpus::acquire(std::size_t shard) {
   if (!reader_.compressed()) {
     // Raw chunks live in the shared mapping already — zero-copy view, no
-    // slot, no refcount (the scratch is never touched on this path).
+    // slot (the scratch is never touched on this path).
     CorpusDecodeScratch none;
-    return Lease(nullptr, shard, reader_.read_shard(shard, none));
+    return Lease(reader_.read_shard(shard, none));
   }
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     const auto it = slots_.find(shard);
-    if (it == slots_.end()) {
-      // First acquirer decodes. The slot is published not-ready so
-      // concurrent acquirers wait instead of decoding again, and the
-      // decode itself runs outside the lock.
-      auto inserted = slots_.emplace(shard, std::make_unique<Slot>());
-      Slot* slot = inserted.first->second.get();
-      slot->refs = 1;
-      slot->last_use = ++use_tick_;
-      decode_count_.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      try {
-        CodecScratch codec;
-        reader_.decode_shard_into(shard, codec, slot->pts, slot->samples);
-      } catch (...) {
-        // Waiters re-find the slot after every wake: erasing it here
-        // sends them back to the decode-or-wait decision, so a corrupt
-        // chunk throws in every acquirer instead of deadlocking them.
-        lock.lock();
-        slots_.erase(shard);
-        cv_.notify_all();
-        throw;
-      }
-      lock.lock();
-      slot->ready = true;
-      cv_.notify_all();
-      CorpusShardView view{slot->pts.data(), slot->samples.data(),
-                           static_cast<std::size_t>(reader_.shard_count(shard))};
-      return Lease(this, shard, view);
-    }
-    Slot* slot = it->second.get();
-    if (slot->ready) {
-      ++slot->refs;
-      slot->last_use = ++use_tick_;
-      CorpusShardView view{slot->pts.data(), slot->samples.data(),
-                           static_cast<std::size_t>(reader_.shard_count(shard))};
-      return Lease(this, shard, view);
-    }
-    // Never touch `slot` again after this wait — the decoder may have
+    if (it == slots_.end()) break;
+    if (it->second->ready) return lease(shard, *it->second);
+    // Never touch the slot again after this wait — the decoder may have
     // erased it on failure; the loop re-finds from scratch.
     cv_.wait(lock);
   }
-}
-
-void SharedCorpus::release(std::size_t shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = slots_.find(shard);
-  if (it == slots_.end()) return;  // evicted? cannot happen while referenced
-  Slot* slot = it->second.get();
-  if (slot->refs > 0) --slot->refs;
-  if (max_cached_ != 0) evict_over_cap();
-}
-
-void SharedCorpus::evict_over_cap() {
-  while (slots_.size() > max_cached_) {
-    auto victim = slots_.end();
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (it->second->ready && it->second->refs == 0 &&
-          (victim == slots_.end() ||
-           it->second->last_use < victim->second->last_use)) {
-        victim = it;
-      }
-    }
-    if (victim == slots_.end()) return;  // everything referenced or decoding
-    slots_.erase(victim);
+  // First acquirer decodes. The slot is published not-ready so
+  // concurrent acquirers wait instead of decoding again, and the decode
+  // itself runs outside the lock.
+  Slot* slot =
+      slots_.emplace(shard, std::make_unique<Slot>()).first->second.get();
+  decode_count_.fetch_add(1, std::memory_order_relaxed);
+  lock.unlock();
+  try {
+    CodecScratch codec;
+    reader_.decode_shard_into(shard, codec, slot->pts, slot->samples);
+  } catch (...) {
+    // Waiters re-find the slot after every wake: erasing it here sends
+    // them back to the decode-or-wait decision, so a corrupt chunk
+    // throws in every acquirer instead of deadlocking them.
+    lock.lock();
+    slots_.erase(shard);
+    cv_.notify_all();
+    throw;
   }
+  lock.lock();
+  slot->ready = true;
+  cv_.notify_all();
+  return lease(shard, *slot);
 }
 
 }  // namespace sable

@@ -1,21 +1,21 @@
-// SharedCorpus: one validated mapping + decoded-chunk cache serving N
-// concurrent distinguisher evaluations.
+// SharedCorpus: one validated mapping + decoded-chunk cache shared by
+// concurrent readers of one corpus.
 //
-// Constructing a CorpusReader per evaluation costs a full mmap + index
-// validation each time, and replaying a COMPRESSED corpus from k
-// evaluations would decode every chunk k times. SharedCorpus owns ONE
-// validated reader and a refcounted cache of decoded shards: the first
-// acquirer of a shard decodes it (outside the lock), concurrent
-// acquirers of the same shard wait on the decode and then share the
-// buffers, and later acquirers hit the cache — each chunk is decoded at
-// most once while the cache holds it (exactly once with an unbounded
-// cache, asserted by decode_count() in tests). Raw corpora bypass the
+// SharedCorpus owns ONE validated reader and a cache of decoded shards:
+// the first acquirer of a shard decodes it (outside the lock),
+// concurrent acquirers of the same shard wait on the decode and then
+// share the buffers, and later acquirers hit the cache — each chunk is
+// decoded once per SharedCorpus (asserted by decode_count() in tests; a
+// failed decode is retried by the next acquirer). Decoded shards stay
+// cached until the SharedCorpus is destroyed. Raw corpora bypass the
 // cache entirely: leases are zero-copy views into the shared mapping.
+// Waiting and decoding are internally synchronized — acquire() from any
+// number of threads is safe (and TSan-verified).
 //
-// Slots are evicted least-recently-used, only when unreferenced and
-// only past `max_cached_shards` (0 = unbounded). Releasing a lease,
-// waiting and decoding are all internally synchronized — acquire() from
-// any number of threads is safe (and TSan-verified).
+// Replay does not go through the cache: replay_shared flattens its
+// attack sets into one list and decodes each shard once per party into
+// that party's scratch. perfbench's per-layer pass, which times acquire
+// hits and misses, is the only non-test user of acquire() and Lease.
 #pragma once
 
 #include <atomic>
@@ -35,32 +35,21 @@ namespace sable {
 class SharedCorpus {
  public:
   /// Opens, maps and validates the corpus once (any CorpusReader
-  /// constructor error propagates). `max_cached_shards` bounds the
-  /// decoded-slot cache; 0 keeps every decoded shard for the corpus
-  /// lifetime.
-  explicit SharedCorpus(const std::string& path,
-                        std::size_t max_cached_shards = 0);
+  /// constructor error propagates).
+  explicit SharedCorpus(const std::string& path);
 
-  /// RAII hold on one shard's traces. The view stays valid — and the
-  /// backing slot unevictable — until the lease is destroyed.
+  /// One shard's traces. Decoded slots are never evicted, so the view
+  /// stays valid for the SharedCorpus's lifetime.
   class Lease {
    public:
     Lease() = default;
-    Lease(Lease&& other) noexcept;
-    Lease& operator=(Lease&& other) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease();
 
     const CorpusShardView& view() const { return view_; }
 
    private:
     friend class SharedCorpus;
-    Lease(SharedCorpus* owner, std::size_t shard, CorpusShardView view)
-        : owner_(owner), shard_(shard), view_(view) {}
+    explicit Lease(const CorpusShardView& view) : view_(view) {}
 
-    SharedCorpus* owner_ = nullptr;  // null: raw zero-copy, nothing to release
-    std::size_t shard_ = 0;
     CorpusShardView view_;
   };
 
@@ -74,47 +63,30 @@ class SharedCorpus {
   const CorpusManifest& manifest() const { return reader_.manifest(); }
   std::size_t num_shards() const { return reader_.num_shards(); }
 
-  /// Total chunk decodes performed so far (0 for raw corpora). With an
-  /// unbounded cache this is structurally bounded by num_shards() — the
-  /// decode-once guarantee concurrent evaluations rely on.
+  /// Total chunk decodes performed so far (0 for raw corpora), bounded
+  /// by num_shards() — the decode-once guarantee.
   std::uint64_t decode_count() const {
     return decode_count_.load(std::memory_order_relaxed);
-  }
-
-  /// Memoized round-spec validation: replay checks the (cheap but
-  /// per-call) spec hash only the first time a round is run against this
-  /// corpus. Only note AFTER the full check passed.
-  bool spec_validated(std::uint64_t hash) const {
-    return validated_spec_.load(std::memory_order_relaxed) == hash;
-  }
-  void note_spec_validated(std::uint64_t hash) {
-    validated_spec_.store(hash, std::memory_order_relaxed);
   }
 
  private:
   struct Slot {
     bool ready = false;
-    std::size_t refs = 0;
-    std::uint64_t last_use = 0;
     std::vector<std::uint8_t> pts;
     std::vector<double> samples;
   };
 
-  void release(std::size_t shard);
-  // Drops LRU unreferenced ready slots while over the cap. mu_ held.
-  void evict_over_cap();
+  // A lease on a ready slot.
+  Lease lease(std::size_t shard, const Slot& slot) const;
 
   CorpusReader reader_;
-  std::size_t max_cached_;
   std::atomic<std::uint64_t> decode_count_{0};
-  std::atomic<std::uint64_t> validated_spec_{0};
 
   std::mutex mu_;
   std::condition_variable cv_;
-  // unique_ptr values: waiters hold Slot pointers across cv_ waits, so
-  // slots must not move on rehash.
+  // unique_ptr values: the decoder fills its Slot outside the lock while
+  // other acquirers insert, so slots must not move on rehash.
   std::unordered_map<std::size_t, std::unique_ptr<Slot>> slots_;
-  std::uint64_t use_tick_ = 0;
 };
 
 }  // namespace sable

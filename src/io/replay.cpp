@@ -1,5 +1,7 @@
 #include "io/replay.hpp"
 
+#include <vector>
+
 #include "crypto/round_target.hpp"
 #include "engine/shard_reduce.hpp"
 #include "engine/worker_pool.hpp"
@@ -10,20 +12,18 @@ namespace sable {
 
 namespace {
 
-// The per-evaluation validation replay performs ONCE up front (the
-// corpus structure itself was already validated when the reader was
-// constructed): spec hash when `check_spec` (SharedCorpus memoizes it
-// across evaluations), stride, and every distinguisher's contract.
+// The per-replay validation performed ONCE up front (the corpus
+// structure itself was already validated when the reader was
+// constructed): spec hash, stride, and every distinguisher's contract.
 void validate_for_replay(const CorpusManifest& cm, const std::string& path,
                          const RoundSpec& round,
-                         std::span<Distinguisher* const> distinguishers,
-                         bool check_spec) {
+                         std::span<Distinguisher* const> distinguishers) {
   const CampaignManifest& manifest = cm.campaign;
   SABLE_REQUIRE(!distinguishers.empty(),
                 "replay needs at least one distinguisher");
   SABLE_REQUIRE(manifest.num_traces >= 2,
                 "attack campaigns require at least two traces");
-  if (check_spec && round_spec_hash(round) != manifest.spec_hash) {
+  if (round_spec_hash(round) != manifest.spec_hash) {
     throw ManifestMismatchError(
         path,
         "corpus was recorded for a different round spec than the one being "
@@ -50,25 +50,6 @@ ShardData shard_data(const CorpusShardView& view) {
   return ShardData{view.pts, view.samples, view.samples, view.count};
 }
 
-// The SharedCorpus source of the attack driver: each party holds one
-// lease, dropped before the next acquire, so a party pins at most one
-// cached slot.
-bool replay_leased(SharedCorpus& corpus, const RoundSpec& round,
-                   std::span<Distinguisher* const> distinguishers,
-                   const CampaignPersistence& persist, WorkerPool& workers,
-                   std::size_t threads) {
-  const CorpusManifest& cm = corpus.manifest();
-  return drive_attack_campaign(
-      cm.campaign, round, distinguishers,
-      static_cast<std::size_t>(cm.sample_width), persist, workers, threads,
-      [] { return SharedCorpus::Lease(); },
-      [&](SharedCorpus::Lease& lease, std::size_t s) {
-        lease = SharedCorpus::Lease();
-        lease = corpus.acquire(s);
-        return shard_data(lease.view());
-      });
-}
-
 }  // namespace
 
 bool replay_distinguishers(const CorpusReader& corpus, const RoundSpec& round,
@@ -76,8 +57,7 @@ bool replay_distinguishers(const CorpusReader& corpus, const RoundSpec& round,
                            const CampaignPersistence& persist,
                            std::size_t num_threads, WorkerPool* pool) {
   const CorpusManifest& cm = corpus.manifest();
-  validate_for_replay(cm, corpus.path(), round, distinguishers,
-                      /*check_spec=*/true);
+  validate_for_replay(cm, corpus.path(), round, distinguishers);
   WorkerPool local_pool;
   return drive_attack_campaign(
       cm.campaign, round, distinguishers,
@@ -89,44 +69,19 @@ bool replay_distinguishers(const CorpusReader& corpus, const RoundSpec& round,
       });
 }
 
-bool replay_distinguishers(SharedCorpus& corpus, const RoundSpec& round,
-                           std::span<Distinguisher* const> distinguishers,
-                           const CampaignPersistence& persist,
-                           std::size_t num_threads, WorkerPool* pool) {
-  const std::uint64_t hash = round_spec_hash(round);
-  const bool check_spec = !corpus.spec_validated(hash);
-  validate_for_replay(corpus.manifest(), corpus.reader().path(), round,
-                      distinguishers, check_spec);
-  if (check_spec) corpus.note_spec_validated(hash);
-  WorkerPool local_pool;
-  return replay_leased(corpus, round, distinguishers, persist,
-                       pool ? *pool : local_pool,
-                       resolve_thread_count(num_threads));
-}
-
 void replay_shared(SharedCorpus& corpus, const RoundSpec& round,
                    std::span<const std::span<Distinguisher* const>> sets,
                    std::size_t num_threads, WorkerPool* pool) {
   SABLE_REQUIRE(!sets.empty(), "replay_shared needs at least one attack set");
-  const std::uint64_t hash = round_spec_hash(round);
-  const bool check_spec = !corpus.spec_validated(hash);
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    validate_for_replay(corpus.manifest(), corpus.reader().path(), round,
-                        sets[k], check_spec && k == 0);
+  // One flattened list: every set sees the same shard blocks and reduces
+  // through the same tree or ordered fold as it would alone, and each
+  // shard is decoded once per party for all of them.
+  std::vector<Distinguisher*> all;
+  for (const std::span<Distinguisher* const> set : sets) {
+    SABLE_REQUIRE(!set.empty(), "replay needs at least one distinguisher");
+    all.insert(all.end(), set.begin(), set.end());
   }
-  if (check_spec) corpus.note_spec_validated(hash);
-
-  // Parties claim whole sets and drive each, start to finish, on their
-  // own thread: the set's shard loop streams every chunk through the
-  // shared cache, so concurrent sets decode each chunk once between them
-  // instead of once each.
-  WorkerPool local_pool;
-  WorkerPool& workers = pool ? *pool : local_pool;
-  workers.parallel_for(sets.size(), resolve_thread_count(num_threads),
-                       [] { return 0; }, [&](int, std::size_t k) {
-                         replay_leased(corpus, round, sets[k], {}, workers,
-                                       /*threads=*/1);
-                       });
+  replay_distinguishers(corpus.reader(), round, all, {}, num_threads, pool);
 }
 
 }  // namespace sable

@@ -36,23 +36,13 @@ bool replay_distinguishers(const CorpusReader& corpus, const RoundSpec& round,
                            std::size_t num_threads = 0,
                            WorkerPool* pool = nullptr);
 
-/// Same contract, but shards come through the SharedCorpus decoded-chunk
-/// cache: concurrent evaluations (each calling this from its own thread)
-/// share one mapping and decode every chunk at most once between them.
-/// The round-spec validation is memoized on the SharedCorpus, so many
-/// small evaluations pay it once.
-bool replay_distinguishers(SharedCorpus& corpus, const RoundSpec& round,
-                           std::span<Distinguisher* const> distinguishers,
-                           const CampaignPersistence& persist = {},
-                           std::size_t num_threads = 0,
-                           WorkerPool* pool = nullptr);
-
-/// Runs several independent attack sets over the corpus in ONE pass:
-/// workers claim whole sets and stream every shard through the shared
-/// cache, so a chunk is fetched/decoded once however many sets consume
-/// it (the CLI's --all-subkeys corpus mode). Every set is validated,
-/// accumulated over the full shard range and finalized; no
-/// checkpoint/resume (the pass is one shot by construction).
+/// Runs several independent attack sets over the corpus in ONE pass.
+/// Every set is validated like a replay_distinguishers list; the sets
+/// are then concatenated and replayed as one list, so each party decodes
+/// a shard once into its own scratch and feeds every set from it. The
+/// results are bit-identical to replaying each set on its own. No
+/// checkpoint/resume. `perfbench/` is the only non-test caller; the CLI
+/// flattens its sets itself.
 void replay_shared(SharedCorpus& corpus, const RoundSpec& round,
                    std::span<const std::span<Distinguisher* const>> sets,
                    std::size_t num_threads = 0, WorkerPool* pool = nullptr);

@@ -1,12 +1,13 @@
-// SharedCorpus: the decoded-chunk cache serving N concurrent
-// evaluations. The load-bearing claims under test: (1) concurrent
-// evaluations replaying from one SharedCorpus decode each compressed
-// chunk at most once between them (decode_count() is the witness, and
-// the TSan CI job runs this binary); (2) shared-cache replay is
-// bit-identical to plain CorpusReader replay; (3) raw corpora bypass
-// the cache entirely (zero decodes, zero copies); (4) a bounded cache
-// evicts and re-decodes instead of growing, and a corrupt chunk throws
-// a typed error out of acquire() without wedging later acquirers.
+// SharedCorpus and replay_shared. The load-bearing claims under test:
+// (1) concurrent acquirers of one SharedCorpus decode each compressed
+// chunk once between them, and a held lease is never decoded twice
+// (decode_count() is the witness, and the TSan CI job runs this
+// binary); (2) replay_shared — one flattened pass over every attack set
+// — is bit-identical to plain CorpusReader replay of each set and to the
+// live campaign over the same list, and leaves the cache empty; (3) raw
+// corpora bypass the cache entirely (zero decodes, zero copies); (4) a
+// corrupt chunk throws a typed error out of acquire() without wedging
+// later acquirers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "crypto/sboxes.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/distinguisher.hpp"
+#include "dpa/mtd.hpp"
 #include "engine/trace_engine.hpp"
 #include "io/corpus.hpp"
 #include "io/corpus_cache.hpp"
@@ -88,33 +91,46 @@ TEST_F(SharedCorpusTest, ConcurrentEvaluationsDecodeEachChunkOnce) {
   const std::size_t shards = corpus.num_shards();
   ASSERT_EQ(shards, 7u);
 
-  // Four concurrent evaluations, each driving its own distinguisher
-  // over the whole corpus from its own thread — the deployment shape
-  // the cache exists for.
-  constexpr std::size_t kEvaluations = 4;
-  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
-  const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  std::vector<CpaDistinguisher> cpas;
-  cpas.reserve(kEvaluations);
-  for (std::size_t k = 0; k < kEvaluations; ++k) {
-    cpas.emplace_back(engine.spec(), selector);
-  }
+  // Four threads acquire every shard, racing on the same slots: each
+  // chunk is decoded by whichever thread gets there first, and the
+  // others wait for it or hit the cache.
+  constexpr std::size_t kThreads = 4;
   std::vector<std::thread> threads;
-  for (std::size_t k = 0; k < kEvaluations; ++k) {
-    threads.emplace_back([&, k] {
-      Distinguisher* const list[] = {&cpas[k]};
-      replay_distinguishers(corpus, engine.round(), list, {},
-                            /*num_threads=*/2);
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&] {
+      for (std::size_t s = 0; s < shards; ++s) {
+        const SharedCorpus::Lease lease = corpus.acquire(s);
+        EXPECT_EQ(lease.view().count, corpus.reader().shard_count(s));
+      }
     });
   }
   for (std::thread& t : threads) t.join();
 
-  // The decode-once guarantee: 4 evaluations x 7 shards touched the
-  // codec at most 7 times (exactly 7 — every shard was needed).
+  // The decode-once guarantee: 4 threads x 7 shards touched the codec
+  // exactly 7 times.
   EXPECT_EQ(corpus.decode_count(), shards);
-  for (const CpaDistinguisher& cpa : cpas) {
-    expect_same_scores(cpa.result().score, ref_scores_);
+
+  // The cached buffers hold exactly what a plain decode produces.
+  const CorpusReader plain(compressed_path_);
+  CorpusDecodeScratch scratch;
+  for (std::size_t s = 0; s < shards; ++s) {
+    const CorpusShardView want = plain.read_shard(s, scratch);
+    const CorpusShardView got = corpus.acquire(s).view();
+    ASSERT_EQ(got.count, want.count);
+    EXPECT_EQ(std::memcmp(got.pts, want.pts,
+                          want.count * corpus.manifest().pt_stride),
+              0);
+    EXPECT_EQ(std::memcmp(got.samples, want.samples,
+                          want.count * sizeof(double)),
+              0);
   }
+
+  // Acquiring a shard again while a lease on it is held shares that
+  // lease's buffers instead of decoding a second copy.
+  const SharedCorpus::Lease held = corpus.acquire(0);
+  const SharedCorpus::Lease again = corpus.acquire(0);
+  EXPECT_EQ(again.view().pts, held.view().pts);
+  EXPECT_EQ(corpus.decode_count(), shards);
 }
 
 TEST_F(SharedCorpusTest, SharedReplayMatchesPlainReplay) {
@@ -129,17 +145,19 @@ TEST_F(SharedCorpusTest, SharedReplayMatchesPlainReplay) {
   SharedCorpus shared(compressed_path_);
   CpaDistinguisher from_shared(engine.spec(), selector);
   Distinguisher* const list2[] = {&from_shared};
-  EXPECT_TRUE(replay_distinguishers(shared, engine.round(), list2));
+  const std::span<Distinguisher* const> sets2[] = {list2};
+  replay_shared(shared, engine.round(), sets2);
 
   expect_same_scores(from_shared.result().score, from_plain.result().score);
   expect_same_scores(from_shared.result().score, ref_scores_);
 
-  // The spec validation memoized on the first replay; a replay against a
-  // DIFFERENT round must still be rejected, not waved through.
+  // A replay against a DIFFERENT round must be rejected, not waved
+  // through after a successful one.
   TraceEngine other(present_spec(), LogicStyle::kSablGenuine, kTech);
   CpaDistinguisher wrong(other.spec(), selector);
   Distinguisher* const list3[] = {&wrong};
-  EXPECT_THROW(replay_distinguishers(shared, other.round(), list3),
+  const std::span<Distinguisher* const> sets3[] = {list3};
+  EXPECT_THROW(replay_shared(shared, other.round(), sets3),
                ManifestMismatchError);
 }
 
@@ -158,8 +176,9 @@ TEST_F(SharedCorpusTest, MultiSetOnePassMatchesIndividualReplays) {
   const std::span<Distinguisher* const> sets[] = {set_a, set_b};
   replay_shared(corpus, engine.round(), sets, /*num_threads=*/2);
 
-  // One pass for both sets: still at most one decode per chunk.
-  EXPECT_EQ(corpus.decode_count(), corpus.num_shards());
+  // One flattened pass for both sets: each party decodes into its own
+  // scratch, so the cache is never filled.
+  EXPECT_EQ(corpus.decode_count(), 0u);
   expect_same_scores(cpa_a.result().score, ref_scores_);
   expect_same_scores(cpa_b.result().score, ref_scores_);
 
@@ -184,32 +203,10 @@ TEST_F(SharedCorpusTest, RawCorpusBypassesCache) {
   CpaDistinguisher cpa(engine.spec(),
                        AttackSelector{.model = PowerModel::kHammingWeight});
   Distinguisher* const list[] = {&cpa};
-  EXPECT_TRUE(replay_distinguishers(corpus, engine.round(), list));
+  const std::span<Distinguisher* const> sets[] = {list};
+  replay_shared(corpus, engine.round(), sets);
   expect_same_scores(cpa.result().score, ref_scores_);
   EXPECT_EQ(corpus.decode_count(), 0u);
-}
-
-TEST_F(SharedCorpusTest, BoundedCacheEvictsAndRedecodes) {
-  SharedCorpus corpus(compressed_path_, /*max_cached_shards=*/2);
-  const std::size_t shards = corpus.num_shards();
-  // Two sequential full passes over a 2-slot cache: every acquire past
-  // the cap evicts the LRU slot, so the second pass re-decodes every
-  // shard instead of hitting the (long-evicted) slots.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      const SharedCorpus::Lease lease = corpus.acquire(s);
-      EXPECT_EQ(lease.view().count, corpus.reader().shard_count(s));
-    }
-  }
-  EXPECT_EQ(corpus.decode_count(), 2 * shards);
-
-  // A held lease pins its slot: acquiring the same shard again while the
-  // lease is live must not decode a second copy.
-  const std::uint64_t before = corpus.decode_count();
-  const SharedCorpus::Lease held = corpus.acquire(0);
-  const SharedCorpus::Lease again = corpus.acquire(0);
-  EXPECT_EQ(again.view().pts, held.view().pts);
-  EXPECT_EQ(corpus.decode_count(), before + 1);
 }
 
 TEST_F(SharedCorpusTest, CorruptChunkThrowsTypedAndDoesNotWedge) {
@@ -263,6 +260,79 @@ TEST_F(SharedCorpusTest, CorruptChunkThrowsTypedAndDoesNotWedge) {
   const SharedCorpus::Lease ok = corpus.acquire(1);
   EXPECT_EQ(ok.view().count, corpus.reader().shard_count(1));
   EXPECT_THROW(corpus.acquire(corpus.num_shards()), ShardIndexError);
+}
+
+// One CPA+DoM+MTD set per instance of a 4-S-box static-CMOS round (the
+// campaign_cli --all-subkeys list): replay_shared over the recorded
+// corpus is bit-identical to the live campaign over the flattened list,
+// at every thread count.
+struct InstanceSet {
+  CpaDistinguisher cpa;
+  DomDistinguisher dom;
+  MtdDistinguisher mtd;
+  std::vector<Distinguisher*> list;
+
+  InstanceSet(const RoundSpec& round, std::size_t sbox, std::size_t subkey,
+              std::size_t num_traces)
+      : cpa(round.sboxes[sbox],
+            AttackSelector{.sbox_index = sbox,
+                           .model = PowerModel::kHammingWeight}),
+        dom(round.sboxes[sbox],
+            AttackSelector{.sbox_index = sbox,
+                           .model = PowerModel::kHammingWeight,
+                           .bit = 0}),
+        mtd(round.sboxes[sbox],
+            AttackSelector{.sbox_index = sbox,
+                           .model = PowerModel::kHammingWeight},
+            subkey, default_checkpoints(num_traces), num_traces),
+        list{&cpa, &dom, &mtd} {}
+};
+
+std::vector<std::unique_ptr<InstanceSet>> instance_sets(
+    const RoundSpec& round, const CampaignOptions& options) {
+  std::vector<std::unique_ptr<InstanceSet>> sets;
+  for (std::size_t j = 0; j < round.num_sboxes(); ++j) {
+    sets.push_back(std::make_unique<InstanceSet>(
+        round, j, round.sub_word(options.key.data(), j), options.num_traces));
+  }
+  return sets;
+}
+
+TEST(ReplaySharedTest, AllInstanceSetsMatchTheLiveFlattenedCampaign) {
+  const RoundSpec round = present_round(4, LogicStyle::kStaticCmos);
+  CampaignOptions options = small_options();
+  options.key = round.pack_subkeys({0xB, 0x2, 0x9, 0x4});
+  TraceEngine engine(round, kTech);
+  const std::string path = temp_path("round4.corpus");
+  engine.record(options, TraceDataKind::kScalar, path);
+
+  const auto live = instance_sets(round, options);
+  std::vector<Distinguisher*> list;
+  for (const auto& set : live) {
+    list.insert(list.end(), set->list.begin(), set->list.end());
+  }
+  engine.run_distinguishers(options, list);
+
+  for (std::size_t threads : {1u, 2u, 7u}) {
+    SCOPED_TRACE(threads);
+    SharedCorpus corpus(path);
+    const auto replayed = instance_sets(round, options);
+    std::vector<std::span<Distinguisher* const>> spans;
+    for (const auto& set : replayed) spans.emplace_back(set->list);
+    replay_shared(corpus, round, spans, threads);
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      SCOPED_TRACE(j);
+      expect_same_scores(replayed[j]->cpa.result().score,
+                         live[j]->cpa.result().score);
+      expect_same_scores(replayed[j]->dom.result().score,
+                         live[j]->dom.result().score);
+      const MtdResult& got = replayed[j]->mtd.result();
+      const MtdResult& want = live[j]->mtd.result();
+      EXPECT_EQ(got.rank_history, want.rank_history);
+      EXPECT_EQ(got.mtd, want.mtd);
+      EXPECT_EQ(got.disclosed, want.disclosed);
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Failure paths of the campaign drivers. An accumulator that throws on
 // one shard must surface its exception from every entry point that feeds
-// shards — run_distinguishers, replay over a CorpusReader and over a
-// SharedCorpus, replay_shared — at 1 and 4 threads, and must leave the
-// engine (leased simulator clones, parked pool) and the corpus clean: the
-// next campaign on the same objects is bit-identical to a fresh engine's.
+// shards — run_distinguishers, replay over a CorpusReader, and
+// replay_shared — at 1 and 4 threads, and must leave the engine (leased
+// simulator clones, parked pool) and the corpus clean: the next campaign
+// on the same objects is bit-identical to a fresh engine's.
 // A sink that throws mid-stream must rethrow out of the ordered ring
 // without wedging the workers waiting on it.
 #include <gtest/gtest.h>
@@ -157,26 +157,6 @@ TEST_F(DriverFailureTest, CorpusReplayRethrowsAndLeavesTheEngineClean) {
     EXPECT_TRUE(engine.replay(corpus, clean, {}, threads));
     expect_same_scores(cpa.result().score, reference_);
     expect_same_scores(live_scores(engine, options_with(threads)), reference_);
-  }
-}
-
-TEST_F(DriverFailureTest, SharedCorpusReplayRethrowsAndStaysUsable) {
-  for (std::size_t threads : kThreadCounts) {
-    SCOPED_TRACE(threads);
-    SharedCorpus corpus(corpus_path_);
-    WorkerPool pool;
-    TraceEngine engine = make_engine();
-    FailingDistinguisher failing(engine.spec());
-    Distinguisher* const list[] = {&failing};
-    EXPECT_THROW(replay_distinguishers(corpus, engine.round(), list, {},
-                                       threads, &pool),
-                 ShardFailure);
-
-    CpaDistinguisher cpa(engine.spec(), kSelector);
-    Distinguisher* const clean[] = {&cpa};
-    EXPECT_TRUE(replay_distinguishers(corpus, engine.round(), clean, {},
-                                      threads, &pool));
-    expect_same_scores(cpa.result().score, reference_);
   }
 }
 
