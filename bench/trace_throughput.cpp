@@ -1,6 +1,7 @@
-// Trace-generation throughput: scalar one-at-a-time simulation vs. the
-// 64-wide bit-parallel trace engine on one thread vs. the thread-sharded
-// engine on all cores, on the paper's PRESENT S-box target.
+// Trace-generation throughput: scalar one-at-a-time simulation (the
+// width-1 circuit simulators) vs. the trace engine — which reads leakage
+// tables built by the bit-parallel simulators — on one thread vs. the
+// thread-sharded engine on all cores, on the paper's PRESENT S-box target.
 //
 // The engine exists because MTD curves need 10^5–10^7 traces; this bench
 // reports traces/sec for all three paths and the speedups (acceptance:
@@ -50,6 +51,8 @@
 #include <thread>
 #include <vector>
 
+#include "cell/circuit_sim.hpp"
+#include "cell/wddl.hpp"
 #include "crypto/sboxes.hpp"
 #include "crypto/target.hpp"
 #include "dpa/streaming.hpp"
@@ -105,15 +108,30 @@ Throughput measure_style(LogicStyle style, std::size_t num_traces,
   result.style = to_string(style);
 
   {
-    SboxTarget target(spec, style, tech);
+    // The width-1 scalar simulators, one encryption per cycle call: the
+    // one-at-a-time simulation the engine's leakage tables replace.
+    const SboxTarget target(spec, style, tech);
     Rng rng(0xBE7C);
     double sum = 0.0;
-    const auto start = Clock::now();
-    for (std::size_t i = 0; i < num_traces; ++i) {
-      const auto pt = static_cast<std::uint8_t>(rng.below(16));
-      sum += target.trace(pt, key, 0.0, rng);
+    const auto run = [&](auto& sim) {
+      const auto start = Clock::now();
+      for (std::size_t i = 0; i < num_traces; ++i) {
+        const auto pt = static_cast<std::uint8_t>(rng.below(16));
+        sum += sim.cycle(pt ^ key).energy;
+      }
+      result.scalar_tps =
+          static_cast<double>(num_traces) / seconds_since(start);
+    };
+    if (style == LogicStyle::kStaticCmos) {
+      CmosCircuitSim sim(target.circuit(), 5e-15 * tech.vdd * tech.vdd);
+      run(sim);
+    } else if (style == LogicStyle::kWddlBalanced) {
+      WddlCircuitSim sim(target.circuit(), tech, 0.0);
+      run(sim);
+    } else {
+      DifferentialCircuitSim sim(target.circuit());
+      run(sim);
     }
-    result.scalar_tps = static_cast<double>(num_traces) / seconds_since(start);
     result.checksum += sum;
   }
 

@@ -15,25 +15,33 @@
 // sixteen AES S-boxes byte-pack into 16. Heterogeneous specs (mixed
 // widths) pack the same way.
 //
-// Encryptions run through the lane-word-generic bit-parallel circuit
-// simulators: RoundTargetT<W>::trace_batch simulates LaneTraits<W>::kLanes
-// wide plaintexts per clock cycle (lane L of step k is trace k*kLanes + L,
-// with the static-CMOS history logically 64-lane so the generated trace
-// stream is bit-identical for every word width), and the scalar trace()
-// is the width-1 case. RoundTarget is the 64-lane instantiation — the
-// prototype the TraceEngine exposes; with_lane_width<W>() derives the
-// wider SIMD variants from it, sharing the synthesized circuits.
-// Identical (spec, style) instances share one synthesized circuit; every
-// instance owns its mutable simulator state.
+// Encryptions read tabulated leakage (crypto/leakage_table.hpp): at
+// construction every instance gets the exact per-input cycle energies of
+// its circuit, computed once by the switch-level batch simulators, and
+// trace(), trace_batch() and trace_batch_sampled() sum table rows in
+// instance order instead of re-simulating — bit-identical to direct
+// simulation, and independent of any lane width. The simulators only
+// build tables and serve as the test oracle. Identical (spec, style)
+// instances share one synthesized circuit and one table (WDDL instances
+// keep one table each: every instance has its own rail-imbalance seed);
+// clones share the tables too. The only mutable state is static CMOS's
+// transition history: per instance, the input each of the 64 logical
+// lanes last held (lane L of a call is every trace t with t % 64 == L,
+// the historic 64-lane kernel layout), so chained calls, reset_state()
+// and scalar trace() behave exactly as the simulators did.
+//
+// RoundTargetT<W> keeps its lane-word parameter only for the engine's
+// per-width plumbing; every width shares one lookup body, RoundTargetBase.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "cell/circuit_sim.hpp"
-#include "cell/wddl.hpp"
+#include "cell/circuit.hpp"
+#include "crypto/leakage_table.hpp"
 #include "crypto/sboxes.hpp"
+#include "tech/technology.hpp"
 #include "util/lane_word.hpp"
 #include "util/rng.hpp"
 
@@ -103,40 +111,13 @@ RoundSpec present_round(std::size_t num_sboxes, LogicStyle style);
 /// SubBytes layer at num_sboxes = 16.
 RoundSpec aes_subbytes_round(std::size_t num_sboxes, LogicStyle style);
 
-template <typename W>
-class RoundTargetT {
+/// The lane-width-independent round target: S-box instances over shared
+/// leakage tables (see the header comment).
+class RoundTargetBase {
  public:
-  RoundTargetT(const RoundSpec& round, const Technology& tech);
-
-  /// As above, but over pre-synthesized per-instance circuits (one
-  /// shared_ptr per S-box instance) instead of synthesizing them — how a
-  /// lane-width variant shares its source target's circuits. An empty
-  /// vector synthesizes as usual.
-  RoundTargetT(const RoundSpec& round, const Technology& tech,
-               std::vector<std::shared_ptr<const GateCircuit>> circuits);
-
-  /// Independent target over the same synthesized circuits: the
-  /// (immutable) GateCircuits are shared, every piece of mutable simulator
-  /// state — CMOS transition history, SABL node charge, evaluator scratch —
-  /// is fresh and private to the clone. This is the per-worker instance
-  /// the thread-sharded TraceEngine hands each thread.
-  RoundTargetT clone() const;
-
-  /// The same target at another lane width: shares the synthesized
-  /// circuits, rebuilds every per-instance simulator (same style
-  /// derivation, same per-instance WDDL mismatch seeds) at width W2 in
-  /// fresh-construction state. Campaigns over the result generate
-  /// bit-identical traces to this target's — only the internal batch
-  /// width changes.
-  template <typename W2>
-  RoundTargetT<W2> with_lane_width() const {
-    std::vector<std::shared_ptr<const GateCircuit>> circuits;
-    circuits.reserve(instances_.size());
-    for (const Instance& instance : instances_) {
-      circuits.push_back(instance.circuit);
-    }
-    return RoundTargetT<W2>(round_, tech_, std::move(circuits));
-  }
+  /// Synthesizes every instance's circuit in round.style (identical specs
+  /// share one) and tabulates their leakage.
+  RoundTargetBase(const RoundSpec& round, const Technology& tech);
 
   /// One encryption of the whole round: applies pt XOR key per instance
   /// (both `state_bytes()` packed bytes) and returns the summed power
@@ -144,11 +125,10 @@ class RoundTargetT {
   double trace(const std::uint8_t* pt, const std::uint8_t* key,
                double noise_sigma, Rng& rng);
 
-  /// Batched encryptions, kLanes per simulated cycle: `pts` holds `count`
-  /// packed states of `state_bytes()` bytes each; writes one summed power
-  /// sample per state into `out[0..count)`. Noise is drawn from `rng` in
-  /// ascending trace order, so a campaign is reproducible regardless of
-  /// the internal batch width.
+  /// Batched encryptions: `pts` holds `count` packed states of
+  /// `state_bytes()` bytes each; writes one summed power sample per state
+  /// into `out[0..count)`. Noise is drawn from `rng` in ascending trace
+  /// order.
   void trace_batch(const std::uint8_t* pts, std::size_t count,
                    const std::uint8_t* key, double noise_sigma, Rng& rng,
                    double* out);
@@ -162,8 +142,8 @@ class RoundTargetT {
                            const std::uint8_t* key, double noise_sigma,
                            Rng& rng, double* rows);
 
-  /// Restores the fresh-construction simulator state of every instance
-  /// (CMOS transition history, SABL node charge) in every lane.
+  /// Restores the fresh-construction state: clears every instance's
+  /// static CMOS transition history (the other styles carry none).
   void reset_state();
 
   /// Reference output of instance `index` for functional checks.
@@ -176,39 +156,64 @@ class RoundTargetT {
   /// the instances (every style is time-resolvable).
   std::size_t num_levels() const { return num_levels_; }
 
+  /// Instance `index`'s tabulated leakage (read-only; shared with every
+  /// identical instance and every clone).
+  const LeakageTable& leakage_table(std::size_t index) const;
+
  private:
-  // One synthesized S-box beside its peers: shared immutable circuit,
-  // private mutable simulator (exactly one of the three styles is set).
   struct Instance {
-    std::shared_ptr<const GateCircuit> circuit;
-    std::unique_ptr<DifferentialCircuitSimBatchT<W>> diff_sim;
-    std::unique_ptr<CmosCircuitSimBatchT<W>> cmos_sim;
-    std::unique_ptr<WddlCircuitSimBatchT<W>> wddl_sim;
+    std::shared_ptr<const LeakageTable> table;
     std::size_t bit_offset = 0;
   };
+  // Static CMOS history of one instance: the input each logical lane last
+  // held, and which lanes hold one at all.
+  struct LaneHistory {
+    std::uint8_t previous[64] = {};
+    std::uint64_t seen = 0;
+  };
 
-  RoundTargetT(RoundSpec round, Technology tech,
-               std::vector<Instance> instances);
-
-  void cycle_instance(Instance& instance, const std::vector<W>& input_words,
-                      const W& lane_mask, BatchCycleResultT<W>& out);
-  void cycle_instance_sampled(Instance& instance,
-                              const std::vector<W>& input_words,
-                              const W& lane_mask,
-                              SampledBatchCycleResultT<W>& out);
-  /// Packs instance `index`'s (pt XOR key) sub-words of `lanes` adjacent
-  /// states into `words_`.
-  void pack_instance_lanes(const Instance& instance, const SboxSpec& spec,
-                           const std::uint8_t* pts, std::size_t base,
-                           std::size_t lanes, const std::uint8_t* key);
+  // Table rows of traces [base, base + lanes) (lanes <= 64, base a
+  // multiple of 64) of instance i; advances its CMOS history.
+  void instance_rows(std::size_t i, const std::uint8_t* pts,
+                     std::size_t base, std::size_t lanes,
+                     const std::uint8_t* key, std::uint32_t* rows);
 
   RoundSpec round_;
-  Technology tech_;  // kept so with_lane_width() can re-derive simulators
+  std::size_t stride_ = 0;  // round_.state_bytes()
   std::vector<Instance> instances_;
+  std::vector<LaneHistory> history_;  // per instance; empty unless CMOS
   std::size_t num_levels_ = 0;
-  std::vector<W> words_;
-  BatchCycleResultT<W> scratch_;
-  SampledBatchCycleResultT<W> sampled_scratch_;
+};
+
+template <typename W>
+class RoundTargetT : public RoundTargetBase {
+ public:
+  RoundTargetT(const RoundSpec& round, const Technology& tech)
+      : RoundTargetBase(round, tech) {}
+
+  /// Independent target over the same circuits and leakage tables (both
+  /// immutable and shared), with fresh CMOS transition history — the
+  /// per-worker instance the thread-sharded TraceEngine hands each
+  /// thread. Cheap: nothing is re-tabulated.
+  RoundTargetT clone() const {
+    return RoundTargetT(static_cast<const RoundTargetBase&>(*this));
+  }
+
+  /// The same target at another lane width: shares the circuits and
+  /// tables, fresh history. Campaigns over the result generate
+  /// bit-identical traces to this target's.
+  template <typename W2>
+  RoundTargetT<W2> with_lane_width() const {
+    return RoundTargetT<W2>(static_cast<const RoundTargetBase&>(*this));
+  }
+
+ private:
+  template <typename>
+  friend class RoundTargetT;
+  explicit RoundTargetT(const RoundTargetBase& source)
+      : RoundTargetBase(source) {
+    reset_state();
+  }
 };
 
 /// The 64-lane instantiation: the engine's prototype width and the historic

@@ -4,10 +4,10 @@
 // The circuit computes the S-box only; the key addition happens at the
 // stimulus (x = pt XOR key), which models the standard first-order DPA
 // setting where the attacker predicts S-box output bits from plaintext and
-// key guess. Encryptions run through the 64-wide bit-parallel circuit
-// simulators via the underlying RoundTarget; for specs of up to 8 input
-// bits the packed one-byte round state IS the plaintext byte, so the
-// adapter forwards pointers without repacking.
+// key guess. Encryptions read the underlying RoundTarget's leakage table
+// (crypto/leakage_table.hpp); for specs of up to 8 input bits the packed
+// one-byte round state IS the plaintext byte, so the adapter forwards
+// pointers without repacking.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +21,9 @@ class SboxTarget {
   SboxTarget(const SboxSpec& spec, LogicStyle style, const Technology& tech)
       : round_(single_sbox_round(spec, style), tech) {}
 
-  /// Independent target over the same synthesized circuit: the (immutable)
-  /// GateCircuit is shared, every piece of mutable simulator state is
-  /// fresh and private to the clone (see RoundTarget::clone()).
+  /// Independent target over the same synthesized circuit and leakage
+  /// table (both immutable and shared), with fresh CMOS transition history
+  /// (see RoundTarget::clone()).
   SboxTarget clone() const { return SboxTarget(round_.clone()); }
 
   /// One encryption: applies pt XOR key, returns the power sample
@@ -33,19 +33,17 @@ class SboxTarget {
     return round_.trace(&pt, &key, noise_sigma, rng);
   }
 
-  /// Batched encryptions, 64 per simulated cycle: writes one power sample
-  /// per plaintext into `out[0..count)`. Noise is drawn from `rng` in
-  /// ascending trace order, so a campaign is reproducible regardless of
-  /// the internal batch width.
+  /// Batched encryptions: writes one power sample per plaintext into
+  /// `out[0..count)`. Noise is drawn from `rng` in ascending trace order.
   void trace_batch(const std::uint8_t* pts, std::size_t count,
                    std::uint8_t key, double noise_sigma, Rng& rng,
                    double* out) {
     round_.trace_batch(pts, count, &key, noise_sigma, rng, out);
   }
 
-  /// Restores the fresh-construction simulator state in every lane (CMOS
-  /// transition history, SABL node charge), so campaigns with the same
-  /// seed reproduce the same traces no matter what ran before.
+  /// Restores the fresh-construction state (the CMOS transition history
+  /// of every lane), so campaigns with the same seed reproduce the same
+  /// traces no matter what ran before.
   void reset_state() { round_.reset_state(); }
 
   /// Reference S-box output for functional checks.

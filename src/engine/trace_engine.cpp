@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -25,7 +26,7 @@ std::size_t campaign_shard_size(const CampaignOptions& options) {
   // The max() clamps shard sizes below one granule (in particular below
   // the active lane width) to a whole 64-lane word instead of letting the
   // division round them to zero shards.
-  constexpr std::size_t kGranule = SablGateSimBatch::kLanes;
+  constexpr std::size_t kGranule = 64;
   if (options.shard_size == 0) {
     // Autotune. shard_size is part of the stream definition, so the
     // derived size must be a pure function of the options: only
@@ -90,11 +91,11 @@ std::size_t campaign_lane_width(const CampaignOptions& options,
 namespace detail {
 
 // One lane width's persistent state on an engine: the width-variant of the
-// prototype target (lazily derived, shares the synthesized circuits) and
-// the pool of idle worker clones campaigns check workers out of. Keeping
-// both across campaigns means a sweep of many small campaigns (per-style
-// tables, SPICE calibration) pays synthesis once and cloning once per
-// worker — not once per campaign.
+// prototype target (lazily derived, shares the circuits and leakage
+// tables) and the pool of idle worker clones campaigns check workers out
+// of. Keeping both across campaigns means a sweep of many small campaigns
+// (per-style tables, SPICE calibration) pays synthesis and tabulation
+// once and cloning once per worker — not once per campaign.
 template <typename W>
 struct LanePool {
   std::unique_ptr<RoundTargetT<W>> variant;  // null for the 64-lane width
@@ -141,10 +142,17 @@ ShardLayout layout_for(const CampaignOptions& options) {
   return layout;
 }
 
-void validate_key(const RoundSpec& round, const CampaignOptions& options) {
+// Checked by every campaign entry point before any shard runs.
+void validate_options(const RoundSpec& round,
+                      const CampaignOptions& options) {
   SABLE_REQUIRE(options.key.size() == round.state_bytes(),
                 "CampaignOptions::key must hold round().state_bytes() packed "
                 "bytes (use RoundSpec::pack_subkeys)");
+  // A NaN, infinite or negative sigma would turn every trace (and every
+  // score) into NaN and be stamped into the manifest as is.
+  SABLE_REQUIRE(std::isfinite(options.noise_sigma) &&
+                    options.noise_sigma >= 0.0,
+                "CampaignOptions::noise_sigma must be finite and >= 0");
 }
 
 // Simulates one shard of `kind` into caller-provided storage: `out`
@@ -152,10 +160,11 @@ void validate_key(const RoundSpec& round, const CampaignOptions& options) {
 // (kSampled). The plaintexts are RoundSpec::fill_random_states over the
 // shard's counter-derived sub-stream 0 — for a single byte-wide S-box the
 // historic one-draw-per-trace stream, bit for bit — and the noise comes
-// from sub-stream 1. Per-shard RNG streams and fresh simulator state make
-// the result a pure function of (options, shard, kind) — the invariant
-// every determinism guarantee rests on. The simulation word width is a
-// pure throughput knob (see lane_word.hpp).
+// from sub-stream 1. Per-shard RNG streams and a fresh target state (the
+// static-CMOS lane history) make the result a pure function of (options,
+// shard, kind) — the invariant every determinism guarantee rests on. The
+// traces are leakage-table lookups (crypto/leakage_table.hpp); W only
+// selects the engine's per-width worker pool.
 template <typename W>
 void simulate_shard(RoundTargetT<W>& target, const CampaignOptions& options,
                     const ShardLayout& layout, std::size_t shard,
@@ -246,9 +255,13 @@ struct WorkerCtx {
 // emit + window > s (so the previous occupant was emitted), the emitter
 // may drain it only once ready. Each slot is cache-line aligned and its
 // buffers are recycled through the ring, so steady-state streaming does
-// not allocate. The pool runs threads + 1 parties: party 0 — the calling
+// not allocate. The pool runs `threads` parties: party 0 — the calling
 // thread — is the emitter (the sink never runs concurrently with itself,
-// matching the sequential contract), parties 1..threads simulate.
+// matching the sequential contract), parties 1..threads-1 simulate. The
+// emitter counts against the thread budget because table lookups make
+// workers outrun a sink that encodes and writes (record): an extra party
+// would only oversubscribe the cores and deschedule the emitter that
+// bounds the stream.
 template <typename W>
 void stream_shards(const RoundTargetT<W>& prototype,
                    detail::LanePool<W>& pool, WorkerPool& workers,
@@ -285,7 +298,7 @@ void stream_shards(const RoundTargetT<W>& prototype,
   bool failed = false;
   std::atomic<std::size_t> next{0};
 
-  workers.run(threads + 1, [&](std::size_t party) {
+  workers.run(threads, [&](std::size_t party) {
     if (party == 0) {
       // Emitter. `scratch` ping-pongs with the ring: the swap hands the
       // just-emitted shard's buffers back to the slot for the worker of
@@ -363,11 +376,11 @@ void stream_shards(const RoundTargetT<W>& prototype,
 }
 
 // Lazily derives the width-W variant of the engine's 64-lane prototype
-// (shared circuits, fresh sims) and keeps it on the pool for the engine's
-// lifetime. Guarded by the pool mutex so concurrent campaigns on one
-// engine (safe before the pools existed, since they only read the const
-// prototype) cannot race the one-time init; it runs once per width per
-// engine, off the hot path.
+// (shared circuits and tables, fresh history) and keeps it on the pool for
+// the engine's lifetime. Guarded by the pool mutex so concurrent campaigns
+// on one engine (safe before the pools existed, since they only read the
+// const prototype) cannot race the one-time init; it runs once per width
+// per engine, off the hot path.
 template <typename W>
 const RoundTargetT<W>& ensure_variant(const RoundTarget& base,
                                       detail::LanePool<W>& pool) {
@@ -406,7 +419,7 @@ decltype(auto) with_lane(const RoundTarget& base, detail::EnginePools& pools,
 void stream_campaign(const RoundTarget& target, detail::EnginePools& pools,
                      const CampaignOptions& options, TraceDataKind kind,
                      const TraceSink& sink) {
-  validate_key(target.round(), options);
+  validate_options(target.round(), options);
   const std::size_t width =
       kind == TraceDataKind::kScalar ? 1 : target.num_levels();
   SABLE_REQUIRE(width > 0,
@@ -443,7 +456,7 @@ TraceSet run_campaign(const RoundTargetT<W>& prototype,
 }
 
 // The live source of the attack driver (engine/shard_reduce.hpp): each
-// party leases a simulator clone and simulates the trace data each data
+// party leases a target clone and generates the trace data each data
 // kind needs. A mixed campaign simulates the shard once per kind; the
 // plaintext stream is regenerated identically (same counter-derived seed)
 // and each kind draws its noise exactly as its single-kind campaign
@@ -513,7 +526,7 @@ const SboxSpec& TraceEngine::spec(std::size_t sbox_index) const {
 }
 
 TraceSet TraceEngine::run(const CampaignOptions& options) {
-  validate_key(round(), options);
+  validate_options(round(), options);
   return with_lane(target_, *pools_, options,
                    [&](const auto& prototype, auto& pool) {
                      return run_campaign(prototype, pool, pools_->workers,
@@ -545,7 +558,7 @@ bool TraceEngine::run_distinguishers(
                 "run_distinguishers needs at least one distinguisher");
   SABLE_REQUIRE(options.num_traces >= 2,
                 "attack campaigns require at least two traces");
-  validate_key(round(), options);
+  validate_options(round(), options);
   for (Distinguisher* d : distinguishers) {
     SABLE_REQUIRE(d != nullptr, "distinguisher must not be null");
     d->validate(round());
@@ -572,7 +585,7 @@ void TraceEngine::merge_partials(
                 "merge_partials needs at least one distinguisher");
   SABLE_REQUIRE(!partial_paths.empty(),
                 "merge_partials needs at least one partial state file");
-  validate_key(round(), options);
+  validate_options(round(), options);
   for (Distinguisher* d : distinguishers) {
     SABLE_REQUIRE(d != nullptr, "distinguisher must not be null");
     d->validate(round());
@@ -591,7 +604,7 @@ void TraceEngine::merge_partials(
 
 void TraceEngine::record(const CampaignOptions& options, TraceDataKind kind,
                          const std::string& path, std::uint32_t compression) {
-  validate_key(round(), options);
+  validate_options(round(), options);
   SABLE_REQUIRE(options.num_traces >= 1,
                 "recording requires at least one trace");
   CorpusManifest manifest;

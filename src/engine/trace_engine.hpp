@@ -2,22 +2,22 @@
 // consumption, over width-generic round targets.
 //
 // The engine turns a RoundSpec — N S-box instances synthesized side by
-// side in one logic style — into power-trace campaigns at MTD scale. Two
-// axes of parallelism compose: within a shard, wide plaintexts are
-// simulated 64 encryptions per clock cycle through the bit-parallel
-// circuit simulators (every instance, summed power); across shards, a
-// worker pool spreads the campaign over cores. Traces are either retained
-// in a TraceSet (run) or handed block-by-block in canonical order to
-// streaming consumers (stream / stream_sampled) — and attacks skip the
-// hand-off entirely through the distinguisher pipeline
-// (run_distinguishers): every attack is a Distinguisher whose per-shard
-// accumulators ride the worker pool and reduce through a fixed-shape
-// binary merge tree (or an ordered fold for MTD), so an attack over 10^7
-// traces needs O(guesses) memory per shard, one pass, and 1/(64 * cores)
-// of the scalar simulation time. run_distinguishers is the one attack
-// driver: any number of distinguishers — e.g. a CPA per subkey of a
-// 16-S-box round — share ONE simulated campaign instead of re-simulating
-// per attack, and run_attack below is that driver with a single attack.
+// side in one logic style — into power-trace campaigns at MTD scale.
+// Within a shard, each trace's summed power is a few leakage-table
+// lookups, one per instance (crypto/leakage_table.hpp: the tables are
+// built once by the bit-parallel circuit simulators and reproduce them
+// bit for bit); across shards, a worker pool spreads the campaign over
+// cores. Traces are either retained in a TraceSet (run) or handed
+// block-by-block in canonical order to streaming consumers (stream /
+// stream_sampled) — and attacks skip the hand-off entirely through the
+// distinguisher pipeline (run_distinguishers): every attack is a
+// Distinguisher whose per-shard accumulators ride the worker pool and
+// reduce through a fixed-shape binary merge tree (or an ordered fold for
+// MTD), so an attack over 10^7 traces needs O(guesses) memory per shard
+// and one pass. run_distinguishers is the one attack driver: any number
+// of distinguishers — e.g. a CPA per subkey of a 16-S-box round — share
+// ONE generated campaign instead of regenerating it per attack, and
+// run_attack below is that driver with a single attack.
 //
 // Attacks select one instance via AttackSelector{sbox_index, model, bit}:
 // the accumulators consume that instance's sub-plaintexts and guess its
@@ -27,7 +27,7 @@
 // Determinism: a campaign is defined as a sequence of fixed-size shards
 // (shard_size traces, rounded to whole 64-lane words). Shard s draws its
 // plaintexts and noise from counter-derived sub-streams
-// campaign_shard_seed(seed, s, ·) and starts from fresh simulator state,
+// campaign_shard_seed(seed, s, ·) and starts from fresh target state,
 // so its traces depend only on (options, s) — never on which worker ran
 // it or how many there were. The merge tree's shape depends only on the
 // shard count. Results are bit-identical for any num_threads, including
@@ -36,21 +36,21 @@
 // shard_size = 0 autotune derives the size from num_traces and fixed
 // constants alone (see campaign_shard_size), never from the machine.
 //
-// Lane widths: CampaignOptions::lane_width picks the batch word the
-// campaign simulates with — 64 (the historic kernel), 128 (portable
+// Lane widths: CampaignOptions::lane_width picks the batch word of the
+// campaign's target variant — 64 (the historic kernel), 128 (portable
 // pair), or 256/512 (AVX2/AVX-512 vectors). The default build carries
 // every kernel width side by side and probes the CPU once at runtime
 // (util/cpu_dispatch.hpp); 0 (the default) selects the widest word the
 // running machine supports, resolved per campaign and never on the
-// per-trace hot path. Shard boundaries stay 64-granular and per-lane
-// arithmetic (including the static-CMOS logical 64-lane history) is
-// width-invariant, so every width — and therefore every dispatch tier —
-// generates bit-identical campaigns; wider words only raise throughput.
+// per-trace hot path. Every width — and therefore every dispatch tier —
+// generates bit-identical campaigns. Since campaigns read leakage
+// tables, the width no longer changes the work per trace either; the
+// knob stays until the per-width plumbing is retired (see ROADMAP).
 // Workers are persistent: each engine keeps the per-width target
 // variants, a pool of worker clones, AND a parked thread pool
 // (engine/worker_pool.hpp) alive across campaigns, so sweeps of many
-// small campaigns pay synthesis, cloning and thread creation once — not
-// once per campaign.
+// small campaigns pay synthesis, tabulation, cloning and thread creation
+// once — not once per campaign.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +83,8 @@ struct CampaignOptions {
   /// default single zero byte fits any single-S-box target.
   std::vector<std::uint8_t> key = {0};
   /// Gaussian measurement noise RMS [J] added per trace (per sample for
-  /// time-resolved campaigns).
+  /// time-resolved campaigns). Must be finite and >= 0: every campaign
+  /// entry point throws InvalidArgument before any shard runs otherwise.
   double noise_sigma = 0.0;
   /// Seed of the campaign's plaintext/noise streams; one seed reproduces
   /// the exact trace sequence bit for bit.

@@ -3,8 +3,8 @@
 // One encryption produces one scalar sample (total energy of the S-box
 // evaluation cycle). A TraceSet pairs samples with the plaintexts that
 // produced them — everything a first-order DPA/CPA attack consumes.
-// Storage is structure-of-arrays so batched producers (the 64-wide trace
-// engine) can append whole blocks without per-trace bookkeeping.
+// Storage is structure-of-arrays so batched producers (the trace engine)
+// can append whole blocks without per-trace bookkeeping.
 #pragma once
 
 #include <cstdint>

@@ -11,12 +11,9 @@
 #include <bit>
 #include <cstring>
 
-#include "cell/builder.hpp"
 #include "cell/circuit_sim.hpp"
 #include "cell/wddl.hpp"
-#include "crypto/round_target.hpp"
 #include "dpa/block_stats.hpp"
-#include "expr/factoring.hpp"
 #include "expr/truth_table.hpp"
 #include "netlist/conduction.hpp"
 #include "switchsim/cycle_sim.hpp"
@@ -28,7 +25,6 @@
 
 #include "cell/circuit_sim_impl.hpp"
 #include "cell/wddl_impl.hpp"
-#include "crypto/round_target_impl.hpp"
 #include "dpa/block_stats_impl.hpp"
 #include "netlist/conduction_impl.hpp"
 #include "switchsim/cycle_sim_impl.hpp"
@@ -39,8 +35,6 @@ SABLE_INSTANTIATE_CONDUCTION(::sable::Word512)
 SABLE_INSTANTIATE_CYCLE_SIM(::sable::Word512)
 SABLE_INSTANTIATE_CIRCUIT_SIM(::sable::Word512)
 SABLE_INSTANTIATE_WDDL(::sable::Word512)
-SABLE_INSTANTIATE_ROUND_TARGET(::sable::Word512)
-SABLE_INSTANTIATE_WITH_LANE_WIDTH(::sable::Word512)
 
 namespace detail {
 

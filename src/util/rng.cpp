@@ -16,44 +16,11 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  SABLE_ASSERT(bound > 0, "Rng::below requires a positive bound");
-  // Lemire's multiply-shift rejection method.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 double Rng::uniform() {

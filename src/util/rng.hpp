@@ -5,7 +5,10 @@
 // re-runnable bit-for-bit.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+
+#include "util/error.hpp"
 
 namespace sable {
 
@@ -15,10 +18,44 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x5ab1e5ab1e5ab1e5ULL);
 
   /// Uniform 64-bit value.
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) using Lemire rejection; bound > 0.
-  std::uint64_t below(std::uint64_t bound);
+  /// Inline because campaign plaintexts take one draw per S-box instance
+  /// per trace.
+  std::uint64_t below(std::uint64_t bound) {
+    SABLE_ASSERT(bound > 0, "Rng::below requires a positive bound");
+    if ((bound & (bound - 1)) == 0) {
+      // Power of two: Lemire's rejection threshold (-bound % bound) is 0,
+      // so no draw is ever rejected, and the high word of x * 2^k is the
+      // top k bits of x. bound = 1 (k = 0) must not shift by 64.
+      const std::uint64_t x = next();
+      return bound == 1 ? 0 : x >> (64 - std::countr_zero(bound));
+    }
+    // Lemire's multiply-shift rejection method.
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1).
   double uniform();

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "cell/circuit_sim.hpp"
 #include "crypto/target.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"

@@ -20,6 +20,7 @@
 #include "dpa/mtd.hpp"
 #include "engine/trace_engine.hpp"
 #include "power/trace.hpp"
+#include "switchsim/cycle_sim.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "util/lane_word.hpp"
 #include "util/rng.hpp"

@@ -1,0 +1,315 @@
+// Tabulated leakage against direct simulation: the table-driven round
+// target must reproduce the per-trace switch-level simulation
+// (reference_simulation.hpp) bit for bit — every logic style, scalar and
+// time-resolved data, ragged counts, noise on and off, chained static-CMOS
+// calls and scalar trace() sequences, nibble-, byte- and bit-straddling
+// layouts — and identical instances must share one table.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "crypto/round_target.hpp"
+#include "engine/trace_engine.hpp"
+#include "reference_simulation.hpp"
+#include "util/rng.hpp"
+
+namespace sable {
+namespace {
+
+const Technology kTech = Technology::generic_180nm();
+
+constexpr LogicStyle kStyles[] = {
+    LogicStyle::kStaticCmos,         LogicStyle::kSablGenuine,
+    LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
+    LogicStyle::kWddlBalanced,       LogicStyle::kWddlMismatched};
+
+constexpr std::size_t kCounts[] = {1, 63, 64, 65, 4133};
+
+// Doubles that differ in any bit (so -0.0 vs 0.0 counts too).
+std::size_t differing(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < a.size() && k < b.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(a[k]) !=
+        std::bit_cast<std::uint64_t>(b[k])) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// A non-zero subkey per instance.
+std::vector<std::uint8_t> round_key(const RoundSpec& round) {
+  std::vector<std::size_t> subkeys;
+  for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
+    const std::size_t mask = (std::size_t{1} << round.sboxes[i].in_bits) - 1;
+    subkeys.push_back((0x5 + 7 * i) & mask);
+  }
+  return round.pack_subkeys(subkeys);
+}
+
+// Sixteen PRESENT S-boxes (nibble-packed), one PRESENT S-box (the
+// one-byte-state path), and PRESENT + DES S1 + PRESENT, whose DES input
+// straddles a byte boundary.
+std::vector<RoundSpec> rounds_for(LogicStyle style) {
+  RoundSpec mixed;
+  mixed.sboxes = {present_spec(), des1_spec(), present_spec()};
+  mixed.style = style;
+  return {present_round(16, style), single_sbox_round(present_spec(), style),
+          mixed};
+}
+
+// trace_batch / trace_batch_sampled of a fresh target and a fresh oracle
+// over the same campaign-style plaintexts and noise stream.
+void expect_batches_match(const RoundSpec& round, std::size_t count,
+                          double sigma, bool sampled) {
+  SCOPED_TRACE(std::string(to_string(round.style)) + " x" +
+               std::to_string(round.num_sboxes()) + " count " +
+               std::to_string(count) + (sampled ? " sampled" : " scalar") +
+               (sigma != 0.0 ? " noisy" : ""));
+  RoundTarget target(round, kTech);
+  ReferenceRound oracle(target, kTech);
+  const std::vector<std::uint8_t> key = round_key(round);
+  std::vector<std::uint8_t> pts(count * round.state_bytes());
+  Rng pt_rng(0x51ED + count);
+  round.fill_random_states(pt_rng, count, pts.data());
+  const std::size_t width = sampled ? target.num_levels() : 1;
+  ASSERT_EQ(width, sampled ? oracle.num_levels() : 1);
+  std::vector<double> got(count * width);
+  std::vector<double> want(count * width);
+  Rng noise_a(0xA015E);
+  Rng noise_b(0xA015E);
+  if (sampled) {
+    target.trace_batch_sampled(pts.data(), count, key.data(), sigma, noise_a,
+                               got.data());
+    oracle.trace_batch_sampled(pts.data(), count, key.data(), sigma, noise_b,
+                               want.data());
+  } else {
+    target.trace_batch(pts.data(), count, key.data(), sigma, noise_a,
+                       got.data());
+    oracle.trace_batch(pts.data(), count, key.data(), sigma, noise_b,
+                       want.data());
+  }
+  EXPECT_EQ(differing(got, want), 0u);
+  EXPECT_EQ(noise_a.next(), noise_b.next());  // same draws consumed
+}
+
+TEST(LeakageTableTest, TraceBatchMatchesDirectSimulation) {
+  for (LogicStyle style : kStyles) {
+    for (const RoundSpec& round : rounds_for(style)) {
+      for (std::size_t count : kCounts) {
+        for (double sigma : {0.0, 3e-16}) {
+          expect_batches_match(round, count, sigma, false);
+        }
+      }
+    }
+  }
+}
+
+TEST(LeakageTableTest, TraceBatchSampledMatchesDirectSimulation) {
+  for (LogicStyle style : kStyles) {
+    for (const RoundSpec& round : rounds_for(style)) {
+      for (std::size_t count : kCounts) {
+        for (double sigma : {0.0, 3e-16}) {
+          expect_batches_match(round, count, sigma, true);
+        }
+      }
+    }
+  }
+}
+
+// An 8-bit S-box: the static-CMOS pair rows span all 65,536 input pairs.
+TEST(LeakageTableTest, ByteWideSboxMatchesDirectSimulation) {
+  for (LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablFullyConnected}) {
+    const RoundSpec round = single_sbox_round(aes_spec(), style);
+    expect_batches_match(round, 4133, 0.0, false);
+    expect_batches_match(round, 4133, 0.0, true);
+  }
+}
+
+// Static CMOS history carries across calls: ragged chained calls with no
+// reset in between, then a reset, must match the simulators' lane history
+// — including calls whose lanes only partly have a previous input.
+TEST(LeakageTableTest, ChainedCmosCallsKeepLaneHistory) {
+  const RoundSpec round = present_round(16, LogicStyle::kStaticCmos);
+  RoundTarget target(round, kTech);
+  ReferenceRound oracle(target, kTech);
+  const std::vector<std::uint8_t> key = round_key(round);
+  Rng pt_rng(0xC4A1);
+  Rng noise_a(0x7);
+  Rng noise_b(0x7);
+  for (std::size_t count : {37, 100, 200, 30, 64, 1}) {
+    std::vector<std::uint8_t> pts(count * round.state_bytes());
+    round.fill_random_states(pt_rng, count, pts.data());
+    std::vector<double> got(count);
+    std::vector<double> want(count);
+    target.trace_batch(pts.data(), count, key.data(), 1e-16, noise_a,
+                       got.data());
+    oracle.trace_batch(pts.data(), count, key.data(), 1e-16, noise_b,
+                       want.data());
+    EXPECT_EQ(differing(got, want), 0u) << "count " << count;
+    if (count == 200) {
+      target.reset_state();
+      oracle.reset();
+    }
+  }
+}
+
+// Scalar trace() is the one-trace call: it runs in logical lane 0, so a
+// sequence of them chains through lane 0's history, and a batch after
+// them sees it.
+TEST(LeakageTableTest, ScalarTraceSequenceMatchesDirectSimulation) {
+  for (LogicStyle style : kStyles) {
+    SCOPED_TRACE(to_string(style));
+    const RoundSpec round = present_round(4, style);
+    RoundTarget target(round, kTech);
+    ReferenceRound oracle(target, kTech);
+    const std::vector<std::uint8_t> key = round_key(round);
+    Rng pt_rng(0x5CA1);
+    Rng noise_a(0x9);
+    Rng noise_b(0x9);
+    std::vector<std::uint8_t> pt(round.state_bytes());
+    std::vector<double> got;
+    std::vector<double> want;
+    for (int k = 0; k < 150; ++k) {
+      round.fill_random_states(pt_rng, 1, pt.data());
+      got.push_back(target.trace(pt.data(), key.data(), 2e-16, noise_a));
+      want.push_back(oracle.trace(pt.data(), key.data(), 2e-16, noise_b));
+    }
+    EXPECT_EQ(differing(got, want), 0u);
+    const std::size_t count = 70;
+    std::vector<std::uint8_t> pts(count * round.state_bytes());
+    round.fill_random_states(pt_rng, count, pts.data());
+    std::vector<double> batch_got(count);
+    std::vector<double> batch_want(count);
+    target.trace_batch(pts.data(), count, key.data(), 0.0, noise_a,
+                       batch_got.data());
+    oracle.trace_batch(pts.data(), count, key.data(), 0.0, noise_b,
+                       batch_want.data());
+    EXPECT_EQ(differing(batch_got, batch_want), 0u);
+  }
+}
+
+// A whole engine campaign (sharded, fresh state per shard) equals the
+// oracle run shard by shard over the same counter-derived streams. The
+// sampled campaign starts on a fresh engine with four workers, so their
+// first shards race to build the shared time-resolved rows.
+void expect_campaign_matches(LogicStyle style, bool sampled) {
+  SCOPED_TRACE(std::string(to_string(style)) +
+               (sampled ? " sampled" : " scalar"));
+  const RoundSpec round = present_round(16, style);
+  TraceEngine engine(round, kTech);
+  CampaignOptions options;
+  options.num_traces = 2500;
+  options.shard_size = 128;
+  options.key = round_key(round);
+  options.noise_sigma = 1e-16;
+  options.seed = 0x0AC1E;
+  options.num_threads = 4;
+  std::vector<double> got;
+  const auto sink = [&](const std::uint8_t*, const double* data,
+                        std::size_t count) {
+    const std::size_t width = sampled ? engine.target().num_levels() : 1;
+    got.insert(got.end(), data, data + count * width);
+  };
+  if (sampled) {
+    engine.stream_sampled(options, sink);
+  } else {
+    engine.stream(options, sink);
+  }
+  ReferenceRound oracle(engine.target(), kTech);
+  const std::size_t width = sampled ? oracle.num_levels() : 1;
+  std::vector<double> want;
+  for (std::size_t start = 0, s = 0; start < options.num_traces;
+       start += options.shard_size, ++s) {
+    const std::size_t count =
+        std::min(options.shard_size, options.num_traces - start);
+    std::vector<std::uint8_t> pts(count * round.state_bytes());
+    Rng pt_rng(campaign_shard_seed(options.seed, s, 0));
+    round.fill_random_states(pt_rng, count, pts.data());
+    Rng noise(campaign_shard_seed(options.seed, s, 1));
+    oracle.reset();
+    std::vector<double> shard(count * width);
+    if (sampled) {
+      oracle.trace_batch_sampled(pts.data(), count, options.key.data(),
+                                 options.noise_sigma, noise, shard.data());
+    } else {
+      oracle.trace_batch(pts.data(), count, options.key.data(),
+                         options.noise_sigma, noise, shard.data());
+    }
+    want.insert(want.end(), shard.begin(), shard.end());
+  }
+  EXPECT_EQ(differing(got, want), 0u);
+}
+
+TEST(LeakageTableTest, EngineCampaignsMatchDirectSimulation) {
+  for (LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablEnhanced}) {
+    expect_campaign_matches(style, false);
+    expect_campaign_matches(style, true);
+  }
+}
+
+// Distinct tables behind a round's instances.
+std::size_t distinct_tables(const RoundTarget& target) {
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < target.round().num_sboxes(); ++i) {
+    bool shared = false;
+    for (std::size_t j = 0; j < i; ++j) {
+      shared = shared || &target.leakage_table(j) == &target.leakage_table(i);
+    }
+    if (!shared) ++distinct;
+  }
+  return distinct;
+}
+
+TEST(LeakageTableTest, IdenticalInstancesShareOneTable) {
+  const RoundTarget enhanced(present_round(16, LogicStyle::kSablEnhanced),
+                             kTech);
+  EXPECT_EQ(distinct_tables(enhanced), 1u);
+  EXPECT_EQ(distinct_tables(
+                RoundTarget(present_round(16, LogicStyle::kStaticCmos), kTech)),
+            1u);
+  // Every WDDL instance draws its own rail imbalance.
+  EXPECT_EQ(distinct_tables(RoundTarget(
+                present_round(16, LogicStyle::kWddlMismatched), kTech)),
+            16u);
+  RoundSpec mixed;
+  mixed.sboxes = {present_spec(), des1_spec(), present_spec()};
+  mixed.style = LogicStyle::kSablGenuine;
+  EXPECT_EQ(distinct_tables(RoundTarget(mixed, kTech)), 2u);
+  // Clones and lane-width variants share the tables instead of rebuilding.
+  const RoundTarget clone = enhanced.clone();
+  EXPECT_EQ(&clone.leakage_table(3), &enhanced.leakage_table(0));
+  const auto wide = enhanced.with_lane_width<Word128>();
+  EXPECT_EQ(&wide.leakage_table(15), &enhanced.leakage_table(0));
+}
+
+TEST(LeakageTableTest, RowsCoverEveryInputState) {
+  const RoundTarget cmos(single_sbox_round(present_spec(),
+                                           LogicStyle::kStaticCmos),
+                         kTech);
+  const LeakageTable& pairs = cmos.leakage_table(0);
+  EXPECT_TRUE(pairs.has_history());
+  EXPECT_EQ(pairs.num_rows(), 16u + 256u);
+  EXPECT_EQ(pairs.settled_energies().size(), 256u);
+  EXPECT_EQ(pairs.row(0x3, 0xA), 16u + 0x3A);
+  EXPECT_EQ(pairs.level_energies().size(),
+            pairs.num_rows() * pairs.num_levels());
+  const RoundTarget sabl(single_sbox_round(present_spec(),
+                                           LogicStyle::kSablEnhanced),
+                         kTech);
+  const LeakageTable& inputs = sabl.leakage_table(0);
+  EXPECT_FALSE(inputs.has_history());
+  EXPECT_EQ(inputs.num_rows(), 16u);
+  EXPECT_EQ(inputs.settled_energies().size(), 16u);
+}
+
+}  // namespace
+}  // namespace sable

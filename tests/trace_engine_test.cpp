@@ -4,7 +4,11 @@
 // attack results.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "cell/builder.hpp"
 #include "cell/circuit_sim.hpp"
@@ -563,6 +567,37 @@ TEST(TraceEngineTest, RepeatedCampaignsOnOneEngineAreReproducible) {
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first.plaintexts[i], second.plaintexts[i]);
     EXPECT_EQ(first.samples[i], second.samples[i]) << i;
+  }
+}
+
+TEST(TraceEngineTest, RejectsBadNoiseSigmaBeforeAnyShardRuns) {
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  const std::string corpus =
+      (std::filesystem::temp_directory_path() /
+       ("sable_bad_sigma_" + std::to_string(::getpid()) + ".sablcorp"))
+          .string();
+  for (const double sigma : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1e-16}) {
+    CampaignOptions options;
+    options.num_traces = 256;
+    options.noise_sigma = sigma;
+    bool sink_called = false;
+    const auto sink = [&](const std::uint8_t*, const double*, std::size_t) {
+      sink_called = true;
+    };
+    EXPECT_THROW(engine.run(options), InvalidArgument) << sigma;
+    EXPECT_THROW(engine.stream(options, sink), InvalidArgument);
+    EXPECT_THROW(engine.stream_sampled(options, sink), InvalidArgument);
+    EXPECT_FALSE(sink_called);
+    EXPECT_THROW(engine.record(options, TraceDataKind::kScalar, corpus),
+                 InvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(corpus));
+    CpaDistinguisher cpa(engine.spec(),
+                         AttackSelector{.model = PowerModel::kHammingWeight});
+    std::vector<Distinguisher*> list = {&cpa};
+    EXPECT_THROW(engine.run_distinguishers(options, list), InvalidArgument);
+    // Rejected before the (missing) partial file is even opened.
+    EXPECT_THROW(engine.merge_partials(options, list, {corpus}),
+                 InvalidArgument);
   }
 }
 

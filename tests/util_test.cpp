@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "util/error.hpp"
@@ -39,6 +40,73 @@ TEST(RngTest, BelowIsInRangeAndCoversValues) {
     seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 10u);
+}
+
+// The generator as it was before next() and below() moved inline and
+// below() gained its power-of-two path: splitmix64 seeding, xoshiro256**
+// and Lemire's rejection for every bound. Campaign plaintext streams are
+// recorded in corpora and checkpoints, so the new code must reproduce
+// this one draw for draw.
+class ReferenceRng {
+ public:
+  explicit ReferenceRng(std::uint64_t seed) {
+    for (auto& s : s_) {
+      seed += 0x9e3779b97f4a7c15ULL;
+      std::uint64_t z = seed;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+      s = z ^ (z >> 31);
+    }
+  }
+
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
+
+  std::uint64_t below(std::uint64_t bound) {
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
+
+ private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  std::uint64_t s_[4];
+};
+
+TEST(RngTest, BelowMatchesTheReferenceStreamDrawForDraw) {
+  // Powers of two (1 included) take the fast path, 6 the rejection loop;
+  // interleaving them also pins that both consume the same draws.
+  const std::uint64_t bounds[] = {1, 2, 16, 64, 256, 6};
+  Rng rng(0xC0FFEE);
+  ReferenceRng reference(0xC0FFEE);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < (std::size_t{1} << 20); ++i) {
+    for (const std::uint64_t bound : bounds) {
+      if (rng.below(bound) != reference.below(bound)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(rng.next(), reference.next());
 }
 
 TEST(RngTest, UniformInUnitInterval) {
