@@ -34,20 +34,18 @@
 // JSON reports compare byte-identical (%.17g scores), which is what the
 // CI two-process smoke asserts.
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "engine/trace_engine.hpp"
 #include "io/campaign_state.hpp"
 #include "io/corpus.hpp"
+#include "parse_number.hpp"
 
 using namespace sable;
 
@@ -94,35 +92,6 @@ bool parse_style(const char* name, LogicStyle* style) {
     }
   }
   return false;
-}
-
-// Checked numeric flag values: the whole string must be one number, with
-// no sign, no trailing characters and no overflow, so a typo fails loudly
-// instead of turning "abc" into 0 or "12x" into 12. Integers also take a
-// 0x hex prefix; --noise must be finite. Prints the error naming `flag`.
-template <typename T>
-bool parse_number(const char* flag, std::string_view text, T* out) {
-  const char* first = text.data();
-  const char* last = first + text.size();
-  std::from_chars_result parsed{};
-  if constexpr (std::is_floating_point_v<T>) {
-    parsed = std::from_chars(first, last, *out);
-  } else {
-    int base = 10;
-    if (text.size() > 2 && text[0] == '0' && (text[1] | 0x20) == 'x') {
-      first += 2;
-      base = 16;
-    }
-    parsed = std::from_chars(first, last, *out, base);
-  }
-  bool ok = !text.empty() && text[0] != '-' && parsed.ec == std::errc() &&
-            parsed.ptr == last;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(*out);
-  if (!ok) {
-    std::fprintf(stderr, "%s expects a non-negative number, got '%.*s'\n",
-                 flag, static_cast<int>(text.size()), text.data());
-  }
-  return ok;
 }
 
 // The flags each subcommand reads. The campaign flags define the

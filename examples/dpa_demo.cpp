@@ -25,13 +25,13 @@
 // distinguisher states to `P.<style>` so an interrupted run resumes.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "engine/trace_engine.hpp"
 #include "io/corpus.hpp"
+#include "parse_number.hpp"
 #include "util/cpu_dispatch.hpp"
 
 using namespace sable;
@@ -132,17 +132,13 @@ int main(int argc, char** argv) {
   std::string checkpoint_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      num_threads =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!parse_number("--threads", argv[++i], &num_threads)) return 2;
     } else if (std::strcmp(argv[i], "--round") == 0 && i + 1 < argc) {
-      round_size =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!parse_number("--round", argv[++i], &round_size)) return 2;
     } else if (std::strcmp(argv[i], "--attack-sbox") == 0 && i + 1 < argc) {
-      attack_sbox =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!parse_number("--attack-sbox", argv[++i], &attack_sbox)) return 2;
     } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      lane_width =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!parse_number("--lanes", argv[++i], &lane_width)) return 2;
     } else if (std::strcmp(argv[i], "--second-order") == 0) {
       second_order = true;
     } else if (std::strcmp(argv[i], "--record") == 0 && i + 1 < argc) {

@@ -4,16 +4,32 @@
 // (1,1)-input events of the paper's Fig. 3 and writes time, output
 // voltages, DPDN node voltages and the supply current to stdout (redirect
 // to a file and plot with any tool).
+//
+//   example_waveform_dump [PERIOD]   clock period in seconds (default 4e-9)
 #include <cstdio>
 #include <string>
 
 #include "core/fc_synthesizer.hpp"
 #include "expr/parser.hpp"
+#include "parse_number.hpp"
 #include "sabl/testbench.hpp"
 
 using namespace sable;
 
 int main(int argc, char** argv) {
+  TestbenchOptions opt;
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: %s [PERIOD]\n", argv[0]);
+    return 2;
+  }
+  if (argc > 1) {
+    if (!parse_number("PERIOD", argv[1], &opt.period)) return 2;
+    if (opt.period <= 0.0) {
+      std::fprintf(stderr, "PERIOD must be positive, got '%s'\n", argv[1]);
+      return 2;
+    }
+  }
+
   VarTable vars;
   const ExprPtr f = parse_expression("A.B", vars);
   const DpdnNetwork net = synthesize_fc_dpdn(f, 2);
@@ -22,8 +38,6 @@ int main(int argc, char** argv) {
 
   // Fig. 3: (0,1)-input (A=0, B=1 -> assignment 0b10) then (1,1).
   const std::vector<std::uint64_t> seq = {0b10, 0b11};
-  TestbenchOptions opt;
-  if (argc > 1) opt.period = std::stod(argv[1]);
   const SablRunResult run = run_sabl_sequence(net, vars, tech, sizing, seq,
                                               opt);
   const auto& w = run.waves;

@@ -59,33 +59,22 @@ bool same_sbox(const SboxSpec& a, const SboxSpec& b) {
          a.table == b.table;
 }
 
-std::size_t extract_bits(const std::uint8_t* state, std::size_t offset,
-                         std::size_t bits) {
-  std::size_t value = 0;
-  for (std::size_t b = 0; b < bits; ++b) {
-    const std::size_t bit = offset + b;
-    value |=
-        static_cast<std::size_t>((state[bit >> 3] >> (bit & 7)) & 1u) << b;
-  }
-  return value;
-}
-
-void deposit_bits(std::uint8_t* state, std::size_t offset, std::size_t bits,
-                  std::size_t value) {
-  for (std::size_t b = 0; b < bits; ++b) {
-    const std::size_t bit = offset + b;
-    const std::uint8_t mask = static_cast<std::uint8_t>(1u << (bit & 7));
-    if ((value >> b) & 1u) {
-      state[bit >> 3] |= mask;
-    } else {
-      state[bit >> 3] &= static_cast<std::uint8_t>(~mask);
-    }
-  }
+SubWordField field_of(const RoundSpec& round, std::size_t index) {
+  return SubWordField(round.bit_offset(index), round.sboxes[index].in_bits);
 }
 
 }  // namespace
 
 // ---- RoundSpec ------------------------------------------------------------
+
+SubWordField::SubWordField(std::size_t offset, std::size_t bits) {
+  SABLE_REQUIRE(bits >= 1 && bits <= 8,
+                "S-box input width must be 1..8 bits");
+  byte = offset >> 3;
+  shift = static_cast<unsigned>(offset & 7);
+  mask = (std::uint32_t{1} << bits) - 1;
+  straddles = shift + bits > 8;
+}
 
 std::size_t RoundSpec::state_bits() const {
   std::size_t bits = 0;
@@ -102,26 +91,23 @@ std::size_t RoundSpec::bit_offset(std::size_t index) const {
 
 std::size_t RoundSpec::sub_word(const std::uint8_t* state,
                                 std::size_t index) const {
-  return extract_bits(state, bit_offset(index),
-                                           sboxes[index].in_bits);
+  return field_of(*this, index).read(state);
 }
 
 void RoundSpec::set_sub_word(std::uint8_t* state, std::size_t index,
                              std::size_t value) const {
-  const std::size_t bits = sboxes[index].in_bits;
-  SABLE_REQUIRE(value < (std::size_t{1} << bits),
+  const SubWordField f = field_of(*this, index);
+  SABLE_REQUIRE(value <= f.mask,
                 "sub-word exceeds the instance's input width");
-  deposit_bits(state, bit_offset(index), bits, value);
+  f.flip(state, f.read(state) ^ static_cast<std::uint32_t>(value));
 }
 
 void RoundSpec::sub_words(const std::uint8_t* states, std::size_t count,
                           std::size_t index, std::uint8_t* out) const {
-  const std::size_t offset = bit_offset(index);
-  const std::size_t bits = sboxes[index].in_bits;
+  const SubWordField f = field_of(*this, index);
   const std::size_t stride = state_bytes();
   for (std::size_t t = 0; t < count; ++t) {
-    out[t] = static_cast<std::uint8_t>(
-        extract_bits(states + t * stride, offset, bits));
+    out[t] = static_cast<std::uint8_t>(f.read(states + t * stride));
   }
 }
 
@@ -139,25 +125,13 @@ std::vector<std::uint8_t> RoundSpec::pack_subkeys(
 void RoundSpec::fill_random_states(Rng& rng, std::size_t count,
                                    std::uint8_t* states) const {
   const std::size_t stride = state_bytes();
+  // Zeroed states: flipping a draw into its field deposits it.
   std::fill(states, states + count * stride, std::uint8_t{0});
-  // Per-instance placement, hoisted out of the state loop. Sub-words that
-  // sit inside one byte (all the built-in layouts) deposit with a single
-  // OR; only byte-straddling instances pay the per-bit deposit.
-  struct Placement {
-    std::uint64_t range;
-    std::size_t byte;
-    unsigned shift;
-    std::size_t offset;
-    std::size_t bits;
-    bool in_byte;
-  };
-  std::vector<Placement> places;
-  places.reserve(sboxes.size());
+  std::vector<SubWordField> fields;
+  fields.reserve(sboxes.size());
   std::size_t offset = 0;
   for (const SboxSpec& spec : sboxes) {
-    places.push_back({std::uint64_t{1} << spec.in_bits, offset >> 3,
-                      static_cast<unsigned>(offset & 7), offset,
-                      spec.in_bits, (offset & 7) + spec.in_bits <= 8});
+    fields.emplace_back(offset, spec.in_bits);
     offset += spec.in_bits;
   }
   // A local generator: byte stores may alias any object, so drawing from
@@ -165,13 +139,8 @@ void RoundSpec::fill_random_states(Rng& rng, std::size_t count,
   Rng local = rng;
   for (std::size_t t = 0; t < count; ++t) {
     std::uint8_t* state = states + t * stride;
-    for (const Placement& p : places) {
-      const std::uint64_t value = local.below(p.range);
-      if (p.in_byte) {
-        state[p.byte] |= static_cast<std::uint8_t>(value << p.shift);
-      } else {
-        deposit_bits(state, p.offset, p.bits, value);
-      }
+    for (const SubWordField& f : fields) {
+      f.flip(state, static_cast<std::uint32_t>(local.below(f.mask + 1)));
     }
   }
   rng = local;
@@ -239,12 +208,9 @@ RoundTargetBase::RoundTargetBase(const RoundSpec& round,
   std::size_t offset = 0;
   for (std::size_t i = 0; i < round.sboxes.size(); ++i) {
     const SboxSpec& spec = round.sboxes[i];
-    SABLE_REQUIRE(spec.in_bits >= 1 && spec.in_bits <= 8,
-                  "S-box input width must be 1..8 bits");
+    Instance instance{SubWordField(offset, spec.in_bits), nullptr};
     SABLE_REQUIRE(spec.table.size() == (std::size_t{1} << spec.in_bits),
                   "S-box table must cover every input");
-    Instance instance;
-    instance.bit_offset = offset;
     offset += spec.in_bits;
     // Identical specs share one synthesized circuit (a 16-instance PRESENT
     // round synthesizes once) and, but for WDDL, its table.
@@ -280,29 +246,14 @@ void RoundTargetBase::instance_rows(std::size_t i, const std::uint8_t* pts,
                                     const std::uint8_t* key,
                                     std::uint32_t* rows) {
   const std::size_t stride = stride_;
-  const std::size_t offset = instances_[i].bit_offset;
-  const std::size_t bits = round_.sboxes[i].in_bits;
-  const auto subkey =
-      static_cast<std::uint32_t>(extract_bits(key, offset, bits));
+  const SubWordField field = instances_[i].field;
+  const std::uint32_t subkey = field.read(key);
   const std::uint8_t* states = pts + base * stride;
-  if ((offset & 7) + bits <= 8) {
-    // Hot path: the sub-word sits inside one byte (every nibble- or
-    // byte-aligned layout, which is all the built-in rounds) — a shift
-    // and a mask per trace instead of the per-bit gather.
-    const std::uint8_t* bytes = states + (offset >> 3);
-    const unsigned shift = offset & 7;
-    const std::uint32_t mask = (1u << bits) - 1u;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      rows[lane] = ((bytes[lane * stride] >> shift) & mask) ^ subkey;
-    }
-  } else {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      rows[lane] = static_cast<std::uint32_t>(
-                       extract_bits(states + lane * stride, offset, bits)) ^
-                   subkey;
-    }
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    rows[lane] = field.read(states + lane * stride) ^ subkey;
   }
   if (history_.empty()) return;
+  const std::size_t bits = round_.sboxes[i].in_bits;
   // Static CMOS: trace base + L runs in logical lane L (base is a multiple
   // of 64), whose previous input is the last one that lane held.
   // Branch-free: row(previous, x) = row(0, 0) + ((previous << bits) | x).

@@ -58,6 +58,38 @@ enum class LogicStyle {
 
 const char* to_string(LogicStyle style);
 
+/// Where one instance's sub-word sits in a packed state, as a byte window:
+/// a 1–8-bit sub-word at bit `offset` spans at most the two adjacent bytes
+/// from `byte`, so one shift and mask reads or writes it in every layout.
+/// The second byte is touched only when the sub-word straddles into it
+/// (shift + bits > 8, so that byte holds its last bit): no access leaves
+/// the sub-word's own span.
+struct SubWordField {
+  /// Throws InvalidArgument unless 1 <= bits <= 8.
+  SubWordField(std::size_t offset, std::size_t bits);
+
+  std::uint32_t read(const std::uint8_t* state) const {
+    const std::uint8_t* b = state + byte;
+    std::uint32_t window = b[0];
+    if (straddles) window |= std::uint32_t{b[1]} << 8;
+    return (window >> shift) & mask;
+  }
+  /// XORs `bits` (< 2^width) into the sub-word; other bits keep. Into a
+  /// zeroed sub-word this stores `bits`; flipping read() ^ value stores
+  /// `value` over any old one.
+  void flip(std::uint8_t* state, std::uint32_t bits) const {
+    std::uint8_t* b = state + byte;
+    const std::uint32_t placed = bits << shift;
+    b[0] ^= static_cast<std::uint8_t>(placed);
+    if (straddles) b[1] ^= static_cast<std::uint8_t>(placed >> 8);
+  }
+
+  std::size_t byte;    // offset >> 3
+  unsigned shift;      // offset & 7
+  std::uint32_t mask;  // 2^bits - 1
+  bool straddles;      // shift + bits > 8
+};
+
 /// A round's nonlinear layer: the S-box instances (possibly heterogeneous,
 /// each 1–8 input bits) and the logic style they are all implemented in.
 struct RoundSpec {
@@ -162,8 +194,8 @@ class RoundTargetBase {
 
  private:
   struct Instance {
+    SubWordField field;
     std::shared_ptr<const LeakageTable> table;
-    std::size_t bit_offset = 0;
   };
   // Static CMOS history of one instance: the input each logical lane last
   // held, and which lanes hold one at all.

@@ -7,6 +7,7 @@
 // campaign against the retained-trace multisample attack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -62,6 +63,149 @@ TEST(RoundSpecTest, PackedStateLayout) {
   EXPECT_EQ(mixed.sub_word(packed.data(), 2), 0x80u);
   EXPECT_THROW(mixed.pack_subkeys({0x7, 0x3F}), InvalidArgument);
   EXPECT_THROW(mixed.set_sub_word(state.data(), 0, 0x10), InvalidArgument);
+}
+
+// Per-bit oracles of the packed layout: bit b of a sub-word at `offset` is
+// state bit offset + b, LSB-first within each byte.
+std::size_t oracle_extract(const std::uint8_t* state, std::size_t offset,
+                           std::size_t bits) {
+  std::size_t value = 0;
+  for (std::size_t b = 0; b < bits; ++b) {
+    const std::size_t bit = offset + b;
+    value |= static_cast<std::size_t>((state[bit >> 3] >> (bit & 7)) & 1u)
+             << b;
+  }
+  return value;
+}
+
+void oracle_deposit(std::uint8_t* state, std::size_t offset,
+                    std::size_t bits, std::size_t value) {
+  for (std::size_t b = 0; b < bits; ++b) {
+    const std::size_t bit = offset + b;
+    const auto mask = static_cast<std::uint8_t>(1u << (bit & 7));
+    if ((value >> b) & 1u) {
+      state[bit >> 3] |= mask;
+    } else {
+      state[bit >> 3] &= static_cast<std::uint8_t>(~mask);
+    }
+  }
+}
+
+SboxSpec identity_spec(std::size_t bits) {
+  SboxSpec spec;
+  spec.name = "identity";
+  spec.in_bits = bits;
+  spec.out_bits = bits;
+  spec.table.resize(std::size_t{1} << bits);
+  for (std::size_t x = 0; x < spec.table.size(); ++x) {
+    spec.table[x] = static_cast<std::uint8_t>(x);
+  }
+  return spec;
+}
+
+TEST(RoundSpecTest, SubWordFieldsMatchPerBitOracleOnRandomLayouts) {
+  // Heterogeneous layouts of widths 1..8 in random order put sub-words at
+  // every in-byte shift, inside one byte and straddling two; the last
+  // instance always ends in the state's final byte. The buffers hold
+  // exactly count * state_bytes() bytes, so a read or write past the last
+  // state's span trips the address sanitizer.
+  Rng layout_rng(0x5B0D);
+  std::size_t shifts_seen = 0;  // bit s: some sub-word started at shift s
+  bool straddle_seen = false;
+  bool in_byte_seen = false;
+  for (int trial = 0; trial < 200; ++trial) {
+    RoundSpec round;
+    const std::size_t n = 1 + layout_rng.below(12);
+    std::vector<std::size_t> offsets;
+    std::size_t offset = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t bits = 1 + layout_rng.below(8);
+      round.sboxes.push_back(identity_spec(bits));
+      offsets.push_back(offset);
+      shifts_seen |= std::size_t{1} << (offset & 7);
+      if ((offset & 7) + bits > 8) {
+        straddle_seen = true;
+      } else {
+        in_byte_seen = true;
+      }
+      offset += bits;
+    }
+    const std::size_t stride = round.state_bytes();
+    ASSERT_EQ((offset - 1) / 8, stride - 1);  // last bit in the last byte
+
+    const std::size_t count = 1 + layout_rng.below(40);
+    std::vector<std::uint8_t> states(count * stride);
+    for (std::uint8_t& byte : states) {
+      byte = static_cast<std::uint8_t>(layout_rng.below(256));
+    }
+    std::vector<std::uint8_t> out(count);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t bits = round.sboxes[i].in_bits;
+      round.sub_words(states.data(), count, i, out.data());
+      for (std::size_t t = 0; t < count; ++t) {
+        const std::size_t expected =
+            oracle_extract(states.data() + t * stride, offsets[i], bits);
+        EXPECT_EQ(out[t], expected) << "trial " << trial << " instance " << i;
+        EXPECT_EQ(round.sub_word(states.data() + t * stride, i), expected);
+      }
+    }
+
+    // set_sub_word rewrites only its own bits: every write matches the
+    // oracle deposit on a twin buffer, byte for byte.
+    std::vector<std::uint8_t> twin = states;
+    for (std::size_t t = 0; t < count; ++t) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t bits = round.sboxes[i].in_bits;
+        const std::size_t value = layout_rng.below(std::size_t{1} << bits);
+        round.set_sub_word(states.data() + t * stride, i, value);
+        oracle_deposit(twin.data() + t * stride, offsets[i], bits, value);
+      }
+    }
+    EXPECT_EQ(states, twin) << "trial " << trial;
+
+    // fill_random_states: the historic stream, zeroed states with one
+    // below(2^bits) draw per instance deposited bit by bit.
+    const std::uint64_t seed = layout_rng.next();
+    Rng rng(seed);
+    Rng oracle_rng(seed);
+    round.fill_random_states(rng, count, states.data());
+    std::fill(twin.begin(), twin.end(), std::uint8_t{0});
+    for (std::size_t t = 0; t < count; ++t) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t bits = round.sboxes[i].in_bits;
+        oracle_deposit(twin.data() + t * stride, offsets[i], bits,
+                       oracle_rng.below(std::uint64_t{1} << bits));
+      }
+    }
+    EXPECT_EQ(states, twin) << "trial " << trial;
+    EXPECT_EQ(rng.next(), oracle_rng.next()) << "trial " << trial;
+  }
+  EXPECT_EQ(shifts_seen, 0xFFu);
+  EXPECT_TRUE(straddle_seen);
+  EXPECT_TRUE(in_byte_seen);
+}
+
+TEST(RoundSpecTest, SubWordWidthOutsideOneToEightThrows) {
+  // A 9-bit instance does not fit the byte-wide sub-plaintext: every
+  // accessor rejects it instead of truncating it.
+  RoundSpec round;
+  round.sboxes = {present_spec(), identity_spec(9)};
+  std::vector<std::uint8_t> states(4 * round.state_bytes(), 0);
+  std::vector<std::uint8_t> out(4);
+  Rng rng(1);
+  EXPECT_EQ(round.sub_word(states.data(), 0), 0u);
+  EXPECT_THROW(round.sub_word(states.data(), 1), InvalidArgument);
+  EXPECT_THROW(round.sub_words(states.data(), 4, 1, out.data()),
+               InvalidArgument);
+  EXPECT_THROW(round.set_sub_word(states.data(), 1, 0x1FF), InvalidArgument);
+  EXPECT_THROW(round.fill_random_states(rng, 4, states.data()),
+               InvalidArgument);
+  EXPECT_THROW(RoundTarget(round, kTech), InvalidArgument);
+  round.sboxes = {identity_spec(0), present_spec()};
+  EXPECT_THROW(round.sub_word(states.data(), 0), InvalidArgument);
+  EXPECT_THROW(round.fill_random_states(rng, 1, states.data()),
+               InvalidArgument);
+  EXPECT_THROW(RoundTarget(round, kTech), InvalidArgument);
 }
 
 TEST(RoundTargetTest, EveryInstanceComputesItsReferenceSbox) {
