@@ -15,15 +15,11 @@
 // count — the cost of realistic algorithmic noise. All tables land in
 // the JSON.
 //
-// `--lanes LIST` sweeps batch lane widths (comma-separated: 64, 128,
-// 256, 512 or "simd" = the widest width the running CPU offers) over
-// every style on one thread; campaigns are bit-identical across widths,
-// so the sweep isolates the pure SIMD speedup. The >=10x acceptance gate
-// stays pinned to the 64-bit path. Default: every width the runtime
-// dispatcher (util/cpu_dispatch.hpp) allows on this machine. A
-// pack_transpose table times the 64x64 bit-transpose lane packing
-// against the historic per-bit gather at each width, and the JSON
-// records which dispatch tier (portable / avx2 / avx512) the run used.
+// A pack_transpose table times the 64x64 bit-transpose lane packing
+// against the historic per-bit gather at every lane width the runtime
+// dispatcher (util/cpu_dispatch.hpp) allows on this machine, and the
+// JSON records which dispatch tier (portable / avx2 / avx512) the run
+// used.
 //
 // A multi_attack row times the distinguisher pipeline's one-pass
 // multi-subkey campaign (all 16 subkeys of a 16-S-box PRESENT round from
@@ -40,8 +36,8 @@
 // An accumulation table times the block-factored distinguisher path
 // (dpa/block_stats.hpp) for CPA/DoM/MultiCpa in traces/s.
 //
-// Usage: bench_trace_throughput [--threads N] [--traces N] [--round N]
-//                               [--lanes LIST] [--json PATH]
+// Usage: bench_trace_throughput [--threads N] [--threads-sweep]
+//                               [--traces N] [--round N] [--json PATH]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -81,14 +77,12 @@ struct Throughput {
 };
 
 double engine_tps(TraceEngine& engine, std::size_t num_traces,
-                  std::size_t threads, std::size_t lane_width,
-                  double* checksum) {
+                  std::size_t threads, double* checksum) {
   CampaignOptions options;
   options.num_traces = num_traces;
   options.key = {0xB};
   options.seed = 0xBE7C;
   options.num_threads = threads;
-  options.lane_width = lane_width;
   double sum = 0.0;
   const auto start = Clock::now();
   engine.stream(options, [&](const std::uint8_t*, const double* samples,
@@ -135,57 +129,11 @@ Throughput measure_style(LogicStyle style, std::size_t num_traces,
     result.checksum += sum;
   }
 
-  // The acceptance gate below compares against these rows, so they stay
-  // pinned to the historic 64-bit path; --lanes sweeps the wider words.
   TraceEngine engine(spec, style, tech);
-  result.batched_1t_tps =
-      engine_tps(engine, num_traces, 1, 64, &result.checksum);
+  result.batched_1t_tps = engine_tps(engine, num_traces, 1, &result.checksum);
   result.batched_nt_tps =
-      engine_tps(engine, num_traces, threads, 64, &result.checksum);
+      engine_tps(engine, num_traces, threads, &result.checksum);
   return result;
-}
-
-struct LaneThroughput {
-  std::size_t width = 0;
-  const char* style = nullptr;
-  double tps = 0.0;
-  double speedup_vs_64 = 0.0;
-};
-
-// Batched one-thread traces/sec per (lane width, style): campaigns are
-// bit-identical across widths, so the ratio to the 64-bit row is the pure
-// SIMD/lane-width speedup. One engine per style keeps the per-width
-// target variants and worker pool warm across the sweep.
-std::vector<LaneThroughput> measure_lane_sweep(
-    const std::vector<std::size_t>& widths, std::size_t num_traces) {
-  std::vector<LaneThroughput> rows;
-  if (widths.empty()) return rows;
-  const Technology tech = Technology::generic_180nm();
-  const SboxSpec spec = present_spec();
-  for (LogicStyle style :
-       {LogicStyle::kStaticCmos, LogicStyle::kSablGenuine,
-        LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
-        LogicStyle::kWddlBalanced}) {
-    TraceEngine engine(spec, style, tech);
-    double checksum = 0.0;
-    const std::size_t first = rows.size();
-    for (std::size_t width : widths) {
-      rows.push_back({width, to_string(style),
-                      engine_tps(engine, num_traces, 1, width, &checksum),
-                      0.0});
-    }
-    // The 64-bit row is the speedup baseline wherever it sits in the
-    // sweep; without it the ratio is meaningless and stays 0.
-    double tps64 = 0.0;
-    for (std::size_t i = first; i < rows.size(); ++i) {
-      if (rows[i].width == 64) tps64 = rows[i].tps;
-    }
-    for (std::size_t i = first; i < rows.size(); ++i) {
-      rows[i].speedup_vs_64 = tps64 > 0.0 ? rows[i].tps / tps64 : 0.0;
-    }
-    if (checksum == 0.0) std::fprintf(stderr, "unexpected zero checksum\n");
-  }
-  return rows;
 }
 
 struct PackBench {
@@ -273,8 +221,7 @@ struct ThreadSweepRow {
 };
 
 // Thread-scaling sweep (--threads-sweep): per style, streamed campaign
-// throughput at 1, 2, 4 and N threads with the width-0 default lane
-// word. Campaigns are bit-identical for any thread count, so the ratios
+// throughput at 1, 2, 4 and N threads. Campaigns are bit-identical for any thread count, so the ratios
 // isolate the scheduler: with the persistent worker pool and the shard
 // autotuner, speedup_vs_1t at 4 threads should clear ~2x on the
 // simulation-bound SABL styles whenever the machine actually has 4
@@ -294,8 +241,7 @@ std::vector<ThreadSweepRow> measure_threads_sweep(
     double checksum = 0.0;
     double tps1 = 0.0;
     for (std::size_t threads : counts) {
-      const double tps =
-          engine_tps(engine, num_traces, threads, 0, &checksum);
+      const double tps = engine_tps(engine, num_traces, threads, &checksum);
       if (threads == 1) tps1 = tps;
       rows.push_back({to_string(style), threads, tps,
                       tps1 > 0.0 ? tps / tps1 : 0.0});
@@ -325,7 +271,7 @@ struct MultiAttackBench {
 // re-simulated single-selector campaigns. Simulation dominates at the
 // engine's per-trace budget, so the one-pass path is expected >= 8x
 // faster (~16x ideal); reported here and in the JSON, while the binary
-// acceptance gate stays pinned to the 64-bit single-attack table above.
+// acceptance gate stays the single-attack table above.
 MultiAttackBench measure_multi_attack(std::size_t threads) {
   const Technology tech = Technology::generic_180nm();
   MultiAttackBench bench;
@@ -344,7 +290,6 @@ MultiAttackBench measure_multi_attack(std::size_t threads) {
   options.noise_sigma = 2e-16;
   options.seed = 0xBE7C;
   options.num_threads = threads;
-  options.lane_width = 64;  // comparable across PRs, like round_scaling
 
   const auto selector = [](std::size_t j) {
     return AttackSelector{.sbox_index = j, .model = PowerModel::kHammingWeight};
@@ -537,7 +482,6 @@ std::vector<RoundThroughput> measure_round_scaling(std::size_t max_round,
     options.key.assign(round.state_bytes(), 0x5A);
     options.seed = 0xBE7C;
     options.num_threads = threads;
-    options.lane_width = 64;  // comparable across PRs; --lanes sweeps widths
     double sum = 0.0;
     const auto start = Clock::now();
     engine.stream(options, [&](const std::uint8_t*, const double* samples,
@@ -638,7 +582,6 @@ std::vector<AccumulationRow> measure_accumulation() {
 
 void write_json(const std::string& path, std::size_t num_traces,
                 std::size_t threads, const std::vector<Throughput>& rows,
-                const std::vector<LaneThroughput>& lane_rows,
                 const std::vector<PackBench>& pack_rows,
                 const std::vector<ThreadSweepRow>& sweep_rows,
                 const std::vector<RoundThroughput>& round_rows,
@@ -677,17 +620,6 @@ void write_json(const std::string& path, std::size_t num_traces,
                cpu_features().avx512vbmi ? "true" : "false",
                cpu_features().gfni ? "true" : "false",
                max_runtime_lane_width());
-  // The width-0 default takes the widest runtime word for every style
-  // (with the per-tier transpose packing every style scales monotonically
-  // through 512). On server parts with license-based AVX-512 frequency
-  // throttling, pin lane_width = 256 in CampaignOptions if wall-clock
-  // regresses under sustained 512-bit use and compare against the
-  // lane_widths rows above.
-  std::fprintf(f,
-               "  \"lane_width_advice\": \"lane_width=0 takes the widest "
-               "runtime word for every style. If sustained AVX-512 use "
-               "downclocks your part, pin lane_width=256 and compare "
-               "lane_widths rows.\",\n");
   std::fprintf(f, "  \"styles\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Throughput& t = rows[i];
@@ -699,16 +631,6 @@ void write_json(const std::string& path, std::size_t num_traces,
                  t.batched_1t_tps / t.scalar_tps,
                  t.batched_nt_tps / t.batched_1t_tps,
                  i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"lane_widths\": [\n");
-  for (std::size_t i = 0; i < lane_rows.size(); ++i) {
-    const LaneThroughput& r = lane_rows[i];
-    std::fprintf(f,
-                 "    {\"width\": %zu, \"style\": \"%s\", \"tps\": %.1f, "
-                 "\"speedup_vs_64\": %.2f}%s\n",
-                 r.width, r.style, r.tps, r.speedup_vs_64,
-                 i + 1 < lane_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"pack_transpose\": [\n");
@@ -814,56 +736,15 @@ void write_json(const std::string& path, std::size_t num_traces,
   std::fclose(f);
 }
 
-// Parses a --lanes token list: numeric widths must be runnable here —
-// compiled in AND offered by the CPU under the active dispatch tier;
-// "simd" resolves to the widest runtime width (>128) or is skipped with
-// a note when only the portable words can run.
-std::vector<std::size_t> parse_lane_list(const char* arg, bool* ok) {
-  const std::vector<std::size_t> runnable = runtime_lane_widths();
-  std::vector<std::size_t> widths;
-  *ok = true;
-  std::string list(arg);
-  for (std::size_t pos = 0; pos < list.size();) {
-    const std::size_t comma = std::min(list.find(',', pos), list.size());
-    const std::string token = list.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (token == "simd") {
-      if (max_runtime_lane_width() > 128) {
-        widths.push_back(max_runtime_lane_width());
-      } else {
-        std::fprintf(stderr,
-                     "note: no SIMD lane word runnable here (build with "
-                     "SABLE_SIMD and run on an AVX2+ CPU), skipping "
-                     "\"simd\"\n");
-      }
-      continue;
-    }
-    const std::size_t width =
-        static_cast<std::size_t>(std::strtoull(token.c_str(), nullptr, 10));
-    if (std::find(runnable.begin(), runnable.end(), width) ==
-        runnable.end()) {
-      std::fprintf(stderr,
-                   "lane width \"%s\" not runnable on this machine\n",
-                   token.c_str());
-      *ok = false;
-      return widths;
-    }
-    widths.push_back(width);
-  }
-  return widths;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::size_t num_traces = 200000;
   std::size_t threads = campaign_thread_count(CampaignOptions{});
   std::size_t max_round = 4;  // CI default: small sweep, still in the JSON
-  std::vector<std::size_t> lane_widths = runtime_lane_widths();
   bool threads_sweep = false;
   std::string json_path = "BENCH_trace_throughput.json";
   for (int i = 1; i < argc; ++i) {
-    bool ok = true;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--threads-sweep") == 0) {
@@ -874,17 +755,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--round") == 0 && i + 1 < argc) {
       max_round =
           static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      lane_widths = parse_lane_list(argv[++i], &ok);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      ok = false;
-    }
-    if (!ok) {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--threads-sweep] [--traces N] "
-                   "[--round N] [--lanes 64,128,simd] [--json PATH]\n",
+                   "[--round N] [--json PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -916,24 +792,6 @@ int main(int argc, char** argv) {
     rows.push_back(t);
   }
 
-  // Lane widths: the pure word-width speedup, one thread, bit-identical
-  // campaigns (the gate table above stays pinned to the 64-bit path).
-  const std::vector<LaneThroughput> lane_rows =
-      measure_lane_sweep(lane_widths, num_traces);
-  if (!lane_rows.empty()) {
-    std::printf("\nlane widths (batched, 1 thread, %zu traces):\n%-22s",
-                num_traces, "logic style");
-    for (std::size_t width : lane_widths) std::printf(" %8zu-ln", width);
-    std::printf("\n");
-    for (std::size_t i = 0; i < lane_rows.size(); ++i) {
-      if (i % lane_widths.size() == 0) {
-        std::printf("%-22s", lane_rows[i].style);
-      }
-      std::printf(" %7.2fMt/s", lane_rows[i].tps / 1e6);
-      if ((i + 1) % lane_widths.size() == 0) std::printf("\n");
-    }
-  }
-
   // Lane packing: the 64x64 bit transpose vs. the per-bit gather it
   // replaced, per runtime width (same bit-identical output, pure speed).
   const std::vector<PackBench> pack_rows = measure_pack_sweep();
@@ -946,7 +804,7 @@ int main(int argc, char** argv) {
   }
 
   // Thread scaling (--threads-sweep): campaign throughput at 1/2/4/N
-  // threads per style, width-0 lane word. Advisory, never gating: a
+  // threads per style. Advisory, never gating: a
   // speedup under 1.5x at 4 threads on a machine with >= 4 cores means
   // the sharded scheduler is not earning its threads.
   std::vector<ThreadSweepRow> sweep_rows;
@@ -958,8 +816,7 @@ int main(int argc, char** argv) {
     }
     const std::size_t sweep_traces = std::min<std::size_t>(num_traces, 60000);
     sweep_rows = measure_threads_sweep(counts, sweep_traces);
-    std::printf("\nthread scaling (streamed, width-0 word, %zu traces, "
-                "%u cores):\n%-22s",
+    std::printf("\nthread scaling (streamed, %zu traces, %u cores):\n%-22s",
                 sweep_traces, cores, "logic style");
     for (std::size_t t : counts) std::printf(" %7zu-thr", t);
     std::printf("  x4-thr\n");
@@ -1078,7 +935,6 @@ int main(int argc, char** argv) {
     options.key = {0x7};
     options.noise_sigma = 2e-16;
     options.num_threads = threads;
-    options.lane_width = 0;  // showcase: widest compiled-in word
     const auto start = Clock::now();
     const AttackResult r = run_attack(
         engine, options,
@@ -1093,9 +949,9 @@ int main(int argc, char** argv) {
         r.rank_of(options.key[0]));
   }
 
-  write_json(json_path, num_traces, threads, rows, lane_rows, pack_rows,
-             sweep_rows, round_rows, multi, replay, compression_rows,
-             compression_traces, accumulation_rows, cpa_traces, cpa_seconds);
+  write_json(json_path, num_traces, threads, rows, pack_rows, sweep_rows,
+             round_rows, multi, replay, compression_rows, compression_traces,
+             accumulation_rows, cpa_traces, cpa_seconds);
   std::printf("wrote %s\n", json_path.c_str());
   return all_pass ? 0 : 1;
 }

@@ -60,7 +60,6 @@ struct Cli {
   double noise = 2e-16;
   std::size_t shard_size = 0;
   std::size_t num_threads = 0;
-  std::size_t lane_width = 0;
   std::string out_path;       // record: corpus path
   std::string corpus_path;    // attack: replay source
   std::string partial_path;   // attack: partial-state output
@@ -96,17 +95,15 @@ bool parse_style(const char* name, LogicStyle* style) {
 
 // The flags each subcommand reads. The campaign flags define the
 // campaign (record, attack, merge); --attack-sbox and --all-subkeys pick
-// the attack list, so record has no use for them, and merge never
-// simulates, so it has no use for --lanes.
+// the attack list, so record has no use for them.
 bool subcommand_reads(std::string_view mode, std::string_view flag) {
   static constexpr std::string_view kCampaign[] = {
       "--style", "--round", "--traces", "--seed", "--noise", "--shard-size",
       "--threads"};
-  static constexpr std::string_view kRecord[] = {"--lanes", "--out",
-                                                 "--codec"};
+  static constexpr std::string_view kRecord[] = {"--out", "--codec"};
   static constexpr std::string_view kAttack[] = {
-      "--lanes", "--attack-sbox", "--corpus", "--all-subkeys", "--shards",
-      "--partial", "--resume", "--checkpoint", "--every", "--json"};
+      "--attack-sbox", "--corpus", "--all-subkeys", "--shards", "--partial",
+      "--resume", "--checkpoint", "--every", "--json"};
   static constexpr std::string_view kMerge[] = {
       "--attack-sbox", "--all-subkeys", "--partials", "--json"};
   const auto in = [&](const auto& list) {
@@ -122,12 +119,11 @@ bool subcommand_reads(std::string_view mode, std::string_view flag) {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s record --out PATH [--codec delta|none] [--lanes W]\n"
-      "                 [campaign flags]\n"
+      "usage: %s record --out PATH [--codec delta|none] [campaign flags]\n"
       "       %s attack [--corpus PATH] [--attack-sbox I | --all-subkeys]\n"
       "                 [--shards A:B --partial PATH]\n"
       "                 [--resume PATH] [--checkpoint PATH --every K]\n"
-      "                 [--json PATH] [--lanes W] [campaign flags]\n"
+      "                 [--json PATH] [campaign flags]\n"
       "       %s merge --partials P0,P1,...\n"
       "                [--attack-sbox I | --all-subkeys] [--json PATH]\n"
       "                [campaign flags]\n"
@@ -191,7 +187,6 @@ CampaignOptions options_for(const Cli& cli, const RoundSpec& round) {
   options.seed = cli.seed;
   options.shard_size = cli.shard_size;
   options.num_threads = cli.num_threads;
-  options.lane_width = cli.lane_width;
   return options;
 }
 
@@ -336,8 +331,6 @@ int main(int argc, char** argv) {
       if (!number(&cli.shard_size)) return 2;
     } else if (std::strcmp(argv[i], "--threads") == 0 && has_value()) {
       if (!number(&cli.num_threads)) return 2;
-    } else if (std::strcmp(argv[i], "--lanes") == 0 && has_value()) {
-      if (!number(&cli.lane_width)) return 2;
     } else if (std::strcmp(argv[i], "--out") == 0 && has_value()) {
       cli.out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--corpus") == 0 && has_value()) {
@@ -402,6 +395,11 @@ int main(int argc, char** argv) {
   if (has_flag("--every") && !has_flag("--checkpoint") &&
       !has_flag("--partial")) {
     std::fprintf(stderr, "--every needs --checkpoint or --partial\n");
+    return 2;
+  }
+  if (has_flag("--partial") && has_flag("--checkpoint")) {
+    std::fprintf(stderr, "--partial cannot be combined with --checkpoint "
+                         "(both name the one state file)\n");
     return 2;
   }
 

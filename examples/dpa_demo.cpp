@@ -2,8 +2,9 @@
 //
 // Simulates the nonlinear layer of a cipher round — `--round N` PRESENT
 // S-box instances side by side (default 1) with a secret round key — in
-// every logic style through the batched trace engine (64 encryptions per
-// simulated cycle), runs a one-pass streaming correlation attack on the
+// every logic style through the trace engine (each instance's cycle
+// energies tabulated once by the switch-level simulators, then looked up
+// per trace), runs a one-pass streaming correlation attack on the
 // `--attack-sbox i` subkey for every guess, and reports whether that
 // subkey leaks. The other N-1 instances switch on their own data and act
 // as algorithmic noise on the shared supply, exactly like the neighbours
@@ -11,8 +12,6 @@
 // differential implementation leaks through its floating internal nodes,
 // and the fully connected SABL implementation holds. No trace is ever
 // retained: the CPA and MTD accumulators consume the stream directly.
-// `--lanes W` pins the batch lane width (64/128/256/512 as compiled in;
-// default 0 = widest) — results are bit-identical at every width.
 // `--second-order` additionally runs the second-order centered-product
 // CPA (logic-level pairs over time-resolved traces) per style through the
 // distinguisher pipeline — the stronger attack class a constant-power
@@ -23,7 +22,6 @@
 // feeds the attacks from those corpora instead of simulating (same
 // results, bit for bit); `--checkpoint P` persists the per-shard
 // distinguisher states to `P.<style>` so an interrupted run resumes.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -32,7 +30,6 @@
 #include "engine/trace_engine.hpp"
 #include "io/corpus.hpp"
 #include "parse_number.hpp"
-#include "util/cpu_dispatch.hpp"
 
 using namespace sable;
 
@@ -48,7 +45,7 @@ std::vector<std::size_t> demo_subkeys(std::size_t n) {
 void attack_style(LogicStyle style, std::size_t round_size,
                   std::size_t attack_sbox, std::size_t num_traces,
                   double noise, std::size_t num_threads,
-                  std::size_t lane_width, bool second_order,
+                  bool second_order,
                   const std::string& record_path,
                   const std::string& replay_path,
                   const std::string& checkpoint_path) {
@@ -62,7 +59,6 @@ void attack_style(LogicStyle style, std::size_t round_size,
   options.noise_sigma = noise;
   options.seed = 0xA77ACC;
   options.num_threads = num_threads;
-  options.lane_width = lane_width;
   const std::size_t subkey = round.sub_word(options.key.data(), attack_sbox);
 
   // The attacked campaign through the distinguisher pipeline: CPA and the
@@ -123,7 +119,6 @@ int main(int argc, char** argv) {
   const std::size_t num_traces = 5000;
   const double noise = 2e-16;  // ~0.2 fJ RMS measurement noise
   std::size_t num_threads = 0;  // 0 = hardware concurrency
-  std::size_t lane_width = 0;   // 0 = widest compiled-in lane word
   std::size_t round_size = 1;
   std::size_t attack_sbox = 0;
   bool second_order = false;
@@ -137,8 +132,6 @@ int main(int argc, char** argv) {
       if (!parse_number("--round", argv[++i], &round_size)) return 2;
     } else if (std::strcmp(argv[i], "--attack-sbox") == 0 && i + 1 < argc) {
       if (!parse_number("--attack-sbox", argv[++i], &attack_sbox)) return 2;
-    } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      if (!parse_number("--lanes", argv[++i], &lane_width)) return 2;
     } else if (std::strcmp(argv[i], "--second-order") == 0) {
       second_order = true;
     } else if (std::strcmp(argv[i], "--record") == 0 && i + 1 < argc) {
@@ -150,7 +143,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--round N] [--attack-sbox I] "
-                   "[--lanes W] [--second-order] [--record P] [--replay P] "
+                   "[--second-order] [--record P] [--replay P] "
                    "[--checkpoint P]\n",
                    argv[0]);
       return 2;
@@ -159,18 +152,6 @@ int main(int argc, char** argv) {
   if (!record_path.empty() && !replay_path.empty()) {
     std::fprintf(stderr, "--record and --replay are mutually exclusive\n");
     return 2;
-  }
-  if (lane_width != 0) {
-    const auto runnable = runtime_lane_widths();
-    if (std::find(runnable.begin(), runnable.end(), lane_width) ==
-        runnable.end()) {
-      std::fprintf(stderr,
-                   "--lanes %zu is not runnable on this machine (runnable: "
-                   "64, 128%s)\n",
-                   lane_width,
-                   max_runtime_lane_width() > 128 ? ", SIMD widths" : "");
-      return 2;
-    }
   }
   if (round_size == 0 || attack_sbox >= round_size) {
     std::fprintf(stderr, "--attack-sbox must address one of the --round %zu "
@@ -183,12 +164,9 @@ int main(int argc, char** argv) {
   std::printf("CPA attack on a %zu-S-box PRESENT round, attacking S-box %zu "
               "(secret subkey 0x%zX), %zu traces\n",
               round_size, attack_sbox, subkey, num_traces);
-  CampaignOptions defaults;
-  defaults.lane_width = lane_width;
   std::printf(
-      "(batched %zu-wide simulation sharded over %zu threads, streaming "
-      "one-pass attack%s)\n\n",
-      campaign_lane_width(defaults),
+      "(tabulated leakage sharded over %zu threads, streaming one-pass "
+      "attack%s)\n\n",
       num_threads != 0 ? num_threads
                        : campaign_thread_count(CampaignOptions{}),
       round_size > 1 ? "; the other instances are algorithmic noise" : "");
@@ -197,7 +175,7 @@ int main(int argc, char** argv) {
         LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
         LogicStyle::kWddlBalanced, LogicStyle::kWddlMismatched}) {
     attack_style(style, round_size, attack_sbox, num_traces, noise,
-                 num_threads, lane_width, second_order, record_path,
+                 num_threads, second_order, record_path,
                  replay_path, checkpoint_path);
   }
   std::printf(

@@ -1,7 +1,10 @@
 #include "cell/circuit_sim.hpp"
 
-#include "cell/circuit_sim_impl.hpp"
+#include <algorithm>
+#include <bit>
+
 #include "expr/truth_table.hpp"
+#include "util/error.hpp"
 
 namespace sable {
 
@@ -58,9 +61,265 @@ std::vector<std::size_t> gate_levels(const GateCircuit& circuit) {
   return levels;
 }
 
-// Portable-width instantiations only; Word256/512 live in src/simd/ (see
-// circuit_sim_impl.hpp).
-SABLE_FOR_EACH_PORTABLE_LANE_WORD(SABLE_INSTANTIATE_CIRCUIT_SIM)
+// ---- BatchGateEvaluator ---------------------------------------------------
+
+BatchGateEvaluator::BatchGateEvaluator(const GateCircuit& circuit)
+    : circuit_(circuit) {
+  minterms_.resize(circuit.gates().size());
+  gate_inputs_.resize(circuit.gates().size());
+  values_.assign(circuit.gates().size(), 0);
+  primary_.assign(circuit.num_primary_inputs(), 0);
+  for (std::size_t g = 0; g < circuit.gates().size(); ++g) {
+    const GateInstance& inst = circuit.gates()[g];
+    const Cell& cell = circuit.cells()[inst.cell_index];
+    gate_inputs_[g].assign(inst.inputs.size(), 0);
+    const std::size_t rows = std::size_t{1} << cell.num_inputs;
+    for (std::size_t m = 0; m < rows; ++m) {
+      // Qualified: the member evaluate() shadows the truth-table helper.
+      if (sable::evaluate(cell.function, m)) {
+        minterms_[g].push_back(static_cast<std::uint8_t>(m));
+      }
+    }
+  }
+}
+
+void BatchGateEvaluator::evaluate(
+    const std::vector<std::uint64_t>& input_words) {
+  SABLE_ASSERT(input_words.size() >= circuit_.num_primary_inputs(),
+               "one lane word per primary input required");
+  for (std::size_t i = 0; i < primary_.size(); ++i) {
+    primary_[i] = input_words[i];
+  }
+  for (std::size_t g = 0; g < circuit_.gates().size(); ++g) {
+    const GateInstance& inst = circuit_.gates()[g];
+    std::vector<std::uint64_t>& in = gate_inputs_[g];
+    for (std::size_t k = 0; k < inst.inputs.size(); ++k) {
+      const SignalRef& ref = inst.inputs[k];
+      const std::uint64_t raw = ref.kind == SignalRef::Kind::kInput
+                                    ? primary_[ref.index]
+                                    : values_[ref.index];
+      in[k] = ref.positive ? raw : ~raw;
+    }
+    // Sum of minterms over lane words: a lane is 1 iff its cell-input
+    // assignment is one of the function's satisfying rows.
+    std::uint64_t value = 0;
+    for (const std::uint8_t m : minterms_[g]) {
+      std::uint64_t term = ~std::uint64_t{0};
+      for (std::size_t k = 0; k < in.size(); ++k) {
+        term &= ((m >> k) & 1u) != 0 ? in[k] : ~in[k];
+      }
+      value |= term;
+    }
+    values_[g] = value;
+  }
+}
+
+std::uint64_t BatchGateEvaluator::output_word(std::size_t i) const {
+  const SignalRef& ref = circuit_.outputs()[i];
+  const std::uint64_t raw = ref.kind == SignalRef::Kind::kInput
+                                ? primary_[ref.index]
+                                : values_[ref.index];
+  return ref.positive ? raw : ~raw;
+}
+
+std::uint64_t outputs_for_lane(const std::vector<std::uint64_t>& output_words,
+                               std::size_t lane) {
+  std::uint64_t out = 0;
+  for (std::size_t i = 0; i < output_words.size(); ++i) {
+    if (((output_words[i] >> lane) & 1u) != 0) out |= std::uint64_t{1} << i;
+  }
+  return out;
+}
+
+// ---- DifferentialCircuitSimBatch ------------------------------------------
+
+DifferentialCircuitSimBatch::DifferentialCircuitSimBatch(
+    const GateCircuit& circuit)
+    : circuit_(circuit), eval_(circuit) {
+  gate_sims_.reserve(circuit.gates().size());
+  for (const auto& inst : circuit.gates()) {
+    const Cell& cell = circuit.cells()[inst.cell_index];
+    gate_sims_.emplace_back(cell.network, cell.energy_model);
+  }
+  levels_ = gate_levels(circuit);
+  for (std::size_t l : levels_) num_levels_ = std::max(num_levels_, l);
+}
+
+DifferentialCircuitSimBatch::DifferentialCircuitSimBatch(
+    const GateCircuit& circuit, std::vector<GateEnergyModel> models)
+    : circuit_(circuit), eval_(circuit) {
+  SABLE_REQUIRE(models.size() == circuit.gates().size(),
+                "one energy model per gate instance required");
+  gate_sims_.reserve(circuit.gates().size());
+  for (std::size_t g = 0; g < circuit.gates().size(); ++g) {
+    const Cell& cell = circuit.cells()[circuit.gates()[g].cell_index];
+    gate_sims_.emplace_back(cell.network, std::move(models[g]));
+  }
+  levels_ = gate_levels(circuit);
+  for (std::size_t l : levels_) num_levels_ = std::max(num_levels_, l);
+}
+
+void DifferentialCircuitSimBatch::cycle(
+    const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
+    BatchCycleResult& out) {
+  eval_.evaluate(input_words);
+  lane_fill_selected(lane_mask, 0.0, out.energy.data());
+  for (std::size_t g = 0; g < gate_sims_.size(); ++g) {
+    gate_sims_[g].cycle(eval_.gate_input_words(g), lane_mask,
+                        gate_energy_.data());
+    lane_accumulate_selected(lane_mask, gate_energy_.data(),
+                             out.energy.data());
+  }
+  out.output_words.resize(circuit_.outputs().size());
+  for (std::size_t i = 0; i < circuit_.outputs().size(); ++i) {
+    out.output_words[i] = eval_.output_word(i);
+  }
+}
+
+void DifferentialCircuitSimBatch::reset() {
+  for (SablGateSimBatch& sim : gate_sims_) sim.reset(true);
+}
+
+DifferentialCircuitSimBatch DifferentialCircuitSimBatch::clone_fresh() const {
+  // Rebuilding through the per-instance-model constructor preserves any
+  // custom energy models (e.g. balanced routing loads from src/balance).
+  std::vector<GateEnergyModel> models;
+  models.reserve(gate_sims_.size());
+  for (const SablGateSimBatch& sim : gate_sims_) {
+    models.push_back(sim.model());
+  }
+  return DifferentialCircuitSimBatch(circuit_, std::move(models));
+}
+
+void DifferentialCircuitSimBatch::cycle_sampled(
+    const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
+    SampledBatchCycleResult& out) {
+  eval_.evaluate(input_words);
+  out.level_energy.resize(num_levels_);
+  for (auto& row : out.level_energy) {
+    lane_fill_selected(lane_mask, 0.0, row.data());
+  }
+  for (std::size_t g = 0; g < gate_sims_.size(); ++g) {
+    gate_sims_[g].cycle(eval_.gate_input_words(g), lane_mask,
+                        gate_energy_.data());
+    auto& row = out.level_energy[levels_[g] - 1];
+    lane_accumulate_selected(lane_mask, gate_energy_.data(), row.data());
+  }
+  out.output_words.resize(circuit_.outputs().size());
+  for (std::size_t i = 0; i < circuit_.outputs().size(); ++i) {
+    out.output_words[i] = eval_.output_word(i);
+  }
+}
+
+// ---- CmosCircuitSimBatch --------------------------------------------------
+
+CmosCircuitSimBatch::CmosCircuitSimBatch(const GateCircuit& circuit,
+                                         double switch_energy)
+    : circuit_(circuit), eval_(circuit), switch_energy_(switch_energy) {
+  previous_values_.assign(circuit.gates().size(), 0);
+  levels_ = gate_levels(circuit);
+  for (std::size_t l : levels_) num_levels_ = std::max(num_levels_, l);
+}
+
+void CmosCircuitSimBatch::flush_planes(std::uint64_t mask, double* row) {
+  if (row == nullptr || planes_used_ == 0 || mask == 0) {
+    planes_used_ = 0;
+    return;
+  }
+  const auto add_count = [&](std::size_t lane) {
+    std::size_t count = 0;
+    for (std::size_t p = 0; p < planes_used_; ++p) {
+      count |= ((planes_[p] >> lane) & 1u) << p;
+    }
+    row[lane] += static_cast<double>(count) * switch_energy_;
+  };
+  // Lanes outside the mask never entered a plane (their count is 0 and
+  // their energy slot must stay untouched), so sparse masks walk their
+  // bits; a += of count 0 for a selected lane is bit-preserving (energies
+  // are non-negative), matching the kernels' select idiom.
+  if (mask == ~std::uint64_t{0}) {
+    for (std::size_t lane = 0; lane < 64; ++lane) add_count(lane);
+  } else {
+    for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+      add_count(std::countr_zero(rest));
+    }
+  }
+  planes_used_ = 0;
+}
+
+template <typename RowFn>
+void CmosCircuitSimBatch::cycle_history(
+    const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
+    RowFn&& row_for_gate, std::vector<std::uint64_t>& output_words) {
+  eval_.evaluate(input_words);
+  double* current_row = nullptr;
+  planes_used_ = 0;
+  for (std::size_t g = 0; g < circuit_.gates().size(); ++g) {
+    double* row = row_for_gate(g);
+    if (row != current_row) {
+      flush_planes(lane_mask, current_row);
+      current_row = row;
+    }
+    // Static CMOS draws supply energy when the output rises: the lane has
+    // no history yet, or its previous value was 0. Selected lanes then
+    // remember their new value.
+    const std::uint64_t c = eval_.value_word(g);
+    const std::uint64_t prev = previous_values_[g];
+    const std::uint64_t rising = c & ~(prev & seen_mask_) & lane_mask;
+    previous_values_[g] = (c & lane_mask) | (prev & ~lane_mask);
+    // Carry-save vertical counters: the rising word is *counted* with a
+    // handful of word ops instead of walking its set bits; the per-lane
+    // counts are materialized once per row in flush_planes.
+    std::uint64_t carry = rising;
+    for (std::size_t p = 0; carry != 0; ++p) {
+      if (p == planes_used_) {
+        if (planes_used_ == planes_.size()) planes_.push_back(0);
+        planes_[planes_used_++] = carry;
+        break;
+      }
+      const std::uint64_t overflow = planes_[p] & carry;
+      planes_[p] ^= carry;
+      carry = overflow;
+    }
+  }
+  flush_planes(lane_mask, current_row);
+  seen_mask_ |= lane_mask;
+  output_words.resize(circuit_.outputs().size());
+  for (std::size_t i = 0; i < circuit_.outputs().size(); ++i) {
+    output_words[i] = eval_.output_word(i);
+  }
+}
+
+void CmosCircuitSimBatch::cycle(const std::vector<std::uint64_t>& input_words,
+                                std::uint64_t lane_mask,
+                                BatchCycleResult& out) {
+  lane_fill_selected(lane_mask, 0.0, out.energy.data());
+  cycle_history(input_words, lane_mask,
+                [&](std::size_t) { return out.energy.data(); },
+                out.output_words);
+}
+
+void CmosCircuitSimBatch::cycle_sampled(
+    const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
+    SampledBatchCycleResult& out) {
+  out.level_energy.resize(num_levels_);
+  for (auto& row : out.level_energy) {
+    lane_fill_selected(lane_mask, 0.0, row.data());
+  }
+  cycle_history(
+      input_words, lane_mask,
+      [&](std::size_t g) { return out.level_energy[levels_[g] - 1].data(); },
+      out.output_words);
+}
+
+void CmosCircuitSimBatch::reset() {
+  previous_values_.assign(circuit_.gates().size(), 0);
+  seen_mask_ = 0;
+}
+
+CmosCircuitSimBatch CmosCircuitSimBatch::clone_fresh() const {
+  return CmosCircuitSimBatch(circuit_, switch_energy_);
+}
 
 // ---- scalar wrappers (width-1 case of the batch kernels) ------------------
 

@@ -9,13 +9,11 @@
 //    consume C*VDD^2 on every 0->1 output transition (Hamming-distance
 //    leakage); this is the reference DPA-vulnerable implementation.
 //
-// Each simulator exists in every lane-word width sharing one kernel: the
-// *BatchT<W> templates evaluate LaneTraits<W>::kLanes independent circuit
-// instances bit-parallel (lane L of every word is instance L), the
-// unsuffixed *Batch aliases are the historic 64-lane instantiation, and
-// the scalar classes are the width-1 case. Lane arithmetic is ordered so
-// that lane L of a batch cycle is bit-identical to a width-1 run fed the
-// same assignment sequence, for every word width.
+// Each simulator has a *Batch form that evaluates 64 independent circuit
+// instances bit-parallel (lane L of every std::uint64_t word is instance
+// L); the scalar classes are its width-1 case. Lane arithmetic is ordered
+// so that lane L of a batch cycle is bit-identical to a width-1 run fed
+// the same assignment sequence.
 #pragma once
 
 #include <array>
@@ -45,83 +43,72 @@ struct SampledCycleResult {
 std::vector<std::size_t> gate_levels(const GateCircuit& circuit);
 
 /// Bit-parallel functional evaluation of a gate circuit: computes the
-/// kLanes-wide value word of every gate in one forward sweep.
+/// 64-lane value word of every gate in one forward sweep.
 /// `input_words[i]` lane L is primary input i of circuit instance L; gate
 /// functions are applied as sum-of-minterms over the lane words.
-template <typename W>
-class BatchGateEvaluatorT {
+class BatchGateEvaluator {
  public:
-  explicit BatchGateEvaluatorT(const GateCircuit& circuit);
+  explicit BatchGateEvaluator(const GateCircuit& circuit);
 
-  /// Evaluates every gate for the kLanes assignments in `input_words`.
-  void evaluate(const std::vector<W>& input_words);
+  /// Evaluates every gate for the 64 assignments in `input_words`.
+  void evaluate(const std::vector<std::uint64_t>& input_words);
 
   /// Lane word of gate g's output value (valid after evaluate()).
-  const W& value_word(std::size_t gate) const { return values_[gate]; }
+  std::uint64_t value_word(std::size_t gate) const { return values_[gate]; }
 
   /// Lane words of gate g's cell inputs, polarity already resolved — the
   /// per-variable assignment words the switch-level gate model consumes.
-  const std::vector<W>& gate_input_words(std::size_t gate) const {
+  const std::vector<std::uint64_t>& gate_input_words(std::size_t gate) const {
     return gate_inputs_[gate];
   }
 
   /// Lane word of circuit output i (valid after evaluate()).
-  W output_word(std::size_t i) const;
+  std::uint64_t output_word(std::size_t i) const;
 
  private:
   const GateCircuit& circuit_;
   std::vector<std::vector<std::uint8_t>> minterms_;  // per gate: rows = 1
-  std::vector<std::vector<W>> gate_inputs_;
-  std::vector<W> values_;
-  std::vector<W> primary_;
+  std::vector<std::vector<std::uint64_t>> gate_inputs_;
+  std::vector<std::uint64_t> values_;
+  std::vector<std::uint64_t> primary_;
 };
-
-using BatchGateEvaluator = BatchGateEvaluatorT<std::uint64_t>;
 
 /// Per-lane results of one batched cycle.
-template <typename W>
-struct BatchCycleResultT {
+struct BatchCycleResult {
   /// Lane word per circuit output: lane L = output i of instance L.
-  std::vector<W> output_words;
+  std::vector<std::uint64_t> output_words;
   /// Supply energy of instance L in energy[L] (selected lanes only).
-  std::array<double, LaneTraits<W>::kLanes> energy;
+  std::array<double, 64> energy;
 };
-
-using BatchCycleResult = BatchCycleResultT<std::uint64_t>;
 
 /// Batched time-resolved results: level_energy[l][L] is the energy drawn
 /// at logic level l by instance L.
-template <typename W>
-struct SampledBatchCycleResultT {
-  std::vector<W> output_words;
-  std::vector<std::array<double, LaneTraits<W>::kLanes>> level_energy;
+struct SampledBatchCycleResult {
+  std::vector<std::uint64_t> output_words;
+  std::vector<std::array<double, 64>> level_energy;
 };
-
-using SampledBatchCycleResult = SampledBatchCycleResultT<std::uint64_t>;
 
 /// Collapses per-output lane words into the scalar output bitmask of one
 /// lane — the width-1 wrappers' view of a batch result.
-template <typename W>
-std::uint64_t outputs_for_lane(const std::vector<W>& output_words,
+std::uint64_t outputs_for_lane(const std::vector<std::uint64_t>& output_words,
                                std::size_t lane);
 
-template <typename W>
-class DifferentialCircuitSimBatchT {
+class DifferentialCircuitSimBatch {
  public:
-  explicit DifferentialCircuitSimBatchT(const GateCircuit& circuit);
+  explicit DifferentialCircuitSimBatch(const GateCircuit& circuit);
 
   /// As above, but with one energy model per gate *instance* (e.g. with
   /// per-instance routing loads from src/balance).
-  DifferentialCircuitSimBatchT(const GateCircuit& circuit,
-                               std::vector<GateEnergyModel> models);
+  DifferentialCircuitSimBatch(const GateCircuit& circuit,
+                              std::vector<GateEnergyModel> models);
 
   /// Evaluates one clock cycle of every lane in `lane_mask`.
-  void cycle(const std::vector<W>& input_words, const W& lane_mask,
-             BatchCycleResultT<W>& out);
+  void cycle(const std::vector<std::uint64_t>& input_words,
+             std::uint64_t lane_mask, BatchCycleResult& out);
 
   /// As cycle(), with the energy split per logic level.
-  void cycle_sampled(const std::vector<W>& input_words, const W& lane_mask,
-                     SampledBatchCycleResultT<W>& out);
+  void cycle_sampled(const std::vector<std::uint64_t>& input_words,
+                     std::uint64_t lane_mask, SampledBatchCycleResult& out);
 
   /// Restores the fresh-construction state (every node charged) in every
   /// lane, so a new campaign starts from a reproducible state.
@@ -131,91 +118,78 @@ class DifferentialCircuitSimBatchT {
   /// energy models, in fresh-construction state. Nothing is shared except
   /// the referenced circuit (which must outlive the clone), so clones can
   /// simulate concurrently on worker threads.
-  DifferentialCircuitSimBatchT clone_fresh() const;
+  DifferentialCircuitSimBatch clone_fresh() const;
 
   std::size_t num_levels() const { return num_levels_; }
   const GateCircuit& circuit() const { return circuit_; }
 
  private:
   const GateCircuit& circuit_;
-  BatchGateEvaluatorT<W> eval_;
-  std::vector<SablGateSimBatchT<W>> gate_sims_;  // one per gate instance
+  BatchGateEvaluator eval_;
+  std::vector<SablGateSimBatch> gate_sims_;  // one per gate instance
   std::vector<std::size_t> levels_;
   std::size_t num_levels_ = 0;
-  std::array<double, LaneTraits<W>::kLanes> gate_energy_;
+  std::array<double, 64> gate_energy_;
 };
 
-using DifferentialCircuitSimBatch = DifferentialCircuitSimBatchT<std::uint64_t>;
-
-template <typename W>
-class CmosCircuitSimBatchT {
+class CmosCircuitSimBatch {
  public:
   /// `switch_energy` is the energy of one output 0->1 transition [J].
-  CmosCircuitSimBatchT(const GateCircuit& circuit, double switch_energy);
+  CmosCircuitSimBatch(const GateCircuit& circuit, double switch_energy);
 
   /// One cycle per selected lane; each lane carries its own previous-value
   /// history (Hamming-distance leakage is per instance).
-  ///
-  /// History is *logically 64-lane* no matter the word width: chunk j of a
-  /// wide cycle is one 64-lane step of the canonical stream, taking its
-  /// previous values from chunk j-1 of the same call (and the stored
-  /// history for chunk 0). A width-W run over a trace sequence therefore
-  /// produces bit-identical energies to the historic 64-lane kernel —
-  /// widening the word changes throughput, never the trace stream.
-  void cycle(const std::vector<W>& input_words, const W& lane_mask,
-             BatchCycleResultT<W>& out);
+  void cycle(const std::vector<std::uint64_t>& input_words,
+             std::uint64_t lane_mask, BatchCycleResult& out);
 
   /// As cycle(), with the energy split per logic level (a gate's
   /// transition energy lands in its topological level's row) — the
   /// baseline-style counterpart of the differential sim's time-resolved
   /// sampling.
-  void cycle_sampled(const std::vector<W>& input_words, const W& lane_mask,
-                     SampledBatchCycleResultT<W>& out);
+  void cycle_sampled(const std::vector<std::uint64_t>& input_words,
+                     std::uint64_t lane_mask, SampledBatchCycleResult& out);
 
   /// Clears every lane's transition history (fresh-construction state).
   void reset();
 
   /// Independent simulator over the same circuit, fresh history in every
   /// lane; shares only the referenced circuit (which must outlive it).
-  CmosCircuitSimBatchT clone_fresh() const;
+  CmosCircuitSimBatch clone_fresh() const;
 
   /// Samples per cycle_sampled() row: the circuit's logic depth.
   std::size_t num_levels() const { return num_levels_; }
 
  private:
   // Shared body of cycle()/cycle_sampled(): evaluates the circuit and
-  // advances the logical 64-lane history exactly once, adding each gate's
-  // rising-edge energy into row_for_gate(g). The width-invariance
-  // guarantee rests on this walk, so it has exactly one home. The walk is
-  // word-parallel: each gate's rising word feeds carry-save counter
-  // planes, and a row's per-lane counts are reconstructed (and multiplied
-  // by switch_energy_) once per row when it flushes.
+  // advances the lane history exactly once, adding each gate's
+  // rising-edge energy into row_for_gate(g). The walk is word-parallel:
+  // each gate's rising word feeds carry-save counter planes, and a row's
+  // per-lane counts are reconstructed (and multiplied by switch_energy_)
+  // once per row when it flushes.
   template <typename RowFn>
-  void cycle_history(const std::vector<W>& input_words, const W& lane_mask,
-                     RowFn&& row_for_gate, std::vector<W>& output_words);
+  void cycle_history(const std::vector<std::uint64_t>& input_words,
+                     std::uint64_t lane_mask, RowFn&& row_for_gate,
+                     std::vector<std::uint64_t>& output_words);
 
   // Reconstructs per-lane rising-gate counts from the carry-save planes
   // and adds count * switch_energy_ into `row` for the lanes selected by
-  // the mask chunks `m`; resets the planes.
-  void flush_planes(const std::uint64_t* m, double* row);
+  // `mask`; resets the planes.
+  void flush_planes(std::uint64_t mask, double* row);
 
   const GateCircuit& circuit_;
-  BatchGateEvaluatorT<W> eval_;
+  BatchGateEvaluator eval_;
   double switch_energy_;
-  // Logical 64-lane history (see cycle()): one 64-lane word per gate.
+  // Per gate, the value each lane held on its last selected cycle.
   std::vector<std::uint64_t> previous_values_;
-  std::uint64_t seen_mask_ = 0;  // logical lanes with history
+  std::uint64_t seen_mask_ = 0;  // lanes with history
   std::vector<std::size_t> levels_;
   std::size_t num_levels_ = 0;
   // Carry-save vertical counters: plane p holds bit p of the per-lane
   // count of gates that rose this row. planes_[planes_used_..] are stale
   // capacity, overwritten on first use.
-  std::vector<W> planes_;
+  std::vector<std::uint64_t> planes_;
   std::size_t planes_used_ = 0;
-  std::vector<std::uint64_t> plane_chunks_;  // flush scratch
 };
-
-using CmosCircuitSimBatch = CmosCircuitSimBatchT<std::uint64_t>;
 
 class DifferentialCircuitSim {
  public:

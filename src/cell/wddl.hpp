@@ -15,10 +15,8 @@
 // deterministic per-gate imbalance emulates unbalanced placement/routing.
 // mismatch = 0 is the ideal (perfectly balanced back-end) WDDL.
 //
-// WddlCircuitSimBatchT<W> evaluates LaneTraits<W>::kLanes independent
-// circuit instances bit-parallel (per-lane energies bit-identical for
-// every word width); WddlCircuitSimBatch is the 64-lane instantiation and
-// the scalar WddlCircuitSim its width-1 case.
+// WddlCircuitSimBatch evaluates 64 independent circuit instances
+// bit-parallel, and the scalar WddlCircuitSim is its width-1 case.
 #pragma once
 
 #include <cstdint>
@@ -34,30 +32,29 @@ struct WddlGateModel {
   double c_false = 0.0;  ///< load on the false output rail [F]
 };
 
-template <typename W>
-class WddlCircuitSimBatchT {
+class WddlCircuitSimBatch {
  public:
   /// `mismatch` is the relative rail imbalance (0 = balanced; 0.05 = 5%
   /// per-gate random imbalance, deterministic via `seed`).
-  WddlCircuitSimBatchT(const GateCircuit& circuit, const Technology& tech,
-                       double mismatch, std::uint64_t seed = 0x3DD1);
+  WddlCircuitSimBatch(const GateCircuit& circuit, const Technology& tech,
+                      double mismatch, std::uint64_t seed = 0x3DD1);
 
   /// One precharge/evaluate cycle per selected lane; energy charges exactly
   /// one rail load per gate (the rail whose value is 1 after evaluation).
-  void cycle(const std::vector<W>& input_words, const W& lane_mask,
-             BatchCycleResultT<W>& out);
+  void cycle(const std::vector<std::uint64_t>& input_words,
+             std::uint64_t lane_mask, BatchCycleResult& out);
 
   /// As cycle(), with the energy split per logic level: each level's row
   /// carries its gates' fired-rail loads (the constant false-rail base of
   /// that level plus the per-gate true/false deltas).
-  void cycle_sampled(const std::vector<W>& input_words, const W& lane_mask,
-                     SampledBatchCycleResultT<W>& out);
+  void cycle_sampled(const std::vector<std::uint64_t>& input_words,
+                     std::uint64_t lane_mask, SampledBatchCycleResult& out);
 
   /// Independent simulator with identical (already-derived) rail models.
   /// WDDL carries no cross-cycle lane state, but the evaluator scratch is
   /// per-instance, so concurrent workers each need their own clone. Shares
   /// only the referenced circuit (which must outlive the clone).
-  WddlCircuitSimBatchT clone_fresh() const { return *this; }
+  WddlCircuitSimBatch clone_fresh() const { return *this; }
 
   /// Samples per cycle_sampled() row: the circuit's logic depth.
   std::size_t num_levels() const { return num_levels_; }
@@ -66,7 +63,7 @@ class WddlCircuitSimBatchT {
 
  private:
   const GateCircuit& circuit_;
-  BatchGateEvaluatorT<W> eval_;
+  BatchGateEvaluator eval_;
   double vdd_;
   std::vector<WddlGateModel> models_;
   double base_energy_ = 0.0;          // sum of false-rail energies
@@ -75,8 +72,6 @@ class WddlCircuitSimBatchT {
   std::size_t num_levels_ = 0;
   std::vector<double> base_level_;    // per level: its false-rail sum
 };
-
-using WddlCircuitSimBatch = WddlCircuitSimBatchT<std::uint64_t>;
 
 class WddlCircuitSim {
  public:

@@ -68,7 +68,7 @@ void tabulate(Sim& sim, std::size_t bits, bool pairs, std::size_t width,
   std::uint8_t xs[64];
   for (std::size_t base = 0; base < n; base += 64) {
     const std::size_t lanes = std::min<std::size_t>(64, n - base);
-    const std::uint64_t mask = lane_mask<std::uint64_t>(lanes);
+    const std::uint64_t mask = lane_mask(lanes);
     make_fresh(sim);
     if (pairs) {
       for (std::size_t lane = 0; lane < lanes; ++lane) {

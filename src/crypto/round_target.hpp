@@ -20,18 +20,18 @@
 // its circuit, computed once by the switch-level batch simulators, and
 // trace(), trace_batch() and trace_batch_sampled() sum table rows in
 // instance order instead of re-simulating — bit-identical to direct
-// simulation, and independent of any lane width. The simulators only
-// build tables and serve as the test oracle. Identical (spec, style)
-// instances share one synthesized circuit and one table (WDDL instances
-// keep one table each: every instance has its own rail-imbalance seed);
-// clones share the tables too. The only mutable state is static CMOS's
-// transition history: per instance, the input each of the 64 logical
-// lanes last held (lane L of a call is every trace t with t % 64 == L,
-// the historic 64-lane kernel layout), so chained calls, reset_state()
-// and scalar trace() behave exactly as the simulators did.
+// simulation. The simulators only build tables and serve as the test
+// oracle. Identical (spec, style) instances share one synthesized circuit
+// and one table (WDDL instances keep one table each: every instance has
+// its own rail-imbalance seed); clones share the tables too. The only
+// mutable state is static CMOS's transition history: per instance, the
+// input each of the 64 logical lanes last held (lane L of a call is every
+// trace t with t % 64 == L, the 64-lane kernel layout), so chained calls,
+// reset_state() and scalar trace() behave exactly as the simulators did.
 //
-// RoundTargetT<W> keeps its lane-word parameter only for the engine's
-// per-width plumbing; every width shares one lookup body, RoundTargetBase.
+// Every RoundTargetT<W> shares one lookup body, RoundTargetBase; the
+// lane-word parameter no longer selects any code and survives only for
+// callers written against the former per-width API.
 #pragma once
 
 #include <cstdint>
@@ -143,8 +143,8 @@ RoundSpec present_round(std::size_t num_sboxes, LogicStyle style);
 /// SubBytes layer at num_sboxes = 16.
 RoundSpec aes_subbytes_round(std::size_t num_sboxes, LogicStyle style);
 
-/// The lane-width-independent round target: S-box instances over shared
-/// leakage tables (see the header comment).
+/// The round target's lookup body: S-box instances over shared leakage
+/// tables (see the header comment).
 class RoundTargetBase {
  public:
   /// Synthesizes every instance's circuit in round.style (identical specs
@@ -248,8 +248,7 @@ class RoundTargetT : public RoundTargetBase {
   }
 };
 
-/// The 64-lane instantiation: the engine's prototype width and the historic
-/// public name.
+/// The engine's target and the public name.
 using RoundTarget = RoundTargetT<std::uint64_t>;
 
 }  // namespace sable

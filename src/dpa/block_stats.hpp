@@ -29,8 +29,8 @@
 // unit is — and uses plain mul+add (never FMA; the build pins
 // -ffp-contract=off), so all dispatch tiers produce bit-identical
 // results. Block boundaries are the engine's fixed shard layout, making
-// the block-factored scores bit-identical across num_threads ×
-// lane_width × dispatch tiers.
+// the block-factored scores bit-identical across num_threads × dispatch
+// tiers.
 //
 // Dispatch follows the PR 7 transpose pattern: the bodies live in
 // block_stats_impl.hpp templated on a tier index (the parameter only

@@ -51,7 +51,7 @@ class CpaShardAccumulator final : public ShardAccumulator {
 
   // One add_block call per engine shard: block boundaries are the fixed
   // shard layout, so the block-factored summation order is deterministic
-  // across thread counts, lane widths and dispatch tiers.
+  // across thread counts and dispatch tiers.
   void accumulate(const ShardBlock& block) override {
     require_scalar(block);
     acc_.add_block(block.sub_pts, block.data, block.count);
@@ -150,7 +150,7 @@ class MtdShardAccumulator final : public ShardAccumulator {
   // The ladder cuts the shard into segments, each fed through one
   // add_block call. Segment boundaries are fixed by the ladder and the
   // shard layout alone, so the MTD curve is bit-identical across thread
-  // counts, lane widths and dispatch tiers.
+  // counts and dispatch tiers.
   void accumulate(const ShardBlock& block) override {
     require_scalar(block);
     SABLE_ASSERT(!settled_, "cannot accumulate into a settled MTD fold root");

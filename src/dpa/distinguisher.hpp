@@ -22,8 +22,8 @@
 // Determinism: a shard accumulator is a pure function of its shard's
 // traces, the reduction shape is a function of the shard count alone, and
 // ordered reductions run on the calling thread — so every distinguisher
-// result is bit-identical for any num_threads and lane_width, like the
-// campaigns they generalize.
+// result is bit-identical for any num_threads and dispatch tier, like
+// the campaigns they generalize.
 //
 // Running several distinguishers in one call shares the simulation: a
 // 16-subkey attack on a 16-S-box round costs one campaign, not sixteen
@@ -219,9 +219,9 @@ class SecondOrderCpaDistinguisher final : public Distinguisher {
 /// checkpoints; the left fold in canonical shard order ranks every
 /// snapshot against the merged prefix of the shards before it. Segments
 /// and merge order are fixed by the ladder and the shard layout, so the
-/// MTD curve is bit-identical across thread counts, lane widths and
-/// dispatch tiers. The checkpoint ladder is canonicalized at
-/// construction: sorted, unique, restricted to [2, num_traces].
+/// MTD curve is bit-identical across thread counts and dispatch tiers.
+/// The checkpoint ladder is canonicalized at construction: sorted,
+/// unique, restricted to [2, num_traces].
 class MtdDistinguisher final : public Distinguisher {
  public:
   MtdDistinguisher(const SboxSpec& spec, const AttackSelector& selector,

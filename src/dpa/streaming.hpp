@@ -64,7 +64,7 @@ class StreamingCpa {
   /// block. Scores agree with the two-pass Pearson formulation to ~1e-13
   /// and are bit-identical across dispatch tiers; one add_block
   /// call per engine shard makes sharded campaigns bit-identical across
-  /// thread counts and lane widths.
+  /// thread counts.
   void add_block(const std::uint8_t* pts, const double* samples,
                  std::size_t count);
 

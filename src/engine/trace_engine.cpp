@@ -19,22 +19,20 @@
 namespace sable {
 
 std::size_t campaign_shard_size(const CampaignOptions& options) {
-  // Shard granularity is pinned to 64 traces — the historic lane count —
-  // for EVERY lane width, so shard boundaries (and with them the whole
-  // trace stream) never depend on the word the kernel happens to batch
-  // with. A wider word simply covers several 64-trace groups per step.
-  // The max() clamps shard sizes below one granule (in particular below
-  // the active lane width) to a whole 64-lane word instead of letting the
-  // division round them to zero shards.
+  // Shard granularity is one 64-lane word: the static-CMOS lane history
+  // (crypto/round_target.hpp) runs trace t in lane t % 64, so every shard
+  // starts on a fresh lane 0. The max() clamps shard sizes below one
+  // granule to a whole word instead of letting the division round them to
+  // zero shards.
   constexpr std::size_t kGranule = 64;
   if (options.shard_size == 0) {
     // Autotune. shard_size is part of the stream definition, so the
     // derived size must be a pure function of the options: only
-    // num_traces and fixed constants enter — never the thread count,
-    // lane width, or anything probed from the machine. Aim for ~256
-    // shards (dynamic-scheduling slack for any realistic core count
-    // without drowning in per-shard setup), keep campaigns up to 1024
-    // traces single-shard, and cap shards at 65536 traces so per-shard
+    // num_traces and fixed constants enter — never the thread count or
+    // anything probed from the machine. Aim for ~256 shards
+    // (dynamic-scheduling slack for any realistic core count without
+    // drowning in per-shard setup), keep campaigns up to 1024 traces
+    // single-shard, and cap shards at 65536 traces so per-shard
     // trace buffers stay cache-sized.
     constexpr std::size_t kTargetShards = 256;
     constexpr std::size_t kMinShard = 1024;
@@ -65,55 +63,23 @@ std::size_t campaign_thread_count(const CampaignOptions& options) {
   return resolve_thread_count(options.num_threads);
 }
 
-std::size_t campaign_lane_width(const CampaignOptions& options) {
-  // Resolved per campaign against the *runtime* dispatch tier: 0 picks the
-  // widest word the running CPU supports (and the active SABLE_DISPATCH
-  // cap allows), so one binary uses AVX-512 words on machines that have
-  // them and falls back cleanly elsewhere. An explicit width must be
-  // executable here and now — asking an AVX2 machine for 512 throws
-  // instead of faulting in the kernel.
-  if (options.lane_width == 0) return max_runtime_lane_width();
-  for (std::size_t width : runtime_lane_widths()) {
-    if (width == options.lane_width) return width;
-  }
-  throw InvalidArgument(
-      "CampaignOptions::lane_width must be 0 (widest available) or a width "
-      "this build and CPU support (see runtime_lane_widths())");
+std::size_t campaign_lane_width(const CampaignOptions&, LogicStyle) {
+  return max_runtime_lane_width();
 }
 
-std::size_t campaign_lane_width(const CampaignOptions& options,
-                                LogicStyle) {
-  return campaign_lane_width(options);
-}
-
-// ---- per-width engine state ----------------------------------------------
+// ---- persistent engine state ----------------------------------------------
 
 namespace detail {
 
-// One lane width's persistent state on an engine: the width-variant of the
-// prototype target (lazily derived, shares the circuits and leakage
-// tables) and the pool of idle worker clones campaigns check workers out
-// of. Keeping both across campaigns means a sweep of many small campaigns
-// (per-style tables, SPICE calibration) pays synthesis and tabulation
-// once and cloning once per worker — not once per campaign.
-template <typename W>
-struct LanePool {
-  std::unique_ptr<RoundTargetT<W>> variant;  // null for the 64-lane width
-  std::mutex mutex;
-  std::vector<std::unique_ptr<RoundTargetT<W>>> idle;
-};
-
+// An engine's persistent campaign state: the idle worker clones campaigns
+// check workers out of, and the parked campaign threads — spawned on the
+// first multi-threaded campaign, reused (not re-created) by every later
+// one. Keeping both across campaigns means a sweep of many small
+// campaigns (per-style tables, SPICE calibration) pays synthesis and
+// tabulation once and cloning once per worker — not once per campaign.
 struct EnginePools {
-  LanePool<std::uint64_t> p64;
-  LanePool<Word128> p128;
-#if SABLE_HAVE_WORD256
-  LanePool<Word256> p256;
-#endif
-#if SABLE_HAVE_WORD512
-  LanePool<Word512> p512;
-#endif
-  // Parked campaign threads, shared by every width: spawned on the first
-  // multi-threaded campaign, reused (not re-created) by every later one.
+  std::mutex mutex;
+  std::vector<std::unique_ptr<RoundTarget>> idle;
   WorkerPool workers;
 };
 
@@ -163,10 +129,8 @@ void validate_options(const RoundSpec& round,
 // from sub-stream 1. Per-shard RNG streams and a fresh target state (the
 // static-CMOS lane history) make the result a pure function of (options,
 // shard, kind) — the invariant every determinism guarantee rests on. The
-// traces are leakage-table lookups (crypto/leakage_table.hpp); W only
-// selects the engine's per-width worker pool.
-template <typename W>
-void simulate_shard(RoundTargetT<W>& target, const CampaignOptions& options,
+// traces are leakage-table lookups (crypto/leakage_table.hpp).
+void simulate_shard(RoundTarget& target, const CampaignOptions& options,
                     const ShardLayout& layout, std::size_t shard,
                     TraceDataKind kind, std::uint8_t* pts, double* out) {
   const std::size_t count = layout.count(shard);
@@ -188,10 +152,9 @@ void simulate_shard(RoundTargetT<W>& target, const CampaignOptions& options,
 // either way the worker returns to the pool at scope exit — campaigns on
 // the same engine share workers instead of re-cloning. Stale lane state
 // is harmless: every shard resets the target before simulating.
-template <typename W>
 class WorkerLease {
  public:
-  WorkerLease(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool)
+  WorkerLease(const RoundTarget& prototype, detail::EnginePools& pool)
       : pool_(pool) {
     {
       std::lock_guard<std::mutex> lock(pool_.mutex);
@@ -201,7 +164,7 @@ class WorkerLease {
       }
     }
     if (!worker_) {
-      worker_ = std::make_unique<RoundTargetT<W>>(prototype.clone());
+      worker_ = std::make_unique<RoundTarget>(prototype.clone());
     }
   }
   ~WorkerLease() {
@@ -211,11 +174,11 @@ class WorkerLease {
   WorkerLease(const WorkerLease&) = delete;
   WorkerLease& operator=(const WorkerLease&) = delete;
 
-  RoundTargetT<W>& target() { return *worker_; }
+  RoundTarget& target() { return *worker_; }
 
  private:
-  detail::LanePool<W>& pool_;
-  std::unique_ptr<RoundTargetT<W>> worker_;
+  detail::EnginePools& pool_;
+  std::unique_ptr<RoundTarget> worker_;
 };
 
 // Per-party context of a simulating campaign: a leased target clone plus
@@ -226,14 +189,13 @@ class WorkerLease {
 // samples, since a mixed campaign needs both. Consumers that simulate
 // into external storage (run's TraceSet slices, the stream ring's slots)
 // lease a bare WorkerLease instead.
-template <typename W>
 struct WorkerCtx {
-  WorkerLease<W> lease;
+  WorkerLease lease;
   std::vector<std::uint8_t> pts;
   std::vector<double> samples;
   std::vector<double> rows;
 
-  WorkerCtx(const RoundTargetT<W>& prototype, detail::LanePool<W>& pool,
+  WorkerCtx(const RoundTarget& prototype, detail::EnginePools& pool,
             std::size_t shard_size, std::size_t sample_width,
             std::size_t row_width)
       : lease(prototype, pool),
@@ -262,9 +224,7 @@ struct WorkerCtx {
 // workers outrun a sink that encodes and writes (record): an extra party
 // would only oversubscribe the cores and deschedule the emitter that
 // bounds the stream.
-template <typename W>
-void stream_shards(const RoundTargetT<W>& prototype,
-                   detail::LanePool<W>& pool, WorkerPool& workers,
+void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
                    const CampaignOptions& options, TraceDataKind kind,
                    std::size_t sample_width, const TraceSink& sink) {
   const ShardLayout layout = layout_for(options);
@@ -273,7 +233,7 @@ void stream_shards(const RoundTargetT<W>& prototype,
   const std::size_t threads =
       std::min(campaign_thread_count(options), layout.num_shards);
   if (threads <= 1) {
-    WorkerCtx<W> ctx(prototype, pool, layout.shard_size, sample_width, 0);
+    WorkerCtx ctx(prototype, pool, layout.shard_size, sample_width, 0);
     for (std::size_t s = 0; s < layout.num_shards; ++s) {
       simulate_shard(ctx.lease.target(), options, layout, s, kind,
                      ctx.pts.data(), ctx.samples.data());
@@ -298,7 +258,7 @@ void stream_shards(const RoundTargetT<W>& prototype,
   bool failed = false;
   std::atomic<std::size_t> next{0};
 
-  workers.run(threads, [&](std::size_t party) {
+  pool.workers.run(threads, [&](std::size_t party) {
     if (party == 0) {
       // Emitter. `scratch` ping-pongs with the ring: the swap hands the
       // just-emitted shard's buffers back to the slot for the worker of
@@ -336,7 +296,7 @@ void stream_shards(const RoundTargetT<W>& prototype,
       return;
     }
     try {
-      WorkerLease<W> lease(prototype, pool);
+      WorkerLease lease(prototype, pool);
       for (std::size_t s = next.fetch_add(1); s < layout.num_shards;
            s = next.fetch_add(1)) {
         Slot* slot = nullptr;
@@ -375,48 +335,8 @@ void stream_shards(const RoundTargetT<W>& prototype,
   });
 }
 
-// Lazily derives the width-W variant of the engine's 64-lane prototype
-// (shared circuits and tables, fresh history) and keeps it on the pool for
-// the engine's lifetime. Guarded by the pool mutex so concurrent campaigns
-// on one engine (safe before the pools existed, since they only read the
-// const prototype) cannot race the one-time init; it runs once per width
-// per engine, off the hot path.
-template <typename W>
-const RoundTargetT<W>& ensure_variant(const RoundTarget& base,
-                                      detail::LanePool<W>& pool) {
-  std::lock_guard<std::mutex> lock(pool.mutex);
-  if (!pool.variant) {
-    pool.variant = std::make_unique<RoundTargetT<W>>(
-        base.template with_lane_width<W>());
-  }
-  return *pool.variant;
-}
-
-// Resolves options.lane_width and calls fn(prototype, pool) with the
-// matching RoundTargetT<W> / LanePool<W> pair — the single dispatch point
-// between the runtime width knob and the compile-time kernel width.
-template <typename Fn>
-decltype(auto) with_lane(const RoundTarget& base, detail::EnginePools& pools,
-                         const CampaignOptions& options, Fn&& fn) {
-  switch (campaign_lane_width(options)) {
-    case 64:
-      return fn(base, pools.p64);
-    case 128:
-      return fn(ensure_variant(base, pools.p128), pools.p128);
-#if SABLE_HAVE_WORD256
-    case 256:
-      return fn(ensure_variant(base, pools.p256), pools.p256);
-#endif
-#if SABLE_HAVE_WORD512
-    case 512:
-      return fn(ensure_variant(base, pools.p512), pools.p512);
-#endif
-  }
-  SABLE_ASSERT(false, "unreachable lane width");
-}
-
 // The one body behind stream(), stream_sampled() and record().
-void stream_campaign(const RoundTarget& target, detail::EnginePools& pools,
+void stream_campaign(const RoundTarget& target, detail::EnginePools& pool,
                      const CampaignOptions& options, TraceDataKind kind,
                      const TraceSink& sink) {
   validate_options(target.round(), options);
@@ -424,16 +344,10 @@ void stream_campaign(const RoundTarget& target, detail::EnginePools& pools,
       kind == TraceDataKind::kScalar ? 1 : target.num_levels();
   SABLE_REQUIRE(width > 0,
                 "time-resolved campaigns need at least one logic level");
-  with_lane(target, pools, options, [&](const auto& prototype, auto& pool) {
-    stream_shards(prototype, pool, pools.workers, options, kind, width, sink);
-  });
+  stream_shards(target, pool, options, kind, width, sink);
 }
 
-// ---- width-generic campaign bodies ----------------------------------------
-
-template <typename W>
-TraceSet run_campaign(const RoundTargetT<W>& prototype,
-                      detail::LanePool<W>& pool, WorkerPool& workers,
+TraceSet run_campaign(const RoundTarget& prototype, detail::EnginePools& pool,
                       const CampaignOptions& options) {
   const ShardLayout layout = layout_for(options);
   const std::size_t stride = prototype.round().state_bytes();
@@ -443,10 +357,10 @@ TraceSet run_campaign(const RoundTargetT<W>& prototype,
   traces.samples.resize(options.num_traces);
   // Shards map to disjoint slices of the canonical trace order, so workers
   // simulate straight into the final TraceSet with no ordering hand-off.
-  workers.parallel_for(
+  pool.workers.parallel_for(
       layout.num_shards, campaign_thread_count(options),
-      [&] { return WorkerLease<W>(prototype, pool); },
-      [&](WorkerLease<W>& lease, std::size_t s) {
+      [&] { return WorkerLease(prototype, pool); },
+      [&](WorkerLease& lease, std::size_t s) {
         simulate_shard(lease.target(), options, layout, s,
                        TraceDataKind::kScalar,
                        traces.plaintexts.data() + layout.start(s) * stride,
@@ -461,9 +375,8 @@ TraceSet run_campaign(const RoundTargetT<W>& prototype,
 // plaintext stream is regenerated identically (same counter-derived seed)
 // and each kind draws its noise exactly as its single-kind campaign
 // would, so sharing a campaign never changes a result.
-template <typename W>
-bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
-                             detail::LanePool<W>& pool, WorkerPool& workers,
+bool run_distinguishers_impl(const RoundTarget& prototype,
+                             detail::EnginePools& pool,
                              const CampaignOptions& options,
                              const CampaignManifest& manifest,
                              std::span<Distinguisher* const> distinguishers,
@@ -480,13 +393,13 @@ bool run_distinguishers_impl(const RoundTargetT<W>& prototype,
     }
   }
   return drive_attack_campaign(
-      manifest, prototype.round(), distinguishers, levels, persist, workers,
-      campaign_thread_count(options),
+      manifest, prototype.round(), distinguishers, levels, persist,
+      pool.workers, campaign_thread_count(options),
       [&] {
-        return WorkerCtx<W>(prototype, pool, layout.shard_size,
-                            any_scalar ? 1 : 0, any_sampled ? levels : 0);
+        return WorkerCtx(prototype, pool, layout.shard_size,
+                         any_scalar ? 1 : 0, any_sampled ? levels : 0);
       },
-      [&](WorkerCtx<W>& ctx, std::size_t s) {
+      [&](WorkerCtx& ctx, std::size_t s) {
         if (any_scalar) {
           simulate_shard(ctx.lease.target(), options, layout, s,
                          TraceDataKind::kScalar, ctx.pts.data(),
@@ -527,11 +440,7 @@ const SboxSpec& TraceEngine::spec(std::size_t sbox_index) const {
 
 TraceSet TraceEngine::run(const CampaignOptions& options) {
   validate_options(round(), options);
-  return with_lane(target_, *pools_, options,
-                   [&](const auto& prototype, auto& pool) {
-                     return run_campaign(prototype, pool, pools_->workers,
-                                         options);
-                   });
+  return run_campaign(target_, *pools_, options);
 }
 
 void TraceEngine::stream(const CampaignOptions& options,
@@ -568,13 +477,8 @@ bool TraceEngine::run_distinguishers(
     }
   }
   const CampaignManifest manifest = campaign_manifest(options);
-  return with_lane(target_, *pools_, options,
-                   [&](const auto& prototype, auto& pool) {
-                     return run_distinguishers_impl(prototype, pool,
-                                                    pools_->workers, options,
-                                                    manifest, distinguishers,
-                                                    persist);
-                   });
+  return run_distinguishers_impl(target_, *pools_, options, manifest,
+                                 distinguishers, persist);
 }
 
 void TraceEngine::merge_partials(

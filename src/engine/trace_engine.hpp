@@ -1,5 +1,5 @@
 // TraceEngine — batched, thread-sharded trace generation with streaming
-// consumption, over width-generic round targets.
+// consumption, over round targets.
 //
 // The engine turns a RoundSpec — N S-box instances synthesized side by
 // side in one logic style — into power-trace campaigns at MTD scale.
@@ -36,21 +36,15 @@
 // shard_size = 0 autotune derives the size from num_traces and fixed
 // constants alone (see campaign_shard_size), never from the machine.
 //
-// Lane widths: CampaignOptions::lane_width picks the batch word of the
-// campaign's target variant — 64 (the historic kernel), 128 (portable
-// pair), or 256/512 (AVX2/AVX-512 vectors). The default build carries
-// every kernel width side by side and probes the CPU once at runtime
-// (util/cpu_dispatch.hpp); 0 (the default) selects the widest word the
-// running machine supports, resolved per campaign and never on the
-// per-trace hot path. Every width — and therefore every dispatch tier —
-// generates bit-identical campaigns. Since campaigns read leakage
-// tables, the width no longer changes the work per trace either; the
-// knob stays until the per-width plumbing is retired (see ROADMAP).
-// Workers are persistent: each engine keeps the per-width target
-// variants, a pool of worker clones, AND a parked thread pool
-// (engine/worker_pool.hpp) alive across campaigns, so sweeps of many
-// small campaigns pay synthesis, tabulation, cloning and thread creation
-// once — not once per campaign.
+// SIMD: campaigns read leakage tables, which the u64 batch simulators
+// build once per engine, so no campaign simulates in a vector word. The
+// runtime dispatch tier (util/cpu_dispatch.hpp) picks the distinguishers'
+// block-statistics kernels and the transposes behind lane packing and the
+// corpus codec; every tier generates bit-identical campaigns.
+// Workers are persistent: each engine keeps a pool of worker clones AND a
+// parked thread pool (engine/worker_pool.hpp) alive across campaigns, so
+// sweeps of many small campaigns pay synthesis, tabulation, cloning and
+// thread creation once — not once per campaign.
 #pragma once
 
 #include <cstdint>
@@ -99,25 +93,15 @@ struct CampaignOptions {
   /// Worker threads the campaign shards are scheduled over.
   /// 0 = hardware concurrency. Any value yields bit-identical results.
   std::size_t num_threads = 0;
-  /// Batch-lane word width the campaign simulates with: 64, 128, or a
-  /// SIMD width (256/512) the running CPU supports; see
-  /// runtime_lane_widths(). 0 = widest the machine offers, probed at
-  /// runtime. Any value yields bit-identical results.
-  std::size_t lane_width = 0;
 };
 
 /// Shard granularity of a campaign: shard_size rounded down to whole
 /// 64-lane words, CLAMPED to at least one word — a shard_size in [1, 63]
-/// (in particular one smaller than the active lane width) yields 64-trace
-/// shards rather than rounding to zero. The granule is 64 for EVERY lane
-/// width: wider words cover several 64-trace groups per step (ragged
-/// tails run under lane masks), so shard boundaries — and with them the
-/// generated trace stream — never depend on the word the kernel batches
-/// with.
+/// yields 64-trace shards rather than rounding to zero.
 ///
 /// shard_size = 0 autotunes: clamp(num_traces / 256 rounded down to a
 /// whole 64-lane word, 1024, 65536). The constants are fixed — NOT
-/// derived from the thread count, lane width, or machine — so the
+/// derived from the thread count or the machine — so the
 /// autotuned stream is exactly as reproducible as an explicit size:
 /// campaigns up to 1024 traces stay single-shard, larger ones aim for
 /// ~256 shards (comfortable dynamic-scheduling slack for any realistic
@@ -134,13 +118,11 @@ std::uint64_t campaign_shard_seed(std::uint64_t campaign_seed,
 /// Worker threads a campaign resolves to (0 = hardware concurrency).
 std::size_t campaign_thread_count(const CampaignOptions& options);
 
-/// Lane width a campaign resolves to (0 = the widest width the running
-/// CPU supports under the active dispatch tier). Throws InvalidArgument
-/// for widths this build or machine cannot execute.
-std::size_t campaign_lane_width(const CampaignOptions& options);
-
-/// Same as above; the style does not change the resolution. Kept as a
-/// forward for callers written against the former per-style overload.
+/// Widest lane word pack_lane_words may fill under the active dispatch
+/// tier: a one-line forward to max_runtime_lane_width(). Campaigns no
+/// longer have a lane width (they read leakage tables); the forward stays
+/// for callers that report or pack at the former campaign width. Neither
+/// argument changes the result.
 std::size_t campaign_lane_width(const CampaignOptions& options,
                                 LogicStyle style);
 
@@ -176,7 +158,7 @@ using SampledTraceSink =
     std::function<void(const std::uint8_t*, const double*, std::size_t)>;
 
 namespace detail {
-struct EnginePools;  // per-width target variants + persistent worker pools
+struct EnginePools;  // persistent worker clones + thread pool
 }  // namespace detail
 
 class TraceEngine {
@@ -224,7 +206,7 @@ class TraceEngine {
   /// time-resolved distinguishers simulates each shard once per data
   /// kind with identical per-kind streams, so every result is
   /// bit-identical to the same distinguisher run alone. Results are
-  /// bit-identical for any num_threads and lane_width.
+  /// bit-identical for any num_threads and dispatch tier.
   void run_distinguishers(const CampaignOptions& options,
                           std::span<Distinguisher* const> distinguishers);
 
@@ -285,8 +267,8 @@ class TraceEngine {
 
  private:
   RoundTarget target_;
-  // Hides the per-width plumbing (RoundTargetT<W> variants, persistent
-  // worker clones) from this header; see trace_engine.cpp.
+  // Hides the persistent worker clones and threads from this header; see
+  // trace_engine.cpp.
   std::unique_ptr<detail::EnginePools> pools_;
 };
 

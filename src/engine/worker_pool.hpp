@@ -3,7 +3,7 @@
 // The sharded TraceEngine used to spawn a fresh std::thread set per
 // campaign. For MTD-scale single campaigns that cost vanishes in the
 // noise, but the engine's bread-and-butter workloads — per-style
-// throughput tables, lane-width sweeps, SPICE calibration — run MANY
+// throughput tables, thread sweeps, SPICE calibration — run MANY
 // short campaigns back to back, and on those the per-campaign
 // create/join cycle (plus the first-touch page faults of brand-new
 // stacks) was a measurable slice of why N threads failed to beat 1.

@@ -5,7 +5,6 @@
 #include <limits>
 #include <set>
 
-#include "netlist/conduction_impl.hpp"
 #include "util/error.hpp"
 
 namespace sable {
@@ -48,10 +47,40 @@ std::vector<bool> connected_to_external(const DpdnNetwork& net,
   return out;
 }
 
-// Portable-width instantiations only; Word256/512 live in src/simd/ (see
-// conduction_impl.hpp). std::uint64_t is the historic 64-lane kernel every
-// scalar-facing query below runs on.
-SABLE_FOR_EACH_PORTABLE_LANE_WORD(SABLE_INSTANTIATE_CONDUCTION)
+void device_conduction_masks(const DpdnNetwork& net,
+                             const std::vector<std::uint64_t>& var_words,
+                             std::vector<std::uint64_t>& out) {
+  SABLE_ASSERT(var_words.size() >= net.num_vars(),
+               "one lane word per input variable required");
+  out.resize(net.device_count());
+  for (std::size_t d = 0; d < net.device_count(); ++d) {
+    const SignalLiteral& gate = net.devices()[d].gate;
+    const std::uint64_t w = var_words[gate.var];
+    out[d] = gate.positive ? w : ~w;
+  }
+}
+
+void propagate_conduction(const DpdnNetwork& net,
+                          const std::vector<std::uint64_t>& device_masks,
+                          std::vector<std::uint64_t>& reach) {
+  // DPDNs are a handful of nodes, so a few device sweeps reach the fixpoint
+  // faster than any per-lane union-find would.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t d = 0; d < net.device_count(); ++d) {
+      const std::uint64_t m = device_masks[d];
+      if (m == 0) continue;
+      const Switch& sw = net.devices()[d];
+      const std::uint64_t joint = (reach[sw.a] | reach[sw.b]) & m;
+      if ((joint & ~reach[sw.a]) != 0 || (joint & ~reach[sw.b]) != 0) {
+        reach[sw.a] |= joint;
+        reach[sw.b] |= joint;
+        changed = true;
+      }
+    }
+  }
+}
 
 std::vector<std::uint64_t> connected_to_external_batch(
     const DpdnNetwork& net, const std::vector<std::uint64_t>& var_words) {

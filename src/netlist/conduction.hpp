@@ -14,7 +14,6 @@
 #include "expr/truth_table.hpp"
 #include "netlist/network.hpp"
 #include "netlist/union_find.hpp"
-#include "util/lane_word.hpp"
 
 namespace sable {
 
@@ -38,27 +37,24 @@ std::vector<bool> connected_to_external(const DpdnNetwork& net,
 // ---- Bit-parallel (lane-word) conduction ----------------------------------
 //
 // A lane is one independent complementary assignment; lane L of
-// `var_words[v]` holds the value of variable v under assignment L. All
-// LaneTraits<W>::kLanes lanes are analyzed simultaneously with word-wide
-// operations — the bit-parallel engine behind the batched trace
-// simulators. W is any lane word from util/lane_word.hpp (instantiated for
-// every compiled-in width; std::uint64_t is the historic 64-lane kernel).
+// `var_words[v]` holds the value of variable v under assignment L. All 64
+// lanes of a std::uint64_t word are analyzed simultaneously with
+// word-wide operations — the bit-parallel engine behind the batch
+// simulators.
 
 /// Per-device conduction mask: lane L of `out[d]` is set iff device d
 /// conducts in lane L. `out` is resized to the device count.
-template <typename W>
 void device_conduction_masks(const DpdnNetwork& net,
-                             const std::vector<W>& var_words,
-                             std::vector<W>& out);
+                             const std::vector<std::uint64_t>& var_words,
+                             std::vector<std::uint64_t>& out);
 
 /// Fixpoint closure of per-lane reachability. `reach` has one word per
 /// node, pre-seeded with the source lanes; on return lane L of `reach[n]`
 /// is set iff node n is connected to a seeded node in lane L through
 /// devices whose `device_masks` lane L is set.
-template <typename W>
 void propagate_conduction(const DpdnNetwork& net,
-                          const std::vector<W>& device_masks,
-                          std::vector<W>& reach);
+                          const std::vector<std::uint64_t>& device_masks,
+                          std::vector<std::uint64_t>& reach);
 
 /// Per-node lane words: bit L set iff the node is connected to an external
 /// node (X, Y or Z) in lane L. The 64-lane form of connected_to_external.

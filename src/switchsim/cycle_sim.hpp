@@ -10,13 +10,10 @@
 //                then all inputs return to 0 and disconnected (floating)
 //                nodes keep whatever charge they hold.
 //
-// All widths share one kernel: SablGateSimBatchT<W> simulates
-// LaneTraits<W>::kLanes independent gate instances at once (lane L of
-// every word is instance L) for any lane word W from util/lane_word.hpp.
-// Per-lane energy arithmetic walks the word's 64-bit chunks with exactly
-// the historic 64-lane code, so a lane's result is bit-identical for
-// every word width. SablGateSimBatch is the 64-lane instantiation, and
-// the scalar SablGateSim is its width-1 case.
+// SablGateSimBatch simulates 64 independent gate instances at once (lane
+// L of every 64-bit word is instance L), and the scalar SablGateSim is
+// its width-1 case: a lane's result is bit-identical to a width-1 run fed
+// the same assignment sequence.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +25,12 @@
 
 namespace sable {
 
-/// Transposes a batch of scalar assignments into the lane words every
-/// batch kernel consumes: lane L of `words[v]` is bit v of
-/// `assignments[L]`. `words` must be pre-sized to the variable count (at
-/// most 64); lanes at `count` and beyond are cleared. Implemented as a
+/// Transposes a batch of scalar assignments into lane words: lane L of
+/// `words[v]` is bit v of `assignments[L]`. The simulators consume the
+/// std::uint64_t form; the wider words of util/lane_word.hpp are plain
+/// chunk containers, packed 64 lanes per chunk by the same kernels.
+/// `words` must be pre-sized to the variable count (at most 64); lanes at
+/// `count` and beyond are cleared. Implemented as a
 /// real bit-matrix transpose (64×64 per chunk, or byte bit-planes when
 /// the variable count fits a byte) with a single-lane fast path. Each
 /// dispatch tier carries its own transpose body — scalar Hacker's
@@ -67,22 +66,21 @@ void pack_lane_words_gather(const std::uint64_t* assignments,
 /// tier's body behind function-level target attributes.
 void bit_transpose_blocks(std::uint64_t* words, std::size_t blocks);
 
-/// kLanes independent instances of one gate, simulated bit-parallel: per
-/// node one charge word (lane L = instance L at VDD level), per cycle one
+/// 64 independent instances of one gate, simulated bit-parallel: per node
+/// one charge word (lane L = instance L at VDD level), per cycle one
 /// conduction fixpoint over lane words instead of per-lane union-finds.
-template <typename W>
-class SablGateSimBatchT {
+class SablGateSimBatch {
  public:
-  static constexpr std::size_t kLanes = LaneTraits<W>::kLanes;
+  static constexpr std::size_t kLanes = 64;
 
-  SablGateSimBatchT(const DpdnNetwork& net, GateEnergyModel model);
+  SablGateSimBatch(const DpdnNetwork& net, GateEnergyModel model);
 
   /// Runs one full clock cycle in every lane selected by `lane_mask`.
   /// Lane L of `var_words[v]` is the value of input v in lane L. Writes
   /// the supply energy of lane L into `energy[L]` for selected lanes only;
   /// unselected lanes keep their charge state and energy slot untouched.
-  void cycle(const std::vector<W>& var_words, const W& lane_mask,
-             double* energy);
+  void cycle(const std::vector<std::uint64_t>& var_words,
+             std::uint64_t lane_mask, double* energy);
 
   /// Forces every DPDN node charged (`true`) or discharged (`false`) in
   /// every lane.
@@ -91,14 +89,15 @@ class SablGateSimBatchT {
   /// Independent simulator instance over the same network and energy
   /// model, in fresh-construction state — no lane state or scratch is
   /// shared with this instance, so the clone can run on another thread.
-  /// The referenced DpdnNetwork must outlive the clone (the sharded
-  /// TraceEngine guarantees this by sharing the owning circuit).
-  SablGateSimBatchT clone_fresh() const {
-    return SablGateSimBatchT(net_, model_);
+  /// The referenced DpdnNetwork must outlive the clone.
+  SablGateSimBatch clone_fresh() const {
+    return SablGateSimBatch(net_, model_);
   }
 
   /// Per-node charge words after the last cycle (lane L = lane L at VDD).
-  const std::vector<W>& node_state_words() const { return charged_; }
+  const std::vector<std::uint64_t>& node_state_words() const {
+    return charged_;
+  }
 
   const DpdnNetwork& network() const { return net_; }
   const GateEnergyModel& model() const { return model_; }
@@ -106,15 +105,12 @@ class SablGateSimBatchT {
  private:
   const DpdnNetwork& net_;
   GateEnergyModel model_;
-  std::vector<W> charged_;
+  std::vector<std::uint64_t> charged_;
   // Per-cycle scratch, kept across calls so the hot path never allocates.
-  std::vector<W> masks_;
-  std::vector<W> reach_;
-  std::vector<W> reach_xz_;  // X–Z closure for the rail extras
+  std::vector<std::uint64_t> masks_;
+  std::vector<std::uint64_t> reach_;
+  std::vector<std::uint64_t> reach_xz_;  // X–Z closure for the rail extras
 };
-
-/// The historic 64-lane kernel (lane L of a word is instance L).
-using SablGateSimBatch = SablGateSimBatchT<std::uint64_t>;
 
 class SablGateSim {
  public:

@@ -18,16 +18,15 @@ EnergyProfile profile_gate_energy(const DpdnNetwork& net,
   double energy[kLanes];
   for (std::size_t base = 0; base < rows; base += kLanes) {
     const std::size_t lanes = std::min(kLanes, rows - base);
-    const std::uint64_t lane_mask =
-        lanes == kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    const std::uint64_t mask = lane_mask(lanes);
     std::uint64_t assignments[kLanes];
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       assignments[lane] = base + lane;
     }
     pack_lane_words(assignments, lanes, var_words);
     SablGateSimBatch sim(net, model);
-    sim.cycle(var_words, lane_mask, energy);  // warm-up: settle held charge
-    sim.cycle(var_words, lane_mask, energy);
+    sim.cycle(var_words, mask, energy);  // warm-up: settle held charge
+    sim.cycle(var_words, mask, energy);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       profile.energy_per_input[base + lane] = energy[lane];
     }

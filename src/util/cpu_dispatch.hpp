@@ -1,9 +1,13 @@
-// Runtime CPU dispatch for the bit-parallel kernels.
+// Runtime CPU dispatch for the SIMD kernels.
 //
 // The default build (SABLE_SIMD=RUNTIME) compiles portable, AVX2 and
-// AVX-512 kernel instantiations into one binary; this header is how the
-// engine decides — once per campaign, never on the trace hot path — which
-// of them this machine may run:
+// AVX-512 bodies of three kernel families into one binary: the 64×64 bit
+// transposes behind pack_lane_words and bit_transpose_blocks (lane
+// packing and the corpus codec), the byte bit-plane packers, and the
+// distinguishers' block-statistics kernels. Every body produces
+// bit-identical results. This header is how a call decides — once per
+// pack call or block, never per trace — which of them this machine may
+// run:
 //
 //   cpu_features()   cached CPUID probe (what the CPU has)
 //   compiled_tier()  widest tier whose kernels are in this binary
@@ -14,8 +18,8 @@
 // whole process, and ScopedDispatchTierCap caps a scope so the test suite
 // can prove bit-identity of the same campaign across tiers on one machine.
 //
-// runtime_lane_widths() intersects the compiled widths with the active
-// tier; CampaignOptions::lane_width == 0 resolves to its maximum.
+// runtime_lane_widths() intersects the lane words pack_lane_words is
+// compiled for with the active tier.
 #pragma once
 
 #include <cstddef>
@@ -85,8 +89,7 @@ class ScopedDispatchTierCap {
 /// active dispatch tier. Ascending; always contains 64 and 128.
 std::vector<std::size_t> runtime_lane_widths();
 
-/// Widest runnable lane width — what CampaignOptions::lane_width == 0
-/// resolves to.
+/// Widest runnable lane width (what campaign_lane_width reports).
 std::size_t max_runtime_lane_width();
 
 }  // namespace sable

@@ -1,7 +1,7 @@
 // Checkpoint/resume determinism: a campaign interrupted after K shards
 // and resumed from its checkpoint file must be bit-identical to the
-// uninterrupted run — across thread counts and batch lane widths, for
-// the scalar distinguishers AND the ordered MTD fold. This holds only
+// uninterrupted run — across thread counts and dispatch tiers, for the
+// scalar distinguishers AND the ordered MTD fold. This holds only
 // because checkpoints store RAW per-shard accumulator states: with 7
 // shards (non-power-of-2) the fixed-shape merge tree is NOT a left
 // fold, so persisting merged prefixes would silently change the
@@ -70,10 +70,10 @@ AttackSet make_attacks(const TraceEngine& engine,
                        options.num_traces)};
 }
 
-TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalAcrossThreadsAndLanes) {
+TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalAcrossThreadsAndTiers) {
   const CampaignOptions base = resume_options();
 
-  // One reference, default threads/lanes: determinism says every
+  // One reference, default threads and tier: determinism says every
   // configuration below must reproduce it exactly.
   TraceEngine ref_engine(present_spec(), LogicStyle::kStaticCmos, kTech);
   AttackSet ref = make_attacks(ref_engine, base);
@@ -82,14 +82,16 @@ TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalAcrossThreadsAndLanes) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{5}}) {
-    for (const std::size_t lanes : runtime_lane_widths()) {
+    for (const DispatchTier tier : {DispatchTier::kPortable,
+                                    DispatchTier::kAvx2,
+                                    DispatchTier::kAvx512}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " lanes=" + std::to_string(lanes));
+                   " tier=" + to_string(tier));
+      ScopedDispatchTierCap cap(tier);
       CampaignOptions options = base;
       options.num_threads = threads;
-      options.lane_width = lanes;
       const std::string checkpoint =
-          temp_path(std::to_string(threads) + "_" + std::to_string(lanes));
+          temp_path(std::to_string(threads) + "_" + to_string(tier));
 
       // Interrupt after 3 of 7 shards...
       {

@@ -1,7 +1,7 @@
 // Runtime CPU dispatch contract (util/cpu_dispatch): tier ordering and
 // naming, the active tier as min(compiled, detected, cap), the process cap
-// with its RAII scope guard, and the runtime lane-width list campaigns
-// resolve widths against. The SABLE_DISPATCH environment variable is read
+// with its RAII scope guard, and the runtime lane-width list
+// pack_lane_words may fill. The SABLE_DISPATCH environment variable is read
 // once at first use and feeds the same cap these tests exercise directly,
 // so it is covered by the set_dispatch_tier_cap tests (plus the CI job
 // that runs the suite under SABLE_DISPATCH=portable).
@@ -135,7 +135,20 @@ TEST(CpuDispatchTest, PortableCapCollapsesRuntimeWidthsToThePortablePair) {
   EXPECT_EQ(runtime[0], 64u);
   EXPECT_EQ(runtime[1], 128u);
   EXPECT_EQ(max_runtime_lane_width(), 128u);
-  EXPECT_EQ(campaign_lane_width(CampaignOptions{}), 128u);
+  EXPECT_EQ(campaign_lane_width(CampaignOptions{}, LogicStyle::kStaticCmos),
+            128u);
+}
+
+// campaign_lane_width is a forward to the widest runtime pack width; no
+// campaign option or style changes it.
+TEST(CpuDispatchTest, CampaignLaneWidthForwardsToWidestRuntimeWidth) {
+  CampaignOptions options;
+  options.num_threads = 3;
+  for (LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablEnhanced,
+        LogicStyle::kWddlMismatched}) {
+    EXPECT_EQ(campaign_lane_width(options, style), max_runtime_lane_width());
+  }
 }
 
 }  // namespace

@@ -413,7 +413,7 @@ TEST(CampaignShardSizeTest, ClampsSmallBlocksToOneLaneWord) {
 // shard_size = 0 derives the shard size from num_traces and fixed
 // constants alone: clamp(num_traces / 256 rounded to a whole 64-lane
 // word, 1024, 65536). The autotuned size must never depend on the thread
-// count or lane width — it is part of the stream definition.
+// count — it is part of the stream definition.
 TEST(CampaignShardSizeTest, AutotunesFromTraceCountAlone) {
   CampaignOptions options;
   options.shard_size = 0;
@@ -437,15 +437,11 @@ TEST(CampaignShardSizeTest, AutotunesFromTraceCountAlone) {
     options.num_threads = threads;
     EXPECT_EQ(campaign_shard_size(options), 4096u);
   }
-  for (std::size_t width : {std::size_t{64}, std::size_t{128}}) {
-    options.lane_width = width;
-    EXPECT_EQ(campaign_shard_size(options), 4096u);
-  }
 }
 
-// A shard_size below the lane word must still run — and, because the
-// clamp lands on the same 64-trace granule for every width, produce the
-// exact stream shard_size = 64 produces, at every compiled-in width.
+// A shard_size below the 64-lane word must still run — and, because the
+// clamp lands on the 64-trace granule, produce the exact stream
+// shard_size = 64 produces, under every dispatch tier.
 TEST(CampaignShardSizeTest, SubLaneWordBlockSizeRunsAndMatchesClamp) {
   const RoundSpec round = present_round(1, LogicStyle::kSablEnhanced);
   TraceEngine engine(round, kTech);
@@ -455,14 +451,15 @@ TEST(CampaignShardSizeTest, SubLaneWordBlockSizeRunsAndMatchesClamp) {
   options.seed = 0xC1A4;
   options.shard_size = 64;
   const TraceSet reference = engine.run(options);
-  for (std::size_t width : runtime_lane_widths()) {
-    options.lane_width = width;
-    options.shard_size = 3;  // smaller than every lane width
+  for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
+                            DispatchTier::kAvx512}) {
+    ScopedDispatchTierCap cap(tier);
+    options.shard_size = 3;  // smaller than the 64-lane word
     const TraceSet traces = engine.run(options);
     ASSERT_EQ(traces.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
       ASSERT_EQ(traces.samples[i], reference.samples[i])
-          << "width " << width << " trace " << i;
+          << "tier " << to_string(tier) << " trace " << i;
     }
   }
 }

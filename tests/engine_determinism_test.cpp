@@ -30,6 +30,11 @@ namespace {
 
 const Technology kTech = Technology::generic_180nm();
 
+// Every dispatch tier; ScopedDispatchTierCap forces the lower ones on one
+// machine, and a tier above the CPU's own runs as the CPU's.
+constexpr DispatchTier kTiers[] = {DispatchTier::kPortable,
+                                   DispatchTier::kAvx2, DispatchTier::kAvx512};
+
 std::vector<std::size_t> thread_counts_under_test() {
   return {1, 2, 7,
           std::max<std::size_t>(1, std::thread::hardware_concurrency())};
@@ -172,14 +177,13 @@ TEST(EngineDeterminismTest, MtdCampaignIsBitIdenticalAcrossThreadCounts) {
 // layout (six 448-trace shards and a 312-trace tail) with checkpoints
 // inside shards, exactly on shard boundaries, on the last trace and
 // outside [2, num_traces] (dropped), the curve must be bit-identical
-// across threads × lane widths × dispatch tiers, and its ranks must equal
+// across threads × dispatch tiers, and its ranks must equal
 // a from-scratch two-pass CPA on every prefix. (No 2-trace checkpoint:
 // there every non-constant prediction correlates at exactly |rho| = 1,
 // so the rank among those ties is decided by rounding alone.)
 TEST(EngineDeterminismTest, MtdCampaignOnRaggedShardsMatchesOracleEverywhere) {
   CampaignOptions options = sharded_options();
   options.num_threads = 1;
-  options.lane_width = 64;
   const std::vector<std::size_t> checkpoints = {
       1, 16, 100, 447, 448, 449, 896, 1000, 1344, 1344, 2000,
       2688, 2689, 2999, 3000, 3001};
@@ -197,21 +201,16 @@ TEST(EngineDeterminismTest, MtdCampaignOnRaggedShardsMatchesOracleEverywhere) {
   EXPECT_EQ(reference.rank_history, oracle.rank_history);
   ASSERT_EQ(reference.rank_history.size(), 13u);
 
-  for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
-                            DispatchTier::kAvx512}) {
+  for (DispatchTier tier : kTiers) {
     ScopedDispatchTierCap cap(tier);
-    for (std::size_t width : runtime_lane_widths()) {
-      for (std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-        options.lane_width = width;
-        options.num_threads = threads;
-        const MtdResult result = run_attack(engine, options, mtd);
-        EXPECT_EQ(result.disclosed, reference.disclosed);
-        EXPECT_EQ(result.mtd, reference.mtd);
-        EXPECT_EQ(result.rank_history, reference.rank_history)
-            << "tier " << to_string(tier) << " width " << width
-            << " threads " << threads;
-      }
+    for (std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+      options.num_threads = threads;
+      const MtdResult result = run_attack(engine, options, mtd);
+      EXPECT_EQ(result.disclosed, reference.disclosed);
+      EXPECT_EQ(result.mtd, reference.mtd);
+      EXPECT_EQ(result.rank_history, reference.rank_history)
+          << "tier " << to_string(tier) << " threads " << threads;
     }
   }
 }
@@ -423,14 +422,13 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The lane-width contract at full round scale: a 16-S-box PRESENT layer
-// in the paper's enhanced style must produce bit-identical CPA scores for
-// every compiled-in lane width crossed with several worker counts — the
-// word the kernel batches with and the threads the shards land on are
-// both pure throughput knobs. One engine serves every run, so this also
-// exercises the persistent worker pool and the lazily derived per-width
-// target variants.
-TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossLaneWidths) {
+// The dispatch contract at full round scale: a 16-S-box PRESENT layer in
+// the paper's enhanced style must produce bit-identical CPA scores under
+// every dispatch tier crossed with several worker counts — the kernel
+// tier and the threads the shards land on are both pure throughput
+// knobs. One engine serves every run, so this also exercises the
+// persistent worker pool.
+TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossDispatchTiers) {
   const RoundSpec round = present_round(16, LogicStyle::kSablEnhanced);
   CampaignOptions options;
   options.num_traces = 900;
@@ -439,35 +437,35 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossLaneWidths) {
   options.seed = 0x16A8E5;
   options.shard_size = 448;
   options.num_threads = 1;
-  options.lane_width = 64;
   const AttackSelector selector{.sbox_index = 5,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine engine(round, kTech);
   const CpaDistinguisher cpa(engine.spec(selector.sbox_index), selector);
   const AttackResult reference = run_attack(engine, options, cpa);
-  for (std::size_t width : runtime_lane_widths()) {
+  for (DispatchTier tier : kTiers) {
+    ScopedDispatchTierCap cap(tier);
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      options.lane_width = width;
       options.num_threads = threads;
       const AttackResult result = run_attack(engine, options, cpa);
       ASSERT_EQ(result.score.size(), reference.score.size());
       for (std::size_t g = 0; g < reference.score.size(); ++g) {
         EXPECT_EQ(result.score[g], reference.score[g])
-            << "width " << width << " threads " << threads << " guess " << g;
+            << "tier " << to_string(tier) << " threads " << threads
+            << " guess " << g;
       }
       EXPECT_EQ(result.best_guess, reference.best_guess)
-          << "width " << width << " threads " << threads;
+          << "tier " << to_string(tier) << " threads " << threads;
       EXPECT_EQ(result.margin, reference.margin)
-          << "width " << width << " threads " << threads;
+          << "tier " << to_string(tier) << " threads " << threads;
     }
   }
 }
 
 // The new distinguisher pipeline inherits the determinism contract: a
 // second-order centered-product campaign must be bit-identical across
-// every compiled-in lane width crossed with several worker counts — the
+// every dispatch tier crossed with several worker counts — the
 // fourth-order co-moment merges run through the same fixed-shape tree.
-TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidths) {
+TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndTiers) {
   const RoundSpec round = present_round(2, LogicStyle::kStaticCmos);
   CampaignOptions options;
   options.num_traces = 1200;
@@ -476,7 +474,6 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
   options.seed = 0x20CDE;
   options.shard_size = 448;
   options.num_threads = 1;
-  options.lane_width = 64;
   const AttackSelector selector{.sbox_index = 1,
                                 .model = PowerModel::kHammingWeight};
   TraceEngine engine(round, kTech);
@@ -484,11 +481,11 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
                                            selector);
   const SecondOrderAttackResult reference =
       run_attack(engine, options, attack);
-  for (std::size_t width : runtime_lane_widths()) {
+  for (DispatchTier tier : kTiers) {
+    ScopedDispatchTierCap cap(tier);
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2},
           std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
-      options.lane_width = width;
       options.num_threads = threads;
       const SecondOrderAttackResult result =
           run_attack(engine, options, attack);
@@ -496,7 +493,8 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
                 reference.combined.score.size());
       for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
         EXPECT_EQ(result.combined.score[g], reference.combined.score[g])
-            << "width " << width << " threads " << threads << " guess " << g;
+            << "tier " << to_string(tier) << " threads " << threads
+            << " guess " << g;
       }
       EXPECT_EQ(result.combined.best_guess, reference.combined.best_guess);
       EXPECT_EQ(result.best_pair_first, reference.best_pair_first);
@@ -507,8 +505,8 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndWidth
 
 // One-pass multi-selector campaigns (every subkey from one simulation)
 // carry the same guarantee: scores per subkey bit-identical across
-// num_threads × lane_width.
-TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths) {
+// num_threads × dispatch tiers.
+TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndTiers) {
   const RoundSpec round = present_round(4, LogicStyle::kSablGenuine);
   CampaignOptions options;
   options.num_traces = 1200;
@@ -517,7 +515,6 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
   options.seed = 0xA11CDE;
   options.shard_size = 448;
   options.num_threads = 1;
-  options.lane_width = 64;
   TraceEngine engine(round, kTech);
   // One CPA per subkey, every one driven by a single simulated campaign.
   const auto all_subkeys = [&] {
@@ -538,22 +535,23 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
   };
   const std::vector<AttackResult> reference = all_subkeys();
   ASSERT_EQ(reference.size(), 4u);
-  for (std::size_t width : runtime_lane_widths()) {
+  for (DispatchTier tier : kTiers) {
+    ScopedDispatchTierCap cap(tier);
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2},
           std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
-      options.lane_width = width;
       options.num_threads = threads;
       const std::vector<AttackResult> results = all_subkeys();
       ASSERT_EQ(results.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
         for (std::size_t g = 0; g < reference[i].score.size(); ++g) {
           EXPECT_EQ(results[i].score[g], reference[i].score[g])
-              << "width " << width << " threads " << threads << " sbox " << i
-              << " guess " << g;
+              << "tier " << to_string(tier) << " threads " << threads
+              << " sbox " << i << " guess " << g;
         }
         EXPECT_EQ(results[i].best_guess, reference[i].best_guess)
-            << "width " << width << " threads " << threads << " sbox " << i;
+            << "tier " << to_string(tier) << " threads " << threads
+            << " sbox " << i;
       }
     }
   }
@@ -561,7 +559,7 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndWidths
 
 // shard_size = 0 engages the autotuner. The derived shard size is a pure
 // function of num_traces (see campaign_shard_size), never of the worker
-// count, the lane width or the machine — so autotuned campaigns must
+// count or the machine — so autotuned campaigns must
 // carry the exact same bit-identity guarantee as pinned ones: same
 // traces, same CPA scores, for every thread count. 3000 traces autotune
 // to 1024-trace shards, so the merge path is genuinely multi-shard.
@@ -599,44 +597,170 @@ TEST(EngineDeterminismTest, AutotunedShardsBitIdenticalAcrossThreadCounts) {
 // The runtime-dispatch contract: the SAME campaign through the SAME
 // engine must stream bit-identical traces and CPA scores whichever kernel
 // tier dispatch lands on — portable, AVX2 or the widest the machine has —
-// crossed with the lane widths each tier offers and several worker
-// counts. ScopedDispatchTierCap forces the lower tiers on one machine;
-// lane_width = 0 additionally pins that "widest" resolves per tier.
+// crossed with several worker counts. ScopedDispatchTierCap forces the
+// lower tiers on one machine.
 TEST(EngineDeterminismTest, CampaignsBitIdenticalAcrossDispatchTiers) {
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
   CampaignOptions options = sharded_options();
   options.num_threads = 1;
-  options.lane_width = 64;
   const TraceSet reference = engine.run(options);
   const CpaDistinguisher attack(
       engine.spec(), AttackSelector{.model = PowerModel::kHammingWeight});
   const AttackResult cpa_reference = run_attack(engine, options, attack);
-  for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
-                            DispatchTier::kAvx512}) {
+  for (DispatchTier tier : kTiers) {
     ScopedDispatchTierCap cap(tier);
-    std::vector<std::size_t> widths = runtime_lane_widths();
-    widths.push_back(0);  // widest-at-runtime under this tier
-    for (std::size_t width : widths) {
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-        options.lane_width = width;
-        options.num_threads = threads;
-        const TraceSet traces = engine.run(options);
-        ASSERT_EQ(traces.size(), reference.size());
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-          ASSERT_EQ(traces.samples[i], reference.samples[i])
-              << "tier " << to_string(tier) << " width " << width
-              << " threads " << threads << " trace " << i;
-        }
-        const AttackResult cpa = run_attack(engine, options, attack);
-        ASSERT_EQ(cpa.score.size(), cpa_reference.score.size());
-        for (std::size_t g = 0; g < cpa_reference.score.size(); ++g) {
-          EXPECT_EQ(cpa.score[g], cpa_reference.score[g])
-              << "tier " << to_string(tier) << " width " << width
-              << " threads " << threads << " guess " << g;
-        }
-        EXPECT_EQ(cpa.best_guess, cpa_reference.best_guess);
-        EXPECT_EQ(cpa.margin, cpa_reference.margin);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      options.num_threads = threads;
+      const TraceSet traces = engine.run(options);
+      ASSERT_EQ(traces.size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_EQ(traces.samples[i], reference.samples[i])
+            << "tier " << to_string(tier) << " threads " << threads
+            << " trace " << i;
       }
+      const AttackResult cpa = run_attack(engine, options, attack);
+      ASSERT_EQ(cpa.score.size(), cpa_reference.score.size());
+      for (std::size_t g = 0; g < cpa_reference.score.size(); ++g) {
+        EXPECT_EQ(cpa.score[g], cpa_reference.score[g])
+            << "tier " << to_string(tier) << " threads " << threads
+            << " guess " << g;
+      }
+      EXPECT_EQ(cpa.best_guess, cpa_reference.best_guess);
+      EXPECT_EQ(cpa.margin, cpa_reference.margin);
+    }
+  }
+}
+
+// Every style, every entry point: retained runs, first-order attacks
+// (CPA, DoM, the ordered MTD fold) and time-resolved MultiCpa stay
+// bit-identical under every dispatch tier. 1500 traces over 448-trace
+// shards leave a partial tail shard.
+std::vector<LogicStyle> all_styles() {
+  return {LogicStyle::kStaticCmos,         LogicStyle::kSablGenuine,
+          LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
+          LogicStyle::kWddlBalanced,       LogicStyle::kWddlMismatched};
+}
+
+CampaignOptions ragged_options() {
+  CampaignOptions options;
+  options.num_traces = 1500;
+  options.key = {0xB};
+  options.noise_sigma = 2e-16;
+  options.seed = 0x5EED;
+  options.shard_size = 448;  // several shards, one partial tail
+  return options;
+}
+
+TEST(EngineDeterminismTest, RunCampaignBitIdenticalAcrossTiersEveryStyle) {
+  for (LogicStyle style : all_styles()) {
+    TraceEngine engine(present_spec(), style, kTech);
+    const CampaignOptions options = ragged_options();
+    const TraceSet reference = engine.run(options);
+    for (DispatchTier tier : kTiers) {
+      ScopedDispatchTierCap cap(tier);
+      const TraceSet traces = engine.run(options);
+      ASSERT_EQ(traces.size(), reference.size());
+      for (std::size_t t = 0; t < reference.size(); ++t) {
+        ASSERT_EQ(traces.plaintexts[t], reference.plaintexts[t])
+            << to_string(style) << " tier " << to_string(tier) << " trace "
+            << t;
+        ASSERT_EQ(traces.samples[t], reference.samples[t])
+            << to_string(style) << " tier " << to_string(tier) << " trace "
+            << t;
+      }
+    }
+  }
+}
+
+TEST(EngineDeterminismTest, AttackCampaignsBitIdenticalAcrossTiers) {
+  const AttackSelector cpa_sel{.model = PowerModel::kHammingWeight};
+  for (LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablEnhanced,
+        LogicStyle::kWddlMismatched}) {
+    TraceEngine engine(present_spec(), style, kTech);
+    const CampaignOptions options = ragged_options();
+    const CpaDistinguisher cpa_attack(engine.spec(), cpa_sel);
+    const DomDistinguisher dom_attack(engine.spec(), AttackSelector{.bit = 0});
+    const MtdDistinguisher mtd_attack(
+        engine.spec(), cpa_sel, engine.round().sub_word(options.key.data(), 0),
+        default_checkpoints(options.num_traces), options.num_traces);
+    const AttackResult cpa_ref = run_attack(engine, options, cpa_attack);
+    const AttackResult dom_ref = run_attack(engine, options, dom_attack);
+    const MtdResult mtd_ref = run_attack(engine, options, mtd_attack);
+    for (DispatchTier tier : kTiers) {
+      ScopedDispatchTierCap cap(tier);
+      const AttackResult cpa = run_attack(engine, options, cpa_attack);
+      ASSERT_EQ(cpa.score.size(), cpa_ref.score.size());
+      for (std::size_t g = 0; g < cpa_ref.score.size(); ++g) {
+        // EXPECT_EQ on doubles is exact: bit-identical, not just <= 1e-12.
+        EXPECT_EQ(cpa.score[g], cpa_ref.score[g])
+            << to_string(style) << " tier " << to_string(tier) << " guess "
+            << g;
+      }
+      EXPECT_EQ(cpa.best_guess, cpa_ref.best_guess);
+      EXPECT_EQ(cpa.margin, cpa_ref.margin);
+      const AttackResult dom = run_attack(engine, options, dom_attack);
+      for (std::size_t g = 0; g < dom_ref.score.size(); ++g) {
+        EXPECT_EQ(dom.score[g], dom_ref.score[g])
+            << to_string(style) << " tier " << to_string(tier) << " guess "
+            << g;
+      }
+      const MtdResult mtd = run_attack(engine, options, mtd_attack);
+      EXPECT_EQ(mtd.disclosed, mtd_ref.disclosed);
+      EXPECT_EQ(mtd.mtd, mtd_ref.mtd);
+      ASSERT_EQ(mtd.rank_history.size(), mtd_ref.rank_history.size());
+      for (std::size_t i = 0; i < mtd_ref.rank_history.size(); ++i) {
+        EXPECT_EQ(mtd.rank_history[i], mtd_ref.rank_history[i])
+            << to_string(style) << " tier " << to_string(tier)
+            << " checkpoint " << i;
+      }
+    }
+  }
+}
+
+TEST(EngineDeterminismTest, MultiCpaCampaignBitIdenticalAcrossTiersAllStyles) {
+  // Time-resolved campaigns cover the baseline and WDDL styles too.
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
+  for (LogicStyle style :
+       {LogicStyle::kSablGenuine, LogicStyle::kStaticCmos,
+        LogicStyle::kWddlMismatched}) {
+    TraceEngine engine(present_spec(), style, kTech);
+    ASSERT_GT(engine.target().num_levels(), 0u) << to_string(style);
+    const CampaignOptions options = ragged_options();
+    const MultiCpaDistinguisher attack(engine.spec(), selector,
+                                       engine.target().num_levels());
+    const MultiAttackResult reference = run_attack(engine, options, attack);
+    for (DispatchTier tier : kTiers) {
+      ScopedDispatchTierCap cap(tier);
+      const MultiAttackResult result = run_attack(engine, options, attack);
+      ASSERT_EQ(result.combined.score.size(),
+                reference.combined.score.size());
+      for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
+        EXPECT_EQ(result.combined.score[g], reference.combined.score[g])
+            << to_string(style) << " tier " << to_string(tier) << " guess "
+            << g;
+      }
+      EXPECT_EQ(result.best_sample, reference.best_sample);
+      EXPECT_EQ(result.combined.best_guess, reference.combined.best_guess);
+    }
+  }
+}
+
+TEST(EngineDeterminismTest, SingleRaggedShardBitIdenticalAcrossTiers) {
+  // 65 traces in one shard: a full 64-lane group plus a one-trace tail.
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  CampaignOptions options;
+  options.num_traces = 65;
+  options.key = {0x7};
+  options.seed = 0x1AB5;
+  const TraceSet reference = engine.run(options);
+  for (DispatchTier tier : kTiers) {
+    ScopedDispatchTierCap cap(tier);
+    const TraceSet traces = engine.run(options);
+    ASSERT_EQ(traces.size(), reference.size());
+    for (std::size_t t = 0; t < reference.size(); ++t) {
+      ASSERT_EQ(traces.samples[t], reference.samples[t])
+          << "tier " << to_string(tier) << " trace " << t;
     }
   }
 }

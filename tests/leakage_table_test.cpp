@@ -284,7 +284,8 @@ TEST(LeakageTableTest, IdenticalInstancesShareOneTable) {
   mixed.sboxes = {present_spec(), des1_spec(), present_spec()};
   mixed.style = LogicStyle::kSablGenuine;
   EXPECT_EQ(distinct_tables(RoundTarget(mixed, kTech)), 2u);
-  // Clones and lane-width variants share the tables instead of rebuilding.
+  // Clones and with_lane_width variants share the tables instead of
+  // rebuilding.
   const RoundTarget clone = enhanced.clone();
   EXPECT_EQ(&clone.leakage_table(3), &enhanced.leakage_table(0));
   const auto wide = enhanced.with_lane_width<Word128>();

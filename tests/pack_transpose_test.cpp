@@ -3,12 +3,14 @@
 // 64×64 Hacker's Delight transposes for wide ones, and the single-lane
 // fast path — must be bit-identical to pack_lane_words_gather, the
 // independently-simple per-bit reference, at every lane width, variable
-// count and ragged lane count. Wide words are inspected only through the
-// memcpy-based lane_chunks (this TU is compiled for the base architecture;
-// see util/lane_word.hpp for the multi-ISA rules) and their tests skip on
-// CPUs without the matching ISA.
+// count and ragged lane count. Wide words are plain chunk storage, so
+// every width runs on every CPU; the dispatch tier alone picks the
+// transpose body. Also covers the lane-word helpers of util/lane_word.hpp:
+// the chunk round trip, lane_mask (including its abort on out-of-range
+// counts) and the masked per-lane walks.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -19,14 +21,6 @@
 
 namespace sable {
 namespace {
-
-template <typename W>
-bool cpu_can_run() {
-  constexpr std::size_t kLanes = LaneTraits<W>::kLanes;
-  if (kLanes <= 128) return true;
-  if (kLanes == 256) return cpu_features().avx2;
-  return cpu_features().avx512f;
-}
 
 // Ragged and aligned lane counts worth probing, clipped to the word:
 // single lane, partial / exact / overflowing first chunk, partial second
@@ -80,7 +74,6 @@ TYPED_TEST_SUITE(PackTransposeTest, LaneWordTypes);
 
 TYPED_TEST(PackTransposeTest, MatchesGatherAcrossVarsCountsAndRandomBits) {
   using W = TypeParam;
-  if (!cpu_can_run<W>()) GTEST_SKIP() << "CPU lacks the ISA for this width";
   Rng rng(0x7249);
   // 1 exercises the single-lane fast path only via count==1; 4/5/8 the
   // 8×8 byte-block path; 9/17/33/64 the full 64×64 transpose path.
@@ -103,7 +96,6 @@ TYPED_TEST(PackTransposeTest, MatchesGatherAcrossVarsCountsAndRandomBits) {
 
 TYPED_TEST(PackTransposeTest, ByteSourceMatchesWordSourceForNarrowVars) {
   using W = TypeParam;
-  if (!cpu_can_run<W>()) GTEST_SKIP() << "CPU lacks the ISA for this width";
   Rng rng(0xB17E);
   for (std::size_t vars :
        {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
@@ -131,7 +123,6 @@ TYPED_TEST(PackTransposeTest, ByteSourceMatchesWordSourceForNarrowVars) {
 // path and the byte-source narrow path.
 TYPED_TEST(PackTransposeTest, DispatchTiersPackBitIdenticalWords) {
   using W = TypeParam;
-  if (!cpu_can_run<W>()) GTEST_SKIP() << "CPU lacks the ISA for this width";
   Rng rng(0x71E5);
   // 4/8 drive the byte-plane kernels, 17/64 the 64×64 transpose kernels.
   for (std::size_t vars : {std::size_t{4}, std::size_t{8}, std::size_t{17},
@@ -177,7 +168,6 @@ TYPED_TEST(PackTransposeTest, DispatchTiersPackBitIdenticalWords) {
 TYPED_TEST(PackTransposeTest, SaturatedAndDiagonalPatterns) {
   using W = TypeParam;
   using T = LaneTraits<W>;
-  if (!cpu_can_run<W>()) GTEST_SKIP() << "CPU lacks the ISA for this width";
   const std::size_t count = T::kLanes;
   std::vector<std::uint64_t> ones(count, ~std::uint64_t{0});
   std::vector<std::uint64_t> diagonal(count);
@@ -197,6 +187,78 @@ TYPED_TEST(PackTransposeTest, SaturatedAndDiagonalPatterns) {
       }
     }
   }
+}
+
+TYPED_TEST(PackTransposeTest, ChunkRoundTrip) {
+  using W = TypeParam;
+  using T = LaneTraits<W>;
+  static_assert(T::kLanes == 64 * T::kChunks);
+  Rng rng(0x1A9E);
+  for (int round = 0; round < 16; ++round) {
+    std::uint64_t a[T::kChunks], out[T::kChunks];
+    for (std::size_t j = 0; j < T::kChunks; ++j) a[j] = rng.next();
+    lane_chunks(lane_from_chunks<W>(a), out);
+    for (std::size_t j = 0; j < T::kChunks; ++j) EXPECT_EQ(out[j], a[j]);
+  }
+}
+
+// An independent per-lane oracle (not the gather): lane L of word v is bit
+// v of assignment L, and lanes past the count are clear.
+TYPED_TEST(PackTransposeTest, PackLaneWordsTransposesEveryLane) {
+  using W = TypeParam;
+  using T = LaneTraits<W>;
+  constexpr std::size_t kVars = 5;
+  Rng rng(0x9ACC);
+  for (std::size_t count : {T::kLanes, T::kLanes - 7, std::size_t{1}}) {
+    std::vector<std::uint64_t> assignments(count);
+    for (auto& a : assignments) a = rng.below(std::uint64_t{1} << kVars);
+    std::vector<W> words(kVars);
+    pack_lane_words(assignments.data(), count, words);
+    for (std::size_t v = 0; v < kVars; ++v) {
+      std::uint64_t chunks[T::kChunks];
+      lane_chunks(words[v], chunks);
+      for (std::size_t lane = 0; lane < T::kLanes; ++lane) {
+        const std::uint64_t bit = (chunks[lane / 64] >> (lane % 64)) & 1u;
+        const std::uint64_t expected =
+            lane < count ? (assignments[lane] >> v) & 1u : 0u;
+        EXPECT_EQ(bit, expected) << "var " << v << " lane " << lane;
+      }
+    }
+  }
+}
+
+TEST(LaneWordTest, LaneMaskSetsExactlyTheFirstCountLanes) {
+  for (std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{9},
+                            std::size_t{63}, std::size_t{64}}) {
+    const std::uint64_t mask = lane_mask(count);
+    EXPECT_EQ(static_cast<std::size_t>(std::popcount(mask)), count);
+    // Set lanes must be the prefix.
+    const std::uint64_t expected =
+        count >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+    EXPECT_EQ(mask, expected) << "count " << count;
+  }
+}
+
+TEST(LaneWordTest, FillSelectedWritesExactlyTheSelectedLanes) {
+  Rng rng(0x1A9E);
+  for (int round = 0; round < 16; ++round) {
+    const std::uint64_t mask = round == 0 ? ~std::uint64_t{0} : rng.next();
+    double energy[64] = {};
+    lane_fill_selected(mask, 1.0, energy);
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+      EXPECT_EQ(energy[lane], static_cast<double>((mask >> lane) & 1u))
+          << "lane " << lane;
+    }
+  }
+}
+
+// lane_mask is the single source of tail-batch masks; a count outside
+// [1, 64] means an upstream kernel mis-sliced a batch, which must abort
+// rather than silently simulate phantom traces.
+TEST(LaneMaskDeathTest, AbortsOnOutOfRangeCounts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(lane_mask(0), "lane_mask");
+  EXPECT_DEATH(lane_mask(65), "lane_mask");
 }
 
 }  // namespace

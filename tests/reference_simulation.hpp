@@ -154,7 +154,7 @@ class ReferenceRound {
   }
 
   void cycle(Instance& instance, std::size_t lanes, BatchCycleResult& out) {
-    const std::uint64_t mask = lane_mask<std::uint64_t>(lanes);
+    const std::uint64_t mask = lane_mask(lanes);
     if (instance.diff) instance.diff->cycle(words_, mask, out);
     if (instance.cmos) instance.cmos->cycle(words_, mask, out);
     if (instance.wddl) instance.wddl->cycle(words_, mask, out);
@@ -162,7 +162,7 @@ class ReferenceRound {
 
   void cycle_sampled(Instance& instance, std::size_t lanes,
                      SampledBatchCycleResult& out) {
-    const std::uint64_t mask = lane_mask<std::uint64_t>(lanes);
+    const std::uint64_t mask = lane_mask(lanes);
     if (instance.diff) instance.diff->cycle_sampled(words_, mask, out);
     if (instance.cmos) instance.cmos->cycle_sampled(words_, mask, out);
     if (instance.wddl) instance.wddl->cycle_sampled(words_, mask, out);

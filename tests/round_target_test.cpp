@@ -293,6 +293,56 @@ TEST(RoundTargetTest, BatchedRoundTracesMatchScalar) {
   }
 }
 
+// with_lane_width<W>() variants share the tables and lookup body, so
+// they must trace bit-identically to the target they came from, ragged
+// tails and the static-CMOS lane history included. 777 = 12 * 64 + 9
+// leaves a partial lane group, and N = 1 vs N = 3 covers the single- and
+// multi-instance paths.
+template <typename W>
+std::vector<double> trace_with_width(const RoundTarget& base,
+                                     const std::vector<std::uint8_t>& pts,
+                                     std::size_t count,
+                                     const std::vector<std::uint8_t>& key) {
+  RoundTargetT<W> target = base.with_lane_width<W>();
+  Rng noise(0xD1CE);
+  std::vector<double> out(count);
+  target.trace_batch(pts.data(), count, key.data(), 1e-16, noise, out.data());
+  return out;
+}
+
+TEST(RoundTargetTest, LaneWidthVariantsTraceBitIdenticallyWithRaggedTails) {
+  const std::size_t count = 777;
+  for (LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablGenuine,
+        LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
+        LogicStyle::kWddlBalanced, LogicStyle::kWddlMismatched}) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+      const RoundSpec round = present_round(n, style);
+      RoundTarget base(round, kTech);
+      std::vector<std::uint8_t> pts(count * round.state_bytes());
+      Rng pt_rng(0x7A11);
+      round.fill_random_states(pt_rng, count, pts.data());
+      std::vector<std::uint8_t> key(round.state_bytes(), 0x6B);
+      const std::vector<double> reference =
+          trace_with_width<std::uint64_t>(base, pts, count, key);
+      std::vector<std::vector<double>> variants = {
+          trace_with_width<Word128>(base, pts, count, key)};
+#if SABLE_HAVE_WORD256
+      variants.push_back(trace_with_width<Word256>(base, pts, count, key));
+#endif
+#if SABLE_HAVE_WORD512
+      variants.push_back(trace_with_width<Word512>(base, pts, count, key));
+#endif
+      for (const std::vector<double>& traces : variants) {
+        for (std::size_t t = 0; t < count; ++t) {
+          ASSERT_EQ(traces[t], reference[t])
+              << to_string(style) << " n " << n << " trace " << t;
+        }
+      }
+    }
+  }
+}
+
 TEST(RoundEngineTest, CpaCampaignRecoversTheSelectedSubkey) {
   // Four PRESENT instances with distinct subkeys: attacking instance i
   // must recover subkey i — not any neighbour's — through 3 instances'

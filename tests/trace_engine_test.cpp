@@ -9,6 +9,7 @@
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "cell/builder.hpp"
 #include "cell/circuit_sim.hpp"
@@ -613,6 +614,90 @@ TEST(TraceEngineTest, ConstantPowerStylesStayFlatAtScale) {
       CpaDistinguisher(engine.spec(),
                        AttackSelector{.model = PowerModel::kHammingWeight}));
   EXPECT_LT(result.score[result.best_guess], 0.1);
+}
+
+// ---- persistent worker pool -----------------------------------------------
+
+// Multi-shard campaign: 1500 traces over 448-trace shards, one partial
+// tail.
+CampaignOptions sharded_options() {
+  CampaignOptions options;
+  options.num_traces = 1500;
+  options.key = {0xB};
+  options.noise_sigma = 2e-16;
+  options.seed = 0x5EED;
+  options.shard_size = 448;  // several shards, one partial tail
+  return options;
+}
+
+// Workers are cloned once per engine and reused across campaigns; a stale
+// worker (CMOS history from an earlier campaign) must never leak into the
+// next campaign's traces.
+TEST(TraceEngineTest, PersistentWorkerPoolReusesCleanWorkers) {
+  TraceEngine reused(present_spec(), LogicStyle::kStaticCmos, kTech);
+  CampaignOptions first;
+  first.num_traces = 500;
+  first.key = {0x3};
+  first.seed = 0xAAAA;
+  reused.run(first);  // leaves workers (with history) in the pool
+
+  CampaignOptions second = sharded_options();
+  const TraceSet pooled = reused.run(second);
+  TraceEngine fresh(present_spec(), LogicStyle::kStaticCmos, kTech);
+  const TraceSet reference = fresh.run(second);
+  ASSERT_EQ(pooled.size(), reference.size());
+  for (std::size_t t = 0; t < reference.size(); ++t) {
+    ASSERT_EQ(pooled.samples[t], reference.samples[t]) << t;
+  }
+
+  // Attack campaigns after trace campaigns share the same pool.
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
+  const AttackResult pooled_cpa =
+      run_attack(reused, second, CpaDistinguisher(reused.spec(), selector));
+  const AttackResult fresh_cpa =
+      run_attack(fresh, second, CpaDistinguisher(fresh.spec(), selector));
+  ASSERT_EQ(pooled_cpa.score.size(), fresh_cpa.score.size());
+  for (std::size_t g = 0; g < fresh_cpa.score.size(); ++g) {
+    EXPECT_EQ(pooled_cpa.score[g], fresh_cpa.score[g]) << g;
+  }
+}
+
+// ---- sampled campaigns across styles --------------------------------------
+
+TEST(TraceEngineTest, SampledRowsSumToStreamedSamplesEveryStyle) {
+  for (LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablGenuine,
+        LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
+        LogicStyle::kWddlBalanced, LogicStyle::kWddlMismatched}) {
+    TraceEngine engine(present_spec(), style, kTech);
+    const std::size_t width = engine.target().num_levels();
+    ASSERT_GT(width, 0u) << to_string(style);
+    CampaignOptions options;
+    options.num_traces = 320;
+    options.key = {0x9};
+    options.seed = 0xE4E4;
+    options.shard_size = 128;
+    std::vector<double> row_sums;
+    engine.stream_sampled(options, [&](const std::uint8_t*,
+                                       const double* rows, std::size_t n) {
+      for (std::size_t t = 0; t < n; ++t) {
+        double sum = 0.0;
+        for (std::size_t l = 0; l < width; ++l) sum += rows[t * width + l];
+        row_sums.push_back(sum);
+      }
+    });
+    std::vector<double> samples;
+    engine.stream(options, [&](const std::uint8_t*, const double* s,
+                               std::size_t n) {
+      samples.insert(samples.end(), s, s + n);
+    });
+    ASSERT_EQ(row_sums.size(), samples.size());
+    for (std::size_t t = 0; t < samples.size(); ++t) {
+      EXPECT_NEAR(row_sums[t], samples[t],
+                  1e-12 * std::fabs(samples[t]) + 1e-30)
+          << to_string(style) << " trace " << t;
+    }
+  }
 }
 
 }  // namespace
