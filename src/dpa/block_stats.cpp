@@ -5,12 +5,20 @@
 #include "dpa/block_stats.hpp"
 
 #include "dpa/block_stats_impl.hpp"
+#include "util/error.hpp"
 
 namespace sable {
 
 namespace detail {
 
 SABLE_INSTANTIATE_BLOCK_STATS(0)
+
+void require_block_pts(const std::uint64_t* counts,
+                       std::size_t num_plaintexts) {
+  for (std::size_t p = num_plaintexts; p < kBlockPts; ++p) {
+    SABLE_REQUIRE(counts[p] == 0, "plaintext out of range");
+  }
+}
 
 }  // namespace detail
 

@@ -13,6 +13,9 @@
 // contraction against the shared prediction table per block — a G×P GEMV
 // for scalar CPA, a G×P · P×L GEMM for time-resolved CPA, partitioned
 // counts/sums for DoM. The kernels below are those two stages.
+// Second-order CPA (dpa/second_order.hpp) is a contract_sums client too:
+// it bins per-plaintext level deviations and level-pair products itself
+// and contracts them against its block-centred prediction table.
 //
 // Numerics: samples are accumulated relative to a caller-chosen shift
 // (the block's first sample) so the per-plaintext sums carry the
@@ -56,6 +59,13 @@ namespace detail {
 // validates once per block that slots at and beyond num_plaintexts
 // stayed empty.
 inline constexpr std::size_t kBlockPts = 256;
+
+/// The hoisted form of the per-trace range check: a histogram pass binned
+/// every sub-plaintext byte into one of the kBlockPts slots, so one sweep
+/// over the slots at and past num_plaintexts validates the whole block
+/// (throws InvalidArgument on a non-empty one).
+void require_block_pts(const std::uint64_t* counts,
+                       std::size_t num_plaintexts);
 
 /// Scalar histogram pass: zeroes counts[256]/sums[256], then for every
 /// trace i adds 1 to counts[pts[i]] and (samples[i] - shift) to

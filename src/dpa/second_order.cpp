@@ -1,8 +1,11 @@
 #include "dpa/second_order.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "dpa/block_stats.hpp"
 #include "io/serial.hpp"
+#include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
 
 namespace sable {
@@ -11,9 +14,15 @@ namespace {
 
 constexpr std::uint32_t kSecondOrderTag = 0x53AB1004;
 
+// Traces per counting-sort chunk of a block pass: large enough that each
+// plaintext's run is long, small enough that the sorted copy of the
+// chunk (kSortChunk · width doubles per thread) stays in L1 whatever the
+// shard size.
+constexpr std::size_t kSortChunk = 512;
+
 // Pair p enumerates i < j lexicographically: (0,1), (0,2), …, (1,2), ….
 // The loops below iterate pairs in this order with a running index, so the
-// helper exists only for result() reporting.
+// helper only sizes the per-pair arrays.
 std::size_t pair_count(std::size_t width) {
   return width * (width - 1) / 2;
 }
@@ -29,7 +38,29 @@ StreamingSecondOrderCpa::StreamingSecondOrderCpa(const SboxSpec& spec,
       bit_(bit),
       predictions_(shared_prediction_table(spec, model, bit)) {}
 
-void StreamingSecondOrderCpa::ensure_width(std::size_t width) {
+// Working set of one block pass and of combine(). It lives per thread,
+// not per accumulator, like the first-order BlockScratch in streaming.cpp:
+// a campaign keeps every raw shard state alive until its reduction, and
+// per-accumulator buffers would multiply into its resident memory. Never
+// serialized, never merged.
+struct StreamingSecondOrderCpa::Scratch {
+  Sums block;                          // the block's central sums
+  std::vector<std::uint64_t> counts;   // [kBlockPts] plaintext histogram
+  std::vector<std::size_t> run;        // [plaintexts] chunk run lengths
+  std::vector<std::size_t> slot;       // [plaintexts] counting-sort cursor
+  std::vector<double> dx;              // [width * kSortChunk] sorted chunk
+  std::vector<double> s1;              // [plaintexts * width]  Σ dx_i
+  std::vector<double> s2;              // [plaintexts * pairs]  Σ dx_i·dx_j
+  std::vector<double> dh;              // [plaintexts * guesses]
+  std::vector<double> ax, bx, ah, bh;  // combine's mean deviations
+};
+
+StreamingSecondOrderCpa::Scratch& StreamingSecondOrderCpa::scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+void StreamingSecondOrderCpa::require_width(std::size_t width) const {
   if (width_ != 0) {
     SABLE_REQUIRE(width == width_,
                   "second-order CPA blocks must keep the row width of the "
@@ -39,6 +70,11 @@ void StreamingSecondOrderCpa::ensure_width(std::size_t width) {
   SABLE_REQUIRE(width >= 2,
                 "second-order CPA needs at least two sample columns to "
                 "form a centered product");
+}
+
+void StreamingSecondOrderCpa::ensure_width(std::size_t width) {
+  require_width(width);
+  if (width_ != 0) return;
   width_ = width;
   num_pairs_ = pair_count(width);
   sums_.mean_x.assign(width_, 0.0);
@@ -52,73 +88,168 @@ void StreamingSecondOrderCpa::ensure_width(std::size_t width) {
   sums_.m3_ijh.assign(num_pairs_ * num_guesses_, 0.0);
 }
 
-StreamingSecondOrderCpa::Sums StreamingSecondOrderCpa::block_sums(
-    const std::uint8_t* pts, const double* rows, std::size_t count) const {
-  const std::size_t L = width_;
+const StreamingSecondOrderCpa::Sums& StreamingSecondOrderCpa::block_sums(
+    const std::uint8_t* pts, const double* rows, std::size_t count,
+    std::size_t width) const {
+  const std::size_t L = width;
+  const std::size_t pairs = pair_count(width);
   const std::size_t G = num_guesses_;
-  const double* table = predictions_->data();
-  Sums b;
+  const std::size_t P = num_plaintexts_;
+  Scratch& s = scratch();
+  Sums& b = s.block;
   b.n = count;
   b.mean_x.assign(L, 0.0);
   b.mean_h.assign(G, 0.0);
   b.m2_h.assign(G, 0.0);
   b.c2.assign(L * L, 0.0);
-  b.c_xh.assign(L * G, 0.0);
-  b.m3_iij.assign(num_pairs_, 0.0);
-  b.m3_ijj.assign(num_pairs_, 0.0);
-  b.m4.assign(num_pairs_, 0.0);
-  b.m3_ijh.assign(num_pairs_ * G, 0.0);
+  b.c_xh.resize(L * G);
+  b.m3_iij.assign(pairs, 0.0);
+  b.m3_ijj.assign(pairs, 0.0);
+  b.m4.assign(pairs, 0.0);
+  b.m3_ijh.resize(pairs * G);
+  s.counts.assign(detail::kBlockPts, 0);
+  s.run.resize(P);
+  s.slot.resize(P);
+  s.dx.resize(L * kSortChunk);
+  s.s1.resize(P * L);
+  s.s2.resize(P * pairs);
+  s.dh.resize(P * G);
+  std::uint64_t* counts = s.counts.data();
 
-  // Pass 1: block means. The prediction stream depends only on the
-  // sub-plaintext value, so its per-guess means (and M2 below) reduce to
-  // the plaintext histogram — O(plaintexts · guesses), not O(count).
-  std::vector<std::size_t> hist(num_plaintexts_, 0);
+  // Pass 1: the plaintext histogram and the block's column means. Every
+  // byte lands in one of the 256 slots, so the range check is one sweep
+  // afterwards, before anything outside this scratch can change.
   for (std::size_t t = 0; t < count; ++t) {
-    SABLE_REQUIRE(pts[t] < num_plaintexts_, "plaintext out of range");
-    ++hist[pts[t]];
+    ++counts[pts[t]];
     const double* row = rows + t * L;
     for (std::size_t i = 0; i < L; ++i) b.mean_x[i] += row[i];
   }
+  detail::require_block_pts(counts, P);
   const double inv_n = 1.0 / static_cast<double>(count);
   for (std::size_t i = 0; i < L; ++i) b.mean_x[i] *= inv_n;
-  for (std::size_t pt = 0; pt < num_plaintexts_; ++pt) {
-    if (hist[pt] == 0) continue;
-    const double w = static_cast<double>(hist[pt]);
+
+  // The prediction stream depends only on the sub-plaintext value, so its
+  // per-guess mean and M2 reduce to the histogram, and so does the
+  // block-centred table dh — built for the occupied plaintexts only (the
+  // contraction skips the others).
+  const double* table = predictions_->data();
+  for (std::size_t pt = 0; pt < P; ++pt) {
+    if (counts[pt] == 0) continue;
+    const double w = static_cast<double>(counts[pt]);
     const double* pred = table + pt * G;
     for (std::size_t g = 0; g < G; ++g) b.mean_h[g] += w * pred[g];
   }
   for (std::size_t g = 0; g < G; ++g) b.mean_h[g] *= inv_n;
-  for (std::size_t pt = 0; pt < num_plaintexts_; ++pt) {
-    if (hist[pt] == 0) continue;
-    const double w = static_cast<double>(hist[pt]);
+  for (std::size_t pt = 0; pt < P; ++pt) {
+    if (counts[pt] == 0) continue;
+    const double w = static_cast<double>(counts[pt]);
     const double* pred = table + pt * G;
+    double* dh = s.dh.data() + pt * G;
     for (std::size_t g = 0; g < G; ++g) {
-      const double dh = pred[g] - b.mean_h[g];
-      b.m2_h[g] += w * dh * dh;
+      dh[g] = pred[g] - b.mean_h[g];
+      b.m2_h[g] += w * dh[g] * dh[g];
     }
   }
 
-  // Pass 2: central sums around the block means.
-  std::vector<double> dx(L), dh(G);
-  for (std::size_t t = 0; t < count; ++t) {
-    const double* row = rows + t * L;
-    for (std::size_t i = 0; i < L; ++i) dx[i] = row[i] - b.mean_x[i];
-    const double* pred = table + pts[t] * G;
-    for (std::size_t g = 0; g < G; ++g) dh[g] = pred[g] - b.mean_h[g];
+  // Pass 2, one chunk of kSortChunk traces at a time: counting-sort the
+  // chunk's centred rows by plaintext into level-major columns,
+  // dx[i * n + slot]. Each plaintext's traces become one contiguous run
+  // per level, so its bins are plain run sums and no per-trace loop
+  // scatters into (or runs over) anything guess-sized.
+  for (std::size_t pt = 0; pt < P; ++pt) {
+    if (counts[pt] == 0) continue;
+    std::fill_n(s.s1.data() + pt * L, L, 0.0);
+    std::fill_n(s.s2.data() + pt * pairs, pairs, 0.0);
+  }
+  std::size_t* run = s.run.data();
+  std::size_t* slot = s.slot.data();
+  double* dx = s.dx.data();
+  for (std::size_t first = 0; first < count; first += kSortChunk) {
+    const std::size_t n = std::min(kSortChunk, count - first);
+    const std::uint8_t* chunk_pts = pts + first;
+    const double* chunk_rows = rows + first * L;
+    std::fill_n(run, P, 0);
+    for (std::size_t t = 0; t < n; ++t) ++run[chunk_pts[t]];
+    std::size_t next = 0;
+    for (std::size_t pt = 0; pt < P; ++pt) {
+      slot[pt] = next;
+      next += run[pt];
+    }
+    // After the sort slot[pt] is the end of plaintext pt's run.
+    for (std::size_t t = 0; t < n; ++t) {
+      const double* row = chunk_rows + t * L;
+      const std::size_t at = slot[chunk_pts[t]]++;
+      for (std::size_t i = 0; i < L; ++i) {
+        dx[i * n + at] = row[i] - b.mean_x[i];
+      }
+    }
+
+    // The guess-free sums and the bins, one column or column pair at a
+    // time over the plaintext runs. Two interleaved partial sums per
+    // quantity (even and odd run offsets) keep the adds off one
+    // dependent chain; the order is fixed, so the result is
+    // deterministic.
     for (std::size_t i = 0; i < L; ++i) {
-      for (std::size_t j = i; j < L; ++j) b.c2[i * L + j] += dx[i] * dx[j];
-      double* cx = b.c_xh.data() + i * G;
-      for (std::size_t g = 0; g < G; ++g) cx[g] += dx[i] * dh[g];
+      const double* __restrict xi = dx + i * n;
+      double q0 = 0.0, q1 = 0.0;
+      for (std::size_t pt = 0; pt < P; ++pt) {
+        if (run[pt] == 0) continue;
+        const std::size_t end = slot[pt];
+        std::size_t t = end - run[pt];
+        double d0 = 0.0, d1 = 0.0;
+        for (; t + 2 <= end; t += 2) {
+          d0 += xi[t];
+          d1 += xi[t + 1];
+          q0 += xi[t] * xi[t];
+          q1 += xi[t + 1] * xi[t + 1];
+        }
+        if (t < end) {
+          d0 += xi[t];
+          q0 += xi[t] * xi[t];
+        }
+        s.s1[pt * L + i] += d0 + d1;
+      }
+      b.c2[i * L + i] += q0 + q1;
     }
     std::size_t p = 0;
     for (std::size_t i = 0; i < L; ++i) {
       for (std::size_t j = i + 1; j < L; ++j, ++p) {
-        const double prod = dx[i] * dx[j];
-        b.m3_iij[p] += dx[i] * prod;
-        b.m3_ijj[p] += prod * dx[j];
-        b.m4[p] += prod * prod;
-        double* m3h = b.m3_ijh.data() + p * G;
-        for (std::size_t g = 0; g < G; ++g) m3h[g] += prod * dh[g];
+        const double* __restrict xi = dx + i * n;
+        const double* __restrict xj = dx + j * n;
+        double a0 = 0.0, a1 = 0.0, b0 = 0.0, b1 = 0.0, c0 = 0.0, c1 = 0.0;
+        double cij = 0.0;
+        for (std::size_t pt = 0; pt < P; ++pt) {
+          if (run[pt] == 0) continue;
+          const std::size_t end = slot[pt];
+          std::size_t t = end - run[pt];
+          double d0 = 0.0, d1 = 0.0;
+          for (; t + 2 <= end; t += 2) {
+            const double prod0 = xi[t] * xj[t];
+            const double prod1 = xi[t + 1] * xj[t + 1];
+            a0 += xi[t] * prod0;
+            a1 += xi[t + 1] * prod1;
+            b0 += prod0 * xj[t];
+            b1 += prod1 * xj[t + 1];
+            c0 += prod0 * prod0;
+            c1 += prod1 * prod1;
+            d0 += prod0;
+            d1 += prod1;
+          }
+          if (t < end) {
+            const double prod = xi[t] * xj[t];
+            a0 += xi[t] * prod;
+            b0 += prod * xj[t];
+            c0 += prod * prod;
+            d0 += prod;
+          }
+          const double sum = d0 + d1;
+          s.s2[pt * pairs + p] += sum;
+          cij += sum;
+        }
+        b.m3_iij[p] += a0 + a1;
+        b.m3_ijj[p] += b0 + b1;
+        b.m4[p] += c0 + c1;
+        b.c2[i * L + j] += cij;
       }
     }
   }
@@ -126,6 +257,13 @@ StreamingSecondOrderCpa::Sums StreamingSecondOrderCpa::block_sums(
   for (std::size_t i = 0; i < L; ++i) {
     for (std::size_t j = 0; j < i; ++j) b.c2[i * L + j] = b.c2[j * L + i];
   }
+
+  // Once per block: contract the bins against the centred table.
+  const BlockStatKernels& kernels = block_stat_kernels(active_tier());
+  kernels.contract_sums(s.dh.data(), s.s1.data(), counts, P, L, G,
+                        b.c_xh.data());
+  kernels.contract_sums(s.dh.data(), s.s2.data(), counts, P, pairs, G,
+                        b.m3_ijh.data());
   return b;
 }
 
@@ -145,7 +283,15 @@ void StreamingSecondOrderCpa::combine(Sums& a, const Sums& b) const {
   // a_i = μ_Ai − μ, b_i = μ_Bi − μ. Every formula below is the exact
   // expansion of the combined central sum Σ (d + shift)·… with the
   // part-local zero-sum terms dropped.
-  std::vector<double> ax(L), bx(L), ah(G), bh(G);
+  Scratch& s = scratch();
+  s.ax.resize(L);
+  s.bx.resize(L);
+  s.ah.resize(G);
+  s.bh.resize(G);
+  double* ax = s.ax.data();
+  double* bx = s.bx.data();
+  double* ah = s.ah.data();
+  double* bh = s.bh.data();
   for (std::size_t i = 0; i < L; ++i) {
     const double d = b.mean_x[i] - a.mean_x[i];
     ax[i] = -d * nb / n;
@@ -223,8 +369,9 @@ void StreamingSecondOrderCpa::add_block(const std::uint8_t* pts,
                                         const double* rows, std::size_t count,
                                         std::size_t width) {
   if (count == 0) return;
+  require_width(width);
+  const Sums& b = block_sums(pts, rows, count, width);
   ensure_width(width);
-  const Sums b = block_sums(pts, rows, count);
   combine(sums_, b);
 }
 

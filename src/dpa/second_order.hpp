@@ -14,9 +14,9 @@
 // port would be two-pass. Instead the accumulator keeps exact central
 // co-moments up to fourth order — per column mean/M2, per pair C_ij,
 // M3_iij, M3_ijj, M4_iijj, per guess mean/M2 of the prediction, and the
-// mixed third moment M3_ijh per (pair, guess) — via block-local two-pass
-// sums combined with pairwise (Chan/Pébay-style) update formulas. From
-// those, with full-campaign means μ and n traces:
+// mixed third moment M3_ijh per (pair, guess) — formed per block around
+// the block's means and combined with pairwise (Chan/Pébay-style) update
+// formulas. From those, with full-campaign means μ and n traces:
 //
 //   Cov(p, h)  = M3_ijh / n
 //   Var(p)     = (M4_iijj − C_ij² / n) / n
@@ -28,6 +28,23 @@
 // trace. merge() folds a disjoint trace subset exactly (same pairwise
 // formulas), which makes the accumulator shardable under the engine's
 // fixed-shape merge tree — bit-identical results for any thread count.
+//
+// Block cost: the guess-dependent sums factor through the plaintext,
+// because the block-centred prediction dh[pt][g] = h[pt][g] − mean_h[g]
+// depends on the trace only through its sub-plaintext:
+//
+//   c_xh[i][g]   = Σ_pt S1[pt][i] · dh[pt][g]    S1[pt][i] = Σ_{t∈pt} dx_i
+//   m3_ijh[p][g] = Σ_pt S2[pt][p] · dh[pt][g]    S2[pt][p] = Σ_{t∈pt} dx_i·dx_j
+//
+// So a trace costs O(levels²) with no guess loop: the guess-free sums
+// (C, M3_iij, M3_ijj, M4) plus the two per-plaintext bins. The block's
+// centred rows are counting-sorted by plaintext first (in fixed,
+// cache-sized chunks), which turns each bin into a sum over contiguous
+// runs. A block then contracts the bins against dh once, through the
+// tier-dispatched block_contract_sums of dpa/block_stats.hpp —
+// O(min(count, plaintexts) · (levels + pairs) · guesses), bit-identical
+// across dispatch tiers. The per-trace passes are portable code, so the
+// whole accumulator is tier-independent.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +81,9 @@ class StreamingSecondOrderCpa {
   /// sub-plaintexts, `rows` holds count rows of `width` samples. Central
   /// sums are formed block-locally (two passes over the block, which is
   /// already resident) and folded in exactly, so feeding one block or
-  /// many is numerically equivalent.
+  /// many is numerically equivalent. A block with an out-of-range
+  /// plaintext or a mismatched width throws before any state changes —
+  /// including the lazily fixed width.
   void add_block(const std::uint8_t* pts, const double* rows,
                  std::size_t count, std::size_t width);
 
@@ -104,9 +123,19 @@ class StreamingSecondOrderCpa {
     std::vector<double> m3_ijh;   // [pairs * guesses]
   };
 
+  // Per-thread working set of block_sums and combine (second_order.cpp).
+  struct Scratch;
+  static Scratch& scratch();
+
+  // Checks a block or peer width against the fixed one (or the >= 2 rule
+  // while unfixed) without fixing it; ensure_width also fixes it.
+  void require_width(std::size_t width) const;
   void ensure_width(std::size_t width);
-  Sums block_sums(const std::uint8_t* pts, const double* rows,
-                  std::size_t count) const;
+  // The central sums of one block of `width`-sample rows, in the calling
+  // thread's scratch. Mutates no accumulator state, so a bad block throws
+  // before add_block fixes the width or folds anything in.
+  const Sums& block_sums(const std::uint8_t* pts, const double* rows,
+                         std::size_t count, std::size_t width) const;
   // Folds B into A: exact pairwise combination, highest order first so
   // every update reads pre-merge lower-order values.
   void combine(Sums& a, const Sums& b) const;

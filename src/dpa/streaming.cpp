@@ -18,16 +18,6 @@ constexpr std::uint32_t kCpaTag = 0x53AB1001;
 constexpr std::uint32_t kDomTag = 0x53AB1002;
 constexpr std::uint32_t kMultiCpaTag = 0x53AB1003;
 
-// The hoisted form of the per-trace range check: the histogram pass binned
-// every sub-plaintext byte into one of the 256 slots, so one sweep over
-// the slots past num_plaintexts validates the whole block.
-void require_block_pts(const std::uint64_t* counts,
-                       std::size_t num_plaintexts) {
-  for (std::size_t p = num_plaintexts; p < detail::kBlockPts; ++p) {
-    SABLE_REQUIRE(counts[p] == 0, "plaintext out of range");
-  }
-}
-
 // Working set of the block passes. It lives per thread, not per
 // accumulator: a campaign keeps every raw shard state and every MTD
 // checkpoint snapshot alive until its reduction, and a per-accumulator
@@ -100,7 +90,7 @@ void StreamingCpa::add_block(const std::uint8_t* pts, const double* samples,
   kernels.histogram_scalar(pts, samples, count, shift,
                            scratch.counts.data(), scratch.sums.data(),
                            &sum_sq);
-  require_block_pts(scratch.counts.data(), num_plaintexts_);
+  detail::require_block_pts(scratch.counts.data(), num_plaintexts_);
   const double* pred = predictions_->data();
   kernels.contract_counts(pred, scratch.counts.data(), num_plaintexts_,
                           num_guesses_, scratch.sum_h.data(),
@@ -230,7 +220,7 @@ void StreamingDom::add_block(const std::uint8_t* pts, const double* samples,
   double sum_sq = 0.0;
   kernels.histogram_scalar(pts, samples, count, 0.0, scratch.counts.data(),
                            scratch.sums.data(), &sum_sq);
-  require_block_pts(scratch.counts.data(), num_plaintexts_);
+  detail::require_block_pts(scratch.counts.data(), num_plaintexts_);
   double* sum0 = scratch.sum_h.data();
   double* sum1 = scratch.sum_h2.data();
   kernels.contract_dom(predicted_bit_->data(), scratch.counts.data(),
@@ -322,7 +312,7 @@ void StreamingMultiCpa::add_block(const std::uint8_t* pts, const double* rows,
   kernels.histogram_sampled(pts, rows, count, width_, scratch.shifts.data(),
                             scratch.counts.data(), scratch.sums.data(),
                             scratch.sum_sq.data());
-  require_block_pts(scratch.counts.data(), num_plaintexts_);
+  detail::require_block_pts(scratch.counts.data(), num_plaintexts_);
   const double* pred = predictions_->data();
   kernels.contract_counts(pred, scratch.counts.data(), num_plaintexts_,
                           num_guesses_, scratch.sum_h.data(),

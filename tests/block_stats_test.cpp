@@ -4,8 +4,8 @@
 //
 //  1. Equivalence — the block-factored path over a ragged block split
 //     scores within 1e-12 of the textbook two-pass formulations
-//     (tests/reference_attacks.hpp), for CPA (4- and 8-bit sboxes), DoM
-//     and MultiCpa.
+//     (tests/reference_attacks.hpp), for CPA (4- and 8-bit sboxes), DoM,
+//     MultiCpa and second-order CPA (4- and 8-bit sboxes).
 //  2. Cross-tier bit-identity — the same blocks produce byte-identical
 //     serialized state under every dispatch tier the build and the
 //     machine support, and the raw kernels agree bitwise output-for-
@@ -26,6 +26,7 @@
 
 #include "crypto/sboxes.hpp"
 #include "dpa/block_stats.hpp"
+#include "dpa/second_order.hpp"
 #include "dpa/streaming.hpp"
 #include "io/serial.hpp"
 #include "reference_attacks.hpp"
@@ -83,11 +84,24 @@ Traces make_traces(std::size_t count, std::size_t num_pts,
 constexpr std::size_t kBlockSizes[] = {448, 448, 131};
 constexpr std::size_t kTotal = 448 + 448 + 131;
 
-template <typename Feed>
-void for_each_block(const Traces& t, const Feed& feed) {
+// Feeds traces [off, off + n) of `t` as one block. The second-order
+// accumulator takes the row width per block; the others fix it up front.
+template <typename Acc>
+void add_rows(Acc& acc, const Traces& t, std::size_t off, std::size_t n) {
+  acc.add_block(t.pts.data() + off, t.rows.data() + off * t.width, n);
+}
+void add_rows(StreamingSecondOrderCpa& acc, const Traces& t, std::size_t off,
+              std::size_t n) {
+  acc.add_block(t.pts.data() + off, t.rows.data() + off * t.width, n,
+                t.width);
+}
+
+// Feeds all of `t` in the ragged kBlockSizes split.
+template <typename Acc>
+void add_all_blocks(Acc& acc, const Traces& t) {
   std::size_t off = 0;
   for (const std::size_t n : kBlockSizes) {
-    feed(t.pts.data() + off, t.rows.data() + off * t.width, n);
+    add_rows(acc, t, off, n);
     off += n;
   }
   ASSERT_EQ(off, t.pts.size());
@@ -123,8 +137,7 @@ std::vector<std::uint8_t> saved_bytes(const auto& acc) {
 TEST(BlockStatsTest, CpaBlockPathMatchesTwoPass4Bit) {
   const Traces t = make_traces(kTotal, 16, 1, 0xB10C);
   StreamingCpa block(present_spec(), PowerModel::kHammingWeight);
-  for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
-                        std::size_t n) { block.add_block(pts, rows, n); });
+  add_all_blocks(block, t);
   EXPECT_EQ(block.count(), kTotal);
   expect_near_scores(block.result().score,
                      reference_cpa_scores(t.scalar(), present_spec(),
@@ -136,8 +149,7 @@ TEST(BlockStatsTest, CpaBlockPathMatchesTwoPass8Bit) {
   // histogram rows, many zero-count classes, the skip branch exercised.
   const Traces t = make_traces(kTotal, 256, 1, 0xAE5);
   StreamingCpa block(aes_spec(), PowerModel::kHammingWeight);
-  for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
-                        std::size_t n) { block.add_block(pts, rows, n); });
+  add_all_blocks(block, t);
   expect_near_scores(block.result().score,
                      reference_cpa_scores(t.scalar(), aes_spec(),
                                           PowerModel::kHammingWeight, 0));
@@ -146,8 +158,7 @@ TEST(BlockStatsTest, CpaBlockPathMatchesTwoPass8Bit) {
 TEST(BlockStatsTest, DomBlockPathMatchesTwoPass) {
   const Traces t = make_traces(kTotal, 16, 1, 0xD0A1);
   StreamingDom block(present_spec(), 2);
-  for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
-                        std::size_t n) { block.add_block(pts, rows, n); });
+  add_all_blocks(block, t);
   EXPECT_EQ(block.count(), kTotal);
   // A DoM score is a difference of ~1e-13 J partition means, so the
   // budget is 1e-12 relative to those means.
@@ -161,12 +172,46 @@ TEST(BlockStatsTest, MultiCpaBlockPathMatchesTwoPass) {
   const Traces t = make_traces(kTotal, 16, kWidth, 0x3C0A);
   StreamingMultiCpa block(present_spec(), PowerModel::kHammingWeight,
                           kWidth);
-  for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
-                        std::size_t n) { block.add_block(pts, rows, n); });
+  add_all_blocks(block, t);
   EXPECT_EQ(block.count(), kTotal);
   expect_near_scores(block.result().combined.score,
                      reference_multi_cpa_scores(t.multi(), present_spec(),
                                                 PowerModel::kHammingWeight));
+}
+
+// Second-order: widths 2 (a single level pair) and 6 (the SABL-enhanced
+// round's level count, 15 pairs), scores and the winning pair — over the
+// ragged split and over one block of all kTotal traces, which spans
+// several of the accumulator's counting-sort chunks.
+void check_second_order_block_path(const SboxSpec& spec, std::size_t num_pts,
+                                   std::uint64_t seed) {
+  for (const std::size_t width : {std::size_t{2}, std::size_t{6}}) {
+    SCOPED_TRACE(width);
+    const Traces t = make_traces(kTotal, num_pts, width, seed + width);
+    const SecondOrderAttackResult want =
+        reference_second_order(t.multi(), spec, PowerModel::kHammingWeight);
+    StreamingSecondOrderCpa ragged(spec, PowerModel::kHammingWeight);
+    add_all_blocks(ragged, t);
+    StreamingSecondOrderCpa whole(spec, PowerModel::kHammingWeight);
+    add_rows(whole, t, 0, kTotal);
+    for (const StreamingSecondOrderCpa* block : {&ragged, &whole}) {
+      EXPECT_EQ(block->count(), kTotal);
+      const SecondOrderAttackResult got = block->result();
+      expect_near_scores(got.combined.score, want.combined.score);
+      EXPECT_EQ(got.best_pair_first, want.best_pair_first);
+      EXPECT_EQ(got.best_pair_second, want.best_pair_second);
+    }
+  }
+}
+
+TEST(BlockStatsTest, SecondOrderBlockPathMatchesTwoPass4Bit) {
+  check_second_order_block_path(present_spec(), 16, 0x50C4);
+}
+
+TEST(BlockStatsTest, SecondOrderBlockPathMatchesTwoPass8Bit) {
+  // P = G = 256 over ~1000 traces: most plaintext rows of a block are
+  // empty, so the contraction's skip branch carries the block.
+  check_second_order_block_path(aes_spec(), 256, 0x50C8);
 }
 
 // ---- cross-tier bit-identity ----------------------------------------------
@@ -186,8 +231,7 @@ TEST(BlockStatsTest, CpaBitIdenticalAcrossDispatchTiers) {
   for (const DispatchTier tier : testable_tiers()) {
     ScopedDispatchTierCap cap(tier);
     StreamingCpa acc(present_spec(), PowerModel::kHammingWeight);
-    for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
-                          std::size_t n) { acc.add_block(pts, rows, n); });
+    add_all_blocks(acc, t);
     const std::vector<std::uint8_t> bytes = saved_bytes(acc);
     if (reference.empty()) {
       reference = bytes;
@@ -204,8 +248,24 @@ TEST(BlockStatsTest, MultiCpaBitIdenticalAcrossDispatchTiers) {
   for (const DispatchTier tier : testable_tiers()) {
     ScopedDispatchTierCap cap(tier);
     StreamingMultiCpa acc(present_spec(), PowerModel::kHammingWeight, kWidth);
-    for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
-                          std::size_t n) { acc.add_block(pts, rows, n); });
+    add_all_blocks(acc, t);
+    const std::vector<std::uint8_t> bytes = saved_bytes(acc);
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
+    }
+  }
+}
+
+TEST(BlockStatsTest, SecondOrderBitIdenticalAcrossDispatchTiers) {
+  constexpr std::size_t kWidth = 6;
+  const Traces t = make_traces(kTotal, 16, kWidth, 0x71E7);
+  std::vector<std::uint8_t> reference;
+  for (const DispatchTier tier : testable_tiers()) {
+    ScopedDispatchTierCap cap(tier);
+    StreamingSecondOrderCpa acc(present_spec(), PowerModel::kHammingWeight);
+    add_all_blocks(acc, t);
     const std::vector<std::uint8_t> bytes = saved_bytes(acc);
     if (reference.empty()) {
       reference = bytes;
@@ -294,16 +354,14 @@ template <typename Acc, typename Make>
 void check_persistence_shape(const Traces& t, const Make& make) {
   // Straight-through: all blocks, one accumulator.
   Acc straight = make();
-  for_each_block(t, [&](const std::uint8_t* pts, const double* rows,
-                        std::size_t n) { straight.add_block(pts, rows, n); });
+  add_all_blocks(straight, t);
   const std::vector<std::uint8_t> want = saved_bytes(straight);
 
   // Checkpoint after the first two blocks.
   Acc partial = make();
   std::size_t off = 0;
   for (std::size_t b = 0; b < 2; ++b) {
-    partial.add_block(t.pts.data() + off, t.rows.data() + off * t.width,
-                      kBlockSizes[b]);
+    add_rows(partial, t, off, kBlockSizes[b]);
     off += kBlockSizes[b];
   }
   const std::vector<std::uint8_t> checkpoint = saved_bytes(partial);
@@ -315,15 +373,13 @@ void check_persistence_shape(const Traces& t, const Make& make) {
     resumed.load(reader);
     EXPECT_EQ(reader.remaining(), 0u);
   }
-  resumed.add_block(t.pts.data() + off, t.rows.data() + off * t.width,
-                    kBlockSizes[2]);
+  add_rows(resumed, t, off, kBlockSizes[2]);
   EXPECT_EQ(saved_bytes(resumed), want) << "resume path diverged";
 
   // Merge path: a second worker only ever saw block 2; fold its state
   // into the loaded checkpoint (merge_partials in miniature).
   Acc tail = make();
-  tail.add_block(t.pts.data() + off, t.rows.data() + off * t.width,
-                 kBlockSizes[2]);
+  add_rows(tail, t, off, kBlockSizes[2]);
   Acc merged = make();
   {
     ByteReader reader(checkpoint.data(), checkpoint.size(), "mem");
@@ -355,6 +411,14 @@ TEST(BlockStatsTest, MultiCpaSaveLoadAccumulateMergeMatchesStraightThrough) {
   });
 }
 
+TEST(BlockStatsTest,
+     SecondOrderSaveLoadAccumulateMergeMatchesStraightThrough) {
+  const Traces t = make_traces(kTotal, 16, 6, 0x5A81);
+  check_persistence_shape<StreamingSecondOrderCpa>(t, [] {
+    return StreamingSecondOrderCpa(present_spec(), PowerModel::kHammingWeight);
+  });
+}
+
 // ---- hoisted validation ---------------------------------------------------
 
 TEST(BlockStatsTest, OutOfRangePlaintextThrowsBeforeMutating) {
@@ -378,6 +442,23 @@ TEST(BlockStatsTest, OutOfRangePlaintextThrowsBeforeMutating) {
   EXPECT_THROW(multi.add_block(t.pts.data(), t.rows.data(), t.pts.size()),
                InvalidArgument);
   EXPECT_EQ(multi.count(), 0u);
+
+  // Second-order fixes its row width lazily from the first block; a
+  // rejected block must not fix it either, so a valid block of another
+  // width is still accepted afterwards.
+  Traces rows2 = make_traces(64, 16, 2, 0xBAD);
+  rows2.pts[37] = 200;
+  StreamingSecondOrderCpa second(present_spec(), PowerModel::kHammingWeight);
+  EXPECT_THROW(second.add_block(rows2.pts.data(), rows2.rows.data(),
+                                rows2.pts.size(), rows2.width),
+               InvalidArgument);
+  EXPECT_EQ(second.count(), 0u);
+  EXPECT_EQ(second.width(), 0u);
+  const Traces rows3 = make_traces(64, 16, 3, 0x600D);
+  second.add_block(rows3.pts.data(), rows3.rows.data(), rows3.pts.size(),
+                   rows3.width);
+  EXPECT_EQ(second.count(), 64u);
+  EXPECT_EQ(second.width(), 3u);
 }
 
 }  // namespace

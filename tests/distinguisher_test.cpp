@@ -23,6 +23,7 @@
 #include "engine/trace_engine.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "power/stats.hpp"
+#include "reference_attacks.hpp"
 #include "util/rng.hpp"
 
 namespace sable {
@@ -201,86 +202,45 @@ TEST(DistinguisherPipelineTest, MultiCpaCampaignBitIdenticalToManualShards) {
 
 // ---- second-order CPA vs the retained-trace reference ---------------------
 
-// Retained-trace second-order reference: full-campaign column means,
-// centered product per level pair, Pearson against the predicted leakage
-// — the textbook two-pass formulation the streaming accumulator must
-// reproduce.
-SecondOrderAttackResult retained_second_order(const SboxSpec& spec,
-                                              PowerModel model,
-                                              const MultiTraceSet& traces) {
-  const std::size_t L = traces.width;
-  const std::size_t n = traces.size();
-  const std::size_t guesses = std::size_t{1} << spec.in_bits;
-  std::vector<double> mu(L, 0.0);
-  for (std::size_t t = 0; t < n; ++t) {
-    for (std::size_t i = 0; i < L; ++i) mu[i] += traces.at(t, i);
-  }
-  for (double& m : mu) m /= static_cast<double>(n);
-
-  std::vector<std::vector<double>> hyp(guesses, std::vector<double>(n));
-  for (std::size_t g = 0; g < guesses; ++g) {
-    for (std::size_t t = 0; t < n; ++t) {
-      hyp[g][t] = predict_leakage(spec, model, traces.plaintexts[t],
-                                  static_cast<std::uint8_t>(g), 0);
-    }
-  }
-
-  SecondOrderAttackResult result;
-  std::vector<double> combined(guesses, 0.0);
-  double global_best = -1.0;
-  std::vector<double> product(n);
-  for (std::size_t i = 0; i < L; ++i) {
-    for (std::size_t j = i + 1; j < L; ++j) {
-      for (std::size_t t = 0; t < n; ++t) {
-        product[t] = (traces.at(t, i) - mu[i]) * (traces.at(t, j) - mu[j]);
-      }
-      for (std::size_t g = 0; g < guesses; ++g) {
-        const double score = std::fabs(pearson(product, hyp[g]));
-        combined[g] = std::max(combined[g], score);
-        if (score > global_best) {
-          global_best = score;
-          result.best_pair_first = i;
-          result.best_pair_second = j;
-        }
-      }
-    }
-  }
-  result.combined = make_attack_result(std::move(combined));
-  return result;
-}
-
 TEST(SecondOrderCpaTest, MatchesRetainedTraceReference) {
-  const RoundSpec round = present_round(1, LogicStyle::kStaticCmos);
-  const CampaignOptions options = reference_options(round);
-  const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  TraceEngine engine(round, kTech);
-  ASSERT_GE(engine.target().num_levels(), 2u);
+  // Static CMOS leaks; SABL-enhanced is the paper's style and the
+  // benchmark's, with six logic levels (15 level pairs).
+  for (const LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablEnhanced}) {
+    SCOPED_TRACE(static_cast<int>(style));
+    const RoundSpec round = present_round(1, style);
+    const CampaignOptions options = reference_options(round);
+    const AttackSelector selector{.model = PowerModel::kHammingWeight};
+    TraceEngine engine(round, kTech);
+    ASSERT_GE(engine.target().num_levels(), 2u);
 
-  MultiTraceSet retained;
-  retained.reserve(options.num_traces, engine.target().num_levels());
-  engine.stream_sampled(options, [&](const std::uint8_t* pts,
-                                     const double* rows, std::size_t n) {
-    const std::size_t width = engine.target().num_levels();
-    for (std::size_t t = 0; t < n; ++t) {
-      retained.add(pts[t], rows + t * width, width);
+    MultiTraceSet retained;
+    retained.reserve(options.num_traces, engine.target().num_levels());
+    engine.stream_sampled(options, [&](const std::uint8_t* pts,
+                                       const double* rows, std::size_t n) {
+      const std::size_t width = engine.target().num_levels();
+      for (std::size_t t = 0; t < n; ++t) {
+        retained.add(pts[t], rows + t * width, width);
+      }
+    });
+    const SecondOrderAttackResult reference =
+        reference_second_order(retained, round.sboxes[0], selector.model);
+    const SecondOrderAttackResult result = run_attack(
+        engine, options, SecondOrderCpaDistinguisher(engine.spec(), selector));
+
+    ASSERT_EQ(result.combined.score.size(), reference.combined.score.size());
+    for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
+      EXPECT_NEAR(result.combined.score[g], reference.combined.score[g],
+                  1e-12)
+          << "guess " << g;
     }
-  });
-  const SecondOrderAttackResult reference = retained_second_order(
-      round.sboxes[0], selector.model, retained);
-  const SecondOrderAttackResult result = run_attack(
-      engine, options, SecondOrderCpaDistinguisher(engine.spec(), selector));
-
-  ASSERT_EQ(result.combined.score.size(), reference.combined.score.size());
-  for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
-    EXPECT_NEAR(result.combined.score[g], reference.combined.score[g], 1e-12)
-        << "guess " << g;
+    EXPECT_EQ(result.combined.best_guess, reference.combined.best_guess);
+    EXPECT_EQ(result.best_pair_first, reference.best_pair_first);
+    EXPECT_EQ(result.best_pair_second, reference.best_pair_second);
+    const std::size_t subkey = round.sub_word(options.key.data(), 0);
+    EXPECT_EQ(result.combined.rank_of(subkey),
+              reference.combined.rank_of(subkey));
   }
-  EXPECT_EQ(result.combined.best_guess, reference.combined.best_guess);
-  EXPECT_EQ(result.best_pair_first, reference.best_pair_first);
-  EXPECT_EQ(result.best_pair_second, reference.best_pair_second);
-  const std::size_t subkey = round.sub_word(options.key.data(), 0);
-  EXPECT_EQ(result.combined.rank_of(subkey),
-            reference.combined.rank_of(subkey));
 }
 
 TEST(SecondOrderCpaTest, MergeMatchesSequentialAccumulation) {

@@ -14,6 +14,7 @@
 #include "crypto/leakage.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
+#include "dpa/second_order.hpp"
 #include "power/stats.hpp"
 #include "power/trace.hpp"
 
@@ -81,6 +82,53 @@ inline std::vector<double> reference_multi_cpa_scores(
     }
   }
   return combined;
+}
+
+/// Retained-trace second-order reference: full-campaign column means,
+/// centered product per level pair, Pearson against the predicted leakage
+/// — the textbook two-pass formulation the streaming accumulator must
+/// reproduce.
+inline SecondOrderAttackResult reference_second_order(
+    const MultiTraceSet& traces, const SboxSpec& spec, PowerModel model) {
+  const std::size_t L = traces.width;
+  const std::size_t n = traces.size();
+  const std::size_t guesses = std::size_t{1} << spec.in_bits;
+  std::vector<double> mu(L, 0.0);
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t i = 0; i < L; ++i) mu[i] += traces.at(t, i);
+  }
+  for (double& m : mu) m /= static_cast<double>(n);
+
+  std::vector<std::vector<double>> hyp(guesses, std::vector<double>(n));
+  for (std::size_t g = 0; g < guesses; ++g) {
+    for (std::size_t t = 0; t < n; ++t) {
+      hyp[g][t] = predict_leakage(spec, model, traces.plaintexts[t],
+                                  static_cast<std::uint8_t>(g), 0);
+    }
+  }
+
+  SecondOrderAttackResult result;
+  std::vector<double> combined(guesses, 0.0);
+  double global_best = -1.0;
+  std::vector<double> product(n);
+  for (std::size_t i = 0; i < L; ++i) {
+    for (std::size_t j = i + 1; j < L; ++j) {
+      for (std::size_t t = 0; t < n; ++t) {
+        product[t] = (traces.at(t, i) - mu[i]) * (traces.at(t, j) - mu[j]);
+      }
+      for (std::size_t g = 0; g < guesses; ++g) {
+        const double score = std::fabs(pearson(product, hyp[g]));
+        combined[g] = std::max(combined[g], score);
+        if (score > global_best) {
+          global_best = score;
+          result.best_pair_first = i;
+          result.best_pair_second = j;
+        }
+      }
+    }
+  }
+  result.combined = make_attack_result(std::move(combined));
+  return result;
 }
 
 /// Prefix MTD oracle: re-runs the two-pass CPA from scratch on every
