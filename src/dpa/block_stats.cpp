@@ -55,4 +55,13 @@ const BlockStatKernels& block_stat_kernels(DispatchTier tier) {
   return kPortable;
 }
 
+void build_block_histogram(const std::uint8_t* pts, const double* samples,
+                           std::size_t count, BlockHistogram& hist) {
+  hist.shift = count == 0 ? 0.0 : samples[0];
+  hist.count = count;
+  block_stat_kernels(active_tier())
+      .histogram_scalar(pts, samples, count, hist.shift, hist.counts,
+                        hist.sums, &hist.sum_sq);
+}
+
 }  // namespace sable

@@ -12,7 +12,10 @@
 // One O(count) histogram pass with no guess loop, then one dense
 // contraction against the shared prediction table per block — a G×P GEMV
 // for scalar CPA, a G×P · P×L GEMM for time-resolved CPA, partitioned
-// counts/sums for DoM. The kernels below are those two stages.
+// counts/sums for DoM. The kernels below are those two stages. The
+// scalar histogram does not depend on the distinguisher, so it is a
+// value of its own (BlockHistogram): the engine bins each shard once per
+// attacked instance and CPA, DoM and MTD all contract that one result.
 // Second-order CPA (dpa/second_order.hpp) is a contract_sums client too:
 // it bins per-plaintext level deviations and level-pair products itself
 // and contracts them against its block-centred prediction table.
@@ -20,10 +23,11 @@
 // Numerics: samples are accumulated relative to a caller-chosen shift
 // (the block's first sample) so the per-plaintext sums carry the
 // ~1e-15 J data-dependent variation instead of the ~1e-13 J energy
-// offset; co-moments are shift-invariant and the accumulators convert
+// offset; co-moments are shift-invariant and the CPA accumulators convert
 // the block sums back to Welford form before folding them in (see
 // streaming.cpp), which keeps the scores within ~1e-13 of the two-pass
-// Pearson formulation.
+// Pearson formulation. DoM partitions the same shifted sums and adds
+// cnt·shift back per partition, so its state stays raw partition sums.
 //
 // Determinism: every kernel fixes the floating-point summation order per
 // output element — histogram passes accumulate sequentially in trace
@@ -166,5 +170,26 @@ struct BlockStatKernels {
 /// Widest kernel set the given tier may execute (every body computes
 /// bit-identical results; the tiers differ only in vector width).
 const BlockStatKernels& block_stat_kernels(DispatchTier tier);
+
+/// One scalar block's per-plaintext histogram: the only input the scalar
+/// distinguishers' contractions read. counts/sums/sum_sq are the
+/// histogram_scalar outputs relative to `shift` over `count` traces.
+/// ShardFeed builds one per attacked instance per shard and every scalar
+/// distinguisher on that instance (CPA, DoM, MTD) contracts it, so a
+/// shard is binned once per instance, not once per distinguisher.
+struct BlockHistogram {
+  std::uint64_t counts[detail::kBlockPts];
+  double sums[detail::kBlockPts];
+  double sum_sq = 0.0;
+  double shift = 0.0;
+  std::size_t count = 0;
+};
+
+/// Bins `count` traces into `hist` with the active tier's
+/// histogram_scalar, shifted by the block's first sample (0 for an empty
+/// block): the per-plaintext sums then carry the ~1e-15 J data-dependent
+/// variation, not the ~1e-13 J energy offset.
+void build_block_histogram(const std::uint8_t* pts, const double* samples,
+                           std::size_t count, BlockHistogram& hist);
 
 }  // namespace sable

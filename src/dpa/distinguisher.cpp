@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "crypto/round_target.hpp"
+#include "dpa/block_stats.hpp"
 #include "io/serial.hpp"
 #include "util/error.hpp"
 
@@ -43,18 +44,33 @@ void validate_spec_matches(const RoundSpec& round,
 void require_scalar(const ShardBlock& block) {
   SABLE_REQUIRE(block.width == 1,
                 "scalar distinguishers consume one sample per trace");
+  SABLE_ASSERT(block.histogram == nullptr ||
+                   block.histogram->count == block.count,
+               "a shard block's histogram must cover the whole block");
+}
+
+// A scalar accumulator contracts the block's shared histogram when the
+// feed built one and bins the block itself otherwise; both are the same
+// add_histogram contraction over the same histogram.
+template <typename Acc>
+void add_scalar_block(Acc& acc, const ShardBlock& block) {
+  require_scalar(block);
+  if (block.histogram != nullptr) {
+    acc.add_histogram(*block.histogram);
+  } else {
+    acc.add_block(block.sub_pts, block.data, block.count);
+  }
 }
 
 class CpaShardAccumulator final : public ShardAccumulator {
  public:
   explicit CpaShardAccumulator(StreamingCpa acc) : acc_(std::move(acc)) {}
 
-  // One add_block call per engine shard: block boundaries are the fixed
-  // shard layout, so the block-factored summation order is deterministic
+  // One block per engine shard: block boundaries are the fixed shard
+  // layout, so the block-factored summation order is deterministic
   // across thread counts and dispatch tiers.
   void accumulate(const ShardBlock& block) override {
-    require_scalar(block);
-    acc_.add_block(block.sub_pts, block.data, block.count);
+    add_scalar_block(acc_, block);
   }
   void merge(ShardAccumulator& other) override {
     acc_.merge(cast_peer<CpaShardAccumulator>(other).acc_);
@@ -73,8 +89,7 @@ class DomShardAccumulator final : public ShardAccumulator {
   explicit DomShardAccumulator(StreamingDom acc) : acc_(std::move(acc)) {}
 
   void accumulate(const ShardBlock& block) override {
-    require_scalar(block);
-    acc_.add_block(block.sub_pts, block.data, block.count);
+    add_scalar_block(acc_, block);
   }
   void merge(ShardAccumulator& other) override {
     acc_.merge(cast_peer<DomShardAccumulator>(other).acc_);
@@ -150,15 +165,22 @@ class MtdShardAccumulator final : public ShardAccumulator {
   // The ladder cuts the shard into segments, each fed through one
   // add_block call. Segment boundaries are fixed by the ladder and the
   // shard layout alone, so the MTD curve is bit-identical across thread
-  // counts and dispatch tiers.
+  // counts and dispatch tiers. An uncut shard is one segment, so the
+  // block's shared histogram is exactly what add_block would bin; a
+  // checkpoint at the shard end snapshots after it.
   void accumulate(const ShardBlock& block) override {
     require_scalar(block);
     SABLE_ASSERT(!settled_, "cannot accumulate into a settled MTD fold root");
     const std::vector<std::size_t>& ladder = *ladder_;
+    const std::size_t end = block.start + block.count;
+    auto it = std::upper_bound(ladder.begin(), ladder.end(), block.start);
+    if (block.histogram != nullptr && (it == ladder.end() || *it >= end)) {
+      acc_.add_histogram(*block.histogram);
+      if (it != ladder.end() && *it == end) snapshots_.emplace_back(end, acc_);
+      return;
+    }
     std::size_t done = 0;
-    for (auto it =
-             std::upper_bound(ladder.begin(), ladder.end(), block.start);
-         it != ladder.end() && *it <= block.start + block.count; ++it) {
+    for (; it != ladder.end() && *it <= end; ++it) {
       const std::size_t upto = *it - block.start;
       acc_.add_block(block.sub_pts + done, block.data + done, upto - done);
       done = upto;

@@ -27,7 +27,8 @@
 //
 // Running several distinguishers in one call shares the simulation: a
 // 16-subkey attack on a 16-S-box round costs one campaign, not sixteen
-// (sub-plaintext extraction is deduplicated per attacked instance). Mixing
+// (sub-plaintext extraction and the scalar block histogram are
+// deduplicated per attacked instance). Mixing
 // scalar and time-resolved distinguishers is allowed; each shard is then
 // simulated once per data kind with identical per-kind streams, keeping
 // both bit-identical to their single-kind campaigns.
@@ -57,13 +58,20 @@ enum class TraceDataKind {
 /// `count` traces of `width` doubles each (width 1 for kScalar, the
 /// target's level count for kSampled). `start` is the canonical campaign
 /// index of the first trace — ordered distinguishers (MTD) locate their
-/// checkpoints with it.
+/// checkpoints with it. `histogram`, when set, is the block's scalar
+/// BlockHistogram over exactly traces [0, count) (dpa/block_stats.hpp):
+/// the engine bins each shard once per attacked instance and every
+/// scalar accumulator on that instance contracts it instead of re-binning
+/// the block. It is null for sampled blocks and for callers that build
+/// blocks themselves; scalar accumulators then bin the block on their
+/// own, with bit-identical results.
 struct ShardBlock {
   std::size_t start = 0;
   const std::uint8_t* sub_pts = nullptr;
   const double* data = nullptr;
   std::size_t count = 0;
   std::size_t width = 1;
+  const BlockHistogram* histogram = nullptr;
 };
 
 class ByteReader;
@@ -214,12 +222,16 @@ class SecondOrderCpaDistinguisher final : public Distinguisher {
 };
 
 /// The measurements-to-disclosure experiment as an ordered distinguisher:
-/// each shard accumulator feeds its shard through StreamingCpa::add_block
-/// one checkpoint segment at a time and snapshots the in-shard
-/// checkpoints; the left fold in canonical shard order ranks every
-/// snapshot against the merged prefix of the shards before it. Segments
-/// and merge order are fixed by the ladder and the shard layout, so the
-/// MTD curve is bit-identical across thread counts and dispatch tiers.
+/// each shard accumulator feeds its shard through StreamingCpa and
+/// snapshots the in-shard checkpoints. A shard no checkpoint falls
+/// strictly inside contracts the block's shared histogram in one
+/// add_histogram call (a checkpoint exactly at the shard end still
+/// snapshots after it); a cut shard goes through add_block one
+/// checkpoint segment at a time. The left fold in canonical shard order
+/// ranks every snapshot against the merged prefix of the shards before
+/// it. Segments and merge order are fixed by the ladder and the shard
+/// layout, so the MTD curve is bit-identical across thread counts and
+/// dispatch tiers.
 /// The checkpoint ladder is canonicalized at construction: sorted,
 /// unique, restricted to [2, num_traces].
 class MtdDistinguisher final : public Distinguisher {

@@ -24,6 +24,7 @@ constexpr std::uint32_t kMultiCpaTag = 0x53AB1003;
 // copy of these buffers would multiply into the campaign's resident
 // memory. Never serialized, never merged.
 struct BlockScratch {
+  BlockHistogram hist;                // add_block's own scalar histogram
   std::vector<std::uint64_t> counts;  // [kBlockPts]
   std::vector<double> sums;           // [kBlockPts * width]
   std::vector<double> shifts;         // [width]
@@ -79,30 +80,28 @@ StreamingCpa::StreamingCpa(const SboxSpec& spec, PowerModel model,
 
 void StreamingCpa::add_block(const std::uint8_t* pts, const double* samples,
                              std::size_t count) {
-  if (count == 0) return;
+  BlockHistogram& hist = block_scratch(1, num_guesses_).hist;
+  build_block_histogram(pts, samples, count, hist);
+  add_histogram(hist);
+}
+
+void StreamingCpa::add_histogram(const BlockHistogram& hist) {
+  if (hist.count == 0) return;
   const BlockStatKernels& kernels = block_stat_kernels(active_tier());
   BlockScratch& scratch = block_scratch(1, num_guesses_);
-  // Shift by the block's first sample: the per-plaintext sums then carry
-  // the ~1e-15 J data-dependent variation, not the ~1e-13 J energy
-  // offset, and the co-moments are shift-invariant.
-  const double shift = samples[0];
-  double sum_sq = 0.0;
-  kernels.histogram_scalar(pts, samples, count, shift,
-                           scratch.counts.data(), scratch.sums.data(),
-                           &sum_sq);
-  detail::require_block_pts(scratch.counts.data(), num_plaintexts_);
+  detail::require_block_pts(hist.counts, num_plaintexts_);
   const double* pred = predictions_->data();
-  kernels.contract_counts(pred, scratch.counts.data(), num_plaintexts_,
-                          num_guesses_, scratch.sum_h.data(),
-                          scratch.sum_h2.data());
-  kernels.contract_sums(pred, scratch.sums.data(), scratch.counts.data(),
-                        num_plaintexts_, 1, num_guesses_, scratch.r.data());
-  // Convert the block's raw (shifted) sums to Welford form, in place.
-  const double n = static_cast<double>(count);
+  kernels.contract_counts(pred, hist.counts, num_plaintexts_, num_guesses_,
+                          scratch.sum_h.data(), scratch.sum_h2.data());
+  kernels.contract_sums(pred, hist.sums, hist.counts, num_plaintexts_, 1,
+                        num_guesses_, scratch.r.data());
+  // Convert the block's shifted sums to Welford form: the co-moments are
+  // shift-invariant, the mean adds the shift back.
+  const double n = static_cast<double>(hist.count);
   double t_sum = 0.0;
-  for (std::size_t p = 0; p < num_plaintexts_; ++p) t_sum += scratch.sums[p];
-  const double mean_t = shift + t_sum / n;
-  const double m2_t = std::max(0.0, sum_sq - t_sum * t_sum / n);
+  for (std::size_t p = 0; p < num_plaintexts_; ++p) t_sum += hist.sums[p];
+  const double mean_t = hist.shift + t_sum / n;
+  const double m2_t = std::max(0.0, hist.sum_sq - t_sum * t_sum / n);
   for (std::size_t g = 0; g < num_guesses_; ++g) {
     const double mh = scratch.sum_h[g] / n;
     scratch.sum_h[g] = mh;
@@ -110,7 +109,7 @@ void StreamingCpa::add_block(const std::uint8_t* pts, const double* samples,
     // Σ (h−mh)(t−mt) = Σ h·d − mh·Σ d for any shift (Σ (h−mh) = 0).
     scratch.r[g] -= mh * t_sum;
   }
-  fold_block(count, mean_t, m2_t, scratch.sum_h.data(),
+  fold_block(hist.count, mean_t, m2_t, scratch.sum_h.data(),
              scratch.sum_h2.data(), scratch.r.data());
 }
 
@@ -212,27 +211,32 @@ StreamingDom::StreamingDom(const SboxSpec& spec, std::size_t bit)
 
 void StreamingDom::add_block(const std::uint8_t* pts, const double* samples,
                              std::size_t count) {
-  if (count == 0) return;
+  BlockHistogram& hist = block_scratch(1, num_guesses_).hist;
+  build_block_histogram(pts, samples, count, hist);
+  add_histogram(hist);
+}
+
+void StreamingDom::add_histogram(const BlockHistogram& hist) {
+  if (hist.count == 0) return;
   const BlockStatKernels& kernels = block_stat_kernels(active_tier());
   BlockScratch& scratch = block_scratch(1, num_guesses_);
-  // No shift: the partition state is raw sums, and DoM forms no squares,
-  // so raw accumulation loses nothing.
-  double sum_sq = 0.0;
-  kernels.histogram_scalar(pts, samples, count, 0.0, scratch.counts.data(),
-                           scratch.sums.data(), &sum_sq);
-  detail::require_block_pts(scratch.counts.data(), num_plaintexts_);
+  detail::require_block_pts(hist.counts, num_plaintexts_);
   double* sum0 = scratch.sum_h.data();
   double* sum1 = scratch.sum_h2.data();
-  kernels.contract_dom(predicted_bit_->data(), scratch.counts.data(),
-                       scratch.sums.data(), num_plaintexts_, num_guesses_,
-                       sum0, sum1, scratch.cnt0.data(),
-                       scratch.cnt1.data());
-  n_ += count;
+  kernels.contract_dom(predicted_bit_->data(), hist.counts, hist.sums,
+                       num_plaintexts_, num_guesses_, sum0, sum1,
+                       scratch.cnt0.data(), scratch.cnt1.data());
+  // The partitions hold shifted sums; adding cnt·shift back keeps the
+  // state raw partition sums (the SABLSTAT layout and merge() read them
+  // as such).
+  n_ += hist.count;
   for (std::size_t g = 0; g < num_guesses_; ++g) {
-    sum_[0][g] += sum0[g];
-    sum_[1][g] += sum1[g];
-    cnt_[0][g] += scratch.cnt0[g];
-    cnt_[1][g] += scratch.cnt1[g];
+    const std::uint64_t c0 = scratch.cnt0[g];
+    const std::uint64_t c1 = scratch.cnt1[g];
+    sum_[0][g] += sum0[g] + static_cast<double>(c0) * hist.shift;
+    sum_[1][g] += sum1[g] + static_cast<double>(c1) * hist.shift;
+    cnt_[0][g] += c0;
+    cnt_[1][g] += c1;
   }
 }
 

@@ -12,13 +12,17 @@
 // though trace energies sit at ~1e-13 J with ~1e-15 J of data-dependent
 // variation.
 //
-// One consumption path: add_block() — the block-factored path
-// (dpa/block_stats.hpp): per-plaintext sufficient statistics in one
-// O(count) pass, one dense contraction per block, then a pairwise fold.
-// The engine's shard pipeline feeds add_block once per shard (MTD once
-// per checkpoint segment). The block passes' working set is per thread,
-// not per accumulator, so retained shard states and MTD snapshots carry
-// only their logical moments.
+// One consumption path: the block-factored path (dpa/block_stats.hpp):
+// per-plaintext sufficient statistics in one O(count) pass, one dense
+// contraction per block, then a pairwise fold. The scalar accumulators
+// split it in two: add_histogram() contracts a prebuilt BlockHistogram,
+// and add_block() is build_block_histogram() followed by add_histogram().
+// The engine bins each shard once per attacked instance and hands that
+// histogram to every scalar accumulator on the instance (MTD too, unless
+// a checkpoint cuts the shard: then it feeds add_block once per segment).
+// The block passes' working set is per thread, not per accumulator, so
+// retained shard states and MTD snapshots carry only their logical
+// moments.
 //
 // Every accumulator is copyable (copies share the immutable prediction
 // table) and mergeable: merge() folds another accumulator over a disjoint
@@ -40,6 +44,7 @@ namespace sable {
 
 class ByteReader;
 class ByteWriter;
+struct BlockHistogram;  // dpa/block_stats.hpp
 
 // Serialization (io/serial.hpp): every streaming accumulator has a
 // versionless tagged save()/load() pair embedded inside the versioned
@@ -67,6 +72,12 @@ class StreamingCpa {
   /// thread counts.
   void add_block(const std::uint8_t* pts, const double* samples,
                  std::size_t count);
+
+  /// The contraction and fold of add_block over a histogram someone else
+  /// built (the engine's shared per-instance histogram): bit-identical to
+  /// add_block over the same traces, since add_block builds exactly this
+  /// histogram and calls it.
+  void add_histogram(const BlockHistogram& hist);
 
   /// Folds `other` — an accumulator over a disjoint trace subset with the
   /// same spec/model/bit configuration — into this one: flat-array
@@ -110,18 +121,23 @@ class StreamingCpa {
 };
 
 /// One-pass difference-of-means DPA on one predicted output bit. The
-/// partition sums are accumulated in trace order, so the result is
-/// bit-identical to the all-traces-resident formulation.
+/// state is raw per-guess partition counts and sums.
 class StreamingDom {
  public:
   StreamingDom(const SboxSpec& spec, std::size_t bit = 0);
 
   /// Block-factored hot path: per-plaintext counts/sums in one pass with
   /// no guess loop, then one partitioned contraction against the
-  /// predicted-bit table. Counts are exact; the partition sums differ
-  /// from trace-order sums only in addition order (~1e-15 relative).
+  /// predicted-bit table. Counts are exact. The block's sums are shifted
+  /// by its first sample (the shared BlockHistogram), and each partition
+  /// adds cnt·shift back, so the partition sums differ from trace-order
+  /// raw sums only in rounding (~1e-15 relative).
   void add_block(const std::uint8_t* pts, const double* samples,
                  std::size_t count);
+
+  /// add_block's partitioned contraction over a prebuilt histogram;
+  /// bit-identical to add_block over the same traces.
+  void add_histogram(const BlockHistogram& hist);
 
   /// Folds `other` (disjoint traces, same spec/bit) into this one: the
   /// partition sums and counts add exactly.

@@ -20,22 +20,22 @@ ShardFeed::ShardFeed(const RoundSpec& round,
     : round_(round),
       distinguishers_(distinguishers),
       shard_size_(shard_size),
-      levels_(levels),
-      slot_of_(distinguishers.size()) {
+      levels_(levels) {
   for (std::size_t d = 0; d < distinguishers.size(); ++d) {
     const std::size_t index = distinguishers[d]->sbox_index();
-    const auto it = std::find(slot_sbox_.begin(), slot_sbox_.end(), index);
-    slot_of_[d] = static_cast<std::size_t>(it - slot_sbox_.begin());
-    if (it == slot_sbox_.end()) slot_sbox_.push_back(index);
+    auto it = std::find_if(slots_.begin(), slots_.end(),
+                           [&](const Slot& slot) { return slot.sbox == index; });
+    if (it == slots_.end()) it = slots_.insert(it, Slot{index, {}, false});
+    it->members.push_back(d);
+    it->scalar |= distinguishers[d]->data_kind() == TraceDataKind::kScalar;
   }
 }
 
-std::vector<std::uint8_t> ShardFeed::make_scratch() const {
-  return std::vector<std::uint8_t>(shard_size_ * slot_sbox_.size());
+ShardFeed::Scratch ShardFeed::make_scratch() const {
+  return Scratch{std::vector<std::uint8_t>(shard_size_), {}};
 }
 
-void ShardFeed::feed(std::size_t s, const ShardData& data,
-                     std::vector<std::uint8_t>& scratch,
+void ShardFeed::feed(std::size_t s, const ShardData& data, Scratch& scratch,
                      ShardStates& states) const {
   // The accumulators are constructed here, by the party that runs the
   // shard, not serially up front: with thousands of shards the upfront
@@ -45,20 +45,24 @@ void ShardFeed::feed(std::size_t s, const ShardData& data,
   for (std::size_t d = 0; d < distinguishers_.size(); ++d) {
     states[d][s] = distinguishers_[d]->make_shard_accumulator();
   }
-  for (std::size_t slot = 0; slot < slot_sbox_.size(); ++slot) {
-    round_.sub_words(data.pts, data.count, slot_sbox_[slot],
-                     scratch.data() + slot * shard_size_);
-  }
-  for (std::size_t d = 0; d < distinguishers_.size(); ++d) {
-    const bool scalar =
-        distinguishers_[d]->data_kind() == TraceDataKind::kScalar;
-    ShardBlock block;
-    block.start = s * shard_size_;
-    block.sub_pts = scratch.data() + slot_of_[d] * shard_size_;
-    block.data = scalar ? data.samples : data.rows;
-    block.width = scalar ? 1 : levels_;
-    block.count = data.count;
-    states[d][s]->accumulate(block);
+  for (const Slot& slot : slots_) {
+    round_.sub_words(data.pts, data.count, slot.sbox, scratch.sub_pts.data());
+    if (slot.scalar) {
+      build_block_histogram(scratch.sub_pts.data(), data.samples, data.count,
+                            scratch.histogram);
+    }
+    for (const std::size_t d : slot.members) {
+      const bool scalar =
+          distinguishers_[d]->data_kind() == TraceDataKind::kScalar;
+      ShardBlock block;
+      block.start = s * shard_size_;
+      block.sub_pts = scratch.sub_pts.data();
+      block.data = scalar ? data.samples : data.rows;
+      block.width = scalar ? 1 : levels_;
+      block.count = data.count;
+      block.histogram = scalar ? &scratch.histogram : nullptr;
+      states[d][s]->accumulate(block);
+    }
   }
 }
 

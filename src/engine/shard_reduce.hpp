@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "dpa/block_stats.hpp"
 #include "dpa/distinguisher.hpp"
 #include "engine/worker_pool.hpp"
 #include "io/campaign_state.hpp"
@@ -50,9 +51,11 @@ struct ShardData {
 };
 
 /// The per-shard feed of one attack set: makes every distinguisher's
-/// accumulator for the shard, extracts sub-plaintexts once per distinct
-/// attacked instance (distinguishers attacking the same instance share
-/// one slot), and hands each accumulator its ShardBlock — one virtual
+/// accumulator for the shard and walks the distinct attacked instances
+/// (slots; distinguishers attacking the same instance share one). Per
+/// slot it extracts the sub-plaintexts once, bins the scalar block
+/// histogram once if any scalar distinguisher attacks the instance, and
+/// hands each of the slot's accumulators its ShardBlock — one virtual
 /// dispatch per distinguisher per shard.
 class ShardFeed {
  public:
@@ -60,23 +63,32 @@ class ShardFeed {
             std::span<Distinguisher* const> distinguishers,
             std::size_t shard_size, std::size_t levels);
 
-  /// Sub-plaintext scratch for one party: one shard-sized slot per
-  /// distinct attacked instance.
-  std::vector<std::uint8_t> make_scratch() const;
+  /// One party's working set, reused slot after slot: the current slot's
+  /// sub-plaintexts and its scalar block histogram.
+  struct Scratch {
+    std::vector<std::uint8_t> sub_pts;  // [shard_size]
+    BlockHistogram histogram;
+  };
+  Scratch make_scratch() const;
 
   /// Accumulates canonical shard `s` into column s of `states`. Parties
   /// feed distinct shards, so they touch distinct matrix elements and the
   /// matrix needs no lock.
-  void feed(std::size_t s, const ShardData& data,
-            std::vector<std::uint8_t>& scratch, ShardStates& states) const;
+  void feed(std::size_t s, const ShardData& data, Scratch& scratch,
+            ShardStates& states) const;
 
  private:
+  struct Slot {
+    std::size_t sbox = 0;               // the attacked instance
+    std::vector<std::size_t> members;   // its distinguishers, in list order
+    bool scalar = false;                // some member is kScalar
+  };
+
   const RoundSpec& round_;
   std::span<Distinguisher* const> distinguishers_;
   std::size_t shard_size_;
   std::size_t levels_;
-  std::vector<std::size_t> slot_sbox_;  // slot -> attacked instance
-  std::vector<std::size_t> slot_of_;    // distinguisher -> slot
+  std::vector<Slot> slots_;
 };
 
 /// The one attack-campaign driver: owns the shard-state matrix, runs the
@@ -102,7 +114,7 @@ bool drive_attack_campaign(const CampaignManifest& manifest,
       distinguishers.size(), static_cast<std::size_t>(manifest.num_shards));
   struct Party {
     decltype(make_ctx()) ctx;
-    std::vector<std::uint8_t> scratch;
+    ShardFeed::Scratch scratch;
   };
   const auto accumulate = [&](const std::vector<std::size_t>& work) {
     workers.parallel_for(

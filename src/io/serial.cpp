@@ -81,10 +81,16 @@ void ByteWriter::write_file(const std::string& path) const {
                                   ? 0
                                   : std::fwrite(buf_.data(), 1, buf_.size(), f);
   const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
+  // A close can still report a deferred write error after a good flush;
+  // publishing then would replace the previous file with a torn one.
+  const bool closed = std::fclose(f) == 0;
   if (written != buf_.size() || !flushed) {
     std::remove(tmp.c_str());
     throw IoError(path, "short write while saving file");
+  }
+  if (!closed) {
+    std::remove(tmp.c_str());
+    throw IoError(path, errno_message("cannot close temporary file"));
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());

@@ -4,8 +4,8 @@
 //
 //  1. Equivalence — the block-factored path over a ragged block split
 //     scores within 1e-12 of the textbook two-pass formulations
-//     (tests/reference_attacks.hpp), for CPA (4- and 8-bit sboxes), DoM,
-//     MultiCpa and second-order CPA (4- and 8-bit sboxes).
+//     (tests/reference_attacks.hpp), for CPA and DoM (4- and 8-bit
+//     sboxes), MultiCpa and second-order CPA (4- and 8-bit sboxes).
 //  2. Cross-tier bit-identity — the same blocks produce byte-identical
 //     serialized state under every dispatch tier the build and the
 //     machine support, and the raw kernels agree bitwise output-for-
@@ -167,6 +167,19 @@ TEST(BlockStatsTest, DomBlockPathMatchesTwoPass) {
                      1e-12 * 1e-13);
 }
 
+TEST(BlockStatsTest, DomBlockPathMatchesTwoPass8Bit) {
+  // 8-bit sbox: sparse histogram rows, as in the CPA case. The partition
+  // sums are built from sums shifted by each block's first sample, with
+  // cnt·shift added back per partition.
+  const Traces t = make_traces(kTotal, 256, 1, 0xD0A8);
+  StreamingDom block(aes_spec(), 5);
+  add_all_blocks(block, t);
+  EXPECT_EQ(block.count(), kTotal);
+  expect_near_scores(block.result().score,
+                     reference_dom_scores(t.scalar(), aes_spec(), 5),
+                     1e-12 * 1e-13);
+}
+
 TEST(BlockStatsTest, MultiCpaBlockPathMatchesTwoPass) {
   constexpr std::size_t kWidth = 5;
   const Traces t = make_traces(kTotal, 16, kWidth, 0x3C0A);
@@ -231,6 +244,22 @@ TEST(BlockStatsTest, CpaBitIdenticalAcrossDispatchTiers) {
   for (const DispatchTier tier : testable_tiers()) {
     ScopedDispatchTierCap cap(tier);
     StreamingCpa acc(present_spec(), PowerModel::kHammingWeight);
+    add_all_blocks(acc, t);
+    const std::vector<std::uint8_t> bytes = saved_bytes(acc);
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
+    }
+  }
+}
+
+TEST(BlockStatsTest, DomBitIdenticalAcrossDispatchTiers) {
+  const Traces t = make_traces(kTotal, 16, 1, 0x71E8);
+  std::vector<std::uint8_t> reference;
+  for (const DispatchTier tier : testable_tiers()) {
+    ScopedDispatchTierCap cap(tier);
+    StreamingDom acc(present_spec(), 2);
     add_all_blocks(acc, t);
     const std::vector<std::uint8_t> bytes = saved_bytes(acc);
     if (reference.empty()) {

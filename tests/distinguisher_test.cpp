@@ -18,9 +18,14 @@
 #include <cmath>
 #include <vector>
 
+#include "dpa/block_stats.hpp"
 #include "dpa/distinguisher.hpp"
 #include "dpa/second_order.hpp"
+#include "engine/shard_reduce.hpp"
 #include "engine/trace_engine.hpp"
+#include "io/campaign_state.hpp"
+#include "io/corpus.hpp"
+#include "io/serial.hpp"
 #include "util/cpu_dispatch.hpp"
 #include "power/stats.hpp"
 #include "reference_attacks.hpp"
@@ -335,6 +340,143 @@ TEST(DistinguisherPipelineTest, MixedKindsShareOneCampaignUnchanged) {
   expect_same_result(second.result().combined, solo.combined);
   EXPECT_EQ(second.result().best_pair_first, solo.best_pair_first);
   EXPECT_EQ(second.result().best_pair_second, solo.best_pair_second);
+}
+
+// ---- the shared per-instance block histogram ------------------------------
+
+// Every shard state of distinguisher `d` in a campaign-state file, as the
+// bytes its save() writes, concatenated in shard order.
+std::vector<std::uint8_t> saved_shard_states(
+    const std::string& path, const CampaignManifest& manifest,
+    std::span<Distinguisher* const> list, std::size_t d) {
+  ShardStates states = make_shard_states(list.size(), manifest.num_shards);
+  load_campaign_state(path, manifest, list, states);
+  ByteWriter writer;
+  for (const auto& state : states[d]) state->save(writer);
+  return writer.buffer();
+}
+
+// The engine bins each shard once per attacked instance and hands that
+// histogram to every scalar accumulator on the instance. That must be
+// invisible: CPA, DoM and MTD on two instances in one pass, live and
+// replayed, equal each distinguisher run alone — results and raw shard
+// states — and every shard accumulator gives the same bytes whether it
+// contracts the feed's histogram or bins the block itself. The MTD
+// ladder has a checkpoint exactly on a shard boundary (448, the end of
+// shard 0: the shared-histogram path plus a snapshot) and one strictly
+// inside a shard (700: the per-segment path).
+TEST(DistinguisherPipelineTest, SharedBlockHistogramIsInvisible) {
+  const RoundSpec round = present_round(2, LogicStyle::kStaticCmos);
+  const CampaignOptions options = reference_options(round);
+  ASSERT_EQ(campaign_shard_size(options), 448u);
+  const std::vector<std::size_t> ladder = {100, 448, 700, 2000};
+  TraceEngine engine(round, kTech);
+  const CampaignManifest manifest = engine.campaign_manifest(options);
+
+  // One CPA + DoM + MTD set per attacked instance, freshly built for
+  // every run (a distinguisher is a single-use state machine).
+  struct Set {
+    CpaDistinguisher cpa;
+    DomDistinguisher dom;
+    MtdDistinguisher mtd;
+  };
+  const auto make_set = [&](std::size_t i) {
+    const AttackSelector selector{.sbox_index = i,
+                                  .model = PowerModel::kHammingWeight,
+                                  .bit = 1};
+    return Set{CpaDistinguisher(engine.spec(i), selector),
+               DomDistinguisher(engine.spec(i), selector),
+               MtdDistinguisher(engine.spec(i), selector,
+                                round.sub_word(options.key.data(), i),
+                                ladder, options.num_traces)};
+  };
+  const auto list_of = [](std::vector<Set>& sets) {
+    std::vector<Distinguisher*> list;
+    for (Set& set : sets) {
+      list.insert(list.end(), {&set.cpa, &set.dom, &set.mtd});
+    }
+    return list;
+  };
+  const auto expect_same_set = [](const Set& a, const Set& b) {
+    expect_same_result(a.cpa.result(), b.cpa.result());
+    expect_same_result(a.dom.result(), b.dom.result());
+    EXPECT_EQ(a.mtd.result().rank_history, b.mtd.result().rank_history);
+    EXPECT_EQ(a.mtd.result().mtd, b.mtd.result().mtd);
+  };
+
+  // Each distinguisher alone: its result and raw shard states.
+  std::vector<Set> alone;
+  std::vector<std::vector<std::uint8_t>> alone_states;
+  for (std::size_t i = 0; i < 2; ++i) {
+    alone.push_back(make_set(i));
+    Set& set = alone.back();
+    for (Distinguisher* d :
+         std::initializer_list<Distinguisher*>{&set.cpa, &set.dom, &set.mtd}) {
+      const std::string path = testing::TempDir() + "shared_hist_alone";
+      Distinguisher* const solo[] = {d};
+      CampaignPersistence persist;
+      persist.checkpoint_path = path;
+      ASSERT_TRUE(engine.run_distinguishers(options, solo, persist));
+      alone_states.push_back(saved_shard_states(path, manifest, solo, 0));
+    }
+  }
+  ASSERT_EQ(alone_states.size(), 6u);
+  // The ladder exercises both MTD paths and still ranks every point.
+  EXPECT_EQ(alone[0].mtd.result().rank_history.size(), ladder.size());
+
+  const std::string corpus_path = testing::TempDir() + "shared_hist.corpus";
+  engine.record(options, TraceDataKind::kScalar, corpus_path);
+  const CorpusReader corpus(corpus_path);
+  for (const bool replayed : {false, true}) {
+    SCOPED_TRACE(replayed ? "replayed" : "live");
+    std::vector<Set> shared;
+    shared.push_back(make_set(0));
+    shared.push_back(make_set(1));
+    const std::vector<Distinguisher*> list = list_of(shared);
+    const std::string path = testing::TempDir() + "shared_hist_shared";
+    CampaignPersistence persist;
+    persist.checkpoint_path = path;
+    if (replayed) {
+      ASSERT_TRUE(engine.replay(corpus, list, persist));
+    } else {
+      ASSERT_TRUE(engine.run_distinguishers(options, list, persist));
+    }
+    for (std::size_t i = 0; i < 2; ++i) expect_same_set(shared[i], alone[i]);
+    for (std::size_t d = 0; d < list.size(); ++d) {
+      EXPECT_EQ(saved_shard_states(path, manifest, list, d), alone_states[d])
+          << "distinguisher " << d;
+    }
+  }
+
+  // Below the feed: every shard accumulator, with and without the
+  // block's histogram, against the feed's saved shard state.
+  std::vector<Set> sets;
+  sets.push_back(make_set(0));
+  sets.push_back(make_set(1));
+  const std::vector<Distinguisher*> list = list_of(sets);
+  BlockHistogram histogram;
+  for (std::size_t d = 0; d < list.size(); ++d) {
+    ByteWriter with;
+    ByteWriter without;
+    for_each_shard(engine, options, list[d]->sbox_index(), /*sampled=*/false,
+                   [&](std::size_t shard, const std::uint8_t* pts,
+                       const double* samples, std::size_t n) {
+                     ShardBlock block{.start = shard * 448,
+                                      .sub_pts = pts,
+                                      .data = samples,
+                                      .count = n};
+                     auto acc = list[d]->make_shard_accumulator();
+                     acc->accumulate(block);
+                     acc->save(without);
+                     build_block_histogram(pts, samples, n, histogram);
+                     block.histogram = &histogram;
+                     acc = list[d]->make_shard_accumulator();
+                     acc->accumulate(block);
+                     acc->save(with);
+                   });
+    EXPECT_EQ(with.buffer(), without.buffer()) << "distinguisher " << d;
+    EXPECT_EQ(with.buffer(), alone_states[d]) << "distinguisher " << d;
+  }
 }
 
 // ---- validation and shard-size clamping -----------------------------------
