@@ -1,7 +1,6 @@
 #include "engine/trace_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
@@ -204,147 +203,97 @@ struct WorkerCtx {
         rows(shard_size * row_width) {}
 };
 
-// The ordered stream behind stream(), stream_sampled() and record():
-// workers simulate shards of `kind` into ring slots; the calling thread
-// emits them to `sink` in canonical shard order. `sample_width` doubles
-// per trace size the sample storage.
+// The ordered stream behind stream(), stream_sampled() and record(), on
+// the pool's one scheduler: parallel_for claims shards in canonical
+// order, each party simulates its shard of `kind` into slot s % window of
+// a ring and marks it ready, and whichever party finds the stream's next
+// shard ready while nobody is draining becomes the drainer — it hands
+// every consecutive ready slot to `sink` in canonical order, releasing
+// the lock around each call. The `draining` flag keeps the sink
+// sequential (never concurrent with itself, though not pinned to one
+// thread), and the ready check and the flag's release share one critical
+// section, so no ready shard is ever left behind.
 //
-// In-flight storage is a RING of `window` slots (window grows with the
-// thread count: enough slack that workers at different shard speeds
-// don't stall on the emitter, yet memory stays O(threads), not
-// O(num_shards)). Slot s % window is handed worker -> emitter -> next
-// worker strictly through the mutex: a worker may fill it only once
-// emit + window > s (so the previous occupant was emitted), the emitter
-// may drain it only once ready. Each slot is cache-line aligned and its
-// buffers are recycled through the ring, so steady-state streaming does
-// not allocate. The pool runs `threads` parties: party 0 — the calling
-// thread — is the emitter (the sink never runs concurrently with itself,
-// matching the sequential contract), parties 1..threads-1 simulate. The
-// emitter counts against the thread budget because table lookups make
-// workers outrun a sink that encodes and writes (record): an extra party
-// would only oversubscribe the cores and deschedule the emitter that
-// bounds the stream.
+// In-flight storage is the ring of `window` slots, sized from the thread
+// count: enough slack that parties at different shard speeds do not stall
+// on the drain, yet O(threads) memory rather than O(num_shards). A party
+// may fill slot s % window only once turn + window > s (its previous
+// occupant was sunk); slots are cache-line aligned and their buffers
+// recycled, so steady-state streaming does not allocate. Claims are in
+// canonical order and a party holds at most one unsunk shard, so the
+// shard at `turn` is always being simulated or ready — the wait cannot
+// deadlock. One condvar carries both space and failure: any exception
+// (simulation or sink) sets `failed`, which stops further sink calls and
+// releases the waiting parties before parallel_for rethrows it.
 void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
                    const CampaignOptions& options, TraceDataKind kind,
-                   std::size_t sample_width, const TraceSink& sink) {
+                   const TraceSink& sink) {
+  validate_options(prototype.round(), options);
+  const std::size_t width =
+      kind == TraceDataKind::kScalar ? 1 : prototype.num_levels();
+  SABLE_REQUIRE(width > 0,
+                "time-resolved campaigns need at least one logic level");
   const ShardLayout layout = layout_for(options);
-  if (layout.num_shards == 0) return;
   const std::size_t pt_stride = prototype.round().state_bytes();
-  const std::size_t threads =
-      std::min(campaign_thread_count(options), layout.num_shards);
-  if (threads <= 1) {
-    WorkerCtx ctx(prototype, pool, layout.shard_size, sample_width, 0);
-    for (std::size_t s = 0; s < layout.num_shards; ++s) {
-      simulate_shard(ctx.lease.target(), options, layout, s, kind,
-                     ctx.pts.data(), ctx.samples.data());
-      sink(ctx.pts.data(), ctx.samples.data(), layout.count(s));
-    }
-    return;
-  }
-
+  const std::size_t threads = campaign_thread_count(options);
   struct alignas(64) Slot {
     std::vector<std::uint8_t> pts;
     std::vector<double> samples;
-    std::size_t count = 0;
     bool ready = false;
   };
-  const std::size_t window =
-      std::min(layout.num_shards, 2 * threads + 2);
+  const std::size_t window = std::min(layout.num_shards, 2 * threads + 2);
   std::vector<Slot> slots(window);
   std::mutex mutex;
-  std::condition_variable ready_cv;
   std::condition_variable space_cv;
-  std::size_t emit = 0;  // written by party 0 only
+  std::size_t turn = 0;  // the next shard to sink
+  bool draining = false;
   bool failed = false;
-  std::atomic<std::size_t> next{0};
 
-  pool.workers.run(threads, [&](std::size_t party) {
-    if (party == 0) {
-      // Emitter. `scratch` ping-pongs with the ring: the swap hands the
-      // just-emitted shard's buffers back to the slot for the worker of
-      // shard emit + window to refill, and frees the sink call itself
-      // from the lock.
-      Slot scratch;
-      try {
-        while (emit < layout.num_shards) {
-          {
-            std::unique_lock<std::mutex> lock(mutex);
-            ready_cv.wait(
-                lock, [&] { return failed || slots[emit % window].ready; });
-            if (failed) return;
-            std::swap(scratch, slots[emit % window]);
-            slots[emit % window].ready = false;
-          }
-          sink(scratch.pts.data(), scratch.samples.data(), scratch.count);
+  const auto deliver = [&](RoundTarget& target, std::size_t s) {
+    Slot& slot = slots[s % window];
+    std::unique_lock<std::mutex> lock(mutex);
+    space_cv.wait(lock, [&] { return failed || s < turn + window; });
+    if (failed) return;
+    lock.unlock();
+    // Until its ready flag is published, this party owns the slot.
+    const std::size_t count = layout.count(s);
+    slot.pts.resize(count * pt_stride);
+    slot.samples.resize(count * width);
+    simulate_shard(target, options, layout, s, kind, slot.pts.data(),
+                   slot.samples.data());
+    lock.lock();
+    slot.ready = true;
+    if (draining) return;
+    draining = true;
+    // Slot turn % window can only hold shard `turn`: shard turn - window
+    // was sunk and cleared, and shard turn + window still waits for space.
+    while (!failed && slots[turn % window].ready) {
+      Slot& head = slots[turn % window];
+      lock.unlock();
+      sink(head.pts.data(), head.samples.data(), layout.count(turn));
+      lock.lock();
+      head.ready = false;
+      ++turn;
+      space_cv.notify_all();
+    }
+    draining = false;
+  };
+
+  pool.workers.parallel_for(
+      layout.num_shards, threads,
+      [&] { return WorkerLease(prototype, pool); },
+      [&](WorkerLease& lease, std::size_t s) {
+        try {
+          deliver(lease.target(), s);
+        } catch (...) {
           {
             std::lock_guard<std::mutex> lock(mutex);
-            ++emit;
+            failed = true;
           }
           space_cv.notify_all();
+          throw;
         }
-      } catch (...) {
-        // A sink failure must release workers stalled on the window; the
-        // pool joins them and rethrows this (the calling party's)
-        // exception first.
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          failed = true;
-        }
-        space_cv.notify_all();
-        throw;
-      }
-      return;
-    }
-    try {
-      WorkerLease lease(prototype, pool);
-      for (std::size_t s = next.fetch_add(1); s < layout.num_shards;
-           s = next.fetch_add(1)) {
-        Slot* slot = nullptr;
-        {
-          std::unique_lock<std::mutex> lock(mutex);
-          space_cv.wait(lock, [&] { return failed || s < emit + window; });
-          if (failed) return;
-          slot = &slots[s % window];
-        }
-        // Between the space_cv hand-off and the ready publication this
-        // worker owns the slot exclusively — simulate straight into it.
-        slot->count = layout.count(s);
-        if (slot->pts.size() < slot->count * pt_stride) {
-          slot->pts.resize(slot->count * pt_stride);
-        }
-        if (slot->samples.size() < slot->count * sample_width) {
-          slot->samples.resize(slot->count * sample_width);
-        }
-        simulate_shard(lease.target(), options, layout, s, kind,
-                       slot->pts.data(), slot->samples.data());
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          slot->ready = true;
-        }
-        ready_cv.notify_all();
-      }
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        failed = true;
-      }
-      ready_cv.notify_all();
-      space_cv.notify_all();
-      throw;
-    }
-  });
-}
-
-// The one body behind stream(), stream_sampled() and record().
-void stream_campaign(const RoundTarget& target, detail::EnginePools& pool,
-                     const CampaignOptions& options, TraceDataKind kind,
-                     const TraceSink& sink) {
-  validate_options(target.round(), options);
-  const std::size_t width =
-      kind == TraceDataKind::kScalar ? 1 : target.num_levels();
-  SABLE_REQUIRE(width > 0,
-                "time-resolved campaigns need at least one logic level");
-  stream_shards(target, pool, options, kind, width, sink);
+      });
 }
 
 TraceSet run_campaign(const RoundTarget& prototype, detail::EnginePools& pool,
@@ -445,12 +394,12 @@ TraceSet TraceEngine::run(const CampaignOptions& options) {
 
 void TraceEngine::stream(const CampaignOptions& options,
                          const TraceSink& sink) {
-  stream_campaign(target_, *pools_, options, TraceDataKind::kScalar, sink);
+  stream_shards(target_, *pools_, options, TraceDataKind::kScalar, sink);
 }
 
 void TraceEngine::stream_sampled(const CampaignOptions& options,
                                  const SampledTraceSink& sink) {
-  stream_campaign(target_, *pools_, options, TraceDataKind::kSampled, sink);
+  stream_shards(target_, *pools_, options, TraceDataKind::kSampled, sink);
 }
 
 void TraceEngine::run_distinguishers(
@@ -525,13 +474,13 @@ void TraceEngine::record(const CampaignOptions& options, TraceDataKind kind,
     manifest.sample_width = target_.num_levels();
   }
   CorpusWriter writer(path, manifest);
-  // The stream emits shards in canonical order on the calling thread —
-  // exactly append_shard's contract.
-  stream_campaign(target_, *pools_, options, kind,
-                  [&](const std::uint8_t* pts, const double* samples,
-                      std::size_t count) {
-                    writer.append_shard(pts, samples, count);
-                  });
+  // The stream sinks shards in canonical order and never concurrently —
+  // exactly append_shard's contract — though not always on this thread.
+  stream_shards(target_, *pools_, options, kind,
+                [&](const std::uint8_t* pts, const double* samples,
+                    std::size_t count) {
+                  writer.append_shard(pts, samples, count);
+                });
   writer.finish();
 }
 

@@ -182,10 +182,16 @@ class TraceEngine {
   TraceSet run(const CampaignOptions& options);
 
   /// Runs the campaign without retaining traces: each shard of at most
-  /// campaign_shard_size() traces is simulated bit-parallel (in parallel
-  /// across shards) and handed to `sink` in canonical shard order on the
-  /// calling thread, then its storage is released. In-flight shards are
-  /// bounded, so a slow sink cannot accumulate unbounded buffers.
+  /// campaign_shard_size() traces is simulated (in parallel across
+  /// shards) and handed to `sink` in canonical shard order, then its
+  /// storage is recycled. The sink is never called concurrently with
+  /// itself, but it runs on whichever campaign thread finished the next
+  /// shard — the calling thread or a pool thread — so it must not rely on
+  /// thread identity (thread_local state, thread-affine handles); plain
+  /// captured state needs no locking, as consecutive calls are ordered by
+  /// the stream's mutex. An exception from the sink stops the stream and
+  /// reaches the caller. In-flight shards are bounded, so a slow sink
+  /// cannot accumulate unbounded buffers.
   void stream(const CampaignOptions& options, const TraceSink& sink);
 
   /// As stream(), but time-resolved: each trace is a row of

@@ -7,17 +7,17 @@
 // short campaigns back to back, and on those the per-campaign
 // create/join cycle (plus the first-touch page faults of brand-new
 // stacks) was a measurable slice of why N threads failed to beat 1.
-// This pool parks its threads between campaigns: run() hands a body to
-// the parked workers, runs party 0 on the calling thread, and blocks
+// This pool parks its threads between campaigns: each call hands a body
+// to the parked workers, runs party 0 on the calling thread, and blocks
 // until every party returns. Threads are grown on demand up to the
 // largest party count ever requested and live for the pool's lifetime
 // (the engine's lifetime — EnginePools owns one).
 //
-// The pool itself is a plain barrier with no work-queue of its own.
-// parallel_for() is the one dynamic scheduler every campaign path uses —
-// simulated and replayed shards, shared multi-set replay, merge-tree
-// rounds — and costs one atomic fetch_add per index. Only the ordered
-// stream's emitter plays a fixed role instead.
+// parallel_for() is the pool's one public scheduler, and every campaign
+// path runs on it — simulated and replayed shards, shared multi-set
+// replay, merge-tree rounds and the ordered stream — at one atomic
+// fetch_add per index. No party plays a fixed role: the ordered stream
+// drains from whichever party finishes the next shard.
 #pragma once
 
 #include <algorithm>
@@ -43,20 +43,6 @@ class WorkerPool {
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
-
-  /// Runs body(0), body(1), …, body(parties - 1) concurrently: party 0 on
-  /// the calling thread, the rest on parked pool threads (grown on
-  /// demand). Blocks until every party has returned. Exceptions: the
-  /// calling party's exception wins, else the first worker exception is
-  /// rethrown; either way every party is joined first, so `body` may
-  /// safely capture locals by reference. parties <= 1 degenerates to a
-  /// plain inline body(0) with no synchronization at all.
-  ///
-  /// Reentrancy: the parked threads serve one run() at a time. A second
-  /// run() arriving while one is in flight (concurrent campaigns on one
-  /// engine, or a body that itself calls run()) falls back to ephemeral
-  /// threads for that call — correct, merely without the parking win.
-  void run(std::size_t parties, const std::function<void(std::size_t)>& body);
 
   /// Runs fn(local, k) for every k < n on min(threads, n) parties. Each
   /// party builds its own `local` once through make_local() — per-party
@@ -84,6 +70,21 @@ class WorkerPool {
   }
 
  private:
+  /// Runs body(0), body(1), …, body(parties - 1) concurrently: party 0 on
+  /// the calling thread, the rest on parked pool threads (grown on
+  /// demand). Blocks until every party has returned. Exceptions: the
+  /// calling party's exception wins, else the first worker exception is
+  /// rethrown; either way every party is joined first, so `body` may
+  /// safely capture locals by reference. parties <= 1 degenerates to a
+  /// plain inline body(0) with no synchronization at all.
+  ///
+  /// Reentrancy: the parked threads serve one run() at a time. A second
+  /// run() arriving while one is in flight (concurrent campaigns on one
+  /// engine, or a body that itself calls parallel_for()) falls back to
+  /// ephemeral threads for that call — correct, merely without the
+  /// parking win.
+  void run(std::size_t parties, const std::function<void(std::size_t)>& body);
+
   void worker_main(std::size_t index);
   static void run_ephemeral(std::size_t parties,
                             const std::function<void(std::size_t)>& body);

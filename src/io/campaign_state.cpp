@@ -146,6 +146,15 @@ bool run_persisted_waves(
   for (std::size_t s = persist.shard_begin; s < end; ++s) {
     if (!states[0][s]) work.push_back(s);
   }
+  const std::size_t covered = static_cast<std::size_t>(
+      std::count_if(states[0].begin(), states[0].end(),
+                    [](const auto& state) { return state != nullptr; }));
+  const bool complete = covered + work.size() == num_shards;
+  // A partial run that was never persisted is lost work — refuse it
+  // before any shard runs unless the caller asked for a checkpoint.
+  SABLE_REQUIRE(complete || !persist.checkpoint_path.empty(),
+                "partial campaign range needs a checkpoint path to persist "
+                "its shard states");
   const std::size_t wave =
       persist.checkpoint_every_shards == 0 ? std::max<std::size_t>(1, work.size())
                                            : persist.checkpoint_every_shards;
@@ -159,16 +168,7 @@ bool run_persisted_waves(
       save_campaign_state(persist.checkpoint_path, manifest, states);
     }
   }
-  std::size_t covered = 0;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (states[0][s]) ++covered;
-  }
-  if (covered == num_shards) return true;
-  // A partial run that was never persisted is lost work — refuse it
-  // unless the caller asked for a checkpoint somewhere.
-  SABLE_REQUIRE(!persist.checkpoint_path.empty(),
-                "partial campaign range needs a checkpoint path to persist "
-                "its shard states");
+  if (complete) return true;
   if (work.empty()) {
     // Nothing new was accumulated (e.g. pure range-split bookkeeping);
     // still publish the state so the invocation has an artifact.

@@ -67,7 +67,8 @@ std::size_t load_campaign_state(const std::string& path,
 /// in the worklist it is given. Returns true when every canonical shard
 /// is covered afterwards (the caller may reduce and finalize), false for
 /// a partial run — which requires a checkpoint path, otherwise the
-/// partial work would be unrecoverable (InvalidArgument).
+/// partial work would be unrecoverable (InvalidArgument, thrown before
+/// the first wave, so no shard is simulated or decoded in vain).
 bool run_persisted_waves(
     const CampaignManifest& manifest,
     std::span<Distinguisher* const> distinguishers, ShardStates& states,

@@ -12,10 +12,14 @@
 // would silently change the reduction tree's shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -397,16 +401,52 @@ TEST(CampaignIoTest, SplitShardRangeMergeIsBitIdenticalToSingleRun) {
       InvalidArgument);
 }
 
+// A CPA that counts the shard accumulators it hands out: one per shard
+// the driver simulates or decodes.
+class CountingDistinguisher final : public Distinguisher {
+ public:
+  explicit CountingDistinguisher(const SboxSpec& spec)
+      : inner_(spec, AttackSelector{.model = PowerModel::kHammingWeight}) {}
+
+  TraceDataKind data_kind() const override { return inner_.data_kind(); }
+  std::size_t sbox_index() const override { return inner_.sbox_index(); }
+  void validate(const RoundSpec& round) const override {
+    inner_.validate(round);
+  }
+  std::unique_ptr<ShardAccumulator> make_shard_accumulator() const override {
+    made.fetch_add(1);
+    return inner_.make_shard_accumulator();
+  }
+  void finalize(ShardAccumulator& root) override { inner_.finalize(root); }
+
+  mutable std::atomic<std::size_t> made{0};
+
+ private:
+  CpaDistinguisher inner_;
+};
+
+// A partial range with nowhere to persist its states is refused before
+// the first wave, live and replayed alike: no shard is simulated or
+// decoded only to be thrown away.
 TEST(CampaignIoTest, PartialRangeWithoutCheckpointPathThrows) {
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
   const CampaignOptions options = small_options();
-  CpaDistinguisher cpa(engine.spec(),
-                       AttackSelector{.model = PowerModel::kHammingWeight});
-  Distinguisher* const list[] = {&cpa};
+  const std::string path = temp_path("partial_range.corpus");
+  engine.record(options, TraceDataKind::kScalar, path);
+  const CorpusReader corpus(path);
   CampaignPersistence persist;
   persist.shard_end = 3;  // partial, but nowhere to persist the states
-  EXPECT_THROW(engine.run_distinguishers(options, list, persist),
+
+  CountingDistinguisher live(engine.spec());
+  Distinguisher* const live_list[] = {&live};
+  EXPECT_THROW(engine.run_distinguishers(options, live_list, persist),
                InvalidArgument);
+  EXPECT_EQ(live.made.load(), 0u);
+
+  CountingDistinguisher replayed(engine.spec());
+  Distinguisher* const replay_list[] = {&replayed};
+  EXPECT_THROW(engine.replay(corpus, replay_list, persist), InvalidArgument);
+  EXPECT_EQ(replayed.made.load(), 0u);
 }
 
 // ---- hostile inputs --------------------------------------------------------
@@ -640,6 +680,47 @@ TEST(CampaignIoTest, CompressionVariantsReplayBitIdentically) {
   // Even on this noisy scalar campaign (the codec's worst case — the
   // noise randomizes the low mantissa bits) compression must not lose.
   EXPECT_LT(v2_delta_size, raw_size);
+}
+
+// A corpus is a pure function of the campaign: the bytes on disk do not
+// depend on how many threads recorded it, for either codec and data kind.
+TEST(CampaignIoTest, CorpusBytesDoNotDependOnTheThreadCount) {
+  struct Variant {
+    const char* name;
+    LogicStyle style;
+    TraceDataKind kind;
+    std::uint32_t compression;
+  };
+  const Variant variants[] = {
+      {"scalar_delta", LogicStyle::kStaticCmos, TraceDataKind::kScalar,
+       kCorpusCompressionDeltaPlaneRle},
+      {"scalar_raw", LogicStyle::kStaticCmos, TraceDataKind::kScalar,
+       kCorpusCompressionNone},
+      {"sampled", LogicStyle::kSablGenuine, TraceDataKind::kSampled,
+       kCorpusCompressionDeltaPlaneRle},
+  };
+  const std::size_t thread_counts[] = {
+      1, 2, 7, std::max<std::size_t>(1, std::thread::hardware_concurrency())};
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    TraceEngine engine(present_spec(), v.style, kTech);
+    CampaignOptions options = small_options();
+    options.shard_size = 64;  // 47 shards, beyond the ring at 1, 2, 7 threads
+    const std::string path = temp_path(std::string("threads_") + v.name);
+    std::vector<std::uint8_t> reference;
+    for (std::size_t threads : thread_counts) {
+      SCOPED_TRACE(threads);
+      options.num_threads = threads;
+      engine.record(options, v.kind, path, v.compression);
+      const std::vector<std::uint8_t> bytes = read_file(path);
+      if (reference.empty()) {
+        reference = bytes;
+        ASSERT_FALSE(reference.empty());
+      } else {
+        EXPECT_TRUE(bytes == reference);
+      }
+    }
+  }
 }
 
 TEST(CampaignIoTest, NoiselessSampledCorpusCompressesAtLeast3x) {

@@ -4,16 +4,21 @@
 // replay_shared — at 1 and 4 threads, and must leave the engine (leased
 // simulator clones, parked pool) and the corpus clean: the next campaign
 // on the same objects is bit-identical to a fresh engine's.
-// A sink that throws mid-stream must rethrow out of the ordered ring
-// without wedging the workers waiting on it.
+// A sink that throws mid-stream must rethrow out of the ordered stream
+// without wedging the parties waiting on its ring, and the sink is never
+// re-entered nor sees a shard out of canonical order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -185,29 +190,74 @@ TEST_F(DriverFailureTest, SharedMultiSetReplayRethrowsAndStaysUsable) {
   }
 }
 
-// The sink throws on its third shard while the other workers are blocked
-// on the ring window (47 one-word shards against a 10-slot ring at 4
-// threads): the emitter's failure must release them, and the engine must
-// stream a full campaign afterwards.
+// The stream sinks from whichever party completes the next shard, so a
+// throwing sink call may run on a pool thread while other parties wait on
+// the ring window (47 one-word shards against a 10-slot ring at 4
+// threads). Wherever the k-th call throws — the first shard, an early
+// one, the last — the failure must stop the stream after exactly k calls
+// and release every waiting party, and the engine must stream the full
+// campaign bit-identically afterwards.
 TEST(StreamFailureTest, ThrowingSinkRethrowsWithoutHanging) {
   CampaignOptions options = options_with(4);
   options.shard_size = 64;
   TraceEngine engine = make_engine();
-  std::size_t calls = 0;
-  const TraceSink failing = [&](const std::uint8_t*, const double*,
-                                std::size_t) {
-    if (++calls == 3) throw ShardFailure("sink failed");
-  };
-  EXPECT_THROW(engine.stream(options, failing), ShardFailure);
-  EXPECT_EQ(calls, 3u);
-
-  TraceSet streamed;
-  engine.stream(options, [&](const std::uint8_t* pts, const double* samples,
-                             std::size_t n) { streamed.append(pts, samples, n); });
   TraceEngine fresh = make_engine();
   const TraceSet reference = fresh.run(options);
-  EXPECT_EQ(streamed.plaintexts, reference.plaintexts);
-  EXPECT_EQ(streamed.samples, reference.samples);
+  for (const std::size_t k : {1u, 3u, 47u}) {
+    SCOPED_TRACE(k);
+    std::size_t calls = 0;
+    const TraceSink failing = [&](const std::uint8_t*, const double*,
+                                  std::size_t) {
+      if (++calls == k) throw ShardFailure("sink failed");
+    };
+    EXPECT_THROW(engine.stream(options, failing), ShardFailure);
+    EXPECT_EQ(calls, k);
+
+    TraceSet streamed;
+    engine.stream(options,
+                  [&](const std::uint8_t* pts, const double* samples,
+                      std::size_t n) { streamed.append(pts, samples, n); });
+    EXPECT_EQ(streamed.plaintexts, reference.plaintexts);
+    EXPECT_EQ(streamed.samples, reference.samples);
+  }
+}
+
+// Whichever party drains, the sink is never re-entered and sees every
+// shard once, in canonical order: a sink that flags itself in flight
+// checks each block against the retained campaign, at 2 and 7 threads,
+// with fewer shards than the ring window (5) and more (47).
+TEST(StreamOrderTest, SinkIsNeverReenteredAndSeesCanonicalOrder) {
+  TraceEngine engine = make_engine();
+  for (const std::size_t threads : {2u, 7u}) {
+    for (const std::size_t num_traces : {300u, 3000u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, "
+                                      << num_traces << " traces");
+      CampaignOptions options = options_with(threads);
+      options.shard_size = 64;
+      options.num_traces = num_traces;
+      const TraceSet reference = engine.run(options);
+      std::atomic<bool> in_flight{false};
+      std::atomic<std::size_t> reentries{0};
+      std::size_t next = 0;  // the first trace the next block must start at
+      std::size_t mismatches = 0;
+      engine.stream(options, [&](const std::uint8_t* pts,
+                                 const double* samples, std::size_t n) {
+        if (in_flight.exchange(true)) reentries.fetch_add(1);
+        std::this_thread::yield();  // widen the window a re-entry would hit
+        if (n != std::min<std::size_t>(64, num_traces - next) ||
+            std::memcmp(pts, reference.plaintexts.data() + next, n) != 0 ||
+            std::memcmp(samples, reference.samples.data() + next,
+                        n * sizeof(double)) != 0) {
+          ++mismatches;
+        }
+        next += n;
+        in_flight.store(false);
+      });
+      EXPECT_EQ(reentries.load(), 0u);
+      EXPECT_EQ(mismatches, 0u);
+      EXPECT_EQ(next, num_traces);
+    }
+  }
 }
 
 }  // namespace

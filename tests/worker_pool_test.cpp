@@ -1,10 +1,11 @@
-// WorkerPool and parallel_for, the one dynamic scheduler every campaign
-// path runs on: every index runs exactly once for any party count
-// (including fewer indices than threads), each party builds its local
-// context once and never shares it, a worker exception reaches the
-// caller only after every party has joined and leaves the pool reusable,
-// and a call nested inside a body completes on ephemeral threads. The
-// TSan CI job runs this binary.
+// WorkerPool::parallel_for, the pool's only public scheduler and the one
+// every campaign path runs on, the ordered stream included (its drain is
+// tested in driver_failure_test): every index runs exactly once for any
+// party count (including fewer indices than threads), each party builds
+// its local context once and never shares it, a worker exception reaches
+// the caller only after every party has joined and leaves the pool
+// reusable, and a call nested inside a body completes on ephemeral
+// threads. The TSan CI job runs this binary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
