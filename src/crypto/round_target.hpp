@@ -134,7 +134,8 @@ struct RoundSpec {
 /// be silently replayed against a different one.
 std::uint64_t round_spec_hash(const RoundSpec& round);
 
-/// The N = 1 round of a single S-box (what SboxTarget adapts).
+/// The N = 1 round of a single S-box: `RoundTarget(single_sbox_round(spec,
+/// style), tech)` is the single-S-box DPA target, fed `&pt` and `&key`.
 RoundSpec single_sbox_round(const SboxSpec& spec, LogicStyle style);
 /// `num_sboxes` PRESENT S-boxes side by side (nibble-packed state) — the
 /// full 16-instance nonlinear layer of PRESENT at num_sboxes = 16.

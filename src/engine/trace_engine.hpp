@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "crypto/round_target.hpp"
-#include "crypto/target.hpp"
 #include "dpa/distinguisher.hpp"
 #include "dpa/mtd.hpp"
 #include "dpa/second_order.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -132,20 +133,15 @@ void CorpusWriter::finish() {
                 "corpus finish() requires every canonical shard appended");
   ByteWriter index;
   for (std::uint64_t v : index_) index.u64(v);
-  if (std::fseek(file_, static_cast<long>(index_offset_), SEEK_SET) != 0 ||
-      std::fwrite(index.buffer().data(), 1, index.buffer().size(), file_) !=
-          index.buffer().size() ||
-      std::fflush(file_) != 0) {
-    throw IoError(tmp_path_, "corpus index write failed");
-  }
-  if (std::fclose(file_) != 0) {
-    file_ = nullptr;
-    throw IoError(tmp_path_, "corpus close failed");
-  }
-  file_ = nullptr;
-  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    throw IoError(path_, "cannot publish corpus file (rename failed)");
-  }
+  // From here publish_temp_file owns the file: it closes it and removes
+  // the .tmp on every failure path, so the destructor must not see it.
+  std::FILE* file = std::exchange(file_, nullptr);
+  const bool written =
+      std::fseek(file, static_cast<long>(index_offset_), SEEK_SET) == 0 &&
+      std::fwrite(index.buffer().data(), 1, index.buffer().size(), file) ==
+          index.buffer().size() &&
+      std::fflush(file) == 0;
+  publish_temp_file(file, path_, written);
   finished_ = true;
 }
 

@@ -102,8 +102,8 @@ struct CorpusDecodeScratch {
 /// Streaming corpus writer. Feed shards strictly in canonical order
 /// (shard 0, 1, ...), one append_shard per shard with the layout's exact
 /// trace count, then finish(). The destructor discards an unfinished
-/// file (removes the .tmp) — only finish() publishes. Always emits the
-/// v2 format.
+/// file (removes the .tmp), and so does a finish() that fails — only a
+/// successful finish() publishes. Always emits the v2 format.
 class CorpusWriter {
  public:
   CorpusWriter(const std::string& path, const CorpusManifest& manifest);
@@ -119,7 +119,8 @@ class CorpusWriter {
                     std::size_t count);
 
   /// Back-patches the shard index and atomically publishes the file.
-  /// Requires every shard to have been appended.
+  /// Requires every shard to have been appended. Throws IoError when the
+  /// index write, close or rename fails, after removing the .tmp.
   void finish();
 
   const std::string& path() const { return path_; }

@@ -72,19 +72,24 @@ void ByteWriter::patch_u64(std::size_t offset, std::uint64_t v) {
 }
 
 void ByteWriter::write_file(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  std::FILE* f = std::fopen((path + ".tmp").c_str(), "wb");
   if (f == nullptr) {
     throw IoError(path, errno_message("cannot create file"));
   }
-  const std::size_t written = buf_.empty()
-                                  ? 0
-                                  : std::fwrite(buf_.data(), 1, buf_.size(), f);
-  const bool flushed = std::fflush(f) == 0;
+  const bool written =
+      (buf_.empty() || std::fwrite(buf_.data(), 1, buf_.size(), f) ==
+                           buf_.size()) &&
+      std::fflush(f) == 0;
+  publish_temp_file(f, path, written);
+}
+
+void publish_temp_file(std::FILE* file, const std::string& path,
+                       bool written) {
+  const std::string tmp = path + ".tmp";
   // A close can still report a deferred write error after a good flush;
   // publishing then would replace the previous file with a torn one.
-  const bool closed = std::fclose(f) == 0;
-  if (written != buf_.size() || !flushed) {
+  const bool closed = std::fclose(file) == 0;
+  if (!written) {
     std::remove(tmp.c_str());
     throw IoError(path, "short write while saving file");
   }

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,14 @@ class ByteWriter {
  private:
   std::vector<std::uint8_t> buf_;
 };
+
+/// The publish step every atomic writer shares: closes `file`, which
+/// holds `path + ".tmp"`, and renames that temporary file onto `path`.
+/// `written` reports whether every earlier write and the flush succeeded.
+/// On any failure the temporary file is removed before IoError is thrown,
+/// so a failed publish leaves neither a torn `path` nor a stray `.tmp`.
+void publish_temp_file(std::FILE* file, const std::string& path,
+                       bool written);
 
 /// Read-only memory mapping of a whole file (mmap on POSIX, a buffered
 /// read fallback elsewhere) — the zero-copy substrate under CorpusReader:

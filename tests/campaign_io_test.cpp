@@ -16,6 +16,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -724,42 +725,66 @@ TEST(CampaignIoTest, CorpusBytesDoNotDependOnTheThreadCount) {
 }
 
 TEST(CampaignIoTest, NoiselessSampledCorpusCompressesAtLeast3x) {
-  // The acceptance ratio: a constant-power style sampled without noise
-  // has near-constant per-level energies, so the XOR-delta zeroes
-  // almost every plane and the RLE collapses them. This is the regime
-  // the format exists for (recorded sweeps of the paper's SABL/WDDL
-  // claims).
-  TraceEngine engine(present_spec(), LogicStyle::kSablGenuine, kTech);
-  CampaignOptions options = small_options();
-  options.num_traces = 1500;
-  options.noise_sigma = 0.0;
-  const std::string raw = temp_path("ratio_raw.corpus");
-  const std::string v2 = temp_path("ratio_v2.corpus");
-  engine.record(options, TraceDataKind::kSampled, raw, kCorpusCompressionNone);
-  engine.record(options, TraceDataKind::kSampled, v2);
+  // The acceptance ratio, per logic style: noiseless simulated energies
+  // are sums of discrete per-node switching energies, so every style's
+  // sample levels draw from a small set and the codec's dictionary or
+  // XOR-delta mode collapses them. The constant-power styles are the
+  // regime the format exists for (recorded sweeps of the paper's
+  // SABL/WDDL claims); static CMOS and mismatched WDDL are the weakest.
+  for (const LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablGenuine,
+        LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
+        LogicStyle::kWddlBalanced, LogicStyle::kWddlMismatched}) {
+    SCOPED_TRACE(to_string(style));
+    TraceEngine engine(present_spec(), style, kTech);
+    CampaignOptions options = small_options();
+    options.num_traces = 1500;
+    options.noise_sigma = 0.0;
+    const std::string raw = temp_path("ratio_raw.corpus");
+    const std::string v2 = temp_path("ratio_v2.corpus");
+    engine.record(options, TraceDataKind::kSampled, raw,
+                  kCorpusCompressionNone);
+    engine.record(options, TraceDataKind::kSampled, v2);
 
-  const CorpusReader reader(v2);
-  std::uint64_t raw_bytes = 0;
-  std::uint64_t stored = 0;
-  for (std::size_t s = 0; s < reader.num_shards(); ++s) {
-    raw_bytes += reader.shard_raw_bytes(s);
-    stored += reader.shard_stored_bytes(s);
+    const CorpusReader reader(v2);
+    std::uint64_t raw_bytes = 0;
+    std::uint64_t stored = 0;
+    for (std::size_t s = 0; s < reader.num_shards(); ++s) {
+      raw_bytes += reader.shard_raw_bytes(s);
+      stored += reader.shard_stored_bytes(s);
+    }
+    EXPECT_GE(raw_bytes, 3 * stored)
+        << "chunk ratio " << raw_bytes << "/" << stored;
+    EXPECT_GE(read_file(raw).size(), 3 * read_file(v2).size());
+
+    // Compression is exact: both containers replay to the same bits.
+    const std::size_t levels = engine.target().num_levels();
+    const AttackSelector selector{.model = PowerModel::kHammingWeight};
+    MultiCpaDistinguisher from_raw(engine.spec(), selector, levels);
+    MultiCpaDistinguisher from_v2(engine.spec(), selector, levels);
+    Distinguisher* const list1[] = {&from_raw};
+    Distinguisher* const list2[] = {&from_v2};
+    EXPECT_TRUE(
+        replay_distinguishers(CorpusReader(raw), engine.round(), list1));
+    EXPECT_TRUE(replay_distinguishers(reader, engine.round(), list2));
+    expect_same_scores(from_v2.result().combined.score,
+                       from_raw.result().combined.score);
   }
-  EXPECT_GE(raw_bytes, 3 * stored)
-      << "chunk ratio " << raw_bytes << "/" << stored;
-  EXPECT_GE(read_file(raw).size(), 3 * read_file(v2).size());
+}
 
-  // Compression is exact: both containers replay to the same bits.
-  const std::size_t levels = engine.target().num_levels();
-  const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  MultiCpaDistinguisher from_raw(engine.spec(), selector, levels);
-  MultiCpaDistinguisher from_v2(engine.spec(), selector, levels);
-  Distinguisher* const list1[] = {&from_raw};
-  Distinguisher* const list2[] = {&from_v2};
-  EXPECT_TRUE(replay_distinguishers(CorpusReader(raw), engine.round(), list1));
-  EXPECT_TRUE(replay_distinguishers(reader, engine.round(), list2));
-  expect_same_scores(from_v2.result().combined.score,
-                     from_raw.result().combined.score);
+TEST(CampaignIoTest, FailedCorpusPublishLeavesNoTempFile) {
+  // The final rename cannot replace a non-empty directory, so publishing
+  // fails after the whole corpus was written to `path.tmp`. The writer
+  // must report it as IoError and discard the temporary file.
+  const std::string path = temp_path("publish_blocked");
+  std::filesystem::remove_all(path);
+  std::filesystem::create_directories(path + "/occupied");
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  EXPECT_THROW(engine.record(small_options(), TraceDataKind::kScalar, path),
+               IoError);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path + "/occupied"));
+  std::filesystem::remove_all(path);
 }
 
 TEST(CampaignIoTest, HostileDecodedSizeCeilingRejectedAtOpen) {

@@ -3,8 +3,8 @@
 // DPDN implementation, and fails against the fully connected one.
 #include <gtest/gtest.h>
 
+#include "crypto/round_target.hpp"
 #include "crypto/sboxes.hpp"
-#include "crypto/target.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
 #include "power/stats.hpp"
@@ -58,12 +58,14 @@ TEST(TargetTest, CircuitMatchesReferenceSbox) {
   for (LogicStyle style :
        {LogicStyle::kStaticCmos, LogicStyle::kSablGenuine,
         LogicStyle::kSablFullyConnected}) {
-    SboxTarget target(present_spec(), style, kTech);
+    RoundTarget target(single_sbox_round(present_spec(), style), kTech);
+    const std::uint8_t key0 = 0x0;
+    const std::uint8_t keyA = 0xA;
     for (std::uint8_t pt = 0; pt < 16; ++pt) {
       // The circuit computes S(pt ^ key); check against the table for a
       // couple of keys via the functional output path.
-      EXPECT_EQ(target.reference(pt, 0x0), present_sbox(pt));
-      EXPECT_EQ(target.reference(pt, 0xA),
+      EXPECT_EQ(target.reference(0, &pt, &key0), present_sbox(pt));
+      EXPECT_EQ(target.reference(0, &pt, &keyA),
                 present_sbox(static_cast<std::uint8_t>(pt ^ 0xA)));
     }
   }
@@ -87,12 +89,12 @@ TEST(StatsTest, SpreadMetrics) {
   EXPECT_NEAR(m.ned, 2.0 / 3.0, 1e-12);
 }
 
-TraceSet collect_traces(SboxTarget& target, std::uint8_t key,
+TraceSet collect_traces(RoundTarget& target, std::uint8_t key,
                         std::size_t count, double noise, Rng& rng) {
   TraceSet traces;
   for (std::size_t i = 0; i < count; ++i) {
     const auto pt = static_cast<std::uint8_t>(rng.below(16));
-    traces.add(pt, target.trace(pt, key, noise, rng));
+    traces.add(pt, target.trace(&pt, &key, noise, rng));
   }
   return traces;
 }
@@ -100,7 +102,8 @@ TraceSet collect_traces(SboxTarget& target, std::uint8_t key,
 TEST(DpaTest, CpaRecoversKeyFromCmosTraces) {
   Rng rng(42);
   const std::uint8_t key = 0xB;
-  SboxTarget target(present_spec(), LogicStyle::kStaticCmos, kTech);
+  RoundTarget target(
+      single_sbox_round(present_spec(), LogicStyle::kStaticCmos), kTech);
   const TraceSet traces = collect_traces(target, key, 2000, 2e-16, rng);
   const AttackResult result =
       cpa_attack(traces, present_spec(), PowerModel::kHammingWeight);
@@ -111,7 +114,8 @@ TEST(DpaTest, CpaRecoversKeyFromCmosTraces) {
 TEST(DpaTest, DomRecoversKeyFromGenuineSablTraces) {
   Rng rng(43);
   const std::uint8_t key = 0x6;
-  SboxTarget target(present_spec(), LogicStyle::kSablGenuine, kTech);
+  RoundTarget target(
+      single_sbox_round(present_spec(), LogicStyle::kSablGenuine), kTech);
   const TraceSet traces = collect_traces(target, key, 4000, 1e-16, rng);
   const AttackResult result =
       cpa_attack(traces, present_spec(), PowerModel::kHammingWeight);
@@ -127,7 +131,9 @@ TEST(DpaTest, DomRecoversKeyFromGenuineSablTraces) {
 TEST(DpaTest, FullyConnectedSablResistsAttack) {
   Rng rng(44);
   const std::uint8_t key = 0x3;
-  SboxTarget target(present_spec(), LogicStyle::kSablFullyConnected, kTech);
+  RoundTarget target(
+      single_sbox_round(present_spec(), LogicStyle::kSablFullyConnected),
+      kTech);
   const TraceSet traces = collect_traces(target, key, 4000, 1e-16, rng);
   const AttackResult hw =
       cpa_attack(traces, present_spec(), PowerModel::kHammingWeight);
@@ -143,7 +149,8 @@ TEST(DpaTest, DomAttackRecoversKeyOnSomeOutputBit) {
   // attack checks every output bit; the correct key must win at least one.
   Rng rng(45);
   const std::uint8_t key = 0xD;
-  SboxTarget target(present_spec(), LogicStyle::kStaticCmos, kTech);
+  RoundTarget target(
+      single_sbox_round(present_spec(), LogicStyle::kStaticCmos), kTech);
   const TraceSet traces = collect_traces(target, key, 6000, 1e-16, rng);
   std::size_t best_rank = 99;
   for (std::size_t bit = 0; bit < 4; ++bit) {
@@ -156,8 +163,11 @@ TEST(DpaTest, DomAttackRecoversKeyOnSomeOutputBit) {
 TEST(MtdTest, DisclosureOrdering) {
   Rng rng(46);
   const std::uint8_t key = 0x9;
-  SboxTarget cmos(present_spec(), LogicStyle::kStaticCmos, kTech);
-  SboxTarget fc(present_spec(), LogicStyle::kSablFullyConnected, kTech);
+  RoundTarget cmos(
+      single_sbox_round(present_spec(), LogicStyle::kStaticCmos), kTech);
+  RoundTarget fc(
+      single_sbox_round(present_spec(), LogicStyle::kSablFullyConnected),
+      kTech);
   const std::size_t n = 3000;
   const TraceSet traces_cmos = collect_traces(cmos, key, n, 2e-16, rng);
   const TraceSet traces_fc = collect_traces(fc, key, n, 2e-16, rng);

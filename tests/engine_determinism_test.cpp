@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cell/circuit_sim.hpp"
-#include "crypto/target.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
 #include "dpa/streaming.hpp"
@@ -218,13 +217,14 @@ TEST(EngineDeterminismTest, MtdCampaignOnRaggedShardsMatchesOracleEverywhere) {
 // ---- accumulator merges ---------------------------------------------------
 
 TraceSet cmos_traces(std::size_t count, std::uint8_t key, std::uint64_t seed) {
-  SboxTarget target(present_spec(), LogicStyle::kStaticCmos, kTech);
+  RoundTarget target(
+      single_sbox_round(present_spec(), LogicStyle::kStaticCmos), kTech);
   Rng rng(seed);
   TraceSet traces;
   traces.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto pt = static_cast<std::uint8_t>(rng.below(16));
-    traces.add(pt, target.trace(pt, key, 2e-16, rng));
+    traces.add(pt, target.trace(&pt, &key, 2e-16, rng));
   }
   return traces;
 }
@@ -306,8 +306,8 @@ TEST(MergeTest, StreamingDomMergeMatchesSequential) {
 
 TEST(MergeTest, StreamingMultiCpaMergeMatchesSequential) {
   const SboxSpec spec = present_spec();
-  SboxTarget target(spec, LogicStyle::kSablGenuine, kTech);
-  DifferentialCircuitSim sim(target.circuit());
+  RoundTarget target(single_sbox_round(spec, LogicStyle::kSablGenuine), kTech);
+  DifferentialCircuitSim sim(target.circuit(0));
   Rng rng(0x3317);
   const std::uint8_t key = 0x4;
   MultiTraceSet traces;
@@ -766,56 +766,38 @@ TEST(EngineDeterminismTest, SingleRaggedShardBitIdenticalAcrossTiers) {
 }
 
 // RoundTarget::clone() must be state-free: after disturbing the original,
-// a clone's traces equal a freshly constructed target's, bit for bit.
+// a clone's traces equal a freshly constructed target's, bit for bit. The
+// styles cover static CMOS (the only one with transition history), SABL
+// with genuine and fully connected networks, and mismatched WDDL (whose
+// rail imbalance is drawn once, at construction).
 TEST(CloneTest, ClonedRoundTargetMatchesFreshTarget) {
-  const RoundSpec round = present_round(3, LogicStyle::kStaticCmos);
-  const std::vector<std::uint8_t> key = round.pack_subkeys({0x2, 0xB, 0x5});
-  RoundTarget original(round, kTech);
-  Rng warmup(0x77);
-  std::vector<std::uint8_t> state(round.state_bytes(), 0);
-  for (int i = 0; i < 10; ++i) {
-    for (std::size_t j = 0; j < round.num_sboxes(); ++j) {
-      round.set_sub_word(state.data(), j, warmup.below(16));
-    }
-    original.trace(state.data(), key.data(), 0.0, warmup);
-  }
-  RoundTarget cloned = original.clone();
-  RoundTarget fresh(round, kTech);
-  Rng rng_a(0x88);
-  Rng rng_b(0x88);
-  Rng pts(0x99);
-  for (int i = 0; i < 64; ++i) {
-    for (std::size_t j = 0; j < round.num_sboxes(); ++j) {
-      round.set_sub_word(state.data(), j, pts.below(16));
-    }
-    EXPECT_EQ(cloned.trace(state.data(), key.data(), 1e-16, rng_a),
-              fresh.trace(state.data(), key.data(), 1e-16, rng_b))
-        << i;
-  }
-}
-
-// clone() must produce a target whose traces match a freshly constructed
-// one — no hidden shared state with its source.
-TEST(CloneTest, ClonedTargetMatchesFreshTarget) {
   for (LogicStyle style :
        {LogicStyle::kStaticCmos, LogicStyle::kSablGenuine,
         LogicStyle::kSablFullyConnected, LogicStyle::kWddlMismatched}) {
-    SboxTarget original(present_spec(), style, kTech);
-    // Disturb the original's state so a state-sharing clone would differ.
-    Rng warmup(0x11);
+    SCOPED_TRACE(to_string(style));
+    const RoundSpec round = present_round(3, style);
+    const std::vector<std::uint8_t> key = round.pack_subkeys({0x2, 0xB, 0x5});
+    RoundTarget original(round, kTech);
+    Rng warmup(0x77);
+    std::vector<std::uint8_t> state(round.state_bytes(), 0);
     for (int i = 0; i < 10; ++i) {
-      original.trace(static_cast<std::uint8_t>(warmup.below(16)), 0x5, 0.0,
-                     warmup);
+      for (std::size_t j = 0; j < round.num_sboxes(); ++j) {
+        round.set_sub_word(state.data(), j, warmup.below(16));
+      }
+      original.trace(state.data(), key.data(), 0.0, warmup);
     }
-    SboxTarget cloned = original.clone();
-    SboxTarget fresh(present_spec(), style, kTech);
-    Rng rng_a(0x22);
-    Rng rng_b(0x22);
+    RoundTarget cloned = original.clone();
+    RoundTarget fresh(round, kTech);
+    Rng rng_a(0x88);
+    Rng rng_b(0x88);
+    Rng pts(0x99);
     for (int i = 0; i < 64; ++i) {
-      const auto pt = static_cast<std::uint8_t>(i % 16);
-      EXPECT_EQ(cloned.trace(pt, 0x5, 1e-16, rng_a),
-                fresh.trace(pt, 0x5, 1e-16, rng_b))
-          << to_string(style) << " trace " << i;
+      for (std::size_t j = 0; j < round.num_sboxes(); ++j) {
+        round.set_sub_word(state.data(), j, pts.below(16));
+      }
+      EXPECT_EQ(cloned.trace(state.data(), key.data(), 1e-16, rng_a),
+                fresh.trace(state.data(), key.data(), 1e-16, rng_b))
+          << i;
     }
   }
 }

@@ -13,7 +13,6 @@
 
 #include "cell/circuit_sim.hpp"
 #include "crypto/round_target.hpp"
-#include "crypto/target.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
 #include "engine/trace_engine.hpp"
@@ -244,9 +243,14 @@ TEST(RoundTargetTest, SummedPowerEqualsSumOfSingleTargets) {
   round.sboxes = {present_spec(), des1_spec()};
   round.style = LogicStyle::kSablFullyConnected;
   RoundTarget target(round, kTech);
-  SboxTarget a(present_spec(), LogicStyle::kSablFullyConnected, kTech);
-  SboxTarget b(des1_spec(), LogicStyle::kSablFullyConnected, kTech);
-  const std::vector<std::uint8_t> key = round.pack_subkeys({0x6, 0x19});
+  RoundTarget a(
+      single_sbox_round(present_spec(), LogicStyle::kSablFullyConnected),
+      kTech);
+  RoundTarget b(single_sbox_round(des1_spec(), LogicStyle::kSablFullyConnected),
+                kTech);
+  const std::uint8_t key_a = 0x6;
+  const std::uint8_t key_b = 0x19;
+  const std::vector<std::uint8_t> key = round.pack_subkeys({key_a, key_b});
   Rng pts(0x1234);
   Rng no_noise(0);
   std::vector<std::uint8_t> state(round.state_bytes(), 0);
@@ -257,8 +261,8 @@ TEST(RoundTargetTest, SummedPowerEqualsSumOfSingleTargets) {
     round.set_sub_word(state.data(), 1, pb);
     const double summed = target.trace(state.data(), key.data(), 0.0,
                                        no_noise);
-    const double expected = a.trace(pa, 0x6, 0.0, no_noise) +
-                            b.trace(pb, 0x19, 0.0, no_noise);
+    const double expected = a.trace(&pa, &key_a, 0.0, no_noise) +
+                            b.trace(&pb, &key_b, 0.0, no_noise);
     EXPECT_DOUBLE_EQ(summed, expected) << i;
   }
 }

@@ -16,7 +16,6 @@
 #include "cell/wddl.hpp"
 #include "core/fc_synthesizer.hpp"
 #include "core/genuine_builder.hpp"
-#include "crypto/target.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
 #include "dpa/streaming.hpp"
@@ -274,13 +273,14 @@ TEST(EnergyProfileTest, BatchProfileMatchesPerAssignmentSimulation) {
 // ---- streaming accumulators ----------------------------------------------
 
 TraceSet cmos_traces(std::size_t count, std::uint8_t key, std::uint64_t seed) {
-  SboxTarget target(present_spec(), LogicStyle::kStaticCmos, kTech);
+  RoundTarget target(
+      single_sbox_round(present_spec(), LogicStyle::kStaticCmos), kTech);
   Rng rng(seed);
   TraceSet traces;
   traces.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto pt = static_cast<std::uint8_t>(rng.below(16));
-    traces.add(pt, target.trace(pt, key, 2e-16, rng));
+    traces.add(pt, target.trace(&pt, &key, 2e-16, rng));
   }
   return traces;
 }
@@ -347,8 +347,8 @@ TEST(StreamingDomTest, MatchesPartitionMeans) {
 
 TEST(StreamingMultiCpaTest, MatchesPerColumnTwoPass) {
   const SboxSpec spec = present_spec();
-  SboxTarget target(spec, LogicStyle::kSablGenuine, kTech);
-  DifferentialCircuitSim sim(target.circuit());
+  RoundTarget target(single_sbox_round(spec, LogicStyle::kSablGenuine), kTech);
+  DifferentialCircuitSim sim(target.circuit(0));
   Rng rng(0x90FF);
   const std::uint8_t key = 0x9;
   MultiTraceSet traces;
@@ -446,7 +446,7 @@ TEST(TraceEngineTest, CampaignMatchesScalarTarget) {
     // simulator state, independent of every other shard.
     const std::size_t shard_size = campaign_shard_size(options);
     ASSERT_EQ(shard_size, 128u);
-    SboxTarget reference(present_spec(), style, kTech);
+    RoundTarget reference(single_sbox_round(present_spec(), style), kTech);
     Rng no_noise(0);
     for (std::size_t start = 0, shard = 0; start < options.num_traces;
          start += shard_size, ++shard) {
@@ -458,7 +458,8 @@ TEST(TraceEngineTest, CampaignMatchesScalarTarget) {
       for (std::size_t i = 0; i < count; ++i) {
         const auto pt = static_cast<std::uint8_t>(pt_rng.below(16));
         EXPECT_EQ(traces.plaintexts[start + i], pt);
-        const double energy = reference.trace(pt, options.key[0], 0.0, no_noise);
+        const double energy =
+            reference.trace(&pt, options.key.data(), 0.0, no_noise);
         const double noise = options.noise_sigma * noise_rng.gaussian();
         EXPECT_EQ(traces.samples[start + i], energy + noise) << start + i;
       }
@@ -497,12 +498,13 @@ TEST(TraceEngineTest, CmosCampaignMatchesPerLaneScalarHistory) {
   std::vector<std::uint8_t> pts(options.num_traces);
   for (auto& pt : pts) pt = static_cast<std::uint8_t>(rng.below(16));
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    SboxTarget reference(present_spec(), LogicStyle::kStaticCmos, kTech);
+    RoundTarget reference(
+        single_sbox_round(present_spec(), LogicStyle::kStaticCmos), kTech);
     Rng no_noise(0);
     for (std::size_t t = lane; t < options.num_traces; t += kLanes) {
       EXPECT_EQ(traces.plaintexts[t], pts[t]);
       EXPECT_EQ(traces.samples[t],
-                reference.trace(pts[t], options.key[0], 0.0, no_noise))
+                reference.trace(&pts[t], options.key.data(), 0.0, no_noise))
           << "lane " << lane << " trace " << t;
     }
   }
