@@ -34,8 +34,10 @@
 // JSON reports compare byte-identical (%.17g scores), which is what the
 // CI two-process smoke asserts.
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -249,7 +251,12 @@ void write_attack_fields(std::FILE* f, const char* indent,
 
 // Deterministic report: identical campaigns produce byte-identical files
 // however the shard states were produced (simulated, replayed, merged).
-int write_json(const Cli& cli, const AttackSet& attacks, std::size_t subkey) {
+// --all-subkeys writes one array entry per round instance. A failed open,
+// write or close is reported and fails the command: a campaign whose
+// report was lost must not exit 0.
+int write_json(const Cli& cli,
+               const std::vector<std::unique_ptr<AttackSet>>& sets,
+               const std::vector<std::size_t>& subkeys) {
   std::FILE* f = std::fopen(cli.json_path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
@@ -257,35 +264,42 @@ int write_json(const Cli& cli, const AttackSet& attacks, std::size_t subkey) {
   }
   std::fprintf(f, "{\n  \"style\": \"%s\",\n  \"traces\": %zu,\n",
                to_string(cli.style), cli.num_traces);
-  std::fprintf(f, "  \"seed\": %llu,\n  \"subkey\": %zu,\n",
-               static_cast<unsigned long long>(cli.seed), subkey);
-  write_attack_fields(f, "  ", attacks, subkey);
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  return 0;
-}
-
-// --all-subkeys report: the same deterministic fields, one array entry
-// per round instance.
-int write_json_multi(const Cli& cli,
-                     const std::vector<std::unique_ptr<AttackSet>>& sets,
-                     const std::vector<std::size_t>& subkeys) {
-  std::FILE* f = std::fopen(cli.json_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"style\": \"%s\",\n  \"traces\": %zu,\n",
-               to_string(cli.style), cli.num_traces);
-  std::fprintf(f, "  \"seed\": %llu,\n  \"subkeys\": [\n",
+  std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(cli.seed));
-  for (std::size_t j = 0; j < sets.size(); ++j) {
-    std::fprintf(f, "    {\"sbox\": %zu, \"subkey\": %zu,\n", j, subkeys[j]);
-    write_attack_fields(f, "     ", *sets[j], subkeys[j]);
-    std::fprintf(f, "}%s\n", j + 1 < sets.size() ? "," : "");
+  if (cli.all_subkeys) {
+    std::fprintf(f, "  \"subkeys\": [\n");
+    for (std::size_t j = 0; j < sets.size(); ++j) {
+      std::fprintf(f, "    {\"sbox\": %zu, \"subkey\": %zu,\n", j,
+                   subkeys[j]);
+      write_attack_fields(f, "     ", *sets[j], subkeys[j]);
+      std::fprintf(f, "}%s\n", j + 1 < sets.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
+  } else {
+    std::fprintf(f, "  \"subkey\": %zu,\n", subkeys[0]);
+    write_attack_fields(f, "  ", *sets[0], subkeys[0]);
+    std::fprintf(f, "\n}\n");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  // errno is read right after the first failing call (flush, else close)
+  // so the message names its cause. A lost report in a regular file is
+  // removed, never left torn for a later cmp; devices and pipes are left
+  // alone.
+  errno = 0;
+  bool failed = std::fflush(f) != 0 || std::ferror(f) != 0;
+  int error = errno;
+  if (std::fclose(f) != 0 && !failed) {
+    failed = true;
+    error = errno;
+  }
+  if (failed) {
+    std::fprintf(stderr, "cannot write %s: %s\n", cli.json_path.c_str(),
+                 error != 0 ? std::strerror(error) : "write error");
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(cli.json_path, ec)) {
+      std::remove(cli.json_path.c_str());
+    }
+    return 1;
+  }
   return 0;
 }
 
@@ -501,8 +515,7 @@ int main(int argc, char** argv) {
                                              : cli.num_traces);
     }
     if (cli.json_path.empty()) return 0;
-    return cli.all_subkeys ? write_json_multi(cli, sets, subkeys)
-                           : write_json(cli, *sets[0], subkeys[0]);
+    return write_json(cli, sets, subkeys);
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -8,10 +8,6 @@
 
 namespace sable {
 
-namespace {
-
-// Computes all gate output values for one input vector; returns the vector
-// of gate values (scalar reference path used by evaluate_circuit).
 std::vector<bool> evaluate_gates(const GateCircuit& circuit,
                                  std::uint64_t input_bits) {
   std::vector<bool> value(circuit.gates().size(), false);
@@ -32,6 +28,8 @@ std::vector<bool> evaluate_gates(const GateCircuit& circuit,
   }
   return value;
 }
+
+namespace {
 
 std::uint64_t collect_outputs(const GateCircuit& circuit,
                               std::uint64_t input_bits,
@@ -180,17 +178,6 @@ void DifferentialCircuitSimBatch::reset() {
   for (SablGateSimBatch& sim : gate_sims_) sim.reset(true);
 }
 
-DifferentialCircuitSimBatch DifferentialCircuitSimBatch::clone_fresh() const {
-  // Rebuilding through the per-instance-model constructor preserves any
-  // custom energy models (e.g. balanced routing loads from src/balance).
-  std::vector<GateEnergyModel> models;
-  models.reserve(gate_sims_.size());
-  for (const SablGateSimBatch& sim : gate_sims_) {
-    models.push_back(sim.model());
-  }
-  return DifferentialCircuitSimBatch(circuit_, std::move(models));
-}
-
 void DifferentialCircuitSimBatch::cycle_sampled(
     const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
     SampledBatchCycleResult& out) {
@@ -221,69 +208,56 @@ CmosCircuitSimBatch::CmosCircuitSimBatch(const GateCircuit& circuit,
   for (std::size_t l : levels_) num_levels_ = std::max(num_levels_, l);
 }
 
-void CmosCircuitSimBatch::flush_planes(std::uint64_t mask, double* row) {
-  if (row == nullptr || planes_used_ == 0 || mask == 0) {
-    planes_used_ = 0;
-    return;
-  }
-  const auto add_count = [&](std::size_t lane) {
-    std::size_t count = 0;
-    for (std::size_t p = 0; p < planes_used_; ++p) {
-      count |= ((planes_[p] >> lane) & 1u) << p;
-    }
-    row[lane] += static_cast<double>(count) * switch_energy_;
-  };
-  // Lanes outside the mask never entered a plane (their count is 0 and
-  // their energy slot must stay untouched), so sparse masks walk their
-  // bits; a += of count 0 for a selected lane is bit-preserving (energies
-  // are non-negative), matching the kernels' select idiom.
-  if (mask == ~std::uint64_t{0}) {
-    for (std::size_t lane = 0; lane < 64; ++lane) add_count(lane);
-  } else {
-    for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
-      add_count(std::countr_zero(rest));
-    }
-  }
-  planes_used_ = 0;
-}
-
 template <typename RowFn>
 void CmosCircuitSimBatch::cycle_history(
     const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
     RowFn&& row_for_gate, std::vector<std::uint64_t>& output_words) {
   eval_.evaluate(input_words);
+  // Word-parallel rise counts (carry-save vertical counters): plane p
+  // holds bit p of each lane's count of gates that rose in the current run
+  // of same-row gates, so a gate costs a few word ops instead of a walk
+  // over its rising lanes. A run lands in its row once, as count *
+  // switch_energy_, for the selected lanes only: other lanes never rise
+  // and their energy slots stay untouched.
+  std::uint64_t planes[64];
+  std::size_t num_planes = 0;
   double* current_row = nullptr;
-  planes_used_ = 0;
+  const auto flush = [&] {
+    if (num_planes == 0) return;  // also before the first gate
+    for (std::uint64_t rest = lane_mask; rest != 0; rest &= rest - 1) {
+      const int lane = std::countr_zero(rest);
+      std::uint64_t count = 0;
+      for (std::size_t p = 0; p < num_planes; ++p) {
+        count |= ((planes[p] >> lane) & 1u) << p;
+      }
+      current_row[lane] += static_cast<double>(count) * switch_energy_;
+    }
+    num_planes = 0;
+  };
   for (std::size_t g = 0; g < circuit_.gates().size(); ++g) {
     double* row = row_for_gate(g);
     if (row != current_row) {
-      flush_planes(lane_mask, current_row);
+      flush();
       current_row = row;
     }
-    // Static CMOS draws supply energy when the output rises: the lane has
-    // no history yet, or its previous value was 0. Selected lanes then
-    // remember their new value.
+    // Static CMOS draws supply energy when the output rises from 0; a lane
+    // without history holds 0 for every gate, so its first cycle counts
+    // every gate at 1. Selected lanes then remember their new value.
     const std::uint64_t c = eval_.value_word(g);
     const std::uint64_t prev = previous_values_[g];
-    const std::uint64_t rising = c & ~(prev & seen_mask_) & lane_mask;
+    std::uint64_t carry = c & ~prev & lane_mask;
     previous_values_[g] = (c & lane_mask) | (prev & ~lane_mask);
-    // Carry-save vertical counters: the rising word is *counted* with a
-    // handful of word ops instead of walking its set bits; the per-lane
-    // counts are materialized once per row in flush_planes.
-    std::uint64_t carry = rising;
     for (std::size_t p = 0; carry != 0; ++p) {
-      if (p == planes_used_) {
-        if (planes_used_ == planes_.size()) planes_.push_back(0);
-        planes_[planes_used_++] = carry;
+      if (p == num_planes) {
+        planes[num_planes++] = carry;
         break;
       }
-      const std::uint64_t overflow = planes_[p] & carry;
-      planes_[p] ^= carry;
+      const std::uint64_t overflow = planes[p] & carry;
+      planes[p] ^= carry;
       carry = overflow;
     }
   }
-  flush_planes(lane_mask, current_row);
-  seen_mask_ |= lane_mask;
+  flush();
   output_words.resize(circuit_.outputs().size());
   for (std::size_t i = 0; i < circuit_.outputs().size(); ++i) {
     output_words[i] = eval_.output_word(i);
@@ -314,11 +288,6 @@ void CmosCircuitSimBatch::cycle_sampled(
 
 void CmosCircuitSimBatch::reset() {
   previous_values_.assign(circuit_.gates().size(), 0);
-  seen_mask_ = 0;
-}
-
-CmosCircuitSimBatch CmosCircuitSimBatch::clone_fresh() const {
-  return CmosCircuitSimBatch(circuit_, switch_energy_);
 }
 
 // ---- scalar wrappers (width-1 case of the batch kernels) ------------------

@@ -114,12 +114,6 @@ class DifferentialCircuitSimBatch {
   /// lane, so a new campaign starts from a reproducible state.
   void reset();
 
-  /// Independent simulator over the same circuit with the same per-gate
-  /// energy models, in fresh-construction state. Nothing is shared except
-  /// the referenced circuit (which must outlive the clone), so clones can
-  /// simulate concurrently on worker threads.
-  DifferentialCircuitSimBatch clone_fresh() const;
-
   std::size_t num_levels() const { return num_levels_; }
   const GateCircuit& circuit() const { return circuit_; }
 
@@ -152,43 +146,28 @@ class CmosCircuitSimBatch {
   /// Clears every lane's transition history (fresh-construction state).
   void reset();
 
-  /// Independent simulator over the same circuit, fresh history in every
-  /// lane; shares only the referenced circuit (which must outlive it).
-  CmosCircuitSimBatch clone_fresh() const;
-
   /// Samples per cycle_sampled() row: the circuit's logic depth.
   std::size_t num_levels() const { return num_levels_; }
 
  private:
   // Shared body of cycle()/cycle_sampled(): evaluates the circuit and
   // advances the lane history exactly once, adding each gate's
-  // rising-edge energy into row_for_gate(g). The walk is word-parallel:
-  // each gate's rising word feeds carry-save counter planes, and a row's
-  // per-lane counts are reconstructed (and multiplied by switch_energy_)
-  // once per row when it flushes.
+  // rising-edge energy into row_for_gate(g). Rising gates are counted per
+  // lane in call-local carry-save planes, and each run of gates sharing a
+  // row adds its count times switch_energy_ once.
   template <typename RowFn>
   void cycle_history(const std::vector<std::uint64_t>& input_words,
                      std::uint64_t lane_mask, RowFn&& row_for_gate,
                      std::vector<std::uint64_t>& output_words);
 
-  // Reconstructs per-lane rising-gate counts from the carry-save planes
-  // and adds count * switch_energy_ into `row` for the lanes selected by
-  // `mask`; resets the planes.
-  void flush_planes(std::uint64_t mask, double* row);
-
   const GateCircuit& circuit_;
   BatchGateEvaluator eval_;
   double switch_energy_;
-  // Per gate, the value each lane held on its last selected cycle.
+  // Per gate, the value each lane held on its last selected cycle (0
+  // before its first).
   std::vector<std::uint64_t> previous_values_;
-  std::uint64_t seen_mask_ = 0;  // lanes with history
   std::vector<std::size_t> levels_;
   std::size_t num_levels_ = 0;
-  // Carry-save vertical counters: plane p holds bit p of the per-lane
-  // count of gates that rose this row. planes_[planes_used_..] are stale
-  // capacity, overwritten on first use.
-  std::vector<std::uint64_t> planes_;
-  std::size_t planes_used_ = 0;
 };
 
 class DifferentialCircuitSim {
@@ -226,6 +205,11 @@ class CmosCircuitSim {
   std::vector<std::uint64_t> words_;
   BatchCycleResult scratch_;
 };
+
+/// Scalar value of every gate (in gate order) for one input vector — the
+/// per-lane reference the batch evaluator is checked against.
+std::vector<bool> evaluate_gates(const GateCircuit& circuit,
+                                 std::uint64_t input_bits);
 
 /// Pure functional evaluation (no energy), for reference checks.
 std::uint64_t evaluate_circuit(const GateCircuit& circuit,

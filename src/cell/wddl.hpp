@@ -50,12 +50,6 @@ class WddlCircuitSimBatch {
   void cycle_sampled(const std::vector<std::uint64_t>& input_words,
                      std::uint64_t lane_mask, SampledBatchCycleResult& out);
 
-  /// Independent simulator with identical (already-derived) rail models.
-  /// WDDL carries no cross-cycle lane state, but the evaluator scratch is
-  /// per-instance, so concurrent workers each need their own clone. Shares
-  /// only the referenced circuit (which must outlive the clone).
-  WddlCircuitSimBatch clone_fresh() const { return *this; }
-
   /// Samples per cycle_sampled() row: the circuit's logic depth.
   std::size_t num_levels() const { return num_levels_; }
 

@@ -12,20 +12,13 @@
 #include <immintrin.h>
 #endif
 
-// Function-level ISA enablement for the transpose and pack bodies: the TU
+// Function-level ISA enablement for the codec's 64×64 transposes: the TU
 // is compiled for the base architecture, so each vector body carries its
-// own target attribute and is only called once active_tier() (plus
-// cpu_features for the optional BW/GFNI instructions) allows it. The GFNI
-// list repeats avx512f because a function target attribute replaces, not
-// extends, the TU's selection.
+// own target attribute and is only called once active_tier() allows it.
 #define SABLE_TARGET_AVX2 __attribute__((target("avx2")))
 #define SABLE_TARGET_AVX512 __attribute__((target("avx512f")))
-#define SABLE_TARGET_AVX512BW __attribute__((target("avx512f,avx512bw")))
-#define SABLE_TARGET_GFNI \
-  __attribute__((target("avx512f,avx512bw,avx512vbmi,gfni")))
 
 namespace sable {
-
 
 namespace {
 
@@ -56,20 +49,35 @@ std::uint64_t bit_transpose_8x8(std::uint64_t x) {
   return x;
 }
 
+/// Byte → bit-plane transpose of one full 64-byte row (callers zero-pad
+/// ragged tails): bit L of planes[v] is bit v of src[L]. Eight 8×8 block
+/// transposes, one 8-byte load each.
+void byte_planes_64_portable(const std::uint8_t* src, std::uint64_t* planes) {
+  for (std::size_t v = 0; v < 8; ++v) planes[v] = 0;
+  for (std::size_t g = 0; g < 8; ++g) {
+    std::uint64_t b;
+    std::memcpy(&b, src + 8 * g, 8);
+    b = bit_transpose_8x8(b);
+    for (std::size_t v = 0; v < 8; ++v) {
+      planes[v] |= ((b >> (8 * v)) & 0xffu) << (8 * g);
+    }
+  }
+}
+
 // --- Vectorized transpose bodies -----------------------------------------
 //
-// This TU is compiled for the base architecture and carries every body
-// its build allows (the SABLE_HAVE_WORD* guards), each with an explicit
-// function-level target attribute. Which body actually runs is picked
-// per pack call from active_tier() (+ cpu_features for the optional
-// BW/GFNI instructions), so SABLE_DISPATCH=portable still exercises the
-// scalar bodies and a lower-tier cap never executes a wider instruction.
-// All bodies produce bit-identical output — the pack_transpose_test
-// sweeps assert it per runtime tier.
+// The corpus codec's bit_transpose_blocks is the one caller that runs
+// these per trace, so it alone dispatches. This TU is compiled for the
+// base architecture and carries every body its build allows (the
+// SABLE_HAVE_WORD* guards), each with an explicit function-level target
+// attribute. Which body runs is picked per call from active_tier(), so
+// SABLE_DISPATCH=portable still exercises the scalar body and a lower-tier
+// cap never executes a wider instruction. All bodies produce bit-identical
+// output — pack_transpose_test asserts it per runtime tier.
 //
 // GCC 12's avx512 intrinsic headers trip -Wuninitialized through the
-// _mm512_undefined_* pass-through operands of permutexvar/cvt intrinsics
-// when their always_inline bodies land in these functions (GCC PR105593);
+// _mm512_undefined_* pass-through operands of the permutexvar intrinsic
+// when its always_inline body lands in these functions (GCC PR105593);
 // the values are never read, so silence that one diagnostic here.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
@@ -181,7 +189,7 @@ SABLE_TARGET_AVX2 void bit_transpose_64x64_avx2(std::uint64_t a[64]) {
 using Transpose64Fn = void (*)(std::uint64_t*);
 
 /// Widest 64×64 transpose body the given tier may execute, resolved once
-/// per pack call (the tier/feature probe stays off the per-chunk loop).
+/// per call (the tier probe stays off the per-block loop).
 Transpose64Fn transpose_64x64_kernel(DispatchTier tier) {
 #if SABLE_HAVE_WORD512
   if (tier >= DispatchTier::kAvx512) return bit_transpose_64x64_avx512;
@@ -191,137 +199,6 @@ Transpose64Fn transpose_64x64_kernel(DispatchTier tier) {
 #endif
   (void)tier;
   return bit_transpose_64x64;
-}
-
-// --- Byte → bit-plane kernels (narrow packs, vars ≤ 8) --------------------
-//
-// byte_planes_64 contract: bit L of planes[v] is bit v of src[L], for one
-// full 64-byte row (callers zero-pad ragged tails).
-
-/// Portable body: eight 8×8 block transposes, one 8-byte load each.
-void byte_planes_64_portable(const std::uint8_t* src, std::uint64_t* planes) {
-  for (std::size_t v = 0; v < 8; ++v) planes[v] = 0;
-  for (std::size_t g = 0; g < 8; ++g) {
-    std::uint64_t b;
-    std::memcpy(&b, src + 8 * g, 8);
-    b = bit_transpose_8x8(b);
-    for (std::size_t v = 0; v < 8; ++v) {
-      planes[v] |= ((b >> (8 * v)) & 0xffu) << (8 * g);
-    }
-  }
-}
-
-#if SABLE_HAVE_WORD256
-/// AVX2 body: vpmovmskb collects bit 7 of every byte, so eight rounds of
-/// (movemask, byte-double) peel planes 7..0 — ~20 vector ops per 64 lanes.
-SABLE_TARGET_AVX2 void byte_planes_64_avx2(const std::uint8_t* src,
-                                           std::uint64_t* planes) {
-  __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
-  __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 32));
-  for (int v = 7; v >= 0; --v) {
-    const auto mlo = static_cast<std::uint32_t>(_mm256_movemask_epi8(lo));
-    const auto mhi = static_cast<std::uint32_t>(_mm256_movemask_epi8(hi));
-    planes[v] = (std::uint64_t{mhi} << 32) | mlo;
-    lo = _mm256_add_epi8(lo, lo);
-    hi = _mm256_add_epi8(hi, hi);
-  }
-}
-#endif  // SABLE_HAVE_WORD256
-
-#if SABLE_HAVE_WORD512
-/// AVX-512BW body: vpmovb2m grabs all 64 MSBs in one instruction. Callers
-/// gate on cpu_features (BW is optional on top of the avx512 tier).
-SABLE_TARGET_AVX512BW void byte_planes_64_bw(const std::uint8_t* src,
-                                             std::uint64_t* planes) {
-  __m512i x = _mm512_loadu_si512(src);
-  for (int v = 7; v >= 0; --v) {
-    planes[v] = static_cast<std::uint64_t>(_mm512_movepi8_mask(x));
-    x = _mm512_add_epi8(x, x);
-  }
-}
-
-/// GFNI body: one vgf2p8affineqb transposes all eight 8×8 byte tiles at
-/// once. The hardware indexes affine-matrix rows MSB-first, so a vpshufb
-/// byte-reverse of each qword first makes the result the LSB-first
-/// transpose (verified against the scalar reference in
-/// pack_transpose_test); a vpermb then regroups byte v of tile g into
-/// qword v — five instructions per 64 lanes.
-SABLE_TARGET_GFNI void byte_planes_64_gfni(const std::uint8_t* src,
-                                           std::uint64_t* planes) {
-  alignas(64) static const std::uint8_t kRev8[64] = {
-      7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8,
-      7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8,
-      7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8,
-      7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8};
-  alignas(64) static const std::uint8_t kRegroup[64] = {
-      0, 8,  16, 24, 32, 40, 48, 56, 1, 9,  17, 25, 33, 41, 49, 57,
-      2, 10, 18, 26, 34, 42, 50, 58, 3, 11, 19, 27, 35, 43, 51, 59,
-      4, 12, 20, 28, 36, 44, 52, 60, 5, 13, 21, 29, 37, 45, 53, 61,
-      6, 14, 22, 30, 38, 46, 54, 62, 7, 15, 23, 31, 39, 47, 55, 63};
-  __m512i x = _mm512_loadu_si512(src);
-  x = _mm512_shuffle_epi8(x, _mm512_load_si512(kRev8));
-  x = _mm512_gf2p8affine_epi64_epi8(
-      _mm512_set1_epi64(0x8040201008040201ll), x, 0);
-  x = _mm512_permutexvar_epi8(_mm512_load_si512(kRegroup), x);
-  _mm512_storeu_si512(planes, x);
-}
-#endif  // SABLE_HAVE_WORD512
-
-using BytePlanesFn = void (*)(const std::uint8_t*, std::uint64_t*);
-
-/// Widest byte-plane kernel the given tier + this CPU can run, resolved
-/// once per pack call (the optional-ISA probe stays off the per-chunk
-/// loop).
-BytePlanesFn byte_planes_kernel(DispatchTier tier) {
-#if SABLE_HAVE_WORD512
-  if (tier >= DispatchTier::kAvx512) {
-    const CpuFeatures& f = cpu_features();
-    if (f.gfni && f.avx512vbmi && f.avx512bw) return byte_planes_64_gfni;
-    if (f.avx512bw) return byte_planes_64_bw;
-  }
-#endif
-#if SABLE_HAVE_WORD256
-  if (tier >= DispatchTier::kAvx2) return byte_planes_64_avx2;
-#endif
-  (void)tier;
-  return byte_planes_64_portable;
-}
-
-/// Compacts the low byte of `n` u64 assignments into a zero-padded
-/// 64-byte row for the byte-plane kernels (ragged tails, portable body).
-void low_bytes_64_portable(const std::uint64_t* src, std::size_t n,
-                           std::uint8_t dst[64]) {
-  std::size_t lane = 0;
-  for (; lane < n; ++lane) dst[lane] = static_cast<std::uint8_t>(src[lane]);
-  for (; lane < 64; ++lane) dst[lane] = 0;
-}
-
-#if SABLE_HAVE_WORD512
-/// Full-row compaction via vpmovqb: 8 qwords → 8 dense bytes per step.
-SABLE_TARGET_AVX512 void low_bytes_64_avx512(const std::uint64_t* src,
-                                             std::size_t n,
-                                             std::uint8_t dst[64]) {
-  if (n == 64) {
-    for (int i = 0; i < 8; ++i) {
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + 8 * i),
-                       _mm512_cvtepi64_epi8(_mm512_loadu_si512(src + 8 * i)));
-    }
-    return;
-  }
-  low_bytes_64_portable(src, n, dst);
-}
-#endif  // SABLE_HAVE_WORD512
-
-using LowBytesFn = void (*)(const std::uint64_t*, std::size_t,
-                            std::uint8_t*);
-
-/// Low-byte compaction body for the given tier.
-LowBytesFn low_bytes_kernel(DispatchTier tier) {
-#if SABLE_HAVE_WORD512
-  if (tier >= DispatchTier::kAvx512) return low_bytes_64_avx512;
-#endif
-  (void)tier;
-  return low_bytes_64_portable;
 }
 
 #pragma GCC diagnostic pop
@@ -369,43 +246,15 @@ void pack_lane_words(const std::uint64_t* assignments, std::size_t count,
     return;
   }
 
-  const DispatchTier tier = active_tier();
-
-  if (vars <= 8) {
-    // Narrow assignments (S-box inputs): compact the low bytes into a
-    // 64-byte row per chunk and run the tier's bit-plane kernel.
-    const LowBytesFn row_fn = low_bytes_kernel(tier);
-    const BytePlanesFn planes_fn = byte_planes_kernel(tier);
-    std::uint64_t out[8][T::kChunks] = {};
-    for (std::size_t j = 0; j < T::kChunks && 64 * j < count; ++j) {
-      const std::size_t base = 64 * j;
-      const std::size_t lanes = std::min<std::size_t>(64, count - base);
-      alignas(64) std::uint8_t row[64];
-      row_fn(assignments + base, lanes, row);
-      std::uint64_t planes[8];
-      planes_fn(row, planes);
-      for (std::size_t v = 0; v < vars; ++v) out[v][j] = planes[v];
-    }
-    for (std::size_t v = 0; v < vars; ++v) {
-      words[v] = lane_from_chunks<W>(out[v]);
-    }
-    return;
-  }
-
-  // Wide assignments (gate energy profiles pack up to 64 variables): one
-  // full 64×64 transpose per 64-lane chunk, vectorized per tier.
-  const Transpose64Fn transpose = transpose_64x64_kernel(tier);
-  std::uint64_t out[64][T::kChunks];
-  for (std::size_t j = 0; j < T::kChunks; ++j) {
+  // One 64×64 transpose per occupied 64-lane chunk, zero-padded past
+  // `count`; chunks wholly past `count` stay zero.
+  std::uint64_t out[64][T::kChunks] = {};
+  for (std::size_t j = 0; j < T::kChunks && 64 * j < count; ++j) {
     const std::size_t base = 64 * j;
-    const std::size_t lanes =
-        count > base ? std::min<std::size_t>(64, count - base) : 0;
-    std::uint64_t a[64];
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      a[lane] = assignments[base + lane];
-    }
-    for (std::size_t lane = lanes; lane < 64; ++lane) a[lane] = 0;
-    transpose(a);
+    const std::size_t lanes = std::min<std::size_t>(64, count - base);
+    std::uint64_t a[64] = {};
+    std::copy_n(assignments + base, lanes, a);
+    bit_transpose_64x64(a);
     for (std::size_t v = 0; v < vars; ++v) out[v][j] = a[v];
   }
   for (std::size_t v = 0; v < vars; ++v) {
@@ -421,20 +270,14 @@ void pack_lane_words(const std::uint8_t* values, std::size_t count,
   const std::size_t vars = words.size();
   SABLE_ASSERT(vars <= 8, "byte-source packing carries at most 8 variables");
 
-  const BytePlanesFn planes_fn = byte_planes_kernel(active_tier());
   std::uint64_t out[8][T::kChunks] = {};
   for (std::size_t j = 0; j < T::kChunks && 64 * j < count; ++j) {
     const std::size_t base = 64 * j;
     const std::size_t lanes = std::min<std::size_t>(64, count - base);
+    std::uint8_t row[64] = {};
+    std::memcpy(row, values + base, lanes);
     std::uint64_t planes[8];
-    if (lanes == 64) {
-      planes_fn(values + base, planes);  // full row straight from source
-    } else {
-      alignas(64) std::uint8_t row[64];
-      std::memcpy(row, values + base, lanes);
-      std::memset(row + lanes, 0, 64 - lanes);
-      planes_fn(row, planes);
-    }
+    byte_planes_64_portable(row, planes);
     for (std::size_t v = 0; v < vars; ++v) out[v][j] = planes[v];
   }
   for (std::size_t v = 0; v < vars; ++v) {
@@ -541,10 +384,7 @@ void SablGateSimBatch::reset(bool charged) {
 }
 
 void bit_transpose_blocks(std::uint64_t* words, std::size_t blocks) {
-  // Resolved once per call, not per block: the corpus codec gets the
-  // same per-tier transpose bodies as the lane packers.
-  const Transpose64Fn transpose =
-      transpose_64x64_kernel(active_tier());
+  const Transpose64Fn transpose = transpose_64x64_kernel(active_tier());
   for (std::size_t b = 0; b < blocks; ++b) {
     transpose(words + 64 * b);
   }

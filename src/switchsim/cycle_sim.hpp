@@ -14,6 +14,11 @@
 // L of every 64-bit word is instance L), and the scalar SablGateSim is
 // its width-1 case: a lane's result is bit-identical to a width-1 run fed
 // the same assignment sequence.
+//
+// The header also carries the bit-matrix transposes: pack_lane_words, the
+// portable lane packer the leakage-table build and the width-1 wrappers
+// use, and bit_transpose_blocks, the corpus codec's tier-dispatched
+// 64×64 transpose.
 #pragma once
 
 #include <cstdint>
@@ -28,23 +33,21 @@ namespace sable {
 /// Transposes a batch of scalar assignments into lane words: lane L of
 /// `words[v]` is bit v of `assignments[L]`. The simulators consume the
 /// std::uint64_t form; the wider words of util/lane_word.hpp are plain
-/// chunk containers, packed 64 lanes per chunk by the same kernels.
+/// chunk containers, packed 64 lanes per chunk by the same body.
 /// `words` must be pre-sized to the variable count (at most 64); lanes at
-/// `count` and beyond are cleared. Implemented as a
-/// real bit-matrix transpose (64×64 per chunk, or byte bit-planes when
-/// the variable count fits a byte) with a single-lane fast path. Each
-/// dispatch tier carries its own transpose body — scalar Hacker's
-/// Delight, AVX2 ymm delta-swaps + vpmovmskb planes, AVX-512 zmm masked
-/// shifts + vpmovb2m, and a GFNI vgf2p8affineqb plane kernel where the
-/// CPU has it (cpu_features) — and every body's output is bit-identical
-/// to the historic per-bit gather at every width and ragged count.
+/// `count` and beyond are cleared. Implemented as a portable Hacker's
+/// Delight 64×64 bit-matrix transpose per chunk, with a single-lane fast
+/// path; its output is bit-identical to the per-bit gather at every width
+/// and ragged count. Packing runs only while leakage tables are built
+/// (TraceEngine construction) and in the width-1 wrappers, so it carries
+/// no per-tier SIMD bodies.
 template <typename W>
 void pack_lane_words(const std::uint64_t* assignments, std::size_t count,
                      std::vector<W>& words);
 
 /// Byte-source form for narrow assignments (at most 8 variables): same
-/// output as the std::uint64_t form for equal values, but reads 8 lanes
-/// per load — the crypto hot path packs S-box inputs through this.
+/// output as the std::uint64_t form for equal values, through 8×8
+/// byte-block transposes (eight lanes per load).
 template <typename W>
 void pack_lane_words(const std::uint8_t* values, std::size_t count,
                      std::vector<W>& words);
@@ -58,12 +61,13 @@ void pack_lane_words_gather(const std::uint64_t* assignments,
 
 /// In-place 64×64 bit-matrix transpose of `blocks` consecutive 64-word
 /// blocks, through the widest transpose body the runtime dispatch tier
-/// allows (the same per-tier kernels the lane packers use). The
-/// transpose is an involution — applying it twice restores the input —
-/// which is exactly what the corpus codec (io/codec.hpp) needs to turn
-/// sample words into RLE-friendly bit planes and back. Non-template on
-/// purpose: defined once in the portable TU, whose build carries every
-/// tier's body behind function-level target attributes.
+/// allows (portable Hacker's Delight, AVX2 ymm delta-swaps or AVX-512 zmm
+/// masked shifts, all bit-identical). The transpose is an involution —
+/// applying it twice restores the input — which is exactly what the
+/// corpus codec (io/codec.hpp) needs to turn sample words into
+/// RLE-friendly bit planes and back. Non-template on purpose: defined once
+/// in the portable TU, whose build carries every tier's body behind
+/// function-level target attributes.
 void bit_transpose_blocks(std::uint64_t* words, std::size_t blocks);
 
 /// 64 independent instances of one gate, simulated bit-parallel: per node
@@ -85,14 +89,6 @@ class SablGateSimBatch {
   /// Forces every DPDN node charged (`true`) or discharged (`false`) in
   /// every lane.
   void reset(bool charged);
-
-  /// Independent simulator instance over the same network and energy
-  /// model, in fresh-construction state — no lane state or scratch is
-  /// shared with this instance, so the clone can run on another thread.
-  /// The referenced DpdnNetwork must outlive the clone.
-  SablGateSimBatch clone_fresh() const {
-    return SablGateSimBatch(net_, model_);
-  }
 
   /// Per-node charge words after the last cycle (lane L = lane L at VDD).
   const std::vector<std::uint64_t>& node_state_words() const {

@@ -1,13 +1,13 @@
 // Runtime CPU dispatch for the SIMD kernels.
 //
 // The default build (SABLE_SIMD=RUNTIME) compiles portable, AVX2 and
-// AVX-512 bodies of three kernel families into one binary: the 64×64 bit
-// transposes behind pack_lane_words and bit_transpose_blocks (lane
-// packing and the corpus codec), the byte bit-plane packers, and the
+// AVX-512 bodies of two kernel families into one binary: the corpus
+// codec's 64×64 bit transposes (bit_transpose_blocks) and the
 // distinguishers' block-statistics kernels. Every body produces
-// bit-identical results. This header is how a call decides — once per
-// pack call or block, never per trace — which of them this machine may
-// run:
+// bit-identical results. Lane packing (pack_lane_words) is portable only:
+// it runs while leakage tables are built, not per trace. This header is
+// how a call decides — once per call or block, never per trace — which
+// bodies this machine may run:
 //
 //   cpu_features()   cached CPUID probe (what the CPU has)
 //   compiled_tier()  widest tier whose kernels are in this binary
@@ -27,11 +27,10 @@
 
 namespace sable {
 
-/// SIMD capabilities of the executing CPU that the kernels care about.
-/// avx2/avx512f pick the dispatch tier; the remaining flags gate optional
-/// instruction paths inside a tier (the AVX-512 pack kernels use BW's
-/// vpmovb2m when present and GFNI's vgf2p8affineqb + VBMI's vpermb when
-/// both are — each falls back to plain AVX-512F/AVX2 code otherwise).
+/// SIMD capabilities of the executing CPU. avx2/avx512f pick the dispatch
+/// tier; the sub-tier flags (avx512bw, avx512vbmi, gfni) select no kernel
+/// and are probed for reporting only (machine fingerprints in benchmark
+/// output).
 struct CpuFeatures {
   bool avx2 = false;
   bool avx512f = false;

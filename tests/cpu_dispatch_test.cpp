@@ -49,13 +49,11 @@ TEST(CpuDispatchTest, DetectedTierMatchesCpuFeatures) {
   }
 }
 
-// The sub-tier flags (avx512bw, avx512vbmi, gfni) gate optional
-// instruction paths inside the AVX-512 pack kernels; they never pick the
-// tier. On every real part the AVX-512 extensions are nested — BW
-// requires F, VBMI requires BW — and the kernels rely on that nesting
-// (byte_planes_64_gfni assumes VBMI's vpermb, which assumes BW's byte
-// ops). GFNI carries no such implication: it has SSE/AVX encodings, so
-// it is only ever consulted alongside the VBMI+BW check.
+// The sub-tier flags (avx512bw, avx512vbmi, gfni) are probed for
+// reporting only: no kernel reads them, and they never pick the tier. On
+// every real part the AVX-512 extensions are nested — BW requires F, VBMI
+// requires BW — so a probe that breaks the nesting is misreading CPUID.
+// GFNI carries no such implication: it has SSE/AVX encodings.
 TEST(CpuDispatchTest, SubTierFlagsAreNestedAndTierIndependent) {
   const CpuFeatures& features = cpu_features();
   if (features.avx512vbmi) EXPECT_TRUE(features.avx512bw);

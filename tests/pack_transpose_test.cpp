@@ -1,13 +1,14 @@
 // Property suite for the bit-transpose lane packing (switchsim/cycle_sim):
-// pack_lane_words — 8×8 byte-block transposes for narrow assignments, full
-// 64×64 Hacker's Delight transposes for wide ones, and the single-lane
-// fast path — must be bit-identical to pack_lane_words_gather, the
-// independently-simple per-bit reference, at every lane width, variable
-// count and ragged lane count. Wide words are plain chunk storage, so
-// every width runs on every CPU; the dispatch tier alone picks the
-// transpose body. Also covers the lane-word helpers of util/lane_word.hpp:
-// the chunk round trip, lane_mask (including its abort on out-of-range
-// counts) and the masked per-lane walks.
+// pack_lane_words — a portable 64×64 Hacker's Delight transpose per chunk
+// for u64 sources, 8×8 byte-block transposes for byte sources, and the
+// single-lane fast path — must be bit-identical to pack_lane_words_gather,
+// the independently-simple per-bit reference, at every lane width,
+// variable count and ragged lane count. Wide words are plain chunk
+// storage, so every width runs on every CPU. bit_transpose_blocks, the
+// codec's tier-dispatched transpose, is checked per runtime tier against a
+// per-bit transpose. Also covers the lane-word helpers of
+// util/lane_word.hpp: the chunk round trip, lane_mask (including its abort
+// on out-of-range counts) and the masked per-lane walks.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -75,8 +76,8 @@ TYPED_TEST_SUITE(PackTransposeTest, LaneWordTypes);
 TYPED_TEST(PackTransposeTest, MatchesGatherAcrossVarsCountsAndRandomBits) {
   using W = TypeParam;
   Rng rng(0x7249);
-  // 1 exercises the single-lane fast path only via count==1; 4/5/8 the
-  // 8×8 byte-block path; 9/17/33/64 the full 64×64 transpose path.
+  // count==1 exercises the single-lane fast path; every other count the
+  // 64×64 transpose, with narrow (1..8) and wide (9..64) variable counts.
   for (std::size_t vars : {std::size_t{1}, std::size_t{4}, std::size_t{5},
                            std::size_t{8}, std::size_t{9}, std::size_t{17},
                            std::size_t{33}, std::size_t{64}}) {
@@ -114,54 +115,6 @@ TYPED_TEST(PackTransposeTest, ByteSourceMatchesWordSourceForNarrowVars) {
   }
 }
 
-// The vectorized transpose kernels — AVX2 delta-swap, AVX-512 masked
-// shifts, BW vpmovb2m and GFNI vgf2p8affineqb where the CPU has them —
-// are picked per pack call from the active dispatch tier, so capping the
-// tier on one machine walks every kernel this binary can run. Each tier
-// is only a faster route to the same transpose: words packed under any
-// cap must be bit-identical to the portable tier's, for both the u64 wide
-// path and the byte-source narrow path.
-TYPED_TEST(PackTransposeTest, DispatchTiersPackBitIdenticalWords) {
-  using W = TypeParam;
-  Rng rng(0x71E5);
-  // 4/8 drive the byte-plane kernels, 17/64 the 64×64 transpose kernels.
-  for (std::size_t vars : {std::size_t{4}, std::size_t{8}, std::size_t{17},
-                           std::size_t{64}}) {
-    for (std::size_t count : interesting_counts<W>()) {
-      std::vector<std::uint64_t> assignments(count);
-      std::vector<std::uint8_t> bytes(count);
-      for (std::size_t lane = 0; lane < count; ++lane) {
-        assignments[lane] = rng.next();
-        bytes[lane] = static_cast<std::uint8_t>(assignments[lane]);
-      }
-      std::vector<W> portable_words(vars), portable_bytes(vars);
-      {
-        ScopedDispatchTierCap cap(DispatchTier::kPortable);
-        pack_lane_words(assignments.data(), count, portable_words);
-        if (vars <= 8) pack_lane_words(bytes.data(), count, portable_bytes);
-      }
-      // The portable tier itself must match the per-bit gather reference…
-      std::vector<W> ref(vars);
-      pack_lane_words_gather(assignments.data(), count, ref);
-      expect_words_equal(portable_words, ref, "portable tier", count);
-      // …and every higher tier must match the portable tier, bit for bit.
-      for (DispatchTier tier : {DispatchTier::kAvx2, DispatchTier::kAvx512}) {
-        ScopedDispatchTierCap cap(tier);
-        std::vector<W> got(vars);
-        pack_lane_words(assignments.data(), count, got);
-        expect_words_equal(got, portable_words, to_string(tier), count);
-        if (vars <= 8) {
-          std::vector<W> got_bytes(vars);
-          pack_lane_words(bytes.data(), count, got_bytes);
-          expect_words_equal(got_bytes, portable_bytes, to_string(tier),
-                             count);
-        }
-      }
-      if (::testing::Test::HasFailure()) return;  // one counterexample
-    }
-  }
-}
-
 // Dense corner patterns the random sweep is unlikely to hit: all-ones
 // (every transpose mask line saturated) and single-bit diagonals (each bit
 // must land in exactly one output position).
@@ -176,15 +129,10 @@ TYPED_TEST(PackTransposeTest, SaturatedAndDiagonalPatterns) {
   }
   for (const auto* pattern : {&ones, &diagonal}) {
     for (std::size_t vars : {std::size_t{8}, std::size_t{64}}) {
-      std::vector<W> ref(vars);
+      std::vector<W> ref(vars), got(vars);
       pack_lane_words_gather(pattern->data(), count, ref);
-      for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
-                                DispatchTier::kAvx512}) {
-        ScopedDispatchTierCap cap(tier);
-        std::vector<W> got(vars);
-        pack_lane_words(pattern->data(), count, got);
-        expect_words_equal(got, ref, to_string(tier), count);
-      }
+      pack_lane_words(pattern->data(), count, got);
+      expect_words_equal(got, ref, "pattern", count);
     }
   }
 }
@@ -222,6 +170,50 @@ TYPED_TEST(PackTransposeTest, PackLaneWordsTransposesEveryLane) {
         const std::uint64_t expected =
             lane < count ? (assignments[lane] >> v) & 1u : 0u;
         EXPECT_EQ(bit, expected) << "var " << v << " lane " << lane;
+      }
+    }
+  }
+}
+
+// bit_transpose_blocks is the corpus codec's transpose and the one caller
+// of the AVX2/AVX-512 64×64 bodies, picked per call from the active
+// dispatch tier; capping the tier on one machine walks every body this
+// binary can run. Each must match a per-bit transpose (bit c of block
+// row r → bit r of block row c), and the transpose must be its own
+// inverse.
+TEST(BitTransposeBlocksTest, EveryTierMatchesPerBitTransposeAndInverts) {
+  Rng rng(0x71E5);
+  for (std::size_t blocks : {std::size_t{1}, std::size_t{3}}) {
+    const std::size_t n = 64 * blocks;
+    std::vector<std::uint64_t> random(n), ones(n, ~std::uint64_t{0}),
+        diagonal(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      random[i] = rng.next();
+      // A shifted diagonal per block, so no block is its own transpose.
+      diagonal[i] = std::uint64_t{1} << ((i + 5 * (i / 64)) % 64);
+    }
+    for (const auto* input : {&random, &ones, &diagonal}) {
+      std::vector<std::uint64_t> expected(n, 0);
+      for (std::size_t b = 0; b < blocks; ++b) {
+        for (std::size_t r = 0; r < 64; ++r) {
+          for (std::size_t c = 0; c < 64; ++c) {
+            const std::uint64_t bit = ((*input)[64 * b + r] >> c) & 1u;
+            expected[64 * b + c] |= bit << r;
+          }
+        }
+      }
+      // Matching the per-bit oracle at every tier implies every tier
+      // matches the portable one.
+      for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
+                                DispatchTier::kAvx512}) {
+        ScopedDispatchTierCap cap(tier);
+        std::vector<std::uint64_t> words = *input;
+        bit_transpose_blocks(words.data(), blocks);
+        EXPECT_EQ(words, expected) << to_string(tier) << ", blocks "
+                                   << blocks;
+        bit_transpose_blocks(words.data(), blocks);
+        EXPECT_EQ(words, *input) << to_string(tier) << " twice, blocks "
+                                 << blocks;
       }
     }
   }

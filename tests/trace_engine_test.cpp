@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -195,6 +196,132 @@ TEST(BatchCircuitSimTest, CmosCycleSampledSplitsCycleEnergyByLevel) {
     ASSERT_EQ(sampled.output_words.size(), out.output_words.size());
     for (std::size_t i = 0; i < out.output_words.size(); ++i) {
       EXPECT_EQ(sampled.output_words[i], out.output_words[i]) << i;
+    }
+  }
+}
+
+// Independent static-CMOS oracle: per lane, scalar gate values from
+// evaluate_gates and a per-gate previous-value array. A gate that rises
+// (or has no history yet) costs e_sw; its row is 0 for cycle() and its
+// gate_levels() level for cycle_sampled(). Each run of consecutive gates
+// sharing a row adds count * e_sw once — the order the batch sim adds in —
+// so the comparison is bit for bit.
+class CmosLaneOracle {
+ public:
+  CmosLaneOracle(const GateCircuit& circuit, double e_sw)
+      : circuit_(circuit), e_sw_(e_sw), levels_(gate_levels(circuit)) {
+    reset();
+  }
+
+  void reset() {
+    previous_.assign(kLanes,
+                     std::vector<bool>(circuit_.gates().size(), false));
+    seen_.assign(kLanes, false);
+  }
+
+  struct LaneEnergy {
+    double total = 0.0;         // cycle()
+    std::vector<double> rows;   // cycle_sampled(), one per level
+  };
+
+  /// Advances `lane` by one cycle.
+  LaneEnergy cycle(std::size_t lane, std::uint64_t input_bits) {
+    const std::vector<bool> value = evaluate_gates(circuit_, input_bits);
+    LaneEnergy energy;
+    energy.rows.assign(
+        *std::max_element(levels_.begin(), levels_.end()), 0.0);
+    std::uint32_t total_count = 0;
+    std::size_t run_row = 0;
+    std::uint32_t run_count = 0;
+    for (std::size_t g = 0; g < value.size(); ++g) {
+      const std::size_t row = levels_[g] - 1;
+      if (row != run_row) {
+        energy.rows[run_row] += static_cast<double>(run_count) * e_sw_;
+        run_row = row;
+        run_count = 0;
+      }
+      if (value[g] && !(seen_[lane] && previous_[lane][g])) {
+        ++total_count;
+        ++run_count;
+      }
+      previous_[lane][g] = value[g];
+    }
+    energy.rows[run_row] += static_cast<double>(run_count) * e_sw_;
+    energy.total = static_cast<double>(total_count) * e_sw_;
+    seen_[lane] = true;
+    return energy;
+  }
+
+ private:
+  const GateCircuit& circuit_;
+  double e_sw_;
+  std::vector<std::size_t> levels_;
+  std::vector<std::vector<bool>> previous_;  // [lane][gate]
+  std::vector<bool> seen_;                   // lane has history
+};
+
+TEST(BatchCircuitSimTest, CmosMatchesIndependentLaneOracle) {
+  Rng rng(0xC0C5);
+  const double e_sw = 5e-15 * kTech.vdd * kTech.vdd;
+  for (int round = 0; round < 3; ++round) {
+    const GateCircuit circuit = random_circuit(
+        rng, 5,
+        round == 0 ? NetworkVariant::kGenuine
+                   : NetworkVariant::kFullyConnected);
+    CmosCircuitSimBatch whole(circuit, e_sw);
+    CmosCircuitSimBatch sampled_sim(circuit, e_sw);
+    CmosLaneOracle oracle(circuit, e_sw);
+    const std::size_t levels = sampled_sim.num_levels();
+    ASSERT_GT(levels, 0u);
+    constexpr double kUntouched = -1.0;
+    BatchCycleResult out;
+    SampledBatchCycleResult sampled;
+    // Chained cycles over full, sparse and single-lane masks, with a
+    // reset() in the middle: every lane keeps its own history, and
+    // unselected lanes neither advance nor have their slots written.
+    const std::uint64_t full = ~std::uint64_t{0};
+    const std::uint64_t quarter = rng.next() & rng.next();
+    const std::uint64_t half = rng.next();
+    const std::vector<std::uint64_t> masks = {
+        full, quarter, std::uint64_t{1} << 37, full,
+        0,    half,    full,                   1u};
+    for (std::size_t step = 0; step < masks.size(); ++step) {
+      if (step == 4) {
+        whole.reset();
+        sampled_sim.reset();
+        oracle.reset();
+      }
+      const std::uint64_t mask = masks[step];
+      std::vector<std::uint64_t> plan(kLanes);
+      for (auto& a : plan) a = rng.below(32);
+      const auto words = lane_words(plan, 5);
+      out.energy.fill(kUntouched);
+      sampled.level_energy.assign(levels, {});
+      for (auto& row : sampled.level_energy) row.fill(kUntouched);
+      whole.cycle(words, mask, out);
+      sampled_sim.cycle_sampled(words, mask, sampled);
+      ASSERT_EQ(sampled.level_energy.size(), levels);
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        if (((mask >> lane) & 1u) == 0) {
+          EXPECT_EQ(out.energy[lane], kUntouched) << lane;
+          for (const auto& row : sampled.level_energy) {
+            EXPECT_EQ(row[lane], kUntouched) << lane;
+          }
+          continue;
+        }
+        const auto expected = oracle.cycle(lane, plan[lane]);
+        EXPECT_EQ(out.energy[lane], expected.total)
+            << "round " << round << " step " << step << " lane " << lane;
+        ASSERT_EQ(expected.rows.size(), levels);
+        for (std::size_t l = 0; l < levels; ++l) {
+          EXPECT_EQ(sampled.level_energy[l][lane], expected.rows[l])
+              << "round " << round << " step " << step << " lane " << lane
+              << " level " << l;
+        }
+        EXPECT_EQ(outputs_for_lane(out.output_words, lane),
+                  evaluate_circuit(circuit, plan[lane]));
+      }
+      if (::testing::Test::HasFailure()) return;  // one counterexample
     }
   }
 }
