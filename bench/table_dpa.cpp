@@ -24,7 +24,6 @@
 // `P.<style>` so interrupted tables resume.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -32,6 +31,8 @@
 #include "engine/trace_engine.hpp"
 #include "io/corpus.hpp"
 #include "power/stats.hpp"
+
+#include "../examples/parse_number.hpp"
 
 using namespace sable;
 
@@ -142,14 +143,11 @@ int main(int argc, char** argv) {
   std::string checkpoint_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      num_threads =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!parse_number("--threads", argv[++i], &num_threads)) return 2;
     } else if (std::strcmp(argv[i], "--round") == 0 && i + 1 < argc) {
-      round_size =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!parse_number("--round", argv[++i], &round_size)) return 2;
     } else if (std::strcmp(argv[i], "--attack-sbox") == 0 && i + 1 < argc) {
-      attack_sbox =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!parse_number("--attack-sbox", argv[++i], &attack_sbox)) return 2;
     } else if (std::strcmp(argv[i], "--all-subkeys") == 0) {
       all_subkeys = true;
     } else if (std::strcmp(argv[i], "--record") == 0 && i + 1 < argc) {

@@ -1,10 +1,10 @@
-// Checked numeric command-line values for the examples.
+// Checked numeric command-line values for the examples and benches.
 //
 // The whole string must be one number, with no sign, no trailing
 // characters and no overflow, so a typo fails loudly instead of turning
 // "abc" into 0 or "12x" into 12. Integers also take a 0x hex prefix;
 // floating-point values must be finite. On failure parse_number prints an
-// error naming `flag` to stderr and returns false; the examples then exit
+// error naming `flag` to stderr and returns false; the callers then exit
 // with status 2.
 #pragma once
 

@@ -31,27 +31,16 @@
 //
 // Determinism: every kernel fixes the floating-point summation order per
 // output element — histogram passes accumulate sequentially in trace
-// order, contractions keep the plaintext loop outermost so each output
-// element's addition chain is identical no matter how wide the vector
-// unit is — and uses plain mul+add (never FMA; the build pins
-// -ffp-contract=off), so all dispatch tiers produce bit-identical
-// results. Block boundaries are the engine's fixed shard layout, making
-// the block-factored scores bit-identical across num_threads × dispatch
-// tiers.
-//
-// Dispatch follows the PR 7 transpose pattern: the bodies live in
-// block_stats_impl.hpp templated on a tier index (the parameter only
-// mints one symbol per tier), the portable instantiations compile in
-// block_stats.cpp, and the AVX2/AVX-512 instantiations compile inside
-// the #pragma GCC target regions of the existing per-ISA TUs under
-// src/simd/ — selected once per block via block_stat_kernels(tier).
+// order, contractions keep the plaintext loop outermost (ascending) so
+// each output element's addition chain is the same however the inner
+// guess/level loop is vectorized — and uses plain mul+add (never FMA; the
+// build pins -ffp-contract=off). Block boundaries are the engine's fixed
+// shard layout, making the block-factored scores bit-identical across
+// num_threads and across machines.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-
-#include "util/cpu_dispatch.hpp"
-#include "util/lane_word.hpp"
 
 namespace sable {
 
@@ -75,7 +64,6 @@ void require_block_pts(const std::uint64_t* counts,
 /// trace i adds 1 to counts[pts[i]] and (samples[i] - shift) to
 /// sums[pts[i]], and accumulates Σ (samples[i] - shift)² into *sum_sq —
 /// all sequentially in trace order.
-template <int kTier>
 void block_histogram_scalar(const std::uint8_t* pts, const double* samples,
                             std::size_t count, double shift,
                             std::uint64_t* counts, double* sums,
@@ -85,16 +73,15 @@ void block_histogram_scalar(const std::uint8_t* pts, const double* samples,
 /// accumulating (row[l] - shifts[l]); sum_sq[l] gets the per-column
 /// Σ (row[l] - shifts[l])². Column accumulators are independent, so the
 /// inner level loop vectorizes without reordering any addition chain.
-template <int kTier>
 void block_histogram_sampled(const std::uint8_t* pts, const double* rows,
                              std::size_t count, std::size_t width,
                              const double* shifts, std::uint64_t* counts,
                              double* sums, double* sum_sq);
 
-/// Count contraction: sum_h[g] = Σ_p counts[p]·pred[p*G+g] and
-/// sum_h2[g] = Σ_p counts[p]·pred[p*G+g]², zeroing the outputs first.
-/// The per-guess prediction moments of the whole block, as one GEMV.
-template <int kTier>
+/// Count contraction: with w = counts[p]·pred[p*G+g], sum_h[g] = Σ_p w
+/// and sum_h2[g] = Σ_p w·pred[p*G+g], zeroing the outputs first and
+/// skipping zero-count rows. The per-guess prediction moments of the
+/// whole block, as one GEMV.
 void block_contract_counts(const double* pred, const std::uint64_t* counts,
                            std::size_t num_pts, std::size_t num_guesses,
                            double* sum_h, double* sum_h2);
@@ -103,7 +90,6 @@ void block_contract_counts(const double* pred, const std::uint64_t* counts,
 /// · pred[p*G+g], zeroing r first; scalar CPA is the width-1 case.
 /// Plaintext rows with zero count are skipped (their sums are exact
 /// zeros), which keeps the cost O(min(count, P) · width · G).
-template <int kTier>
 void block_contract_sums(const double* pred, const double* sums,
                          const std::uint64_t* counts, std::size_t num_pts,
                          std::size_t width, std::size_t num_guesses,
@@ -112,64 +98,13 @@ void block_contract_sums(const double* pred, const double* sums,
 /// DoM contraction: partitions the block's per-plaintext counts/sums by
 /// the predicted bit, accumulating both partitions directly (branchless
 /// 0/1 weights, no end-of-loop subtraction). Outputs are zeroed first.
-template <int kTier>
 void block_contract_dom(const std::uint8_t* pred_bit,
                         const std::uint64_t* counts, const double* sums,
                         std::size_t num_pts, std::size_t num_guesses,
                         double* sum0, double* sum1, std::uint64_t* cnt0,
                         std::uint64_t* cnt1);
 
-// The AVX2/AVX-512 instantiations live in src/simd/kernels_avx2.cpp and
-// kernels_avx512.cpp (explicit instantiations inside their #pragma GCC
-// target regions); these declarations stop every other TU from minting
-// portable-codegen copies of the same symbols.
-#define SABLE_DECLARE_BLOCK_STATS(TIER)                                       \
-  extern template void block_histogram_scalar<TIER>(                          \
-      const std::uint8_t*, const double*, std::size_t, double,                \
-      std::uint64_t*, double*, double*);                                      \
-  extern template void block_histogram_sampled<TIER>(                         \
-      const std::uint8_t*, const double*, std::size_t, std::size_t,           \
-      const double*, std::uint64_t*, double*, double*);                       \
-  extern template void block_contract_counts<TIER>(                           \
-      const double*, const std::uint64_t*, std::size_t, std::size_t,          \
-      double*, double*);                                                      \
-  extern template void block_contract_sums<TIER>(                             \
-      const double*, const double*, const std::uint64_t*, std::size_t,        \
-      std::size_t, std::size_t, double*);                                     \
-  extern template void block_contract_dom<TIER>(                              \
-      const std::uint8_t*, const std::uint64_t*, const double*, std::size_t,  \
-      std::size_t, double*, double*, std::uint64_t*, std::uint64_t*);
-
-SABLE_DECLARE_BLOCK_STATS(0)
-#if SABLE_HAVE_WORD256
-SABLE_DECLARE_BLOCK_STATS(1)
-#endif
-#if SABLE_HAVE_WORD512
-SABLE_DECLARE_BLOCK_STATS(2)
-#endif
-
 }  // namespace detail
-
-/// The block-statistics kernel set of one dispatch tier, resolved once
-/// per block (the tier probe stays off the per-trace path).
-struct BlockStatKernels {
-  void (*histogram_scalar)(const std::uint8_t*, const double*, std::size_t,
-                           double, std::uint64_t*, double*, double*);
-  void (*histogram_sampled)(const std::uint8_t*, const double*, std::size_t,
-                            std::size_t, const double*, std::uint64_t*,
-                            double*, double*);
-  void (*contract_counts)(const double*, const std::uint64_t*, std::size_t,
-                          std::size_t, double*, double*);
-  void (*contract_sums)(const double*, const double*, const std::uint64_t*,
-                        std::size_t, std::size_t, std::size_t, double*);
-  void (*contract_dom)(const std::uint8_t*, const std::uint64_t*,
-                       const double*, std::size_t, std::size_t, double*,
-                       double*, std::uint64_t*, std::uint64_t*);
-};
-
-/// Widest kernel set the given tier may execute (every body computes
-/// bit-identical results; the tiers differ only in vector width).
-const BlockStatKernels& block_stat_kernels(DispatchTier tier);
 
 /// One scalar block's per-plaintext histogram: the only input the scalar
 /// distinguishers' contractions read. counts/sums/sum_sq are the
@@ -185,10 +120,10 @@ struct BlockHistogram {
   std::size_t count = 0;
 };
 
-/// Bins `count` traces into `hist` with the active tier's
-/// histogram_scalar, shifted by the block's first sample (0 for an empty
-/// block): the per-plaintext sums then carry the ~1e-15 J data-dependent
-/// variation, not the ~1e-13 J energy offset.
+/// Bins `count` traces into `hist` with block_histogram_scalar, shifted
+/// by the block's first sample (0 for an empty block): the per-plaintext
+/// sums then carry the ~1e-15 J data-dependent variation, not the
+/// ~1e-13 J energy offset.
 void build_block_histogram(const std::uint8_t* pts, const double* samples,
                            std::size_t count, BlockHistogram& hist);
 

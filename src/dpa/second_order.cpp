@@ -5,7 +5,6 @@
 
 #include "dpa/block_stats.hpp"
 #include "io/serial.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
 
 namespace sable {
@@ -259,11 +258,10 @@ const StreamingSecondOrderCpa::Sums& StreamingSecondOrderCpa::block_sums(
   }
 
   // Once per block: contract the bins against the centred table.
-  const BlockStatKernels& kernels = block_stat_kernels(active_tier());
-  kernels.contract_sums(s.dh.data(), s.s1.data(), counts, P, L, G,
-                        b.c_xh.data());
-  kernels.contract_sums(s.dh.data(), s.s2.data(), counts, P, pairs, G,
-                        b.m3_ijh.data());
+  detail::block_contract_sums(s.dh.data(), s.s1.data(), counts, P, L, G,
+                              b.c_xh.data());
+  detail::block_contract_sums(s.dh.data(), s.s2.data(), counts, P, pairs, G,
+                              b.m3_ijh.data());
   return b;
 }
 

@@ -40,11 +40,9 @@
 // (C, M3_iij, M3_ijj, M4) plus the two per-plaintext bins. The block's
 // centred rows are counting-sorted by plaintext first (in fixed,
 // cache-sized chunks), which turns each bin into a sum over contiguous
-// runs. A block then contracts the bins against dh once, through the
-// tier-dispatched block_contract_sums of dpa/block_stats.hpp —
-// O(min(count, plaintexts) · (levels + pairs) · guesses), bit-identical
-// across dispatch tiers. The per-trace passes are portable code, so the
-// whole accumulator is tier-independent.
+// runs. A block then contracts the bins against dh once, through
+// block_contract_sums of dpa/block_stats.hpp —
+// O(min(count, plaintexts) · (levels + pairs) · guesses).
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 
 #include "dpa/block_stats.hpp"
 #include "io/serial.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
 
 namespace sable {
@@ -87,14 +86,14 @@ void StreamingCpa::add_block(const std::uint8_t* pts, const double* samples,
 
 void StreamingCpa::add_histogram(const BlockHistogram& hist) {
   if (hist.count == 0) return;
-  const BlockStatKernels& kernels = block_stat_kernels(active_tier());
   BlockScratch& scratch = block_scratch(1, num_guesses_);
   detail::require_block_pts(hist.counts, num_plaintexts_);
   const double* pred = predictions_->data();
-  kernels.contract_counts(pred, hist.counts, num_plaintexts_, num_guesses_,
-                          scratch.sum_h.data(), scratch.sum_h2.data());
-  kernels.contract_sums(pred, hist.sums, hist.counts, num_plaintexts_, 1,
-                        num_guesses_, scratch.r.data());
+  detail::block_contract_counts(pred, hist.counts, num_plaintexts_,
+                                num_guesses_, scratch.sum_h.data(),
+                                scratch.sum_h2.data());
+  detail::block_contract_sums(pred, hist.sums, hist.counts, num_plaintexts_,
+                              1, num_guesses_, scratch.r.data());
   // Convert the block's shifted sums to Welford form: the co-moments are
   // shift-invariant, the mean adds the shift back.
   const double n = static_cast<double>(hist.count);
@@ -218,14 +217,13 @@ void StreamingDom::add_block(const std::uint8_t* pts, const double* samples,
 
 void StreamingDom::add_histogram(const BlockHistogram& hist) {
   if (hist.count == 0) return;
-  const BlockStatKernels& kernels = block_stat_kernels(active_tier());
   BlockScratch& scratch = block_scratch(1, num_guesses_);
   detail::require_block_pts(hist.counts, num_plaintexts_);
   double* sum0 = scratch.sum_h.data();
   double* sum1 = scratch.sum_h2.data();
-  kernels.contract_dom(predicted_bit_->data(), hist.counts, hist.sums,
-                       num_plaintexts_, num_guesses_, sum0, sum1,
-                       scratch.cnt0.data(), scratch.cnt1.data());
+  detail::block_contract_dom(predicted_bit_->data(), hist.counts,
+                             hist.sums, num_plaintexts_, num_guesses_, sum0,
+                             sum1, scratch.cnt0.data(), scratch.cnt1.data());
   // The partitions hold shifted sums; adding cnt·shift back keeps the
   // state raw partition sums (the SABLSTAT layout and merge() read them
   // as such).
@@ -309,21 +307,21 @@ StreamingMultiCpa::StreamingMultiCpa(const SboxSpec& spec, PowerModel model,
 void StreamingMultiCpa::add_block(const std::uint8_t* pts, const double* rows,
                                   std::size_t count) {
   if (count == 0) return;
-  const BlockStatKernels& kernels = block_stat_kernels(active_tier());
   BlockScratch& scratch = block_scratch(width_, num_guesses_);
   // Per-column shifts from the block's first row (see the scalar path).
   for (std::size_t l = 0; l < width_; ++l) scratch.shifts[l] = rows[l];
-  kernels.histogram_sampled(pts, rows, count, width_, scratch.shifts.data(),
-                            scratch.counts.data(), scratch.sums.data(),
-                            scratch.sum_sq.data());
+  detail::block_histogram_sampled(pts, rows, count, width_,
+                                  scratch.shifts.data(),
+                                  scratch.counts.data(), scratch.sums.data(),
+                                  scratch.sum_sq.data());
   detail::require_block_pts(scratch.counts.data(), num_plaintexts_);
   const double* pred = predictions_->data();
-  kernels.contract_counts(pred, scratch.counts.data(), num_plaintexts_,
-                          num_guesses_, scratch.sum_h.data(),
-                          scratch.sum_h2.data());
-  kernels.contract_sums(pred, scratch.sums.data(), scratch.counts.data(),
-                        num_plaintexts_, width_, num_guesses_,
-                        scratch.r.data());
+  detail::block_contract_counts(pred, scratch.counts.data(),
+                                num_plaintexts_, num_guesses_,
+                                scratch.sum_h.data(), scratch.sum_h2.data());
+  detail::block_contract_sums(pred, scratch.sums.data(),
+                              scratch.counts.data(), num_plaintexts_, width_,
+                              num_guesses_, scratch.r.data());
   // Convert to Welford form: per-column totals and moments, then the
   // shared prediction moments, then the per-column co-moments in place.
   const double n = static_cast<double>(count);

@@ -66,10 +66,9 @@ class StreamingCpa {
   /// histogram pass with no guess loop, one G×P contraction against the
   /// prediction table, then a pairwise fold of the block's moments into
   /// the running state. The plaintext range check is hoisted to once per
-  /// block. Scores agree with the two-pass Pearson formulation to ~1e-13
-  /// and are bit-identical across dispatch tiers; one add_block
-  /// call per engine shard makes sharded campaigns bit-identical across
-  /// thread counts.
+  /// block. Scores agree with the two-pass Pearson formulation to ~1e-13;
+  /// one add_block call per engine shard makes sharded campaigns
+  /// bit-identical across thread counts.
   void add_block(const std::uint8_t* pts, const double* samples,
                  std::size_t count);
 
@@ -172,7 +171,7 @@ class StreamingMultiCpa {
   /// histogram pass building per-plaintext per-level column sums, a
   /// G×P · P×L contraction GEMM, then a per-column pairwise fold — the
   /// time-resolved sibling of StreamingCpa::add_block with the same
-  /// accuracy and cross-tier bit-identity guarantees.
+  /// accuracy and bit-identity guarantees.
   void add_block(const std::uint8_t* pts, const double* rows,
                  std::size_t count);
 

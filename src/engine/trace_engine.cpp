@@ -12,8 +12,8 @@
 #include "io/campaign_state.hpp"
 #include "io/corpus.hpp"
 #include "io/replay.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
+#include "util/lane_word.hpp"
 
 namespace sable {
 
@@ -63,7 +63,7 @@ std::size_t campaign_thread_count(const CampaignOptions& options) {
 }
 
 std::size_t campaign_lane_width(const CampaignOptions&, LogicStyle) {
-  return max_runtime_lane_width();
+  return supported_lane_widths().back();
 }
 
 // ---- persistent engine state ----------------------------------------------

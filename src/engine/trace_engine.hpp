@@ -39,9 +39,8 @@
 // SIMD: campaigns read leakage tables, which the u64 batch simulators
 // and the portable lane packer build once per engine, so no campaign
 // simulates in a vector word. The runtime dispatch tier
-// (util/cpu_dispatch.hpp) picks the distinguishers' block-statistics
-// kernels and the corpus codec's 64×64 transposes; every tier generates
-// bit-identical campaigns.
+// (util/cpu_dispatch.hpp) picks only the corpus codec's 64×64
+// transposes; every tier generates bit-identical campaigns.
 // Workers are persistent: each engine keeps a pool of worker clones AND a
 // parked thread pool (engine/worker_pool.hpp) alive across campaigns, so
 // sweeps of many small campaigns pay synthesis, tabulation, cloning and
@@ -118,11 +117,11 @@ std::uint64_t campaign_shard_seed(std::uint64_t campaign_seed,
 /// Worker threads a campaign resolves to (0 = hardware concurrency).
 std::size_t campaign_thread_count(const CampaignOptions& options);
 
-/// Widest lane word the active dispatch tier admits: a one-line forward
-/// to max_runtime_lane_width(). Campaigns no longer have a lane width
-/// (they read leakage tables); the forward stays for callers that report
-/// or pack at the former campaign width. Neither argument changes the
-/// result.
+/// Widest lane word compiled into this binary: a one-line forward to
+/// supported_lane_widths().back() (util/lane_word.hpp). Campaigns no
+/// longer have a lane width (they read leakage tables); the forward stays
+/// for callers that report or pack at the former campaign width. Neither
+/// argument nor the dispatch tier changes the result.
 std::size_t campaign_lane_width(const CampaignOptions& options,
                                 LogicStyle style);
 

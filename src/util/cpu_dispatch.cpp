@@ -92,19 +92,4 @@ DispatchTier active_tier() {
   return tier;
 }
 
-std::vector<std::size_t> runtime_lane_widths() {
-  // Unused in portable-only builds, where no wide word is compiled in.
-  [[maybe_unused]] const DispatchTier tier = active_tier();
-  std::vector<std::size_t> widths = {64, 128};
-#if SABLE_HAVE_WORD256
-  if (tier >= DispatchTier::kAvx2) widths.push_back(256);
-#endif
-#if SABLE_HAVE_WORD512
-  if (tier >= DispatchTier::kAvx512) widths.push_back(512);
-#endif
-  return widths;
-}
-
-std::size_t max_runtime_lane_width() { return runtime_lane_widths().back(); }
-
 }  // namespace sable

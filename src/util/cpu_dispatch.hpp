@@ -1,13 +1,12 @@
 // Runtime CPU dispatch for the SIMD kernels.
 //
 // The default build (SABLE_SIMD=RUNTIME) compiles portable, AVX2 and
-// AVX-512 bodies of two kernel families into one binary: the corpus
-// codec's 64×64 bit transposes (bit_transpose_blocks) and the
-// distinguishers' block-statistics kernels. Every body produces
-// bit-identical results. Lane packing (pack_lane_words) is portable only:
-// it runs while leakage tables are built, not per trace. This header is
-// how a call decides — once per call or block, never per trace — which
-// bodies this machine may run:
+// AVX-512 bodies of one kernel family into one binary: the corpus
+// codec's 64×64 bit transposes (bit_transpose_blocks). Every body
+// produces bit-identical results. Everything else — lane packing, the
+// distinguishers' block statistics — is plain portable code that reads
+// no tier. This header is how a call decides, once per call, which
+// transpose body this machine may run:
 //
 //   cpu_features()   cached CPUID probe (what the CPU has)
 //   compiled_tier()  widest tier whose kernels are in this binary
@@ -17,13 +16,7 @@
 // variable (`portable` | `avx2` | `avx512`, read once at first use) caps a
 // whole process, and ScopedDispatchTierCap caps a scope so the test suite
 // can prove bit-identity of the same campaign across tiers on one machine.
-//
-// runtime_lane_widths() intersects the lane words pack_lane_words is
-// compiled for with the active tier.
 #pragma once
-
-#include <cstddef>
-#include <vector>
 
 namespace sable {
 
@@ -82,13 +75,5 @@ class ScopedDispatchTierCap {
  private:
   DispatchTier prev_;
 };
-
-/// Lane widths runnable right now: the compiled-in widths (see
-/// supported_lane_widths() in util/lane_word.hpp) intersected with the
-/// active dispatch tier. Ascending; always contains 64 and 128.
-std::vector<std::size_t> runtime_lane_widths();
-
-/// Widest runnable lane width (what campaign_lane_width reports).
-std::size_t max_runtime_lane_width();
 
 }  // namespace sable

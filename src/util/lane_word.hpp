@@ -129,9 +129,8 @@ inline void lane_add_delta(std::uint64_t lanes, double delta, double* out) {
 
 /// Lane widths pack_lane_words is compiled for in this binary, ascending.
 /// 64 and 128 are always available; 256/512 are carried by the default
-/// runtime-dispatch build (not by SABLE_SIMD=OFF). Which widths the
-/// running machine's dispatch tier allows is a runtime question — see
-/// runtime_lane_widths() in util/cpu_dispatch.hpp.
+/// runtime-dispatch build (not by SABLE_SIMD=OFF). They are plain chunk
+/// storage, so every compiled width runs on any machine at any tier.
 inline std::vector<std::size_t> supported_lane_widths() {
   std::vector<std::size_t> widths = {64, 128};
 #if SABLE_HAVE_WORD256

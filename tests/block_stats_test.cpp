@@ -6,11 +6,10 @@
 //     scores within 1e-12 of the textbook two-pass formulations
 //     (tests/reference_attacks.hpp), for CPA and DoM (4- and 8-bit
 //     sboxes), MultiCpa and second-order CPA (4- and 8-bit sboxes).
-//  2. Cross-tier bit-identity — the same blocks produce byte-identical
-//     serialized state under every dispatch tier the build and the
-//     machine support, and the raw kernels agree bitwise output-for-
-//     output. This is what lets a corpus recorded on an AVX-512 box
-//     resume on a portable one.
+//  2. Summation order — each raw kernel agrees bitwise with a plain
+//     loop per output element in the order dpa/block_stats.hpp
+//     documents, so its results cannot drift with the compiler's
+//     vectorization choices.
 //  3. Persistence shape — save after K blocks, load, feed the
 //     remaining block (or merge a partial holding it): the re-saved
 //     state is byte-identical to straight-through accumulation. This
@@ -22,6 +21,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "crypto/sboxes.hpp"
@@ -30,7 +30,6 @@
 #include "dpa/streaming.hpp"
 #include "io/serial.hpp"
 #include "reference_attacks.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -227,146 +226,141 @@ TEST(BlockStatsTest, SecondOrderBlockPathMatchesTwoPass8Bit) {
   check_second_order_block_path(aes_spec(), 256, 0x50C8);
 }
 
-// ---- cross-tier bit-identity ----------------------------------------------
+// ---- raw kernels vs plain per-output loops --------------------------------
 
-std::vector<DispatchTier> testable_tiers() {
-  std::vector<DispatchTier> tiers = {DispatchTier::kPortable};
-  if (active_tier() >= DispatchTier::kAvx2) tiers.push_back(DispatchTier::kAvx2);
-  if (active_tier() >= DispatchTier::kAvx512) {
-    tiers.push_back(DispatchTier::kAvx512);
-  }
-  return tiers;
-}
-
-TEST(BlockStatsTest, CpaBitIdenticalAcrossDispatchTiers) {
-  const Traces t = make_traces(kTotal, 16, 1, 0x71E5);
-  std::vector<std::uint8_t> reference;
-  for (const DispatchTier tier : testable_tiers()) {
-    ScopedDispatchTierCap cap(tier);
-    StreamingCpa acc(present_spec(), PowerModel::kHammingWeight);
-    add_all_blocks(acc, t);
-    const std::vector<std::uint8_t> bytes = saved_bytes(acc);
-    if (reference.empty()) {
-      reference = bytes;
-    } else {
-      EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
-    }
-  }
-}
-
-TEST(BlockStatsTest, DomBitIdenticalAcrossDispatchTiers) {
-  const Traces t = make_traces(kTotal, 16, 1, 0x71E8);
-  std::vector<std::uint8_t> reference;
-  for (const DispatchTier tier : testable_tiers()) {
-    ScopedDispatchTierCap cap(tier);
-    StreamingDom acc(present_spec(), 2);
-    add_all_blocks(acc, t);
-    const std::vector<std::uint8_t> bytes = saved_bytes(acc);
-    if (reference.empty()) {
-      reference = bytes;
-    } else {
-      EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
-    }
-  }
-}
-
-TEST(BlockStatsTest, MultiCpaBitIdenticalAcrossDispatchTiers) {
-  constexpr std::size_t kWidth = 7;
-  const Traces t = make_traces(kTotal, 16, kWidth, 0x71E6);
-  std::vector<std::uint8_t> reference;
-  for (const DispatchTier tier : testable_tiers()) {
-    ScopedDispatchTierCap cap(tier);
-    StreamingMultiCpa acc(present_spec(), PowerModel::kHammingWeight, kWidth);
-    add_all_blocks(acc, t);
-    const std::vector<std::uint8_t> bytes = saved_bytes(acc);
-    if (reference.empty()) {
-      reference = bytes;
-    } else {
-      EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
-    }
-  }
-}
-
-TEST(BlockStatsTest, SecondOrderBitIdenticalAcrossDispatchTiers) {
-  constexpr std::size_t kWidth = 6;
-  const Traces t = make_traces(kTotal, 16, kWidth, 0x71E7);
-  std::vector<std::uint8_t> reference;
-  for (const DispatchTier tier : testable_tiers()) {
-    ScopedDispatchTierCap cap(tier);
-    StreamingSecondOrderCpa acc(present_spec(), PowerModel::kHammingWeight);
-    add_all_blocks(acc, t);
-    const std::vector<std::uint8_t> bytes = saved_bytes(acc);
-    if (reference.empty()) {
-      reference = bytes;
-    } else {
-      EXPECT_EQ(bytes, reference) << "tier " << static_cast<int>(tier);
-    }
-  }
-}
-
-TEST(BlockStatsTest, RawKernelsBitIdenticalAcrossDispatchTiers) {
-  // Below the accumulators: the dispatched kernel table itself. Every
-  // tier's histogram and contraction outputs must agree bitwise — the
-  // instantiations differ only in codegen, never in arithmetic shape.
+TEST(BlockStatsTest, RawKernelsMatchPlainLoops) {
+  // Below the accumulators: each kernel against an obvious loop per
+  // output element, written in the summation order the header documents
+  // (trace order for histograms, ascending plaintext order for
+  // contractions, zero-count rows skipped). The build pins
+  // -ffp-contract=off, so the comparison is bit for bit.
   constexpr std::size_t kCount = 700;
   constexpr std::size_t kPts = 16;
   constexpr std::size_t kGuesses = 16;
   constexpr std::size_t kWidth = 3;
   const Traces t = make_traces(kCount, kPts, kWidth, 0xFACE);
-  std::vector<double> pred(kPts * kGuesses);
-  std::vector<std::uint8_t> pred_bit(kPts * kGuesses);
+  // One plaintext past the traced range: its slot stays empty, and its
+  // prediction row is NaN, so a contraction that reads a zero-count row
+  // instead of skipping it turns its outputs into NaN.
+  constexpr std::size_t kContractPts = kPts + 1;
+  std::vector<double> pred(kContractPts * kGuesses);
+  std::vector<std::uint8_t> pred_bit(kContractPts * kGuesses);
   Rng rng(0xBEEF);
-  for (std::size_t i = 0; i < pred.size(); ++i) {
+  for (std::size_t i = 0; i < kPts * kGuesses; ++i) {
     pred[i] = static_cast<double>(rng.below(9));
     pred_bit[i] = static_cast<std::uint8_t>(rng.below(2));
   }
-  std::vector<double> shifts(kWidth, 1e-13);
-
-  struct Outputs {
-    std::vector<std::uint64_t> counts;
-    std::vector<double> sums, sum_sq, sum_h, sum_h2, r, sum0, sum1;
-    std::vector<std::uint64_t> cnt0, cnt1;
-  };
-  auto run = [&](DispatchTier tier) {
-    const BlockStatKernels& k = block_stat_kernels(tier);
-    Outputs o;
-    o.counts.resize(detail::kBlockPts);
-    o.sums.resize(detail::kBlockPts * kWidth);
-    o.sum_sq.resize(kWidth);
-    o.sum_h.resize(kGuesses);
-    o.sum_h2.resize(kGuesses);
-    o.r.resize(kWidth * kGuesses);
-    o.sum0.resize(kGuesses);
-    o.sum1.resize(kGuesses);
-    o.cnt0.resize(kGuesses);
-    o.cnt1.resize(kGuesses);
-    k.histogram_sampled(t.pts.data(), t.rows.data(), kCount, kWidth,
-                        shifts.data(), o.counts.data(), o.sums.data(),
-                        o.sum_sq.data());
-    k.contract_counts(pred.data(), o.counts.data(), kPts, kGuesses,
-                      o.sum_h.data(), o.sum_h2.data());
-    k.contract_sums(pred.data(), o.sums.data(), o.counts.data(), kPts,
-                    kWidth, kGuesses, o.r.data());
-    k.contract_dom(pred_bit.data(), o.counts.data(), o.sums.data(), kPts,
-                   kGuesses, o.sum0.data(), o.sum1.data(), o.cnt0.data(),
-                   o.cnt1.data());
-    return o;
-  };
-
-  const Outputs ref = run(DispatchTier::kPortable);
-  for (const DispatchTier tier : testable_tiers()) {
-    const Outputs got = run(tier);
-    EXPECT_EQ(got.counts, ref.counts) << "tier " << static_cast<int>(tier);
-    EXPECT_EQ(got.cnt0, ref.cnt0);
-    EXPECT_EQ(got.cnt1, ref.cnt1);
-    expect_same_bits(got.sums, ref.sums);
-    expect_same_bits(got.sum_sq, ref.sum_sq);
-    expect_same_bits(got.sum_h, ref.sum_h);
-    expect_same_bits(got.sum_h2, ref.sum_h2);
-    expect_same_bits(got.r, ref.r);
-    expect_same_bits(got.sum0, ref.sum0);
-    expect_same_bits(got.sum1, ref.sum1);
+  for (std::size_t g = 0; g < kGuesses; ++g) {
+    pred[kPts * kGuesses + g] = std::numeric_limits<double>::quiet_NaN();
+    pred_bit[kPts * kGuesses + g] = 1;
   }
+  std::vector<double> shifts(kWidth, 1e-13);
+  std::vector<double> column(kCount);  // column 0, the scalar traces
+  for (std::size_t i = 0; i < kCount; ++i) column[i] = t.rows[i * kWidth];
+  const double shift = column[0];
+
+  // Kernel outputs.
+  std::vector<std::uint64_t> counts(detail::kBlockPts);
+  std::vector<double> sums(detail::kBlockPts * kWidth), sum_sq(kWidth);
+  std::vector<std::uint64_t> counts1(detail::kBlockPts);
+  std::vector<double> sums1(detail::kBlockPts);
+  double sum_sq1 = 0.0;
+  std::vector<double> sum_h(kGuesses), sum_h2(kGuesses), r(kWidth * kGuesses);
+  std::vector<double> sum0(kGuesses), sum1(kGuesses);
+  std::vector<std::uint64_t> cnt0(kGuesses), cnt1(kGuesses);
+  detail::block_histogram_scalar(t.pts.data(), column.data(), kCount, shift,
+                                 counts1.data(), sums1.data(), &sum_sq1);
+  detail::block_histogram_sampled(t.pts.data(), t.rows.data(), kCount, kWidth,
+                                  shifts.data(), counts.data(), sums.data(),
+                                  sum_sq.data());
+  detail::block_contract_counts(pred.data(), counts.data(), kContractPts,
+                                kGuesses, sum_h.data(), sum_h2.data());
+  detail::block_contract_sums(pred.data(), sums.data(), counts.data(),
+                              kContractPts, kWidth, kGuesses, r.data());
+  detail::block_contract_dom(pred_bit.data(), counts1.data(), sums1.data(),
+                             kContractPts, kGuesses, sum0.data(), sum1.data(),
+                             cnt0.data(), cnt1.data());
+
+  // Histograms: one pass over the traces per output element.
+  std::vector<std::uint64_t> want_counts(detail::kBlockPts, 0);
+  std::vector<double> want_sums1(detail::kBlockPts, 0.0);
+  std::vector<double> want_sums(detail::kBlockPts * kWidth, 0.0);
+  for (std::size_t p = 0; p < detail::kBlockPts; ++p) {
+    for (std::size_t i = 0; i < kCount; ++i) {
+      if (t.pts[i] != p) continue;
+      ++want_counts[p];
+      want_sums1[p] += column[i] - shift;
+    }
+    for (std::size_t l = 0; l < kWidth; ++l) {
+      for (std::size_t i = 0; i < kCount; ++i) {
+        if (t.pts[i] != p) continue;
+        want_sums[p * kWidth + l] += t.rows[i * kWidth + l] - shifts[l];
+      }
+    }
+  }
+  double want_sum_sq1 = 0.0;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    const double d = column[i] - shift;
+    want_sum_sq1 += d * d;
+  }
+  std::vector<double> want_sum_sq(kWidth, 0.0);
+  for (std::size_t l = 0; l < kWidth; ++l) {
+    for (std::size_t i = 0; i < kCount; ++i) {
+      const double d = t.rows[i * kWidth + l] - shifts[l];
+      want_sum_sq[l] += d * d;
+    }
+  }
+  EXPECT_EQ(counts1, want_counts);
+  EXPECT_EQ(counts, want_counts);
+  expect_same_bits(sums1, want_sums1);
+  expect_same_bits({sum_sq1}, {want_sum_sq1});
+  expect_same_bits(sums, want_sums);
+  expect_same_bits(sum_sq, want_sum_sq);
+
+  // Contractions: one pass over the non-empty plaintexts per output.
+  std::vector<double> want_h(kGuesses), want_h2(kGuesses);
+  std::vector<double> want_r(kWidth * kGuesses);
+  std::vector<double> want_sum0(kGuesses), want_sum1(kGuesses);
+  std::vector<std::uint64_t> want_cnt0(kGuesses), want_cnt1(kGuesses);
+  for (std::size_t g = 0; g < kGuesses; ++g) {
+    double h1 = 0.0, h2 = 0.0, s0 = 0.0, s1 = 0.0;
+    std::uint64_t c0 = 0, c1 = 0;
+    for (std::size_t p = 0; p < kContractPts; ++p) {
+      if (counts[p] == 0) continue;
+      const double h = pred[p * kGuesses + g];
+      const double w = static_cast<double>(counts[p]) * h;
+      h1 += w;
+      h2 += w * h;
+      if (pred_bit[p * kGuesses + g] != 0) {
+        s1 += sums1[p];
+        c1 += counts[p];
+      } else {
+        s0 += sums1[p];
+        c0 += counts[p];
+      }
+    }
+    want_h[g] = h1;
+    want_h2[g] = h2;
+    want_sum0[g] = s0;
+    want_sum1[g] = s1;
+    want_cnt0[g] = c0;
+    want_cnt1[g] = c1;
+    for (std::size_t l = 0; l < kWidth; ++l) {
+      double acc = 0.0;
+      for (std::size_t p = 0; p < kContractPts; ++p) {
+        if (counts[p] == 0) continue;
+        acc += sums[p * kWidth + l] * pred[p * kGuesses + g];
+      }
+      want_r[l * kGuesses + g] = acc;
+    }
+  }
+  expect_same_bits(sum_h, want_h);
+  expect_same_bits(sum_h2, want_h2);
+  expect_same_bits(r, want_r);
+  expect_same_bits(sum0, want_sum0);
+  expect_same_bits(sum1, want_sum1);
+  EXPECT_EQ(cnt0, want_cnt0);
+  EXPECT_EQ(cnt1, want_cnt1);
 }
 
 // ---- persistence: save -> load -> accumulate-more / merge -----------------

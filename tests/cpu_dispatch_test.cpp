@@ -1,10 +1,10 @@
 // Runtime CPU dispatch contract (util/cpu_dispatch): tier ordering and
 // naming, the active tier as min(compiled, detected, cap), the process cap
-// with its RAII scope guard, and the runtime lane-width list
-// pack_lane_words may fill. The SABLE_DISPATCH environment variable is read
-// once at first use and feeds the same cap these tests exercise directly,
-// so it is covered by the set_dispatch_tier_cap tests (plus the CI job
-// that runs the suite under SABLE_DISPATCH=portable).
+// with its RAII scope guard, and the tier-independent campaign lane
+// width. The SABLE_DISPATCH environment variable is read once at first
+// use and feeds the same cap these tests exercise directly, so it is
+// covered by the set_dispatch_tier_cap tests (plus the CI job that runs
+// the suite under SABLE_DISPATCH=portable).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,54 +98,22 @@ TEST(CpuDispatchTest, ScopedCapRestoresThePreviousCap) {
   EXPECT_EQ(dispatch_tier_cap(), before);
 }
 
-TEST(CpuDispatchTest, RuntimeWidthsAreTheCompiledWidthsTheTierAllows) {
-  const auto compiled = supported_lane_widths();
-  const auto runtime = runtime_lane_widths();
-  // Ascending, starts with the portable pair, subset of the compiled list.
-  ASSERT_GE(runtime.size(), 2u);
-  EXPECT_EQ(runtime[0], 64u);
-  EXPECT_EQ(runtime[1], 128u);
-  EXPECT_TRUE(std::is_sorted(runtime.begin(), runtime.end()));
-  for (std::size_t width : runtime) {
-    EXPECT_NE(std::find(compiled.begin(), compiled.end(), width),
-              compiled.end())
-        << width;
-  }
-  EXPECT_EQ(max_runtime_lane_width(), runtime.back());
-
-  // Widths above 128 require their ISA tier at runtime.
-  const bool has256 =
-      std::find(runtime.begin(), runtime.end(), 256u) != runtime.end();
-  const bool has512 =
-      std::find(runtime.begin(), runtime.end(), 512u) != runtime.end();
-  EXPECT_EQ(has256, active_tier() >= DispatchTier::kAvx2 &&
-                        std::find(compiled.begin(), compiled.end(), 256u) !=
-                            compiled.end());
-  EXPECT_EQ(has512, active_tier() >= DispatchTier::kAvx512 &&
-                        std::find(compiled.begin(), compiled.end(), 512u) !=
-                            compiled.end());
-}
-
-TEST(CpuDispatchTest, PortableCapCollapsesRuntimeWidthsToThePortablePair) {
-  ScopedDispatchTierCap cap(DispatchTier::kPortable);
-  const auto runtime = runtime_lane_widths();
-  ASSERT_EQ(runtime.size(), 2u);
-  EXPECT_EQ(runtime[0], 64u);
-  EXPECT_EQ(runtime[1], 128u);
-  EXPECT_EQ(max_runtime_lane_width(), 128u);
-  EXPECT_EQ(campaign_lane_width(CampaignOptions{}, LogicStyle::kStaticCmos),
-            128u);
-}
-
-// campaign_lane_width is a forward to the widest runtime pack width; no
+// campaign_lane_width is a forward to the widest compiled pack width:
+// lane words are plain chunk storage, so neither the dispatch cap nor any
 // campaign option or style changes it.
-TEST(CpuDispatchTest, CampaignLaneWidthForwardsToWidestRuntimeWidth) {
+TEST(CpuDispatchTest, CampaignLaneWidthIsTheWidestCompiledWidthUnderEveryCap) {
   CampaignOptions options;
   options.num_threads = 3;
-  for (LogicStyle style :
-       {LogicStyle::kStaticCmos, LogicStyle::kSablEnhanced,
-        LogicStyle::kWddlMismatched}) {
-    EXPECT_EQ(campaign_lane_width(options, style), max_runtime_lane_width());
+  for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
+                            DispatchTier::kAvx512}) {
+    ScopedDispatchTierCap cap(tier);
+    for (LogicStyle style :
+         {LogicStyle::kStaticCmos, LogicStyle::kSablEnhanced,
+          LogicStyle::kWddlMismatched}) {
+      EXPECT_EQ(campaign_lane_width(options, style),
+                supported_lane_widths().back())
+          << to_string(tier);
+    }
   }
 }
 
