@@ -10,15 +10,16 @@
 //   campaign_cli merge   --partials p0,p1,... [--all-subkeys] --json OUT
 //   campaign_cli corpus-info --corpus PATH
 //
-// record writes the v2 delta+plane+RLE compressed corpus by default
-// (--codec none for raw v2 chunks; both replay bit-identically).
+// record writes the v3 delta+plane+RLE compressed corpus by default
+// (--codec none for raw v3 chunks; both replay bit-identically).
 // --all-subkeys only changes which attack list is built: one
 // CPA+DoM+MTD set per round instance instead of the one --attack-sbox
 // set. The sets are flattened into one distinguisher list, so every
 // path — simulated, replayed, range-split, resumed, merged — produces
 // each shard once for all of them. corpus-info prints any corpus's
-// manifest, shard layout and per-shard stored/raw sizes — including
-// read-only legacy v1 files.
+// manifest, trace stream, shard layout and per-shard stored/raw sizes —
+// including read-only v1 and v2 files of the old stream, which attack
+// rejects.
 //
 // Each subcommand accepts exactly the flags it reads (subcommand_reads);
 // any other flag exits 2 naming the flag and the subcommand, so a flag
@@ -137,15 +138,16 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// corpus-info: everything the header + index pin down, for any v2 or
-// legacy v1 file — no campaign flags needed, the corpus is
+// corpus-info: everything the header + index pin down, for any v3 or
+// old-stream v1/v2 file — no campaign flags needed, the corpus is
 // self-describing.
 int print_corpus_info(const std::string& path) {
   const CorpusReader corpus(path);
   const CorpusManifest& m = corpus.manifest();
   const CampaignManifest& c = m.campaign;
   std::printf("corpus %s\n", path.c_str());
-  std::printf("  format v%u, compression %s, kind %s\n", corpus.version(),
+  std::printf("  format v%u, stream %u, compression %s, kind %s\n",
+              corpus.version(), c.stream,
               m.compression == kCorpusCompressionNone ? "none"
                                                       : "delta+plane+rle",
               m.kind == kCorpusKindScalar ? "scalar" : "sampled");

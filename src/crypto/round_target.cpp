@@ -59,6 +59,19 @@ bool same_sbox(const SboxSpec& a, const SboxSpec& b) {
          a.table == b.table;
 }
 
+void require_sub_word_width(std::size_t bits) {
+  SABLE_REQUIRE(bits >= 1 && bits <= 8,
+                "S-box input width must be 1..8 bits");
+}
+
+// Stores the low `bytes` bytes of `value` at `dst`, least significant
+// first.
+void store_le(std::uint8_t* dst, std::uint64_t value, std::size_t bytes) {
+  for (std::size_t k = 0; k < bytes; ++k) {
+    dst[k] = static_cast<std::uint8_t>(value >> (8 * k));
+  }
+}
+
 SubWordField field_of(const RoundSpec& round, std::size_t index) {
   return SubWordField(round.bit_offset(index), round.sboxes[index].in_bits);
 }
@@ -68,8 +81,7 @@ SubWordField field_of(const RoundSpec& round, std::size_t index) {
 // ---- RoundSpec ------------------------------------------------------------
 
 SubWordField::SubWordField(std::size_t offset, std::size_t bits) {
-  SABLE_REQUIRE(bits >= 1 && bits <= 8,
-                "S-box input width must be 1..8 bits");
+  require_sub_word_width(bits);
   byte = offset >> 3;
   shift = static_cast<unsigned>(offset & 7);
   mask = (std::uint32_t{1} << bits) - 1;
@@ -124,23 +136,23 @@ std::vector<std::uint8_t> RoundSpec::pack_subkeys(
 
 void RoundSpec::fill_random_states(Rng& rng, std::size_t count,
                                    std::uint8_t* states) const {
+  for (const SboxSpec& spec : sboxes) require_sub_word_width(spec.in_bits);
+  const std::size_t bits = state_bits();
   const std::size_t stride = state_bytes();
-  // Zeroed states: flipping a draw into its field deposits it.
-  std::fill(states, states + count * stride, std::uint8_t{0});
-  std::vector<SubWordField> fields;
-  fields.reserve(sboxes.size());
-  std::size_t offset = 0;
-  for (const SboxSpec& spec : sboxes) {
-    fields.emplace_back(offset, spec.in_bits);
-    offset += spec.in_bits;
-  }
+  const std::size_t words = bits / 64;
+  const std::size_t rest = bits % 64;
   // A local generator: byte stores may alias any object, so drawing from
-  // `rng` itself would reload its state after every deposit.
+  // `rng` itself would reload its state after every store.
   Rng local = rng;
   for (std::size_t t = 0; t < count; ++t) {
     std::uint8_t* state = states + t * stride;
-    for (const SubWordField& f : fields) {
-      f.flip(state, static_cast<std::uint32_t>(local.below(f.mask + 1)));
+    for (std::size_t w = 0; w < words; ++w) {
+      store_le(state + 8 * w, local.next(), 8);
+    }
+    // The top `rest` bits: the bits above the round's width stay zero.
+    if (rest != 0) {
+      store_le(state + 8 * words, local.next() >> (64 - rest),
+               (rest + 7) / 8);
     }
   }
   rng = local;

@@ -118,10 +118,14 @@ struct RoundSpec {
   std::vector<std::uint8_t> pack_subkeys(
       const std::vector<std::size_t>& subkeys) const;
   /// Fills `count` packed states (count * state_bytes() bytes) with
-  /// uniform random sub-words: per state, one below(2^in_bits) draw per
-  /// instance in instance order — the campaign plaintext stream
-  /// primitive. For a single byte-wide S-box this is one draw per trace,
-  /// bit-compatible with the historic single-S-box stream.
+  /// uniform random sub-words — the campaign plaintext stream primitive.
+  /// Every sub-word bound is a power of two and the fields tile the state
+  /// from bit 0, so a uniform state is uniform bits: per state, each whole
+  /// 64-bit chunk of its state_bits() is one next() stored little-endian,
+  /// and a final chunk of r < 64 bits is next() >> (64 - r). A 16-nibble
+  /// PRESENT round takes one draw per trace, 16 AES bytes take two, and a
+  /// single S-box of b bits takes below(2^b), draw for draw. Throws
+  /// InvalidArgument for a width outside 1..8.
   void fill_random_states(Rng& rng, std::size_t count,
                           std::uint8_t* states) const;
 };

@@ -122,13 +122,16 @@ void validate_options(const RoundSpec& round,
 
 // Simulates one shard of `kind` into caller-provided storage: `out`
 // takes count samples (kScalar) or count rows of num_levels() samples
-// (kSampled). The plaintexts are RoundSpec::fill_random_states over the
-// shard's counter-derived sub-stream 0 — for a single byte-wide S-box the
-// historic one-draw-per-trace stream, bit for bit — and the noise comes
-// from sub-stream 1. Per-shard RNG streams and a fresh target state (the
-// static-CMOS lane history) make the result a pure function of (options,
-// shard, kind) — the invariant every determinism guarantee rests on. The
-// traces are leakage-table lookups (crypto/leakage_table.hpp).
+// (kSampled). This is campaign stream kCampaignStream (io/manifest.hpp):
+// the plaintexts are RoundSpec::fill_random_states over the shard's
+// counter-derived sub-stream 0 — one next() per 64 state bits, so one
+// draw per trace for a single S-box or a 16-nibble PRESENT round — and
+// the noise is Rng::gaussian's ziggurat over sub-stream 1, in the order
+// trace_batch / trace_batch_sampled document. Per-shard RNG streams and
+// a fresh target state (the static-CMOS lane history) make the result a
+// pure function of (options, shard, kind) — the invariant every
+// determinism guarantee rests on. The traces are leakage-table lookups
+// (crypto/leakage_table.hpp).
 void simulate_shard(RoundTarget& target, const CampaignOptions& options,
                     const ShardLayout& layout, std::size_t shard,
                     TraceDataKind kind, std::uint8_t* pts, double* out) {

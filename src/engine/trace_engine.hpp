@@ -242,7 +242,7 @@ class TraceEngine {
 
   /// Records the campaign's trace stream to a corpus file at `path`
   /// (io/corpus.hpp): shards are simulated in parallel and written in
-  /// canonical order, scalar or cycle-sampled per `kind`, in the v2
+  /// canonical order, scalar or cycle-sampled per `kind`, in the v3
   /// format. The default compresses chunks with delta+plane+RLE; pass
   /// `kCorpusCompressionNone` for raw chunks. Whatever the encoding, the
   /// corpus replays into any matching distinguisher set bit-identically

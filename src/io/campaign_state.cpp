@@ -11,7 +11,7 @@ namespace sable {
 namespace {
 
 constexpr char kStateMagic[8] = {'S', 'A', 'B', 'L', 'S', 'T', 'A', 'T'};
-constexpr std::uint32_t kStateVersion = 1;
+constexpr std::uint32_t kStateVersion = 2;
 
 }  // namespace
 
@@ -20,6 +20,9 @@ void save_campaign_state(const std::string& path,
                          const ShardStates& states) {
   SABLE_REQUIRE(!states.empty(), "campaign state needs at least one "
                                  "distinguisher");
+  SABLE_REQUIRE(manifest.stream == kCampaignStream,
+                "campaign state can only be saved in the current trace "
+                "stream");
   const std::size_t num_shards = states[0].size();
   SABLE_REQUIRE(num_shards == manifest.num_shards,
                 "shard-state matrix must span the manifest's shard count");
@@ -59,12 +62,13 @@ std::size_t load_campaign_state(
     throw BadFileError(path, "not a sable campaign-state file (bad magic)");
   }
   const std::uint32_t version = reader.u32();
-  if (version != kStateVersion) {
+  if (version < 1 || version > kStateVersion) {
     throw BadFileError(path, "unsupported campaign-state format version " +
                                  std::to_string(version));
   }
   CampaignManifest actual;
   actual.load(reader);
+  actual.stream = version == kStateVersion ? kCampaignStream : 1;
   require_manifest_match(path, expected, actual);
   const std::uint64_t num_ds = reader.u64();
   if (num_ds != distinguishers.size()) {

@@ -12,13 +12,17 @@
 //
 // Layout (little-endian):
 //   magic              8 bytes  "SABLSTAT"
-//   version            u32      (1)
+//   version            u32      2 (1 in old-stream files: stream 1)
 //   manifest           CampaignManifest
 //   num_distinguishers u64      (d-order = the caller's distinguisher list)
 //   covered_count      u64
 //   covered shard ids  covered_count x u64, strictly ascending
 //   blobs              covered_count x num_distinguishers x
 //                      { blob_len u64, blob bytes } in (shard, d) order
+//
+// The format version implies the manifest's stream (io/manifest.hpp): v2
+// files hold stream 2, and a v1 file loads as stream 1, so it fails the
+// manifest check instead of folding old-stream shards into a campaign.
 //
 // Every blob is length-prefixed and the loader verifies the accumulator
 // consumed exactly blob_len bytes, so a corrupt blob cannot silently

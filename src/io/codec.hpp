@@ -1,4 +1,4 @@
-// The SABLCORP v2 chunk codec: lossless, dependency-free compression of
+// The SABLCORP v2/v3 chunk codec: lossless, dependency-free compression of
 // recorded trace shards. A sample stream opens with one mode byte and
 // the encoder picks, per shard, whichever mode stores fewer bytes:
 //

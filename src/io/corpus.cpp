@@ -37,7 +37,7 @@ std::uint64_t layout_count(const CampaignManifest& m, std::uint64_t s) {
 
 void write_header(ByteWriter& writer, const CorpusManifest& manifest) {
   writer.bytes(kCorpusMagic, sizeof(kCorpusMagic));
-  writer.u32(kCorpusVersion2);
+  writer.u32(kCorpusVersion3);
   writer.u32(manifest.kind);
   writer.u32(manifest.compression);
   manifest.campaign.save(writer);
@@ -58,6 +58,8 @@ CorpusWriter::CorpusWriter(const std::string& path,
   SABLE_REQUIRE(manifest_.compression == kCorpusCompressionNone ||
                     manifest_.compression == kCorpusCompressionDeltaPlaneRle,
                 "corpus compression must be none or delta+plane+RLE");
+  SABLE_REQUIRE(c.stream == kCampaignStream,
+                "a corpus can only be written in the current trace stream");
   SABLE_REQUIRE(manifest_.pt_stride >= 1 && manifest_.sample_width >= 1,
                 "corpus strides must be at least one");
   SABLE_REQUIRE(c.num_traces >= 1 && c.shard_size >= 1 &&
@@ -153,7 +155,7 @@ CorpusReader::CorpusReader(const std::string& path) : file_(path) {
     throw BadFileError(path, "not a sable corpus file (bad magic)");
   }
   version_ = reader.u32();
-  if (version_ != kCorpusVersion1 && version_ != kCorpusVersion2) {
+  if (version_ < kCorpusVersion1 || version_ > kCorpusVersion3) {
     throw BadFileError(path, "unsupported corpus format version " +
                                  std::to_string(version_));
   }
@@ -170,6 +172,8 @@ CorpusReader::CorpusReader(const std::string& path) : file_(path) {
     throw BadFileError(path, "corpus carries an unknown compression tag");
   }
   manifest_.campaign.load(reader);
+  manifest_.campaign.stream =
+      version_ >= kCorpusVersion3 ? kCampaignStream : 1;
   manifest_.pt_stride = reader.u64();
   manifest_.sample_width = reader.u64();
   reader.skip((8 - reader.offset() % 8) % 8);

@@ -14,16 +14,16 @@
 // mmap-addressable as double arrays):
 //
 //   magic            8 bytes  "SABLCORP"
-//   version          u32      2 (1 in read-only legacy files)
+//   version          u32      3 (1 and 2 in read-only old-stream files)
 //   kind             u32      0 = scalar, 1 = cycle-sampled
-//   compression      u32      v2 only: 0 = none, 1 = delta+plane+RLE
+//   compression      u32      v2+: 0 = none, 1 = delta+plane+RLE
 //   manifest         CampaignManifest (spec hash, seed, counts, key)
 //   pt_stride        u64      bytes of packed plaintext state per trace
 //   sample_width     u64      doubles per trace (1 for scalar)
 //   [pad to 8]
 //   shard index      v1: num_shards x { offset u64, count u64 }
-//                    v2: num_shards x { offset u64, count u64,
-//                                       pt_bytes u64, samp_bytes u64 }
+//                    v2+: num_shards x { offset u64, count u64,
+//                                        pt_bytes u64, samp_bytes u64 }
 //   shard chunks     per shard: the stored plaintext stream (pt_bytes,
 //                    padded to 8), then the stored sample stream
 //                    (samp_bytes, padded to 8)
@@ -32,8 +32,11 @@
 // (pt_bytes = count * pt_stride, samp_bytes = count * sample_width * 8),
 // byte-identical to the v1 chunk layout; with delta+plane+RLE each
 // stream is the io/codec.hpp encoding and the index's stored sizes are
-// what make chunks independently seekable. The writer emits v2 only; v1
-// files (always raw) remain fully readable.
+// what make chunks independently seekable. v3 has v2's byte layout; the
+// version alone says which trace stream the file holds (v1 and v2:
+// stream 1, v3: stream 2, see io/manifest.hpp). The writer emits v3
+// only; v1 (always raw) and v2 files stay fully readable, and replay
+// rejects them by their manifest's stream.
 //
 // CorpusWriter streams: the header and index placeholder go out first,
 // shard chunks append in canonical order, finish() back-patches the
@@ -63,14 +66,16 @@ namespace sable {
 inline constexpr std::uint32_t kCorpusKindScalar = 0;
 inline constexpr std::uint32_t kCorpusKindSampled = 1;
 
-/// Chunk compression tags (v2 header field; v1 files are always raw).
+/// Chunk compression tags (v2+ header field; v1 files are always raw).
 inline constexpr std::uint32_t kCorpusCompressionNone = 0;
 inline constexpr std::uint32_t kCorpusCompressionDeltaPlaneRle = 1;
 
-/// Format versions the reader accepts. The writer emits v2 only; v1
-/// files (the historic raw-only format) are read-only.
+/// Format versions the reader accepts. The writer emits v3 only; v1 (the
+/// historic raw-only format) and v2 files hold stream 1 and are
+/// read-only.
 inline constexpr std::uint32_t kCorpusVersion1 = 1;
 inline constexpr std::uint32_t kCorpusVersion2 = 2;
+inline constexpr std::uint32_t kCorpusVersion3 = 3;
 
 /// Everything a corpus file's header pins down.
 struct CorpusManifest {
@@ -103,7 +108,8 @@ struct CorpusDecodeScratch {
 /// (shard 0, 1, ...), one append_shard per shard with the layout's exact
 /// trace count, then finish(). The destructor discards an unfinished
 /// file (removes the .tmp), and so does a finish() that fails — only a
-/// successful finish() publishes. Always emits the v2 format.
+/// successful finish() publishes. Always emits the v3 format, so the
+/// manifest's stream must be kCampaignStream.
 class CorpusWriter {
  public:
   CorpusWriter(const std::string& path, const CorpusManifest& manifest);

@@ -1,6 +1,7 @@
 #include "io/manifest.hpp"
 
 #include <bit>
+#include <string>
 
 #include "io/serial.hpp"
 
@@ -32,11 +33,17 @@ void CampaignManifest::load(ByteReader& reader) {
 void require_manifest_match(const std::string& path,
                             const CampaignManifest& expected,
                             const CampaignManifest& actual) {
-  const auto fail = [&](const char* field) {
+  const auto fail = [&](const char* field, const std::string& detail = "") {
     throw ManifestMismatchError(
         path, std::string("campaign manifest mismatch: ") + field +
-                  " differs from the running campaign");
+                  " differs from the running campaign" + detail);
   };
+  if (actual.stream != expected.stream) {
+    fail("stream", " (the file holds stream " +
+                       std::to_string(actual.stream) + ", the campaign " +
+                       "runs stream " + std::to_string(expected.stream) +
+                       ")");
+  }
   if (actual.spec_hash != expected.spec_hash) fail("round spec hash");
   if (actual.seed != expected.seed) fail("seed");
   if (actual.num_traces != expected.num_traces) fail("num_traces");

@@ -1,10 +1,11 @@
 // Campaign identity and persistence knobs.
 //
 // A CampaignManifest pins everything a trace stream is a pure function
-// of — the round's functional spec hash, the seed, trace count, resolved
-// shard size and key — so every persisted artifact (recorded corpus,
-// checkpoint, partial worker state) can prove at load time that it
-// belongs to the campaign the caller is running. A mismatch on ANY field
+// of — the generator's stream version, the round's functional spec hash,
+// the seed, trace count, resolved shard size and key — so every
+// persisted artifact (recorded corpus, checkpoint, partial worker state)
+// can prove at load time that it belongs to the campaign the caller is
+// running. A mismatch on ANY field
 // means the bytes on disk describe a different trace stream; loaders
 // throw ManifestMismatchError naming the first differing field rather
 // than silently folding foreign state into a result.
@@ -21,12 +22,23 @@ namespace sable {
 class ByteReader;
 class ByteWriter;
 
+/// The trace stream this build generates: per-shard plaintexts drawn one
+/// next() per 64 state bits and ziggurat noise (stream 2). Stream 1 drew
+/// one below(2^bits) per S-box instance and Box–Muller noise; its files
+/// still parse but never match a running campaign.
+inline constexpr std::uint32_t kCampaignStream = 2;
+
 /// The identity of a campaign's trace stream: two campaigns with equal
 /// manifests generate bit-identical traces (the determinism contract in
 /// engine/trace_engine.hpp). shard_size and num_shards are stored
 /// RESOLVED (campaign_shard_size / layout), never the 0 autotune
 /// sentinel, so a manifest's shard decomposition is explicit on disk.
 struct CampaignManifest {
+  /// Generator version of the stream. save() and load() leave it out:
+  /// each container's format version implies it (SABLCORP v3 and
+  /// SABLSTAT v2 hold stream 2, older versions stream 1), and writers
+  /// accept only kCampaignStream.
+  std::uint32_t stream = kCampaignStream;
   /// Functional hash of the RoundSpec (crypto/round_target.hpp:
   /// round_spec_hash) — style, instance count, per-instance truth tables.
   std::uint64_t spec_hash = 0;
@@ -47,7 +59,8 @@ struct CampaignManifest {
 };
 
 /// Throws ManifestMismatchError (tagged with `path`) naming the first
-/// field on which `actual` disagrees with `expected`; no-op when equal.
+/// field on which `actual` disagrees with `expected`, stream first;
+/// no-op when equal.
 void require_manifest_match(const std::string& path,
                             const CampaignManifest& expected,
                             const CampaignManifest& actual);

@@ -14,11 +14,17 @@ namespace {
 
 // The per-replay validation performed ONCE up front (the corpus
 // structure itself was already validated when the reader was
-// constructed): spec hash, stride, and every distinguisher's contract.
+// constructed): stream, spec hash, stride, and every distinguisher's
+// contract.
 void validate_for_replay(const CorpusManifest& cm, const std::string& path,
                          const RoundSpec& round,
                          std::span<Distinguisher* const> distinguishers) {
   const CampaignManifest& manifest = cm.campaign;
+  // An old-stream corpus holds traces no live campaign of this build
+  // generates: its scores could not be resumed or merged with any.
+  CampaignManifest current = manifest;
+  current.stream = kCampaignStream;
+  require_manifest_match(path, current, manifest);
   SABLE_REQUIRE(!distinguishers.empty(),
                 "replay needs at least one distinguisher");
   SABLE_REQUIRE(manifest.num_traces >= 2,

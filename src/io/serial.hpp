@@ -62,8 +62,8 @@ class ShardIndexError : public IoError {
 };
 
 /// The file is internally consistent but belongs to a DIFFERENT campaign:
-/// spec hash, seed, trace count, shard size or key disagree with what the
-/// caller is running.
+/// trace stream, spec hash, seed, trace count, shard size or key disagree
+/// with what the caller is running.
 class ManifestMismatchError : public IoError {
  public:
   using IoError::IoError;

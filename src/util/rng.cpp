@@ -27,19 +27,24 @@ double Rng::uniform() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::gaussian() {
-  if (has_spare_) {
-    has_spare_ = false;
-    return spare_;
+double Rng::gaussian_outside(std::size_t layer, double x) {
+  using ziggurat::kF;
+  using ziggurat::kR;
+  if (layer == 0) {
+    // Beyond kR in the base strip: Marsaglia's tail method. 1 - uniform()
+    // lies in (0, 1], so both logarithms are finite.
+    double a = 0.0;
+    double b = 0.0;
+    do {
+      a = -std::log(1.0 - uniform()) / kR;
+      b = -std::log(1.0 - uniform());
+    } while (b + b < a * a);
+    return x < 0.0 ? -(kR + a) : kR + a;
   }
-  double u1 = 0.0;
-  while (u1 == 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  const double two_pi = 6.283185307179586;
-  spare_ = mag * std::sin(two_pi * u2);
-  has_spare_ = true;
-  return mag * std::cos(two_pi * u2);
+  // The wedge: accept x when a uniform height in the layer lies under f.
+  const double y = kF[layer] + (kF[layer + 1] - kF[layer]) * uniform();
+  if (y < std::exp(-0.5 * x * x)) return x;
+  return gaussian();
 }
 
 bool Rng::chance(double p) { return uniform() < p; }

@@ -6,9 +6,12 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/error.hpp"
+#include "util/ziggurat_tables.hpp"
 
 namespace sable {
 
@@ -31,8 +34,9 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound) using Lemire rejection; bound > 0.
-  /// Inline because campaign plaintexts take one draw per S-box instance
-  /// per trace.
+  /// A power-of-two bound 2^k takes the top k bits of one next(), the
+  /// draw a single-S-box campaign's plaintext fill makes per trace
+  /// (RoundSpec::fill_random_states).
   std::uint64_t below(std::uint64_t bound) {
     SABLE_ASSERT(bound > 0, "Rng::below requires a positive bound");
     if ((bound & (bound - 1)) == 0) {
@@ -60,16 +64,33 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform();
 
-  /// Standard normal variate (Box–Muller; caches the spare value).
-  double gaussian();
+  /// Standard normal variate: a 256-layer ziggurat (Marsaglia & Tsang,
+  /// JSS 2000) over the committed tables of util/ziggurat_tables.hpp. It
+  /// keeps no state of its own. About 99% of draws take this inline path:
+  /// one next(), whose low 8 bits pick the layer and whose top 53 bits
+  /// give a signed uniform u in [-1, 1); x = u * kX[layer] is accepted
+  /// when it lies left of the layer's inner edge. The rest go to the
+  /// out-of-line wedge and tail paths, the only ones that call libm.
+  double gaussian() {
+    const std::uint64_t bits = next();
+    const std::size_t layer = bits & 0xFF;
+    const double u =
+        static_cast<double>(static_cast<std::int64_t>(bits) >> 11) *
+        0x1.0p-52;
+    const double x = u * ziggurat::kX[layer];
+    if (std::fabs(x) < ziggurat::kX[layer + 1]) return x;
+    return gaussian_outside(layer, x);
+  }
 
   /// Bernoulli trial with probability p.
   bool chance(double p);
 
  private:
+  // gaussian()'s candidate x of `layer` fell right of the layer's inner
+  // edge: the tail (layer 0) or wedge test, and a fresh draw on reject.
+  double gaussian_outside(std::size_t layer, double x);
+
   std::uint64_t s_[4];
-  double spare_ = 0.0;
-  bool has_spare_ = false;
 };
 
 }  // namespace sable

@@ -44,13 +44,18 @@ namespace {
 
 const Technology kTech = Technology::generic_180nm();
 
-// Content fingerprint of tests/data/golden_v1.sablcorp (see
+// Content fingerprints of the committed fixtures (see
 // tests/data/README.md for the generation recipe). Trace simulation is
-// bit-identical across dispatch tiers, so this value is
-// machine-independent. The golden_v2_*.sablcorp fixtures record the
-// SAME campaign and the fingerprint hashes decoded traces, so they
-// share this value — codec-invariance is part of what the goldens pin.
-constexpr std::uint64_t kGoldenV1Fingerprint = 0x4da603cdc3c1c754ull;
+// bit-identical across dispatch tiers, so they are machine-independent.
+// A fingerprint hashes decoded traces, so the raw and delta fixtures of
+// one container share it — codec-invariance is part of what the goldens
+// pin.
+// golden_v3_{raw,delta}.sablcorp: the fixture campaign in the current
+// trace stream (stream 2).
+constexpr std::uint64_t kGoldenV3Fingerprint = 0x52af114912455688ull;
+// golden_v1.sablcorp and golden_v2_{raw,delta}.sablcorp: the SAME
+// campaign in stream 1, kept parse-only.
+constexpr std::uint64_t kStream1Fingerprint = 0x4da603cdc3c1c754ull;
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + "campaign_io_" + name;
@@ -459,11 +464,12 @@ class HostileInputTest : public ::testing::Test {
     options_ = small_options();
     corpus_path_ = temp_path("hostile.corpus");
     engine.record(options_, TraceDataKind::kScalar, corpus_path_);
-    // The committed legacy fixture (no writer emits v1 any more): every
-    // hostile sweep below runs over BOTH containers, so the v1 parser
-    // keeps its typed rejection contract alongside the compressed v2
-    // decode path. The sweeps only read it and write mutated copies.
+    // The committed old-stream fixtures (no writer emits v1 or v2 any
+    // more): every hostile sweep below runs over all three containers, so
+    // the v1 and v2 parsers keep their typed rejection contract alongside
+    // the v3 one. The sweeps only read them and write mutated copies.
     v1_path_ = std::string(SABLE_TEST_DATA_DIR) + "/golden_v1.sablcorp";
+    v2_path_ = std::string(SABLE_TEST_DATA_DIR) + "/golden_v2_delta.sablcorp";
     CpaDistinguisher cpa(engine.spec(),
                          AttackSelector{.model = PowerModel::kHammingWeight});
     Distinguisher* const list[] = {&cpa};
@@ -486,30 +492,50 @@ class HostileInputTest : public ::testing::Test {
   }
 
   CampaignOptions options_;
-  std::string corpus_path_;  // current format: v2, delta+plane+RLE
-  std::string v1_path_;      // legacy format: v1, raw chunks (fixture)
-  std::string state_path_;
+  std::string corpus_path_;  // current format: v3, delta+plane+RLE
+  std::string v1_path_;      // stream 1: v1, raw chunks (fixture)
+  std::string v2_path_;      // stream 1: v2, delta+plane+RLE (fixture)
+  std::string state_path_;   // current format: SABLSTAT v2
 };
 
 TEST_F(HostileInputTest, WrongMagicAndVersionThrowTyped) {
-  auto corpus = read_file(corpus_path_);
+  const auto corpus = read_file(corpus_path_);
+  ASSERT_EQ(corpus[8], kCorpusVersion3);
   auto bad = corpus;
   bad[0] ^= 0xFF;
   const std::string p1 = temp_path("bad_magic.corpus");
   write_bytes(p1, bad);
   EXPECT_THROW(CorpusReader r(p1), BadFileError);
 
-  bad = corpus;
-  bad[8] = 0x7F;  // version field
-  const std::string p2 = temp_path("bad_version.corpus");
-  write_bytes(p2, bad);
-  EXPECT_THROW(CorpusReader r(p2), BadFileError);
+  // Version words on either side of the known 1..3 (byte 8 is the low
+  // byte of the little-endian u32).
+  for (const std::uint8_t version : {0x00, 0x04, 0x7F}) {
+    bad = corpus;
+    bad[8] = version;
+    const std::string p2 = temp_path("bad_version.corpus");
+    write_bytes(p2, bad);
+    EXPECT_THROW(CorpusReader r(p2), BadFileError) << int{version};
+  }
 
-  auto state = read_file(state_path_);
-  state[1] ^= 0xFF;
+  const auto state = read_file(state_path_);
+  ASSERT_EQ(state[8], 2u);
+  bad = state;
+  bad[1] ^= 0xFF;
   const std::string p3 = temp_path("bad_magic.state");
-  write_bytes(p3, state);
+  write_bytes(p3, bad);
   expect_state_error(p3);
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  CpaDistinguisher cpa(engine.spec(),
+                       AttackSelector{.model = PowerModel::kHammingWeight});
+  Distinguisher* const list[] = {&cpa};
+  for (const std::uint8_t version : {0x00, 0x03, 0x7F}) {
+    bad = state;
+    bad[8] = version;
+    const std::string p4 = temp_path("bad_version.state");
+    write_bytes(p4, bad);
+    EXPECT_THROW(engine.merge_partials(options_, list, {p4}), BadFileError)
+        << int{version};
+  }
 }
 
 TEST_F(HostileInputTest, ShardIndexOutOfBoundsThrows) {
@@ -517,7 +543,7 @@ TEST_F(HostileInputTest, ShardIndexOutOfBoundsThrows) {
   // entry's offset to point far past EOF. The header is magic + version
   // + kind (+ the v2 compression tag) + manifest (6 u64 + f64 + 1 key
   // byte) + pt_stride + sample_width, padded to 8 — with a 1-byte key
-  // both versions land on the same 96-byte boundary.
+  // every version lands on the same 96-byte boundary.
   for (const bool v2 : {true, false}) {
     auto corpus = read_file(v2 ? corpus_path_ : v1_path_);
     const std::size_t header =
@@ -568,9 +594,9 @@ TEST_F(HostileInputTest, TruncationSweepAlwaysThrowsTyped) {
   const auto state = read_file(state_path_);
   // Every strict prefix must throw a typed error — never crash, never
   // succeed (all formats pin their full extent up front). Compressed v2
-  // chunks additionally pin their stored sizes in the index, so a
+  // and v3 chunks additionally pin their stored sizes in the index, so a
   // truncated chunk is caught at open, before any decode runs.
-  for (const std::string* src : {&corpus_path_, &v1_path_}) {
+  for (const std::string* src : {&corpus_path_, &v1_path_, &v2_path_}) {
     const auto corpus = read_file(*src);
     for (std::size_t len = 0; len < corpus.size();
          len += 1 + corpus.size() / 97) {
@@ -592,7 +618,7 @@ TEST_F(HostileInputTest, TruncationSweepAlwaysThrowsTyped) {
 TEST_F(HostileInputTest, ByteFlipFuzzNeverEscapesTypedErrors) {
   const auto state = read_file(state_path_);
   Rng rng(0xFA22);
-  for (const std::string* src : {&corpus_path_, &v1_path_}) {
+  for (const std::string* src : {&corpus_path_, &v1_path_, &v2_path_}) {
     const auto corpus = read_file(*src);
     for (int iter = 0; iter < 64; ++iter) {
       auto bad = corpus;
@@ -604,7 +630,7 @@ TEST_F(HostileInputTest, ByteFlipFuzzNeverEscapesTypedErrors) {
         const CorpusReader reader(p);
         // A flip in trace data may still load — that is fine; drive
         // every shard through the decode path (the part a hostile byte
-        // can reach on v2: varint/RLE framing must reject, not
+        // can reach on v2 and v3: varint/RLE framing must reject, not
         // overrun) and, on raw corpora, through the zero-copy views.
         CorpusDecodeScratch scratch;
         for (std::size_t s = 0; s < reader.num_shards(); ++s) {
@@ -653,16 +679,17 @@ TEST(CampaignIoTest, CompressionVariantsReplayBitIdentically) {
     std::uint32_t compression;
   };
   const Variant variants[] = {
-      {"v2_raw", kCorpusCompressionNone},
-      {"v2_delta", kCorpusCompressionDeltaPlaneRle},
+      {"v3_raw", kCorpusCompressionNone},
+      {"v3_delta", kCorpusCompressionDeltaPlaneRle},
   };
   std::size_t raw_size = 0;
-  std::size_t v2_delta_size = 0;
+  std::size_t delta_size = 0;
   for (const Variant& v : variants) {
     const std::string path = temp_path(std::string("variant_") + v.name);
     engine.record(options, TraceDataKind::kScalar, path, v.compression);
     const CorpusReader corpus(path);
-    EXPECT_EQ(corpus.version(), kCorpusVersion2) << v.name;
+    EXPECT_EQ(corpus.version(), kCorpusVersion3) << v.name;
+    EXPECT_EQ(corpus.manifest().campaign.stream, kCampaignStream) << v.name;
     EXPECT_EQ(corpus.compressed(),
               v.compression == kCorpusCompressionDeltaPlaneRle)
         << v.name;
@@ -675,12 +702,12 @@ TEST(CampaignIoTest, CompressionVariantsReplayBitIdentically) {
     if (v.compression == kCorpusCompressionNone) {
       raw_size = size;
     } else {
-      v2_delta_size = size;
+      delta_size = size;
     }
   }
   // Even on this noisy scalar campaign (the codec's worst case — the
   // noise randomizes the low mantissa bits) compression must not lose.
-  EXPECT_LT(v2_delta_size, raw_size);
+  EXPECT_LT(delta_size, raw_size);
 }
 
 // A corpus is a pure function of the campaign: the bytes on disk do not
@@ -845,85 +872,157 @@ std::uint64_t corpus_content_fingerprint(const CorpusReader& corpus) {
   return h;
 }
 
-TEST(CampaignIoTest, GoldenV1CorpusStaysReadable) {
-  // A v1 corpus committed to the repo: the backward-compatibility lock.
-  // If this test fails, either the v1 parser regressed (fix that) or the
-  // engine's trace stream changed (the fixture is frozen — no writer
-  // emits v1 — see tests/data/README.md for what to do then).
-  const CorpusReader corpus(std::string(SABLE_TEST_DATA_DIR) +
-                            "/golden_v1.sablcorp");
-  EXPECT_EQ(corpus.version(), kCorpusVersion1);
-  EXPECT_FALSE(corpus.compressed());
-  EXPECT_EQ(corpus.manifest().kind, kCorpusKindScalar);
-  EXPECT_EQ(corpus.manifest().campaign.num_traces, 96u);
-  EXPECT_EQ(corpus.manifest().campaign.shard_size, 64u);
-  EXPECT_EQ(corpus.manifest().campaign.num_shards, 2u);
-  EXPECT_EQ(corpus.manifest().campaign.seed, 0x5EEDu);
-  EXPECT_EQ(corpus_content_fingerprint(corpus), kGoldenV1Fingerprint);
-
-  // The fixture replays against today's engine bit-identically — the
-  // recorded stream still means what it meant when it was written.
-  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+// The campaign every golden fixture records (tests/data/README.md).
+CampaignOptions golden_options() {
   CampaignOptions options;
   options.num_traces = 96;
   options.key = {0xB};
   options.noise_sigma = 2e-16;
   options.seed = 0x5EED;
   options.shard_size = 64;  // 2 shards, ragged tail of 32
-  const AttackSelector selector{.model = PowerModel::kHammingWeight};
-  CpaDistinguisher ref(engine.spec(), selector);
-  Distinguisher* const ref_list[] = {&ref};
-  engine.run_distinguishers(options, ref_list);
-  CpaDistinguisher replayed(engine.spec(), selector);
-  Distinguisher* const list[] = {&replayed};
-  EXPECT_TRUE(replay_distinguishers(corpus, engine.round(), list));
-  expect_same_scores(replayed.result().score, ref.result().score);
+  return options;
 }
 
-TEST(CampaignIoTest, GoldenV2CorporaStayReadable) {
-  // v2 fixtures committed in BOTH codec modes (raw chunks and
-  // delta+plane+RLE) lock the v2 container and each decoder. They were
-  // recorded from the same campaign as golden_v1, and the content
-  // fingerprint hashes DECODED traces — so all three fixtures share
-  // kGoldenV1Fingerprint. A codec that decodes to anything else is a
-  // regression, not a format change.
+// `run` must throw ManifestMismatchError naming the stream field.
+template <typename Fn>
+void expect_stream_mismatch(Fn&& run) {
+  try {
+    run();
+    ADD_FAILURE() << "no ManifestMismatchError";
+  } catch (const ManifestMismatchError& e) {
+    EXPECT_NE(std::string(e.what()).find("stream"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CampaignIoTest, GoldenV3CorporaReplayLive) {
+  // v3 fixtures committed in BOTH codec modes (raw chunks and
+  // delta+plane+RLE) lock the v3 container, each decoder and the current
+  // trace stream. If this test fails without a deliberate stream change,
+  // a parser, a codec or the simulator's determinism regressed.
   const struct {
     const char* file;
     std::uint32_t compression;
   } kFixtures[] = {
-      {"/golden_v2_raw.sablcorp", kCorpusCompressionNone},
-      {"/golden_v2_delta.sablcorp", kCorpusCompressionDeltaPlaneRle},
+      {"/golden_v3_raw.sablcorp", kCorpusCompressionNone},
+      {"/golden_v3_delta.sablcorp", kCorpusCompressionDeltaPlaneRle},
   };
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
-  CampaignOptions options;
-  options.num_traces = 96;
-  options.key = {0xB};
-  options.noise_sigma = 2e-16;
-  options.seed = 0x5EED;
-  options.shard_size = 64;
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
   CpaDistinguisher ref(engine.spec(), selector);
   Distinguisher* const ref_list[] = {&ref};
-  engine.run_distinguishers(options, ref_list);
+  engine.run_distinguishers(golden_options(), ref_list);
 
   for (const auto& fixture : kFixtures) {
     SCOPED_TRACE(fixture.file);
     const CorpusReader corpus(std::string(SABLE_TEST_DATA_DIR) +
                               fixture.file);
-    EXPECT_EQ(corpus.version(), kCorpusVersion2);
+    EXPECT_EQ(corpus.version(), kCorpusVersion3);
     EXPECT_EQ(corpus.manifest().compression, fixture.compression);
     EXPECT_EQ(corpus.manifest().kind, kCorpusKindScalar);
-    EXPECT_EQ(corpus.manifest().campaign.num_traces, 96u);
-    EXPECT_EQ(corpus.manifest().campaign.shard_size, 64u);
-    EXPECT_EQ(corpus.manifest().campaign.num_shards, 2u);
-    EXPECT_EQ(corpus.manifest().campaign.seed, 0x5EEDu);
-    EXPECT_EQ(corpus_content_fingerprint(corpus), kGoldenV1Fingerprint);
+    EXPECT_EQ(corpus.manifest().campaign,
+              engine.campaign_manifest(golden_options()));
+    EXPECT_EQ(corpus_content_fingerprint(corpus), kGoldenV3Fingerprint);
 
     CpaDistinguisher replayed(engine.spec(), selector);
     Distinguisher* const list[] = {&replayed};
     EXPECT_TRUE(replay_distinguishers(corpus, engine.round(), list));
     expect_same_scores(replayed.result().score, ref.result().score);
   }
+}
+
+TEST(CampaignIoTest, OldStreamCorporaParseButNeverReplay) {
+  // golden_v1 (raw-only v1 container) and golden_v2_{raw,delta} hold the
+  // fixture campaign in stream 1. They stay committed so the v1 and v2
+  // readers stay covered: each parses, decodes to its pinned
+  // fingerprint and loads as stream 1 — and replaying it, or matching it
+  // against a campaign as the CLI does, names the stream.
+  const struct {
+    const char* file;
+    std::uint32_t version;
+    std::uint32_t compression;
+  } kFixtures[] = {
+      {"/golden_v1.sablcorp", kCorpusVersion1, kCorpusCompressionNone},
+      {"/golden_v2_raw.sablcorp", kCorpusVersion2, kCorpusCompressionNone},
+      {"/golden_v2_delta.sablcorp", kCorpusVersion2,
+       kCorpusCompressionDeltaPlaneRle},
+  };
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  CampaignManifest stream1 = engine.campaign_manifest(golden_options());
+  stream1.stream = 1;
+  for (const auto& fixture : kFixtures) {
+    SCOPED_TRACE(fixture.file);
+    const CorpusReader corpus(std::string(SABLE_TEST_DATA_DIR) +
+                              fixture.file);
+    EXPECT_EQ(corpus.version(), fixture.version);
+    EXPECT_EQ(corpus.manifest().compression, fixture.compression);
+    EXPECT_EQ(corpus.manifest().kind, kCorpusKindScalar);
+    EXPECT_EQ(corpus.manifest().campaign, stream1);
+    EXPECT_EQ(corpus_content_fingerprint(corpus), kStream1Fingerprint);
+
+    CpaDistinguisher cpa(engine.spec(),
+                         AttackSelector{.model = PowerModel::kHammingWeight});
+    Distinguisher* const list[] = {&cpa};
+    expect_stream_mismatch(
+        [&] { replay_distinguishers(corpus, engine.round(), list); });
+    // The stream is checked first: a campaign that also differs in its
+    // seed still hears about the stream.
+    CampaignOptions reseeded = golden_options();
+    reseeded.seed = 0xD1FF;
+    expect_stream_mismatch([&] {
+      require_manifest_match(corpus.path(),
+                             engine.campaign_manifest(reseeded),
+                             corpus.manifest().campaign);
+    });
+  }
+}
+
+TEST(CampaignIoTest, OldStreamCheckpointAndPartialNeverFoldIn) {
+  // SABLSTAT v1 has v2's byte layout, so a v2 partial with its version
+  // word set to 1 is exactly what the previous stream wrote: resuming
+  // from it or merging it must name the stream, never fold it in.
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  const CampaignOptions options = small_options();
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
+  CpaDistinguisher partial(engine.spec(), selector);
+  Distinguisher* const partial_list[] = {&partial};
+  CampaignPersistence range;
+  range.shard_end = 3;
+  range.checkpoint_path = temp_path("stream1_partial.state");
+  EXPECT_FALSE(engine.run_distinguishers(options, partial_list, range));
+  auto bytes = read_file(range.checkpoint_path);
+  ASSERT_EQ(bytes[8], 2u);
+  bytes[8] = 1;
+  const std::string old_path = temp_path("stream1.state");
+  write_bytes(old_path, bytes);
+
+  CpaDistinguisher resumed(engine.spec(), selector);
+  Distinguisher* const resumed_list[] = {&resumed};
+  CampaignPersistence resume;
+  resume.resume_path = old_path;
+  expect_stream_mismatch(
+      [&] { engine.run_distinguishers(options, resumed_list, resume); });
+
+  CpaDistinguisher merged(engine.spec(), selector);
+  Distinguisher* const merged_list[] = {&merged};
+  expect_stream_mismatch(
+      [&] { engine.merge_partials(options, merged_list, {old_path}); });
+  // The same partial under its own version word merges with the rest of
+  // the campaign: the refusals above are the stream's alone.
+  CpaDistinguisher rest(engine.spec(), selector);
+  Distinguisher* const rest_list[] = {&rest};
+  CampaignPersistence tail;
+  tail.shard_begin = 3;
+  tail.checkpoint_path = temp_path("stream2_tail.state");
+  EXPECT_FALSE(engine.run_distinguishers(options, rest_list, tail));
+  CpaDistinguisher whole(engine.spec(), selector);
+  Distinguisher* const whole_list[] = {&whole};
+  engine.merge_partials(options, whole_list,
+                        {range.checkpoint_path, tail.checkpoint_path});
+  CpaDistinguisher ref(engine.spec(), selector);
+  Distinguisher* const ref_list[] = {&ref};
+  engine.run_distinguishers(options, ref_list);
+  expect_same_scores(whole.result().score, ref.result().score);
 }
 
 }  // namespace

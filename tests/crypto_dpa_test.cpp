@@ -3,6 +3,9 @@
 // DPDN implementation, and fails against the fully connected one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "crypto/round_target.hpp"
 #include "crypto/sboxes.hpp"
 #include "dpa/attack.hpp"
@@ -144,20 +147,25 @@ TEST(DpaTest, FullyConnectedSablResistsAttack) {
   EXPECT_LT(top, 0.1) << "correlation should be noise-level";
 }
 
-TEST(DpaTest, DomAttackRecoversKeyOnSomeOutputBit) {
-  // Single-bit difference-of-means is subject to ghost peaks, so a real
-  // attack checks every output bit; the correct key must win at least one.
+TEST(DpaTest, DomAttackRecoversKeyOverAllOutputBits) {
+  // Single-bit difference-of-means is subject to ghost peaks: on this
+  // static-CMOS S-box a ghost key outranks the correct one on every
+  // output bit, even at 600k traces. A real attack therefore combines the
+  // bits; the summed per-bit peaks rank the correct key first.
   Rng rng(45);
   const std::uint8_t key = 0xD;
   RoundTarget target(
       single_sbox_round(present_spec(), LogicStyle::kStaticCmos), kTech);
   const TraceSet traces = collect_traces(target, key, 6000, 1e-16, rng);
-  std::size_t best_rank = 99;
+  std::vector<double> summed(16, 0.0);
   for (std::size_t bit = 0; bit < 4; ++bit) {
     const AttackResult result = dom_attack(traces, present_spec(), bit);
-    best_rank = std::min(best_rank, result.rank_of(key));
+    for (std::size_t g = 0; g < summed.size(); ++g) {
+      summed[g] += result.score[g];
+    }
   }
-  EXPECT_EQ(best_rank, 0u);
+  EXPECT_EQ(std::max_element(summed.begin(), summed.end()) - summed.begin(),
+            key);
 }
 
 TEST(MtdTest, DisclosureOrdering) {

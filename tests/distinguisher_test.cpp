@@ -26,7 +26,6 @@
 #include "io/campaign_state.hpp"
 #include "io/corpus.hpp"
 #include "io/serial.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "power/stats.hpp"
 #include "reference_attacks.hpp"
 #include "util/rng.hpp"
@@ -543,7 +542,7 @@ TEST(CampaignShardSizeTest, AutotunesFromTraceCountAlone) {
 
 // A shard_size below the 64-lane word must still run — and, because the
 // clamp lands on the 64-trace granule, produce the exact stream
-// shard_size = 64 produces, under every dispatch tier.
+// shard_size = 64 produces.
 TEST(CampaignShardSizeTest, SubLaneWordBlockSizeRunsAndMatchesClamp) {
   const RoundSpec round = present_round(1, LogicStyle::kSablEnhanced);
   TraceEngine engine(round, kTech);
@@ -553,16 +552,12 @@ TEST(CampaignShardSizeTest, SubLaneWordBlockSizeRunsAndMatchesClamp) {
   options.seed = 0xC1A4;
   options.shard_size = 64;
   const TraceSet reference = engine.run(options);
-  for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
-                            DispatchTier::kAvx512}) {
-    ScopedDispatchTierCap cap(tier);
-    options.shard_size = 3;  // smaller than the 64-lane word
-    const TraceSet traces = engine.run(options);
-    ASSERT_EQ(traces.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(traces.samples[i], reference.samples[i])
-          << "tier " << to_string(tier) << " trace " << i;
-    }
+  options.shard_size = 3;  // smaller than the 64-lane word
+  const TraceSet traces = engine.run(options);
+  ASSERT_EQ(traces.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(traces.plaintexts[i], reference.plaintexts[i]) << i;
+    ASSERT_EQ(traces.samples[i], reference.samples[i]) << i;
   }
 }
 

@@ -21,18 +21,12 @@
 #include "engine/trace_engine.hpp"
 #include "power/stats.hpp"
 #include "reference_attacks.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "util/rng.hpp"
 
 namespace sable {
 namespace {
 
 const Technology kTech = Technology::generic_180nm();
-
-// Every dispatch tier; ScopedDispatchTierCap forces the lower ones on one
-// machine, and a tier above the CPU's own runs as the CPU's.
-constexpr DispatchTier kTiers[] = {DispatchTier::kPortable,
-                                   DispatchTier::kAvx2, DispatchTier::kAvx512};
 
 std::vector<std::size_t> thread_counts_under_test() {
   return {1, 2, 7,
@@ -176,7 +170,7 @@ TEST(EngineDeterminismTest, MtdCampaignIsBitIdenticalAcrossThreadCounts) {
 // layout (six 448-trace shards and a 312-trace tail) with checkpoints
 // inside shards, exactly on shard boundaries, on the last trace and
 // outside [2, num_traces] (dropped), the curve must be bit-identical
-// across threads × dispatch tiers, and its ranks must equal
+// across thread counts, and its ranks must equal
 // a from-scratch two-pass CPA on every prefix. (No 2-trace checkpoint:
 // there every non-constant prediction correlates at exactly |rho| = 1,
 // so the rank among those ties is decided by rounding alone.)
@@ -200,17 +194,14 @@ TEST(EngineDeterminismTest, MtdCampaignOnRaggedShardsMatchesOracleEverywhere) {
   EXPECT_EQ(reference.rank_history, oracle.rank_history);
   ASSERT_EQ(reference.rank_history.size(), 13u);
 
-  for (DispatchTier tier : kTiers) {
-    ScopedDispatchTierCap cap(tier);
-    for (std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-      options.num_threads = threads;
-      const MtdResult result = run_attack(engine, options, mtd);
-      EXPECT_EQ(result.disclosed, reference.disclosed);
-      EXPECT_EQ(result.mtd, reference.mtd);
-      EXPECT_EQ(result.rank_history, reference.rank_history)
-          << "tier " << to_string(tier) << " threads " << threads;
-    }
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
+    options.num_threads = threads;
+    const MtdResult result = run_attack(engine, options, mtd);
+    EXPECT_EQ(result.disclosed, reference.disclosed);
+    EXPECT_EQ(result.mtd, reference.mtd);
+    EXPECT_EQ(result.rank_history, reference.rank_history)
+        << "threads " << threads;
   }
 }
 
@@ -422,13 +413,10 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The dispatch contract at full round scale: a 16-S-box PRESENT layer in
-// the paper's enhanced style must produce bit-identical CPA scores under
-// every dispatch tier crossed with several worker counts — the kernel
-// tier and the threads the shards land on are both pure throughput
-// knobs. One engine serves every run, so this also exercises the
-// persistent worker pool.
-TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossDispatchTiers) {
+// The same contract on one engine: every run below reuses its persistent
+// worker pool and leased targets, which must carry no state from one
+// campaign into the next.
+TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalOnOneEngine) {
   const RoundSpec round = present_round(16, LogicStyle::kSablEnhanced);
   CampaignOptions options;
   options.num_traces = 900;
@@ -442,30 +430,24 @@ TEST(EngineDeterminismTest, RoundCpaCampaignBitIdenticalAcrossDispatchTiers) {
   TraceEngine engine(round, kTech);
   const CpaDistinguisher cpa(engine.spec(selector.sbox_index), selector);
   const AttackResult reference = run_attack(engine, options, cpa);
-  for (DispatchTier tier : kTiers) {
-    ScopedDispatchTierCap cap(tier);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      options.num_threads = threads;
-      const AttackResult result = run_attack(engine, options, cpa);
-      ASSERT_EQ(result.score.size(), reference.score.size());
-      for (std::size_t g = 0; g < reference.score.size(); ++g) {
-        EXPECT_EQ(result.score[g], reference.score[g])
-            << "tier " << to_string(tier) << " threads " << threads
-            << " guess " << g;
-      }
-      EXPECT_EQ(result.best_guess, reference.best_guess)
-          << "tier " << to_string(tier) << " threads " << threads;
-      EXPECT_EQ(result.margin, reference.margin)
-          << "tier " << to_string(tier) << " threads " << threads;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    options.num_threads = threads;
+    const AttackResult result = run_attack(engine, options, cpa);
+    ASSERT_EQ(result.score.size(), reference.score.size());
+    for (std::size_t g = 0; g < reference.score.size(); ++g) {
+      EXPECT_EQ(result.score[g], reference.score[g])
+          << "threads " << threads << " guess " << g;
     }
+    EXPECT_EQ(result.best_guess, reference.best_guess) << threads;
+    EXPECT_EQ(result.margin, reference.margin) << threads;
   }
 }
 
 // The new distinguisher pipeline inherits the determinism contract: a
 // second-order centered-product campaign must be bit-identical across
-// every dispatch tier crossed with several worker counts — the
-// fourth-order co-moment merges run through the same fixed-shape tree.
-TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndTiers) {
+// worker counts — the fourth-order co-moment merges run through the same
+// fixed-shape tree.
+TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadCounts) {
   const RoundSpec round = present_round(2, LogicStyle::kStaticCmos);
   CampaignOptions options;
   options.num_traces = 1200;
@@ -481,32 +463,26 @@ TEST(EngineDeterminismTest, SecondOrderCampaignBitIdenticalAcrossThreadsAndTiers
                                            selector);
   const SecondOrderAttackResult reference =
       run_attack(engine, options, attack);
-  for (DispatchTier tier : kTiers) {
-    ScopedDispatchTierCap cap(tier);
-    for (std::size_t threads :
-         {std::size_t{1}, std::size_t{2},
-          std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
-      options.num_threads = threads;
-      const SecondOrderAttackResult result =
-          run_attack(engine, options, attack);
-      ASSERT_EQ(result.combined.score.size(),
-                reference.combined.score.size());
-      for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
-        EXPECT_EQ(result.combined.score[g], reference.combined.score[g])
-            << "tier " << to_string(tier) << " threads " << threads
-            << " guess " << g;
-      }
-      EXPECT_EQ(result.combined.best_guess, reference.combined.best_guess);
-      EXPECT_EQ(result.best_pair_first, reference.best_pair_first);
-      EXPECT_EQ(result.best_pair_second, reference.best_pair_second);
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2},
+        std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
+    options.num_threads = threads;
+    const SecondOrderAttackResult result = run_attack(engine, options, attack);
+    ASSERT_EQ(result.combined.score.size(), reference.combined.score.size());
+    for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
+      EXPECT_EQ(result.combined.score[g], reference.combined.score[g])
+          << "threads " << threads << " guess " << g;
     }
+    EXPECT_EQ(result.combined.best_guess, reference.combined.best_guess);
+    EXPECT_EQ(result.best_pair_first, reference.best_pair_first);
+    EXPECT_EQ(result.best_pair_second, reference.best_pair_second);
   }
 }
 
 // One-pass multi-selector campaigns (every subkey from one simulation)
 // carry the same guarantee: scores per subkey bit-identical across
-// num_threads × dispatch tiers.
-TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndTiers) {
+// num_threads.
+TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadCounts) {
   const RoundSpec round = present_round(4, LogicStyle::kSablGenuine);
   CampaignOptions options;
   options.num_traces = 1200;
@@ -535,24 +511,19 @@ TEST(EngineDeterminismTest, AllSubkeysCampaignBitIdenticalAcrossThreadsAndTiers)
   };
   const std::vector<AttackResult> reference = all_subkeys();
   ASSERT_EQ(reference.size(), 4u);
-  for (DispatchTier tier : kTiers) {
-    ScopedDispatchTierCap cap(tier);
-    for (std::size_t threads :
-         {std::size_t{1}, std::size_t{2},
-          std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
-      options.num_threads = threads;
-      const std::vector<AttackResult> results = all_subkeys();
-      ASSERT_EQ(results.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        for (std::size_t g = 0; g < reference[i].score.size(); ++g) {
-          EXPECT_EQ(results[i].score[g], reference[i].score[g])
-              << "tier " << to_string(tier) << " threads " << threads
-              << " sbox " << i << " guess " << g;
-        }
-        EXPECT_EQ(results[i].best_guess, reference[i].best_guess)
-            << "tier " << to_string(tier) << " threads " << threads
-            << " sbox " << i;
+  for (std::size_t threads :
+       {std::size_t{1}, std::size_t{2},
+        std::max<std::size_t>(1, std::thread::hardware_concurrency())}) {
+    options.num_threads = threads;
+    const std::vector<AttackResult> results = all_subkeys();
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      for (std::size_t g = 0; g < reference[i].score.size(); ++g) {
+        EXPECT_EQ(results[i].score[g], reference[i].score[g])
+            << "threads " << threads << " sbox " << i << " guess " << g;
       }
+      EXPECT_EQ(results[i].best_guess, reference[i].best_guess)
+          << "threads " << threads << " sbox " << i;
     }
   }
 }
@@ -594,47 +565,10 @@ TEST(EngineDeterminismTest, AutotunedShardsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The runtime-dispatch contract: the SAME campaign through the SAME
-// engine must stream bit-identical traces and CPA scores whichever kernel
-// tier dispatch lands on — portable, AVX2 or the widest the machine has —
-// crossed with several worker counts. ScopedDispatchTierCap forces the
-// lower tiers on one machine.
-TEST(EngineDeterminismTest, CampaignsBitIdenticalAcrossDispatchTiers) {
-  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
-  CampaignOptions options = sharded_options();
-  options.num_threads = 1;
-  const TraceSet reference = engine.run(options);
-  const CpaDistinguisher attack(
-      engine.spec(), AttackSelector{.model = PowerModel::kHammingWeight});
-  const AttackResult cpa_reference = run_attack(engine, options, attack);
-  for (DispatchTier tier : kTiers) {
-    ScopedDispatchTierCap cap(tier);
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      options.num_threads = threads;
-      const TraceSet traces = engine.run(options);
-      ASSERT_EQ(traces.size(), reference.size());
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        ASSERT_EQ(traces.samples[i], reference.samples[i])
-            << "tier " << to_string(tier) << " threads " << threads
-            << " trace " << i;
-      }
-      const AttackResult cpa = run_attack(engine, options, attack);
-      ASSERT_EQ(cpa.score.size(), cpa_reference.score.size());
-      for (std::size_t g = 0; g < cpa_reference.score.size(); ++g) {
-        EXPECT_EQ(cpa.score[g], cpa_reference.score[g])
-            << "tier " << to_string(tier) << " threads " << threads
-            << " guess " << g;
-      }
-      EXPECT_EQ(cpa.best_guess, cpa_reference.best_guess);
-      EXPECT_EQ(cpa.margin, cpa_reference.margin);
-    }
-  }
-}
-
 // Every style, every entry point: retained runs, first-order attacks
 // (CPA, DoM, the ordered MTD fold) and time-resolved MultiCpa stay
-// bit-identical under every dispatch tier. 1500 traces over 448-trace
-// shards leave a partial tail shard.
+// bit-identical across worker counts. 1500 traces over 448-trace shards
+// leave a partial tail shard.
 std::vector<LogicStyle> all_styles() {
   return {LogicStyle::kStaticCmos,         LogicStyle::kSablGenuine,
           LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
@@ -651,34 +585,36 @@ CampaignOptions ragged_options() {
   return options;
 }
 
-TEST(EngineDeterminismTest, RunCampaignBitIdenticalAcrossTiersEveryStyle) {
+// Worker counts each reference (run at the default count) is compared
+// against.
+constexpr std::size_t kThreadCounts[] = {1, 2, 7};
+
+TEST(EngineDeterminismTest, RunCampaignBitIdenticalAcrossThreadsEveryStyle) {
   for (LogicStyle style : all_styles()) {
     TraceEngine engine(present_spec(), style, kTech);
-    const CampaignOptions options = ragged_options();
+    CampaignOptions options = ragged_options();
     const TraceSet reference = engine.run(options);
-    for (DispatchTier tier : kTiers) {
-      ScopedDispatchTierCap cap(tier);
+    for (std::size_t threads : kThreadCounts) {
+      options.num_threads = threads;
       const TraceSet traces = engine.run(options);
       ASSERT_EQ(traces.size(), reference.size());
       for (std::size_t t = 0; t < reference.size(); ++t) {
         ASSERT_EQ(traces.plaintexts[t], reference.plaintexts[t])
-            << to_string(style) << " tier " << to_string(tier) << " trace "
-            << t;
+            << to_string(style) << " threads " << threads << " trace " << t;
         ASSERT_EQ(traces.samples[t], reference.samples[t])
-            << to_string(style) << " tier " << to_string(tier) << " trace "
-            << t;
+            << to_string(style) << " threads " << threads << " trace " << t;
       }
     }
   }
 }
 
-TEST(EngineDeterminismTest, AttackCampaignsBitIdenticalAcrossTiers) {
+TEST(EngineDeterminismTest, AttackCampaignsBitIdenticalAcrossThreadCounts) {
   const AttackSelector cpa_sel{.model = PowerModel::kHammingWeight};
   for (LogicStyle style :
        {LogicStyle::kStaticCmos, LogicStyle::kSablEnhanced,
         LogicStyle::kWddlMismatched}) {
     TraceEngine engine(present_spec(), style, kTech);
-    const CampaignOptions options = ragged_options();
+    CampaignOptions options = ragged_options();
     const CpaDistinguisher cpa_attack(engine.spec(), cpa_sel);
     const DomDistinguisher dom_attack(engine.spec(), AttackSelector{.bit = 0});
     const MtdDistinguisher mtd_attack(
@@ -687,14 +623,14 @@ TEST(EngineDeterminismTest, AttackCampaignsBitIdenticalAcrossTiers) {
     const AttackResult cpa_ref = run_attack(engine, options, cpa_attack);
     const AttackResult dom_ref = run_attack(engine, options, dom_attack);
     const MtdResult mtd_ref = run_attack(engine, options, mtd_attack);
-    for (DispatchTier tier : kTiers) {
-      ScopedDispatchTierCap cap(tier);
+    for (std::size_t threads : kThreadCounts) {
+      options.num_threads = threads;
       const AttackResult cpa = run_attack(engine, options, cpa_attack);
       ASSERT_EQ(cpa.score.size(), cpa_ref.score.size());
       for (std::size_t g = 0; g < cpa_ref.score.size(); ++g) {
         // EXPECT_EQ on doubles is exact: bit-identical, not just <= 1e-12.
         EXPECT_EQ(cpa.score[g], cpa_ref.score[g])
-            << to_string(style) << " tier " << to_string(tier) << " guess "
+            << to_string(style) << " threads " << threads << " guess "
             << g;
       }
       EXPECT_EQ(cpa.best_guess, cpa_ref.best_guess);
@@ -702,7 +638,7 @@ TEST(EngineDeterminismTest, AttackCampaignsBitIdenticalAcrossTiers) {
       const AttackResult dom = run_attack(engine, options, dom_attack);
       for (std::size_t g = 0; g < dom_ref.score.size(); ++g) {
         EXPECT_EQ(dom.score[g], dom_ref.score[g])
-            << to_string(style) << " tier " << to_string(tier) << " guess "
+            << to_string(style) << " threads " << threads << " guess "
             << g;
       }
       const MtdResult mtd = run_attack(engine, options, mtd_attack);
@@ -711,14 +647,14 @@ TEST(EngineDeterminismTest, AttackCampaignsBitIdenticalAcrossTiers) {
       ASSERT_EQ(mtd.rank_history.size(), mtd_ref.rank_history.size());
       for (std::size_t i = 0; i < mtd_ref.rank_history.size(); ++i) {
         EXPECT_EQ(mtd.rank_history[i], mtd_ref.rank_history[i])
-            << to_string(style) << " tier " << to_string(tier)
-            << " checkpoint " << i;
+            << to_string(style) << " threads " << threads << " checkpoint "
+            << i;
       }
     }
   }
 }
 
-TEST(EngineDeterminismTest, MultiCpaCampaignBitIdenticalAcrossTiersAllStyles) {
+TEST(EngineDeterminismTest, MultiCpaCampaignBitIdenticalAcrossThreadsAllStyles) {
   // Time-resolved campaigns cover the baseline and WDDL styles too.
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
   for (LogicStyle style :
@@ -726,41 +662,22 @@ TEST(EngineDeterminismTest, MultiCpaCampaignBitIdenticalAcrossTiersAllStyles) {
         LogicStyle::kWddlMismatched}) {
     TraceEngine engine(present_spec(), style, kTech);
     ASSERT_GT(engine.target().num_levels(), 0u) << to_string(style);
-    const CampaignOptions options = ragged_options();
+    CampaignOptions options = ragged_options();
     const MultiCpaDistinguisher attack(engine.spec(), selector,
                                        engine.target().num_levels());
     const MultiAttackResult reference = run_attack(engine, options, attack);
-    for (DispatchTier tier : kTiers) {
-      ScopedDispatchTierCap cap(tier);
+    for (std::size_t threads : kThreadCounts) {
+      options.num_threads = threads;
       const MultiAttackResult result = run_attack(engine, options, attack);
       ASSERT_EQ(result.combined.score.size(),
                 reference.combined.score.size());
       for (std::size_t g = 0; g < reference.combined.score.size(); ++g) {
         EXPECT_EQ(result.combined.score[g], reference.combined.score[g])
-            << to_string(style) << " tier " << to_string(tier) << " guess "
+            << to_string(style) << " threads " << threads << " guess "
             << g;
       }
       EXPECT_EQ(result.best_sample, reference.best_sample);
       EXPECT_EQ(result.combined.best_guess, reference.combined.best_guess);
-    }
-  }
-}
-
-TEST(EngineDeterminismTest, SingleRaggedShardBitIdenticalAcrossTiers) {
-  // 65 traces in one shard: a full 64-lane group plus a one-trace tail.
-  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
-  CampaignOptions options;
-  options.num_traces = 65;
-  options.key = {0x7};
-  options.seed = 0x1AB5;
-  const TraceSet reference = engine.run(options);
-  for (DispatchTier tier : kTiers) {
-    ScopedDispatchTierCap cap(tier);
-    const TraceSet traces = engine.run(options);
-    ASSERT_EQ(traces.size(), reference.size());
-    for (std::size_t t = 0; t < reference.size(); ++t) {
-      ASSERT_EQ(traces.samples[t], reference.samples[t])
-          << "tier " << to_string(tier) << " trace " << t;
     }
   }
 }

@@ -162,18 +162,23 @@ TEST(RoundSpecTest, SubWordFieldsMatchPerBitOracleOnRandomLayouts) {
     }
     EXPECT_EQ(states, twin) << "trial " << trial;
 
-    // fill_random_states: the historic stream, zeroed states with one
-    // below(2^bits) draw per instance deposited bit by bit.
+    // fill_random_states, bit by bit: state bit 64k + j is bit j of the
+    // state's k-th draw, and a final chunk of r < 64 bits takes the top r
+    // bits of its draw; the bits above the round's width are zero. The
+    // buffer starts out random, so every byte must be written.
     const std::uint64_t seed = layout_rng.next();
     Rng rng(seed);
     Rng oracle_rng(seed);
     round.fill_random_states(rng, count, states.data());
     std::fill(twin.begin(), twin.end(), std::uint8_t{0});
     for (std::size_t t = 0; t < count; ++t) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t bits = round.sboxes[i].in_bits;
-        oracle_deposit(twin.data() + t * stride, offsets[i], bits,
-                       oracle_rng.below(std::uint64_t{1} << bits));
+      for (std::size_t chunk = 0; chunk < offset; chunk += 64) {
+        const std::size_t r = std::min<std::size_t>(64, offset - chunk);
+        const std::uint64_t draw = oracle_rng.next();
+        for (std::size_t j = 0; j < r; ++j) {
+          oracle_deposit(twin.data() + t * stride, chunk + j, 1,
+                         (draw >> (64 - r + j)) & 1u);
+        }
       }
     }
     EXPECT_EQ(states, twin) << "trial " << trial;
@@ -182,6 +187,85 @@ TEST(RoundSpecTest, SubWordFieldsMatchPerBitOracleOnRandomLayouts) {
   EXPECT_EQ(shifts_seen, 0xFFu);
   EXPECT_TRUE(straddle_seen);
   EXPECT_TRUE(in_byte_seen);
+}
+
+TEST(RoundSpecTest, SingleSboxFillIsOneBelowDrawPerTrace) {
+  // A lone b-bit instance is one final chunk of b bits: the top b bits of
+  // one draw, which is exactly below(2^b), so single-S-box plaintexts
+  // keep their stream draw for draw.
+  for (std::size_t bits = 1; bits <= 8; ++bits) {
+    const RoundSpec round = single_sbox_round(identity_spec(bits),
+                                              LogicStyle::kStaticCmos);
+    const std::size_t count = 1000;
+    std::vector<std::uint8_t> states(count, 0xFF);
+    Rng rng(0xB17 + bits);
+    Rng reference(0xB17 + bits);
+    round.fill_random_states(rng, count, states.data());
+    for (std::size_t t = 0; t < count; ++t) {
+      ASSERT_EQ(states[t], reference.below(std::uint64_t{1} << bits))
+          << "bits " << bits << " trace " << t;
+    }
+    EXPECT_EQ(rng.next(), reference.next()) << "bits " << bits;
+  }
+}
+
+// Wilson–Hilferty: a chi-square statistic with `df` degrees of freedom
+// as an approximately standard normal z.
+double chi_square_z(double chi2, double df) {
+  const double k = 2.0 / (9.0 * df);
+  return (std::cbrt(chi2 / df) - (1.0 - k)) / std::sqrt(k);
+}
+
+double chi_square(const std::vector<std::uint64_t>& counts, double expected) {
+  double chi2 = 0.0;
+  for (std::uint64_t c : counts) {
+    const double d = static_cast<double>(c) - expected;
+    chi2 += d * d / expected;
+  }
+  return chi2;
+}
+
+TEST(RoundSpecTest, RandomStatesPassPerSubWordAndPairwiseChiSquare) {
+  // 10^6 states of the 16-nibble PRESENT round (one draw per state) and
+  // the 16-byte AES round (two draws). Each instance's sub-word must be
+  // uniform, and so must each adjacent pair of instances — the pairs
+  // straddle the 64-bit chunk seam on AES (instances 7 and 8). |z| < 5
+  // over these 62 statistics would fail an honest generator with
+  // probability ~4e-5.
+  const std::size_t count = 1'000'000;
+  const LogicStyle style = LogicStyle::kStaticCmos;
+  for (const RoundSpec& round :
+       {present_round(16, style), aes_subbytes_round(16, style)}) {
+    const std::size_t n = round.num_sboxes();
+    const std::size_t bits = round.sboxes[0].in_bits;
+    const std::size_t values = std::size_t{1} << bits;
+    std::vector<std::uint8_t> states(count * round.state_bytes());
+    Rng rng(0xC415);
+    round.fill_random_states(rng, count, states.data());
+    std::vector<std::vector<std::uint8_t>> words(
+        n, std::vector<std::uint8_t>(count));
+    for (std::size_t i = 0; i < n; ++i) {
+      round.sub_words(states.data(), count, i, words[i].data());
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<std::uint64_t> single(values, 0);
+      for (std::uint8_t w : words[i]) ++single[w];
+      const double z = chi_square_z(
+          chi_square(single, static_cast<double>(count) / values),
+          static_cast<double>(values - 1));
+      EXPECT_LT(std::fabs(z), 5.0) << "bits " << bits << " instance " << i;
+      if (i + 1 == n) continue;
+      std::vector<std::uint64_t> pair(values * values, 0);
+      for (std::size_t t = 0; t < count; ++t) {
+        ++pair[words[i][t] * values + words[i + 1][t]];
+      }
+      const double zp = chi_square_z(
+          chi_square(pair, static_cast<double>(count) / (values * values)),
+          static_cast<double>(values * values - 1));
+      EXPECT_LT(std::fabs(zp), 5.0)
+          << "bits " << bits << " instances " << i << ", " << i + 1;
+    }
+  }
 }
 
 TEST(RoundSpecTest, SubWordWidthOutsideOneToEightThrows) {

@@ -2,13 +2,16 @@
 // helpers, and error types.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
+#include "util/ziggurat_tables.hpp"
 
 namespace sable {
 namespace {
@@ -122,18 +125,104 @@ TEST(RngTest, UniformInUnitInterval) {
   EXPECT_NEAR(sum / n, 0.5, 0.01);
 }
 
-TEST(RngTest, GaussianMoments) {
+TEST(RngTest, GaussianMomentsKsAndTailAtTenMillionDraws) {
+  // 10^7 ziggurat draws against the standard normal. Each bound is five
+  // standard errors of its statistic at this n: mean 1/sqrt(n), variance
+  // sqrt(2/n), skewness sqrt(6/n), excess kurtosis sqrt(24/n).
+  constexpr std::size_t n = 10'000'000;
   Rng rng(13);
-  double sum = 0.0;
-  double sq = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    const double g = rng.gaussian();
-    sum += g;
-    sq += g * g;
+  std::vector<double> draws(n);
+  for (double& g : draws) g = rng.gaussian();
+  long double sum = 0.0L;
+  for (double g : draws) sum += g;
+  const long double mean = sum / n;
+  long double m2 = 0.0L;
+  long double m3 = 0.0L;
+  long double m4 = 0.0L;
+  std::size_t beyond_4 = 0;
+  for (double g : draws) {
+    const long double d = g - mean;
+    m2 += d * d;
+    m3 += d * d * d;
+    m4 += d * d * d * d;
+    if (std::fabs(g) > 4.0) ++beyond_4;
   }
-  EXPECT_NEAR(sum / n, 0.0, 0.02);
-  EXPECT_NEAR(sq / n, 1.0, 0.03);
+  m2 /= n;
+  m3 /= n;
+  m4 /= n;
+  const double se = 1.0 / std::sqrt(static_cast<double>(n));
+  EXPECT_NEAR(static_cast<double>(mean), 0.0, 5 * se);
+  EXPECT_NEAR(static_cast<double>(m2), 1.0, 5 * std::sqrt(2.0) * se);
+  EXPECT_NEAR(static_cast<double>(m3 / std::pow(m2, 1.5L)), 0.0,
+              5 * std::sqrt(6.0) * se);
+  EXPECT_NEAR(static_cast<double>(m4 / (m2 * m2) - 3.0L), 0.0,
+              5 * std::sqrt(24.0) * se);
+
+  // Mass beyond 4 sigma, 2 * Phi(-4) = 6.334e-5: it lies past the base
+  // strip's edge kR = 3.654, so only the tail path produces it. Five
+  // binomial standard errors.
+  const double p4 = std::erfc(4.0 / std::sqrt(2.0));
+  EXPECT_NEAR(p4, 6.334e-5, 1e-8);
+  const double tail = static_cast<double>(beyond_4) / n;
+  EXPECT_NEAR(tail, p4, 5 * std::sqrt(p4 / n));
+
+  // Kolmogorov–Smirnov against Phi; 1.95 / sqrt(n) is the 0.1% critical
+  // value.
+  std::sort(draws.begin(), draws.end());
+  double d_max = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double phi = 0.5 * std::erfc(-draws[i] / std::sqrt(2.0));
+    d_max = std::max({d_max, static_cast<double>(i + 1) / n - phi,
+                      phi - static_cast<double>(i) / n});
+  }
+  EXPECT_LT(d_max, 1.95 * se);
+}
+
+TEST(ZigguratTest, TablesMatchTheLongDoubleRecurrence) {
+  // An independent recomputation of util/ziggurat_tables.hpp in long
+  // double from R and V alone (the recurrence in that header's comment).
+  using ziggurat::kF;
+  using ziggurat::kR;
+  using ziggurat::kV;
+  using ziggurat::kX;
+  const long double r = 3.6541528853610088L;
+  const long double v = 0.00492867323399L;
+  EXPECT_EQ(kR, static_cast<double>(r));
+  EXPECT_EQ(kV, static_cast<double>(v));
+  const auto f = [](long double x) { return std::exp(-x * x / 2); };
+  long double x[257];
+  long double y[257];
+  x[1] = r;
+  y[1] = f(r);
+  x[0] = v / y[1];
+  y[0] = f(x[0]);
+  for (int i = 1; i < 255; ++i) {
+    y[i + 1] = y[i] + v / x[i];
+    x[i + 1] = std::sqrt(-2 * std::log(y[i + 1]));
+  }
+  x[256] = 0;
+  y[256] = 1;
+  const auto ulps = [](long double exact, double committed) {
+    const double ulp = std::nextafter(committed, HUGE_VAL) - committed;
+    return static_cast<double>(std::fabs(exact - committed) / ulp);
+  };
+  for (int i = 0; i <= 256; ++i) {
+    EXPECT_LE(ulps(x[i], kX[i]), 2.0) << "kX[" << i << "]";
+    EXPECT_LE(ulps(y[i], kF[i]), 2.0) << "kF[" << i << "]";
+  }
+
+  // Every layer has area V. The base strip is the rectangle [0, R) x
+  // [0, f(R)) plus the tail beyond R. R and V carry 12 to 17 digits, so
+  // the recurrence reaches f = 1 only to about 2e-11: the top layer,
+  // closed at kF[256] = 1 by convention, keeps its area to 1e-8.
+  const double tail =
+      std::sqrt(std::acos(-1.0) / 2) * std::erfc(kR / std::sqrt(2.0));
+  EXPECT_NEAR(kR * kF[1] + tail, kV, 1e-10 * kV);
+  EXPECT_NEAR(kX[0] * kF[1], kV, 1e-12 * kV);
+  for (int i = 1; i < 255; ++i) {
+    EXPECT_NEAR(kX[i] * (kF[i + 1] - kF[i]), kV, 1e-12 * kV) << i;
+  }
+  EXPECT_NEAR(kX[255] * (kF[256] - kF[255]), kV, 1e-8 * kV);
 }
 
 TEST(StringsTest, JoinAndSplit) {
