@@ -68,7 +68,7 @@ class CpaShardAccumulator final : public ShardAccumulator {
 
   // One block per engine shard: block boundaries are the fixed shard
   // layout, so the block-factored summation order is deterministic
-  // across thread counts and dispatch tiers.
+  // across thread counts and machines.
   void accumulate(const ShardBlock& block) override {
     add_scalar_block(acc_, block);
   }
@@ -165,7 +165,7 @@ class MtdShardAccumulator final : public ShardAccumulator {
   // The ladder cuts the shard into segments, each fed through one
   // add_block call. Segment boundaries are fixed by the ladder and the
   // shard layout alone, so the MTD curve is bit-identical across thread
-  // counts and dispatch tiers. An uncut shard is one segment, so the
+  // counts and machines. An uncut shard is one segment, so the
   // block's shared histogram is exactly what add_block would bin; a
   // checkpoint at the shard end snapshots after it.
   void accumulate(const ShardBlock& block) override {

@@ -22,7 +22,7 @@
 // Determinism: a shard accumulator is a pure function of its shard's
 // traces, the reduction shape is a function of the shard count alone, and
 // ordered reductions run on the calling thread — so every distinguisher
-// result is bit-identical for any num_threads and dispatch tier, like
+// result is bit-identical for any num_threads and on every machine, like
 // the campaigns they generalize.
 //
 // Running several distinguishers in one call shares the simulation: a
@@ -231,7 +231,7 @@ class SecondOrderCpaDistinguisher final : public Distinguisher {
 /// ranks every snapshot against the merged prefix of the shards before
 /// it. Segments and merge order are fixed by the ladder and the shard
 /// layout, so the MTD curve is bit-identical across thread counts and
-/// dispatch tiers.
+/// machines.
 /// The checkpoint ladder is canonicalized at construction: sorted,
 /// unique, restricted to [2, num_traces].
 class MtdDistinguisher final : public Distinguisher {

@@ -38,9 +38,8 @@
 //
 // SIMD: campaigns read leakage tables, which the u64 batch simulators
 // and the portable lane packer build once per engine, so no campaign
-// simulates in a vector word. The runtime dispatch tier
-// (util/cpu_dispatch.hpp) picks only the corpus codec's 64×64
-// transposes; every tier generates bit-identical campaigns.
+// simulates in a vector word. Every kernel is one portable body, so a
+// campaign is bit-identical on every machine.
 // Workers are persistent: each engine keeps a pool of worker clones AND a
 // parked thread pool (engine/worker_pool.hpp) alive across campaigns, so
 // sweeps of many small campaigns pay synthesis, tabulation, cloning and
@@ -120,8 +119,8 @@ std::size_t campaign_thread_count(const CampaignOptions& options);
 /// Widest lane word compiled into this binary: a one-line forward to
 /// supported_lane_widths().back() (util/lane_word.hpp). Campaigns no
 /// longer have a lane width (they read leakage tables); the forward stays
-/// for callers that report or pack at the former campaign width. Neither
-/// argument nor the dispatch tier changes the result.
+/// for callers that report or pack at the former campaign width. No
+/// argument changes the result.
 std::size_t campaign_lane_width(const CampaignOptions& options,
                                 LogicStyle style);
 
@@ -211,7 +210,7 @@ class TraceEngine {
   /// time-resolved distinguishers simulates each shard once per data
   /// kind with identical per-kind streams, so every result is
   /// bit-identical to the same distinguisher run alone. Results are
-  /// bit-identical for any num_threads and dispatch tier.
+  /// bit-identical for any num_threads and on every machine.
   void run_distinguishers(const CampaignOptions& options,
                           std::span<Distinguisher* const> distinguishers);
 

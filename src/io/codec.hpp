@@ -10,8 +10,8 @@
 //      constant-power styles often EXACTLY equal — so the IEEE-754 bit
 //      patterns share sign/exponent/high-mantissa bits and the delta
 //      words are mostly zero in the high bits.
-//   2. 64×64 bit-plane transpose per 64-value block (the
-//      tier-dispatched bit_transpose_blocks): bit v of
+//   2. 64×64 bit-plane transpose per 64-value block
+//      (bit_transpose_blocks, one portable body): bit v of
 //      every delta word lands contiguously in plane v, so a bit that is
 //      constant across a block becomes 8 equal bytes, and the buffer is
 //      laid out plane-major so constant planes concatenate across the

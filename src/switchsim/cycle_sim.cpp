@@ -5,36 +5,39 @@
 #include <cstring>
 
 #include "netlist/conduction.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "util/error.hpp"
-
-#if SABLE_HAVE_WORD256 || SABLE_HAVE_WORD512
-#include <immintrin.h>
-#endif
-
-// Function-level ISA enablement for the codec's 64×64 transposes: the TU
-// is compiled for the base architecture, so each vector body carries its
-// own target attribute and is only called once active_tier() allows it.
-#define SABLE_TARGET_AVX2 __attribute__((target("avx2")))
-#define SABLE_TARGET_AVX512 __attribute__((target("avx512f")))
 
 namespace sable {
 
 namespace {
 
-/// In-place 64×64 bit-matrix transpose (Hacker's Delight 7-3, recursive
-/// block swaps), LSB-first: bit c of a[r] moves to bit r of a[c]. Three
-/// block levels of delta-swaps — 64·6 word ops total, versus 64·64
-/// shift/mask/or steps for a per-bit gather.
-void bit_transpose_64x64(std::uint64_t a[64]) {
-  std::uint64_t m = 0x00000000FFFFFFFFull;
-  for (std::size_t j = 32; j != 0; j >>= 1, m ^= m << j) {
-    for (std::size_t k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
-      a[k] ^= t << j;
-      a[k | j] ^= t;
+/// One delta-swap level of the 64×64 transpose: for every row pair
+/// (i, i + J) with bit J of i clear, the `kMask << J` bits of a[i] swap
+/// with the `kMask` bits of a[i + J]. A compile-time shift and mask over a
+/// contiguous inner loop let -O3 vectorize the level for the baseline ISA.
+template <unsigned J, std::uint64_t kMask>
+void transpose_level(std::uint64_t a[64]) {
+  for (std::size_t base = 0; base < 64; base += 2 * J) {
+    for (std::size_t i = base; i < base + J; ++i) {
+      const std::uint64_t t = ((a[i] >> J) ^ a[i + J]) & kMask;
+      a[i] ^= t << J;
+      a[i + J] ^= t;
     }
   }
+}
+
+/// In-place 64×64 bit-matrix transpose (Hacker's Delight 7-3, recursive
+/// block swaps), LSB-first: bit c of a[r] moves to bit r of a[c]. Six
+/// levels of delta-swaps — 64·6 word ops total, versus 64·64
+/// shift/mask/or steps for a per-bit gather. A bit permutation, so its
+/// output is the same on every machine, and it is its own inverse.
+void bit_transpose_64x64(std::uint64_t a[64]) {
+  transpose_level<32, 0x00000000FFFFFFFFull>(a);
+  transpose_level<16, 0x0000FFFF0000FFFFull>(a);
+  transpose_level<8, 0x00FF00FF00FF00FFull>(a);
+  transpose_level<4, 0x0F0F0F0F0F0F0F0Full>(a);
+  transpose_level<2, 0x3333333333333333ull>(a);
+  transpose_level<1, 0x5555555555555555ull>(a);
 }
 
 /// 8×8 bit-matrix transpose inside one 64-bit word (row r = byte r,
@@ -63,145 +66,6 @@ void byte_planes_64_portable(const std::uint8_t* src, std::uint64_t* planes) {
     }
   }
 }
-
-// --- Vectorized transpose bodies -----------------------------------------
-//
-// The corpus codec's bit_transpose_blocks is the one caller that runs
-// these per trace, so it alone dispatches. This TU is compiled for the
-// base architecture and carries every body its build allows (the
-// SABLE_HAVE_WORD* guards), each with an explicit function-level target
-// attribute. Which body runs is picked per call from active_tier(), so
-// SABLE_DISPATCH=portable still exercises the scalar body and a lower-tier
-// cap never executes a wider instruction. All bodies produce bit-identical
-// output — pack_transpose_test asserts it per runtime tier.
-//
-// GCC 12's avx512 intrinsic headers trip -Wuninitialized through the
-// _mm512_undefined_* pass-through operands of the permutexvar intrinsic
-// when its always_inline body lands in these functions (GCC PR105593);
-// the values are never read, so silence that one diagnostic here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-#if SABLE_HAVE_WORD512
-/// 64×64 transpose, zmm form: the same Hacker's Delight delta-swap tree,
-/// but on eight 8-row vectors. Block levels j=32/16/8 pair whole vectors;
-/// j=4/2/1 run inside each vector with a partner permute (vpermq), a
-/// broadcast of t back over both pair halves, and a masked blend picking
-/// t<<j for the low row and t for the high row ("masked shifts").
-SABLE_TARGET_AVX512 void bit_transpose_64x64_avx512(std::uint64_t a[64]) {
-  __m512i v[8];
-  for (int i = 0; i < 8; ++i) v[i] = _mm512_loadu_si512(a + 8 * i);
-  std::uint64_t m = 0x00000000FFFFFFFFull;
-  for (int j = 32; j >= 8; j >>= 1, m ^= m << j) {
-    const __m512i mm = _mm512_set1_epi64((long long)m);
-    const int d = j / 8;  // vector-index distance between partner rows
-    for (int k = 0; k < 8; k = ((k | d) + 1) & ~d) {
-      const __m512i t = _mm512_and_si512(
-          _mm512_xor_si512(_mm512_srli_epi64(v[k], (unsigned)j), v[k + d]),
-          mm);
-      v[k] = _mm512_xor_si512(v[k], _mm512_slli_epi64(t, (unsigned)j));
-      v[k + d] = _mm512_xor_si512(v[k + d], t);
-    }
-  }
-  struct Level {
-    int j;
-    long long mask;
-    long long perm[8];   // partner row for each element
-    long long bcast[8];  // low element of each pair, broadcast t over both
-    unsigned char blend;  // elements taking plain t (the high partners)
-  };
-  static const Level kLevels[3] = {
-      {4, 0x0F0F0F0F0F0F0F0Fll,
-       {4, 5, 6, 7, 0, 1, 2, 3}, {0, 1, 2, 3, 0, 1, 2, 3}, 0xF0},
-      {2, 0x3333333333333333ll,
-       {2, 3, 0, 1, 6, 7, 4, 5}, {0, 1, 0, 1, 4, 5, 4, 5}, 0xCC},
-      {1, 0x5555555555555555ll,
-       {1, 0, 3, 2, 5, 4, 7, 6}, {0, 0, 2, 2, 4, 4, 6, 6}, 0xAA}};
-  for (const Level& level : kLevels) {
-    const __m512i mm = _mm512_set1_epi64(level.mask);
-    const __m512i pidx = _mm512_loadu_si512(level.perm);
-    const __m512i bidx = _mm512_loadu_si512(level.bcast);
-    for (int i = 0; i < 8; ++i) {
-      const __m512i p = _mm512_permutexvar_epi64(pidx, v[i]);
-      const __m512i t = _mm512_and_si512(
-          _mm512_xor_si512(_mm512_srli_epi64(v[i], (unsigned)level.j), p),
-          mm);
-      const __m512i tb = _mm512_permutexvar_epi64(bidx, t);
-      v[i] = _mm512_xor_si512(
-          v[i], _mm512_mask_blend_epi64(
-                    level.blend, _mm512_slli_epi64(tb, (unsigned)level.j),
-                    tb));
-    }
-  }
-  for (int i = 0; i < 8; ++i) _mm512_storeu_si512(a + 8 * i, v[i]);
-}
-#endif  // SABLE_HAVE_WORD512
-
-#if SABLE_HAVE_WORD256
-/// 64×64 transpose, ymm form: delta-swap tree on sixteen 4-row vectors.
-/// Levels j=32/16/8/4 pair whole vectors; j=2/1 run inside each vector
-/// with vpermq partner/broadcast shuffles and a dword blend.
-SABLE_TARGET_AVX2 void bit_transpose_64x64_avx2(std::uint64_t a[64]) {
-  __m256i v[16];
-  for (int i = 0; i < 16; ++i) {
-    v[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + 4 * i));
-  }
-  std::uint64_t m = 0x00000000FFFFFFFFull;
-  for (int j = 32; j >= 4; j >>= 1, m ^= m << j) {
-    const __m256i mm = _mm256_set1_epi64x((long long)m);
-    const int d = j / 4;  // vector-index distance between partner rows
-    for (int k = 0; k < 16; k = ((k | d) + 1) & ~d) {
-      const __m256i t = _mm256_and_si256(
-          _mm256_xor_si256(_mm256_srli_epi64(v[k], j), v[k + d]), mm);
-      v[k] = _mm256_xor_si256(v[k], _mm256_slli_epi64(t, j));
-      v[k + d] = _mm256_xor_si256(v[k + d], t);
-    }
-  }
-  {  // j = 2: element pairs (0,2), (1,3) inside each ymm
-    const __m256i mm = _mm256_set1_epi64x(0x3333333333333333ll);
-    for (int i = 0; i < 16; ++i) {
-      const __m256i p = _mm256_permute4x64_epi64(v[i], 0x4E);
-      const __m256i t = _mm256_and_si256(
-          _mm256_xor_si256(_mm256_srli_epi64(v[i], 2), p), mm);
-      const __m256i tb = _mm256_permute4x64_epi64(t, 0x44);
-      v[i] = _mm256_xor_si256(
-          v[i], _mm256_blend_epi32(_mm256_slli_epi64(tb, 2), tb, 0xF0));
-    }
-  }
-  {  // j = 1: element pairs (0,1), (2,3) inside each ymm
-    const __m256i mm = _mm256_set1_epi64x(0x5555555555555555ll);
-    for (int i = 0; i < 16; ++i) {
-      const __m256i p = _mm256_permute4x64_epi64(v[i], 0xB1);
-      const __m256i t = _mm256_and_si256(
-          _mm256_xor_si256(_mm256_srli_epi64(v[i], 1), p), mm);
-      const __m256i tb = _mm256_permute4x64_epi64(t, 0xA0);
-      v[i] = _mm256_xor_si256(
-          v[i], _mm256_blend_epi32(_mm256_slli_epi64(tb, 1), tb, 0xCC));
-    }
-  }
-  for (int i = 0; i < 16; ++i) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + 4 * i), v[i]);
-  }
-}
-#endif  // SABLE_HAVE_WORD256
-
-using Transpose64Fn = void (*)(std::uint64_t*);
-
-/// Widest 64×64 transpose body the given tier may execute, resolved once
-/// per call (the tier probe stays off the per-block loop).
-Transpose64Fn transpose_64x64_kernel(DispatchTier tier) {
-#if SABLE_HAVE_WORD512
-  if (tier >= DispatchTier::kAvx512) return bit_transpose_64x64_avx512;
-#endif
-#if SABLE_HAVE_WORD256
-  if (tier >= DispatchTier::kAvx2) return bit_transpose_64x64_avx2;
-#endif
-  (void)tier;
-  return bit_transpose_64x64;
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 
@@ -285,9 +149,9 @@ void pack_lane_words(const std::uint8_t* values, std::size_t count,
   }
 }
 
-// Every compiled lane word packs through the same bodies; the wide words
-// are chunk containers (util/lane_word.hpp), so no ISA-specific
-// instantiation is needed.
+// Both lane words pack through the same bodies; Word128 is a chunk
+// container (util/lane_word.hpp), so no ISA-specific instantiation is
+// needed.
 #define SABLE_INSTANTIATE_PACK(W)                                         \
   template void pack_lane_words<W>(const std::uint64_t*, std::size_t,     \
                                    std::vector<W>&);                      \
@@ -298,12 +162,6 @@ void pack_lane_words(const std::uint8_t* values, std::size_t count,
 
 SABLE_INSTANTIATE_PACK(std::uint64_t)
 SABLE_INSTANTIATE_PACK(Word128)
-#if SABLE_HAVE_WORD256
-SABLE_INSTANTIATE_PACK(Word256)
-#endif
-#if SABLE_HAVE_WORD512
-SABLE_INSTANTIATE_PACK(Word512)
-#endif
 
 SablGateSimBatch::SablGateSimBatch(const DpdnNetwork& net,
                                    GateEnergyModel model)
@@ -384,9 +242,8 @@ void SablGateSimBatch::reset(bool charged) {
 }
 
 void bit_transpose_blocks(std::uint64_t* words, std::size_t blocks) {
-  const Transpose64Fn transpose = transpose_64x64_kernel(active_tier());
   for (std::size_t b = 0; b < blocks; ++b) {
-    transpose(words + 64 * b);
+    bit_transpose_64x64(words + 64 * b);
   }
 }
 

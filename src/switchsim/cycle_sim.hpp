@@ -17,8 +17,8 @@
 //
 // The header also carries the bit-matrix transposes: pack_lane_words, the
 // portable lane packer the leakage-table build and the width-1 wrappers
-// use, and bit_transpose_blocks, the corpus codec's tier-dispatched
-// 64×64 transpose.
+// use, and bit_transpose_blocks, the corpus codec's 64×64 transpose. Both
+// run one portable 64×64 body.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +32,14 @@ namespace sable {
 
 /// Transposes a batch of scalar assignments into lane words: lane L of
 /// `words[v]` is bit v of `assignments[L]`. The simulators consume the
-/// std::uint64_t form; the wider words of util/lane_word.hpp are plain
-/// chunk containers, packed 64 lanes per chunk by the same body.
+/// std::uint64_t form; Word128 (util/lane_word.hpp) is a plain chunk
+/// container, packed 64 lanes per chunk by the same body.
 /// `words` must be pre-sized to the variable count (at most 64); lanes at
 /// `count` and beyond are cleared. Implemented as a portable Hacker's
 /// Delight 64×64 bit-matrix transpose per chunk, with a single-lane fast
 /// path; its output is bit-identical to the per-bit gather at every width
 /// and ragged count. Packing runs only while leakage tables are built
-/// (TraceEngine construction) and in the width-1 wrappers, so it carries
-/// no per-tier SIMD bodies.
+/// (TraceEngine construction) and in the width-1 wrappers.
 template <typename W>
 void pack_lane_words(const std::uint64_t* assignments, std::size_t count,
                      std::vector<W>& words);
@@ -60,14 +59,12 @@ void pack_lane_words_gather(const std::uint64_t* assignments,
                             std::size_t count, std::vector<W>& words);
 
 /// In-place 64×64 bit-matrix transpose of `blocks` consecutive 64-word
-/// blocks, through the widest transpose body the runtime dispatch tier
-/// allows (portable Hacker's Delight, AVX2 ymm delta-swaps or AVX-512 zmm
-/// masked shifts, all bit-identical). The transpose is an involution —
-/// applying it twice restores the input — which is exactly what the
-/// corpus codec (io/codec.hpp) needs to turn sample words into
-/// RLE-friendly bit planes and back. Non-template on purpose: defined once
-/// in the portable TU, whose build carries every tier's body behind
-/// function-level target attributes.
+/// blocks, through the same portable Hacker's Delight body as
+/// pack_lane_words: six fixed delta-swap levels that the compiler
+/// vectorizes for the baseline ISA, so every machine produces the same
+/// bits. The transpose is an involution — applying it twice restores the
+/// input — which is exactly what the corpus codec (io/codec.hpp) needs to
+/// turn sample words into RLE-friendly bit planes and back.
 void bit_transpose_blocks(std::uint64_t* words, std::size_t blocks);
 
 /// 64 independent instances of one gate, simulated bit-parallel: per node

@@ -1,12 +1,6 @@
 #include "util/cpu_dispatch.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-
 #include "util/error.hpp"
-#include "util/lane_word.hpp"
 
 namespace sable {
 
@@ -38,58 +32,6 @@ const char* to_string(DispatchTier tier) {
   SABLE_ASSERT(false, "unreachable dispatch tier");
 }
 
-DispatchTier compiled_tier() {
-#if SABLE_HAVE_WORD512
-  return DispatchTier::kAvx512;
-#elif SABLE_HAVE_WORD256
-  return DispatchTier::kAvx2;
-#else
-  return DispatchTier::kPortable;
-#endif
-}
-
-DispatchTier detected_tier() {
-  const CpuFeatures& f = cpu_features();
-  if (f.avx512f) return DispatchTier::kAvx512;
-  if (f.avx2) return DispatchTier::kAvx2;
-  return DispatchTier::kPortable;
-}
-
-namespace {
-
-DispatchTier initial_cap_from_env() {
-  const char* value = std::getenv("SABLE_DISPATCH");
-  if (value == nullptr || *value == '\0') return DispatchTier::kAvx512;
-  if (std::strcmp(value, "portable") == 0) return DispatchTier::kPortable;
-  if (std::strcmp(value, "avx2") == 0) return DispatchTier::kAvx2;
-  if (std::strcmp(value, "avx512") == 0) return DispatchTier::kAvx512;
-  throw InvalidArgument(std::string("SABLE_DISPATCH must be one of "
-                                    "portable|avx2|avx512, got \"") +
-                        value + "\"");
-}
-
-std::atomic<DispatchTier>& tier_cap_slot() {
-  static std::atomic<DispatchTier> cap{initial_cap_from_env()};
-  return cap;
-}
-
-}  // namespace
-
-DispatchTier set_dispatch_tier_cap(DispatchTier cap) {
-  return tier_cap_slot().exchange(cap, std::memory_order_relaxed);
-}
-
-DispatchTier dispatch_tier_cap() {
-  return tier_cap_slot().load(std::memory_order_relaxed);
-}
-
-DispatchTier active_tier() {
-  DispatchTier tier = compiled_tier();
-  const DispatchTier detected = detected_tier();
-  if (detected < tier) tier = detected;
-  const DispatchTier cap = dispatch_tier_cap();
-  if (cap < tier) tier = cap;
-  return tier;
-}
+DispatchTier active_tier() { return DispatchTier::kPortable; }
 
 }  // namespace sable

@@ -8,14 +8,10 @@
 // the stack comes from here so the count invariant is asserted in exactly
 // one place) and the per-lane double-array walks.
 //
-// Word128/256/512 are wider batches of 64-lane chunks that
-// pack_lane_words (switchsim/cycle_sim.hpp) can fill: plain chunk storage
-// with no arithmetic, read and written through lane_chunks() /
+// Word128 is a wider batch of two 64-lane chunks that pack_lane_words
+// (switchsim/cycle_sim.hpp) can fill: plain chunk storage with no
+// arithmetic, read and written through lane_chunks() /
 // lane_from_chunks(). LaneTraits<W> gives any word's kLanes / kChunks.
-// Word256/512 exist in the default runtime-dispatch build
-// (SABLE_SIMD=RUNTIME defines SABLE_DISPATCH_AVX2/512 binary-wide), the
-// builds whose pack kernels carry the AVX2/AVX-512 transpose bodies; the
-// portable build (SABLE_SIMD=OFF) omits them.
 #pragma once
 
 #include <bit>
@@ -25,18 +21,6 @@
 #include <vector>
 
 #include "util/error.hpp"
-
-#if defined(SABLE_DISPATCH_AVX2)
-#define SABLE_HAVE_WORD256 1
-#else
-#define SABLE_HAVE_WORD256 0
-#endif
-
-#if defined(SABLE_DISPATCH_AVX512)
-#define SABLE_HAVE_WORD512 1
-#else
-#define SABLE_HAVE_WORD512 0
-#endif
 
 namespace sable {
 
@@ -48,12 +32,6 @@ struct LaneChunks {
 };
 
 using Word128 = LaneChunks<2>;
-#if SABLE_HAVE_WORD256
-using Word256 = LaneChunks<4>;
-#endif
-#if SABLE_HAVE_WORD512
-using Word512 = LaneChunks<8>;
-#endif
 
 /// Lanes and 64-bit chunks of a lane word (std::uint64_t or LaneChunks).
 template <typename W>
@@ -127,19 +105,8 @@ inline void lane_add_delta(std::uint64_t lanes, double delta, double* out) {
   }
 }
 
-/// Lane widths pack_lane_words is compiled for in this binary, ascending.
-/// 64 and 128 are always available; 256/512 are carried by the default
-/// runtime-dispatch build (not by SABLE_SIMD=OFF). They are plain chunk
-/// storage, so every compiled width runs on any machine at any tier.
-inline std::vector<std::size_t> supported_lane_widths() {
-  std::vector<std::size_t> widths = {64, 128};
-#if SABLE_HAVE_WORD256
-  widths.push_back(256);
-#endif
-#if SABLE_HAVE_WORD512
-  widths.push_back(512);
-#endif
-  return widths;
-}
+/// Lane widths pack_lane_words is compiled for, ascending: std::uint64_t
+/// and Word128, on every machine.
+inline std::vector<std::size_t> supported_lane_widths() { return {64, 128}; }
 
 }  // namespace sable

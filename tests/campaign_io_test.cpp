@@ -45,8 +45,8 @@ namespace {
 const Technology kTech = Technology::generic_180nm();
 
 // Content fingerprints of the committed fixtures (see
-// tests/data/README.md for the generation recipe). Trace simulation is
-// bit-identical across dispatch tiers, so they are machine-independent.
+// tests/data/README.md for the generation recipe). Trace simulation and
+// the codec run one portable body each, so they are machine-independent.
 // A fingerprint hashes decoded traces, so the raw and delta fixtures of
 // one container share it — codec-invariance is part of what the goldens
 // pin.
@@ -928,6 +928,30 @@ TEST(CampaignIoTest, GoldenV3CorporaReplayLive) {
     Distinguisher* const list[] = {&replayed};
     EXPECT_TRUE(replay_distinguishers(corpus, engine.round(), list));
     expect_same_scores(replayed.result().score, ref.result().score);
+  }
+}
+
+TEST(CampaignIoTest, GoldenV3CorporaReRecordByteIdentically) {
+  // The fingerprint above pins what the fixtures decode to; this pins
+  // the encoder: recording the fixture campaign again must reproduce the
+  // committed bytes in both codec modes, container and chunks alike.
+  const struct {
+    const char* file;
+    std::uint32_t compression;
+  } kFixtures[] = {
+      {"/golden_v3_raw.sablcorp", kCorpusCompressionNone},
+      {"/golden_v3_delta.sablcorp", kCorpusCompressionDeltaPlaneRle},
+  };
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  for (const auto& fixture : kFixtures) {
+    SCOPED_TRACE(fixture.file);
+    const std::string path = temp_path("rerecord_golden_v3");
+    engine.record(golden_options(), TraceDataKind::kScalar, path,
+                  fixture.compression);
+    const std::vector<std::uint8_t> committed =
+        read_file(std::string(SABLE_TEST_DATA_DIR) + fixture.file);
+    ASSERT_FALSE(committed.empty());
+    EXPECT_TRUE(read_file(path) == committed);
   }
 }
 

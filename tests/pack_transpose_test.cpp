@@ -3,10 +3,10 @@
 // for u64 sources, 8×8 byte-block transposes for byte sources, and the
 // single-lane fast path — must be bit-identical to pack_lane_words_gather,
 // the independently-simple per-bit reference, at every lane width,
-// variable count and ragged lane count. Wide words are plain chunk
-// storage, so every width runs on every CPU. bit_transpose_blocks, the
-// codec's tier-dispatched transpose, is checked per runtime tier against a
-// per-bit transpose. Also covers the lane-word helpers of
+// variable count and ragged lane count. Word128 is plain chunk storage,
+// so every width runs on every CPU. bit_transpose_blocks, the codec's
+// transpose through the same 64×64 body, is checked against a per-bit
+// transpose. Also covers the lane-word helpers of
 // util/lane_word.hpp: the chunk round trip, lane_mask (including its abort
 // on out-of-range counts) and the masked per-lane walks.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "switchsim/cycle_sim.hpp"
-#include "util/cpu_dispatch.hpp"
 #include "util/lane_word.hpp"
 #include "util/rng.hpp"
 
@@ -61,16 +60,7 @@ void expect_words_equal(const std::vector<W>& got, const std::vector<W>& ref,
 template <typename W>
 struct PackTransposeTest : ::testing::Test {};
 
-using LaneWordTypes = ::testing::Types<std::uint64_t, Word128
-#if SABLE_HAVE_WORD256
-                                       ,
-                                       Word256
-#endif
-#if SABLE_HAVE_WORD512
-                                       ,
-                                       Word512
-#endif
-                                       >;
+using LaneWordTypes = ::testing::Types<std::uint64_t, Word128>;
 TYPED_TEST_SUITE(PackTransposeTest, LaneWordTypes);
 
 TYPED_TEST(PackTransposeTest, MatchesGatherAcrossVarsCountsAndRandomBits) {
@@ -175,13 +165,10 @@ TYPED_TEST(PackTransposeTest, PackLaneWordsTransposesEveryLane) {
   }
 }
 
-// bit_transpose_blocks is the corpus codec's transpose and the one caller
-// of the AVX2/AVX-512 64×64 bodies, picked per call from the active
-// dispatch tier; capping the tier on one machine walks every body this
-// binary can run. Each must match a per-bit transpose (bit c of block
-// row r → bit r of block row c), and the transpose must be its own
-// inverse.
-TEST(BitTransposeBlocksTest, EveryTierMatchesPerBitTransposeAndInverts) {
+// bit_transpose_blocks is the corpus codec's transpose. It must match a
+// per-bit transpose (bit c of block row r → bit r of block row c), and
+// it must be its own inverse.
+TEST(BitTransposeBlocksTest, MatchesPerBitTransposeAndInverts) {
   Rng rng(0x71E5);
   for (std::size_t blocks : {std::size_t{1}, std::size_t{3}}) {
     const std::size_t n = 64 * blocks;
@@ -202,19 +189,11 @@ TEST(BitTransposeBlocksTest, EveryTierMatchesPerBitTransposeAndInverts) {
           }
         }
       }
-      // Matching the per-bit oracle at every tier implies every tier
-      // matches the portable one.
-      for (DispatchTier tier : {DispatchTier::kPortable, DispatchTier::kAvx2,
-                                DispatchTier::kAvx512}) {
-        ScopedDispatchTierCap cap(tier);
-        std::vector<std::uint64_t> words = *input;
-        bit_transpose_blocks(words.data(), blocks);
-        EXPECT_EQ(words, expected) << to_string(tier) << ", blocks "
-                                   << blocks;
-        bit_transpose_blocks(words.data(), blocks);
-        EXPECT_EQ(words, *input) << to_string(tier) << " twice, blocks "
-                                 << blocks;
-      }
+      std::vector<std::uint64_t> words = *input;
+      bit_transpose_blocks(words.data(), blocks);
+      EXPECT_EQ(words, expected) << "blocks " << blocks;
+      bit_transpose_blocks(words.data(), blocks);
+      EXPECT_EQ(words, *input) << "twice, blocks " << blocks;
     }
   }
 }
