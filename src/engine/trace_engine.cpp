@@ -189,8 +189,8 @@ class WorkerLease {
 // (1 for scalar data, num_levels() for a time-resolved stream); the
 // attack driver fills `rows` with time-resolved data beside the scalar
 // samples, since a mixed campaign needs both. Consumers that simulate
-// into external storage (run's TraceSet slices, the stream ring's slots)
-// lease a bare WorkerLease instead.
+// into external storage lease a bare WorkerLease instead: run's TraceSet
+// slices, and the stream ring's slots (beside an encode scratch).
 struct WorkerCtx {
   WorkerLease lease;
   std::vector<std::uint8_t> pts;
@@ -207,30 +207,42 @@ struct WorkerCtx {
 };
 
 // The ordered stream behind stream(), stream_sampled() and record(), on
-// the pool's one scheduler: parallel_for claims shards in canonical
-// order, each party simulates its shard of `kind` into slot s % window of
-// a ring and marks it ready, and whichever party finds the stream's next
-// shard ready while nobody is draining becomes the drainer — it hands
-// every consecutive ready slot to `sink` in canonical order, releasing
-// the lock around each call. The `draining` flag keeps the sink
-// sequential (never concurrent with itself, though not pinned to one
-// thread), and the ready check and the flag's release share one critical
-// section, so no ready shard is ever left behind.
+// the pool's one scheduler. parallel_for claims shards in canonical
+// order; each party simulates its shard of `kind` into slot s % window
+// of a ring, runs the stream's parallel step on it, and marks it ready.
+// Whichever party finds the stream's next shard ready while nobody is
+// draining becomes the drainer: it hands every consecutive ready slot to
+// the ordered step in canonical order, releasing the lock around each
+// call. The `draining` flag keeps the ordered step sequential (never
+// concurrent with itself, though not pinned to one thread), and the
+// ready check and the flag's release share one critical section, so no
+// ready shard is ever left behind.
 //
-// In-flight storage is the ring of `window` slots, sized from the thread
-// count: enough slack that parties at different shard speeds do not stall
-// on the drain, yet O(threads) memory rather than O(num_shards). A party
-// may fill slot s % window only once turn + window > s (its previous
-// occupant was sunk); slots are cache-line aligned and their buffers
+// The two steps: with a `writer` (record), the parallel step is the
+// codec — encode_shard into the slot's EncodedShard with the party's own
+// CodecScratch — and the drain only calls append_encoded, so the encode
+// scales with the parties and only the file write stays sequential.
+// Without one (stream, stream_sampled) there is no parallel step and the
+// drain calls `sink` with the slot's traces.
+//
+// Slot ownership: a party may fill slot s % window only once turn +
+// window > s (its previous occupant was drained). From then until it
+// publishes `ready` under the lock, the slot — traces and encoded chunk
+// alike — belongs to that party alone; from `ready` until the drainer
+// clears it, to the drainer. The ring holds `window` slots, sized from
+// the thread count: enough slack that parties at different shard speeds
+// do not stall on the drain, yet O(threads) memory rather than
+// O(num_shards). Slots are cache-line aligned and their buffers
 // recycled, so steady-state streaming does not allocate. Claims are in
-// canonical order and a party holds at most one unsunk shard, so the
+// canonical order and a party holds at most one undrained shard, so the
 // shard at `turn` is always being simulated or ready — the wait cannot
 // deadlock. One condvar carries both space and failure: any exception
-// (simulation or sink) sets `failed`, which stops further sink calls and
-// releases the waiting parties before parallel_for rethrows it.
+// (simulation, encode, sink or write) sets `failed`, which stops further
+// ordered calls and releases the waiting parties before parallel_for
+// rethrows it.
 void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
                    const CampaignOptions& options, TraceDataKind kind,
-                   const TraceSink& sink) {
+                   const TraceSink& sink, CorpusWriter* writer) {
   validate_options(prototype.round(), options);
   const std::size_t width =
       kind == TraceDataKind::kScalar ? 1 : prototype.num_levels();
@@ -242,17 +254,23 @@ void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
   struct alignas(64) Slot {
     std::vector<std::uint8_t> pts;
     std::vector<double> samples;
+    EncodedShard encoded;
     bool ready = false;
+  };
+  // A party's context: its leased simulator and its encode scratch.
+  struct Party {
+    WorkerLease lease;
+    CodecScratch codec;
   };
   const std::size_t window = std::min(layout.num_shards, 2 * threads + 2);
   std::vector<Slot> slots(window);
   std::mutex mutex;
   std::condition_variable space_cv;
-  std::size_t turn = 0;  // the next shard to sink
+  std::size_t turn = 0;  // the next shard to drain
   bool draining = false;
   bool failed = false;
 
-  const auto deliver = [&](RoundTarget& target, std::size_t s) {
+  const auto deliver = [&](Party& party, std::size_t s) {
     Slot& slot = slots[s % window];
     std::unique_lock<std::mutex> lock(mutex);
     space_cv.wait(lock, [&] { return failed || s < turn + window; });
@@ -262,18 +280,27 @@ void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
     const std::size_t count = layout.count(s);
     slot.pts.resize(count * pt_stride);
     slot.samples.resize(count * width);
-    simulate_shard(target, options, layout, s, kind, slot.pts.data(),
-                   slot.samples.data());
+    simulate_shard(party.lease.target(), options, layout, s, kind,
+                   slot.pts.data(), slot.samples.data());
+    if (writer) {
+      writer->encode_shard(slot.pts.data(), slot.samples.data(), count,
+                           party.codec, slot.encoded);
+    }
     lock.lock();
     slot.ready = true;
     if (draining) return;
     draining = true;
     // Slot turn % window can only hold shard `turn`: shard turn - window
-    // was sunk and cleared, and shard turn + window still waits for space.
+    // was drained and cleared, and shard turn + window still waits for
+    // space.
     while (!failed && slots[turn % window].ready) {
       Slot& head = slots[turn % window];
       lock.unlock();
-      sink(head.pts.data(), head.samples.data(), layout.count(turn));
+      if (writer) {
+        writer->append_encoded(head.encoded);
+      } else {
+        sink(head.pts.data(), head.samples.data(), layout.count(turn));
+      }
       lock.lock();
       head.ready = false;
       ++turn;
@@ -284,10 +311,10 @@ void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
 
   pool.workers.parallel_for(
       layout.num_shards, threads,
-      [&] { return WorkerLease(prototype, pool); },
-      [&](WorkerLease& lease, std::size_t s) {
+      [&] { return Party{WorkerLease(prototype, pool), {}}; },
+      [&](Party& party, std::size_t s) {
         try {
-          deliver(lease.target(), s);
+          deliver(party, s);
         } catch (...) {
           {
             std::lock_guard<std::mutex> lock(mutex);
@@ -397,12 +424,14 @@ TraceSet TraceEngine::run(const CampaignOptions& options) {
 
 void TraceEngine::stream(const CampaignOptions& options,
                          const TraceSink& sink) {
-  stream_shards(target_, *pools_, options, TraceDataKind::kScalar, sink);
+  stream_shards(target_, *pools_, options, TraceDataKind::kScalar, sink,
+                nullptr);
 }
 
 void TraceEngine::stream_sampled(const CampaignOptions& options,
                                  const SampledTraceSink& sink) {
-  stream_shards(target_, *pools_, options, TraceDataKind::kSampled, sink);
+  stream_shards(target_, *pools_, options, TraceDataKind::kSampled, sink,
+                nullptr);
 }
 
 void TraceEngine::run_distinguishers(
@@ -477,13 +506,11 @@ void TraceEngine::record(const CampaignOptions& options, TraceDataKind kind,
     manifest.sample_width = target_.num_levels();
   }
   CorpusWriter writer(path, manifest);
-  // The stream sinks shards in canonical order and never concurrently —
-  // exactly append_shard's contract — though not always on this thread.
-  stream_shards(target_, *pools_, options, kind,
-                [&](const std::uint8_t* pts, const double* samples,
-                    std::size_t count) {
-                  writer.append_shard(pts, samples, count);
-                });
+  // The parties encode each shard with their own scratch (encode_shard is
+  // pure), and the drain appends the chunks in canonical order, never
+  // concurrently — append_encoded's contract — though not always on this
+  // thread.
+  stream_shards(target_, *pools_, options, kind, TraceSink{}, &writer);
   writer.finish();
 }
 

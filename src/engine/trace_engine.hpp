@@ -240,12 +240,12 @@ class TraceEngine {
                       const std::vector<std::string>& partial_paths);
 
   /// Records the campaign's trace stream to a corpus file at `path`
-  /// (io/corpus.hpp): shards are simulated in parallel and written in
-  /// canonical order, scalar or cycle-sampled per `kind`, in the v3
-  /// format. The default compresses chunks with delta+plane+RLE; pass
-  /// `kCorpusCompressionNone` for raw chunks. Whatever the encoding, the
-  /// corpus replays into any matching distinguisher set bit-identically
-  /// to the live campaign.
+  /// (io/corpus.hpp): shards are simulated and encoded in parallel and
+  /// written in canonical order, scalar or cycle-sampled per `kind`, in
+  /// the v3 format. The default compresses chunks with delta+plane+RLE;
+  /// pass `kCorpusCompressionNone` for raw chunks. Whatever the encoding,
+  /// the corpus replays into any matching distinguisher set
+  /// bit-identically to the live campaign.
   void record(const CampaignOptions& options, TraceDataKind kind,
               const std::string& path,
               std::uint32_t compression = kCorpusCompressionDeltaPlaneRle);

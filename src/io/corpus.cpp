@@ -76,7 +76,15 @@ CorpusWriter::CorpusWriter(const std::string& path,
   if (!file_) {
     throw IoError(tmp_path_, "cannot open corpus file for writing");
   }
-  write_raw(header.buffer().data(), header.buffer().size());
+  // A throwing constructor never runs the destructor, so a failed header
+  // write discards the .tmp here.
+  try {
+    write_raw(header.buffer().data(), header.buffer().size());
+  } catch (...) {
+    std::fclose(std::exchange(file_, nullptr));
+    std::remove(tmp_path_.c_str());
+    throw;
+  }
 }
 
 CorpusWriter::~CorpusWriter() {
@@ -93,40 +101,55 @@ void CorpusWriter::write_raw(const void* data, std::size_t size) {
   write_offset_ += size;
 }
 
-void CorpusWriter::append_shard(const std::uint8_t* pts,
-                                const double* samples, std::size_t count) {
+void CorpusWriter::encode_shard(const std::uint8_t* pts,
+                                const double* samples, std::size_t count,
+                                CodecScratch& scratch,
+                                EncodedShard& out) const {
+  SABLE_REQUIRE(count >= 1 && count <= manifest_.campaign.shard_size,
+                "encoded shard's trace count must fit the corpus layout");
+  const std::size_t stride = static_cast<std::size_t>(manifest_.pt_stride);
+  const std::size_t width = static_cast<std::size_t>(manifest_.sample_width);
+  std::vector<std::uint8_t>& bytes = out.bytes;
+  bytes.clear();
+  out.count = count;
+  if (manifest_.compression == kCorpusCompressionNone) {
+    out.pt_bytes = count * stride;
+    out.samp_bytes = count * width * sizeof(double);
+    bytes.insert(bytes.end(), pts, pts + out.pt_bytes);
+    bytes.resize(pad8(out.pt_bytes));
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(samples);
+    bytes.insert(bytes.end(), raw, raw + out.samp_bytes);
+  } else {
+    out.pt_bytes =
+        corpus_encode_plaintexts(pts, count, stride, scratch, bytes);
+    bytes.resize(pad8(out.pt_bytes));
+    out.samp_bytes =
+        corpus_encode_samples(samples, count, width, scratch, bytes);
+    bytes.resize(pad8(out.pt_bytes) + pad8(out.samp_bytes));
+  }
+}
+
+void CorpusWriter::append_encoded(const EncodedShard& shard) {
   SABLE_REQUIRE(!finished_, "corpus writer already finished");
   SABLE_REQUIRE(next_shard_ < manifest_.campaign.num_shards,
                 "more shards appended than the corpus layout defines");
-  SABLE_REQUIRE(count == layout_count(manifest_.campaign, next_shard_),
+  SABLE_REQUIRE(shard.count == layout_count(manifest_.campaign, next_shard_),
                 "appended shard's trace count must match the canonical "
                 "layout");
-  static const char kZeros[8] = {};
+  SABLE_REQUIRE(shard.bytes.size() ==
+                    pad8(shard.pt_bytes) + pad8(shard.samp_bytes),
+                "encoded shard's chunk must hold its two padded streams");
   const std::uint64_t offset = write_offset_;
-  std::uint64_t pt_bytes;
-  std::uint64_t samp_bytes;
-  if (manifest_.compression == kCorpusCompressionNone) {
-    pt_bytes = count * manifest_.pt_stride;
-    samp_bytes = count * manifest_.sample_width * sizeof(double);
-    write_raw(pts, static_cast<std::size_t>(pt_bytes));
-    write_raw(kZeros, static_cast<std::size_t>(pad8(pt_bytes) - pt_bytes));
-    write_raw(samples, static_cast<std::size_t>(samp_bytes));
-  } else {
-    encoded_.clear();
-    pt_bytes = corpus_encode_plaintexts(
-        pts, count, static_cast<std::size_t>(manifest_.pt_stride), scratch_,
-        encoded_);
-    write_raw(encoded_.data(), encoded_.size());
-    write_raw(kZeros, static_cast<std::size_t>(pad8(pt_bytes) - pt_bytes));
-    encoded_.clear();
-    samp_bytes = corpus_encode_samples(
-        samples, count, static_cast<std::size_t>(manifest_.sample_width),
-        scratch_, encoded_);
-    write_raw(encoded_.data(), encoded_.size());
-    write_raw(kZeros, static_cast<std::size_t>(pad8(samp_bytes) - samp_bytes));
-  }
-  index_.insert(index_.end(), {offset, count, pt_bytes, samp_bytes});
+  write_raw(shard.bytes.data(), shard.bytes.size());
+  index_.insert(index_.end(),
+                {offset, shard.count, shard.pt_bytes, shard.samp_bytes});
   ++next_shard_;
+}
+
+void CorpusWriter::append_shard(const std::uint8_t* pts,
+                                const double* samples, std::size_t count) {
+  encode_shard(pts, samples, count, scratch_, encoded_);
+  append_encoded(encoded_);
 }
 
 void CorpusWriter::finish() {

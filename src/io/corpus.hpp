@@ -39,7 +39,8 @@
 // rejects them by their manifest's stream.
 //
 // CorpusWriter streams: the header and index placeholder go out first,
-// shard chunks append in canonical order, finish() back-patches the
+// shard chunks append in canonical order (encoded anywhere, written in
+// order — see encode_shard / append_encoded), finish() back-patches the
 // index and renames the .tmp file into place — constant memory however
 // long the campaign, and no half-written corpus ever appears under the
 // final name. CorpusReader validates the whole structure ONCE up front
@@ -54,6 +55,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "io/codec.hpp"
 #include "io/manifest.hpp"
@@ -104,12 +106,30 @@ struct CorpusDecodeScratch {
   std::vector<double> samples;
 };
 
+/// One shard's chunk as it goes to disk: the stored plaintext stream
+/// padded to 8 bytes, then the stored sample stream padded to 8, plus
+/// the index entry's trace count and stream sizes. Produced by
+/// CorpusWriter::encode_shard, consumed by append_encoded; its buffer is
+/// reused shard after shard.
+struct EncodedShard {
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t count = 0;
+  std::uint64_t pt_bytes = 0;    // stored plaintext stream, unpadded
+  std::uint64_t samp_bytes = 0;  // stored sample stream, unpadded
+};
+
 /// Streaming corpus writer. Feed shards strictly in canonical order
-/// (shard 0, 1, ...), one append_shard per shard with the layout's exact
-/// trace count, then finish(). The destructor discards an unfinished
-/// file (removes the .tmp), and so does a finish() that fails — only a
-/// successful finish() publishes. Always emits the v3 format, so the
-/// manifest's stream must be kCampaignStream.
+/// (shard 0, 1, ...), one append per shard with the layout's exact trace
+/// count, then finish(). The destructor discards an unfinished file
+/// (removes the .tmp), and so does a finish() that fails — only a
+/// successful finish() publishes. A constructor that fails to write the
+/// header closes and removes the .tmp before it throws. Always emits the
+/// v3 format, so the manifest's stream must be kCampaignStream.
+///
+/// Appending is two steps, so the costly one can run in parallel:
+/// encode_shard turns a shard's traces into its chunk, and
+/// append_encoded writes the chunk in order. append_shard is the two in
+/// sequence.
 class CorpusWriter {
  public:
   CorpusWriter(const std::string& path, const CorpusManifest& manifest);
@@ -117,10 +137,26 @@ class CorpusWriter {
   CorpusWriter(const CorpusWriter&) = delete;
   CorpusWriter& operator=(const CorpusWriter&) = delete;
 
-  /// Appends the next canonical shard's traces: `count` packed plaintext
-  /// states (`pt_stride` bytes each) and `count * sample_width` doubles.
-  /// Throws InvalidArgument when called out of order or with the wrong
-  /// count for the shard, IoError on write failure.
+  /// Encodes `count` packed plaintext states (`pt_stride` bytes each) and
+  /// `count * sample_width` doubles into `out` under the manifest's
+  /// compression (a copy for raw chunks). Pure: it reads only the
+  /// manifest, so any number of threads may encode at once — each with
+  /// its own scratch and output — while another appends. Throws
+  /// InvalidArgument when `count` is zero or exceeds the shard size.
+  void encode_shard(const std::uint8_t* pts, const double* samples,
+                    std::size_t count, CodecScratch& scratch,
+                    EncodedShard& out) const;
+
+  /// Writes the next canonical shard's chunk, as encode_shard produced it
+  /// for this writer's manifest, and records its index entry. Throws
+  /// InvalidArgument when called out of order or with the wrong count
+  /// for the shard, IoError on write failure. Not thread-safe: one
+  /// caller at a time.
+  void append_encoded(const EncodedShard& shard);
+
+  /// Appends the next canonical shard's traces in one call: encode_shard
+  /// into the writer's own scratch, then append_encoded, with their
+  /// throws.
   void append_shard(const std::uint8_t* pts, const double* samples,
                     std::size_t count);
 
@@ -142,8 +178,8 @@ class CorpusWriter {
   std::size_t index_offset_ = 0;  // file offset of the shard index
   std::size_t write_offset_ = 0;  // current file offset
   std::vector<std::uint64_t> index_;  // flattened 4-u64 entries
-  CodecScratch scratch_;              // encode intermediates, reused
-  std::vector<std::uint8_t> encoded_;  // encoded streams, reused
+  CodecScratch scratch_;              // append_shard's encode scratch
+  EncodedShard encoded_;              // append_shard's chunk, reused
   bool finished_ = false;
 };
 

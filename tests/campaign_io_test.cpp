@@ -710,30 +710,40 @@ TEST(CampaignIoTest, CompressionVariantsReplayBitIdentically) {
   EXPECT_LT(delta_size, raw_size);
 }
 
+// The corpus variants the byte-identity tests below cover: both codecs
+// on scalar data, and time-resolved data through the delta codec.
+struct CorpusVariant {
+  const char* name;
+  LogicStyle style;
+  TraceDataKind kind;
+  std::uint32_t compression;
+};
+constexpr CorpusVariant kCorpusVariants[] = {
+    {"scalar_delta", LogicStyle::kStaticCmos, TraceDataKind::kScalar,
+     kCorpusCompressionDeltaPlaneRle},
+    {"scalar_raw", LogicStyle::kStaticCmos, TraceDataKind::kScalar,
+     kCorpusCompressionNone},
+    {"sampled", LogicStyle::kSablGenuine, TraceDataKind::kSampled,
+     kCorpusCompressionDeltaPlaneRle},
+};
+
+// small_options() over one-word shards: 47 shards, beyond the stream's
+// ring at 1, 2 and 7 threads.
+CampaignOptions one_word_shard_options() {
+  CampaignOptions options = small_options();
+  options.shard_size = 64;
+  return options;
+}
+
 // A corpus is a pure function of the campaign: the bytes on disk do not
 // depend on how many threads recorded it, for either codec and data kind.
 TEST(CampaignIoTest, CorpusBytesDoNotDependOnTheThreadCount) {
-  struct Variant {
-    const char* name;
-    LogicStyle style;
-    TraceDataKind kind;
-    std::uint32_t compression;
-  };
-  const Variant variants[] = {
-      {"scalar_delta", LogicStyle::kStaticCmos, TraceDataKind::kScalar,
-       kCorpusCompressionDeltaPlaneRle},
-      {"scalar_raw", LogicStyle::kStaticCmos, TraceDataKind::kScalar,
-       kCorpusCompressionNone},
-      {"sampled", LogicStyle::kSablGenuine, TraceDataKind::kSampled,
-       kCorpusCompressionDeltaPlaneRle},
-  };
   const std::size_t thread_counts[] = {
       1, 2, 7, std::max<std::size_t>(1, std::thread::hardware_concurrency())};
-  for (const Variant& v : variants) {
+  for (const CorpusVariant& v : kCorpusVariants) {
     SCOPED_TRACE(v.name);
     TraceEngine engine(present_spec(), v.style, kTech);
-    CampaignOptions options = small_options();
-    options.shard_size = 64;  // 47 shards, beyond the ring at 1, 2, 7 threads
+    CampaignOptions options = one_word_shard_options();
     const std::string path = temp_path(std::string("threads_") + v.name);
     std::vector<std::uint8_t> reference;
     for (std::size_t threads : thread_counts) {
@@ -748,6 +758,44 @@ TEST(CampaignIoTest, CorpusBytesDoNotDependOnTheThreadCount) {
         EXPECT_TRUE(bytes == reference);
       }
     }
+  }
+}
+
+// record() encodes in the stream's parties and only appends in order;
+// a CorpusWriter fed whole shards through append_shard from stream() or
+// stream_sampled() encodes in the drain. Both must write the same bytes.
+TEST(CampaignIoTest, AppendShardWritesWhatRecordWrites) {
+  for (const CorpusVariant& v : kCorpusVariants) {
+    SCOPED_TRACE(v.name);
+    TraceEngine engine(present_spec(), v.style, kTech);
+    CampaignOptions options = one_word_shard_options();
+    options.num_threads = 4;
+    const std::string recorded = temp_path(std::string("record_") + v.name);
+    engine.record(options, v.kind, recorded, v.compression);
+
+    CorpusManifest manifest;
+    manifest.campaign = engine.campaign_manifest(options);
+    manifest.compression = v.compression;
+    manifest.pt_stride = engine.round().state_bytes();
+    const bool sampled = v.kind == TraceDataKind::kSampled;
+    manifest.kind = sampled ? kCorpusKindSampled : kCorpusKindScalar;
+    manifest.sample_width = sampled ? engine.target().num_levels() : 1;
+    const std::string appended = temp_path(std::string("append_") + v.name);
+    CorpusWriter writer(appended, manifest);
+    const TraceSink append = [&](const std::uint8_t* pts,
+                                 const double* samples, std::size_t count) {
+      writer.append_shard(pts, samples, count);
+    };
+    if (sampled) {
+      engine.stream_sampled(options, append);
+    } else {
+      engine.stream(options, append);
+    }
+    writer.finish();
+
+    const std::vector<std::uint8_t> bytes = read_file(recorded);
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_TRUE(read_file(appended) == bytes);
   }
 }
 

@@ -6,14 +6,23 @@
 // on the same objects is bit-identical to a fresh engine's.
 // A sink that throws mid-stream must rethrow out of the ordered stream
 // without wedging the parties waiting on its ring, and the sink is never
-// re-entered nor sees a shard out of canonical order.
+// re-entered nor sees a shard out of canonical order. A corpus write that
+// fails — at the header or mid-stream, in record()'s ordered drain —
+// must throw IoError, leave no temporary file and keep the corpus
+// previously published at the path.
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -31,6 +40,7 @@
 #include "io/corpus.hpp"
 #include "io/corpus_cache.hpp"
 #include "io/replay.hpp"
+#include "util/error.hpp"
 
 namespace sable {
 namespace {
@@ -256,6 +266,106 @@ TEST(StreamOrderTest, SinkIsNeverReenteredAndSeesCanonicalOrder) {
       EXPECT_EQ(reentries.load(), 0u);
       EXPECT_EQ(mismatches, 0u);
       EXPECT_EQ(next, num_traces);
+    }
+  }
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>());
+}
+
+// Lowers this process's soft RLIMIT_FSIZE to `bytes` for the guard's
+// lifetime, with SIGXFSZ ignored so a write past the limit fails with
+// EFBIG instead of killing the process. Both act on the test process
+// only, and both are restored at scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    EXPECT_EQ(getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    previous_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min(bytes, saved_.rlim_max);
+    EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*previous_)(int) = SIG_DFL;
+};
+
+// 400 one-word shards: the header and its 12.8 KB index placeholder
+// already pass 1 KiB (and the stdio buffer, so the constructor's write
+// itself fails), while 64 KiB fails mid-stream in the ordered drain,
+// after the parties have encoded shards ahead of it.
+constexpr rlim_t kHeaderLimit = 1024;
+constexpr rlim_t kMidStreamLimit = 64 * 1024;
+
+CampaignOptions write_limit_options(std::size_t threads) {
+  CampaignOptions options = options_with(threads);
+  options.shard_size = 64;
+  options.num_traces = 400 * 64;
+  return options;
+}
+
+TEST(CorpusWriteFailureTest, ConstructorRemovesItsTempFile) {
+  const std::string path = testing::TempDir() + "driver_failure_header";
+  std::filesystem::remove(path);
+  TraceEngine engine = make_engine();
+  CorpusManifest manifest;
+  manifest.campaign = engine.campaign_manifest(write_limit_options(1));
+  manifest.pt_stride = engine.round().state_bytes();
+  {
+    FileSizeLimit limit(kHeaderLimit);
+    EXPECT_THROW(CorpusWriter(path, manifest), IoError);
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+// Whichever party drains when the write fails, record() must rethrow
+// without hanging, discard the .tmp and leave the previous corpus at the
+// path byte for byte; the next record() on the same engine must match a
+// fresh engine's, at 1 and 4 threads and for both codecs.
+TEST(CorpusWriteFailureTest, RecordRethrowsAndKeepsThePublishedCorpus) {
+  const std::string path = testing::TempDir() + "driver_failure_limited";
+  const std::string fresh_path = testing::TempDir() + "driver_failure_fresh";
+  for (const std::uint32_t codec :
+       {kCorpusCompressionDeltaPlaneRle, kCorpusCompressionNone}) {
+    TraceEngine fresh = make_engine();
+    fresh.record(write_limit_options(1), TraceDataKind::kScalar, fresh_path,
+                 codec);
+    const std::vector<std::uint8_t> expected = read_file(fresh_path);
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(testing::Message() << "codec " << codec << ", "
+                                      << threads << " threads");
+      const CampaignOptions options = write_limit_options(threads);
+      CampaignOptions previous = options;
+      previous.seed += 1;  // a different campaign, so a clobber shows
+      TraceEngine engine = make_engine();
+      engine.record(previous, TraceDataKind::kScalar, path, codec);
+      const std::vector<std::uint8_t> published = read_file(path);
+      for (const rlim_t bytes : {kHeaderLimit, kMidStreamLimit}) {
+        SCOPED_TRACE(bytes);
+        {
+          FileSizeLimit limit(bytes);
+          EXPECT_THROW(
+              engine.record(options, TraceDataKind::kScalar, path, codec),
+              IoError);
+        }
+        EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+        EXPECT_TRUE(read_file(path) == published);
+      }
+      engine.record(options, TraceDataKind::kScalar, path, codec);
+      EXPECT_TRUE(read_file(path) == expected);
     }
   }
 }
