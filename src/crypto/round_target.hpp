@@ -18,20 +18,35 @@
 // Encryptions read tabulated leakage (crypto/leakage_table.hpp): at
 // construction every instance gets the exact per-input cycle energies of
 // its circuit, computed once by the switch-level batch simulators, and
-// trace(), trace_batch() and trace_batch_sampled() sum table rows in
-// instance order instead of re-simulating — bit-identical to direct
-// simulation. The simulators only build tables and serve as the test
-// oracle. Identical (spec, style) instances share one synthesized circuit
-// and one table (WDDL instances keep one table each: every instance has
-// its own rail-imbalance seed); clones share the tables too. The only
-// mutable state is static CMOS's transition history: per instance, the
-// input each of the 64 logical lanes last held (lane L of a call is every
-// trace t with t % 64 == L, the 64-lane kernel layout), so chained calls,
-// reset_state() and scalar trace() behave exactly as the simulators did.
+// trace(), trace_batch() and trace_batch_sampled() sum table rows instead
+// of re-simulating — bit-identical to direct simulation. The simulators
+// only build tables and serve as the test oracle. Identical (spec, style)
+// instances share one synthesized circuit and one table (WDDL instances
+// keep one table each: every instance has its own rail-imbalance seed);
+// clones share the tables too.
 //
-// Every RoundTargetT<W> shares one lookup body, RoundTargetBase; the
-// lane-word parameter no longer selects any code and survives only for
-// callers written against the former per-width API.
+// Both batch calls run one trace-major body (round_target.cpp), one trace
+// start to finish before the next. A trace's packed state is read as
+// little-endian 64-bit words and XORed with the round key once per word;
+// each instance's sub-word is shifted and masked out of its word (or out
+// of two, where it straddles a word boundary). The instances' table rows
+// are summed in instance order from 0.0, the summation order of direct
+// simulation, into an accumulator row of compile-time width — 1 for
+// trace_batch(), the level count for trace_batch_sampled() up to 12 —
+// kept in registers two levels each, with a few traces in flight so
+// their add chains overlap; each output row is written once. Wider rows
+// (AES's 20 levels) sum in the output row at a runtime width. Noise is
+// added afterwards in trace-major, level-minor order by
+// Rng::add_gaussian_noise, the same draws as one gaussian() per sample.
+//
+// The only mutable state is static CMOS's transition history: per
+// instance, the input each of the 64 logical lanes last held (lane L of a
+// call is every trace t with t % 64 == L, the 64-lane kernel layout), so
+// chained calls, reset_state() and scalar trace() behave exactly as the
+// simulators did. The same body reads and advances it, for scalar and
+// time-resolved rows alike.
+//
+// Every RoundTargetT<W> is the same RoundTargetBase: W selects no code.
 #pragma once
 
 #include <cstdint>
@@ -198,27 +213,45 @@ class RoundTargetBase {
   const LeakageTable& leakage_table(std::size_t index) const;
 
  private:
-  struct Instance {
-    SubWordField field;
-    std::shared_ptr<const LeakageTable> table;
-  };
-  // Static CMOS history of one instance: the input each logical lane last
-  // held, and which lanes hold one at all.
-  struct LaneHistory {
-    std::uint8_t previous[64] = {};
-    std::uint64_t seen = 0;
+  // One instance as the trace-major kernel reads it: where its sub-word
+  // sits in a state's little-endian 64-bit words, and the table rows the
+  // current call sums (energies() or level_energies()).
+  struct Lookup {
+    std::uint32_t word = 0;    // state word holding the sub-word's low bit
+    std::uint32_t shift = 0;   // that bit's position in the word
+    std::uint64_t mask = 0;    // 2^in_bits - 1
+    std::uint32_t bits = 0;    // in_bits
+    bool straddles = false;    // runs on into word + 1 (shift + bits > 64)
+    std::uint32_t levels = 0;  // doubles per row of `rows`
+    const double* rows = nullptr;
   };
 
-  // Table rows of traces [base, base + lanes) (lanes <= 64, base a
-  // multiple of 64) of instance i; advances its CMOS history.
-  void instance_rows(std::size_t i, const std::uint8_t* pts,
-                     std::size_t base, std::size_t lanes,
-                     const std::uint8_t* key, std::uint32_t* rows);
+  // Sums every trace's instance rows into out[t * width, (t + 1) * width):
+  // picks the sum_rows_at instance for the width (kWidth = 0 for a
+  // runtime width) and for whether the style keeps history.
+  void sum_rows(const std::uint8_t* pts, std::size_t count,
+                const std::uint8_t* key, std::size_t width, double* out);
+  template <std::size_t kWidth, bool kHistory>
+  void sum_rows_at(const std::uint8_t* pts, std::size_t count,
+                   std::size_t width, double* out);
+  // Traces [t0, t0 + kTraces) of sum_rows_at, side by side.
+  template <std::size_t kWidth, bool kHistory, std::size_t kTraces>
+  void sum_traces(const std::uint8_t* pts, std::size_t t0,
+                  std::size_t direct, std::size_t width, double* out);
 
   RoundSpec round_;
   std::size_t stride_ = 0;  // round_.state_bytes()
-  std::vector<Instance> instances_;
-  std::vector<LaneHistory> history_;  // per instance; empty unless CMOS
+  std::size_t state_words_ = 0;  // ceil(stride_ / 8)
+  std::vector<std::shared_ptr<const LeakageTable>> tables_;  // per instance
+  std::vector<Lookup> lookups_;                              // per instance
+  // Kernel scratch: the key's state words, then each in-flight trace's
+  // state XOR key.
+  std::vector<std::uint64_t> words_;
+  // Static CMOS history (empty otherwise): previous_[lane * N + i] is the
+  // input instance i last held in logical lane `lane`, and bit `lane` of
+  // lanes_seen_ says whether the lane holds one at all.
+  std::vector<std::uint8_t> previous_;
+  std::uint64_t lanes_seen_ = 0;
   std::size_t num_levels_ = 0;
 };
 

@@ -47,6 +47,22 @@ double Rng::gaussian_outside(std::size_t layer, double x) {
   return gaussian();
 }
 
+void Rng::add_gaussian_noise(double* out, std::size_t count, double sigma) {
+  std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint64_t bits = step(s0, s1, s2, s3);
+    double x = ziggurat_candidate(bits);
+    const std::size_t layer = bits & 0xFF;
+    if (std::fabs(x) >= ziggurat::kX[layer + 1]) [[unlikely]] {
+      s_[0] = s0, s_[1] = s1, s_[2] = s2, s_[3] = s3;
+      x = gaussian_outside(layer, x);
+      s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+    }
+    out[k] += sigma * x;
+  }
+  s_[0] = s0, s_[1] = s1, s_[2] = s2, s_[3] = s3;
+}
+
 bool Rng::chance(double p) { return uniform() < p; }
 
 }  // namespace sable

@@ -21,17 +21,7 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x5ab1e5ab1e5ab1e5ULL);
 
   /// Uniform 64-bit value.
-  std::uint64_t next() {
-    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = std::rotl(s_[3], 45);
-    return result;
-  }
+  std::uint64_t next() { return step(s_[0], s_[1], s_[2], s_[3]); }
 
   /// Uniform integer in [0, bound) using Lemire rejection; bound > 0.
   /// A power-of-two bound 2^k takes the top k bits of one next(), the
@@ -73,19 +63,46 @@ class Rng {
   /// out-of-line wedge and tail paths, the only ones that call libm.
   double gaussian() {
     const std::uint64_t bits = next();
+    const double x = ziggurat_candidate(bits);
     const std::size_t layer = bits & 0xFF;
-    const double u =
-        static_cast<double>(static_cast<std::int64_t>(bits) >> 11) *
-        0x1.0p-52;
-    const double x = u * ziggurat::kX[layer];
     if (std::fabs(x) < ziggurat::kX[layer + 1]) return x;
     return gaussian_outside(layer, x);
   }
+
+  /// out[k] += sigma * gaussian() for k in [0, count), in ascending k:
+  /// the same draws and the same arithmetic as that loop. The generator
+  /// state stays in locals (registers) and goes back to the members only
+  /// around the rare wedge and tail draws, whose out-of-line call would
+  /// otherwise pin it in memory for the whole loop.
+  void add_gaussian_noise(double* out, std::size_t count, double sigma);
 
   /// Bernoulli trial with probability p.
   bool chance(double p);
 
  private:
+  // One xoshiro256** step of the state (s0, s1, s2, s3).
+  static std::uint64_t step(std::uint64_t& s0, std::uint64_t& s1,
+                            std::uint64_t& s2, std::uint64_t& s3) {
+    const std::uint64_t result = std::rotl(s1 * 5, 7) * 9;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = std::rotl(s3, 45);
+    return result;
+  }
+
+  // The ziggurat's candidate of one draw: u * kX[layer], with the layer
+  // in the low 8 bits and the signed uniform u in the top 53.
+  static double ziggurat_candidate(std::uint64_t bits) {
+    const double u =
+        static_cast<double>(static_cast<std::int64_t>(bits) >> 11) *
+        0x1.0p-52;
+    return u * ziggurat::kX[bits & 0xFF];
+  }
+
   // gaussian()'s candidate x of `layer` fell right of the layer's inner
   // edge: the tail (layer 0) or wedge test, and a fresh draw on reject.
   double gaussian_outside(std::size_t layer, double x);

@@ -161,6 +161,74 @@ TEST(LeakageTableTest, ChainedCmosCallsKeepLaneHistory) {
   }
 }
 
+// The time-resolved rows keep the same lane history: ragged chained
+// trace_batch_sampled calls, a reset, then more calls, on the uniform
+// 16-instance round and on the mixed round, whose DES instance is twice
+// as deep as its PRESENT neighbours.
+TEST(LeakageTableTest, ChainedCmosSampledCallsKeepLaneHistory) {
+  RoundSpec mixed;
+  mixed.sboxes = {present_spec(), des1_spec(), present_spec()};
+  mixed.style = LogicStyle::kStaticCmos;
+  for (const RoundSpec& round :
+       {present_round(16, LogicStyle::kStaticCmos), mixed}) {
+    SCOPED_TRACE("x" + std::to_string(round.num_sboxes()));
+    RoundTarget target(round, kTech);
+    ReferenceRound oracle(target, kTech);
+    const std::size_t width = target.num_levels();
+    ASSERT_EQ(width, oracle.num_levels());
+    const std::vector<std::uint8_t> key = round_key(round);
+    Rng pt_rng(0xC4A2);
+    Rng noise_a(0x8);
+    Rng noise_b(0x8);
+    for (std::size_t count : {37, 100, 200, 30, 64, 1, 129}) {
+      std::vector<std::uint8_t> pts(count * round.state_bytes());
+      round.fill_random_states(pt_rng, count, pts.data());
+      std::vector<double> got(count * width);
+      std::vector<double> want(count * width);
+      target.trace_batch_sampled(pts.data(), count, key.data(), 1e-16,
+                                 noise_a, got.data());
+      oracle.trace_batch_sampled(pts.data(), count, key.data(), 1e-16,
+                                 noise_b, want.data());
+      EXPECT_EQ(differing(got, want), 0u) << "count " << count;
+      if (count == 200) {
+        target.reset_state();
+        oracle.reset();
+      }
+    }
+    EXPECT_EQ(noise_a.next(), noise_b.next());
+  }
+}
+
+// Eleven DES S1 instances: 66 state bits in two 64-bit words, with
+// instance 10 at bits 60..65, straddling from the first into the second.
+RoundSpec des1_round(LogicStyle style) {
+  RoundSpec round;
+  round.sboxes.assign(11, des1_spec());
+  round.style = style;
+  return round;
+}
+
+// Multi-word states: sixteen AES S-boxes (a 128-bit state, and rows of
+// 20 levels, wider than any compile-time row width) and the straddling
+// DES round, over counts around the 64-lane history and the traces the
+// kernel keeps in flight, noise on and off.
+TEST(LeakageTableTest, MultiWordStatesMatchDirectSimulation) {
+  ASSERT_EQ(des1_round(LogicStyle::kStaticCmos).bit_offset(10), 60u);
+  for (LogicStyle style :
+       {LogicStyle::kStaticCmos, LogicStyle::kSablEnhanced,
+        LogicStyle::kWddlMismatched}) {
+    for (const RoundSpec& round :
+         {aes_subbytes_round(16, style), des1_round(style)}) {
+      for (std::size_t count : {1, 63, 65, 133}) {
+        for (double sigma : {0.0, 3e-16}) {
+          expect_batches_match(round, count, sigma, false);
+          expect_batches_match(round, count, sigma, true);
+        }
+      }
+    }
+  }
+}
+
 // Scalar trace() is the one-trace call: it runs in logical lane 0, so a
 // sequence of them chains through lane 0's history, and a batch after
 // them sees it.

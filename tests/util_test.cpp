@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -176,6 +177,54 @@ TEST(RngTest, GaussianMomentsKsAndTailAtTenMillionDraws) {
                       phi - static_cast<double>(i) / n});
   }
   EXPECT_LT(d_max, 1.95 * se);
+}
+
+TEST(RngTest, BatchedGaussianNoiseMatchesTheLoopDrawForDraw) {
+  // add_gaussian_noise must be `out[k] += sigma * gaussian()` over k, draw
+  // for draw and bit for bit, including the out-of-line wedge and tail
+  // draws, and leave the generator where the loop leaves it. Ragged
+  // calls cover the empty and one-element cases between long ones.
+  constexpr std::size_t n = 1'000'000;
+  const double sigma = 0.37;
+  std::vector<double> want(n);
+  for (std::size_t k = 0; k < n; ++k) want[k] = 1e-3 * static_cast<double>(k);
+  std::vector<double> got = want;
+  Rng loop(0xBA7C4);
+  Rng batched(0xBA7C4);
+  // Which path each draw's first candidate takes, read off a copy of the
+  // loop's generator ahead of each gaussian().
+  std::size_t tails = 0;
+  std::size_t wedges = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    Rng peek = loop;
+    const std::uint64_t bits = peek.next();
+    const std::size_t layer = bits & 0xFF;
+    const double u =
+        static_cast<double>(static_cast<std::int64_t>(bits) >> 11) *
+        0x1.0p-52;
+    if (std::fabs(u * ziggurat::kX[layer]) >= ziggurat::kX[layer + 1]) {
+      ++(layer == 0 ? tails : wedges);
+    }
+    want[k] += sigma * loop.gaussian();
+  }
+  const std::size_t counts[] = {0, 1, 4095, 1, 0, 500'000, 3};
+  std::size_t start = 0;
+  for (const std::size_t count : counts) {
+    batched.add_gaussian_noise(got.data() + start, count, sigma);
+    start += count;
+  }
+  batched.add_gaussian_noise(got.data() + start, n - start, sigma);
+  EXPECT_GT(tails, 0u);
+  EXPECT_GT(wedges, 0u);
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (std::bit_cast<std::uint64_t>(got[k]) !=
+        std::bit_cast<std::uint64_t>(want[k])) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(batched.next(), loop.next());
 }
 
 TEST(ZigguratTest, TablesMatchTheLongDoubleRecurrence) {
