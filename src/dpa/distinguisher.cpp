@@ -1,6 +1,7 @@
 #include "dpa/distinguisher.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "crypto/round_target.hpp"
@@ -62,88 +63,37 @@ void add_scalar_block(Acc& acc, const ShardBlock& block) {
   }
 }
 
-class CpaShardAccumulator final : public ShardAccumulator {
+// The shard state of every AccumulatorDistinguisher: one streaming
+// accumulator fed one block per engine shard. Block boundaries are the
+// fixed shard layout, so the block-factored summation order is
+// deterministic across thread counts and machines.
+template <typename Acc>
+class StreamingShardAccumulator final : public ShardAccumulator {
  public:
-  explicit CpaShardAccumulator(StreamingCpa acc) : acc_(std::move(acc)) {}
+  explicit StreamingShardAccumulator(Acc acc) : acc_(std::move(acc)) {}
 
-  // One block per engine shard: block boundaries are the fixed shard
-  // layout, so the block-factored summation order is deterministic
-  // across thread counts and machines.
   void accumulate(const ShardBlock& block) override {
-    add_scalar_block(acc_, block);
+    if constexpr (std::is_same_v<Acc, StreamingMultiCpa>) {
+      SABLE_REQUIRE(block.width == acc_.width(),
+                    "multisample CPA row width must equal the target's level "
+                    "count");
+      acc_.add_block(block.sub_pts, block.data, block.count);
+    } else if constexpr (std::is_same_v<Acc, StreamingSecondOrderCpa>) {
+      acc_.add_block(block.sub_pts, block.data, block.count, block.width);
+    } else {
+      add_scalar_block(acc_, block);
+    }
   }
   void merge(ShardAccumulator& other) override {
-    acc_.merge(cast_peer<CpaShardAccumulator>(other).acc_);
+    acc_.merge(cast_peer<StreamingShardAccumulator>(other).acc_);
   }
   void save(ByteWriter& writer) const override { acc_.save(writer); }
   void load(ByteReader& reader) override { acc_.load(reader); }
 
-  const StreamingCpa& acc() const { return acc_; }
+  const Acc& acc() const { return acc_; }
 
  private:
-  StreamingCpa acc_;
-};
-
-class DomShardAccumulator final : public ShardAccumulator {
- public:
-  explicit DomShardAccumulator(StreamingDom acc) : acc_(std::move(acc)) {}
-
-  void accumulate(const ShardBlock& block) override {
-    add_scalar_block(acc_, block);
-  }
-  void merge(ShardAccumulator& other) override {
-    acc_.merge(cast_peer<DomShardAccumulator>(other).acc_);
-  }
-  void save(ByteWriter& writer) const override { acc_.save(writer); }
-  void load(ByteReader& reader) override { acc_.load(reader); }
-
-  const StreamingDom& acc() const { return acc_; }
-
- private:
-  StreamingDom acc_;
-};
-
-class MultiCpaShardAccumulator final : public ShardAccumulator {
- public:
-  explicit MultiCpaShardAccumulator(StreamingMultiCpa acc)
-      : acc_(std::move(acc)) {}
-
-  void accumulate(const ShardBlock& block) override {
-    SABLE_REQUIRE(block.width == acc_.width(),
-                  "multisample CPA row width must equal the target's level "
-                  "count");
-    acc_.add_block(block.sub_pts, block.data, block.count);
-  }
-  void merge(ShardAccumulator& other) override {
-    acc_.merge(cast_peer<MultiCpaShardAccumulator>(other).acc_);
-  }
-  void save(ByteWriter& writer) const override { acc_.save(writer); }
-  void load(ByteReader& reader) override { acc_.load(reader); }
-
-  const StreamingMultiCpa& acc() const { return acc_; }
-
- private:
-  StreamingMultiCpa acc_;
-};
-
-class SecondOrderShardAccumulator final : public ShardAccumulator {
- public:
-  explicit SecondOrderShardAccumulator(StreamingSecondOrderCpa acc)
-      : acc_(std::move(acc)) {}
-
-  void accumulate(const ShardBlock& block) override {
-    acc_.add_block(block.sub_pts, block.data, block.count, block.width);
-  }
-  void merge(ShardAccumulator& other) override {
-    acc_.merge(cast_peer<SecondOrderShardAccumulator>(other).acc_);
-  }
-  void save(ByteWriter& writer) const override { acc_.save(writer); }
-  void load(ByteReader& reader) override { acc_.load(reader); }
-
-  const StreamingSecondOrderCpa& acc() const { return acc_; }
-
- private:
-  StreamingSecondOrderCpa acc_;
+  Acc acc_;
 };
 
 // MTD shard state: the shard's full accumulator plus a partial snapshot at
@@ -233,6 +183,8 @@ class MtdShardAccumulator final : public ShardAccumulator {
     }
   }
 
+  std::size_t count() const { return acc_.count(); }
+
   MtdResult settle_and_result() {
     settle();
     return mtd_from_history(rank_history_);
@@ -270,104 +222,45 @@ const Result& finalized_result(const std::optional<Result>& result) {
 
 }  // namespace
 
-// ---- CpaDistinguisher -----------------------------------------------------
+// ---- AccumulatorDistinguisher ---------------------------------------------
 
-CpaDistinguisher::CpaDistinguisher(const SboxSpec& spec,
-                                   const AttackSelector& selector)
-    : spec_(spec),
-      selector_(selector),
-      prototype_(spec, selector.model, selector.bit) {}
+namespace detail {
 
-void CpaDistinguisher::validate(const RoundSpec& round) const {
-  validate_spec_matches(round, selector_, spec_, /*require_bit=*/false);
+template <typename Acc, typename Result, TraceDataKind kKind>
+void AccumulatorDistinguisher<Acc, Result, kKind>::validate(
+    const RoundSpec& round) const {
+  validate_spec_matches(round, selector_, spec_,
+                        /*require_bit=*/std::is_same_v<Acc, StreamingDom>);
 }
 
-std::unique_ptr<ShardAccumulator> CpaDistinguisher::make_shard_accumulator()
-    const {
-  return std::make_unique<CpaShardAccumulator>(prototype_);
-}
-
-void CpaDistinguisher::finalize(ShardAccumulator& root) {
-  result_ = cast_peer<CpaShardAccumulator>(root).acc().result();
-}
-
-const AttackResult& CpaDistinguisher::result() const {
-  return finalized_result(result_);
-}
-
-// ---- DomDistinguisher -----------------------------------------------------
-
-DomDistinguisher::DomDistinguisher(const SboxSpec& spec,
-                                   const AttackSelector& selector)
-    : spec_(spec), selector_(selector), prototype_(spec, selector.bit) {}
-
-void DomDistinguisher::validate(const RoundSpec& round) const {
-  validate_spec_matches(round, selector_, spec_, /*require_bit=*/true);
-}
-
-std::unique_ptr<ShardAccumulator> DomDistinguisher::make_shard_accumulator()
-    const {
-  return std::make_unique<DomShardAccumulator>(prototype_);
-}
-
-void DomDistinguisher::finalize(ShardAccumulator& root) {
-  result_ = cast_peer<DomShardAccumulator>(root).acc().result();
-}
-
-const AttackResult& DomDistinguisher::result() const {
-  return finalized_result(result_);
-}
-
-// ---- MultiCpaDistinguisher ------------------------------------------------
-
-MultiCpaDistinguisher::MultiCpaDistinguisher(const SboxSpec& spec,
-                                             const AttackSelector& selector,
-                                             std::size_t width)
-    : spec_(spec),
-      selector_(selector),
-      prototype_(spec, selector.model, width, selector.bit) {}
-
-void MultiCpaDistinguisher::validate(const RoundSpec& round) const {
-  validate_spec_matches(round, selector_, spec_, /*require_bit=*/false);
-}
-
+template <typename Acc, typename Result, TraceDataKind kKind>
 std::unique_ptr<ShardAccumulator>
-MultiCpaDistinguisher::make_shard_accumulator() const {
-  return std::make_unique<MultiCpaShardAccumulator>(prototype_);
+AccumulatorDistinguisher<Acc, Result, kKind>::make_shard_accumulator() const {
+  return std::make_unique<StreamingShardAccumulator<Acc>>(prototype_);
 }
 
-void MultiCpaDistinguisher::finalize(ShardAccumulator& root) {
-  result_ = cast_peer<MultiCpaShardAccumulator>(root).acc().result();
+template <typename Acc, typename Result, TraceDataKind kKind>
+void AccumulatorDistinguisher<Acc, Result, kKind>::finalize(
+    ShardAccumulator& root) {
+  result_ = cast_peer<StreamingShardAccumulator<Acc>>(root).acc().result();
 }
 
-const MultiAttackResult& MultiCpaDistinguisher::result() const {
+template <typename Acc, typename Result, TraceDataKind kKind>
+const Result& AccumulatorDistinguisher<Acc, Result, kKind>::result() const {
   return finalized_result(result_);
 }
 
-// ---- SecondOrderCpaDistinguisher ------------------------------------------
+template class AccumulatorDistinguisher<StreamingCpa, AttackResult,
+                                        TraceDataKind::kScalar>;
+template class AccumulatorDistinguisher<StreamingDom, AttackResult,
+                                        TraceDataKind::kScalar>;
+template class AccumulatorDistinguisher<StreamingMultiCpa, MultiAttackResult,
+                                        TraceDataKind::kSampled>;
+template class AccumulatorDistinguisher<StreamingSecondOrderCpa,
+                                        SecondOrderAttackResult,
+                                        TraceDataKind::kSampled>;
 
-SecondOrderCpaDistinguisher::SecondOrderCpaDistinguisher(
-    const SboxSpec& spec, const AttackSelector& selector)
-    : spec_(spec),
-      selector_(selector),
-      prototype_(spec, selector.model, selector.bit) {}
-
-void SecondOrderCpaDistinguisher::validate(const RoundSpec& round) const {
-  validate_spec_matches(round, selector_, spec_, /*require_bit=*/false);
-}
-
-std::unique_ptr<ShardAccumulator>
-SecondOrderCpaDistinguisher::make_shard_accumulator() const {
-  return std::make_unique<SecondOrderShardAccumulator>(prototype_);
-}
-
-void SecondOrderCpaDistinguisher::finalize(ShardAccumulator& root) {
-  result_ = cast_peer<SecondOrderShardAccumulator>(root).acc().result();
-}
-
-const SecondOrderAttackResult& SecondOrderCpaDistinguisher::result() const {
-  return finalized_result(result_);
-}
+}  // namespace detail
 
 // ---- MtdDistinguisher -----------------------------------------------------
 
@@ -379,6 +272,7 @@ MtdDistinguisher::MtdDistinguisher(const SboxSpec& spec,
     : spec_(spec),
       selector_(selector),
       correct_key_(correct_key),
+      num_traces_(num_traces),
       prototype_(spec, selector.model, selector.bit) {
   // Canonical checkpoint ladder: sorted, unique, and restricted to counts
   // the drivers can evaluate (>= 2 traces, within the campaign).
@@ -403,8 +297,14 @@ std::unique_ptr<ShardAccumulator> MtdDistinguisher::make_shard_accumulator()
                                                correct_key_);
 }
 
+// The ladder was clipped to num_traces_ at construction, so a campaign of
+// any other length would rank a truncated ladder without a word.
 void MtdDistinguisher::finalize(ShardAccumulator& root) {
-  result_ = cast_peer<MtdShardAccumulator>(root).settle_and_result();
+  MtdShardAccumulator& fold = cast_peer<MtdShardAccumulator>(root);
+  SABLE_REQUIRE(fold.count() == num_traces_,
+                "MTD distinguisher must be built for the campaign's trace "
+                "count");
+  result_ = fold.settle_and_result();
 }
 
 const MtdResult& MtdDistinguisher::result() const {

@@ -15,9 +15,9 @@
 // Hot-path contract: accumulate() receives whole shard blocks, so there is
 // ONE virtual dispatch per distinguisher per shard — the per-trace inner
 // loops run devirtualized inside the concrete accumulators (the streaming
-// classes in streaming.hpp / second_order.hpp). At the engine's ~45 ns
-// per-trace budget, per-trace virtual calls would dominate; per-shard
-// calls are free.
+// classes in streaming.hpp / second_order.hpp). A per-trace virtual call
+// would add an indirect call to every trace's few-nanosecond update;
+// per-shard calls are free.
 //
 // Determinism: a shard accumulator is a pure function of its shard's
 // traces, the reduction shape is a function of the shard count alone, and
@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "crypto/leakage.hpp"
@@ -131,94 +132,93 @@ class Distinguisher {
   virtual void finalize(ShardAccumulator& root) = 0;
 };
 
-/// First-order streaming CPA on one subkey (wraps StreamingCpa; run alone
-/// through run_attack). Many instances in one run_distinguishers() call
-/// attack many subkeys in one pass.
-class CpaDistinguisher final : public Distinguisher {
- public:
-  CpaDistinguisher(const SboxSpec& spec, const AttackSelector& selector);
+namespace detail {
 
-  TraceDataKind data_kind() const override { return TraceDataKind::kScalar; }
+/// The body every single-accumulator distinguisher shares: the spec it
+/// attacks, its selector, a prototype accumulator each shard copies (the
+/// copies share the immutable prediction table) and the finalized result.
+/// Each shard accumulates into a copy of the prototype; finalize() reads
+/// `Acc::result()` off the reduced root. The members are defined in
+/// distinguisher.cpp and explicitly instantiated there for the four
+/// accumulators below, so a new attack of this shape adds one
+/// instantiation there and a constructor here.
+template <typename Acc, typename Result, TraceDataKind kKind>
+class AccumulatorDistinguisher : public Distinguisher {
+ public:
+  TraceDataKind data_kind() const override { return kKind; }
   std::size_t sbox_index() const override { return selector_.sbox_index; }
   void validate(const RoundSpec& round) const override;
   std::unique_ptr<ShardAccumulator> make_shard_accumulator() const override;
   void finalize(ShardAccumulator& root) override;
 
   const AttackSelector& selector() const { return selector_; }
-  const AttackResult& result() const;
+  const Result& result() const;
+
+ protected:
+  AccumulatorDistinguisher(const SboxSpec& spec, const AttackSelector& selector,
+                           Acc prototype)
+      : spec_(spec), selector_(selector), prototype_(std::move(prototype)) {}
 
  private:
   SboxSpec spec_;
   AttackSelector selector_;
-  StreamingCpa prototype_;
-  std::optional<AttackResult> result_;
+  Acc prototype_;
+  std::optional<Result> result_;
+};
+
+}  // namespace detail
+
+/// First-order streaming CPA on one subkey (wraps StreamingCpa; run alone
+/// through run_attack). Many instances in one run_distinguishers() call
+/// attack many subkeys in one pass.
+class CpaDistinguisher final
+    : public detail::AccumulatorDistinguisher<StreamingCpa, AttackResult,
+                                              TraceDataKind::kScalar> {
+ public:
+  CpaDistinguisher(const SboxSpec& spec, const AttackSelector& selector)
+      : AccumulatorDistinguisher(
+            spec, selector, StreamingCpa(spec, selector.model, selector.bit)) {}
 };
 
 /// Difference-of-means on one predicted output bit (wraps StreamingDom;
-/// selector.model is ignored — DoM is inherently the single-bit model).
-class DomDistinguisher final : public Distinguisher {
+/// selector.model is ignored — DoM is inherently the single-bit model, so
+/// validate() requires selector.bit in range whatever the model).
+class DomDistinguisher final
+    : public detail::AccumulatorDistinguisher<StreamingDom, AttackResult,
+                                              TraceDataKind::kScalar> {
  public:
-  DomDistinguisher(const SboxSpec& spec, const AttackSelector& selector);
-
-  TraceDataKind data_kind() const override { return TraceDataKind::kScalar; }
-  std::size_t sbox_index() const override { return selector_.sbox_index; }
-  void validate(const RoundSpec& round) const override;
-  std::unique_ptr<ShardAccumulator> make_shard_accumulator() const override;
-  void finalize(ShardAccumulator& root) override;
-
-  const AttackResult& result() const;
-
- private:
-  SboxSpec spec_;
-  AttackSelector selector_;
-  StreamingDom prototype_;
-  std::optional<AttackResult> result_;
+  DomDistinguisher(const SboxSpec& spec, const AttackSelector& selector)
+      : AccumulatorDistinguisher(spec, selector,
+                                 StreamingDom(spec, selector.bit)) {}
 };
 
 /// Time-resolved CPA: one correlation column per logic level, best |ρ|
 /// over the sample axis per guess (wraps StreamingMultiCpa). `width` must
 /// equal the campaign target's num_levels().
-class MultiCpaDistinguisher final : public Distinguisher {
+class MultiCpaDistinguisher final
+    : public detail::AccumulatorDistinguisher<
+          StreamingMultiCpa, MultiAttackResult, TraceDataKind::kSampled> {
  public:
   MultiCpaDistinguisher(const SboxSpec& spec, const AttackSelector& selector,
-                        std::size_t width);
-
-  TraceDataKind data_kind() const override { return TraceDataKind::kSampled; }
-  std::size_t sbox_index() const override { return selector_.sbox_index; }
-  void validate(const RoundSpec& round) const override;
-  std::unique_ptr<ShardAccumulator> make_shard_accumulator() const override;
-  void finalize(ShardAccumulator& root) override;
-
-  const MultiAttackResult& result() const;
-
- private:
-  SboxSpec spec_;
-  AttackSelector selector_;
-  StreamingMultiCpa prototype_;
-  std::optional<MultiAttackResult> result_;
+                        std::size_t width)
+      : AccumulatorDistinguisher(
+            spec, selector,
+            StreamingMultiCpa(spec, selector.model, width, selector.bit)) {}
 };
 
 /// Second-order centered-product CPA across logic-level pairs (wraps
 /// StreamingSecondOrderCpa) — the stronger distinguisher the ROADMAP
 /// queued on top of the multisample campaigns.
-class SecondOrderCpaDistinguisher final : public Distinguisher {
+class SecondOrderCpaDistinguisher final
+    : public detail::AccumulatorDistinguisher<StreamingSecondOrderCpa,
+                                              SecondOrderAttackResult,
+                                              TraceDataKind::kSampled> {
  public:
   SecondOrderCpaDistinguisher(const SboxSpec& spec,
-                              const AttackSelector& selector);
-
-  TraceDataKind data_kind() const override { return TraceDataKind::kSampled; }
-  std::size_t sbox_index() const override { return selector_.sbox_index; }
-  void validate(const RoundSpec& round) const override;
-  std::unique_ptr<ShardAccumulator> make_shard_accumulator() const override;
-  void finalize(ShardAccumulator& root) override;
-
-  const SecondOrderAttackResult& result() const;
-
- private:
-  SboxSpec spec_;
-  AttackSelector selector_;
-  StreamingSecondOrderCpa prototype_;
-  std::optional<SecondOrderAttackResult> result_;
+                              const AttackSelector& selector)
+      : AccumulatorDistinguisher(
+            spec, selector,
+            StreamingSecondOrderCpa(spec, selector.model, selector.bit)) {}
 };
 
 /// The measurements-to-disclosure experiment as an ordered distinguisher:
@@ -233,7 +233,10 @@ class SecondOrderCpaDistinguisher final : public Distinguisher {
 /// layout, so the MTD curve is bit-identical across thread counts and
 /// machines.
 /// The checkpoint ladder is canonicalized at construction: sorted,
-/// unique, restricted to [2, num_traces].
+/// unique, restricted to [2, num_traces]. `num_traces` must be the
+/// campaign's trace count: finalize() throws InvalidArgument when the
+/// reduced campaign holds any other count, rather than report an MTD over
+/// a clipped or unreached ladder.
 class MtdDistinguisher final : public Distinguisher {
  public:
   MtdDistinguisher(const SboxSpec& spec, const AttackSelector& selector,
@@ -254,6 +257,7 @@ class MtdDistinguisher final : public Distinguisher {
   SboxSpec spec_;
   AttackSelector selector_;
   std::size_t correct_key_;
+  std::size_t num_traces_;
   // Shared with every shard accumulator (immutable after construction).
   std::shared_ptr<const std::vector<std::size_t>> ladder_;
   StreamingCpa prototype_;

@@ -429,7 +429,7 @@ void TraceEngine::stream(const CampaignOptions& options,
 }
 
 void TraceEngine::stream_sampled(const CampaignOptions& options,
-                                 const SampledTraceSink& sink) {
+                                 const TraceSink& sink) {
   stream_shards(target_, *pools_, options, TraceDataKind::kSampled, sink,
                 nullptr);
 }

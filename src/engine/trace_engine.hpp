@@ -147,12 +147,9 @@ Accumulator merge_shard_tree(std::vector<Accumulator> shards) {
 /// `plaintexts` holds count * round().state_bytes() packed bytes — one
 /// byte per trace for single-S-box targets, the wide state for rounds
 /// (extract an instance's sub-plaintexts with RoundSpec::sub_words).
+/// `samples` holds one sample per trace from stream(), and count rows of
+/// target().num_levels() samples from stream_sampled().
 using TraceSink =
-    std::function<void(const std::uint8_t*, const double*, std::size_t)>;
-
-/// Receives (plaintexts, rows, count) blocks of time-resolved traces:
-/// `rows` holds count rows of target().num_levels() samples each.
-using SampledTraceSink =
     std::function<void(const std::uint8_t*, const double*, std::size_t)>;
 
 namespace detail {
@@ -193,10 +190,10 @@ class TraceEngine {
   void stream(const CampaignOptions& options, const TraceSink& sink);
 
   /// As stream(), but time-resolved: each trace is a row of
-  /// target().num_levels() per-logic-level samples. Covers every logic
+  /// target().num_levels() per-logic-level samples, so the sink's sample
+  /// buffer holds `count` such rows back to back. Covers every logic
   /// style (differential, static CMOS, WDDL).
-  void stream_sampled(const CampaignOptions& options,
-                      const SampledTraceSink& sink);
+  void stream_sampled(const CampaignOptions& options, const TraceSink& sink);
 
   /// Drives any set of pluggable distinguishers through ONE simulated
   /// campaign — the engine's one attack driver (run_attack is the

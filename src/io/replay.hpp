@@ -2,10 +2,10 @@
 // the live engine can drive runs from disk instead, with no simulation
 // and bit-identical results — the corpus preserves the canonical shard
 // decomposition, so accumulation, reduction and finalization are the
-// exact operations of the live run on the exact same blocks. Compressed
-// (v2) corpora decode through per-thread scratch buffers on the way in;
-// the decoded blocks are byte-identical to the recorded traces, so the
-// bit-identity guarantee is unchanged.
+// exact operations of the live run on the exact same blocks. Delta-coded
+// chunks of a v3 corpus decode through per-thread scratch buffers on the
+// way in; the decoded blocks are byte-identical to the recorded traces,
+// so the bit-identity guarantee is unchanged.
 #pragma once
 
 #include <cstddef>

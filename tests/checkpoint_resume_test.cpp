@@ -6,10 +6,15 @@
 // shards (non-power-of-2) the fixed-shape merge tree is NOT a left
 // fold, so persisting merged prefixes would silently change the
 // floating-point reduction order on resume.
+//
+// The committed golden_v2.sablstat pins the checkpoint bytes of every
+// distinguisher class at once (tests/data/README.md has the snippet).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -67,6 +72,94 @@ AttackSet make_attacks(const TraceEngine& engine,
       MtdDistinguisher(engine.spec(), selector, options.key[0],
                        default_checkpoints(options.num_traces),
                        options.num_traces)};
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>());
+}
+
+// The golden_v2.sablstat campaign: 96 traces over 64-trace shards (two
+// shards, ragged tail), one distinguisher of each class in one mixed
+// scalar + time-resolved list.
+CampaignOptions golden_options() {
+  CampaignOptions options;
+  options.num_traces = 96;
+  options.key = {0xB};
+  options.noise_sigma = 2e-16;
+  options.seed = 0x5EED;
+  options.shard_size = 64;
+  return options;
+}
+
+struct GoldenSet {
+  CpaDistinguisher cpa;
+  DomDistinguisher dom;
+  MtdDistinguisher mtd;
+  MultiCpaDistinguisher multi;
+  SecondOrderCpaDistinguisher second;
+
+  GoldenSet(TraceEngine& engine, const CampaignOptions& options)
+      : cpa(engine.spec(), AttackSelector{.model = PowerModel::kHammingWeight}),
+        dom(engine.spec(), AttackSelector{.model = PowerModel::kHammingWeight,
+                                          .bit = 0}),
+        mtd(engine.spec(), AttackSelector{.model = PowerModel::kHammingWeight},
+            options.key[0], default_checkpoints(options.num_traces),
+            options.num_traces),
+        multi(engine.spec(),
+              AttackSelector{.model = PowerModel::kHammingWeight},
+              engine.target().num_levels()),
+        second(engine.spec(),
+               AttackSelector{.model = PowerModel::kHammingWeight}) {}
+
+  std::vector<Distinguisher*> list() {
+    return {&cpa, &dom, &mtd, &multi, &second};
+  }
+};
+
+TEST(CheckpointResumeTest, GoldenCheckpointReWritesByteIdentically) {
+  const CampaignOptions options = golden_options();
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  GoldenSet set(engine, options);
+  const std::vector<Distinguisher*> list = set.list();
+  CampaignPersistence persist;
+  persist.checkpoint_path = temp_path("golden");
+  EXPECT_TRUE(engine.run_distinguishers(options, list, persist));
+  EXPECT_EQ(read_file(persist.checkpoint_path),
+            read_file(std::string(SABLE_TEST_DATA_DIR) +
+                      "/golden_v2.sablstat"));
+}
+
+TEST(CheckpointResumeTest, ResumingTheGoldenCheckpointMatchesAPlainRun) {
+  const CampaignOptions options = golden_options();
+  TraceEngine ref_engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  GoldenSet ref(ref_engine, options);
+  const std::vector<Distinguisher*> ref_list = ref.list();
+  ref_engine.run_distinguishers(options, ref_list);
+
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  GoldenSet set(engine, options);
+  const std::vector<Distinguisher*> list = set.list();
+  CampaignPersistence persist;
+  persist.resume_path =
+      std::string(SABLE_TEST_DATA_DIR) + "/golden_v2.sablstat";
+  EXPECT_TRUE(engine.run_distinguishers(options, list, persist));
+
+  expect_same_scores(set.cpa.result().score, ref.cpa.result().score);
+  expect_same_scores(set.dom.result().score, ref.dom.result().score);
+  EXPECT_EQ(set.mtd.result().rank_history, ref.mtd.result().rank_history);
+  EXPECT_EQ(set.mtd.result().mtd, ref.mtd.result().mtd);
+  expect_same_scores(set.multi.result().combined.score,
+                     ref.multi.result().combined.score);
+  EXPECT_EQ(set.multi.result().best_sample, ref.multi.result().best_sample);
+  expect_same_scores(set.second.result().combined.score,
+                     ref.second.result().combined.score);
+  EXPECT_EQ(set.second.result().best_pair_first,
+            ref.second.result().best_pair_first);
+  EXPECT_EQ(set.second.result().best_pair_second,
+            ref.second.result().best_pair_second);
 }
 
 TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalAcrossThreadCounts) {

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "dpa/block_stats.hpp"
@@ -480,21 +481,115 @@ TEST(DistinguisherPipelineTest, SharedBlockHistogramIsInvisible) {
 
 // ---- validation and shard-size clamping -----------------------------------
 
+// One of each distinguisher class over (spec, selector).
+struct AllFive {
+  CpaDistinguisher cpa;
+  DomDistinguisher dom;
+  MtdDistinguisher mtd;
+  MultiCpaDistinguisher multi;
+  SecondOrderCpaDistinguisher second;
+
+  std::vector<Distinguisher*> list() {
+    return {&cpa, &dom, &mtd, &multi, &second};
+  }
+};
+
+AllFive all_five(const SboxSpec& spec, const AttackSelector& selector,
+                 std::size_t width, std::size_t num_traces) {
+  return AllFive{CpaDistinguisher(spec, selector),
+                 DomDistinguisher(spec, selector),
+                 MtdDistinguisher(spec, selector, 0,
+                                  default_checkpoints(num_traces), num_traces),
+                 MultiCpaDistinguisher(spec, selector, width),
+                 SecondOrderCpaDistinguisher(spec, selector)};
+}
+
+// The contract every class keeps: its data kind, the ordered fold for MTD
+// alone, validate() pinning the spec and the attacked instance, the bit
+// check that only DoM makes under kHammingWeight, and no result() before
+// a campaign finalized it.
 TEST(DistinguisherPipelineTest, ValidatesSpecAgainstRound) {
   const RoundSpec round = present_round(1, LogicStyle::kStaticCmos);
   const CampaignOptions options = reference_options(round);
   TraceEngine engine(round, kTech);
-  // Wrong spec for the attacked instance: built for AES, run on PRESENT.
-  CpaDistinguisher mismatched(
-      aes_spec(), AttackSelector{.model = PowerModel::kHammingWeight});
-  Distinguisher* const list[] = {&mismatched};
-  EXPECT_THROW(
-      engine.run_distinguishers(options, list),
-      InvalidArgument);
+  const std::size_t levels = engine.target().num_levels();
+  const AttackSelector hw{.model = PowerModel::kHammingWeight};
+
+  AllFive fresh = all_five(present_spec(), hw, levels, options.num_traces);
+  const TraceDataKind kinds[] = {
+      TraceDataKind::kScalar, TraceDataKind::kScalar, TraceDataKind::kScalar,
+      TraceDataKind::kSampled, TraceDataKind::kSampled};
+  const std::vector<Distinguisher*> list = fresh.list();
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    SCOPED_TRACE("class " + std::to_string(i));
+    EXPECT_EQ(list[i]->data_kind(), kinds[i]);
+    EXPECT_EQ(list[i]->ordered(), list[i] == &fresh.mtd);
+    EXPECT_EQ(list[i]->sbox_index(), 0u);
+    EXPECT_NO_THROW(list[i]->validate(round));
+  }
   // Results are only valid after a campaign finalized the distinguisher.
-  CpaDistinguisher fresh(present_spec(),
-                         AttackSelector{.model = PowerModel::kHammingWeight});
-  EXPECT_THROW(fresh.result(), InvalidArgument);
+  EXPECT_THROW(fresh.cpa.result(), InvalidArgument);
+  EXPECT_THROW(fresh.dom.result(), InvalidArgument);
+  EXPECT_THROW(fresh.mtd.result(), InvalidArgument);
+  EXPECT_THROW(fresh.multi.result(), InvalidArgument);
+  EXPECT_THROW(fresh.second.result(), InvalidArgument);
+
+  // Wrong spec for the attacked instance (built for AES, run on PRESENT),
+  // and an instance the one-S-box round does not have.
+  AllFive aes = all_five(aes_spec(), hw, levels, options.num_traces);
+  AllFive far = all_five(present_spec(),
+                         AttackSelector{.sbox_index = 1,
+                                        .model = PowerModel::kHammingWeight},
+                         levels, options.num_traces);
+  for (AllFive* set : {&aes, &far}) {
+    for (Distinguisher* d : set->list()) {
+      EXPECT_THROW(d->validate(round), InvalidArgument);
+    }
+  }
+  Distinguisher* const mismatched[] = {&aes.cpa};
+  EXPECT_THROW(engine.run_distinguishers(options, mismatched),
+               InvalidArgument);
+
+  // An out-of-range bit only matters to DoM, whose model is the bit.
+  AllFive wide = all_five(present_spec(),
+                          AttackSelector{.model = PowerModel::kHammingWeight,
+                                         .bit = present_spec().out_bits},
+                          levels, options.num_traces);
+  for (Distinguisher* d : wide.list()) {
+    if (d == &wide.dom) {
+      EXPECT_THROW(d->validate(round), InvalidArgument);
+    } else {
+      EXPECT_NO_THROW(d->validate(round));
+    }
+  }
+
+  // Time-resolved rows are num_levels() wide; a MultiCpa of another width
+  // fails the campaign instead of misreading the rows.
+  MultiCpaDistinguisher narrow(present_spec(), hw, levels + 1);
+  Distinguisher* const narrow_list[] = {&narrow};
+  EXPECT_THROW(engine.run_distinguishers(options, narrow_list),
+               InvalidArgument);
+}
+
+// The ladder is clipped to the num_traces an MTD distinguisher was built
+// with, so that count must be the campaign's: built for more traces it
+// would never rank its last checkpoints, built for fewer it would stop
+// early. Either way finalize() refuses instead of reporting a short MTD.
+TEST(DistinguisherPipelineTest, MtdRejectsACampaignOfAnotherLength) {
+  const RoundSpec round = present_round(1, LogicStyle::kStaticCmos);
+  const CampaignOptions options = reference_options(round);
+  TraceEngine engine(round, kTech);
+  const AttackSelector selector{.model = PowerModel::kHammingWeight};
+  const std::size_t subkey = round.sub_word(options.key.data(), 0);
+  for (const std::size_t built_for :
+       {options.num_traces / 2, options.num_traces * 2}) {
+    SCOPED_TRACE("built for " + std::to_string(built_for));
+    MtdDistinguisher mtd(engine.spec(), selector, subkey,
+                         default_checkpoints(built_for), built_for);
+    Distinguisher* const list[] = {&mtd};
+    EXPECT_THROW(engine.run_distinguishers(options, list), InvalidArgument);
+    EXPECT_THROW(mtd.result(), InvalidArgument);
+  }
 }
 
 TEST(CampaignShardSizeTest, ClampsSmallBlocksToOneLaneWord) {
