@@ -104,7 +104,7 @@ BddRef BddManager::from_expr(const ExprPtr& e) {
       return acc;
     }
   }
-  SABLE_ASSERT(false, "unreachable expression kind");
+  SABLE_UNREACHABLE("unreachable expression kind");
 }
 
 double BddManager::sat_fraction(BddRef f) {

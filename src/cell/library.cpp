@@ -31,7 +31,7 @@ const char* to_string(CellFunction f) {
     case CellFunction::kXor3:
       return "XOR3";
   }
-  SABLE_ASSERT(false, "unreachable cell function");
+  SABLE_UNREACHABLE("unreachable cell function");
 }
 
 const char* to_string(NetworkVariant v) {
@@ -43,7 +43,7 @@ const char* to_string(NetworkVariant v) {
     case NetworkVariant::kEnhanced:
       return "enhanced";
   }
-  SABLE_ASSERT(false, "unreachable network variant");
+  SABLE_UNREACHABLE("unreachable network variant");
 }
 
 std::vector<CellFunction> all_cell_functions() {
@@ -69,7 +69,7 @@ std::size_t cell_input_count(CellFunction f) {
     case CellFunction::kOai22:
       return 4;
   }
-  SABLE_ASSERT(false, "unreachable cell function");
+  SABLE_UNREACHABLE("unreachable cell function");
 }
 
 ExprPtr cell_expression(CellFunction f) {
@@ -97,7 +97,7 @@ ExprPtr cell_expression(CellFunction f) {
     case CellFunction::kXor3:
       return parse_expression("A.(B.C + B'.C') + A'.(B.C' + B'.C)", vars);
   }
-  SABLE_ASSERT(false, "unreachable cell function");
+  SABLE_UNREACHABLE("unreachable cell function");
 }
 
 Cell make_custom_cell(std::string name, const ExprPtr& function,
@@ -112,7 +112,7 @@ Cell make_custom_cell(std::string name, const ExprPtr& function,
       case NetworkVariant::kEnhanced:
         return synthesize_enhanced_dpdn(function, num_inputs);
     }
-    SABLE_ASSERT(false, "unreachable network variant");
+    SABLE_UNREACHABLE("unreachable network variant");
   }();
   const SizingPlan sizing = SizingPlan::defaults(tech);
   GateEnergyModel model = build_gate_model(network, tech, sizing);

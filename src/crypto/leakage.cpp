@@ -14,7 +14,7 @@ const char* to_string(PowerModel model) {
     case PowerModel::kHammingWeight:
       return "hamming-weight";
   }
-  SABLE_ASSERT(false, "unreachable power model");
+  SABLE_UNREACHABLE("unreachable power model");
 }
 
 double predict_leakage(const SboxSpec& spec, PowerModel model,
@@ -28,7 +28,7 @@ double predict_leakage(const SboxSpec& spec, PowerModel model,
     case PowerModel::kHammingWeight:
       return static_cast<double>(std::popcount(y));
   }
-  SABLE_ASSERT(false, "unreachable power model");
+  SABLE_UNREACHABLE("unreachable power model");
 }
 
 std::vector<double> prediction_table(const SboxSpec& spec, PowerModel model,

@@ -48,7 +48,7 @@ void with_simulator(const GateCircuit& circuit, LogicStyle style,
       return;
     }
   }
-  SABLE_ASSERT(false, "unreachable logic style");
+  SABLE_UNREACHABLE("unreachable logic style");
 }
 
 // Simulates table rows [0, n) into out[row * width ...]: the no-history

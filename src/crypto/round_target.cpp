@@ -27,7 +27,7 @@ const char* to_string(LogicStyle style) {
     case LogicStyle::kWddlMismatched:
       return "WDDL-5%-mismatch";
   }
-  SABLE_ASSERT(false, "unreachable logic style");
+  SABLE_UNREACHABLE("unreachable logic style");
 }
 
 namespace {
@@ -44,7 +44,7 @@ NetworkVariant variant_for(LogicStyle style) {
     case LogicStyle::kWddlMismatched:
       return NetworkVariant::kFullyConnected;
   }
-  SABLE_ASSERT(false, "unreachable logic style");
+  SABLE_UNREACHABLE("unreachable logic style");
 }
 
 GateCircuit build_sbox_circuit(const SboxSpec& spec, LogicStyle style,

@@ -92,12 +92,16 @@ class ShardFeed {
 };
 
 /// The one attack-campaign driver: owns the shard-state matrix, runs the
-/// persistence waves (resume, range split, checkpoints; one wave over
-/// every shard by default), feeds every shard of each wave through
-/// ShardFeed on `threads` parties of `workers`, and reduces and
-/// finalizes once every shard is covered. The source is the caller's:
-/// each party builds one context through make_ctx(), and
-/// fill(ctx, s) returns shard s's ShardData, valid until the party's
+/// persisted pass (resume, range split, checkpoints; see
+/// run_persisted_waves), feeds every shard of the worklist through
+/// ShardFeed in ONE parallel_for on `threads` parties of `workers`, and
+/// reduces and finalizes once every shard is covered. With a checkpoint
+/// path each party also hands its fed shard to the CheckpointDrain, which
+/// serializes it once and publishes checkpoints from an ordered drain
+/// while the parties keep claiming shards: no wave ends in a barrier.
+/// Without one the pass takes no lock and serializes nothing. The source
+/// is the caller's: each party builds one context through make_ctx(),
+/// and fill(ctx, s) returns shard s's ShardData, valid until the party's
 /// next fill. Returns false for a partial persisted run (see
 /// run_persisted_waves), true when the results were finalized.
 template <typename MakeCtx, typename Fill>
@@ -116,12 +120,20 @@ bool drive_attack_campaign(const CampaignManifest& manifest,
     decltype(make_ctx()) ctx;
     ShardFeed::Scratch scratch;
   };
-  const auto accumulate = [&](const std::vector<std::size_t>& work) {
+  const auto accumulate = [&](std::span<const std::size_t> work,
+                              CheckpointDrain* checkpoints) {
     workers.parallel_for(
         work.size(), threads,
         [&] { return Party{make_ctx(), feed.make_scratch()}; },
         [&](Party& party, std::size_t k) {
-          feed.feed(work[k], fill(party.ctx, work[k]), party.scratch, states);
+          try {
+            feed.feed(work[k], fill(party.ctx, work[k]), party.scratch,
+                      states);
+            if (checkpoints) checkpoints->shard_done(k);
+          } catch (...) {
+            if (checkpoints) checkpoints->fail();
+            throw;
+          }
         });
   };
   if (!run_persisted_waves(manifest, distinguishers, states, persist,

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "engine/ordered_drain.hpp"
 #include "engine/shard_reduce.hpp"
 #include "engine/worker_pool.hpp"
 #include "io/campaign_state.hpp"
@@ -209,14 +209,10 @@ struct WorkerCtx {
 // The ordered stream behind stream(), stream_sampled() and record(), on
 // the pool's one scheduler. parallel_for claims shards in canonical
 // order; each party simulates its shard of `kind` into slot s % window
-// of a ring, runs the stream's parallel step on it, and marks it ready.
-// Whichever party finds the stream's next shard ready while nobody is
-// draining becomes the drainer: it hands every consecutive ready slot to
-// the ordered step in canonical order, releasing the lock around each
-// call. The `draining` flag keeps the ordered step sequential (never
-// concurrent with itself, though not pinned to one thread), and the
-// ready check and the flag's release share one critical section, so no
-// ready shard is ever left behind.
+// of a ring, runs the stream's parallel step on it, and completes it in
+// an OrderedDrain (engine/ordered_drain.hpp), whose drainer hands every
+// consecutive completed slot to the ordered step in canonical order,
+// never concurrently.
 //
 // The two steps: with a `writer` (record), the parallel step is the
 // codec — encode_shard into the slot's EncodedShard with the party's own
@@ -225,21 +221,20 @@ struct WorkerCtx {
 // Without one (stream, stream_sampled) there is no parallel step and the
 // drain calls `sink` with the slot's traces.
 //
-// Slot ownership: a party may fill slot s % window only once turn +
-// window > s (its previous occupant was drained). From then until it
-// publishes `ready` under the lock, the slot — traces and encoded chunk
-// alike — belongs to that party alone; from `ready` until the drainer
-// clears it, to the drainer. The ring holds `window` slots, sized from
-// the thread count: enough slack that parties at different shard speeds
-// do not stall on the drain, yet O(threads) memory rather than
-// O(num_shards). Slots are cache-line aligned and their buffers
-// recycled, so steady-state streaming does not allocate. Claims are in
-// canonical order and a party holds at most one undrained shard, so the
-// shard at `turn` is always being simulated or ready — the wait cannot
-// deadlock. One condvar carries both space and failure: any exception
-// (simulation, encode, sink or write) sets `failed`, which stops further
-// ordered calls and releases the waiting parties before parallel_for
-// rethrows it.
+// Slot ownership: a party may fill slot s % window only once the drain
+// acquires s (its previous occupant was drained). From then until it
+// completes s, the slot — traces and encoded chunk alike — belongs to
+// that party alone; from then until the ordered step returns, to the
+// drainer. The ring holds `window` slots, sized from the thread count:
+// enough slack that parties at different shard speeds do not stall on
+// the drain, yet O(threads) memory rather than O(num_shards). Slots are
+// cache-line aligned and their buffers recycled, so steady-state
+// streaming does not allocate. Claims are in canonical order and a party
+// holds at most one undrained shard, so the shard at the drain's turn is
+// always being simulated or complete — the wait cannot deadlock. Any
+// exception (simulation, encode, sink or write) fails the drain, which
+// stops further ordered calls and releases the waiting parties before
+// parallel_for rethrows it.
 void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
                    const CampaignOptions& options, TraceDataKind kind,
                    const TraceSink& sink, CorpusWriter* writer) {
@@ -249,13 +244,13 @@ void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
   SABLE_REQUIRE(width > 0,
                 "time-resolved campaigns need at least one logic level");
   const ShardLayout layout = layout_for(options);
+  if (layout.num_shards == 0) return;
   const std::size_t pt_stride = prototype.round().state_bytes();
   const std::size_t threads = campaign_thread_count(options);
   struct alignas(64) Slot {
     std::vector<std::uint8_t> pts;
     std::vector<double> samples;
     EncodedShard encoded;
-    bool ready = false;
   };
   // A party's context: its leased simulator and its encode scratch.
   struct Party {
@@ -264,19 +259,11 @@ void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
   };
   const std::size_t window = std::min(layout.num_shards, 2 * threads + 2);
   std::vector<Slot> slots(window);
-  std::mutex mutex;
-  std::condition_variable space_cv;
-  std::size_t turn = 0;  // the next shard to drain
-  bool draining = false;
-  bool failed = false;
+  OrderedDrain drain(window);
 
   const auto deliver = [&](Party& party, std::size_t s) {
+    if (!drain.acquire(s)) return;
     Slot& slot = slots[s % window];
-    std::unique_lock<std::mutex> lock(mutex);
-    space_cv.wait(lock, [&] { return failed || s < turn + window; });
-    if (failed) return;
-    lock.unlock();
-    // Until its ready flag is published, this party owns the slot.
     const std::size_t count = layout.count(s);
     slot.pts.resize(count * pt_stride);
     slot.samples.resize(count * width);
@@ -286,27 +273,14 @@ void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
       writer->encode_shard(slot.pts.data(), slot.samples.data(), count,
                            party.codec, slot.encoded);
     }
-    lock.lock();
-    slot.ready = true;
-    if (draining) return;
-    draining = true;
-    // Slot turn % window can only hold shard `turn`: shard turn - window
-    // was drained and cleared, and shard turn + window still waits for
-    // space.
-    while (!failed && slots[turn % window].ready) {
+    drain.complete(s, [&](std::size_t turn) {
       Slot& head = slots[turn % window];
-      lock.unlock();
       if (writer) {
         writer->append_encoded(head.encoded);
       } else {
         sink(head.pts.data(), head.samples.data(), layout.count(turn));
       }
-      lock.lock();
-      head.ready = false;
-      ++turn;
-      space_cv.notify_all();
-    }
-    draining = false;
+    });
   };
 
   pool.workers.parallel_for(
@@ -316,11 +290,7 @@ void stream_shards(const RoundTarget& prototype, detail::EnginePools& pool,
         try {
           deliver(party, s);
         } catch (...) {
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            failed = true;
-          }
-          space_cv.notify_all();
+          drain.fail();
           throw;
         }
       });

@@ -214,8 +214,9 @@ class TraceEngine {
   /// Persistence-aware campaign driver (the overload above is this with
   /// default persistence): optionally resumes shard states from
   /// persist.resume_path, simulates only the uncovered shards of
-  /// [shard_begin, shard_end), checkpoints to persist.checkpoint_path in
-  /// waves, and — when every canonical shard is covered — reduces and
+  /// [shard_begin, shard_end) in one pass, checkpoints to
+  /// persist.checkpoint_path every checkpoint_every_shards shards of its
+  /// done prefix, and — when every canonical shard is covered — reduces and
   /// finalizes exactly as the plain run. Returns true when results were
   /// finalized, false for a partial (persisted) run whose shard states
   /// went to the checkpoint file. Checkpoints store RAW per-shard states

@@ -17,7 +17,8 @@
 // path runs on it — simulated and replayed shards, shared multi-set
 // replay, merge-tree rounds and the ordered stream — at one atomic
 // fetch_add per index. No party plays a fixed role: the ordered stream
-// drains from whichever party finishes the next shard.
+// and the checkpoint publishing of a persisted attack drain from
+// whichever party finishes the next shard (engine/ordered_drain.hpp).
 #pragma once
 
 #include <algorithm>

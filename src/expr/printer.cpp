@@ -94,7 +94,7 @@ void sexpr(const ExprPtr& e, const VarTable& vars, std::string& out) {
       out += ')';
       return;
   }
-  SABLE_ASSERT(false, "unreachable expression kind");
+  SABLE_UNREACHABLE("unreachable expression kind");
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ ExprPtr nnf_impl(const ExprPtr& e, bool negated) {
                         : Expr::disj(std::move(ops));
     }
   }
-  SABLE_ASSERT(false, "unreachable expression kind");
+  SABLE_UNREACHABLE("unreachable expression kind");
 }
 
 }  // namespace
@@ -58,7 +58,7 @@ ExprPtr dual_nnf(const ExprPtr& e) {
                                          : Expr::conj(std::move(ops));
     }
   }
-  SABLE_ASSERT(false, "unreachable expression kind");
+  SABLE_UNREACHABLE("unreachable expression kind");
 }
 
 ExprPtr cofactor(const ExprPtr& e, VarId v, bool value) {
@@ -79,7 +79,7 @@ ExprPtr cofactor(const ExprPtr& e, VarId v, bool value) {
                                          : Expr::disj(std::move(ops));
     }
   }
-  SABLE_ASSERT(false, "unreachable expression kind");
+  SABLE_UNREACHABLE("unreachable expression kind");
 }
 
 bool structurally_equal(const ExprPtr& a, const ExprPtr& b) {

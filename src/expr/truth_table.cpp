@@ -64,7 +64,7 @@ bool evaluate(const ExprPtr& e, std::uint64_t assignment) {
       }
       return false;
   }
-  SABLE_ASSERT(false, "unreachable expression kind");
+  SABLE_UNREACHABLE("unreachable expression kind");
 }
 
 TruthTable table_of(const ExprPtr& e, std::size_t num_vars) {

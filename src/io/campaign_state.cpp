@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "io/serial.hpp"
 #include "util/error.hpp"
@@ -13,6 +14,46 @@ namespace {
 constexpr char kStateMagic[8] = {'S', 'A', 'B', 'L', 'S', 'T', 'A', 'T'};
 constexpr std::uint32_t kStateVersion = 2;
 
+// One covered shard's part of the blob section: per distinguisher, in
+// list order, { blob_len u64, blob bytes }.
+void serialize_segment(const ShardStates& states, std::size_t s,
+                       ByteWriter& segment) {
+  for (const auto& row : states) {
+    SABLE_REQUIRE(row.size() == states[0].size() && row[s] != nullptr,
+                  "distinguishers disagree on which shards are covered");
+    const std::size_t len_at = segment.offset();
+    segment.u64(0);  // blob length, patched below
+    const std::size_t begin = segment.offset();
+    row[s]->save(segment);
+    segment.patch_u64(len_at, segment.offset() - begin);
+  }
+}
+
+// The one SABLSTAT writer: the header and the covered shard list from a
+// small buffer, then each covered shard's segment as it is, with no
+// whole-file buffer.
+void write_state_file(const std::string& path,
+                      const CampaignManifest& manifest,
+                      std::size_t num_distinguishers,
+                      std::span<const std::size_t> covered,
+                      std::span<const ByteWriter> segments) {
+  SABLE_REQUIRE(manifest.stream == kCampaignStream,
+                "campaign state can only be saved in the current trace "
+                "stream");
+  ByteWriter header;
+  header.bytes(kStateMagic, sizeof(kStateMagic));
+  header.u32(kStateVersion);
+  manifest.save(header);
+  header.u64(num_distinguishers);
+  header.u64(covered.size());
+  for (std::size_t s : covered) header.u64(s);
+  std::vector<std::span<const std::uint8_t>> parts;
+  parts.reserve(covered.size() + 1);
+  parts.emplace_back(header.buffer());
+  for (std::size_t s : covered) parts.emplace_back(segments[s].buffer());
+  write_file_atomically(path, parts);
+}
+
 }  // namespace
 
 void save_campaign_state(const std::string& path,
@@ -20,35 +61,17 @@ void save_campaign_state(const std::string& path,
                          const ShardStates& states) {
   SABLE_REQUIRE(!states.empty(), "campaign state needs at least one "
                                  "distinguisher");
-  SABLE_REQUIRE(manifest.stream == kCampaignStream,
-                "campaign state can only be saved in the current trace "
-                "stream");
   const std::size_t num_shards = states[0].size();
   SABLE_REQUIRE(num_shards == manifest.num_shards,
                 "shard-state matrix must span the manifest's shard count");
   std::vector<std::size_t> covered;
+  std::vector<ByteWriter> segments(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
-    if (states[0][s]) covered.push_back(s);
+    if (!states[0][s]) continue;
+    covered.push_back(s);
+    serialize_segment(states, s, segments[s]);
   }
-  ByteWriter writer;
-  writer.bytes(kStateMagic, sizeof(kStateMagic));
-  writer.u32(kStateVersion);
-  manifest.save(writer);
-  writer.u64(states.size());
-  writer.u64(covered.size());
-  for (std::size_t s : covered) writer.u64(s);
-  for (std::size_t s : covered) {
-    for (std::size_t d = 0; d < states.size(); ++d) {
-      SABLE_REQUIRE(states[d].size() == num_shards && states[d][s] != nullptr,
-                    "distinguishers disagree on which shards are covered");
-      const std::size_t len_at = writer.offset();
-      writer.u64(0);  // blob length, patched below
-      const std::size_t begin = writer.offset();
-      states[d][s]->save(writer);
-      writer.patch_u64(len_at, writer.offset() - begin);
-    }
-  }
-  writer.write_file(path);
+  write_state_file(path, manifest, states.size(), covered, segments);
 }
 
 std::size_t load_campaign_state(
@@ -129,11 +152,52 @@ std::size_t load_campaign_state(
   return covered.size();
 }
 
+CheckpointDrain::CheckpointDrain(const CampaignManifest& manifest,
+                                 const ShardStates& states,
+                                 const CampaignPersistence& persist,
+                                 std::span<const std::size_t> work)
+    : manifest_(manifest),
+      states_(states),
+      path_(persist.checkpoint_path),
+      work_(work),
+      every_(persist.checkpoint_every_shards == 0
+                 ? work.size()
+                 : persist.checkpoint_every_shards),
+      segments_(states.empty() ? 0 : states[0].size()),
+      drain_(work.size()) {
+  SABLE_REQUIRE(!states.empty(), "campaign state needs at least one "
+                                 "distinguisher");
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    if (!states[0][s]) continue;
+    resumed_.push_back(s);
+    serialize_segment(states, s, segments_[s]);
+  }
+}
+
+void CheckpointDrain::shard_done(std::size_t k) {
+  // The party owns states[·][work_[k]] and its segment until complete()
+  // hands both to the drainer.
+  serialize_segment(states_, work_[k], segments_[work_[k]]);
+  drain_.complete(k, [&](std::size_t j) {
+    const std::size_t done = j + 1;
+    if (done % every_ == 0 || done == work_.size()) publish(done);
+  });
+}
+
+void CheckpointDrain::publish(std::size_t done) {
+  covered_.clear();
+  std::merge(resumed_.begin(), resumed_.end(), work_.begin(),
+             work_.begin() + static_cast<std::ptrdiff_t>(done),
+             std::back_inserter(covered_));
+  write_state_file(path_, manifest_, states_.size(), covered_, segments_);
+}
+
 bool run_persisted_waves(
     const CampaignManifest& manifest,
     std::span<Distinguisher* const> distinguishers, ShardStates& states,
     const CampaignPersistence& persist,
-    const std::function<void(const std::vector<std::size_t>&)>& accumulate) {
+    const std::function<void(std::span<const std::size_t>, CheckpointDrain*)>&
+        accumulate) {
   const std::size_t num_shards = static_cast<std::size_t>(manifest.num_shards);
   SABLE_REQUIRE(!states.empty() && states[0].size() == num_shards,
                 "shard-state matrix must span the campaign's shards");
@@ -159,18 +223,11 @@ bool run_persisted_waves(
   SABLE_REQUIRE(complete || !persist.checkpoint_path.empty(),
                 "partial campaign range needs a checkpoint path to persist "
                 "its shard states");
-  const std::size_t wave =
-      persist.checkpoint_every_shards == 0 ? std::max<std::size_t>(1, work.size())
-                                           : persist.checkpoint_every_shards;
-  for (std::size_t done = 0; done < work.size(); done += wave) {
-    const std::vector<std::size_t> chunk(
-        work.begin() + static_cast<std::ptrdiff_t>(done),
-        work.begin() +
-            static_cast<std::ptrdiff_t>(std::min(done + wave, work.size())));
-    accumulate(chunk);
-    if (!persist.checkpoint_path.empty()) {
-      save_campaign_state(persist.checkpoint_path, manifest, states);
-    }
+  if (persist.checkpoint_path.empty() || work.empty()) {
+    accumulate(work, nullptr);
+  } else {
+    CheckpointDrain checkpoints(manifest, states, persist, work);
+    accumulate(work, &checkpoints);
   }
   if (complete) return true;
   if (work.empty()) {

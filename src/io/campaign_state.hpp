@@ -38,13 +38,17 @@
 #include <vector>
 
 #include "dpa/distinguisher.hpp"
+#include "engine/ordered_drain.hpp"
 #include "io/manifest.hpp"
+#include "io/serial.hpp"
 
 namespace sable {
 
 /// Writes the covered subset of `states` (shards s with states[0][s]
 /// non-null; every distinguisher must agree on coverage) atomically to
 /// `path`. `states` must be a num_distinguishers x num_shards matrix.
+/// It serializes each covered shard into its segment and hands them to
+/// the one SABLSTAT writer, the one CheckpointDrain publishes through.
 void save_campaign_state(const std::string& path,
                          const CampaignManifest& manifest,
                          const ShardStates& states);
@@ -62,21 +66,66 @@ std::size_t load_campaign_state(const std::string& path,
                                 std::span<Distinguisher* const> distinguishers,
                                 ShardStates& states);
 
+/// The checkpoint side of one persisted pass (run_persisted_waves over a
+/// worklist, with a checkpoint path). The party that ran work[k] calls
+/// shard_done(k) once it has fed the shard: that serializes the shard's
+/// accumulator blobs once into a per-shard segment, laid out as SABLSTAT
+/// stores them, and completes k in an OrderedDrain
+/// (engine/ordered_drain.hpp). Whichever party drains advances the done
+/// prefix of the worklist, and each time the prefix reaches a multiple of
+/// checkpoint_every_shards (or the end of the worklist) it publishes a
+/// checkpoint of the resumed shards plus exactly that prefix, written
+/// from the cached segments. The other parties keep claiming shards
+/// meanwhile. A throwing shard (the party calls fail()) or checkpoint
+/// write stops the drain; the last published checkpoint stays.
+class CheckpointDrain {
+ public:
+  /// `states` holds the resumed shards and nothing of `work` yet; `work`
+  /// (non-empty, ascending) must outlive the drain.
+  CheckpointDrain(const CampaignManifest& manifest, const ShardStates& states,
+                  const CampaignPersistence& persist,
+                  std::span<const std::size_t> work);
+
+  /// Called once per work index k by the party that filled
+  /// states[·][work[k]], after it did.
+  void shard_done(std::size_t k);
+  /// Stops publishing: called by a party whose shard threw.
+  void fail() { drain_.fail(); }
+
+ private:
+  void publish(std::size_t done);
+
+  const CampaignManifest& manifest_;
+  const ShardStates& states_;
+  const std::string& path_;
+  std::span<const std::size_t> work_;
+  std::size_t every_;
+  std::vector<std::size_t> resumed_;  // ascending
+  std::vector<ByteWriter> segments_;  // [num_shards], covered ones filled
+  std::vector<std::size_t> covered_;  // publish()'s list; drainer only
+  OrderedDrain drain_;
+};
+
 /// Persistence-aware campaign driver shared by the live engine and the
 /// replay path: optionally resumes from persist.resume_path, derives the
-/// uncovered worklist inside [persist.shard_begin, persist.shard_end),
-/// hands it to `accumulate` in waves of persist.checkpoint_every_shards
-/// (0 = one wave), and checkpoints `states` to persist.checkpoint_path
-/// after each wave. `accumulate` must fill states[d][s] for every shard
-/// in the worklist it is given. Returns true when every canonical shard
-/// is covered afterwards (the caller may reduce and finalize), false for
-/// a partial run — which requires a checkpoint path, otherwise the
-/// partial work would be unrecoverable (InvalidArgument, thrown before
-/// the first wave, so no shard is simulated or decoded in vain).
+/// uncovered worklist inside [persist.shard_begin, persist.shard_end)
+/// and hands all of it to `accumulate` at once, with a CheckpointDrain
+/// when persist.checkpoint_path is set (nullptr otherwise).
+/// `accumulate` must fill states[d][s] for every shard s = work[k] and,
+/// given a drain, call shard_done(k) after each (fail() when a shard
+/// throws). Checkpoints are published every persist.checkpoint_every_shards
+/// shards of the worklist's done prefix (0 = once, at its end) — the
+/// same files a range run over each prefix would write. Returns true
+/// when every canonical shard is covered afterwards (the caller may
+/// reduce and finalize), false for a partial run — which requires a
+/// checkpoint path, otherwise the partial work would be unrecoverable
+/// (InvalidArgument, thrown before `accumulate`, so no shard is simulated
+/// or decoded in vain).
 bool run_persisted_waves(
     const CampaignManifest& manifest,
     std::span<Distinguisher* const> distinguishers, ShardStates& states,
     const CampaignPersistence& persist,
-    const std::function<void(const std::vector<std::size_t>&)>& accumulate);
+    const std::function<void(std::span<const std::size_t>, CheckpointDrain*)>&
+        accumulate);
 
 }  // namespace sable

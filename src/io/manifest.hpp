@@ -77,10 +77,13 @@ struct CampaignPersistence {
   /// Load this campaign-state file first and skip its covered shards.
   /// Empty = fresh start. The file's manifest must match the campaign.
   std::string resume_path;
-  /// Write campaign state here — after every wave of
-  /// checkpoint_every_shards shards (0 = only once, at the end of this
-  /// invocation's range). Empty = never checkpoint. Writes are atomic,
-  /// so an interrupted run leaves the previous checkpoint intact.
+  /// Write campaign state here — each time another
+  /// checkpoint_every_shards shards of this invocation's worklist are
+  /// done in canonical order (0 = only once, at the end of its range).
+  /// Each checkpoint holds the resumed shards plus that done prefix, and
+  /// is published while the campaign runs on: no shard waits for it.
+  /// Empty = never checkpoint. Writes are atomic, so an interrupted run
+  /// leaves the previous checkpoint intact.
   std::string checkpoint_path;
   std::size_t checkpoint_every_shards = 0;
   /// Canonical shard range [shard_begin, shard_end) THIS invocation

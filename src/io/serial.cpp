@@ -27,6 +27,18 @@ static_assert(std::endian::native == std::endian::little,
               "sable file formats are little-endian; the bulk array paths "
               "need byte-swapping on big-endian hosts");
 
+// Appends v's little-endian bytes to `buf` in one step. The bytes are
+// composed by shifts (endian-independent); the compiler folds them into
+// one store.
+template <typename T>
+void append_le(std::vector<std::uint8_t>& buf, T v) {
+  std::uint8_t bytes[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  buf.insert(buf.end(), bytes, bytes + sizeof(T));
+}
+
 std::string errno_message(const std::string& action) {
   return action + ": " + std::strerror(errno);
 }
@@ -35,17 +47,9 @@ std::string errno_message(const std::string& action) {
 
 // ---- ByteWriter -----------------------------------------------------------
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void ByteWriter::u32(std::uint32_t v) { append_le(buf_, v); }
 
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void ByteWriter::u64(std::uint64_t v) { append_le(buf_, v); }
 
 void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -71,15 +75,20 @@ void ByteWriter::patch_u64(std::size_t offset, std::uint64_t v) {
   }
 }
 
-void ByteWriter::write_file(const std::string& path) const {
+void write_file_atomically(
+    const std::string& path,
+    std::span<const std::span<const std::uint8_t>> parts) {
   std::FILE* f = std::fopen((path + ".tmp").c_str(), "wb");
   if (f == nullptr) {
     throw IoError(path, errno_message("cannot create file"));
   }
-  const bool written =
-      (buf_.empty() || std::fwrite(buf_.data(), 1, buf_.size(), f) ==
-                           buf_.size()) &&
-      std::fflush(f) == 0;
+  bool written = true;
+  for (const std::span<const std::uint8_t> part : parts) {
+    written = written && (part.empty() || std::fwrite(part.data(), 1,
+                                                      part.size(), f) ==
+                                              part.size());
+  }
+  written = written && std::fflush(f) == 0;
   publish_temp_file(f, path, written);
 }
 

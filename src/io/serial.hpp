@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,10 +70,10 @@ class ManifestMismatchError : public IoError {
   using IoError::IoError;
 };
 
-/// Growing little-endian byte buffer with an atomic write-out. Campaign
-/// state files build entirely in memory (they are O(shards * guesses),
-/// small); the corpus writer streams instead (io/corpus.hpp) and uses
-/// this only for its header.
+/// Growing little-endian byte buffer. Campaign state files are written
+/// from one buffer per shard through write_file_atomically
+/// (io/campaign_state.hpp), and the corpus writer streams
+/// (io/corpus.hpp); both build only their headers whole.
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -91,13 +92,15 @@ class ByteWriter {
 
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
 
-  /// Writes the buffer to `path` atomically: `path + ".tmp"` then rename.
-  /// Throws IoError on filesystem failure.
-  void write_file(const std::string& path) const;
-
  private:
   std::vector<std::uint8_t> buf_;
 };
+
+/// Writes `parts` back to back to `path` atomically: `path + ".tmp"`,
+/// then publish_temp_file. Throws IoError on filesystem failure.
+void write_file_atomically(
+    const std::string& path,
+    std::span<const std::span<const std::uint8_t>> parts);
 
 /// The publish step every atomic writer shares: closes `file`, which
 /// holds `path + ".tmp"`, and renames that temporary file onto `path`.

@@ -176,7 +176,7 @@ ExprPtr extract_sp_expression(const DpdnNetwork& net,
                   "reduced branch does not span the expected terminals");
     return e.u == top ? e.expr : reverse_series(e.expr);
   }
-  SABLE_ASSERT(false, "unreachable: exactly one alive edge exists");
+  SABLE_UNREACHABLE("unreachable: exactly one alive edge exists");
 }
 
 }  // namespace sable

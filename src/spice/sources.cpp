@@ -67,7 +67,7 @@ double Waveform::at(double t) const {
       return points.back().second;
     }
   }
-  SABLE_ASSERT(false, "unreachable waveform kind");
+  SABLE_UNREACHABLE("unreachable waveform kind");
 }
 
 }  // namespace sable::spice

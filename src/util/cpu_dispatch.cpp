@@ -29,7 +29,7 @@ const char* to_string(DispatchTier tier) {
     case DispatchTier::kAvx512:
       return "avx512";
   }
-  SABLE_ASSERT(false, "unreachable dispatch tier");
+  SABLE_UNREACHABLE("unreachable dispatch tier");
 }
 
 DispatchTier active_tier() { return DispatchTier::kPortable; }

@@ -45,6 +45,14 @@ namespace detail {
     }                                                                  \
   } while (false)
 
+/// Marks a point no input reaches: the end of an exhaustive switch, or of
+/// a loop that always returns. Aborts as a failed SABLE_ASSERT(false, msg)
+/// would, but as a direct [[noreturn]] call, so the compiler knows control
+/// never falls through at any optimization level (-Werror=return-type
+/// holds at -O0 too).
+#define SABLE_UNREACHABLE(msg) \
+  ::sable::detail::assert_fail("false", __FILE__, __LINE__, (msg))
+
 /// Precondition check that throws InvalidArgument instead of aborting.
 #define SABLE_REQUIRE(cond, msg)                       \
   do {                                                 \

@@ -22,8 +22,10 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "crypto/leakage.hpp"
 #include "crypto/sboxes.hpp"
 #include "dpa/block_stats.hpp"
 #include "dpa/second_order.hpp"
@@ -224,6 +226,181 @@ TEST(BlockStatsTest, SecondOrderBlockPathMatchesTwoPass8Bit) {
   // P = G = 256 over ~1000 traces: most plaintext rows of a block are
   // empty, so the contraction's skip branch carries the block.
   check_second_order_block_path(aes_spec(), 256, 0x50C8);
+}
+
+// ---- second-order block pass vs a scalar transcription --------------------
+
+// StreamingSecondOrderCpa's block pass (dpa/second_order.cpp) written as
+// plain scalar loops: the same 512-trace counting-sort chunks, and each
+// even/odd pair of partial sums as two doubles, with an odd run's last
+// trace on the even one. A fresh accumulator fed one block holds exactly
+// that block's sums, so this returns what its save() must write after
+// `header` (the accumulator's own tagged configuration prefix). Counts
+// the odd and even (>= 2) plaintext runs it summed into `odd_runs` and
+// `even_runs`.
+std::vector<std::uint8_t> scalar_second_order_state(
+    const SboxSpec& spec, const std::vector<std::uint8_t>& header,
+    const std::uint8_t* pts, const double* rows, std::size_t count,
+    std::size_t L, std::size_t& odd_runs, std::size_t& even_runs) {
+  constexpr std::size_t kSortChunk = 512;
+  const std::size_t G = std::size_t{1} << spec.in_bits;
+  const std::size_t P = G;
+  const std::size_t pairs = L * (L - 1) / 2;
+  const std::vector<double> table =
+      prediction_table(spec, PowerModel::kHammingWeight, 0);
+  std::vector<std::uint64_t> counts(detail::kBlockPts, 0);
+  std::vector<double> mean_x(L, 0.0), mean_h(G, 0.0), m2_h(G, 0.0);
+  std::vector<double> c2(L * L, 0.0), c_xh(L * G), m3_ijh(pairs * G);
+  std::vector<double> m3_iij(pairs, 0.0), m3_ijj(pairs, 0.0), m4(pairs, 0.0);
+  std::vector<double> dh(P * G, 0.0), s1(P * L, 0.0), s2(P * pairs, 0.0);
+  for (std::size_t t = 0; t < count; ++t) {
+    ++counts[pts[t]];
+    for (std::size_t i = 0; i < L; ++i) mean_x[i] += rows[t * L + i];
+  }
+  const double inv_n = 1.0 / static_cast<double>(count);
+  for (std::size_t i = 0; i < L; ++i) mean_x[i] *= inv_n;
+  for (std::size_t pt = 0; pt < P; ++pt) {
+    if (counts[pt] == 0) continue;
+    const double w = static_cast<double>(counts[pt]);
+    for (std::size_t g = 0; g < G; ++g) mean_h[g] += w * table[pt * G + g];
+  }
+  for (std::size_t g = 0; g < G; ++g) mean_h[g] *= inv_n;
+  for (std::size_t pt = 0; pt < P; ++pt) {
+    if (counts[pt] == 0) continue;
+    const double w = static_cast<double>(counts[pt]);
+    for (std::size_t g = 0; g < G; ++g) {
+      dh[pt * G + g] = table[pt * G + g] - mean_h[g];
+      m2_h[g] += w * dh[pt * G + g] * dh[pt * G + g];
+    }
+  }
+  std::vector<std::size_t> run(P), slot(P);
+  std::vector<double> dx(L * kSortChunk);
+  for (std::size_t first = 0; first < count; first += kSortChunk) {
+    const std::size_t n = std::min(kSortChunk, count - first);
+    std::fill(run.begin(), run.end(), 0);
+    for (std::size_t t = 0; t < n; ++t) ++run[pts[first + t]];
+    std::size_t next = 0;
+    for (std::size_t pt = 0; pt < P; ++pt) {
+      slot[pt] = next;
+      next += run[pt];
+      if (run[pt] % 2 == 1) ++odd_runs;
+      if (run[pt] >= 2 && run[pt] % 2 == 0) ++even_runs;
+    }
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::size_t at = slot[pts[first + t]]++;
+      for (std::size_t i = 0; i < L; ++i) {
+        dx[i * n + at] = rows[(first + t) * L + i] - mean_x[i];
+      }
+    }
+    for (std::size_t i = 0; i < L; ++i) {
+      const double* xi = dx.data() + i * n;
+      double q0 = 0.0, q1 = 0.0;
+      for (std::size_t pt = 0; pt < P; ++pt) {
+        if (run[pt] == 0) continue;
+        const std::size_t end = slot[pt];
+        std::size_t t = end - run[pt];
+        double d0 = 0.0, d1 = 0.0;
+        for (; t + 2 <= end; t += 2) {
+          d0 += xi[t];
+          d1 += xi[t + 1];
+          q0 += xi[t] * xi[t];
+          q1 += xi[t + 1] * xi[t + 1];
+        }
+        if (t < end) {
+          d0 += xi[t];
+          q0 += xi[t] * xi[t];
+        }
+        s1[pt * L + i] += d0 + d1;
+      }
+      c2[i * L + i] += q0 + q1;
+    }
+    std::size_t p = 0;
+    for (std::size_t i = 0; i < L; ++i) {
+      for (std::size_t j = i + 1; j < L; ++j, ++p) {
+        const double* xi = dx.data() + i * n;
+        const double* xj = dx.data() + j * n;
+        double a0 = 0.0, a1 = 0.0, b0 = 0.0, b1 = 0.0, c0 = 0.0, c1 = 0.0;
+        double cij = 0.0;
+        for (std::size_t pt = 0; pt < P; ++pt) {
+          if (run[pt] == 0) continue;
+          const std::size_t end = slot[pt];
+          std::size_t t = end - run[pt];
+          double d0 = 0.0, d1 = 0.0;
+          for (; t + 2 <= end; t += 2) {
+            const double prod0 = xi[t] * xj[t];
+            const double prod1 = xi[t + 1] * xj[t + 1];
+            a0 += xi[t] * prod0;
+            a1 += xi[t + 1] * prod1;
+            b0 += prod0 * xj[t];
+            b1 += prod1 * xj[t + 1];
+            c0 += prod0 * prod0;
+            c1 += prod1 * prod1;
+            d0 += prod0;
+            d1 += prod1;
+          }
+          if (t < end) {
+            const double prod = xi[t] * xj[t];
+            a0 += xi[t] * prod;
+            b0 += prod * xj[t];
+            c0 += prod * prod;
+            d0 += prod;
+          }
+          s2[pt * pairs + p] += d0 + d1;
+          cij += d0 + d1;
+        }
+        m3_iij[p] += a0 + a1;
+        m3_ijj[p] += b0 + b1;
+        m4[p] += c0 + c1;
+        c2[i * L + j] += cij;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < L; ++i) {
+    for (std::size_t j = 0; j < i; ++j) c2[i * L + j] = c2[j * L + i];
+  }
+  detail::block_contract_sums(dh.data(), s1.data(), counts.data(), P, L, G,
+                              c_xh.data());
+  detail::block_contract_sums(dh.data(), s2.data(), counts.data(), P, pairs,
+                              G, m3_ijh.data());
+  ByteWriter writer;
+  writer.bytes(header.data(), header.size());
+  writer.u64(count);
+  for (const std::vector<double>* v :
+       {&mean_x, &mean_h, &m2_h, &c2, &c_xh, &m3_iij, &m3_ijj, &m4,
+        &m3_ijh}) {
+    writer.f64s(v->data(), v->size());
+  }
+  return writer.buffer();
+}
+
+TEST(BlockStatsTest, SecondOrderBlockPassMatchesScalarTranscription) {
+  // Three sort chunks (512, 512, 3), widths 6 (the round's level count)
+  // and 7, 4- and 8-bit S-boxes: runs of every length parity, and
+  // one-trace runs in the short last chunk.
+  constexpr std::size_t kCount = 1027;
+  constexpr std::size_t kHeaderBytes = 4 + 8 + 4 + 8 + 8;  // tag..width
+  for (const auto& [spec, num_pts] :
+       {std::pair{present_spec(), std::size_t{16}},
+        std::pair{aes_spec(), std::size_t{256}}}) {
+    for (const std::size_t width : {std::size_t{6}, std::size_t{7}}) {
+      SCOPED_TRACE(testing::Message() << num_pts << " plaintexts, width "
+                                      << width);
+      const Traces t = make_traces(kCount, num_pts, width, 0x2D0 + width);
+      StreamingSecondOrderCpa acc(spec, PowerModel::kHammingWeight);
+      add_rows(acc, t, 0, kCount);
+      const std::vector<std::uint8_t> got = saved_bytes(acc);
+      ASSERT_GT(got.size(), kHeaderBytes);
+      const std::vector<std::uint8_t> header(got.begin(),
+                                             got.begin() + kHeaderBytes);
+      std::size_t odd_runs = 0, even_runs = 0;
+      const std::vector<std::uint8_t> want = scalar_second_order_state(
+          spec, header, t.pts.data(), t.rows.data(), kCount, width, odd_runs,
+          even_runs);
+      EXPECT_GT(odd_runs, 0u);
+      EXPECT_GT(even_runs, 0u);
+      EXPECT_TRUE(got == want);
+    }
+  }
 }
 
 // ---- raw kernels vs plain per-output loops --------------------------------

@@ -432,7 +432,7 @@ class CountingDistinguisher final : public Distinguisher {
 };
 
 // A partial range with nowhere to persist its states is refused before
-// the first wave, live and replayed alike: no shard is simulated or
+// the first shard, live and replayed alike: no shard is simulated or
 // decoded only to be thrown away.
 TEST(CampaignIoTest, PartialRangeWithoutCheckpointPathThrows) {
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);

@@ -22,6 +22,7 @@
 #include "dpa/distinguisher.hpp"
 #include "dpa/mtd.hpp"
 #include "engine/trace_engine.hpp"
+#include "io/corpus.hpp"
 #include "io/manifest.hpp"
 #include "io/serial.hpp"
 
@@ -212,8 +213,9 @@ TEST(CheckpointResumeTest, PeriodicWaveCheckpointsDoNotPerturbTheRun) {
   Distinguisher* const ref_list[] = {&ref.cpa, &ref.dom, &ref.mtd};
   ref_engine.run_distinguishers(options, ref_list);
 
-  // Checkpoint every 2 shards: four waves, a state file rewritten after
-  // each — the run still completes and matches exactly.
+  // Checkpoint every 2 shards: four checkpoints, a state file rewritten
+  // as the done prefix reaches 2, 4, 6 and 7 shards — the run still
+  // completes and matches exactly.
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
   AttackSet set = make_attacks(engine, options);
   Distinguisher* const list[] = {&set.cpa, &set.dom, &set.mtd};
@@ -237,6 +239,64 @@ TEST(CheckpointResumeTest, PeriodicWaveCheckpointsDoNotPerturbTheRun) {
       resumed_engine.run_distinguishers(options, resumed_list, resume));
   expect_same_scores(resumed.cpa.result().score, ref.cpa.result().score);
   EXPECT_EQ(resumed.mtd.result().rank_history, ref.mtd.result().rank_history);
+}
+
+// A checkpoint's bytes depend on the shards it covers and nothing else:
+// the final checkpoint of the 7-shard campaign is the same whether it
+// published a checkpoint every 1, 2, 3 or 7 shards on the way or only at
+// the end, at 1, 2 or 4 threads, simulated live or replayed from a
+// corpus, and when the campaign resumed a partial state from the middle
+// of the campaign first (resumed and fresh shards interleave in the
+// covered list).
+TEST(CheckpointResumeTest, CheckpointBytesDependOnlyOnCoverage) {
+  const CampaignOptions base = resume_options();
+  const std::string corpus_path = temp_path("coverage.corpus");
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  engine.record(base, TraceDataKind::kScalar, corpus_path);
+  const CorpusReader corpus(corpus_path);
+  const auto final_checkpoint = [&](bool replay, std::size_t threads,
+                                    const CampaignPersistence& persist) {
+    CampaignOptions options = base;
+    options.num_threads = threads;
+    AttackSet set = make_attacks(engine, options);
+    Distinguisher* const list[] = {&set.cpa, &set.dom, &set.mtd};
+    EXPECT_TRUE(replay ? engine.replay(corpus, list, persist, threads)
+                       : engine.run_distinguishers(options, list, persist));
+    return read_file(persist.checkpoint_path);
+  };
+  CampaignPersistence plain;
+  plain.checkpoint_path = temp_path("coverage");
+  const std::vector<std::uint8_t> reference =
+      final_checkpoint(false, 1, plain);
+  for (const bool replay : {false, true}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      for (const std::size_t every : {0u, 1u, 2u, 3u, 7u}) {
+        SCOPED_TRACE(testing::Message() << (replay ? "replay" : "live")
+                                        << ", " << threads << " threads, "
+                                        << "every " << every);
+        CampaignPersistence persist = plain;
+        persist.checkpoint_every_shards = every;
+        EXPECT_TRUE(final_checkpoint(replay, threads, persist) == reference);
+      }
+    }
+  }
+
+  CampaignPersistence middle;
+  middle.shard_begin = 2;
+  middle.shard_end = 5;
+  middle.checkpoint_path = temp_path("coverage_middle");
+  {
+    AttackSet set = make_attacks(engine, base);
+    Distinguisher* const list[] = {&set.cpa, &set.dom, &set.mtd};
+    EXPECT_FALSE(engine.run_distinguishers(base, list, middle));
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    CampaignPersistence resumed = plain;
+    resumed.resume_path = middle.checkpoint_path;
+    resumed.checkpoint_every_shards = 2;
+    EXPECT_TRUE(final_checkpoint(false, threads, resumed) == reference);
+  }
 }
 
 TEST(CheckpointResumeTest, ResumeRejectsAForeignCampaign) {

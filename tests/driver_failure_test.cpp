@@ -9,7 +9,9 @@
 // re-entered nor sees a shard out of canonical order. A corpus write that
 // fails — at the header or mid-stream, in record()'s ordered drain —
 // must throw IoError, leave no temporary file and keep the corpus
-// previously published at the path.
+// previously published at the path. A campaign that checkpoints as it
+// goes keeps a checkpoint of a wave prefix when a shard or a checkpoint
+// write fails, and that checkpoint resumes to the uninterrupted result.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -70,11 +72,12 @@ CampaignOptions options_with(std::size_t threads) {
 // Forwards to a real CPA accumulator, but throws on the failing shard.
 class FailingAccumulator final : public ShardAccumulator {
  public:
-  explicit FailingAccumulator(std::unique_ptr<ShardAccumulator> inner)
-      : inner_(std::move(inner)) {}
+  FailingAccumulator(std::unique_ptr<ShardAccumulator> inner,
+                     std::size_t failing_shard)
+      : inner_(std::move(inner)), failing_shard_(failing_shard) {}
 
   void accumulate(const ShardBlock& block) override {
-    if (block.start == kFailingShard * kShardSize) {
+    if (block.start == failing_shard_ * kShardSize) {
       throw ShardFailure("accumulator failed on its shard");
     }
     inner_->accumulate(block);
@@ -87,11 +90,14 @@ class FailingAccumulator final : public ShardAccumulator {
 
  private:
   std::unique_ptr<ShardAccumulator> inner_;
+  std::size_t failing_shard_;
 };
 
 class FailingDistinguisher final : public Distinguisher {
  public:
-  explicit FailingDistinguisher(const SboxSpec& spec) : inner_(spec, kSelector) {}
+  explicit FailingDistinguisher(const SboxSpec& spec,
+                                std::size_t failing_shard = kFailingShard)
+      : inner_(spec, kSelector), failing_shard_(failing_shard) {}
 
   TraceDataKind data_kind() const override { return inner_.data_kind(); }
   std::size_t sbox_index() const override { return inner_.sbox_index(); }
@@ -100,7 +106,7 @@ class FailingDistinguisher final : public Distinguisher {
   }
   std::unique_ptr<ShardAccumulator> make_shard_accumulator() const override {
     return std::make_unique<FailingAccumulator>(
-        inner_.make_shard_accumulator());
+        inner_.make_shard_accumulator(), failing_shard_);
   }
   void finalize(ShardAccumulator&) override {
     ADD_FAILURE() << "a failed campaign must not finalize";
@@ -108,6 +114,7 @@ class FailingDistinguisher final : public Distinguisher {
 
  private:
   CpaDistinguisher inner_;
+  std::size_t failing_shard_;
 };
 
 void expect_same_scores(const std::vector<double>& a,
@@ -366,6 +373,130 @@ TEST(CorpusWriteFailureTest, RecordRethrowsAndKeepsThePublishedCorpus) {
       }
       engine.record(options, TraceDataKind::kScalar, path, codec);
       EXPECT_TRUE(read_file(path) == expected);
+    }
+  }
+}
+
+// ---- checkpoints of a failing campaign --------------------------------------
+
+// Checkpointing every 2 shards of the 7-shard campaign, whose shard 5
+// fails: the checkpoints are published from the ordered drain as the
+// done prefix of the worklist crosses each multiple of 2.
+constexpr std::size_t kEvery = 2;
+constexpr std::size_t kCheckpointFailingShard = 5;
+
+std::string checkpoint_path() {
+  return testing::TempDir() + "driver_failure_checkpoint";
+}
+
+// The files range runs over [0, 2k) write, for k = 1, 2, …: what the
+// checkpoint of each wave prefix must hold, byte for byte.
+std::vector<std::vector<std::uint8_t>> wave_prefix_files(std::size_t waves) {
+  std::vector<std::vector<std::uint8_t>> files;
+  for (std::size_t k = 1; k <= waves; ++k) {
+    TraceEngine engine = make_engine();
+    CpaDistinguisher cpa(engine.spec(), kSelector);
+    Distinguisher* const list[] = {&cpa};
+    CampaignPersistence range;
+    range.shard_end = k * kEvery;
+    range.checkpoint_path = checkpoint_path();
+    EXPECT_FALSE(engine.run_distinguishers(options_with(1), list, range));
+    files.push_back(read_file(range.checkpoint_path));
+  }
+  return files;
+}
+
+// One campaign of the test's source: simulated live, or replayed from
+// the recorded corpus.
+bool run_source(TraceEngine& engine, const CorpusReader* corpus,
+                std::size_t threads,
+                std::span<Distinguisher* const> distinguishers,
+                const CampaignPersistence& persist) {
+  return corpus ? engine.replay(*corpus, distinguishers, persist, threads)
+                : engine.run_distinguishers(options_with(threads),
+                                            distinguishers, persist);
+}
+
+// Resuming `path` into a plain CPA reproduces the uninterrupted scores.
+void expect_resume_matches(const std::string& path, const CorpusReader* corpus,
+                           std::size_t threads,
+                           const std::vector<double>& reference) {
+  TraceEngine engine = make_engine();
+  CpaDistinguisher cpa(engine.spec(), kSelector);
+  Distinguisher* const list[] = {&cpa};
+  CampaignPersistence resume;
+  resume.resume_path = path;
+  EXPECT_TRUE(run_source(engine, corpus, threads, list, resume));
+  expect_same_scores(cpa.result().score, reference);
+}
+
+// A shard that throws stops the drain: the file left at the checkpoint
+// path is the range run over a wave prefix [0, 2k) with 2k <= 5 — exactly
+// [0, 4) at 1 thread, where every earlier shard drains before shard 5
+// runs; at 4 threads the failure may stop the drain before it published
+// anything. Resuming what survives reproduces the plain run, live and
+// from the corpus.
+TEST_F(DriverFailureTest, FailingShardKeepsAWavePrefixCheckpoint) {
+  const auto prefixes =
+      wave_prefix_files(kCheckpointFailingShard / kEvery);
+  const CorpusReader corpus(corpus_path_);
+  for (const CorpusReader* source : {static_cast<const CorpusReader*>(nullptr),
+                                     &corpus}) {
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(testing::Message() << (source ? "replay" : "live") << ", "
+                                      << threads << " threads");
+      std::filesystem::remove(checkpoint_path());
+      TraceEngine engine = make_engine();
+      FailingDistinguisher failing(engine.spec(), kCheckpointFailingShard);
+      Distinguisher* const list[] = {&failing};
+      CampaignPersistence persist;
+      persist.checkpoint_path = checkpoint_path();
+      persist.checkpoint_every_shards = kEvery;
+      EXPECT_THROW(run_source(engine, source, threads, list, persist),
+                   ShardFailure);
+      EXPECT_FALSE(std::filesystem::exists(checkpoint_path() + ".tmp"));
+      if (threads == 1) {
+        ASSERT_TRUE(std::filesystem::exists(checkpoint_path()));
+        EXPECT_TRUE(read_file(checkpoint_path()) == prefixes.back());
+      }
+      if (!std::filesystem::exists(checkpoint_path())) continue;
+      const std::vector<std::uint8_t> survivor = read_file(checkpoint_path());
+      EXPECT_TRUE(std::find(prefixes.begin(), prefixes.end(), survivor) !=
+                  prefixes.end());
+      expect_resume_matches(checkpoint_path(), source, threads, reference_);
+    }
+  }
+}
+
+// A checkpoint write that fails (the file size limit falls between the
+// first and the second wave's file) rethrows IoError from the drain,
+// removes its .tmp and leaves the first wave's checkpoint in place,
+// whichever party drains; resuming it reproduces the plain run.
+TEST_F(DriverFailureTest, FailingCheckpointWriteKeepsThePreviousOne) {
+  const auto prefixes = wave_prefix_files(2);
+  const rlim_t limit =
+      static_cast<rlim_t>((prefixes[0].size() + prefixes[1].size()) / 2);
+  const CorpusReader corpus(corpus_path_);
+  for (const CorpusReader* source : {static_cast<const CorpusReader*>(nullptr),
+                                     &corpus}) {
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(testing::Message() << (source ? "replay" : "live") << ", "
+                                      << threads << " threads");
+      std::filesystem::remove(checkpoint_path());
+      TraceEngine engine = make_engine();
+      CpaDistinguisher cpa(engine.spec(), kSelector);
+      Distinguisher* const list[] = {&cpa};
+      CampaignPersistence persist;
+      persist.checkpoint_path = checkpoint_path();
+      persist.checkpoint_every_shards = kEvery;
+      {
+        FileSizeLimit guard(limit);
+        EXPECT_THROW(run_source(engine, source, threads, list, persist),
+                     IoError);
+      }
+      EXPECT_FALSE(std::filesystem::exists(checkpoint_path() + ".tmp"));
+      EXPECT_TRUE(read_file(checkpoint_path()) == prefixes[0]);
+      expect_resume_matches(checkpoint_path(), source, threads, reference_);
     }
   }
 }
