@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "cell/builder.hpp"
@@ -68,33 +70,56 @@ void require_sub_word_width(std::size_t bits) {
                 "S-box input width must be 1..8 bits");
 }
 
-// Stores the low `bytes` bytes of `value` at `dst`, least significant
-// first.
-void store_le(std::uint8_t* dst, std::uint64_t value, std::size_t bytes) {
-  for (std::size_t k = 0; k < bytes; ++k) {
-    dst[k] = static_cast<std::uint8_t>(value >> (8 * k));
-  }
-}
-
 // Traces the kernel sums side by side: their instance-order add chains
 // are independent, so several in flight overlap one another's latency.
 // About twelve accumulated levels in flight measured fastest (8 scalar
-// rows, two 6-level rows); a runtime width sums in memory, one trace at
-// a time.
+// rows, two 6-level rows).
 constexpr std::size_t kMaxTracesInFlight = 8;
 constexpr std::size_t traces_in_flight(std::size_t width) {
-  return width == 0 ? 1
-                    : std::clamp<std::size_t>(12 / width, 1,
-                                              kMaxTracesInFlight);
+  return std::clamp<std::size_t>(12 / width, 1, kMaxTracesInFlight);
 }
+// The widest accumulator row: wider rows (AES's 20 levels) are summed in
+// passes of at most this many levels, each pass a compile-time width.
+constexpr std::size_t kMaxPassWidth = 12;
 // Two levels of an accumulator row, added lane by lane: GCC's generic
 // vector, which each target lowers to its own registers (SSE2 on
 // x86-64) or to scalar code. Each lane's add is the scalar add, so sums
 // do not change; a row costs half the loads and adds.
 using LevelPair = double __attribute__((vector_size(2 * sizeof(double))));
-// Row widths up to this one get an accumulator of compile-time width
-// (scalar rows, PRESENT's 6 levels, DES's 12); wider ones sum in place.
-constexpr std::size_t kMaxFixedWidth = 12;
+
+// One trace's accumulator row of kWidth levels: level pairs, plus a
+// scalar for the last level of an odd width.
+template <std::size_t kWidth>
+struct RowSum {
+  static constexpr std::size_t kPairs = kWidth / 2;
+  LevelPair pairs[kPairs > 0 ? kPairs : 1] = {};
+  double last = 0.0;
+
+  // Adds the first `n` levels of `src`; kFull: n == kWidth.
+  template <bool kFull>
+  void add(const double* src, std::size_t n) {
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      if (kFull || 2 * p + 1 < n) {
+        LevelPair levels;
+        std::memcpy(&levels, src + 2 * p, sizeof levels);
+        pairs[p] += levels;
+      } else if (2 * p < n) {
+        pairs[p][0] += src[2 * p];
+      }
+    }
+    if constexpr (kWidth % 2 != 0) {
+      if (kFull || kWidth - 1 < n) last += src[kWidth - 1];
+    }
+  }
+
+  void store(double* row) const {
+#pragma GCC unroll 16
+    for (std::size_t l = 0; l < kWidth; ++l) {
+      row[l] = l < 2 * kPairs ? pairs[l / 2][l % 2] : last;
+    }
+  }
+};
 
 // The host is little-endian (as io/serial.cpp also asserts), so a
 // packed state's bytes read as little-endian words in place.
@@ -103,6 +128,14 @@ static_assert(std::endian::native == std::endian::little,
 std::uint64_t load_le64(const std::uint8_t* bytes) {
   std::uint64_t word = 0;
   std::memcpy(&word, bytes, sizeof word);
+  return word;
+}
+// load_le64 of the bytes in [bytes, end), zero past `end`.
+std::uint64_t load_le64_before(const std::uint8_t* bytes,
+                               const std::uint8_t* end) {
+  std::uint64_t word = 0;
+  const auto available = static_cast<std::size_t>(end - bytes);
+  std::memcpy(&word, bytes, std::min(sizeof word, available));
   return word;
 }
 
@@ -180,13 +213,15 @@ void RoundSpec::fill_random_states(Rng& rng, std::size_t count,
   Rng local = rng;
   for (std::size_t t = 0; t < count; ++t) {
     std::uint8_t* state = states + t * stride;
+    // Each chunk is stored as its little-endian bytes (the host's order).
     for (std::size_t w = 0; w < words; ++w) {
-      store_le(state + 8 * w, local.next(), 8);
+      const std::uint64_t chunk = local.next();
+      std::memcpy(state + 8 * w, &chunk, sizeof chunk);
     }
     // The top `rest` bits: the bits above the round's width stay zero.
     if (rest != 0) {
-      store_le(state + 8 * words, local.next() >> (64 - rest),
-               (rest + 7) / 8);
+      const std::uint64_t chunk = local.next() >> (64 - rest);
+      std::memcpy(state + 8 * words, &chunk, (rest + 7) / 8);
     }
   }
   rng = local;
@@ -252,18 +287,27 @@ RoundTargetBase::RoundTargetBase(const RoundSpec& round,
                                   round.style == LogicStyle::kWddlMismatched;
   tables_.reserve(round.sboxes.size());
   lookups_.reserve(round.sboxes.size());
+  runs_.reserve(round.sboxes.size());
+  const bool history = round.style == LogicStyle::kStaticCmos;
   std::size_t offset = 0;
+  std::size_t window = 0;
   for (std::size_t i = 0; i < round.sboxes.size(); ++i) {
     const SboxSpec& spec = round.sboxes[i];
     require_sub_word_width(spec.in_bits);
     SABLE_REQUIRE(spec.table.size() == (std::size_t{1} << spec.in_bits),
                   "S-box table must cover every input");
+    // The sub-word's window: the 8 state bytes from the previous
+    // instance's window if they hold all its bits, else from its own
+    // first byte (a 1-8-bit sub-word spans at most 15 bits from there).
+    // With history, the bits above it must fit too: the kernel reads the
+    // previous input from the window shifted up by in_bits.
+    const std::size_t span = history ? 2 * spec.in_bits : spec.in_bits;
+    if (i == 0 || offset + span > 8 * window + 64) window = offset / 8;
     Lookup lookup;
-    lookup.word = static_cast<std::uint32_t>(offset / 64);
-    lookup.shift = static_cast<std::uint32_t>(offset % 64);
+    lookup.window = static_cast<std::uint32_t>(window);
+    lookup.shift = static_cast<std::uint32_t>(offset - 8 * window);
     lookup.mask = (std::uint64_t{1} << spec.in_bits) - 1;
     lookup.bits = static_cast<std::uint32_t>(spec.in_bits);
-    lookup.straddles = lookup.shift + spec.in_bits > 64;
     offset += spec.in_bits;
     // Identical specs share one synthesized circuit (a 16-instance PRESENT
     // round synthesizes once) and, but for WDDL, its table.
@@ -290,12 +334,13 @@ RoundTargetBase::RoundTargetBase(const RoundSpec& round,
     tables_.push_back(std::move(table));
     lookups_.push_back(lookup);
   }
-  if (round.style == LogicStyle::kStaticCmos) {
-    previous_.resize(64 * lookups_.size());
-  }
   stride_ = round.state_bytes();
-  state_words_ = (stride_ + 7) / 8;
-  words_.assign((1 + kMaxTracesInFlight) * state_words_, 0);
+  last_window_ = window;
+  if (history) {
+    // Every lane's last input, plus the slack a window read of lane 63
+    // runs past its state.
+    previous_.resize(64 * stride_ + sizeof(std::uint64_t));
+  }
 }
 
 double RoundTargetBase::trace(const std::uint8_t* pt, const std::uint8_t* key,
@@ -308,11 +353,7 @@ double RoundTargetBase::trace(const std::uint8_t* pt, const std::uint8_t* key,
 void RoundTargetBase::trace_batch(const std::uint8_t* pts, std::size_t count,
                                   const std::uint8_t* key, double noise_sigma,
                                   Rng& rng, double* out) {
-  for (std::size_t i = 0; i < lookups_.size(); ++i) {
-    lookups_[i].rows = tables_[i]->energies().data();
-    lookups_[i].levels = 1;
-  }
-  sum_rows(pts, count, key, 1, out);
+  sum_rows(pts, count, key, false, out);
   if (noise_sigma != 0.0) rng.add_gaussian_noise(out, count, noise_sigma);
 }
 
@@ -323,173 +364,199 @@ void RoundTargetBase::trace_batch_sampled(const std::uint8_t* pts,
                                           double* out) {
   SABLE_ASSERT(num_levels_ > 0,
                "every logic style has at least one logic level");
-  // Instances with fewer logic levels finish earlier: they contribute
-  // nothing to the tail columns (time-aligned from cycle start).
-  for (std::size_t i = 0; i < lookups_.size(); ++i) {
-    lookups_[i].rows = tables_[i]->level_energies().data();
-    lookups_[i].levels = static_cast<std::uint32_t>(tables_[i]->num_levels());
-  }
-  sum_rows(pts, count, key, num_levels_, out);
+  sum_rows(pts, count, key, true, out);
   if (noise_sigma != 0.0) {
     rng.add_gaussian_noise(out, count * num_levels_, noise_sigma);
   }
 }
 
 void RoundTargetBase::sum_rows(const std::uint8_t* pts, std::size_t count,
-                               const std::uint8_t* key, std::size_t width,
+                               const std::uint8_t* key, bool sampled,
                                double* out) {
-  // The key as whole words, zero past its last byte.
-  std::fill(words_.begin(), words_.begin() + state_words_, 0);
-  std::memcpy(words_.data(), key, stride_);
-  using Kernel = void (RoundTargetBase::*)(const std::uint8_t*, std::size_t,
-                                           std::size_t, double*);
-  // kernels[h][w]: history h, compile-time width w (0: runtime width).
+  if (count == 0) return;
+  const std::size_t stride = stride_;
+  const bool history = !previous_.empty();
+  // Static CMOS: trace t runs in logical lane t % 64, and its previous
+  // input is the input trace t - 64 held, or for t < 64 the one its lane
+  // kept from an earlier call. XORed with this call's key, the kept
+  // inputs of the lanes this call reads read like plaintexts.
+  const std::size_t lanes = std::min<std::size_t>(count, 64);
+  if (history) {
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      std::uint8_t* kept = previous_.data() + lane * stride;
+      for (std::size_t k = 0; k < stride; ++k) kept[k] ^= key[k];
+    }
+  }
+  // Traces [0, direct) read every window in place; a later trace's last
+  // window would run past the end of pts.
+  const std::size_t bytes = count * stride;
+  const std::size_t reach = last_window_ + sizeof(std::uint64_t);
+  Pass pass{.pts = pts,
+            .count = count,
+            .direct = bytes >= reach ? (bytes - reach) / stride + 1 : 0,
+            .width = sampled ? num_levels_ : 1,
+            .lo = 0,
+            .out = out};
+  using Kernel = void (RoundTargetBase::*)(const Pass&) const;
+  // kernels[h][w - 1]: history h, pass width w.
   static constexpr auto kernels = []<std::size_t... kW>(
                                       std::index_sequence<kW...>) {
     return std::array<std::array<Kernel, sizeof...(kW)>, 2>{
-        {{&RoundTargetBase::sum_rows_at<kW, false>...},
-         {&RoundTargetBase::sum_rows_at<kW, true>...}}};
-  }(std::make_index_sequence<kMaxFixedWidth + 1>{});
-  const Kernel kernel =
-      kernels[previous_.empty() ? 0 : 1][width <= kMaxFixedWidth ? width : 0];
-  (this->*kernel)(pts, count, width, out);
-}
-
-template <std::size_t kWidth, bool kHistory>
-void RoundTargetBase::sum_rows_at(const std::uint8_t* pts, std::size_t count,
-                                  std::size_t width, double* out) {
-  // Traces [0, direct) can load whole words in place; the words of a
-  // later trace would run past the end of pts.
-  const std::size_t bytes = count * stride_;
-  const std::size_t reach = 8 * state_words_;
-  const std::size_t direct = bytes >= reach ? (bytes - reach) / stride_ + 1 : 0;
-  constexpr std::size_t kTraces = traces_in_flight(kWidth);
-  std::size_t t = 0;
-  for (; t + kTraces <= count; t += kTraces) {
-    sum_traces<kWidth, kHistory, kTraces>(pts, t, direct, width, out);
+        {{&RoundTargetBase::sum_pass<kW + 1, false>...},
+         {&RoundTargetBase::sum_pass<kW + 1, true>...}}};
+  }(std::make_index_sequence<kMaxPassWidth>{});
+  // Passes of near-equal width: a row wider than kMaxPassWidth splits into
+  // passes of at least 2 levels, so a 1-level pass is a scalar row.
+  for (std::size_t passes = (pass.width + kMaxPassWidth - 1) / kMaxPassWidth;
+       passes > 0; --passes) {
+    const std::size_t width = (pass.width - pass.lo) / passes;
+    plan_pass(key, sampled, pass.lo, width);
+    (this->*kernels[history ? 1 : 0][width - 1])(pass);
+    pass.lo += width;
   }
-  for (; t < count; ++t) {
-    sum_traces<kWidth, kHistory, 1>(pts, t, direct, width, out);
-  }
-  if constexpr (kHistory) {
+  if (history) {
+    // Each lane keeps the input of the call's last trace in it.
+    for (std::size_t t = count - lanes; t < count; ++t) {
+      const std::uint8_t* state = pts + t * stride;
+      std::uint8_t* kept = previous_.data() + (t % 64) * stride;
+      for (std::size_t k = 0; k < stride; ++k) kept[k] = state[k] ^ key[k];
+    }
     lanes_seen_ |= count >= 64 ? ~std::uint64_t{0}
                                : (std::uint64_t{1} << count) - 1;
   }
 }
 
+void RoundTargetBase::plan_pass(const std::uint8_t* key, bool sampled,
+                                std::size_t lo, std::size_t width) {
+  runs_.clear();
+  for (std::uint32_t i = 0; i < lookups_.size(); ++i) {
+    Lookup& f = lookups_[i];
+    const LeakageTable& table = *tables_[i];
+    f.levels = sampled ? static_cast<std::uint32_t>(table.num_levels()) : 1;
+    // Instances with fewer logic levels finish earlier: they contribute
+    // nothing to the tail columns (time-aligned from cycle start).
+    if (f.levels <= lo) continue;
+    const std::span<const double> rows =
+        sampled ? table.level_energies() : table.energies();
+    f.rows = rows.data() + lo;
+    f.pair_rows = f.rows + (std::size_t{1} << f.bits) * f.levels;
+    const auto levels = static_cast<std::uint32_t>(
+        std::min<std::size_t>(f.levels - lo, width));
+    Run* run = runs_.empty() ? nullptr : &runs_.back();
+    if (run && run->end == i && run->window == f.window &&
+        run->bits == f.bits && run->levels == levels) {
+      ++run->end;
+    } else {
+      runs_.push_back(
+          Run{.key = load_le64_before(key + f.window, key + stride_),
+              .window = f.window,
+              .bits = f.bits,
+              .begin = i,
+              .end = i + 1,
+              .levels = levels});
+    }
+  }
+}
+
+template <std::size_t kWidth, bool kHistory>
+void RoundTargetBase::sum_pass(const Pass& pass) const {
+  constexpr std::size_t kTraces = traces_in_flight(kWidth);
+  std::size_t t = 0;
+  for (; t + kTraces <= pass.direct; t += kTraces) {
+    sum_traces<kWidth, kHistory, kTraces>(pass, t);
+  }
+  for (; t < pass.count; ++t) sum_traces<kWidth, kHistory, 1>(pass, t);
+}
+
 template <std::size_t kWidth, bool kHistory, std::size_t kTraces>
-void RoundTargetBase::sum_traces(const std::uint8_t* pts, std::size_t t0,
-                                 std::size_t direct, std::size_t width,
-                                 double* out) {
-  const std::size_t words = state_words_;
+void RoundTargetBase::sum_traces(const Pass& pass, std::size_t t0) const {
   const std::size_t stride = stride_;
-  const std::uint64_t* key = words_.data();
-  std::uint64_t* states = words_.data() + words;
-  // Each trace's state XOR the key, once per word.
+  const bool tail = t0 + kTraces > pass.direct;
+  const std::uint8_t* end = pass.pts + pass.count * stride;
+  const std::uint8_t* states[kTraces];
+  // Static CMOS: where each trace's previous input sits (see sum_rows),
+  // and all-ones once its lane holds one.
+  [[maybe_unused]] const std::uint8_t* before[kTraces];
+  [[maybe_unused]] std::uint64_t seen[kTraces];
+  [[maybe_unused]] bool all_seen = true;
 #pragma GCC unroll 8
   for (std::size_t j = 0; j < kTraces; ++j) {
     const std::size_t t = t0 + j;
-    const std::uint8_t* state = pts + t * stride;
-    std::uint64_t* w = states + j * words;
-    if (t < direct) {
-      for (std::size_t k = 0; k < words; ++k) {
-        w[k] = load_le64(state + 8 * k) ^ key[k];
-      }
-    } else {
-      std::fill(w, w + words, 0);
-      std::memcpy(w, state, stride);
-      for (std::size_t k = 0; k < words; ++k) w[k] ^= key[k];
-    }
-  }
-  // Static CMOS: trace t runs in logical lane t % 64, which holds a
-  // previous input once an earlier trace of this call (t >= 64) or of an
-  // earlier call ran in it.
-  [[maybe_unused]] std::uint64_t pair_mask[kTraces] = {};
-  [[maybe_unused]] std::uint8_t* previous[kTraces] = {};
-  if constexpr (kHistory) {
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < kTraces; ++j) {
-      const std::size_t t = t0 + j;
-      const bool seen = t >= 64 || ((lanes_seen_ >> t) & 1) != 0;
-      pair_mask[j] = seen ? ~std::uint64_t{0} : 0;
-      previous[j] = previous_.data() + (t % 64) * lookups_.size();
+    states[j] = pass.pts + t * stride;
+    if constexpr (kHistory) {
+      const bool recent = t >= 64;
+      before[j] = recent ? pass.pts + (t - 64) * stride
+                         : previous_.data() + t * stride;
+      seen[j] = (recent || ((lanes_seen_ >> t) & 1) != 0) ? ~std::uint64_t{0}
+                                                          : 0;
+      all_seen = all_seen && seen[j] != 0;
     }
   }
   // Row sums in instance order from 0.0: the summation order of direct
-  // simulation. A runtime width sums in the output row itself.
-  constexpr std::size_t kPairs = kWidth == 0 ? 1 : (kWidth + 1) / 2;
-  LevelPair acc[kTraces][kPairs] = {};
-  if constexpr (kWidth == 0) {
-    std::fill(out + t0 * width, out + (t0 + kTraces) * width, 0.0);
-  }
+  // simulation.
+  RowSum<kWidth> acc[kTraces];
   const Lookup* lookups = lookups_.data();
-  const std::size_t num_instances = lookups_.size();
-  for (std::size_t i = 0; i < num_instances; ++i) {
-    // A copy: the history stores below may alias any field.
-    const Lookup f = lookups[i];
-    std::uint64_t x[kTraces] = {};
+  for (const Run& run : runs_) {
+    // Each trace's window of state XOR key, read once per run; with
+    // history, also the previous input's window, shifted up by in_bits
+    // so each previous sub-word lands just above the current one.
+    std::uint64_t words[kTraces];
+    [[maybe_unused]] std::uint64_t previous[kTraces];
 #pragma GCC unroll 8
     for (std::size_t j = 0; j < kTraces; ++j) {
-      x[j] = states[j * words + f.word] >> f.shift;
-    }
-    if (f.straddles) {
-      // The sub-word's high bits open the next word.
-#pragma GCC unroll 8
-      for (std::size_t j = 0; j < kTraces; ++j) {
-        x[j] |= states[j * words + f.word + 1] << (64 - f.shift);
-      }
-    }
-#pragma GCC unroll 8
-    for (std::size_t j = 0; j < kTraces; ++j) {
-      x[j] &= f.mask;
+      const std::uint8_t* window = states[j] + run.window;
+      words[j] = (tail ? load_le64_before(window, end)
+                       : load_le64(window)) ^
+                 run.key;
       if constexpr (kHistory) {
-        // row(previous, x) = ((previous + 1) << bits) + x.
-        std::uint8_t& last = previous[j][i];
-        const std::uint64_t row =
-            x[j] + (((std::uint64_t{last} + 1) << f.bits) & pair_mask[j]);
-        last = static_cast<std::uint8_t>(x[j]);
-        x[j] = row;
+        previous[j] = (load_le64(before[j] + run.window) ^ run.key)
+                      << run.bits;
       }
     }
-    if constexpr (kWidth == 0) {
-      for (std::size_t j = 0; j < kTraces; ++j) {
-        const double* src = f.rows + x[j] * f.levels;
-        double* row = out + (t0 + j) * width;
-        for (std::size_t l = 0; l < f.levels; ++l) row[l] += src[l];
-      }
-    } else if (f.levels == kWidth) {
+    const auto sum_run = [&]<bool kFull, bool kAllSeen>(
+                             std::bool_constant<kFull>,
+                             std::bool_constant<kAllSeen>) {
+      for (std::uint32_t i = run.begin; i < run.end; ++i) {
+        const Lookup f = lookups[i];
 #pragma GCC unroll 8
-      for (std::size_t j = 0; j < kTraces; ++j) {
-        const double* src = f.rows + x[j] * kWidth;
-#pragma GCC unroll 16
-        for (std::size_t p = 0; p < kWidth / 2; ++p) {
-          LevelPair levels;
-          std::memcpy(&levels, src + 2 * p, sizeof levels);
-          acc[j][p] += levels;
-        }
-        if constexpr (kWidth % 2 != 0) {
-          acc[j][kPairs - 1][0] += src[kWidth - 1];
+        for (std::size_t j = 0; j < kTraces; ++j) {
+          const std::uint64_t x = (words[j] >> f.shift) & f.mask;
+          const double* rows = f.rows;
+          std::uint64_t row = x;
+          if constexpr (kHistory) {
+            // row(previous, x) = (1 << bits) + (previous << bits | x),
+            // or x while the lane has no previous input.
+            const std::uint64_t pair =
+                x | ((previous[j] >> f.shift) & (f.mask << f.bits));
+            if constexpr (kAllSeen) {
+              rows = f.pair_rows;
+              row = pair;
+            } else {
+              row = seen[j] != 0 ? pair + (f.mask + 1) : x;
+            }
+          }
+          // A 1-level pass is a scalar row: one double per table row.
+          const std::size_t at = kWidth == 1 ? row : row * f.levels;
+          acc[j].template add<kFull>(rows + at, run.levels);
         }
       }
+    };
+    const bool full = run.levels == kWidth;
+    if (!kHistory || all_seen) {
+      if (full) {
+        sum_run(std::true_type{}, std::true_type{});
+      } else {
+        sum_run(std::false_type{}, std::true_type{});
+      }
+    } else if (full) {
+      sum_run(std::true_type{}, std::false_type{});
     } else {
-#pragma GCC unroll 8
-      for (std::size_t j = 0; j < kTraces; ++j) {
-        const double* src = f.rows + x[j] * f.levels;
-#pragma GCC unroll 16
-        for (std::size_t l = 0; l < kWidth; ++l) {
-          if (l < f.levels) acc[j][l / 2][l % 2] += src[l];
-        }
-      }
+      sum_run(std::false_type{}, std::false_type{});
     }
   }
-  if constexpr (kWidth != 0) {
 #pragma GCC unroll 8
-    for (std::size_t j = 0; j < kTraces; ++j) {
-#pragma GCC unroll 16
-      for (std::size_t l = 0; l < kWidth; ++l) {
-        out[(t0 + j) * kWidth + l] = acc[j][l / 2][l % 2];
-      }
-    }
+  for (std::size_t j = 0; j < kTraces; ++j) {
+    acc[j].store(pass.out + (t0 + j) * pass.width + pass.lo);
   }
 }
 

@@ -25,26 +25,32 @@
 // keep one table each: every instance has its own rail-imbalance seed);
 // clones share the tables too.
 //
-// Both batch calls run one trace-major body (round_target.cpp), one trace
-// start to finish before the next. A trace's packed state is read as
-// little-endian 64-bit words and XORed with the round key once per word;
-// each instance's sub-word is shifted and masked out of its word (or out
-// of two, where it straddles a word boundary). The instances' table rows
+// Both batch calls run one body (round_target.cpp), several traces side
+// by side. At construction every instance gets a window: the 8 state
+// bytes, read as one little-endian word, that hold its whole sub-word —
+// the previous instance's window if the sub-word fits in it, else one
+// from the sub-word's own first byte — so no sub-word spans two reads:
+// sixteen PRESENT nibbles share one window, sixteen AES bytes two. Each
+// call plans runs of consecutive instances that share a window; per trace
+// and run the window of state XOR key is read once into a register, and
+// each sub-word is one shift and mask of it. The instances' table rows
 // are summed in instance order from 0.0, the summation order of direct
-// simulation, into an accumulator row of compile-time width — 1 for
-// trace_batch(), the level count for trace_batch_sampled() up to 12 —
-// kept in registers two levels each, with a few traces in flight so
-// their add chains overlap; each output row is written once. Wider rows
-// (AES's 20 levels) sum in the output row at a runtime width. Noise is
-// added afterwards in trace-major, level-minor order by
+// simulation, into an accumulator row of compile-time width held in
+// registers (two levels per vector add), with several traces in flight so
+// their add chains overlap; each output row is written once. Rows wider
+// than 12 levels (AES's 20) are summed in passes of near-equal width.
+// Noise is added afterwards in trace-major, level-minor order by
 // Rng::add_gaussian_noise, the same draws as one gaussian() per sample.
 //
-// The only mutable state is static CMOS's transition history: per
-// instance, the input each of the 64 logical lanes last held (lane L of a
-// call is every trace t with t % 64 == L, the 64-lane kernel layout), so
-// chained calls, reset_state() and scalar trace() behave exactly as the
-// simulators did. The same body reads and advances it, for scalar and
-// time-resolved rows alike.
+// The only mutable state is static CMOS's transition history. Trace t of
+// a call runs in logical lane t % 64 (the simulators' 64-lane layout), and
+// its row depends on the input that lane held last: for t >= 64 that is
+// trace t - 64 of the same call, read again from the plaintexts. Only the
+// first 64 traces of a call read the history the target keeps — each
+// lane's last packed input, and whether it holds one at all — and each
+// call leaves its last 64 inputs there. So chained calls, reset_state()
+// and scalar trace() (lane 0) behave exactly as the simulators did, for
+// scalar and time-resolved rows alike.
 //
 // Every RoundTargetT<W> is the same RoundTargetBase: W selects no code.
 #pragma once
@@ -213,43 +219,62 @@ class RoundTargetBase {
   const LeakageTable& leakage_table(std::size_t index) const;
 
  private:
-  // One instance as the trace-major kernel reads it: where its sub-word
-  // sits in a state's little-endian 64-bit words, and the table rows the
-  // current call sums (energies() or level_energies()).
+  // One instance as the kernel reads it: where its sub-word sits in its
+  // window (8 state bytes read as one little-endian word), and the table
+  // rows the current pass sums.
   struct Lookup {
-    std::uint32_t word = 0;    // state word holding the sub-word's low bit
-    std::uint32_t shift = 0;   // that bit's position in the word
-    std::uint64_t mask = 0;    // 2^in_bits - 1
-    std::uint32_t bits = 0;    // in_bits
-    bool straddles = false;    // runs on into word + 1 (shift + bits > 64)
-    std::uint32_t levels = 0;  // doubles per row of `rows`
-    const double* rows = nullptr;
+    const double* rows = nullptr;       // the pass's first level of row 0
+    const double* pair_rows = nullptr;  // ... of row(0, 0), with history
+    std::uint64_t mask = 0;             // 2^in_bits - 1
+    std::uint32_t window = 0;           // the window's first state byte
+    std::uint32_t shift = 0;            // the sub-word's low bit in it
+    std::uint32_t bits = 0;             // in_bits
+    std::uint32_t levels = 0;           // doubles per table row
+  };
+  // The current pass's plan: consecutive instances that share a window
+  // and an input width and add the same number of levels, in instance
+  // order.
+  struct Run {
+    std::uint64_t key = 0;     // the round key's window
+    std::uint32_t window = 0;  // the window's first state byte
+    std::uint32_t bits = 0;    // every instance's in_bits
+    std::uint32_t begin = 0;   // instances [begin, end)
+    std::uint32_t end = 0;
+    std::uint32_t levels = 0;  // levels each adds: the pass width or fewer
+  };
+  // One pass of a batch: levels [lo, lo + pass width) of every row.
+  struct Pass {
+    const std::uint8_t* pts;
+    std::size_t count;
+    std::size_t direct;  // traces whose windows all lie inside pts
+    std::size_t width;   // doubles per output row
+    std::size_t lo;
+    double* out;
   };
 
-  // Sums every trace's instance rows into out[t * width, (t + 1) * width):
-  // picks the sum_rows_at instance for the width (kWidth = 0 for a
-  // runtime width) and for whether the style keeps history.
+  // Sums every trace's instance rows into out[t * width, (t + 1) * width)
+  // (width 1, or num_levels() if `sampled`), in passes of at most 12
+  // levels, and advances the static CMOS history.
   void sum_rows(const std::uint8_t* pts, std::size_t count,
-                const std::uint8_t* key, std::size_t width, double* out);
+                const std::uint8_t* key, bool sampled, double* out);
+  // Points the instances at the pass's rows and builds runs_.
+  void plan_pass(const std::uint8_t* key, bool sampled, std::size_t lo,
+                 std::size_t width);
   template <std::size_t kWidth, bool kHistory>
-  void sum_rows_at(const std::uint8_t* pts, std::size_t count,
-                   std::size_t width, double* out);
-  // Traces [t0, t0 + kTraces) of sum_rows_at, side by side.
+  void sum_pass(const Pass& pass) const;
+  // Traces [t0, t0 + kTraces) of sum_pass, side by side.
   template <std::size_t kWidth, bool kHistory, std::size_t kTraces>
-  void sum_traces(const std::uint8_t* pts, std::size_t t0,
-                  std::size_t direct, std::size_t width, double* out);
+  void sum_traces(const Pass& pass, std::size_t t0) const;
 
   RoundSpec round_;
-  std::size_t stride_ = 0;  // round_.state_bytes()
-  std::size_t state_words_ = 0;  // ceil(stride_ / 8)
+  std::size_t stride_ = 0;       // round_.state_bytes()
+  std::size_t last_window_ = 0;  // the last window's first state byte
   std::vector<std::shared_ptr<const LeakageTable>> tables_;  // per instance
   std::vector<Lookup> lookups_;                              // per instance
-  // Kernel scratch: the key's state words, then each in-flight trace's
-  // state XOR key.
-  std::vector<std::uint64_t> words_;
-  // Static CMOS history (empty otherwise): previous_[lane * N + i] is the
-  // input instance i last held in logical lane `lane`, and bit `lane` of
-  // lanes_seen_ says whether the lane holds one at all.
+  std::vector<Run> runs_;
+  // Static CMOS history (empty otherwise): the packed input each of the
+  // 64 logical lanes last held, lane by lane at stride_ bytes, and bit
+  // `lane` of lanes_seen_ says whether the lane holds one at all.
   std::vector<std::uint8_t> previous_;
   std::uint64_t lanes_seen_ = 0;
   std::size_t num_levels_ = 0;

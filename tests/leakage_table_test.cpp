@@ -229,6 +229,212 @@ TEST(LeakageTableTest, MultiWordStatesMatchDirectSimulation) {
   }
 }
 
+// ---- Random layouts ------------------------------------------------------
+
+// The traces the scalar-row kernel keeps in flight: counts around it run
+// whole groups, a partial group, and single traces.
+constexpr std::size_t kInFlight = 8;
+constexpr std::size_t kLayoutCounts[] = {
+    0, 1, kInFlight - 1, kInFlight, kInFlight + 1, 2 * kInFlight + 1,
+    63, 64, 65, 129};
+
+// A random S-box of `in_bits` inputs whose every output bit depends on
+// the input (two outputs, one for a 1-bit input).
+SboxSpec random_spec(std::size_t in_bits, Rng& rng) {
+  SboxSpec spec;
+  spec.name = "random";
+  spec.in_bits = in_bits;
+  spec.out_bits = in_bits == 1 ? 1 : 2;
+  const std::size_t rows = std::size_t{1} << in_bits;
+  for (bool constant_bit = true; constant_bit;) {
+    spec.table.resize(rows);
+    for (std::uint8_t& entry : spec.table) {
+      entry = static_cast<std::uint8_t>(rng.below(std::size_t{1}
+                                                  << spec.out_bits));
+    }
+    constant_bit = false;
+    for (std::size_t bit = 0; bit < spec.out_bits; ++bit) {
+      bool ones = false;
+      bool zeros = false;
+      for (std::uint8_t entry : spec.table) {
+        ((entry >> bit) & 1 ? ones : zeros) = true;
+      }
+      constant_bit = constant_bit || !(ones && zeros);
+    }
+  }
+  return spec;
+}
+
+// Heterogeneous rounds of random 1-6-bit S-boxes mixed with DES S1 and
+// AES instances, drawn from a fixed seed until, over all of them, an
+// instance starts at every bit position 0..63 of a 64-bit state word,
+// one ends exactly at a word's end, and one of every width above 1
+// straddles two words. The draw prefers a width whose straddle or word
+// end is still missing, then one that ends where no instance has started.
+std::vector<std::vector<SboxSpec>> random_layouts() {
+  Rng rng(0x1A7007);
+  std::vector<SboxSpec> pool;
+  for (std::size_t bits = 1; bits <= 6; ++bits) {
+    pool.push_back(random_spec(bits, rng));
+    pool.push_back(random_spec(bits, rng));
+  }
+  pool.push_back(des1_spec());
+  pool.push_back(aes_spec());
+  std::vector<bool> starts(64, false);
+  std::vector<bool> straddles(9, false);
+  bool word_end = false;
+  const auto covered = [&] {
+    bool all = word_end;
+    for (bool start : starts) all = all && start;
+    for (std::size_t bits : {2, 3, 4, 5, 6, 8}) all = all && straddles[bits];
+    return all;
+  };
+  std::vector<std::vector<SboxSpec>> layouts;
+  while (!covered()) {
+    EXPECT_LT(layouts.size(), 6u) << "random layouts stopped covering";
+    if (layouts.size() >= 6) break;
+    std::vector<SboxSpec> layout;
+    for (std::size_t offset = 0; offset < 256;) {
+      const std::size_t shift = offset % 64;
+      const SboxSpec* spec = &pool[rng.below(pool.size())];
+      for (const SboxSpec& wanted : pool) {
+        const std::size_t end = shift + wanted.in_bits;
+        if (!starts[end % 64]) spec = &wanted;
+      }
+      for (const SboxSpec& wanted : pool) {
+        const std::size_t end = shift + wanted.in_bits;
+        if ((end > 64 && !straddles[wanted.in_bits]) ||
+            (end == 64 && !word_end)) {
+          spec = &wanted;
+        }
+      }
+      starts[shift] = true;
+      word_end = word_end || shift + spec->in_bits == 64;
+      if (shift + spec->in_bits > 64) straddles[spec->in_bits] = true;
+      layout.push_back(*spec);
+      offset += spec->in_bits;
+    }
+    layouts.push_back(std::move(layout));
+  }
+  return layouts;
+}
+
+// One batch of `target` and `oracle` over the same plaintexts and noise
+// stream. A count of 0 must write nothing and draw no noise.
+void expect_batch_matches(RoundTarget& target, ReferenceRound& oracle,
+                          const std::vector<std::uint8_t>& key,
+                          std::size_t count, double sigma, bool sampled,
+                          Rng& pt_rng, Rng& noise_a, Rng& noise_b) {
+  SCOPED_TRACE("count " + std::to_string(count) +
+               (sampled ? " sampled" : " scalar") +
+               (sigma != 0.0 ? " noisy" : ""));
+  const RoundSpec& round = target.round();
+  const std::size_t width = sampled ? target.num_levels() : 1;
+  ASSERT_EQ(width, sampled ? oracle.num_levels() : 1);
+  std::vector<std::uint8_t> pts(count * round.state_bytes());
+  round.fill_random_states(pt_rng, count, pts.data());
+  // One spare sample past the rows: nothing may write it.
+  constexpr double kSentinel = -1.0;
+  std::vector<double> got(count * width + 1, kSentinel);
+  std::vector<double> want(count * width + 1, kSentinel);
+  const Rng noise_before = noise_a;
+  if (sampled) {
+    target.trace_batch_sampled(pts.data(), count, key.data(), sigma, noise_a,
+                               got.data());
+    oracle.trace_batch_sampled(pts.data(), count, key.data(), sigma, noise_b,
+                               want.data());
+  } else {
+    target.trace_batch(pts.data(), count, key.data(), sigma, noise_a,
+                       got.data());
+    oracle.trace_batch(pts.data(), count, key.data(), sigma, noise_b,
+                       want.data());
+  }
+  EXPECT_EQ(differing(got, want), 0u);
+  EXPECT_EQ(got.back(), kSentinel);
+  Rng a = noise_a;
+  Rng b = noise_b;
+  EXPECT_EQ(a.next(), b.next());  // the same draws consumed
+  if (count == 0) {
+    Rng untouched = noise_before;
+    a = noise_a;
+    EXPECT_EQ(a.next(), untouched.next());  // and none at all
+  }
+}
+
+// Random heterogeneous layouts (every in-word bit position, word-end and
+// straddling sub-words) in a constant style, WDDL-mismatched and static
+// CMOS: scalar and time-resolved rows around the traces in flight and
+// the 64-lane history, noise on and off, each from fresh history.
+TEST(LeakageTableTest, RandomLayoutsMatchDirectSimulation) {
+  for (const std::vector<SboxSpec>& layout : random_layouts()) {
+    for (LogicStyle style :
+         {LogicStyle::kSablEnhanced, LogicStyle::kWddlMismatched,
+          LogicStyle::kStaticCmos}) {
+      RoundSpec round;
+      round.sboxes = layout;
+      round.style = style;
+      SCOPED_TRACE(std::string(to_string(style)) + " x" +
+                   std::to_string(round.num_sboxes()) + ", " +
+                   std::to_string(round.state_bits()) + " bits");
+      RoundTarget target(round, kTech);
+      ReferenceRound oracle(target, kTech);
+      const std::vector<std::uint8_t> key = round_key(round);
+      Rng pt_rng(0x1A70);
+      for (std::size_t count : kLayoutCounts) {
+        for (double sigma : {0.0, 3e-16}) {
+          for (bool sampled : {false, true}) {
+            target.reset_state();
+            oracle.reset();
+            Rng noise_a(0x1A71 + count);
+            Rng noise_b(0x1A71 + count);
+            expect_batch_matches(target, oracle, key, count, sigma, sampled,
+                                 pt_rng, noise_a, noise_b);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Static CMOS history over random layouts: chained calls whose
+// boundaries fall off the 64-lane grid, scalar and time-resolved alike,
+// with scalar trace() calls (lane 0) and empty calls in between.
+TEST(LeakageTableTest, RandomLayoutCmosHistoryChainsAcrossCalls) {
+  for (const std::vector<SboxSpec>& layout : random_layouts()) {
+    RoundSpec round;
+    round.sboxes = layout;
+    round.style = LogicStyle::kStaticCmos;
+    SCOPED_TRACE("x" + std::to_string(round.num_sboxes()));
+    RoundTarget target(round, kTech);
+    ReferenceRound oracle(target, kTech);
+    const std::vector<std::uint8_t> key = round_key(round);
+    Rng pt_rng(0xC4A3);
+    Rng noise_a(0xA);
+    Rng noise_b(0xA);
+    std::vector<std::uint8_t> pt(round.state_bytes());
+    const auto scalar_traces = [&](int n) {
+      for (int k = 0; k < n; ++k) {
+        round.fill_random_states(pt_rng, 1, pt.data());
+        const double got = target.trace(pt.data(), key.data(), 2e-16, noise_a);
+        const double want =
+            oracle.trace(pt.data(), key.data(), 2e-16, noise_b);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want));
+      }
+    };
+    for (bool sampled : {false, true}) {
+      SCOPED_TRACE(sampled ? "sampled" : "scalar");
+      target.reset_state();
+      oracle.reset();
+      for (std::size_t count : {37, 0, 100, 9, 129, 0, 1, 70}) {
+        expect_batch_matches(target, oracle, key, count, 1e-16, sampled,
+                             pt_rng, noise_a, noise_b);
+        scalar_traces(count % 3 + 1);
+      }
+    }
+  }
+}
+
 // Scalar trace() is the one-trace call: it runs in logical lane 0, so a
 // sequence of them chains through lane 0's history, and a batch after
 // them sees it.
