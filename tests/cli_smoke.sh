@@ -28,7 +28,7 @@
 # codec, flags a subcommand does not read and a --json report that cannot
 # be written (/dev/full) to exit non-zero, and --partial with
 # --checkpoint (both name the one state file) to exit 2.
-set -eo pipefail
+set -e
 
 cli="${1:-build}/example_campaign_cli"
 d="$(mktemp -d)"
