@@ -54,10 +54,12 @@ AttackResult cpa_attack(const TraceSet& traces, const SboxSpec& spec,
   SABLE_REQUIRE(traces.pt_width == 1,
                 "attacks consume sub-plaintexts: extract the attacked "
                 "instance's bytes (RoundSpec::sub_words) first");
+  SABLE_REQUIRE(traces.plaintexts.size() == traces.size(),
+                "a trace set needs one plaintext per sample");
   StreamingCpa acc(spec, model, bit);
   acc.add_block(traces.plaintexts.data(), traces.samples.data(),
                 traces.size());
-  return acc.result();
+  return acc.result().combined;
 }
 
 MultiAttackResult cpa_attack_multisample(const MultiTraceSet& traces,
@@ -65,7 +67,10 @@ MultiAttackResult cpa_attack_multisample(const MultiTraceSet& traces,
                                          PowerModel model, std::size_t bit) {
   SABLE_REQUIRE(traces.width > 0 && traces.size() >= 2,
                 "multisample CPA requires non-empty traces");
-  StreamingMultiCpa acc(spec, model, traces.width, bit);
+  SABLE_REQUIRE(traces.samples.size() == traces.size() * traces.width,
+                "a multisample trace set needs `width` samples per plaintext");
+  StreamingCpa acc =
+      StreamingCpa::time_resolved(spec, model, traces.width, bit);
   acc.add_block(traces.plaintexts.data(), traces.samples.data(),
                 traces.size());
   return acc.result();
@@ -77,6 +82,8 @@ AttackResult dom_attack(const TraceSet& traces, const SboxSpec& spec,
   SABLE_REQUIRE(traces.pt_width == 1,
                 "attacks consume sub-plaintexts: extract the attacked "
                 "instance's bytes (RoundSpec::sub_words) first");
+  SABLE_REQUIRE(traces.plaintexts.size() == traces.size(),
+                "a trace set needs one plaintext per sample");
   StreamingDom acc(spec, bit);
   acc.add_block(traces.plaintexts.data(), traces.samples.data(),
                 traces.size());

@@ -42,25 +42,16 @@ void validate_spec_matches(const RoundSpec& round,
                 "distinguisher spec must match the attacked round instance");
 }
 
-void require_scalar(const ShardBlock& block) {
-  SABLE_REQUIRE(block.width == 1,
-                "scalar distinguishers consume one sample per trace");
+// A block's row width must be its accumulator's: 1 for the scalar
+// attacks, the target's level count for time-resolved CPA.
+void require_width(const ShardBlock& block, std::size_t width) {
+  SABLE_REQUIRE(block.width == width,
+                "a shard block's row width must equal its distinguisher's "
+                "(1 for scalar attacks, the target's level count for "
+                "time-resolved CPA)");
   SABLE_ASSERT(block.histogram == nullptr ||
                    block.histogram->count == block.count,
                "a shard block's histogram must cover the whole block");
-}
-
-// A scalar accumulator contracts the block's shared histogram when the
-// feed built one and bins the block itself otherwise; both are the same
-// add_histogram contraction over the same histogram.
-template <typename Acc>
-void add_scalar_block(Acc& acc, const ShardBlock& block) {
-  require_scalar(block);
-  if (block.histogram != nullptr) {
-    acc.add_histogram(*block.histogram);
-  } else {
-    acc.add_block(block.sub_pts, block.data, block.count);
-  }
 }
 
 // The shard state of every AccumulatorDistinguisher: one streaming
@@ -72,16 +63,19 @@ class StreamingShardAccumulator final : public ShardAccumulator {
  public:
   explicit StreamingShardAccumulator(Acc acc) : acc_(std::move(acc)) {}
 
+  // CPA and DoM contract the block's shared histogram when the feed built
+  // one and bin the block themselves otherwise; both are the same
+  // contraction over the same histogram.
   void accumulate(const ShardBlock& block) override {
-    if constexpr (std::is_same_v<Acc, StreamingMultiCpa>) {
-      SABLE_REQUIRE(block.width == acc_.width(),
-                    "multisample CPA row width must equal the target's level "
-                    "count");
-      acc_.add_block(block.sub_pts, block.data, block.count);
-    } else if constexpr (std::is_same_v<Acc, StreamingSecondOrderCpa>) {
+    if constexpr (std::is_same_v<Acc, StreamingSecondOrderCpa>) {
       acc_.add_block(block.sub_pts, block.data, block.count, block.width);
     } else {
-      add_scalar_block(acc_, block);
+      require_width(block, acc_.width());
+      if (block.histogram != nullptr) {
+        acc_.add_histogram(*block.histogram);
+      } else {
+        acc_.add_block(block.sub_pts, block.data, block.count);
+      }
     }
   }
   void merge(ShardAccumulator& other) override {
@@ -119,7 +113,7 @@ class MtdShardAccumulator final : public ShardAccumulator {
   // block's shared histogram is exactly what add_block would bin; a
   // checkpoint at the shard end snapshots after it.
   void accumulate(const ShardBlock& block) override {
-    require_scalar(block);
+    require_width(block, 1);
     SABLE_ASSERT(!settled_, "cannot accumulate into a settled MTD fold root");
     const std::vector<std::size_t>& ladder = *ladder_;
     const std::size_t end = block.start + block.count;
@@ -201,7 +195,8 @@ class MtdShardAccumulator final : public ShardAccumulator {
   void rank(std::size_t count, const StreamingCpa& prefix) {
     SABLE_REQUIRE(prefix.count() == count,
                   "checkpoint count must equal merged prefix trace count");
-    rank_history_.emplace_back(count, prefix.result().rank_of(correct_key_));
+    rank_history_.emplace_back(count,
+                               prefix.result().combined.rank_of(correct_key_));
   }
 
   StreamingCpa acc_;  // the shard; once settled, the merged prefix
@@ -242,7 +237,12 @@ AccumulatorDistinguisher<Acc, Result, kKind>::make_shard_accumulator() const {
 template <typename Acc, typename Result, TraceDataKind kKind>
 void AccumulatorDistinguisher<Acc, Result, kKind>::finalize(
     ShardAccumulator& root) {
-  result_ = cast_peer<StreamingShardAccumulator<Acc>>(root).acc().result();
+  auto result = cast_peer<StreamingShardAccumulator<Acc>>(root).acc().result();
+  if constexpr (std::is_same_v<Result, decltype(result)>) {
+    result_ = std::move(result);
+  } else {
+    result_ = std::move(result.combined);  // scalar CPA: its one column
+  }
 }
 
 template <typename Acc, typename Result, TraceDataKind kKind>
@@ -254,7 +254,7 @@ template class AccumulatorDistinguisher<StreamingCpa, AttackResult,
                                         TraceDataKind::kScalar>;
 template class AccumulatorDistinguisher<StreamingDom, AttackResult,
                                         TraceDataKind::kScalar>;
-template class AccumulatorDistinguisher<StreamingMultiCpa, MultiAttackResult,
+template class AccumulatorDistinguisher<StreamingCpa, MultiAttackResult,
                                         TraceDataKind::kSampled>;
 template class AccumulatorDistinguisher<StreamingSecondOrderCpa,
                                         SecondOrderAttackResult,

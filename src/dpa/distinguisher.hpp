@@ -138,10 +138,11 @@ namespace detail {
 /// attacks, its selector, a prototype accumulator each shard copies (the
 /// copies share the immutable prediction table) and the finalized result.
 /// Each shard accumulates into a copy of the prototype; finalize() reads
-/// `Acc::result()` off the reduced root. The members are defined in
-/// distinguisher.cpp and explicitly instantiated there for the four
-/// accumulators below, so a new attack of this shape adds one
-/// instantiation there and a constructor here.
+/// `Acc::result()` off the reduced root (scalar CPA reports its
+/// `combined` scores). The members are defined in distinguisher.cpp and
+/// explicitly instantiated there for the four distinguishers below, so a
+/// new attack of this shape adds one instantiation there and a
+/// constructor here.
 template <typename Acc, typename Result, TraceDataKind kKind>
 class AccumulatorDistinguisher : public Distinguisher {
  public:
@@ -168,9 +169,10 @@ class AccumulatorDistinguisher : public Distinguisher {
 
 }  // namespace detail
 
-/// First-order streaming CPA on one subkey (wraps StreamingCpa; run alone
-/// through run_attack). Many instances in one run_distinguishers() call
-/// attack many subkeys in one pass.
+/// First-order streaming CPA on one subkey (wraps a scalar StreamingCpa
+/// and reports its one column's scores; run alone through run_attack).
+/// Many instances in one run_distinguishers() call attack many subkeys in
+/// one pass.
 class CpaDistinguisher final
     : public detail::AccumulatorDistinguisher<StreamingCpa, AttackResult,
                                               TraceDataKind::kScalar> {
@@ -193,17 +195,18 @@ class DomDistinguisher final
 };
 
 /// Time-resolved CPA: one correlation column per logic level, best |ρ|
-/// over the sample axis per guess (wraps StreamingMultiCpa). `width` must
-/// equal the campaign target's num_levels().
+/// over the sample axis per guess (wraps StreamingCpa::time_resolved).
+/// `width` must equal the campaign target's num_levels().
 class MultiCpaDistinguisher final
     : public detail::AccumulatorDistinguisher<
-          StreamingMultiCpa, MultiAttackResult, TraceDataKind::kSampled> {
+          StreamingCpa, MultiAttackResult, TraceDataKind::kSampled> {
  public:
   MultiCpaDistinguisher(const SboxSpec& spec, const AttackSelector& selector,
                         std::size_t width)
       : AccumulatorDistinguisher(
             spec, selector,
-            StreamingMultiCpa(spec, selector.model, width, selector.bit)) {}
+            StreamingCpa::time_resolved(spec, selector.model, width,
+                                        selector.bit)) {}
 };
 
 /// Second-order centered-product CPA across logic-level pairs (wraps
@@ -222,8 +225,9 @@ class SecondOrderCpaDistinguisher final
 };
 
 /// The measurements-to-disclosure experiment as an ordered distinguisher:
-/// each shard accumulator feeds its shard through StreamingCpa and
-/// snapshots the in-shard checkpoints. A shard no checkpoint falls
+/// each shard accumulator feeds its shard through a scalar StreamingCpa
+/// (the one CPA accumulator at width 1) and snapshots the in-shard
+/// checkpoints as width-1 accumulators too. A shard no checkpoint falls
 /// strictly inside contracts the block's shared histogram in one
 /// add_histogram call (a checkpoint exactly at the shard end still
 /// snapshots after it); a cut shard goes through add_block one

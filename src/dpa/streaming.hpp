@@ -12,11 +12,16 @@
 // though trace energies sit at ~1e-13 J with ~1e-15 J of data-dependent
 // variation.
 //
+// One CPA accumulator: StreamingCpa runs over `width` sample columns.
+// Scalar CPA, cpa_attack and MTD's shard states and snapshots are its
+// width-1 case; time-resolved CPA is the same class over a target's logic
+// levels.
+//
 // One consumption path: the block-factored path (dpa/block_stats.hpp):
 // per-plaintext sufficient statistics in one O(count) pass, one dense
-// contraction per block, then a pairwise fold. The scalar accumulators
-// split it in two: add_histogram() contracts a prebuilt BlockHistogram,
-// and add_block() is build_block_histogram() followed by add_histogram().
+// contraction per block, then a pairwise fold. At width 1 it splits in
+// two: add_histogram() contracts a prebuilt BlockHistogram, and
+// add_block() is build_block_histogram() followed by add_histogram().
 // The engine bins each shard once per attacked instance and hands that
 // histogram to every scalar accumulator on the instance (MTD too, unless
 // a checkpoint cuts the shard: then it feeds add_block once per segment).
@@ -38,7 +43,6 @@
 #include "crypto/leakage.hpp"
 #include "crypto/sboxes.hpp"
 #include "dpa/attack.hpp"
-#include "power/stats.hpp"
 
 namespace sable {
 
@@ -56,67 +60,93 @@ struct BlockHistogram;  // dpa/block_stats.hpp
 // InvalidArgument when the tag or configuration disagrees (the container
 // wraps that into a path-tagged typed error).
 
-/// One-pass correlation power analysis: per key guess a running mean /
-/// M2 / co-moment against the shared sample stream.
+/// One-pass correlation power analysis over `width` sample columns. Per
+/// key guess it keeps a running mean / M2 of the prediction, shared by
+/// every column (the prediction stream does not depend on the column);
+/// per column a running sample mean / M2 and one co-moment per guess.
+/// O(width * guesses) state. Scalar CPA is the width-1 case, and the
+/// per-logic-level CPA behind MultiCpaDistinguisher is time_resolved().
 class StreamingCpa {
  public:
+  /// Scalar CPA: one sample per trace. save() writes the CPA layout.
   StreamingCpa(const SboxSpec& spec, PowerModel model, std::size_t bit = 0);
 
-  /// Block-factored hot path (dpa/block_stats.hpp): one O(count)
-  /// histogram pass with no guess loop, one G×P contraction against the
-  /// prediction table, then a pairwise fold of the block's moments into
-  /// the running state. The plaintext range check is hoisted to once per
-  /// block. Scores agree with the two-pass Pearson formulation to ~1e-13;
-  /// one add_block call per engine shard makes sharded campaigns
-  /// bit-identical across thread counts.
-  void add_block(const std::uint8_t* pts, const double* samples,
+  /// Time-resolved CPA over rows of `width` samples. save() writes the
+  /// time-resolved layout at every width, 1 included: the layout follows
+  /// how the accumulator was built, never the width alone.
+  static StreamingCpa time_resolved(const SboxSpec& spec, PowerModel model,
+                                    std::size_t width, std::size_t bit = 0);
+
+  /// Block-factored hot path (dpa/block_stats.hpp) over `count` rows of
+  /// `width()` samples: one O(count) histogram pass with no guess loop,
+  /// one G×P · P×width contraction against the prediction table, then a
+  /// pairwise fold of the block's moments into the running state. The
+  /// plaintext range check is hoisted to once per block. Scores agree
+  /// with the two-pass Pearson formulation to ~1e-13; one add_block call
+  /// per engine shard makes sharded campaigns bit-identical across thread
+  /// counts. Width 1 is build_block_histogram followed by add_histogram;
+  /// wider rows bin with block_histogram_sampled.
+  void add_block(const std::uint8_t* pts, const double* rows,
                  std::size_t count);
 
-  /// The contraction and fold of add_block over a histogram someone else
-  /// built (the engine's shared per-instance histogram): bit-identical to
-  /// add_block over the same traces, since add_block builds exactly this
-  /// histogram and calls it.
+  /// The contraction and fold of a width-1 add_block over a histogram
+  /// someone else built (the engine's shared per-instance histogram):
+  /// bit-identical to add_block over the same traces, since add_block
+  /// builds exactly this histogram and calls it. Requires width() == 1.
   void add_histogram(const BlockHistogram& hist);
 
   /// Folds `other` — an accumulator over a disjoint trace subset with the
-  /// same spec/model/bit configuration — into this one: flat-array
-  /// co-moment merge, O(guesses). The result carries the moments of the
-  /// concatenated streams.
+  /// same spec/model/bit/width configuration — into this one: flat-array
+  /// co-moment merge, O(width * guesses). The result carries the moments
+  /// of the concatenated streams.
   void merge(const StreamingCpa& other);
 
-  std::size_t count() const { return t_.count(); }
+  std::size_t count() const { return n_; }
+  std::size_t width() const { return width_; }
   std::size_t num_guesses() const { return num_guesses_; }
 
-  /// Attack scores over the traces consumed so far (|rho| per guess).
-  /// Cheap enough to snapshot at every MTD checkpoint.
-  AttackResult result() const;
+  /// Attack scores over the traces consumed so far: per guess the best
+  /// |rho| over the columns (a scalar accumulator's one column), and the
+  /// column where the winning guess peaked. Cheap enough to snapshot at
+  /// every MTD checkpoint.
+  MultiAttackResult result() const;
 
   void save(ByteWriter& writer) const;
   void load(ByteReader& reader);
 
  private:
+  StreamingCpa(const SboxSpec& spec, PowerModel model, std::size_t width,
+               std::size_t bit, bool time_resolved);
+
+  // The one binned path: contracts a block's per-plaintext histogram
+  // (counts[kBlockPts], sums[pt * width + column] and sum_sq[column],
+  // shifted by shifts[column]), converts it to Welford form and folds it.
+  void add_binned(std::size_t count, const double* shifts,
+                  const std::uint64_t* counts, const double* sums,
+                  const double* sum_sq);
+
   // The shared pairwise-combination step: folds one trace subset's
-  // Welford-form moments (a block's converted sufficient statistics, or
-  // another accumulator's state — merge() routes through this) into the
-  // running state.
-  void fold_block(std::size_t count, double mean_t, double m2_t,
-                  const double* block_mean_h, const double* block_m2_h,
-                  const double* block_c_ht);
+  // Welford-form moments, laid out as moments_ is (a block's converted
+  // sufficient statistics, or another accumulator's state — merge()
+  // routes through this), into the running state.
+  void fold(std::size_t count, const double* block);
 
   std::size_t num_guesses_;
-  std::size_t num_plaintexts_;
+  std::size_t width_;
   PowerModel model_;
+  bool time_resolved_;  // selects the serialized layout
   std::size_t bit_;
   // Immutable and shared between copies: cloning an accumulator for a new
-  // campaign shard costs O(guesses), not O(guesses^2) table rebuilding.
+  // campaign shard costs O(width * guesses), not a table rebuild.
   std::shared_ptr<const std::vector<double>>
       predictions_;  // [pt * num_guesses_ + guess]
-  OnlineMoments t_;  // shared sample-stream moments
-  // Per-guess prediction moments and co-moments, kept as flat arrays (not
-  // one OnlineMoments per guess) so the fold's guess loop stays tight.
-  std::vector<double> mean_h_;
-  std::vector<double> m2_h_;
-  std::vector<double> c_ht_;
+  std::size_t n_ = 0;
+  // Every moment in one flat block (G guesses, w columns), so a copy (a
+  // shard state, an MTD snapshot) is one allocation:
+  //   mean_h[G] | m2_h[G] | c_ht[w * G] | mean_t[w] | m2_t[w]
+  // c_ht is column-major ([column * G + guess]); h is the prediction,
+  // t the sample.
+  std::vector<double> moments_;
 };
 
 /// One-pass difference-of-means DPA on one predicted output bit. The
@@ -143,6 +173,7 @@ class StreamingDom {
   void merge(const StreamingDom& other);
 
   std::size_t count() const { return n_; }
+  std::size_t width() const { return 1; }
   AttackResult result() const;
 
   void save(ByteWriter& writer) const;
@@ -157,57 +188,6 @@ class StreamingDom {
   std::size_t n_ = 0;
   std::vector<double> sum_[2];
   std::vector<std::size_t> cnt_[2];
-};
-
-/// One-pass time-resolved CPA: one correlation accumulator per sample
-/// column, sharing the per-guess prediction moments (the prediction stream
-/// does not depend on the column). O(width * guesses) state.
-class StreamingMultiCpa {
- public:
-  StreamingMultiCpa(const SboxSpec& spec, PowerModel model, std::size_t width,
-                    std::size_t bit = 0);
-
-  /// Block-factored hot path over `count` rows of `width()` samples: one
-  /// histogram pass building per-plaintext per-level column sums, a
-  /// G×P · P×L contraction GEMM, then a per-column pairwise fold — the
-  /// time-resolved sibling of StreamingCpa::add_block with the same
-  /// accuracy and bit-identity guarantees.
-  void add_block(const std::uint8_t* pts, const double* rows,
-                 std::size_t count);
-
-  std::size_t count() const { return n_; }
-  std::size_t width() const { return width_; }
-
-  /// Folds `other` (disjoint traces, same spec/model/width/bit) into this
-  /// one: per-column co-moment merge sharing the per-guess prediction
-  /// moment merge, O(width * guesses).
-  void merge(const StreamingMultiCpa& other);
-
-  MultiAttackResult result() const;
-
-  void save(ByteWriter& writer) const;
-  void load(ByteReader& reader);
-
- private:
-  // Shared pairwise-combination step (per-column co-moments first, then
-  // the prediction moments, then the column Welford merges — the order
-  // merge() always used); merge() routes through this.
-  void fold_block(std::size_t count, const double* mean_t,
-                  const double* m2_t, const double* block_mean_h,
-                  const double* block_m2_h, const double* block_c_ht);
-
-  std::size_t num_guesses_;
-  std::size_t num_plaintexts_;
-  std::size_t width_;
-  PowerModel model_;
-  std::size_t bit_;
-  std::shared_ptr<const std::vector<double>>
-      predictions_;  // [pt * num_guesses_ + guess]
-  std::size_t n_ = 0;
-  std::vector<double> mean_h_;       // per guess (shared across columns)
-  std::vector<double> m2_h_;
-  std::vector<OnlineMoments> t_;     // per column
-  std::vector<double> c_ht_;         // [column * num_guesses_ + guess]
 };
 
 }  // namespace sable

@@ -140,7 +140,7 @@ TEST(BlockStatsTest, CpaBlockPathMatchesTwoPass4Bit) {
   StreamingCpa block(present_spec(), PowerModel::kHammingWeight);
   add_all_blocks(block, t);
   EXPECT_EQ(block.count(), kTotal);
-  expect_near_scores(block.result().score,
+  expect_near_scores(block.result().combined.score,
                      reference_cpa_scores(t.scalar(), present_spec(),
                                           PowerModel::kHammingWeight, 0));
 }
@@ -151,7 +151,7 @@ TEST(BlockStatsTest, CpaBlockPathMatchesTwoPass8Bit) {
   const Traces t = make_traces(kTotal, 256, 1, 0xAE5);
   StreamingCpa block(aes_spec(), PowerModel::kHammingWeight);
   add_all_blocks(block, t);
-  expect_near_scores(block.result().score,
+  expect_near_scores(block.result().combined.score,
                      reference_cpa_scores(t.scalar(), aes_spec(),
                                           PowerModel::kHammingWeight, 0));
 }
@@ -184,8 +184,8 @@ TEST(BlockStatsTest, DomBlockPathMatchesTwoPass8Bit) {
 TEST(BlockStatsTest, MultiCpaBlockPathMatchesTwoPass) {
   constexpr std::size_t kWidth = 5;
   const Traces t = make_traces(kTotal, 16, kWidth, 0x3C0A);
-  StreamingMultiCpa block(present_spec(), PowerModel::kHammingWeight,
-                          kWidth);
+  StreamingCpa block = StreamingCpa::time_resolved(
+      present_spec(), PowerModel::kHammingWeight, kWidth);
   add_all_blocks(block, t);
   EXPECT_EQ(block.count(), kTotal);
   expect_near_scores(block.result().combined.score,
@@ -605,9 +605,9 @@ TEST(BlockStatsTest, DomSaveLoadAccumulateMergeMatchesStraightThrough) {
 TEST(BlockStatsTest, MultiCpaSaveLoadAccumulateMergeMatchesStraightThrough) {
   constexpr std::size_t kWidth = 4;
   const Traces t = make_traces(kTotal, 16, kWidth, 0x5A80);
-  check_persistence_shape<StreamingMultiCpa>(t, [] {
-    return StreamingMultiCpa(present_spec(), PowerModel::kHammingWeight,
-                             kWidth);
+  check_persistence_shape<StreamingCpa>(t, [] {
+    return StreamingCpa::time_resolved(present_spec(),
+                                       PowerModel::kHammingWeight, kWidth);
   });
 }
 
@@ -638,7 +638,8 @@ TEST(BlockStatsTest, OutOfRangePlaintextThrowsBeforeMutating) {
                InvalidArgument);
   EXPECT_EQ(dom.count(), 0u);
 
-  StreamingMultiCpa multi(present_spec(), PowerModel::kHammingWeight, 1);
+  StreamingCpa multi = StreamingCpa::time_resolved(
+      present_spec(), PowerModel::kHammingWeight, 1);
   EXPECT_THROW(multi.add_block(t.pts.data(), t.rows.data(), t.pts.size()),
                InvalidArgument);
   EXPECT_EQ(multi.count(), 0u);

@@ -131,7 +131,8 @@ TEST(CampaignIoTest, StreamingCpaRoundTripsBitExactly) {
   loaded.load(reader);
   EXPECT_EQ(reader.remaining(), 0u);
   EXPECT_EQ(loaded.count(), original.count());
-  expect_same_scores(loaded.result().score, original.result().score);
+  expect_same_scores(loaded.result().combined.score,
+                     original.result().combined.score);
 
   // Re-serialization is byte-identical — the round trip loses nothing.
   ByteWriter again;
@@ -156,14 +157,14 @@ TEST(CampaignIoTest, StreamingDomRoundTripsBitExactly) {
 
 TEST(CampaignIoTest, StreamingMultiCpaRoundTripsBitExactly) {
   constexpr std::size_t kWidth = 3;
-  StreamingMultiCpa original(present_spec(), PowerModel::kHammingWeight,
-                             kWidth);
+  StreamingCpa original = StreamingCpa::time_resolved(
+      present_spec(), PowerModel::kHammingWeight, kWidth);
   const Block block = make_block(211, kWidth);
   original.add_block(block.pts.data(), block.rows.data(), block.pts.size());
   ByteWriter writer;
   original.save(writer);
-  StreamingMultiCpa loaded(present_spec(), PowerModel::kHammingWeight,
-                           kWidth);
+  StreamingCpa loaded = StreamingCpa::time_resolved(
+      present_spec(), PowerModel::kHammingWeight, kWidth);
   ByteReader reader(writer.buffer().data(), writer.buffer().size(), "mem");
   loaded.load(reader);
   expect_same_scores(loaded.result().combined.score,
@@ -221,6 +222,23 @@ TEST(CampaignIoTest, AccumulatorLoadRejectsWrongTypeAndConfig) {
     StreamingCpa other(present_spec(), PowerModel::kSboxOutputBit, 1);
     ByteReader reader(writer.buffer().data(), writer.buffer().size(), "mem");
     EXPECT_THROW(other.load(reader), InvalidArgument);
+  }
+  // Scalar and time-resolved CPA are one accumulator class, and at width 1
+  // they hold the same moments, but each reads only its own layout: a
+  // scalar blob into a width-1 time-resolved accumulator ...
+  StreamingCpa multi = StreamingCpa::time_resolved(
+      present_spec(), PowerModel::kHammingWeight, 1);
+  {
+    ByteReader reader(writer.buffer().data(), writer.buffer().size(), "mem");
+    EXPECT_THROW(multi.load(reader), InvalidArgument);
+  }
+  // ... and a width-1 time-resolved blob into a scalar one.
+  {
+    ByteWriter multi_writer;
+    multi.save(multi_writer);
+    ByteReader reader(multi_writer.buffer().data(),
+                      multi_writer.buffer().size(), "mem");
+    EXPECT_THROW(cpa.load(reader), InvalidArgument);
   }
 }
 

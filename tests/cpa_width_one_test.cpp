@@ -1,9 +1,10 @@
 // Scalar CPA is the width-1 case of time-resolved CPA, bit for bit.
 //
-// Per element, the time-resolved accumulator runs the scalar one's
-// operations in the same order: the same histogram, the same count and
-// sum contractions, the same Welford conversion and the same pairwise
-// fold. These tests pin that identity on three levels:
+// StreamingCpa is the one CPA accumulator. Built scalar, it is what
+// CpaDistinguisher, cpa_attack and MTD run and it saves the CPA layout;
+// built with time_resolved(), it is what MultiCpaDistinguisher runs and
+// it saves the multi-CPA layout. At width 1 the two must score the same
+// traces identically. These tests pin that on three levels:
 //
 //  * accumulators: the same ragged blocks (empty and one-trace blocks
 //    included) and merges, on a 4-bit and an 8-bit S-box, under the
@@ -97,10 +98,12 @@ TEST(CpaWidthOneTest, AccumulatorsAgreeBitForBitAfterEveryBlockAndMerge) {
 
       // Two halves of the stream, each fed block by block; then one
       // accumulator over the whole stream is built by merging them.
+      const auto make_multi = [&] {
+        return StreamingCpa::time_resolved(spec, model, 1, bit);
+      };
       StreamingCpa scalar[2] = {StreamingCpa(spec, model, bit),
                                 StreamingCpa(spec, model, bit)};
-      StreamingMultiCpa multi[2] = {StreamingMultiCpa(spec, model, 1, bit),
-                                    StreamingMultiCpa(spec, model, 1, bit)};
+      StreamingCpa multi[2] = {make_multi(), make_multi()};
       std::size_t off = 0;
       for (std::size_t b = 0; b < kBlocks; ++b) {
         const std::size_t half = b < kBlocks / 2 ? 0 : 1;
@@ -112,19 +115,20 @@ TEST(CpaWidthOneTest, AccumulatorsAgreeBitForBitAfterEveryBlockAndMerge) {
         ASSERT_EQ(scalar[half].count(), multi[half].count());
         if (scalar[half].count() < 2) continue;
         SCOPED_TRACE(b);
-        expect_same_bits(scalar[half].result(),
+        expect_same_bits(scalar[half].result().combined,
                          multi[half].result().combined);
       }
 
       StreamingCpa scalar_all(spec, model, bit);
-      StreamingMultiCpa multi_all(spec, model, 1, bit);
+      StreamingCpa multi_all = make_multi();
       for (std::size_t half = 0; half < 2; ++half) {
         scalar_all.merge(scalar[half]);
         multi_all.merge(multi[half]);
       }
       ASSERT_EQ(scalar_all.count(), total);
       ASSERT_EQ(multi_all.count(), total);
-      expect_same_bits(scalar_all.result(), multi_all.result().combined);
+      expect_same_bits(scalar_all.result().combined,
+                       multi_all.result().combined);
     }
   }
 }

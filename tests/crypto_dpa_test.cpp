@@ -168,6 +168,49 @@ TEST(DpaTest, DomAttackRecoversKeyOverAllOutputBits) {
             key);
 }
 
+// A hand-built trace set short on either side would make the one-shot
+// attacks read past a buffer; each mismatch throws instead.
+TEST(DpaTest, OneShotAttacksRejectMismatchedTraceSets) {
+  TraceSet scalar;
+  for (std::uint8_t pt = 0; pt < 8; ++pt) scalar.add(pt, 1e-13 + pt * 1e-15);
+  TraceSet short_pts = scalar;
+  short_pts.plaintexts.pop_back();
+  EXPECT_THROW(cpa_attack(short_pts, present_spec(),
+                          PowerModel::kHammingWeight),
+               InvalidArgument);
+  EXPECT_THROW(dom_attack(short_pts, present_spec()), InvalidArgument);
+  TraceSet long_pts = scalar;
+  long_pts.plaintexts.push_back(0);
+  EXPECT_THROW(cpa_attack(long_pts, present_spec(),
+                          PowerModel::kHammingWeight),
+               InvalidArgument);
+  EXPECT_THROW(dom_attack(long_pts, present_spec()), InvalidArgument);
+
+  MultiTraceSet multi;
+  for (std::uint8_t pt = 0; pt < 8; ++pt) {
+    multi.add(pt, {1e-13, 2e-13 + pt * 1e-15});
+  }
+  MultiTraceSet short_samples = multi;
+  short_samples.samples.pop_back();
+  EXPECT_THROW(cpa_attack_multisample(short_samples, present_spec(),
+                                      PowerModel::kHammingWeight),
+               InvalidArgument);
+  MultiTraceSet long_samples = multi;
+  long_samples.samples.push_back(1e-13);
+  EXPECT_THROW(cpa_attack_multisample(long_samples, present_spec(),
+                                      PowerModel::kHammingWeight),
+               InvalidArgument);
+
+  // The well-formed sets still attack.
+  EXPECT_EQ(cpa_attack(scalar, present_spec(), PowerModel::kHammingWeight)
+                .score.size(),
+            16u);
+  EXPECT_EQ(cpa_attack_multisample(multi, present_spec(),
+                                   PowerModel::kHammingWeight)
+                .combined.score.size(),
+            16u);
+}
+
 TEST(MtdTest, DisclosureOrdering) {
   Rng rng(46);
   const std::uint8_t key = 0x9;

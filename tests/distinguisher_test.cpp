@@ -102,7 +102,8 @@ TEST(DistinguisherPipelineTest, CpaCampaignBitIdenticalToManualShards) {
                    shards.back().add_block(pts, samples, n);
                  });
   ASSERT_EQ(shards.size(), 5u);
-  const AttackResult reference = merge_shard_tree(std::move(shards)).result();
+  const AttackResult reference =
+      merge_shard_tree(std::move(shards)).result().combined;
   expect_same_result(
       run_attack(engine, options,
                  CpaDistinguisher(engine.spec(selector.sbox_index), selector)),
@@ -164,7 +165,8 @@ TEST(DistinguisherPipelineTest, MtdCampaignBitIdenticalToManualShards) {
           done = *it - start;
           StreamingCpa at_checkpoint = prefix;
           at_checkpoint.merge(acc);
-          history.emplace_back(*it, at_checkpoint.result().rank_of(subkey));
+          history.emplace_back(*it,
+                               at_checkpoint.result().combined.rank_of(subkey));
         }
         acc.add_block(pts + done, samples + done, n - done);
         prefix.merge(acc);
@@ -189,12 +191,12 @@ TEST(DistinguisherPipelineTest, MultiCpaCampaignBitIdenticalToManualShards) {
   const AttackSelector selector{.model = PowerModel::kHammingWeight};
   TraceEngine engine(round, kTech);
   const std::size_t width = engine.target().num_levels();
-  std::vector<StreamingMultiCpa> shards;
+  std::vector<StreamingCpa> shards;
   for_each_shard(engine, options, 0, /*sampled=*/true,
                  [&](std::size_t, const std::uint8_t* pts, const double* rows,
                      std::size_t n) {
-                   shards.emplace_back(round.sboxes[0], selector.model, width,
-                                       selector.bit);
+                   shards.push_back(StreamingCpa::time_resolved(
+                       round.sboxes[0], selector.model, width, selector.bit));
                    shards.back().add_block(pts, rows, n);
                  });
   const MultiAttackResult reference =

@@ -261,8 +261,8 @@ TEST(MergeTest, StreamingCpaMergeMatchesSequential) {
     merged.merge(part);
   }
   EXPECT_EQ(merged.count(), sequential.count());
-  const AttackResult a = merged.result();
-  const AttackResult b = sequential.result();
+  const AttackResult a = merged.result().combined;
+  const AttackResult b = sequential.result().combined;
   ASSERT_EQ(a.score.size(), b.score.size());
   for (std::size_t g = 0; g < b.score.size(); ++g) {
     EXPECT_NEAR(a.score[g], b.score[g], 1e-12) << g;
@@ -309,14 +309,16 @@ TEST(MergeTest, StreamingMultiCpaMergeMatchesSequential) {
     for (auto& v : cycle.level_energy) v += 1e-16 * rng.gaussian();
     traces.add(pt, cycle.level_energy);
   }
-  StreamingMultiCpa sequential(spec, PowerModel::kHammingWeight,
-                               traces.width);
+  StreamingCpa sequential = StreamingCpa::time_resolved(
+      spec, PowerModel::kHammingWeight, traces.width);
   sequential.add_block(traces.plaintexts.data(), traces.samples.data(),
                        traces.size());
-  StreamingMultiCpa merged(spec, PowerModel::kHammingWeight, traces.width);
+  StreamingCpa merged = StreamingCpa::time_resolved(
+      spec, PowerModel::kHammingWeight, traces.width);
   const std::size_t bounds[] = {0, 311, 900, 1200};
   for (std::size_t p = 0; p + 1 < std::size(bounds); ++p) {
-    StreamingMultiCpa part(spec, PowerModel::kHammingWeight, traces.width);
+    StreamingCpa part = StreamingCpa::time_resolved(
+        spec, PowerModel::kHammingWeight, traces.width);
     part.add_block(traces.plaintexts.data() + bounds[p],
                    traces.samples.data() + bounds[p] * traces.width,
                    bounds[p + 1] - bounds[p]);
@@ -352,7 +354,8 @@ TEST(MergeTest, EngineCpaEqualsFixedShapeTreeMerge) {
     shards.push_back(std::move(acc));
   }
   ASSERT_GT(shards.size(), 2u);
-  const AttackResult tree = merge_shard_tree(std::move(shards)).result();
+  const AttackResult tree =
+      merge_shard_tree(std::move(shards)).result().combined;
 
   TraceEngine engine2(spec, LogicStyle::kStaticCmos, kTech);
   const AttackResult campaign = run_attack(

@@ -420,7 +420,7 @@ TEST(StreamingCpaTest, MatchesTwoPassPearson) {
     StreamingCpa acc(spec, model, 1);
     acc.add_block(traces.plaintexts.data(), traces.samples.data(),
                   traces.size());
-    const AttackResult streamed = acc.result();
+    const AttackResult streamed = acc.result().combined;
     const std::vector<double> reference =
         reference_cpa_scores(traces, spec, model, 1);
     ASSERT_EQ(streamed.score.size(), reference.size());
@@ -443,8 +443,8 @@ TEST(StreamingCpaTest, SplitFeedMatchesSingleFeed) {
   split.add_block(traces.plaintexts.data() + 311, traces.samples.data() + 311,
                   traces.size() - 311);
   EXPECT_EQ(split.count(), whole.count());
-  const AttackResult a = whole.result();
-  const AttackResult b = split.result();
+  const AttackResult a = whole.result().combined;
+  const AttackResult b = split.result().combined;
   for (std::size_t g = 0; g < a.score.size(); ++g) {
     EXPECT_NEAR(a.score[g], b.score[g], 1e-12) << g;
   }
@@ -531,7 +531,7 @@ TEST(MtdCampaignTest, MatchesPrefixOracle) {
     done = n;
     const std::vector<double> want = reference_cpa_scores(
         traces, spec, PowerModel::kHammingWeight, 0, n);
-    const AttackResult got = acc.result();
+    const AttackResult got = acc.result().combined;
     ASSERT_EQ(got.score.size(), want.size());
     for (std::size_t g = 0; g < want.size(); ++g) {
       EXPECT_NEAR(got.score[g], want[g], 1e-12) << n << " guess " << g;
