@@ -15,11 +15,15 @@
 //      every delta word lands contiguously in plane v, so a bit that is
 //      constant across a block becomes 8 equal bytes, and the buffer is
 //      laid out plane-major so constant planes concatenate across the
-//      whole shard.
+//      whole shard. Stages 1 and 2 are one pass: the deltas are computed
+//      as the transpose loads its block, and the planes stored to their
+//      plane-major places as it finishes.
 //   3. Byte-level RLE with LEB128 varint framing: token = (len << 1) |
 //      is_literal; a run token is followed by its one repeated byte, a
 //      literal token by `len` verbatim bytes. Runs are emitted at >= 4
 //      equal bytes, so incompressible planes cost < 1% framing overhead.
+//      The encoder finds runs a word at a time and writes into a buffer
+//      reserved once at the stream's worst-case size.
 //
 // Mode 1 — per-level dictionary. A NOISELESS simulated energy is a sum
 // of discrete per-node switching energies, so each level's column draws
@@ -33,7 +37,11 @@
 //
 // Packed plaintext states get stages 2'+3: a byte-column-major reorder
 // (byte k of every trace contiguous — low S-box nibbles vary, high pad
-// bytes do not) and the same RLE framing, no delta.
+// bytes do not), through 8×8 byte transposes, and the same RLE framing,
+// no delta.
+//
+// Encoding runs in every record party, once per shard, and decoding in
+// every replay, so both directions are hot paths.
 //
 // Every stage is exactly invertible and operates on whole shards, so v2
 // chunks stay independently decodable and seekable like v1's raw chunks.
@@ -55,10 +63,10 @@ class ByteReader;
 /// to the largest shard seen and never shrink — one scratch per thread
 /// keeps replay memory at O(threads * shard bytes).
 struct CodecScratch {
-  std::vector<std::uint64_t> words;   // delta words / dictionary values
-  std::vector<std::uint8_t> planes;   // plane-major image / index columns
-  std::vector<std::uint8_t> mode_a;   // candidate streams the encoder
-  std::vector<std::uint8_t> mode_b;   //   sizes against each other
+  std::vector<std::uint64_t> words;   // decoded dictionary values
+  std::vector<std::uint8_t> planes;   // plane image / byte or index columns
+  std::vector<std::uint8_t> mode_a;   // encoded streams: the plaintexts,
+  std::vector<std::uint8_t> mode_b;   //   and the two sample candidates
 };
 
 /// Appends the encoded plaintext stream (count traces of `stride` packed

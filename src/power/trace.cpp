@@ -33,6 +33,8 @@ void MultiTraceSet::add(std::uint8_t pt, const double* row,
 
 TraceSet MultiTraceSet::column(std::size_t sample) const {
   SABLE_REQUIRE(sample < width, "sample index out of range");
+  SABLE_REQUIRE(samples.size() == size() * width,
+                "time-resolved traces need size() * width samples");
   TraceSet out;
   out.plaintexts = plaintexts;
   out.samples.reserve(size());

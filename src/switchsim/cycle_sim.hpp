@@ -58,10 +58,50 @@ template <typename W>
 void pack_lane_words_gather(const std::uint64_t* assignments,
                             std::size_t count, std::vector<W>& words);
 
+/// Three delta-swap levels over eight words in place: rows j and j + 4
+/// swap blocks of 4S bits, then rows j and j + 2 blocks of 2S bits, then
+/// rows j and j + 1 blocks of S bits. S = 8 transposes the 8×8 byte
+/// matrix of the words (byte c of r[j] swaps with byte j of r[c]); S = 1
+/// transposes the 8×8 bit matrix in each byte column. The 64×64 transpose
+/// is one pass of each, and the corpus codec's byte-column reorder runs
+/// on S = 8.
+template <unsigned S>
+inline void transpose_8_rows(std::uint64_t r[8]) {
+  // The bits a swap of sh-bit blocks keeps: those whose index has bit
+  // log2(sh) clear.
+  constexpr auto kept = [](unsigned sh) {
+    std::uint64_t m = 0;
+    for (unsigned b = 0; b < 64; ++b) {
+      if ((b / sh) % 2 == 0) m |= std::uint64_t{1} << b;
+    }
+    return m;
+  };
+  constexpr std::uint64_t k4 = kept(4 * S), k2 = kept(2 * S), k1 = kept(S);
+  const auto swap = [](std::uint64_t& x, std::uint64_t& y, unsigned sh,
+                       std::uint64_t mask) {
+    const std::uint64_t t = ((x >> sh) ^ y) & mask;
+    x ^= t << sh;
+    y ^= t;
+  };
+  swap(r[0], r[4], 4 * S, k4);
+  swap(r[1], r[5], 4 * S, k4);
+  swap(r[2], r[6], 4 * S, k4);
+  swap(r[3], r[7], 4 * S, k4);
+  swap(r[0], r[2], 2 * S, k2);
+  swap(r[1], r[3], 2 * S, k2);
+  swap(r[4], r[6], 2 * S, k2);
+  swap(r[5], r[7], 2 * S, k2);
+  swap(r[0], r[1], S, k1);
+  swap(r[2], r[3], S, k1);
+  swap(r[4], r[5], S, k1);
+  swap(r[6], r[7], S, k1);
+}
+
 /// In-place 64×64 bit-matrix transpose of `blocks` consecutive 64-word
 /// blocks, through the same portable Hacker's Delight body as
-/// pack_lane_words: six fixed delta-swap levels that the compiler
-/// vectorizes for the baseline ISA, so every machine produces the same
+/// pack_lane_words: six delta-swap levels in two passes of
+/// transpose_8_rows over rows held in registers, vectorized by the
+/// compiler for the baseline ISA, so every machine produces the same
 /// bits. The transpose is an involution — applying it twice restores the
 /// input — which is exactly what the corpus codec (io/codec.hpp) needs to
 /// turn sample words into RLE-friendly bit planes and back.

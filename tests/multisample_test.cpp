@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "cell/builder.hpp"
 #include "cell/circuit_sim.hpp"
@@ -42,6 +43,19 @@ TEST(MultiTraceSetTest, RowStorageAndColumns) {
   EXPECT_EQ(col.samples[1], 5.0);
   EXPECT_THROW(traces.column(3), InvalidArgument);
   EXPECT_THROW(traces.add(0x1, {1.0}), InvalidArgument);
+}
+
+// A hand-built set with fewer samples than size() * width must be refused
+// before column() reads past the sample buffer.
+TEST(MultiTraceSetTest, ColumnRejectsAShortSampleBuffer) {
+  MultiTraceSet traces;
+  traces.width = 3;
+  traces.plaintexts = {0x1, 0x2, 0x3};
+  traces.samples = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
+  EXPECT_THROW(traces.column(0), InvalidArgument);
+  traces.samples.push_back(9.0);
+  EXPECT_EQ(traces.column(2).samples,
+            (std::vector<double>{3.0, 6.0, 9.0}));
 }
 
 TEST(SampledCycleTest, LevelEnergiesSumToCycleEnergy) {
