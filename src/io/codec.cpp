@@ -86,7 +86,8 @@ std::size_t find_run(const std::uint8_t* data, std::size_t from,
                      std::size_t n) {
   std::size_t p = from;
   for (; p + 9 <= n; p += 6) {
-    const std::uint64_t eq = zero_bytes(load64(data + p) ^ load64(data + p + 1));
+    const std::uint64_t eq =
+        zero_bytes(load64(data + p) ^ load64(data + p + 1));
     const std::uint64_t starts = eq & (eq >> 8) & (eq >> 16);
     if (starts != 0) return p + std::countr_zero(starts) / 8;
   }
@@ -340,7 +341,8 @@ void samples_from_delta_planes(const std::uint8_t* planes, std::size_t count,
   }
 }
 
-// Returns the end of the mode-0 stream written to `out`.
+// Writes the mode-0 stream of `samples` to `out`, grown to the stream's
+// worst case, and returns its end.
 std::uint8_t* encode_delta_planes(const double* samples, std::size_t count,
                                   std::size_t width, CodecScratch& scratch,
                                   std::vector<std::uint8_t>& out) {
