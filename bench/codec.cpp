@@ -5,10 +5,10 @@
 // CMOS PRESENT x16 round, the record_corpus workload's campaign:
 //   - the packed plaintext stream (8 state bytes per trace),
 //   - the sample stream with campaign_cli's default measurement noise
-//     (the delta-plane mode wins; the dictionary attempt gives up at its
-//     256th distinct value, a few hundred traces in),
-//   - the noiseless sample stream (a few hundred distinct energies: the
-//     dictionary attempt runs much further before it gives up),
+//     (the delta-plane mode wins; every sample is distinct, so the
+//     dictionary attempt gives up at trace 256),
+//   - the noiseless sample stream (about 400 distinct energies: the
+//     dictionary attempt gives up near trace 1,000),
 //   - the noiseless sample stream of the same round in SABL-enhanced,
 //     whose energy is one constant (the dictionary runs in full and wins).
 // Each encode and decode runs `--repeats` times (default 1000) and the
