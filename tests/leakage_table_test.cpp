@@ -3,12 +3,14 @@
 // (reference_simulation.hpp) bit for bit — every logic style, scalar and
 // time-resolved data, ragged counts, noise on and off, chained static-CMOS
 // calls and scalar trace() sequences, nibble-, byte- and bit-straddling
-// layouts — and identical instances must share one table.
+// layouts — and identical instances must share one table. Fingerprints
+// pin every style's table bits independently of the simulators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -584,6 +586,78 @@ TEST(LeakageTableTest, RowsCoverEveryInputState) {
   EXPECT_FALSE(inputs.has_history());
   EXPECT_EQ(inputs.num_rows(), 16u);
   EXPECT_EQ(inputs.settled_energies().size(), 16u);
+}
+
+
+// FNV-1a 64 over the bit patterns of a table's energies(), then its
+// level_energies().
+std::uint64_t table_fingerprint(const LeakageTable& table) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto feed = [&](std::span<const double> values) {
+    for (const double v : values) {
+      const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+      for (int shift = 0; shift < 64; shift += 8) {
+        hash ^= (bits >> shift) & 0xFFu;
+        hash *= 0x100000001b3ull;
+      }
+    }
+  };
+  feed(table.energies());
+  feed(table.level_energies());
+  return hash;
+}
+
+// Every energy bit of every style's tables, pinned as constants. The
+// direct-simulation cases above compare tables against the same batch
+// simulators that build them, so only these fingerprints catch an energy
+// model whose arithmetic moves. WDDL is pinned at two instance seeds
+// (instances 0 and 1 of a round draw 0x3DD1 and 0x3DD2).
+TEST(LeakageTableTest, TableBitsArePinned) {
+  struct Pinned {
+    const char* sbox;
+    LogicStyle style;
+    std::size_t instance;
+    std::uint64_t fingerprint;
+  };
+  const Pinned pinned[] = {
+      {"present", LogicStyle::kStaticCmos, 0, 0x65f4b93d9eb47080ull},
+      {"present", LogicStyle::kSablGenuine, 0, 0xbe10e0b5dea73836ull},
+      {"present", LogicStyle::kSablFullyConnected, 0, 0xd7ff14dc2dd21e25ull},
+      {"present", LogicStyle::kSablEnhanced, 0, 0x68c171d9bf729e65ull},
+      {"present", LogicStyle::kWddlBalanced, 0, 0xd653c510ca2a31a5ull},
+      {"present", LogicStyle::kWddlBalanced, 1, 0xd653c510ca2a31a5ull},
+      {"present", LogicStyle::kWddlMismatched, 0, 0x291e7179d180639bull},
+      {"present", LogicStyle::kWddlMismatched, 1, 0xca3e558d4df53becull},
+      {"des1", LogicStyle::kStaticCmos, 0, 0xcb7e9cc223f3d4b9ull},
+      {"des1", LogicStyle::kSablGenuine, 0, 0xc9f796a42fb5f02eull},
+      {"des1", LogicStyle::kSablFullyConnected, 0, 0xd38dfe5bef19f2a5ull},
+      {"des1", LogicStyle::kSablEnhanced, 0, 0x0df81e9fd8b19925ull},
+      {"des1", LogicStyle::kWddlBalanced, 0, 0x3697d03b11dc2a25ull},
+      {"des1", LogicStyle::kWddlBalanced, 1, 0x3697d03b11dc2a25ull},
+      {"des1", LogicStyle::kWddlMismatched, 0, 0xfcd440959e140081ull},
+      {"des1", LogicStyle::kWddlMismatched, 1, 0x9171a7d389f0ac27ull},
+      {"aes", LogicStyle::kStaticCmos, 0, 0xab76b7c7369f58bdull},
+      {"aes", LogicStyle::kSablGenuine, 0, 0x6bc843aeb7741514ull},
+      {"aes", LogicStyle::kSablFullyConnected, 0, 0x0180f296fcb8db25ull},
+      {"aes", LogicStyle::kSablEnhanced, 0, 0x2ff66b6e0cd7c125ull},
+      {"aes", LogicStyle::kWddlBalanced, 0, 0x61e4eea8d366a725ull},
+      {"aes", LogicStyle::kWddlBalanced, 1, 0x61e4eea8d366a725ull},
+      {"aes", LogicStyle::kWddlMismatched, 0, 0x573c048178fb59f2ull},
+      {"aes", LogicStyle::kWddlMismatched, 1, 0x8ad52af4f5468d82ull},
+  };
+  const auto spec_named = [](const std::string& name) {
+    return name == "present" ? present_spec()
+           : name == "des1"  ? des1_spec()
+                             : aes_spec();
+  };
+  for (const Pinned& p : pinned) {
+    RoundSpec round = single_sbox_round(spec_named(p.sbox), p.style);
+    round.sboxes.resize(p.instance + 1, round.sboxes[0]);
+    const RoundTarget target(round, kTech);
+    EXPECT_EQ(table_fingerprint(target.leakage_table(p.instance)),
+              p.fingerprint)
+        << p.sbox << " " << to_string(p.style) << " instance " << p.instance;
+  }
 }
 
 }  // namespace
