@@ -67,6 +67,8 @@ BatchGateEvaluator::BatchGateEvaluator(const GateCircuit& circuit)
   gate_inputs_.resize(circuit.gates().size());
   values_.assign(circuit.gates().size(), 0);
   primary_.assign(circuit.num_primary_inputs(), 0);
+  levels_ = gate_levels(circuit);
+  for (std::size_t l : levels_) num_levels_ = std::max(num_levels_, l);
   for (std::size_t g = 0; g < circuit.gates().size(); ++g) {
     const GateInstance& inst = circuit.gates()[g];
     const Cell& cell = circuit.cells()[inst.cell_index];
@@ -112,12 +114,16 @@ void BatchGateEvaluator::evaluate(
   }
 }
 
-std::uint64_t BatchGateEvaluator::output_word(std::size_t i) const {
-  const SignalRef& ref = circuit_.outputs()[i];
-  const std::uint64_t raw = ref.kind == SignalRef::Kind::kInput
-                                ? primary_[ref.index]
-                                : values_[ref.index];
-  return ref.positive ? raw : ~raw;
+void BatchGateEvaluator::output_words(
+    std::vector<std::uint64_t>& words) const {
+  words.resize(circuit_.outputs().size());
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const SignalRef& ref = circuit_.outputs()[i];
+    const std::uint64_t raw = ref.kind == SignalRef::Kind::kInput
+                                  ? primary_[ref.index]
+                                  : values_[ref.index];
+    words[i] = ref.positive ? raw : ~raw;
+  }
 }
 
 std::uint64_t outputs_for_lane(const std::vector<std::uint64_t>& output_words,
@@ -131,21 +137,27 @@ std::uint64_t outputs_for_lane(const std::vector<std::uint64_t>& output_words,
 
 // ---- DifferentialCircuitSimBatch ------------------------------------------
 
+namespace {
+
+// Every gate instance's cell model, the default per-instance models.
+std::vector<GateEnergyModel> cell_energy_models(const GateCircuit& circuit) {
+  std::vector<GateEnergyModel> models;
+  models.reserve(circuit.gates().size());
+  for (const auto& inst : circuit.gates()) {
+    models.push_back(circuit.cells()[inst.cell_index].energy_model);
+  }
+  return models;
+}
+
+}  // namespace
+
 DifferentialCircuitSimBatch::DifferentialCircuitSimBatch(
     const GateCircuit& circuit)
-    : circuit_(circuit), eval_(circuit) {
-  gate_sims_.reserve(circuit.gates().size());
-  for (const auto& inst : circuit.gates()) {
-    const Cell& cell = circuit.cells()[inst.cell_index];
-    gate_sims_.emplace_back(cell.network, cell.energy_model);
-  }
-  levels_ = gate_levels(circuit);
-  for (std::size_t l : levels_) num_levels_ = std::max(num_levels_, l);
-}
+    : DifferentialCircuitSimBatch(circuit, cell_energy_models(circuit)) {}
 
 DifferentialCircuitSimBatch::DifferentialCircuitSimBatch(
     const GateCircuit& circuit, std::vector<GateEnergyModel> models)
-    : circuit_(circuit), eval_(circuit) {
+    : eval_(circuit) {
   SABLE_REQUIRE(models.size() == circuit.gates().size(),
                 "one energy model per gate instance required");
   gate_sims_.reserve(circuit.gates().size());
@@ -153,63 +165,57 @@ DifferentialCircuitSimBatch::DifferentialCircuitSimBatch(
     const Cell& cell = circuit.cells()[circuit.gates()[g].cell_index];
     gate_sims_.emplace_back(cell.network, std::move(models[g]));
   }
-  levels_ = gate_levels(circuit);
-  for (std::size_t l : levels_) num_levels_ = std::max(num_levels_, l);
+}
+
+template <typename RowFn>
+void DifferentialCircuitSimBatch::gate_loop(
+    const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
+    RowFn&& row_for_gate, std::vector<std::uint64_t>& output_words) {
+  eval_.evaluate(input_words);
+  for (std::size_t g = 0; g < gate_sims_.size(); ++g) {
+    gate_sims_[g].cycle(eval_.gate_input_words(g), lane_mask,
+                        gate_energy_.data());
+    lane_accumulate_selected(lane_mask, gate_energy_.data(), row_for_gate(g));
+  }
+  eval_.output_words(output_words);
 }
 
 void DifferentialCircuitSimBatch::cycle(
     const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
     BatchCycleResult& out) {
-  eval_.evaluate(input_words);
   lane_fill_selected(lane_mask, 0.0, out.energy.data());
-  for (std::size_t g = 0; g < gate_sims_.size(); ++g) {
-    gate_sims_[g].cycle(eval_.gate_input_words(g), lane_mask,
-                        gate_energy_.data());
-    lane_accumulate_selected(lane_mask, gate_energy_.data(),
-                             out.energy.data());
+  gate_loop(input_words, lane_mask,
+            [&](std::size_t) { return out.energy.data(); }, out.output_words);
+}
+
+void DifferentialCircuitSimBatch::cycle_sampled(
+    const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
+    SampledBatchCycleResult& out) {
+  out.level_energy.resize(eval_.num_levels());
+  for (auto& row : out.level_energy) {
+    lane_fill_selected(lane_mask, 0.0, row.data());
   }
-  out.output_words.resize(circuit_.outputs().size());
-  for (std::size_t i = 0; i < circuit_.outputs().size(); ++i) {
-    out.output_words[i] = eval_.output_word(i);
-  }
+  gate_loop(input_words, lane_mask,
+            [&](std::size_t g) {
+              return out.level_energy[eval_.level(g) - 1].data();
+            },
+            out.output_words);
 }
 
 void DifferentialCircuitSimBatch::reset() {
   for (SablGateSimBatch& sim : gate_sims_) sim.reset(true);
 }
 
-void DifferentialCircuitSimBatch::cycle_sampled(
-    const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
-    SampledBatchCycleResult& out) {
-  eval_.evaluate(input_words);
-  out.level_energy.resize(num_levels_);
-  for (auto& row : out.level_energy) {
-    lane_fill_selected(lane_mask, 0.0, row.data());
-  }
-  for (std::size_t g = 0; g < gate_sims_.size(); ++g) {
-    gate_sims_[g].cycle(eval_.gate_input_words(g), lane_mask,
-                        gate_energy_.data());
-    auto& row = out.level_energy[levels_[g] - 1];
-    lane_accumulate_selected(lane_mask, gate_energy_.data(), row.data());
-  }
-  out.output_words.resize(circuit_.outputs().size());
-  for (std::size_t i = 0; i < circuit_.outputs().size(); ++i) {
-    out.output_words[i] = eval_.output_word(i);
-  }
-}
-
 // ---- CmosCircuitSimBatch --------------------------------------------------
 
 CmosCircuitSimBatch::CmosCircuitSimBatch(const GateCircuit& circuit,
                                          double switch_energy)
-    : circuit_(circuit), eval_(circuit), switch_energy_(switch_energy) {
-  previous_values_.assign(circuit.gates().size(), 0);
-  levels_ = gate_levels(circuit);
-  for (std::size_t l : levels_) num_levels_ = std::max(num_levels_, l);
-}
+    : eval_(circuit),
+      switch_energy_(switch_energy),
+      previous_values_(circuit.gates().size(), 0) {}
 
 template <typename RowFn>
-void CmosCircuitSimBatch::cycle_history(
+void CmosCircuitSimBatch::gate_loop(
     const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
     RowFn&& row_for_gate, std::vector<std::uint64_t>& output_words) {
   eval_.evaluate(input_words);
@@ -234,7 +240,7 @@ void CmosCircuitSimBatch::cycle_history(
     }
     num_planes = 0;
   };
-  for (std::size_t g = 0; g < circuit_.gates().size(); ++g) {
+  for (std::size_t g = 0; g < eval_.num_gates(); ++g) {
     double* row = row_for_gate(g);
     if (row != current_row) {
       flush();
@@ -258,78 +264,33 @@ void CmosCircuitSimBatch::cycle_history(
     }
   }
   flush();
-  output_words.resize(circuit_.outputs().size());
-  for (std::size_t i = 0; i < circuit_.outputs().size(); ++i) {
-    output_words[i] = eval_.output_word(i);
-  }
+  eval_.output_words(output_words);
 }
 
 void CmosCircuitSimBatch::cycle(const std::vector<std::uint64_t>& input_words,
                                 std::uint64_t lane_mask,
                                 BatchCycleResult& out) {
   lane_fill_selected(lane_mask, 0.0, out.energy.data());
-  cycle_history(input_words, lane_mask,
-                [&](std::size_t) { return out.energy.data(); },
-                out.output_words);
+  gate_loop(input_words, lane_mask,
+            [&](std::size_t) { return out.energy.data(); }, out.output_words);
 }
 
 void CmosCircuitSimBatch::cycle_sampled(
     const std::vector<std::uint64_t>& input_words, std::uint64_t lane_mask,
     SampledBatchCycleResult& out) {
-  out.level_energy.resize(num_levels_);
+  out.level_energy.resize(eval_.num_levels());
   for (auto& row : out.level_energy) {
     lane_fill_selected(lane_mask, 0.0, row.data());
   }
-  cycle_history(
-      input_words, lane_mask,
-      [&](std::size_t g) { return out.level_energy[levels_[g] - 1].data(); },
-      out.output_words);
+  gate_loop(input_words, lane_mask,
+            [&](std::size_t g) {
+              return out.level_energy[eval_.level(g) - 1].data();
+            },
+            out.output_words);
 }
 
 void CmosCircuitSimBatch::reset() {
-  previous_values_.assign(circuit_.gates().size(), 0);
-}
-
-// ---- scalar wrappers (width-1 case of the batch kernels) ------------------
-
-DifferentialCircuitSim::DifferentialCircuitSim(const GateCircuit& circuit)
-    : batch_(circuit), words_(circuit.num_primary_inputs(), 0) {}
-
-DifferentialCircuitSim::DifferentialCircuitSim(
-    const GateCircuit& circuit, std::vector<GateEnergyModel> models)
-    : batch_(circuit, std::move(models)),
-      words_(circuit.num_primary_inputs(), 0) {}
-
-CycleResult DifferentialCircuitSim::cycle(std::uint64_t input_bits) {
-  pack_lane_words(&input_bits, 1, words_);
-  batch_.cycle(words_, 1u, scratch_);
-  return CycleResult{outputs_for_lane(scratch_.output_words, 0),
-                     scratch_.energy[0]};
-}
-
-SampledCycleResult DifferentialCircuitSim::cycle_sampled(
-    std::uint64_t input_bits) {
-  pack_lane_words(&input_bits, 1, words_);
-  batch_.cycle_sampled(words_, 1u, sampled_scratch_);
-  SampledCycleResult result;
-  result.level_energy.reserve(sampled_scratch_.level_energy.size());
-  for (const auto& row : sampled_scratch_.level_energy) {
-    result.level_energy.push_back(row[0]);
-  }
-  result.outputs = outputs_for_lane(sampled_scratch_.output_words, 0);
-  return result;
-}
-
-CmosCircuitSim::CmosCircuitSim(const GateCircuit& circuit,
-                               double switch_energy)
-    : batch_(circuit, switch_energy),
-      words_(circuit.num_primary_inputs(), 0) {}
-
-CycleResult CmosCircuitSim::cycle(std::uint64_t input_bits) {
-  pack_lane_words(&input_bits, 1, words_);
-  batch_.cycle(words_, 1u, scratch_);
-  return CycleResult{outputs_for_lane(scratch_.output_words, 0),
-                     scratch_.energy[0]};
+  std::fill(previous_values_.begin(), previous_values_.end(), 0);
 }
 
 std::uint64_t evaluate_circuit(const GateCircuit& circuit,

@@ -9,15 +9,16 @@
 //    consume C*VDD^2 on every 0->1 output transition (Hamming-distance
 //    leakage); this is the reference DPA-vulnerable implementation.
 //
-// Each simulator has a *Batch form that evaluates 64 independent circuit
+// Each simulator is a *Batch class that evaluates 64 independent circuit
 // instances bit-parallel (lane L of every std::uint64_t word is instance
-// L); the scalar classes are its width-1 case. Lane arithmetic is ordered
-// so that lane L of a batch cycle is bit-identical to a width-1 run fed
-// the same assignment sequence.
+// L); the scalar names alias its width-1 case, ScalarCircuitSim. Lane
+// arithmetic is ordered so that lane L of a batch cycle is bit-identical
+// to a width-1 run fed the same assignment sequence.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cell/circuit.hpp"
@@ -45,7 +46,9 @@ std::vector<std::size_t> gate_levels(const GateCircuit& circuit);
 /// Bit-parallel functional evaluation of a gate circuit: computes the
 /// 64-lane value word of every gate in one forward sweep.
 /// `input_words[i]` lane L is primary input i of circuit instance L; gate
-/// functions are applied as sum-of-minterms over the lane words.
+/// functions are applied as sum-of-minterms over the lane words. It also
+/// carries what every energy model needs of the circuit's shape: the gate
+/// count, each gate's logic level and the depth.
 class BatchGateEvaluator {
  public:
   explicit BatchGateEvaluator(const GateCircuit& circuit);
@@ -62,8 +65,15 @@ class BatchGateEvaluator {
     return gate_inputs_[gate];
   }
 
-  /// Lane word of circuit output i (valid after evaluate()).
-  std::uint64_t output_word(std::size_t i) const;
+  /// One lane word per circuit output into `words` (valid after
+  /// evaluate()).
+  void output_words(std::vector<std::uint64_t>& words) const;
+
+  std::size_t num_gates() const { return values_.size(); }
+  /// Gate g's topological level (gate_levels()), 1-based.
+  std::size_t level(std::size_t gate) const { return levels_[gate]; }
+  /// The circuit's logic depth: its deepest gate level (0 without gates).
+  std::size_t num_levels() const { return num_levels_; }
 
  private:
   const GateCircuit& circuit_;
@@ -71,6 +81,8 @@ class BatchGateEvaluator {
   std::vector<std::vector<std::uint64_t>> gate_inputs_;
   std::vector<std::uint64_t> values_;
   std::vector<std::uint64_t> primary_;
+  std::vector<std::size_t> levels_;
+  std::size_t num_levels_ = 0;
 };
 
 /// Per-lane results of one batched cycle.
@@ -89,9 +101,16 @@ struct SampledBatchCycleResult {
 };
 
 /// Collapses per-output lane words into the scalar output bitmask of one
-/// lane — the width-1 wrappers' view of a batch result.
+/// lane — the width-1 adapter's view of a batch result.
 std::uint64_t outputs_for_lane(const std::vector<std::uint64_t>& output_words,
                                std::size_t lane);
+
+// Every batch simulator below runs one private gate loop: it evaluates the
+// circuit, adds gate g's energy into the row row_for_gate(g) returns, in
+// gate order, and copies the output words. cycle() is that loop with every
+// gate on one row; cycle_sampled() puts gate g on row level(g) - 1. Each
+// simulator evaluates 64 lanes (lane_mask selects which) and writes only
+// the selected lanes' energy slots.
 
 class DifferentialCircuitSimBatch {
  public:
@@ -114,15 +133,16 @@ class DifferentialCircuitSimBatch {
   /// lane, so a new campaign starts from a reproducible state.
   void reset();
 
-  std::size_t num_levels() const { return num_levels_; }
-  const GateCircuit& circuit() const { return circuit_; }
+  std::size_t num_levels() const { return eval_.num_levels(); }
 
  private:
-  const GateCircuit& circuit_;
+  template <typename RowFn>
+  void gate_loop(const std::vector<std::uint64_t>& input_words,
+                 std::uint64_t lane_mask, RowFn&& row_for_gate,
+                 std::vector<std::uint64_t>& output_words);
+
   BatchGateEvaluator eval_;
   std::vector<SablGateSimBatch> gate_sims_;  // one per gate instance
-  std::vector<std::size_t> levels_;
-  std::size_t num_levels_ = 0;
   std::array<double, 64> gate_energy_;
 };
 
@@ -147,64 +167,69 @@ class CmosCircuitSimBatch {
   void reset();
 
   /// Samples per cycle_sampled() row: the circuit's logic depth.
-  std::size_t num_levels() const { return num_levels_; }
+  std::size_t num_levels() const { return eval_.num_levels(); }
 
  private:
-  // Shared body of cycle()/cycle_sampled(): evaluates the circuit and
-  // advances the lane history exactly once, adding each gate's
-  // rising-edge energy into row_for_gate(g). Rising gates are counted per
-  // lane in call-local carry-save planes, and each run of gates sharing a
-  // row adds its count times switch_energy_ once.
+  // Also advances the lane history exactly once. Rising gates are counted
+  // per lane in call-local carry-save planes, and each run of gates
+  // sharing a row adds its count times switch_energy_ once.
   template <typename RowFn>
-  void cycle_history(const std::vector<std::uint64_t>& input_words,
-                     std::uint64_t lane_mask, RowFn&& row_for_gate,
-                     std::vector<std::uint64_t>& output_words);
+  void gate_loop(const std::vector<std::uint64_t>& input_words,
+                 std::uint64_t lane_mask, RowFn&& row_for_gate,
+                 std::vector<std::uint64_t>& output_words);
 
-  const GateCircuit& circuit_;
   BatchGateEvaluator eval_;
   double switch_energy_;
   // Per gate, the value each lane held on its last selected cycle (0
   // before its first).
   std::vector<std::uint64_t> previous_values_;
-  std::vector<std::size_t> levels_;
-  std::size_t num_levels_ = 0;
 };
 
-class DifferentialCircuitSim {
+/// Width-1 adapter: one circuit instance carried in lane 0 of a batch
+/// simulator (pack lane 0, cycle, unpack). The scalar simulators are its
+/// aliases, so lane L of a batch cycle is bit-identical to a scalar run
+/// fed the same assignment sequence.
+template <typename Batch>
+class ScalarCircuitSim {
  public:
-  explicit DifferentialCircuitSim(const GateCircuit& circuit);
-
-  DifferentialCircuitSim(const GateCircuit& circuit,
-                         std::vector<GateEnergyModel> models);
+  /// Forwards to the batch simulator's constructor.
+  template <typename... Args>
+  explicit ScalarCircuitSim(const GateCircuit& circuit, Args&&... args)
+      : batch_(circuit, std::forward<Args>(args)...),
+        words_(circuit.num_primary_inputs(), 0) {}
 
   /// Evaluates one clock cycle with the given primary input bits.
-  CycleResult cycle(std::uint64_t input_bits);
+  CycleResult cycle(std::uint64_t input_bits) {
+    pack_lane_words(&input_bits, 1, words_);
+    batch_.cycle(words_, 1u, scratch_);
+    return CycleResult{outputs_for_lane(scratch_.output_words, 0),
+                       scratch_.energy[0]};
+  }
 
   /// As cycle(), with the energy split per logic level.
-  SampledCycleResult cycle_sampled(std::uint64_t input_bits);
+  SampledCycleResult cycle_sampled(std::uint64_t input_bits) {
+    pack_lane_words(&input_bits, 1, words_);
+    batch_.cycle_sampled(words_, 1u, sampled_scratch_);
+    SampledCycleResult result;
+    result.outputs = outputs_for_lane(sampled_scratch_.output_words, 0);
+    for (const auto& row : sampled_scratch_.level_energy) {
+      result.level_energy.push_back(row[0]);
+    }
+    return result;
+  }
 
   /// Number of logic levels (= samples per cycle).
   std::size_t num_levels() const { return batch_.num_levels(); }
 
  private:
-  DifferentialCircuitSimBatch batch_;  // lane 0 carries this instance
+  Batch batch_;
   std::vector<std::uint64_t> words_;
   BatchCycleResult scratch_;
   SampledBatchCycleResult sampled_scratch_;
 };
 
-class CmosCircuitSim {
- public:
-  /// `switch_energy` is the energy of one output 0->1 transition [J].
-  CmosCircuitSim(const GateCircuit& circuit, double switch_energy);
-
-  CycleResult cycle(std::uint64_t input_bits);
-
- private:
-  CmosCircuitSimBatch batch_;  // lane 0 carries this instance
-  std::vector<std::uint64_t> words_;
-  BatchCycleResult scratch_;
-};
+using DifferentialCircuitSim = ScalarCircuitSim<DifferentialCircuitSimBatch>;
+using CmosCircuitSim = ScalarCircuitSim<CmosCircuitSimBatch>;
 
 /// Scalar value of every gate (in gate order) for one input vector — the
 /// per-lane reference the batch evaluator is checked against.

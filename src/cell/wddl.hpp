@@ -16,7 +16,7 @@
 // mismatch = 0 is the ideal (perfectly balanced back-end) WDDL.
 //
 // WddlCircuitSimBatch evaluates 64 independent circuit instances
-// bit-parallel, and the scalar WddlCircuitSim is its width-1 case.
+// bit-parallel, and the scalar WddlCircuitSim aliases its width-1 case.
 #pragma once
 
 #include <cstdint>
@@ -26,11 +26,6 @@
 #include "util/rng.hpp"
 
 namespace sable {
-
-struct WddlGateModel {
-  double c_true = 0.0;   ///< load on the true output rail [F]
-  double c_false = 0.0;  ///< load on the false output rail [F]
-};
 
 class WddlCircuitSimBatch {
  public:
@@ -50,40 +45,26 @@ class WddlCircuitSimBatch {
   void cycle_sampled(const std::vector<std::uint64_t>& input_words,
                      std::uint64_t lane_mask, SampledBatchCycleResult& out);
 
+  /// A no-op: WDDL keeps no state across cycles.
+  void reset() {}
+
   /// Samples per cycle_sampled() row: the circuit's logic depth.
-  std::size_t num_levels() const { return num_levels_; }
-
-  const std::vector<WddlGateModel>& gate_models() const { return models_; }
+  std::size_t num_levels() const { return eval_.num_levels(); }
 
  private:
-  const GateCircuit& circuit_;
+  // Adds the rail delta of every gate whose true rail fired into its row
+  // (circuit_sim.hpp).
+  template <typename RowFn>
+  void gate_loop(const std::vector<std::uint64_t>& input_words,
+                 std::uint64_t lane_mask, RowFn&& row_for_gate,
+                 std::vector<std::uint64_t>& output_words);
+
   BatchGateEvaluator eval_;
-  double vdd_;
-  std::vector<WddlGateModel> models_;
-  double base_energy_ = 0.0;          // sum of false-rail energies
-  std::vector<double> rail_delta_;    // per gate: true minus false rail
-  std::vector<std::size_t> levels_;
-  std::size_t num_levels_ = 0;
-  std::vector<double> base_level_;    // per level: its false-rail sum
+  double base_energy_ = 0.0;        // sum of false-rail energies
+  std::vector<double> rail_delta_;  // per gate: true minus false rail
+  std::vector<double> base_level_;  // per level: its false-rail sum
 };
 
-class WddlCircuitSim {
- public:
-  WddlCircuitSim(const GateCircuit& circuit, const Technology& tech,
-                 double mismatch, std::uint64_t seed = 0x3DD1);
-
-  /// One precharge/evaluate cycle; energy charges exactly one rail load
-  /// per gate (the rail whose value is 1 after evaluation).
-  CycleResult cycle(std::uint64_t input_bits);
-
-  const std::vector<WddlGateModel>& gate_models() const {
-    return batch_.gate_models();
-  }
-
- private:
-  WddlCircuitSimBatch batch_;  // lane 0 carries this instance
-  std::vector<std::uint64_t> words_;
-  BatchCycleResult scratch_;
-};
+using WddlCircuitSim = ScalarCircuitSim<WddlCircuitSimBatch>;
 
 }  // namespace sable

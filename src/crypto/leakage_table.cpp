@@ -12,12 +12,6 @@ namespace sable {
 
 namespace {
 
-// Fresh-construction state before each tabulated block: only static CMOS
-// carries state that enters its energy.
-void make_fresh(CmosCircuitSimBatch& sim) { sim.reset(); }
-template <typename Sim>
-void make_fresh(Sim&) {}
-
 // Calls fn(sim) with a 64-lane simulator of `style`'s energy model.
 template <typename Fn>
 void with_simulator(const GateCircuit& circuit, LogicStyle style,
@@ -53,7 +47,8 @@ void with_simulator(const GateCircuit& circuit, LogicStyle style,
 
 // Simulates table rows [0, n) into out[row * width ...]: the no-history
 // rows x (pairs = false) or the pair rows (previous << bits) | x, each
-// block of 64 rows from fresh state. A pair row's lane first cycles its
+// block of 64 rows from fresh state (only static CMOS's state enters its
+// energy). A pair row's lane first cycles its
 // previous input, so the second cycle sees exactly the history a campaign
 // lane would. width = 0 takes the scalar cycle energy, otherwise the
 // `width` per-level energies of cycle_sampled.
@@ -69,7 +64,7 @@ void tabulate(Sim& sim, std::size_t bits, bool pairs, std::size_t width,
   for (std::size_t base = 0; base < n; base += 64) {
     const std::size_t lanes = std::min<std::size_t>(64, n - base);
     const std::uint64_t mask = lane_mask(lanes);
-    make_fresh(sim);
+    sim.reset();
     if (pairs) {
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         xs[lane] = static_cast<std::uint8_t>((base + lane) >> bits);

@@ -288,7 +288,6 @@ RoundTargetBase::RoundTargetBase(const RoundSpec& round,
   tables_.reserve(round.sboxes.size());
   lookups_.reserve(round.sboxes.size());
   runs_.reserve(round.sboxes.size());
-  const bool history = round.style == LogicStyle::kStaticCmos;
   std::size_t offset = 0;
   std::size_t window = 0;
   for (std::size_t i = 0; i < round.sboxes.size(); ++i) {
@@ -296,19 +295,6 @@ RoundTargetBase::RoundTargetBase(const RoundSpec& round,
     require_sub_word_width(spec.in_bits);
     SABLE_REQUIRE(spec.table.size() == (std::size_t{1} << spec.in_bits),
                   "S-box table must cover every input");
-    // The sub-word's window: the 8 state bytes from the previous
-    // instance's window if they hold all its bits, else from its own
-    // first byte (a 1-8-bit sub-word spans at most 15 bits from there).
-    // With history, the bits above it must fit too: the kernel reads the
-    // previous input from the window shifted up by in_bits.
-    const std::size_t span = history ? 2 * spec.in_bits : spec.in_bits;
-    if (i == 0 || offset + span > 8 * window + 64) window = offset / 8;
-    Lookup lookup;
-    lookup.window = static_cast<std::uint32_t>(window);
-    lookup.shift = static_cast<std::uint32_t>(offset - 8 * window);
-    lookup.mask = (std::uint64_t{1} << spec.in_bits) - 1;
-    lookup.bits = static_cast<std::uint32_t>(spec.in_bits);
-    offset += spec.in_bits;
     // Identical specs share one synthesized circuit (a 16-instance PRESENT
     // round synthesizes once) and, but for WDDL, its table.
     std::shared_ptr<const GateCircuit> circuit;
@@ -330,13 +316,27 @@ RoundTargetBase::RoundTargetBase(const RoundSpec& round,
       table = std::make_shared<const LeakageTable>(
           circuit, round.style, tech, 0x3DD1 + static_cast<std::uint64_t>(i));
     }
+    // The sub-word's window: the 8 state bytes from the previous
+    // instance's window if they hold all its bits, else from its own
+    // first byte (a 1-8-bit sub-word spans at most 15 bits from there).
+    // With history, the bits above it must fit too: the kernel reads the
+    // previous input from the window shifted up by in_bits.
+    const std::size_t span =
+        table->has_history() ? 2 * spec.in_bits : spec.in_bits;
+    if (i == 0 || offset + span > 8 * window + 64) window = offset / 8;
+    Lookup lookup;
+    lookup.window = static_cast<std::uint32_t>(window);
+    lookup.shift = static_cast<std::uint32_t>(offset - 8 * window);
+    lookup.mask = (std::uint64_t{1} << spec.in_bits) - 1;
+    lookup.bits = static_cast<std::uint32_t>(spec.in_bits);
+    offset += spec.in_bits;
     num_levels_ = std::max(num_levels_, table->num_levels());
     tables_.push_back(std::move(table));
     lookups_.push_back(lookup);
   }
   stride_ = round.state_bytes();
   last_window_ = window;
-  if (history) {
+  if (tables_[0]->has_history()) {
     // Every lane's last input, plus the slack a window read of lane 63
     // runs past its state.
     previous_.resize(64 * stride_ + sizeof(std::uint64_t));

@@ -264,31 +264,9 @@ void CorpusReader::require_shard(std::size_t s) const {
   }
 }
 
-std::size_t CorpusReader::shard_start(std::size_t s) const {
-  require_shard(s);
-  return static_cast<std::size_t>(s * manifest_.campaign.shard_size);
-}
-
 std::size_t CorpusReader::shard_count(std::size_t s) const {
   require_shard(s);
   return static_cast<std::size_t>(shards_[s].count);
-}
-
-const std::uint8_t* CorpusReader::shard_plaintexts(std::size_t s) const {
-  require_shard(s);
-  SABLE_REQUIRE(!compressed(),
-                "compressed corpus chunks have no zero-copy raw form; use "
-                "read_shard");
-  return file_.data() + shards_[s].offset;
-}
-
-const double* CorpusReader::shard_samples(std::size_t s) const {
-  require_shard(s);
-  SABLE_REQUIRE(!compressed(),
-                "compressed corpus chunks have no zero-copy raw form; use "
-                "read_shard");
-  return reinterpret_cast<const double*>(file_.data() + shards_[s].offset +
-                                         pad8(shards_[s].pt_bytes));
 }
 
 CorpusShardView CorpusReader::read_shard(std::size_t s,

@@ -201,23 +201,14 @@ class CorpusReader {
   }
   std::size_t num_shards() const { return manifest_.campaign.num_shards; }
 
-  /// Canonical start index / trace count of shard `s` (throws
-  /// ShardIndexError past num_shards()).
-  std::size_t shard_start(std::size_t s) const;
+  /// Trace count of shard `s` (throws ShardIndexError past num_shards()).
   std::size_t shard_count(std::size_t s) const;
 
-  /// Zero-copy pointers into the mapping: packed plaintext states
-  /// (shard_count(s) * pt_stride bytes) and sample rows
-  /// (shard_count(s) * sample_width doubles, 8-byte aligned). Raw
-  /// corpora only — compressed chunks have no in-mapping raw form
-  /// (InvalidArgument); go through read_shard instead.
-  const std::uint8_t* shard_plaintexts(std::size_t s) const;
-  const double* shard_samples(std::size_t s) const;
-
   /// The shard's traces regardless of compression: zero-copy views into
-  /// the mapping for raw corpora, decoded through `scratch` for
-  /// compressed ones (the view then aliases the scratch and is
-  /// invalidated by its next use). Typed IoErrors on corrupt streams.
+  /// the mapping for raw corpora (packed plaintext states, then 8-byte
+  /// aligned sample rows), decoded through `scratch` for compressed ones
+  /// (the view then aliases the scratch and is invalidated by its next
+  /// use). Typed IoErrors on corrupt streams.
   CorpusShardView read_shard(std::size_t s, CorpusDecodeScratch& scratch) const;
 
   /// Decodes a compressed shard into caller-owned buffers (resized to

@@ -94,17 +94,6 @@ std::vector<std::uint64_t> connected_to_external_batch(
   return reach;
 }
 
-std::uint64_t conducts_batch(const DpdnNetwork& net,
-                             const std::vector<std::uint64_t>& var_words,
-                             NodeId from, NodeId to) {
-  std::vector<std::uint64_t> masks;
-  device_conduction_masks(net, var_words, masks);
-  std::vector<std::uint64_t> reach(net.node_count(), 0);
-  reach[to] = ~std::uint64_t{0};
-  propagate_conduction(net, masks, reach);
-  return reach[from];
-}
-
 namespace {
 
 struct PathSearch {

@@ -61,12 +61,6 @@ void propagate_conduction(const DpdnNetwork& net,
 std::vector<std::uint64_t> connected_to_external_batch(
     const DpdnNetwork& net, const std::vector<std::uint64_t>& var_words);
 
-/// Lane word of the conduction function between two nodes: bit L set iff
-/// `from` conducts to `to` in lane L. The 64-lane form of conducts().
-std::uint64_t conducts_batch(const DpdnNetwork& net,
-                             const std::vector<std::uint64_t>& var_words,
-                             NodeId from, NodeId to);
-
 /// A structural conduction path: the device indices along a simple path.
 struct ConductionPath {
   std::vector<std::size_t> device_indices;

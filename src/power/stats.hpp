@@ -52,18 +52,6 @@ class OnlineMoments {
   /// regardless of which thread produced which operand.
   void merge(const OnlineMoments& other);
 
-  /// Accumulator holding externally computed moments — the bridge from
-  /// the block-factored sufficient statistics (dpa/block_stats.hpp) back
-  /// into Welford form, so a whole block folds in through the same
-  /// pairwise merge the sharded campaigns use.
-  static OnlineMoments from_parts(std::size_t n, double mean, double m2) {
-    OnlineMoments moments;
-    moments.n_ = n;
-    moments.mean_ = mean;
-    moments.m2_ = m2;
-    return moments;
-  }
-
   std::size_t count() const { return n_; }
   double mean() const { return mean_; }
   /// Sum of squared deviations from the running mean.

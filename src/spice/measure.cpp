@@ -68,16 +68,4 @@ double peak_delivered_current(const TranResult& result,
   return peak;
 }
 
-double discharge_swing(const TranResult& result, const std::string& node,
-                       double t0, double t1) {
-  const auto& volts = result.v(node);
-  const std::size_t k0 = result.sample_at(t0);
-  double low = volts[k0];
-  for (std::size_t k = k0; k < result.time.size() && result.time[k] <= t1;
-       ++k) {
-    low = std::min(low, volts[k]);
-  }
-  return volts[k0] - low;
-}
-
 }  // namespace sable::spice

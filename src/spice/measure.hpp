@@ -27,8 +27,4 @@ double delivered_energy(const TranResult& result, const std::string& name,
 double peak_delivered_current(const TranResult& result, const std::string& name,
                               double t0, double t1);
 
-/// Voltage swing of node `node` in [t0, t1]: v(t0) - min over window.
-double discharge_swing(const TranResult& result, const std::string& node,
-                       double t0, double t1);
-
 }  // namespace sable::spice

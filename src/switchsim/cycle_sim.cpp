@@ -63,28 +63,6 @@ void byte_planes_64_portable(const std::uint8_t* src, std::uint64_t* planes) {
 }  // namespace
 
 template <typename W>
-void pack_lane_words_gather(const std::uint64_t* assignments,
-                            std::size_t count, std::vector<W>& words) {
-  using T = LaneTraits<W>;
-  SABLE_ASSERT(count <= T::kLanes, "more assignments than lanes in the word");
-  for (std::size_t v = 0; v < words.size(); ++v) {
-    std::uint64_t chunks[T::kChunks];
-    for (std::size_t j = 0; j < T::kChunks; ++j) {
-      const std::size_t base = 64 * j;
-      const std::size_t lanes = count > base ? std::min<std::size_t>(
-                                                   64, count - base)
-                                             : 0;
-      std::uint64_t chunk = 0;
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        chunk |= ((assignments[base + lane] >> v) & 1u) << lane;
-      }
-      chunks[j] = chunk;
-    }
-    words[v] = lane_from_chunks<W>(chunks);
-  }
-}
-
-template <typename W>
 void pack_lane_words(const std::uint64_t* assignments, std::size_t count,
                      std::vector<W>& words) {
   using T = LaneTraits<W>;
@@ -149,9 +127,7 @@ void pack_lane_words(const std::uint8_t* values, std::size_t count,
   template void pack_lane_words<W>(const std::uint64_t*, std::size_t,     \
                                    std::vector<W>&);                      \
   template void pack_lane_words<W>(const std::uint8_t*, std::size_t,      \
-                                   std::vector<W>&);                      \
-  template void pack_lane_words_gather<W>(const std::uint64_t*,           \
-                                          std::size_t, std::vector<W>&);
+                                   std::vector<W>&);
 
 SABLE_INSTANTIATE_PACK(std::uint64_t)
 SABLE_INSTANTIATE_PACK(Word128)

@@ -16,7 +16,7 @@
 // the same assignment sequence.
 //
 // The header also carries the bit-matrix transposes: pack_lane_words, the
-// portable lane packer the leakage-table build and the width-1 wrappers
+// portable lane packer the leakage-table build and the width-1 adapters
 // use, and bit_transpose_blocks, the corpus codec's 64×64 transpose. Both
 // run one portable 64×64 body.
 #pragma once
@@ -37,9 +37,10 @@ namespace sable {
 /// `words` must be pre-sized to the variable count (at most 64); lanes at
 /// `count` and beyond are cleared. Implemented as a portable Hacker's
 /// Delight 64×64 bit-matrix transpose per chunk, with a single-lane fast
-/// path; its output is bit-identical to the per-bit gather at every width
-/// and ragged count. Packing runs only while leakage tables are built
-/// (TraceEngine construction) and in the width-1 wrappers.
+/// path; its output is bit-identical to a per-bit gather (the reference
+/// tests/pack_transpose_test.cpp keeps) at every width and ragged count.
+/// Packing runs only while leakage tables are built (TraceEngine
+/// construction) and in the width-1 adapters.
 template <typename W>
 void pack_lane_words(const std::uint64_t* assignments, std::size_t count,
                      std::vector<W>& words);
@@ -50,13 +51,6 @@ void pack_lane_words(const std::uint64_t* assignments, std::size_t count,
 template <typename W>
 void pack_lane_words(const std::uint8_t* values, std::size_t count,
                      std::vector<W>& words);
-
-/// The historic per-bit gather, kept as the independently-simple
-/// reference implementation: property tests and the pack_transpose bench
-/// row compare the transpose against it lane for lane.
-template <typename W>
-void pack_lane_words_gather(const std::uint64_t* assignments,
-                            std::size_t count, std::vector<W>& words);
 
 /// Three delta-swap levels over eight words in place: rows j and j + 4
 /// swap blocks of 4S bits, then rows j and j + 2 blocks of 2S bits, then

@@ -35,12 +35,6 @@ std::string_view trim(std::string_view text) {
   return text.substr(b, e - b);
 }
 
-std::string format_sig(double value, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*g", digits, value);
-  return buf;
-}
-
 std::string format_eng(double value, std::string_view unit) {
   static constexpr struct {
     double scale;

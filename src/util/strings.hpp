@@ -16,9 +16,6 @@ std::vector<std::string> split(std::string_view text, char sep);
 /// Trims ASCII whitespace from both ends.
 std::string_view trim(std::string_view text);
 
-/// Formats a double with `digits` significant digits (for table output).
-std::string format_sig(double value, int digits);
-
 /// Formats `value` in engineering notation with a unit ("19.32f" + "F").
 std::string format_eng(double value, std::string_view unit);
 

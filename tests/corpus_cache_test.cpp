@@ -195,9 +195,13 @@ TEST_F(SharedCorpusTest, RawCorpusBypassesCache) {
   SharedCorpus corpus(raw_path_);
   {
     const SharedCorpus::Lease lease = corpus.acquire(0);
-    // Zero-copy: the lease aliases the shared mapping directly.
-    EXPECT_EQ(lease.view().pts, corpus.reader().shard_plaintexts(0));
-    EXPECT_EQ(lease.view().samples, corpus.reader().shard_samples(0));
+    // Zero-copy: the lease aliases the shared mapping directly, as a raw
+    // read_shard does without touching its scratch.
+    CorpusDecodeScratch scratch;
+    const CorpusShardView mapped = corpus.reader().read_shard(0, scratch);
+    EXPECT_TRUE(scratch.pts.empty());
+    EXPECT_EQ(lease.view().pts, mapped.pts);
+    EXPECT_EQ(lease.view().samples, mapped.samples);
   }
   TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
   CpaDistinguisher cpa(engine.spec(),

@@ -2,8 +2,8 @@
 // pack_lane_words — a portable 64×64 Hacker's Delight transpose per chunk
 // for u64 sources, 8×8 byte-block transposes for byte sources, and the
 // single-lane fast path — must be bit-identical to pack_lane_words_gather,
-// the independently-simple per-bit reference, at every lane width,
-// variable count and ragged lane count. Word128 is plain chunk storage,
+// the independently-simple per-bit reference defined here, at every lane
+// width, variable count and ragged lane count. Word128 is plain chunk storage,
 // so every width runs on every CPU. bit_transpose_blocks, the codec's
 // transpose through the same 64×64 body, is checked against a per-bit
 // transpose. Also covers the lane-word helpers of
@@ -11,6 +11,7 @@
 // on out-of-range counts) and the masked per-lane walks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -21,6 +22,29 @@
 
 namespace sable {
 namespace {
+
+// The per-bit gather: lane L of words[v] is bit v of assignments[L],
+// one bit at a time; lanes at `count` and beyond are cleared.
+template <typename W>
+void pack_lane_words_gather(const std::uint64_t* assignments,
+                            std::size_t count, std::vector<W>& words) {
+  using T = LaneTraits<W>;
+  ASSERT_LE(count, T::kLanes) << "more assignments than lanes in the word";
+  for (std::size_t v = 0; v < words.size(); ++v) {
+    std::uint64_t chunks[T::kChunks];
+    for (std::size_t j = 0; j < T::kChunks; ++j) {
+      const std::size_t base = 64 * j;
+      const std::size_t lanes =
+          count > base ? std::min<std::size_t>(64, count - base) : 0;
+      std::uint64_t chunk = 0;
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        chunk |= ((assignments[base + lane] >> v) & 1u) << lane;
+      }
+      chunks[j] = chunk;
+    }
+    words[v] = lane_from_chunks<W>(chunks);
+  }
+}
 
 // Ragged and aligned lane counts worth probing, clipped to the word:
 // single lane, partial / exact / overflowing first chunk, partial second

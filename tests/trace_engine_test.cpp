@@ -93,6 +93,21 @@ GateCircuit random_circuit(Rng& rng, std::size_t num_vars,
   return build_from_expressions(outputs, num_vars, variant, kTech);
 }
 
+// Lane `lane` of a batch cycle_sampled() against the width-1 adapter's
+// cycle_sampled() on the same input, level by level.
+template <typename Scalar>
+void expect_sampled_lane_matches(const SampledBatchCycleResult& batch,
+                                 std::size_t lane, Scalar& scalar,
+                                 std::uint64_t input) {
+  const SampledCycleResult ref = scalar.cycle_sampled(input);
+  ASSERT_EQ(ref.level_energy.size(), batch.level_energy.size()) << lane;
+  for (std::size_t l = 0; l < ref.level_energy.size(); ++l) {
+    EXPECT_EQ(batch.level_energy[l][lane], ref.level_energy[l])
+        << "lane " << lane << " level " << l;
+  }
+  EXPECT_EQ(outputs_for_lane(batch.output_words, lane), ref.outputs) << lane;
+}
+
 TEST(BatchCircuitSimTest, DifferentialLanesMatchScalar) {
   Rng rng(0x51AB);
   for (int round = 0; round < 3; ++round) {
@@ -100,16 +115,24 @@ TEST(BatchCircuitSimTest, DifferentialLanesMatchScalar) {
         round == 0 ? NetworkVariant::kGenuine : NetworkVariant::kFullyConnected;
     const GateCircuit circuit = random_circuit(rng, 4, variant);
     DifferentialCircuitSimBatch batch(circuit);
+    DifferentialCircuitSimBatch sampled_batch(circuit);
     std::vector<DifferentialCircuitSim> scalars;
+    std::vector<DifferentialCircuitSim> sampled_scalars;
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
       scalars.emplace_back(circuit);
+      sampled_scalars.emplace_back(circuit);
     }
     BatchCycleResult out;
+    SampledBatchCycleResult sampled;
     for (int cycle = 0; cycle < 3; ++cycle) {
       std::vector<std::uint64_t> plan(kLanes);
       for (auto& a : plan) a = rng.below(16);
       batch.cycle(lane_words(plan, 4), ~std::uint64_t{0}, out);
+      sampled_batch.cycle_sampled(lane_words(plan, 4), ~std::uint64_t{0},
+                                  sampled);
       for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        expect_sampled_lane_matches(sampled, lane, sampled_scalars[lane],
+                                    plan[lane]);
         const CycleResult ref = scalars[lane].cycle(plan[lane]);
         EXPECT_EQ(out.energy[lane], ref.energy) << lane;
         std::uint64_t outputs = 0;
@@ -129,18 +152,26 @@ TEST(BatchCircuitSimTest, CmosLanesCarryIndependentHistory) {
       random_circuit(rng, 4, NetworkVariant::kFullyConnected);
   const double e_sw = 5e-15 * kTech.vdd * kTech.vdd;
   CmosCircuitSimBatch batch(circuit, e_sw);
+  CmosCircuitSimBatch sampled_batch(circuit, e_sw);
   std::vector<CmosCircuitSim> scalars;
+  std::vector<CmosCircuitSim> sampled_scalars;
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     scalars.emplace_back(circuit, e_sw);
+    sampled_scalars.emplace_back(circuit, e_sw);
   }
   BatchCycleResult out;
+  SampledBatchCycleResult sampled;
   // Several cycles: Hamming-distance energy depends on each lane's own
   // previous values, so agreement here proves the histories do not mix.
   for (int cycle = 0; cycle < 5; ++cycle) {
     std::vector<std::uint64_t> plan(kLanes);
     for (auto& a : plan) a = rng.below(16);
     batch.cycle(lane_words(plan, 4), ~std::uint64_t{0}, out);
+    sampled_batch.cycle_sampled(lane_words(plan, 4), ~std::uint64_t{0},
+                                sampled);
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      expect_sampled_lane_matches(sampled, lane, sampled_scalars[lane],
+                                  plan[lane]);
       const CycleResult ref = scalars[lane].cycle(plan[lane]);
       EXPECT_EQ(out.energy[lane], ref.energy)
           << "cycle " << cycle << " lane " << lane;
@@ -158,12 +189,15 @@ TEST(BatchCircuitSimTest, WddlLanesMatchScalar) {
     scalars.emplace_back(circuit, kTech, 0.05);
   }
   BatchCycleResult out;
+  SampledBatchCycleResult sampled;
   std::vector<std::uint64_t> plan(kLanes);
   for (auto& a : plan) a = rng.below(16);
   batch.cycle(lane_words(plan, 4), ~std::uint64_t{0}, out);
+  batch.cycle_sampled(lane_words(plan, 4), ~std::uint64_t{0}, sampled);
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     EXPECT_EQ(out.energy[lane], scalars[lane].cycle(plan[lane]).energy)
         << lane;
+    expect_sampled_lane_matches(sampled, lane, scalars[lane], plan[lane]);
   }
 }
 
