@@ -1,10 +1,18 @@
 // Tests for the mini-SPICE engine: linear algebra, waveforms, the level-1
 // MOSFET model, DC operating points and transient analysis, each checked
-// against closed-form circuit theory.
+// against closed-form circuit theory, plus fingerprints that pin every
+// solver and testbench sample bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
+#include "core/fc_synthesizer.hpp"
+#include "core/genuine_builder.hpp"
+#include "expr/parser.hpp"
+#include "sabl/testbench.hpp"
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
 #include "spice/measure.hpp"
@@ -123,11 +131,27 @@ TEST(MosfetTest, ContinuityAtRegionBoundary) {
   EXPECT_NEAR(below.id, above.id, std::fabs(above.id) * 1e-6);
 }
 
-TEST(DcTest, ResistiveDivider) {
+Circuit resistive_divider() {
   Circuit ckt;
   ckt.add_vsource("vin", "in", "0", Waveform::dc(2.0));
   ckt.add_resistor("in", "mid", 1000.0);
   ckt.add_resistor("mid", "0", 1000.0);
+  return ckt;
+}
+
+Circuit cmos_inverter(double vin) {
+  Circuit ckt;
+  ckt.add_vsource("vdd", "vdd", "0", Waveform::dc(kTech.vdd));
+  ckt.add_vsource("vin", "in", "0", Waveform::dc(vin));
+  ckt.add_mosfet("mp", MosType::kPmos, "out", "in", "vdd", kTech.pmos, 2e-6,
+                 0.18e-6);
+  ckt.add_mosfet("mn", MosType::kNmos, "out", "in", "0", kTech.nmos, 1e-6,
+                 0.18e-6);
+  return ckt;
+}
+
+TEST(DcTest, ResistiveDivider) {
+  const Circuit ckt = resistive_divider();
   const DcResult dc = dc_operating_point(ckt);
   ASSERT_TRUE(dc.converged);
   EXPECT_NEAR(dc.node_voltage[ckt.find_node("mid")], 1.0, 1e-6);
@@ -136,24 +160,12 @@ TEST(DcTest, ResistiveDivider) {
 }
 
 TEST(DcTest, CmosInverterTransferPoints) {
-  Circuit ckt;
-  ckt.add_vsource("vdd", "vdd", "0", Waveform::dc(kTech.vdd));
-  ckt.add_vsource("vin", "in", "0", Waveform::dc(0.0));
-  ckt.add_mosfet("mp", MosType::kPmos, "out", "in", "vdd", kTech.pmos, 2e-6,
-                 0.18e-6);
-  ckt.add_mosfet("mn", MosType::kNmos, "out", "in", "0", kTech.nmos, 1e-6,
-                 0.18e-6);
+  const Circuit ckt = cmos_inverter(0.0);
   const DcResult low_in = dc_operating_point(ckt);
   ASSERT_TRUE(low_in.converged);
   EXPECT_GT(low_in.node_voltage[ckt.find_node("out")], kTech.vdd - 0.05);
 
-  Circuit ckt_high;
-  ckt_high.add_vsource("vdd", "vdd", "0", Waveform::dc(kTech.vdd));
-  ckt_high.add_vsource("vin", "in", "0", Waveform::dc(kTech.vdd));
-  ckt_high.add_mosfet("mp", MosType::kPmos, "out", "in", "vdd", kTech.pmos,
-                      2e-6, 0.18e-6);
-  ckt_high.add_mosfet("mn", MosType::kNmos, "out", "in", "0", kTech.nmos,
-                      1e-6, 0.18e-6);
+  const Circuit ckt_high = cmos_inverter(kTech.vdd);
   const DcResult high_in = dc_operating_point(ckt_high);
   ASSERT_TRUE(high_in.converged);
   EXPECT_LT(high_in.node_voltage[ckt_high.find_node("out")], 0.05);
@@ -212,9 +224,8 @@ TEST(TransientTest, InverterSwitchesWithPulseInput) {
   EXPECT_GT(res.v("out")[res.sample_at(1.9e-9)], kTech.vdd - 0.1);
 }
 
-TEST(TransientTest, RingOscillatorOscillates) {
-  // Three-stage ring oscillator: self-sustained oscillation checks the
-  // Newton loop through repeated full-swing nonlinear transitions.
+// Three-stage ring oscillator with every stage loaded by 10 fF.
+Circuit ring_oscillator() {
   Circuit ckt;
   ckt.add_vsource("vdd", "vdd", "0", Waveform::dc(kTech.vdd));
   const char* nodes[] = {"n1", "n2", "n3"};
@@ -227,11 +238,22 @@ TEST(TransientTest, RingOscillatorOscillates) {
                    kTech.nmos, 1e-6, 0.18e-6);
     ckt.add_capacitor(out, "0", 10e-15);
   }
+  return ckt;
+}
+
+TransientOptions ring_oscillator_options() {
   TransientOptions opt;
   opt.t_stop = 4e-9;
   opt.dt = 2e-12;
   opt.initial_voltages["n1"] = kTech.vdd;  // break the symmetry
-  const TranResult res = run_transient(ckt, opt);
+  return opt;
+}
+
+TEST(TransientTest, RingOscillatorOscillates) {
+  // Self-sustained oscillation checks the Newton loop through repeated
+  // full-swing nonlinear transitions.
+  const TranResult res =
+      run_transient(ring_oscillator(), ring_oscillator_options());
   // Count zero crossings of n1 around vdd/2 in the second half.
   const auto& v = res.v("n1");
   int crossings = 0;
@@ -255,6 +277,93 @@ TEST(MeasureTest, IntegrateConstant) {
   const std::vector<double> y = {2.0, 2.0, 2.0, 2.0};
   EXPECT_NEAR(integrate(t, y, 0.0, 3.0), 6.0, 1e-12);
   EXPECT_NEAR(integrate(t, y, 0.5, 1.5), 2.0, 1e-12);
+}
+
+// FNV-1a 64 over the bit patterns of a sequence of doubles.
+class Fingerprint {
+ public:
+  void feed(double v) { feed_bits(std::bit_cast<std::uint64_t>(v)); }
+  void feed(std::span<const double> values) {
+    for (const double v : values) feed(v);
+  }
+  void feed_bits(std::uint64_t bits) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      hash_ ^= (bits >> shift) & 0xFFu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t waves_fingerprint(const TranResult& waves) {
+  Fingerprint fp;
+  fp.feed(waves.time);
+  for (const auto& v : waves.voltage) fp.feed(v);
+  for (const auto& i : waves.branch_current) fp.feed(i);
+  return fp.value();
+}
+
+std::uint64_t run_fingerprint(const SablRunResult& run) {
+  Fingerprint fp;
+  fp.feed_bits(waves_fingerprint(run.waves));
+  for (const CycleMeasurement& c : run.cycles) {
+    fp.feed_bits(c.assignment);
+    fp.feed(c.energy);
+    fp.feed(c.charge);
+    fp.feed(c.peak_current);
+    fp.feed(c.recharged_capacitance);
+  }
+  fp.feed(run.cycle_start);
+  fp.feed(run.period);
+  return fp.value();
+}
+
+std::uint64_t dc_fingerprint(const DcResult& dc) {
+  Fingerprint fp;
+  fp.feed_bits(dc.converged);
+  fp.feed(dc.node_voltage);
+  fp.feed(dc.source_current);
+  return fp.value();
+}
+
+// Every sample bit of the DC solver, the transient solver and the SABL and
+// CVSL testbenches, pinned as constants. The tests above check closed-form
+// behaviour within tolerances, so only these fingerprints catch a change
+// to the stamp order, the Newton loop or the stimulus timing. The gate
+// runs are those of SablSpiceTest.FullyConnectedIsFlatterThanGenuine and
+// CvslSpiceTest.TransitionEnergyIsDataDependent.
+TEST(SpiceTest, WaveformBitsArePinned) {
+  EXPECT_EQ(dc_fingerprint(dc_operating_point(resistive_divider())),
+            0xccfde9179c7e28e9ull);
+  EXPECT_EQ(dc_fingerprint(dc_operating_point(cmos_inverter(0.0))),
+            0xeefdee8bd310d138ull);
+  EXPECT_EQ(dc_fingerprint(dc_operating_point(cmos_inverter(kTech.vdd))),
+            0x8f424c3d62495730ull);
+  EXPECT_EQ(waves_fingerprint(
+                run_transient(ring_oscillator(), ring_oscillator_options())),
+            0xa15f584bbd8144f8ull);
+
+  VarTable vars;
+  const ExprPtr f = parse_expression("A.B", vars);
+  const SizingPlan sizing = SizingPlan::defaults(kTech);
+  const DpdnNetwork genuine = build_genuine_dpdn(f, 2);
+  const DpdnNetwork fc = synthesize_fc_dpdn(f, 2);
+  const std::vector<std::uint64_t> sabl_seq = {0b11, 0b00, 0b00, 0b01,
+                                               0b10, 0b11, 0b00};
+  EXPECT_EQ(run_fingerprint(
+                run_sabl_sequence(genuine, vars, kTech, sizing, sabl_seq)),
+            0x4552a1f50379ccb4ull);
+  EXPECT_EQ(
+      run_fingerprint(run_sabl_sequence(fc, vars, kTech, sizing, sabl_seq)),
+      0xd498f0ef218225a5ull);
+  const std::vector<std::uint64_t> cvsl_seq = {0b00, 0b11, 0b00, 0b01,
+                                               0b10, 0b11, 0b01};
+  EXPECT_EQ(run_fingerprint(
+                run_cvsl_sequence(genuine, vars, kTech, sizing, cvsl_seq)),
+            0x057788f03ea55a79ull);
 }
 
 }  // namespace
