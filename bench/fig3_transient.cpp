@@ -48,7 +48,7 @@ int main() {
   // Quantitative overlap of the supply current profiles.
   double max_dev = 0.0;
   double peak = 0.0;
-  for (double dt = 0.0; dt < opt.period; dt += opt.dt) {
+  for (double dt = 0.0; dt < opt.period; dt += kTestbenchDt) {
     const double i0 = -w.i("vdd")[w.sample_at(t0 + dt)];
     const double i1 = -w.i("vdd")[w.sample_at(t1 + dt)];
     max_dev = std::max(max_dev, std::fabs(i0 - i1));

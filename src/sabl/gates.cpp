@@ -1,9 +1,47 @@
-#include "sabl/sabl_gate.hpp"
+// Transistor-level assembly of the SABL gate (sabl_gate.hpp) and the static
+// CVSL gate (cvsl_gate.hpp): both hang the same DPDN devices between their
+// output nodes. The order in which elements are added fixes the node and
+// MNA unknown order, and with it every solver result bit.
+#include <array>
 
+#include "sabl/cvsl_gate.hpp"
+#include "sabl/sabl_gate.hpp"
 #include "tech/capacitance.hpp"
-#include "util/error.hpp"
 
 namespace sable {
+
+namespace {
+
+// Names the DPDN nodes (X, Y and Z, nodes 0-2, take `external`; internals
+// keep theirs, prefixed "n_") and the input rails, then adds one NMOS per
+// DPDN device, gated by its literal's rail.
+template <class Gate>
+void add_dpdn(Gate& gate, const DpdnNetwork& net, const VarTable& vars,
+              const Technology& tech, const SizingPlan& sizing,
+              const std::array<const char*, 3>& external) {
+  gate.dpdn_node_names.resize(net.node_count());
+  for (NodeId n = 0; n < net.node_count(); ++n) {
+    gate.dpdn_node_names[n] = net.is_external(n)
+                                  ? std::string(external[n])
+                                  : "n_" + net.node_name(n);
+  }
+  for (VarId v = 0; v < net.num_vars(); ++v) {
+    gate.input_true.push_back("in_" + vars.name(v));
+    gate.input_false.push_back("inb_" + vars.name(v));
+  }
+  std::size_t dev_index = 0;
+  for (const auto& d : net.devices()) {
+    const std::string gate_node = d.gate.positive
+                                      ? gate.input_true[d.gate.var]
+                                      : gate.input_false[d.gate.var];
+    gate.circuit.add_mosfet("mn_dpdn_" + std::to_string(dev_index++),
+                            spice::MosType::kNmos, gate.dpdn_node_names[d.a],
+                            gate_node, gate.dpdn_node_names[d.b], tech.nmos,
+                            sizing.dpdn_width, sizing.length);
+  }
+}
+
+}  // namespace
 
 SablGateCircuit assemble_sabl_gate(const DpdnNetwork& net,
                                    const VarTable& vars,
@@ -11,32 +49,6 @@ SablGateCircuit assemble_sabl_gate(const DpdnNetwork& net,
                                    const SizingPlan& sizing) {
   SablGateCircuit gate;
   spice::Circuit& ckt = gate.circuit;
-
-  // DPDN node naming: externals get fixed names, internals keep theirs.
-  gate.dpdn_node_names.resize(net.node_count());
-  for (NodeId n = 0; n < net.node_count(); ++n) {
-    switch (net.node_kind(n)) {
-      case NodeKind::kX:
-        gate.dpdn_node_names[n] = "x";
-        break;
-      case NodeKind::kY:
-        gate.dpdn_node_names[n] = "y";
-        break;
-      case NodeKind::kZ:
-        gate.dpdn_node_names[n] = "z";
-        break;
-      case NodeKind::kInternal:
-        gate.dpdn_node_names[n] = "n_" + net.node_name(n);
-        break;
-    }
-  }
-
-  // Input rails.
-  for (VarId v = 0; v < net.num_vars(); ++v) {
-    gate.input_true.push_back("in_" + vars.name(v));
-    gate.input_false.push_back("inb_" + vars.name(v));
-  }
-
   const double l = sizing.length;
 
   // Sense amplifier.
@@ -59,16 +71,7 @@ SablGateCircuit assemble_sabl_gate(const DpdnNetwork& net,
   ckt.add_mosfet("mn_foot", spice::MosType::kNmos, "z", "clk", "0", tech.nmos,
                  sizing.foot_width, l);
 
-  // DPDN switches.
-  std::size_t dev_index = 0;
-  for (const auto& d : net.devices()) {
-    const std::string gate_node = d.gate.positive
-                                      ? gate.input_true[d.gate.var]
-                                      : gate.input_false[d.gate.var];
-    ckt.add_mosfet("mn_dpdn_" + std::to_string(dev_index++),
-                   spice::MosType::kNmos, gate.dpdn_node_names[d.a], gate_node,
-                   gate.dpdn_node_names[d.b], tech.nmos, sizing.dpdn_width, l);
-  }
+  add_dpdn(gate, net, vars, tech, sizing, {"x", "y", "z"});
 
   // Output inverters. When f = 1 the X side fires and sense node s falls,
   // so out = inv(s) goes high: out follows f, outb = inv(sb) follows f'.
@@ -116,6 +119,33 @@ SablGateCircuit assemble_sabl_gate(const DpdnNetwork& net,
   ckt.add_capacitor("out", "0", out_cap);
   ckt.add_capacitor("outb", "0", out_cap);
 
+  return gate;
+}
+
+CvslGateCircuit assemble_cvsl_gate(const DpdnNetwork& net,
+                                   const VarTable& vars,
+                                   const Technology& tech,
+                                   const SizingPlan& sizing) {
+  CvslGateCircuit gate;
+  spice::Circuit& ckt = gate.circuit;
+
+  ckt.add_mosfet("mp_cc_q", spice::MosType::kPmos, "q", "nq", "vdd", tech.pmos,
+                 sizing.sense_p_width, sizing.length);
+  ckt.add_mosfet("mp_cc_nq", spice::MosType::kPmos, "nq", "q", "vdd",
+                 tech.pmos, sizing.sense_p_width, sizing.length);
+
+  // f pulls the complement output low, f' the true one; CVSL has no
+  // clocked foot, so Z is ground.
+  add_dpdn(gate, net, vars, tech, sizing, {"nq", "q", "0"});
+
+  auto caps = dpdn_node_capacitances(net, tech, sizing);
+  const double jp = tech.pmos.cj_per_width + tech.pmos.cov_per_width;
+  caps[DpdnNetwork::kNodeX] += jp * sizing.sense_p_width + sizing.output_load;
+  caps[DpdnNetwork::kNodeY] += jp * sizing.sense_p_width + sizing.output_load;
+  for (NodeId n = 0; n < net.node_count(); ++n) {
+    if (n == DpdnNetwork::kNodeZ) continue;  // grounded
+    ckt.add_capacitor(gate.dpdn_node_names[n], "0", caps[n]);
+  }
   return gate;
 }
 

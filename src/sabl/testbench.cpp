@@ -7,74 +7,110 @@ namespace sable {
 
 namespace {
 
+constexpr double kEdge = 50e-12;         ///< stimulus rise/fall time [s]
+constexpr double kInputDelay = 250e-12;  ///< stage delay: the overlap [s]
+constexpr std::size_t kWarmupCycles = 2;
+
 // PWL rail for one input literal over the padded input sequence.
 // For cycle k the literal is `level` during the window
-// [kT + d, kT + T/2 + d] (d = input_delay), with `edge`-long transitions.
+// [kT + d, kT + T/2 + d] (d = kInputDelay), with kEdge-long transitions.
 spice::Waveform input_waveform(const std::vector<bool>& level_per_cycle,
-                               double vdd, const TestbenchOptions& opt) {
+                               double vdd, double period) {
   // Dynamic-logic rails return to 0 every precharge, so the high windows of
   // consecutive cycles never abut: each active cycle is a separate pulse.
   std::vector<std::pair<double, double>> pts;
   pts.emplace_back(0.0, 0.0);
   for (std::size_t k = 0; k < level_per_cycle.size(); ++k) {
     if (!level_per_cycle[k]) continue;
-    const double t0 = static_cast<double>(k) * opt.period + opt.input_delay;
-    const double t1 = t0 + opt.period / 2;  // hold into the precharge phase
+    const double t0 = static_cast<double>(k) * period + kInputDelay;
+    const double t1 = t0 + period / 2;  // hold into the precharge phase
     pts.emplace_back(t0, 0.0);
-    pts.emplace_back(t0 + opt.edge, vdd);
+    pts.emplace_back(t0 + kEdge, vdd);
     pts.emplace_back(t1, vdd);
-    pts.emplace_back(t1 + opt.edge, 0.0);
+    pts.emplace_back(t1 + kEdge, 0.0);
   }
   return spice::Waveform::pwl(std::move(pts));
 }
 
 // Full-swing rail for CVSL: holds the cycle's level for the whole period.
 spice::Waveform static_waveform(const std::vector<bool>& level_per_cycle,
-                                double vdd, const TestbenchOptions& opt) {
+                                double vdd, double period) {
   std::vector<std::pair<double, double>> pts;
   double current = level_per_cycle.empty() || !level_per_cycle[0] ? 0.0 : vdd;
   pts.emplace_back(0.0, current);
   for (std::size_t k = 1; k < level_per_cycle.size(); ++k) {
     const double target = level_per_cycle[k] ? vdd : 0.0;
     if (target == current) continue;
-    const double t = static_cast<double>(k) * opt.period;
+    const double t = static_cast<double>(k) * period;
     pts.emplace_back(t, current);
-    pts.emplace_back(t + opt.edge, target);
+    pts.emplace_back(t + kEdge, target);
     current = target;
   }
   return spice::Waveform::pwl(std::move(pts));
 }
 
-std::vector<std::uint64_t> pad_warmup(const std::vector<std::uint64_t>& inputs,
-                                      std::size_t warmup) {
+// The run shared by both gates: the supply, the clock (precharged gates
+// only), one rail per input literal over the warm-up-padded sequence, the
+// transient, and the supply measurements of every measured cycle.
+// Precharged rails return to 0 every cycle; static rails hold their level.
+template <class Gate>
+SablRunResult run_gate(Gate gate, std::size_t num_vars, double vdd,
+                       const std::vector<std::uint64_t>& inputs,
+                       double period, bool precharged) {
   SABLE_REQUIRE(!inputs.empty(), "testbench requires at least one input");
-  std::vector<std::uint64_t> padded(warmup, inputs.front());
+  std::vector<std::uint64_t> padded(kWarmupCycles, inputs.front());
   padded.insert(padded.end(), inputs.begin(), inputs.end());
-  return padded;
-}
+  spice::Circuit& ckt = gate.circuit;
 
-void measure_cycles(const spice::TranResult& waves,
-                    const std::vector<std::uint64_t>& inputs,
-                    std::size_t warmup, double vdd,
-                    const TestbenchOptions& opt, bool dynamic_precharge,
-                    SablRunResult& out) {
-  out.cycles.reserve(inputs.size() - warmup);
-  out.cycle_start.reserve(inputs.size() - warmup);
-  for (std::size_t k = warmup; k < inputs.size(); ++k) {
-    const double t0 = static_cast<double>(k) * opt.period;
-    const double t1 = t0 + opt.period;
+  ckt.add_vsource("vdd", "vdd", "0", spice::Waveform::dc(vdd));
+  if (precharged) {
+    // clk: high (evaluation) during the first half of each period.
+    ckt.add_vsource("clk", "clk", "0",
+                    spice::Waveform::pulse(0.0, vdd, 0.0, kEdge, kEdge,
+                                           period / 2 - kEdge, period));
+  }
+  const auto rail = precharged ? input_waveform : static_waveform;
+  for (VarId v = 0; v < num_vars; ++v) {
+    std::vector<bool> lvl_true;
+    std::vector<bool> lvl_false;
+    lvl_true.reserve(padded.size());
+    lvl_false.reserve(padded.size());
+    for (std::uint64_t a : padded) {
+      const bool bit = (a >> v) & 1u;
+      lvl_true.push_back(bit);
+      lvl_false.push_back(!bit);
+    }
+    ckt.add_vsource("v" + gate.input_true[v], gate.input_true[v], "0",
+                    rail(lvl_true, vdd, period));
+    ckt.add_vsource("v" + gate.input_false[v], gate.input_false[v], "0",
+                    rail(lvl_false, vdd, period));
+  }
+
+  spice::TransientOptions tran;
+  tran.t_stop = static_cast<double>(padded.size()) * period;
+  tran.dt = kTestbenchDt;
+  SablRunResult out;
+  out.period = period;
+  out.waves = spice::run_transient(ckt, tran);
+  const spice::TranResult& waves = out.waves;
+  out.cycles.reserve(inputs.size());
+  out.cycle_start.reserve(inputs.size());
+  for (std::size_t k = kWarmupCycles; k < padded.size(); ++k) {
+    const double t0 = static_cast<double>(k) * period;
+    const double t1 = t0 + period;
     CycleMeasurement m;
-    m.assignment = inputs[k];
+    m.assignment = padded[k];
     m.energy = spice::delivered_energy(waves, "vdd", t0, t1);
     m.charge = spice::delivered_charge(waves, "vdd", t0, t1);
     m.peak_current = spice::peak_delivered_current(waves, "vdd", t0, t1);
-    if (dynamic_precharge) {
+    if (precharged) {
       m.recharged_capacitance =
-          spice::delivered_charge(waves, "vdd", t0 + opt.period / 2, t1) / vdd;
+          spice::delivered_charge(waves, "vdd", t0 + period / 2, t1) / vdd;
     }
     out.cycles.push_back(m);
     out.cycle_start.push_back(t0);
   }
+  return out;
 }
 
 }  // namespace
@@ -91,42 +127,8 @@ SablRunResult run_sabl_sequence(const DpdnNetwork& net, const VarTable& vars,
                                 const SizingPlan& sizing,
                                 const std::vector<std::uint64_t>& inputs,
                                 const TestbenchOptions& options) {
-  const auto padded = pad_warmup(inputs, options.warmup_cycles);
-  SablGateCircuit gate = assemble_sabl_gate(net, vars, tech, sizing);
-  spice::Circuit& ckt = gate.circuit;
-
-  ckt.add_vsource("vdd", "vdd", "0", spice::Waveform::dc(tech.vdd));
-  // clk: high (evaluation) during the first half of each period.
-  ckt.add_vsource("clk", "clk", "0",
-                  spice::Waveform::pulse(0.0, tech.vdd, 0.0, options.edge,
-                                         options.edge,
-                                         options.period / 2 - options.edge,
-                                         options.period));
-  for (VarId v = 0; v < net.num_vars(); ++v) {
-    std::vector<bool> lvl_true;
-    std::vector<bool> lvl_false;
-    lvl_true.reserve(padded.size());
-    lvl_false.reserve(padded.size());
-    for (std::uint64_t a : padded) {
-      const bool bit = (a >> v) & 1u;
-      lvl_true.push_back(bit);
-      lvl_false.push_back(!bit);
-    }
-    ckt.add_vsource("v" + gate.input_true[v], gate.input_true[v], "0",
-                    input_waveform(lvl_true, tech.vdd, options));
-    ckt.add_vsource("v" + gate.input_false[v], gate.input_false[v], "0",
-                    input_waveform(lvl_false, tech.vdd, options));
-  }
-
-  spice::TransientOptions tran;
-  tran.t_stop = static_cast<double>(padded.size()) * options.period;
-  tran.dt = options.dt;
-  SablRunResult result;
-  result.period = options.period;
-  result.waves = spice::run_transient(ckt, tran);
-  measure_cycles(result.waves, padded, options.warmup_cycles, tech.vdd,
-                 options, /*dynamic_precharge=*/true, result);
-  return result;
+  return run_gate(assemble_sabl_gate(net, vars, tech, sizing), net.num_vars(),
+                  tech.vdd, inputs, options.period, /*precharged=*/true);
 }
 
 SablRunResult run_cvsl_sequence(const DpdnNetwork& net, const VarTable& vars,
@@ -134,36 +136,8 @@ SablRunResult run_cvsl_sequence(const DpdnNetwork& net, const VarTable& vars,
                                 const SizingPlan& sizing,
                                 const std::vector<std::uint64_t>& inputs,
                                 const TestbenchOptions& options) {
-  const auto padded = pad_warmup(inputs, options.warmup_cycles);
-  CvslGateCircuit gate = assemble_cvsl_gate(net, vars, tech, sizing);
-  spice::Circuit& ckt = gate.circuit;
-
-  ckt.add_vsource("vdd", "vdd", "0", spice::Waveform::dc(tech.vdd));
-  for (VarId v = 0; v < net.num_vars(); ++v) {
-    std::vector<bool> lvl_true;
-    std::vector<bool> lvl_false;
-    lvl_true.reserve(padded.size());
-    lvl_false.reserve(padded.size());
-    for (std::uint64_t a : padded) {
-      const bool bit = (a >> v) & 1u;
-      lvl_true.push_back(bit);
-      lvl_false.push_back(!bit);
-    }
-    ckt.add_vsource("v" + gate.input_true[v], gate.input_true[v], "0",
-                    static_waveform(lvl_true, tech.vdd, options));
-    ckt.add_vsource("v" + gate.input_false[v], gate.input_false[v], "0",
-                    static_waveform(lvl_false, tech.vdd, options));
-  }
-
-  spice::TransientOptions tran;
-  tran.t_stop = static_cast<double>(padded.size()) * options.period;
-  tran.dt = options.dt;
-  SablRunResult result;
-  result.period = options.period;
-  result.waves = spice::run_transient(ckt, tran);
-  measure_cycles(result.waves, padded, options.warmup_cycles, tech.vdd,
-                 options, /*dynamic_precharge=*/false, result);
-  return result;
+  return run_gate(assemble_cvsl_gate(net, vars, tech, sizing), net.num_vars(),
+                  tech.vdd, inputs, options.period, /*precharged=*/false);
 }
 
 }  // namespace sable

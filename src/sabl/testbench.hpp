@@ -2,14 +2,16 @@
 //
 // SABL timing per cycle (period T):
 //   [kT, kT+T/2)    evaluation: clk high; the cycle's complementary input
-//                   appears `input_delay` after the clk edge (it is produced
-//                   by the previous pipeline stage, which must evaluate
-//                   first);
+//                   appears 250 ps (one stage delay) after the clk edge (it
+//                   is produced by the previous pipeline stage, which must
+//                   evaluate first);
 //   [kT+T/2, (k+1)T) precharge: clk low; the inputs *stay* complementary for
-//                   `input_delay` (the previous stage takes that long to
+//                   that stage delay (the previous stage takes that long to
 //                   precharge its outputs to 0) — this overlap window is
 //                   when the supply recharges the DPDN nodes that the
 //                   evaluation discharged — and then return to 0.
+// Every stimulus edge takes 50 ps, and two warm-up copies of the first
+// input precede the measured cycles.
 //
 // Per-cycle measurements: supply energy and charge over the cycle, the peak
 // supply current, and the effective recharged capacitance q_precharge / VDD,
@@ -26,12 +28,11 @@
 
 namespace sable {
 
+/// Integration step of every testbench transient [s].
+inline constexpr double kTestbenchDt = 2e-12;
+
 struct TestbenchOptions {
-  double period = 4e-9;        ///< clock period [s]
-  double edge = 50e-12;        ///< rise/fall time of every stimulus [s]
-  double input_delay = 250e-12;  ///< stage delay producing the overlap [s]
-  double dt = 2e-12;           ///< integration step [s]
-  std::size_t warmup_cycles = 2;  ///< prepended copies of the first input
+  double period = 4e-9;  ///< clock period [s]
 };
 
 struct CycleMeasurement {

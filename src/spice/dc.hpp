@@ -1,5 +1,6 @@
 // DC operating point via Newton-Raphson with gmin stepping.
-// Capacitors are open circuits; sources take their t = 0 values.
+// Capacitors are open circuits; sources take their t = 0 values. It runs on
+// the transient analysis's Newton core (spice/transient.cpp).
 #pragma once
 
 #include <vector>
@@ -7,15 +8,6 @@
 #include "spice/circuit.hpp"
 
 namespace sable::spice {
-
-struct DcOptions {
-  int max_newton = 200;
-  double vtol = 1e-9;
-  double damping_clamp = 0.3;
-  /// gmin continuation: start high, divide by 10 down to gmin_final.
-  double gmin_initial = 1e-3;
-  double gmin_final = 1e-12;
-};
 
 struct DcResult {
   /// Node voltages indexed by SpiceNode (ground included as 0.0).
@@ -25,7 +17,6 @@ struct DcResult {
   bool converged = false;
 };
 
-DcResult dc_operating_point(const Circuit& circuit,
-                            const DcOptions& options = {});
+DcResult dc_operating_point(const Circuit& circuit);
 
 }  // namespace sable::spice

@@ -19,18 +19,13 @@ namespace sable::spice {
 struct TransientOptions {
   double t_stop = 0.0;
   double dt = 2e-12;
-  int max_newton = 120;
-  double vtol = 1e-6;           ///< convergence: max |dV| below this
-  double gmin = 1e-12;          ///< conductance from every node to ground
-  double damping_clamp = 0.4;   ///< max per-iteration voltage update [V]
-  int max_halvings = 10;        ///< step subdivisions on NR failure
   /// Initial node voltages by name (UIC); unlisted nodes start at 0 V.
   std::map<std::string, double> initial_voltages;
-  /// Store every k-th accepted step (1 = all).
-  int record_every = 1;
 };
 
-/// Runs a transient simulation from t = 0 to t_stop.
+/// Runs a transient simulation from t = 0 to t_stop and records every
+/// step. Every node has a 1 pS shunt to ground; a step that fails to
+/// converge is halved, at most 10 times.
 /// Throws Error if a step fails to converge even at the minimum step size.
 TranResult run_transient(const Circuit& circuit,
                          const TransientOptions& options);
