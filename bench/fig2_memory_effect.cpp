@@ -56,7 +56,7 @@ void part1_switch_level() {
     }
     std::printf("  memoryless: %s | discharge classes: %zu | NED = %.2f%%\n",
                 mem.memoryless ? "yes" : "NO", mem.num_discharge_classes,
-                profile.ned * 100.0);
+                profile.spread.ned * 100.0);
   }
 }
 

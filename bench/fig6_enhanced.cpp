@@ -101,10 +101,10 @@ int main() {
   const EnergyProfile ep_en =
       profile_gate_energy(enhanced, build_gate_model(enhanced, tech, sizing));
   std::printf("%-34s %13.2f%% %13.2f%%\n", "switch-level energy NED",
-              ep_fc.ned * 100.0, ep_en.ned * 100.0);
+              ep_fc.spread.ned * 100.0, ep_en.spread.ned * 100.0);
   std::printf("%-34s %14s %14s\n", "mean cycle energy",
-              format_eng(ep_fc.mean_energy, "J").c_str(),
-              format_eng(ep_en.mean_energy, "J").c_str());
+              format_eng(ep_fc.spread.mean, "J").c_str(),
+              format_eng(ep_en.spread.mean, "J").c_str());
 
   // Transistor-level: gate decision delay per input event (the §5 claim:
   // "each gate has a constant delay as now both the resistance and the

@@ -37,8 +37,8 @@ int main() {
                   to_string(f), to_string(v), cell.network.device_count(),
                   cell.network.pass_gate_device_count(), depth_str,
                   res.relative_spread * 100.0,
-                  format_eng(profile.mean_energy, "J").c_str(),
-                  profile.ned * 100.0, profile.nsd * 100.0);
+                  format_eng(profile.spread.mean, "J").c_str(),
+                  profile.spread.ned * 100.0, profile.spread.nsd * 100.0);
     }
     std::printf("\n");
   }

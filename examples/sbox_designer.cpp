@@ -49,7 +49,7 @@ int main() {
                 net.internal_node_count(), depth.min_depth, depth.max_depth,
                 format_eng(total_internal_capacitance(net, tech, sizing), "F")
                     .c_str(),
-                profile.ned * 100.0);
+                profile.spread.ned * 100.0);
   }
 
   std::printf("\nWith the enhancement (constant depth, Fig. 6 style):\n");
@@ -63,7 +63,7 @@ int main() {
     const EnergyProfile profile = profile_gate_energy(net, model);
     std::printf("y%zu   %4zu %6zu %4zu:%zu %7.2f%%\n", bit,
                 net.device_count(), net.pass_gate_device_count(),
-                depth.min_depth, depth.max_depth, profile.ned * 100.0);
+                depth.min_depth, depth.max_depth, profile.spread.ned * 100.0);
   }
   std::printf(
       "\nAll gates are memoryless: every internal node discharges and\n"

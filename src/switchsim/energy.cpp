@@ -1,7 +1,6 @@
 #include "switchsim/energy.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sable {
 
@@ -31,24 +30,7 @@ EnergyProfile profile_gate_energy(const DpdnNetwork& net,
       profile.energy_per_input[base + lane] = energy[lane];
     }
   }
-  const auto [mn, mx] = std::minmax_element(profile.energy_per_input.begin(),
-                                            profile.energy_per_input.end());
-  profile.min_energy = *mn;
-  profile.max_energy = *mx;
-  double sum = 0.0;
-  for (double e : profile.energy_per_input) sum += e;
-  profile.mean_energy = sum / static_cast<double>(rows);
-  double var = 0.0;
-  for (double e : profile.energy_per_input) {
-    var += (e - profile.mean_energy) * (e - profile.mean_energy);
-  }
-  profile.stddev = std::sqrt(var / static_cast<double>(rows));
-  profile.ned = profile.max_energy > 0.0
-                    ? (profile.max_energy - profile.min_energy) /
-                          profile.max_energy
-                    : 0.0;
-  profile.nsd =
-      profile.mean_energy > 0.0 ? profile.stddev / profile.mean_energy : 0.0;
+  profile.spread = spread_metrics(profile.energy_per_input);
   return profile;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "power/stats.hpp"
 #include "switchsim/cycle_sim.hpp"
 
 namespace sable {
@@ -16,14 +17,8 @@ namespace sable {
 struct EnergyProfile {
   /// Energy per complementary input assignment [J], index = assignment.
   std::vector<double> energy_per_input;
-  double min_energy = 0.0;
-  double max_energy = 0.0;
-  double mean_energy = 0.0;
-  double stddev = 0.0;
-  /// (Emax - Emin) / Emax.
-  double ned = 0.0;
-  /// stddev / mean.
-  double nsd = 0.0;
+  /// Min, max, mean, stddev, NED and NSD of energy_per_input.
+  SpreadMetrics spread;
 };
 
 /// Exhaustive per-input energy profile of one gate. Each input is measured

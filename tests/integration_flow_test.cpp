@@ -66,7 +66,8 @@ switch D' Q1 Z
   const SizingPlan sizing = SizingPlan::defaults(kTech);
   const GateEnergyModel model =
       build_gate_model(result.network, kTech, sizing);
-  EXPECT_NEAR(profile_gate_energy(result.network, model).ned, 0.0, 1e-12);
+  EXPECT_NEAR(profile_gate_energy(result.network, model).spread.ned, 0.0,
+              1e-12);
 
   // 4. The result round-trips through the file format unchanged.
   VarTable vars2;
@@ -100,7 +101,7 @@ TEST(FullFlowTest, ThreeEnginesAgreeOnEveryLibraryCell) {
           analyze_memory_effect(cell.network).memoryless;
       const EnergyProfile profile =
           profile_gate_energy(cell.network, cell.energy_model);
-      const bool constant_energy = profile.ned < 1e-12;
+      const bool constant_energy = profile.spread.ned < 1e-12;
       EXPECT_EQ(exhaustive, symbolic) << cell.name;
       EXPECT_EQ(exhaustive, memoryless) << cell.name;
       EXPECT_EQ(exhaustive, constant_energy) << cell.name;

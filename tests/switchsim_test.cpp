@@ -104,16 +104,16 @@ TEST(EnergyProfileTest, NedZeroForFullyConnected) {
                               NetworkVariant::kFullyConnected);
   const EnergyProfile profile = profile_gate_energy(gate.net, gate.model);
   EXPECT_EQ(profile.energy_per_input.size(), 16u);
-  EXPECT_NEAR(profile.ned, 0.0, 1e-12);
-  EXPECT_NEAR(profile.nsd, 0.0, 1e-12);
+  EXPECT_NEAR(profile.spread.ned, 0.0, 1e-12);
+  EXPECT_NEAR(profile.spread.nsd, 0.0, 1e-12);
 }
 
 TEST(EnergyProfileTest, NedPositiveForGenuine) {
   const auto gate = make_gate("(A+B).(C+D)", 4, NetworkVariant::kGenuine);
   const EnergyProfile profile = profile_gate_energy(gate.net, gate.model);
-  EXPECT_GT(profile.ned, 0.01);
-  EXPECT_GT(profile.nsd, 0.0);
-  EXPECT_LT(profile.min_energy, profile.max_energy);
+  EXPECT_GT(profile.spread.ned, 0.01);
+  EXPECT_GT(profile.spread.nsd, 0.0);
+  EXPECT_LT(profile.spread.min, profile.spread.max);
 }
 
 TEST(EnergyProfileTest, EnhancedCostsMoreButStaysConstant) {
@@ -121,8 +121,8 @@ TEST(EnergyProfileTest, EnhancedCostsMoreButStaysConstant) {
   const auto enh = make_gate("A.B", 2, NetworkVariant::kEnhanced);
   const EnergyProfile p_fc = profile_gate_energy(fc.net, fc.model);
   const EnergyProfile p_enh = profile_gate_energy(enh.net, enh.model);
-  EXPECT_NEAR(p_enh.ned, 0.0, 1e-12);
-  EXPECT_GT(p_enh.mean_energy, p_fc.mean_energy);
+  EXPECT_NEAR(p_enh.spread.ned, 0.0, 1e-12);
+  EXPECT_GT(p_enh.spread.mean, p_fc.spread.mean);
 }
 
 TEST(EnergyTraceTest, TraceMatchesManualCycles) {
@@ -148,7 +148,7 @@ TEST_P(VariantSweep, ConstancyMatchesFullConnectivity) {
   const auto n = f->variables().size();
   const auto gate = make_gate(text, n, variant);
   const EnergyProfile profile = profile_gate_energy(gate.net, gate.model);
-  const bool constant = profile.ned < 1e-12;
+  const bool constant = profile.spread.ned < 1e-12;
   const bool fully_connected =
       check_full_connectivity(gate.net).fully_connected;
   EXPECT_EQ(constant, fully_connected) << text;
