@@ -5,12 +5,6 @@
 
 namespace sable {
 
-DpdnNetwork synthesize_enhanced_dpdn(const ExprPtr& f, std::size_t num_vars) {
-  FcSynthesisOptions options;
-  options.enhance = true;
-  return synthesize_fc_dpdn(f, num_vars, options);
-}
-
 DpdnNetwork synthesize_enhanced_from_table(const TruthTable& f) {
   const std::size_t on = f.popcount();
   SABLE_REQUIRE(on != 0 && on != f.num_rows(),

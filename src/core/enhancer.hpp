@@ -25,7 +25,8 @@
 namespace sable {
 
 /// Enhanced FC-DPDN from an expression (§5 pass-gate insertion during the
-/// §4.1 recursion).
+/// §4.1 recursion, which core/fc_synthesizer.cpp runs for both entry
+/// points).
 DpdnNetwork synthesize_enhanced_dpdn(const ExprPtr& f, std::size_t num_vars);
 
 /// Enhanced FC-DPDN with guaranteed constant evaluation depth for an

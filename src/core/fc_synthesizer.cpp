@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/enhancer.hpp"
 #include "expr/transforms.hpp"
 #include "util/error.hpp"
 
@@ -85,17 +86,24 @@ class Synthesizer {
   std::size_t p_counter_ = 0;
 };
 
-}  // namespace
-
-DpdnNetwork synthesize_fc_dpdn(const ExprPtr& f, std::size_t num_vars,
-                               const FcSynthesisOptions& options) {
+DpdnNetwork synthesize(const ExprPtr& f, std::size_t num_vars, bool enhance) {
   SABLE_REQUIRE(!f->is_const(),
                 "cannot synthesize a DPDN for a constant function");
   DpdnNetwork net(num_vars);
-  Synthesizer synth(net, options.enhance);
+  Synthesizer synth(net, enhance);
   synth.emit(to_nnf(f), DpdnNetwork::kNodeX, DpdnNetwork::kNodeY,
              DpdnNetwork::kNodeZ);
   return net;
+}
+
+}  // namespace
+
+DpdnNetwork synthesize_fc_dpdn(const ExprPtr& f, std::size_t num_vars) {
+  return synthesize(f, num_vars, /*enhance=*/false);
+}
+
+DpdnNetwork synthesize_enhanced_dpdn(const ExprPtr& f, std::size_t num_vars) {
+  return synthesize(f, num_vars, /*enhance=*/true);
 }
 
 }  // namespace sable

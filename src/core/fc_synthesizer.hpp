@@ -28,8 +28,8 @@
 // input assignment, every internal node is connected to X, Y or Z — checked
 // exhaustively by check_full_connectivity().
 //
-// With `options.enhance` set, the §5 enhancement is applied during
-// construction: wherever a branch would let a discharge path skip the
+// synthesize_enhanced_dpdn (core/enhancer.hpp) runs the same recursion with
+// the §5 enhancement applied during construction: wherever a branch would let a discharge path skip the
 // variables of a sibling sub-network (the shared-bottom short-cuts above),
 // a chain of pass gates over exactly those variables is inserted, so every
 // satisfiable discharge path is controlled by every gate input once. For
@@ -43,14 +43,8 @@
 
 namespace sable {
 
-struct FcSynthesisOptions {
-  /// Apply the §5 pass-gate enhancement during construction.
-  bool enhance = false;
-};
-
 /// Synthesizes the fully connected DPDN of `f` (any expression; it is
 /// normalized to NNF first). Throws InvalidArgument for constant functions.
-DpdnNetwork synthesize_fc_dpdn(const ExprPtr& f, std::size_t num_vars,
-                               const FcSynthesisOptions& options = {});
+DpdnNetwork synthesize_fc_dpdn(const ExprPtr& f, std::size_t num_vars);
 
 }  // namespace sable
