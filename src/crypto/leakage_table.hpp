@@ -4,7 +4,7 @@
 // Every built-in logic style's cycle energy depends on a tiny state:
 //  - SABL (genuine, fully connected, enhanced) and WDDL are memoryless:
 //    the energy is a function of the input x = sub-plaintext XOR subkey
-//    alone. SablGateSimBatchT writes its node-charge state but never reads
+//    alone. SablGateSimBatch writes its node-charge state but never reads
 //    it for energy, and WDDL keeps no cross-cycle state.
 //  - Static CMOS draws energy on every rising gate output, so its energy
 //    is a function of (previous input of the same lane, x), plus a
