@@ -71,18 +71,4 @@ GateCircuit build_from_expressions(const std::vector<ExprPtr>& outputs,
   return circuit;
 }
 
-GateCircuit build_single_gate(const ExprPtr& function, std::size_t num_inputs,
-                              NetworkVariant variant, const Technology& tech) {
-  GateCircuit circuit(num_inputs);
-  const std::size_t cell_index = circuit.add_cell(
-      make_custom_cell("complex", function, num_inputs, variant, tech));
-  std::vector<SignalRef> inputs;
-  for (std::size_t i = 0; i < num_inputs; ++i) {
-    inputs.push_back(SignalRef::input(i));
-  }
-  const std::size_t g = circuit.add_gate(cell_index, std::move(inputs));
-  circuit.mark_output(SignalRef::gate(g));
-  return circuit;
-}
-
 }  // namespace sable

@@ -20,9 +20,4 @@ GateCircuit build_from_expressions(const std::vector<ExprPtr>& outputs,
                                    NetworkVariant variant,
                                    const Technology& tech);
 
-/// Builds a single-gate circuit: the whole function in one complex gate
-/// (monolithic DPDN), the SABL-style alternative to the gate tree.
-GateCircuit build_single_gate(const ExprPtr& function, std::size_t num_inputs,
-                              NetworkVariant variant, const Technology& tech);
-
 }  // namespace sable

@@ -29,12 +29,4 @@ std::size_t GateCircuit::add_gate(std::size_t cell_index,
   return gates_.size() - 1;
 }
 
-std::size_t GateCircuit::total_dpdn_devices() const {
-  std::size_t total = 0;
-  for (const auto& g : gates_) {
-    total += cells_[g.cell_index].network.device_count();
-  }
-  return total;
-}
-
 }  // namespace sable

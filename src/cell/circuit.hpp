@@ -56,9 +56,6 @@ class GateCircuit {
   const std::vector<GateInstance>& gates() const { return gates_; }
   const std::vector<SignalRef>& outputs() const { return outputs_; }
 
-  /// Total transistor count over all gate instances (DPDN devices only).
-  std::size_t total_dpdn_devices() const;
-
  private:
   std::size_t num_inputs_;
   std::vector<Cell> cells_;

@@ -12,16 +12,4 @@ DpdnNetwork synthesize_enhanced_from_table(const TruthTable& f) {
   return synthesize_enhanced_dpdn(minimized_sop(f), f.num_vars());
 }
 
-EnhancementOverhead enhancement_overhead(const DpdnNetwork& enhanced) {
-  EnhancementOverhead overhead;
-  overhead.dummy_devices = enhanced.pass_gate_device_count();
-  overhead.logic_devices = enhanced.device_count() - overhead.dummy_devices;
-  overhead.device_overhead =
-      overhead.logic_devices == 0
-          ? 0.0
-          : static_cast<double>(overhead.dummy_devices) /
-                static_cast<double>(overhead.logic_devices);
-  return overhead;
-}
-
 }  // namespace sable

@@ -33,14 +33,4 @@ DpdnNetwork synthesize_enhanced_dpdn(const ExprPtr& f, std::size_t num_vars);
 /// arbitrary function given as a truth table (minimize to SOP, then build).
 DpdnNetwork synthesize_enhanced_from_table(const TruthTable& f);
 
-struct EnhancementOverhead {
-  std::size_t logic_devices = 0;
-  std::size_t dummy_devices = 0;  // pass-gate halves
-  double device_overhead = 0.0;   // dummy / logic
-};
-
-/// Area overhead of the enhancement (§5: "the trade-off is an increase in
-/// area and total load capacitance").
-EnhancementOverhead enhancement_overhead(const DpdnNetwork& enhanced);
-
 }  // namespace sable

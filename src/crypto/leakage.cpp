@@ -7,16 +7,6 @@
 
 namespace sable {
 
-const char* to_string(PowerModel model) {
-  switch (model) {
-    case PowerModel::kSboxOutputBit:
-      return "sbox-output-bit";
-    case PowerModel::kHammingWeight:
-      return "hamming-weight";
-  }
-  SABLE_UNREACHABLE("unreachable power model");
-}
-
 double predict_leakage(const SboxSpec& spec, PowerModel model,
                        std::uint8_t pt, std::uint8_t guess, std::size_t bit) {
   const std::uint8_t x = static_cast<std::uint8_t>(

@@ -26,8 +26,6 @@ enum class PowerModel {
   kHammingWeight,  // HW of the S-box output
 };
 
-const char* to_string(PowerModel model);
-
 /// What a round-level attack targets: one S-box instance (one subkey) of a
 /// RoundSpec, with the leakage model predicting that instance's output.
 /// Every other instance of the round contributes algorithmic noise. `bit`

@@ -62,32 +62,4 @@ AttackResult cpa_attack(const TraceSet& traces, const SboxSpec& spec,
   return acc.result().combined;
 }
 
-MultiAttackResult cpa_attack_multisample(const MultiTraceSet& traces,
-                                         const SboxSpec& spec,
-                                         PowerModel model, std::size_t bit) {
-  SABLE_REQUIRE(traces.width > 0 && traces.size() >= 2,
-                "multisample CPA requires non-empty traces");
-  SABLE_REQUIRE(traces.samples.size() == traces.size() * traces.width,
-                "a multisample trace set needs `width` samples per plaintext");
-  StreamingCpa acc =
-      StreamingCpa::time_resolved(spec, model, traces.width, bit);
-  acc.add_block(traces.plaintexts.data(), traces.samples.data(),
-                traces.size());
-  return acc.result();
-}
-
-AttackResult dom_attack(const TraceSet& traces, const SboxSpec& spec,
-                        std::size_t bit) {
-  SABLE_REQUIRE(traces.size() >= 2, "DPA requires at least two traces");
-  SABLE_REQUIRE(traces.pt_width == 1,
-                "attacks consume sub-plaintexts: extract the attacked "
-                "instance's bytes (RoundSpec::sub_words) first");
-  SABLE_REQUIRE(traces.plaintexts.size() == traces.size(),
-                "a trace set needs one plaintext per sample");
-  StreamingDom acc(spec, bit);
-  acc.add_block(traces.plaintexts.data(), traces.samples.data(),
-                traces.size());
-  return acc.result();
-}
-
 }  // namespace sable

@@ -1,9 +1,9 @@
-// First-order DPA / CPA attacks.
+// Attack results and the one-shot CPA.
 //
-// CPA: Pearson correlation between the measured samples and the predicted
-// leakage, per key guess; the guess with the largest |rho| wins.
-// DPA (difference of means): partition traces by the predicted S-box output
-// bit and compare partition means — Kocher's original distinguisher.
+// Every distinguisher (dpa/streaming.hpp, dpa/distinguisher.hpp) reports
+// an AttackResult. cpa_attack is the one-shot form of StreamingCpa over a
+// retained TraceSet: the Pearson correlation between the samples and the
+// predicted leakage, per key guess; the guess with the largest |rho| wins.
 #pragma once
 
 #include <cstdint>
@@ -45,21 +45,13 @@ AttackResult make_attack_result(std::vector<double> scores);
 AttackResult cpa_attack(const TraceSet& traces, const SboxSpec& spec,
                         PowerModel model, std::size_t bit = 0);
 
-/// Difference-of-means DPA on one predicted output bit.
-AttackResult dom_attack(const TraceSet& traces, const SboxSpec& spec,
-                        std::size_t bit = 0);
-
-/// Time-resolved CPA: runs the scalar CPA on every sample column and keeps,
-/// per key guess, the largest |correlation| over time — the standard
+/// Time-resolved CPA result (StreamingCpa::time_resolved): per key guess,
+/// the largest |correlation| over the sample columns — the standard
 /// procedure on oscilloscope traces. `best_sample` reports where the
 /// winning guess peaked.
 struct MultiAttackResult {
   AttackResult combined;
   std::size_t best_sample = 0;
 };
-MultiAttackResult cpa_attack_multisample(const MultiTraceSet& traces,
-                                         const SboxSpec& spec,
-                                         PowerModel model,
-                                         std::size_t bit = 0);
 
 }  // namespace sable

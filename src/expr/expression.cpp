@@ -15,17 +15,6 @@ VarId VarTable::intern(const std::string& name) {
   return static_cast<VarId>(names_.size() - 1);
 }
 
-VarId VarTable::id_of(const std::string& name) const {
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return static_cast<VarId>(i);
-  }
-  throw InvalidArgument("unknown variable: " + name);
-}
-
-bool VarTable::contains(const std::string& name) const {
-  return std::find(names_.begin(), names_.end(), name) != names_.end();
-}
-
 const std::string& VarTable::name(VarId id) const {
   SABLE_ASSERT(id < names_.size(), "variable id out of range");
   return names_[id];
@@ -160,13 +149,6 @@ std::vector<VarId> Expr::variables() const {
     }
   }
   return {seen.begin(), seen.end()};
-}
-
-std::size_t Expr::depth() const {
-  if (is_literal() || is_const()) return 0;
-  std::size_t d = 0;
-  for (const auto& op : ops_) d = std::max(d, op->depth());
-  return d + 1;
 }
 
 }  // namespace sable

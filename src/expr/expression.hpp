@@ -25,12 +25,6 @@ class VarTable {
   /// Returns the id of `name`, interning it on first use.
   VarId intern(const std::string& name);
 
-  /// Returns the id of `name` or throws InvalidArgument if unknown.
-  VarId id_of(const std::string& name) const;
-
-  /// True if `name` has been interned.
-  bool contains(const std::string& name) const;
-
   /// Name of variable `id`.
   const std::string& name(VarId id) const;
 
@@ -92,8 +86,6 @@ class Expr {
   std::size_t literal_count() const;
   /// All distinct variables, sorted ascending.
   std::vector<VarId> variables() const;
-  /// Height of the AST (literal == 0).
-  std::size_t depth() const;
 
  private:
   Expr(ExprKind kind, VarId var, std::vector<ExprPtr> ops)

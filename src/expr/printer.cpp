@@ -68,46 +68,11 @@ void print(const ExprPtr& e, const VarTable& vars, int context_prec,
   if (paren) out += ')';
 }
 
-void sexpr(const ExprPtr& e, const VarTable& vars, std::string& out) {
-  switch (e->kind()) {
-    case ExprKind::kConst0:
-      out += "0";
-      return;
-    case ExprKind::kConst1:
-      out += "1";
-      return;
-    case ExprKind::kVar:
-      out += vars.name(e->var());
-      return;
-    case ExprKind::kNot:
-      out += "(not ";
-      sexpr(e->operands()[0], vars, out);
-      out += ')';
-      return;
-    case ExprKind::kAnd:
-    case ExprKind::kOr:
-      out += e->kind() == ExprKind::kAnd ? "(and" : "(or";
-      for (const auto& op : e->operands()) {
-        out += ' ';
-        sexpr(op, vars, out);
-      }
-      out += ')';
-      return;
-  }
-  SABLE_UNREACHABLE("unreachable expression kind");
-}
-
 }  // namespace
 
 std::string to_string(const ExprPtr& e, const VarTable& vars) {
   std::string out;
   print(e, vars, 0, out);
-  return out;
-}
-
-std::string to_sexpr(const ExprPtr& e, const VarTable& vars) {
-  std::string out;
-  sexpr(e, vars, out);
   return out;
 }
 

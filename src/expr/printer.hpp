@@ -11,7 +11,4 @@ namespace sable {
 /// Infix form, minimally parenthesized: "(A+B).(C+D)", "A.B' + B'".
 std::string to_string(const ExprPtr& e, const VarTable& vars);
 
-/// Lisp-style dump for debugging: "(and A (not B))".
-std::string to_sexpr(const ExprPtr& e, const VarTable& vars);
-
 }  // namespace sable

@@ -1,7 +1,7 @@
-// Structural transforms on expressions: negation-normal form, complement,
-// dual, cofactors. These implement "step 0" and "step 2" of the paper's
-// design procedure (§4.1): deriving the complementary output f' and the dual
-// expression of a branch.
+// Structural transforms on expressions: negation-normal form and
+// complement. These implement "step 0" and "step 2" of the paper's design
+// procedure (§4.1): bringing f into NNF and deriving the complementary
+// output f'.
 #pragma once
 
 #include "expr/expression.hpp"
@@ -13,16 +13,5 @@ ExprPtr to_nnf(const ExprPtr& e);
 
 /// NNF of the complement f'. Equivalent to to_nnf(negate(e)).
 ExprPtr complement_nnf(const ExprPtr& e);
-
-/// Dual expression: AND and OR swapped, literals unchanged.
-/// dual(f)(x) == !f(!x); the paper uses duality between the series (AND)
-/// and parallel (OR) halves of a differential network.
-ExprPtr dual_nnf(const ExprPtr& e);
-
-/// Shannon cofactor: e with variable `v` fixed to `value`, constant-folded.
-ExprPtr cofactor(const ExprPtr& e, VarId v, bool value);
-
-/// Structural equality (same tree shape; no semantic canonicalization).
-bool structurally_equal(const ExprPtr& a, const ExprPtr& b);
 
 }  // namespace sable

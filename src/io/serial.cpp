@@ -256,15 +256,6 @@ void ByteReader::skip(std::size_t size) {
   offset_ += size;
 }
 
-void ByteReader::seek(std::size_t offset) {
-  if (offset > size_) {
-    throw FileTruncatedError(path_, "seek offset " + std::to_string(offset) +
-                                        " past end of " +
-                                        std::to_string(size_) + "-byte file");
-  }
-  offset_ = offset;
-}
-
 std::uint64_t ByteReader::checked_count(std::size_t elem_size) {
   const std::uint64_t count = u64();
   SABLE_ASSERT(elem_size > 0, "checked_count needs a positive element size");

@@ -155,7 +155,6 @@ class ByteReader {
   /// Zero-copy view of the next `size` bytes; advances the cursor.
   const std::uint8_t* view(std::size_t size);
   void skip(std::size_t size);
-  void seek(std::size_t offset);
 
   std::size_t offset() const { return offset_; }
   std::size_t size() const { return size_; }

@@ -38,20 +38,6 @@ std::size_t DpdnNetwork::pass_gate_device_count() const {
   return n;
 }
 
-NodeKind DpdnNetwork::node_kind(NodeId n) const {
-  SABLE_ASSERT(n < names_.size(), "node id out of range");
-  switch (n) {
-    case kNodeX:
-      return NodeKind::kX;
-    case kNodeY:
-      return NodeKind::kY;
-    case kNodeZ:
-      return NodeKind::kZ;
-    default:
-      return NodeKind::kInternal;
-  }
-}
-
 const std::string& DpdnNetwork::node_name(NodeId n) const {
   SABLE_ASSERT(n < names_.size(), "node id out of range");
   return names_[n];

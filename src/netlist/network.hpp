@@ -21,8 +21,6 @@ namespace sable {
 
 using NodeId = std::uint32_t;
 
-enum class NodeKind : std::uint8_t { kX, kY, kZ, kInternal };
-
 /// A signal literal: input variable `var`, true or complemented polarity.
 struct SignalLiteral {
   VarId var = 0;
@@ -82,7 +80,6 @@ class DpdnNetwork {
   /// Number of §5 dummy devices (each pass gate contributes two).
   std::size_t pass_gate_device_count() const;
 
-  NodeKind node_kind(NodeId n) const;
   const std::string& node_name(NodeId n) const;
   bool is_external(NodeId n) const { return n <= kNodeZ; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "io/serial.hpp"
 #include "util/error.hpp"
 
 namespace sable {
@@ -39,39 +38,6 @@ double pearson(const std::vector<double>& xs, const std::vector<double>& ys) {
   }
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-void OnlineMoments::merge(const OnlineMoments& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double n = na + nb;
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * (nb / n);
-  m2_ += other.m2_ + delta * delta * (na * nb / n);
-  n_ += other.n_;
-}
-
-double OnlineMoments::variance() const {
-  return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double OnlineMoments::stddev() const { return std::sqrt(variance()); }
-
-void OnlineMoments::save(ByteWriter& writer) const {
-  writer.u64(n_);
-  writer.f64(mean_);
-  writer.f64(m2_);
-}
-
-void OnlineMoments::load(ByteReader& reader) {
-  n_ = reader.u64();
-  mean_ = reader.f64();
-  m2_ = reader.f64();
 }
 
 SpreadMetrics spread_metrics(const std::vector<double>& xs) {

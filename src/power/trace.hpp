@@ -1,10 +1,11 @@
-// Power trace containers for side-channel experiments.
+// The retained power trace container.
 //
 // One encryption produces one scalar sample (total energy of the S-box
 // evaluation cycle). A TraceSet pairs samples with the plaintexts that
-// produced them — everything a first-order DPA/CPA attack consumes.
-// Storage is structure-of-arrays so batched producers (the trace engine)
-// can append whole blocks without per-trace bookkeeping.
+// produced them — everything the one-shot cpa_attack consumes. Storage is
+// structure-of-arrays: TraceEngine::run simulates each shard straight
+// into its slice. Campaigns that do not retain traces stream them to the
+// distinguishers instead (engine/trace_engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -31,33 +32,6 @@ struct TraceSet {
   }
   /// Byte-wide convenience append (requires pt_width == 1).
   void add(std::uint8_t pt, double sample);
-  /// Appends `count` traces at once (batched producer path); `pts` holds
-  /// count * pt_width bytes.
-  void append(const std::uint8_t* pts, const double* values,
-              std::size_t count);
-};
-
-/// Time-resolved traces: `width` samples per encryption (row-major). This
-/// is the shape a sampling oscilloscope produces; attacks scan the sample
-/// axis and keep the best distinguisher value per key guess.
-struct MultiTraceSet {
-  std::size_t width = 0;
-  std::vector<std::uint8_t> plaintexts;
-  std::vector<double> samples;  // size() * width values
-
-  std::size_t size() const { return plaintexts.size(); }
-  /// Reserves room for `capacity` traces of `sample_width` samples each.
-  void reserve(std::size_t capacity, std::size_t sample_width);
-  /// Appends one trace row without any per-call allocation.
-  void add(std::uint8_t pt, const double* row, std::size_t row_width);
-  void add(std::uint8_t pt, const std::vector<double>& row) {
-    add(pt, row.data(), row.size());
-  }
-  double at(std::size_t trace, std::size_t sample) const {
-    return samples[trace * width + sample];
-  }
-  /// The single-sample set of column `sample` (for reusing scalar attacks).
-  TraceSet column(std::size_t sample) const;
 };
 
 }  // namespace sable

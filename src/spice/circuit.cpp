@@ -53,11 +53,4 @@ void Circuit::add_mosfet(const std::string& name, MosType type,
                             params, width, length});
 }
 
-std::size_t Circuit::vsource_index(const std::string& name) const {
-  for (std::size_t i = 0; i < vsources_.size(); ++i) {
-    if (vsources_[i].name == name) return i;
-  }
-  throw InvalidArgument("unknown voltage source: " + name);
-}
-
 }  // namespace sable::spice

@@ -74,9 +74,6 @@ class Circuit {
   const std::vector<VoltageSource>& vsources() const { return vsources_; }
   const std::vector<Mosfet>& mosfets() const { return mosfets_; }
 
-  /// Index of the voltage source named `name` (for current probing).
-  std::size_t vsource_index(const std::string& name) const;
-
  private:
   std::vector<std::string> names_ = {"0"};
   std::map<std::string, SpiceNode> index_ = {{"0", 0}, {"gnd", 0}};

@@ -18,7 +18,7 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown when textual input (expressions, netlists) cannot be parsed.
+/// Thrown when textual input (expressions) cannot be parsed.
 class ParseError : public Error {
  public:
   explicit ParseError(const std::string& what) : Error(what) {}

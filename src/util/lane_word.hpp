@@ -10,8 +10,8 @@
 //
 // Word128 is a wider batch of two 64-lane chunks that pack_lane_words
 // (switchsim/cycle_sim.hpp) can fill: plain chunk storage with no
-// arithmetic, read and written through lane_chunks() /
-// lane_from_chunks(). LaneTraits<W> gives any word's kLanes / kChunks.
+// arithmetic, built through lane_from_chunks(). LaneTraits<W> gives any
+// word's kLanes / kChunks.
 #pragma once
 
 #include <bit>
@@ -41,14 +41,7 @@ struct LaneTraits {
   static constexpr std::size_t kLanes = 64 * kChunks;
 };
 
-/// Copies the word's kChunks little-endian 64-bit chunks out.
-template <typename W>
-void lane_chunks(const W& w, std::uint64_t* out) {
-  std::memcpy(out, &w, sizeof(W));
-}
-
-/// Builds a word from its kChunks little-endian 64-bit chunks, the
-/// inverse of lane_chunks.
+/// Builds a word from its kChunks little-endian 64-bit chunks.
 template <typename W>
 W lane_from_chunks(const std::uint64_t* chunks) {
   W w{};

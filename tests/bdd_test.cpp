@@ -3,8 +3,6 @@
 // exhaustive path would not be asked to handle.
 #include <gtest/gtest.h>
 
-#include "bdd/bdd.hpp"
-#include "bdd/symbolic.hpp"
 #include "core/checks.hpp"
 #include "core/enhancer.hpp"
 #include "core/fc_synthesizer.hpp"
@@ -15,6 +13,8 @@
 #include "expr/random_expr.hpp"
 #include "expr/truth_table.hpp"
 #include "netlist/conduction.hpp"
+#include "support/bdd.hpp"
+#include "support/symbolic.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

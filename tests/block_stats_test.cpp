@@ -50,7 +50,8 @@ struct Traces {
   // The same traces in the oracles' containers.
   TraceSet scalar() const {
     TraceSet out;
-    out.append(pts.data(), rows.data(), pts.size());
+    out.plaintexts = pts;
+    out.samples.assign(rows.begin(), rows.begin() + pts.size());
     return out;
   }
   MultiTraceSet multi() const {

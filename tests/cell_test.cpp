@@ -104,20 +104,6 @@ TEST(BuilderTest, BuildsEquivalentCircuitFromExpression) {
     EXPECT_EQ(evaluate_circuit(circuit, a) != 0, evaluate(f, a)) << a;
   }
   EXPECT_GT(circuit.gates().size(), 1u);
-  EXPECT_GT(circuit.total_dpdn_devices(), 0u);
-}
-
-TEST(BuilderTest, SingleComplexGateMatchesTree) {
-  VarTable vars;
-  const ExprPtr f = parse_expression("(A+B).(C+D)", vars);
-  const GateCircuit one =
-      build_single_gate(f, 4, NetworkVariant::kFullyConnected, kTech);
-  const GateCircuit tree =
-      build_from_expressions({f}, 4, NetworkVariant::kFullyConnected, kTech);
-  EXPECT_EQ(one.gates().size(), 1u);
-  for (std::uint64_t a = 0; a < 16; ++a) {
-    EXPECT_EQ(evaluate_circuit(one, a), evaluate_circuit(tree, a)) << a;
-  }
 }
 
 TEST(CircuitSimTest, DifferentialFcCircuitIsConstantEnergy) {

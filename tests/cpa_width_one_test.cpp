@@ -10,8 +10,8 @@
 //    included) and merges, on a 4-bit and an 8-bit S-box, under the
 //    Hamming-weight and output-bit models, give scores whose bits match
 //    after every block;
-//  * one-shot attacks: cpa_attack equals cpa_attack_multisample over the
-//    same traces as a width-1 set;
+//  * one-shot attacks: cpa_attack equals a width-1 time-resolved
+//    accumulator fed the same traces in one block;
 //  * campaigns: on a round of one-level gates, whose time-resolved rows
 //    are the scalar traces, a width-1 MultiCpaDistinguisher reports what
 //    CpaDistinguisher does.
@@ -138,17 +138,15 @@ TEST(CpaWidthOneTest, OneShotAttacksAgreeBitForBit) {
     SCOPED_TRACE(spec.name);
     const Traces t = make_traces(spec, 1500, 0x0A7);
     TraceSet scalar;
-    scalar.append(t.pts.data(), t.samples.data(), t.pts.size());
-    MultiTraceSet multi;
-    multi.reserve(t.pts.size(), 1);
-    for (std::size_t i = 0; i < t.pts.size(); ++i) {
-      multi.add(t.pts[i], &t.samples[i], 1);
-    }
+    scalar.plaintexts = t.pts;
+    scalar.samples = t.samples;
     for (const PowerModel model :
          {PowerModel::kHammingWeight, PowerModel::kSboxOutputBit}) {
       SCOPED_TRACE(static_cast<int>(model));
+      StreamingCpa multi = StreamingCpa::time_resolved(spec, model, 1, 2);
+      multi.add_block(t.pts.data(), t.samples.data(), t.pts.size());
       expect_same_bits(cpa_attack(scalar, spec, model, 2),
-                       cpa_attack_multisample(multi, spec, model, 2).combined);
+                       multi.result().combined);
     }
   }
 }

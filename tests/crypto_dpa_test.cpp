@@ -10,6 +10,7 @@
 #include "crypto/sboxes.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
+#include "dpa/streaming.hpp"
 #include "power/stats.hpp"
 #include "reference_attacks.hpp"
 #include "util/error.hpp"
@@ -159,7 +160,10 @@ TEST(DpaTest, DomAttackRecoversKeyOverAllOutputBits) {
   const TraceSet traces = collect_traces(target, key, 6000, 1e-16, rng);
   std::vector<double> summed(16, 0.0);
   for (std::size_t bit = 0; bit < 4; ++bit) {
-    const AttackResult result = dom_attack(traces, present_spec(), bit);
+    StreamingDom dom(present_spec(), bit);
+    dom.add_block(traces.plaintexts.data(), traces.samples.data(),
+                  traces.size());
+    const AttackResult result = dom.result();
     for (std::size_t g = 0; g < summed.size(); ++g) {
       summed[g] += result.score[g];
     }
@@ -169,7 +173,7 @@ TEST(DpaTest, DomAttackRecoversKeyOverAllOutputBits) {
 }
 
 // A hand-built trace set short on either side would make the one-shot
-// attacks read past a buffer; each mismatch throws instead.
+// attack read past a buffer; each mismatch throws instead.
 TEST(DpaTest, OneShotAttacksRejectMismatchedTraceSets) {
   TraceSet scalar;
   for (std::uint8_t pt = 0; pt < 8; ++pt) scalar.add(pt, 1e-13 + pt * 1e-15);
@@ -178,36 +182,15 @@ TEST(DpaTest, OneShotAttacksRejectMismatchedTraceSets) {
   EXPECT_THROW(cpa_attack(short_pts, present_spec(),
                           PowerModel::kHammingWeight),
                InvalidArgument);
-  EXPECT_THROW(dom_attack(short_pts, present_spec()), InvalidArgument);
   TraceSet long_pts = scalar;
   long_pts.plaintexts.push_back(0);
   EXPECT_THROW(cpa_attack(long_pts, present_spec(),
                           PowerModel::kHammingWeight),
                InvalidArgument);
-  EXPECT_THROW(dom_attack(long_pts, present_spec()), InvalidArgument);
 
-  MultiTraceSet multi;
-  for (std::uint8_t pt = 0; pt < 8; ++pt) {
-    multi.add(pt, {1e-13, 2e-13 + pt * 1e-15});
-  }
-  MultiTraceSet short_samples = multi;
-  short_samples.samples.pop_back();
-  EXPECT_THROW(cpa_attack_multisample(short_samples, present_spec(),
-                                      PowerModel::kHammingWeight),
-               InvalidArgument);
-  MultiTraceSet long_samples = multi;
-  long_samples.samples.push_back(1e-13);
-  EXPECT_THROW(cpa_attack_multisample(long_samples, present_spec(),
-                                      PowerModel::kHammingWeight),
-               InvalidArgument);
-
-  // The well-formed sets still attack.
+  // The well-formed set still attacks.
   EXPECT_EQ(cpa_attack(scalar, present_spec(), PowerModel::kHammingWeight)
                 .score.size(),
-            16u);
-  EXPECT_EQ(cpa_attack_multisample(multi, present_spec(),
-                                   PowerModel::kHammingWeight)
-                .combined.score.size(),
             16u);
 }
 

@@ -222,7 +222,6 @@ TEST(SecondOrderCpaTest, MatchesRetainedTraceReference) {
     ASSERT_GE(engine.target().num_levels(), 2u);
 
     MultiTraceSet retained;
-    retained.reserve(options.num_traces, engine.target().num_levels());
     engine.stream_sampled(options, [&](const std::uint8_t* pts,
                                        const double* rows, std::size_t n) {
       const std::size_t width = engine.target().num_levels();

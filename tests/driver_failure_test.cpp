@@ -233,7 +233,12 @@ TEST(StreamFailureTest, ThrowingSinkRethrowsWithoutHanging) {
     TraceSet streamed;
     engine.stream(options,
                   [&](const std::uint8_t* pts, const double* samples,
-                      std::size_t n) { streamed.append(pts, samples, n); });
+                      std::size_t n) {
+                    streamed.plaintexts.insert(streamed.plaintexts.end(), pts,
+                                               pts + n);
+                    streamed.samples.insert(streamed.samples.end(), samples,
+                                            samples + n);
+                  });
     EXPECT_EQ(streamed.plaintexts, reference.plaintexts);
     EXPECT_EQ(streamed.samples, reference.samples);
   }

@@ -1,79 +1,13 @@
-// Tests for DPDN netlist I/O and the ngspice deck exporter.
+// Tests for the ngspice deck exporter.
 #include <gtest/gtest.h>
 
-#include "core/enhancer.hpp"
 #include "core/fc_synthesizer.hpp"
-#include "core/genuine_builder.hpp"
-#include "core/transformer.hpp"
 #include "expr/parser.hpp"
-#include "netlist/io.hpp"
 #include "sabl/sabl_gate.hpp"
 #include "spice/netlist_export.hpp"
-#include "util/error.hpp"
 
 namespace sable {
 namespace {
-
-TEST(DpdnIoTest, RoundTripFc) {
-  VarTable vars;
-  const ExprPtr f = parse_expression("(A+B).(C+D)", vars);
-  const DpdnNetwork net = synthesize_fc_dpdn(f, 4);
-  const std::string text = write_dpdn(net, vars);
-
-  VarTable vars2;
-  const DpdnNetwork back = read_dpdn(text, vars2);
-  ASSERT_EQ(back.device_count(), net.device_count());
-  ASSERT_EQ(back.node_count(), net.node_count());
-  for (std::size_t i = 0; i < net.devices().size(); ++i) {
-    EXPECT_EQ(back.devices()[i].gate, net.devices()[i].gate);
-    EXPECT_EQ(back.devices()[i].a, net.devices()[i].a);
-    EXPECT_EQ(back.devices()[i].b, net.devices()[i].b);
-    EXPECT_EQ(back.devices()[i].role, net.devices()[i].role);
-  }
-  EXPECT_EQ(vars2.name(0), "A");
-}
-
-TEST(DpdnIoTest, RoundTripEnhancedKeepsPassGates) {
-  VarTable vars;
-  const ExprPtr f = parse_expression("A.B", vars);
-  const DpdnNetwork net = synthesize_enhanced_dpdn(f, 2);
-  const std::string text = write_dpdn(net, vars);
-  EXPECT_NE(text.find("passgate A"), std::string::npos);
-
-  VarTable vars2;
-  const DpdnNetwork back = read_dpdn(text, vars2);
-  EXPECT_EQ(back.pass_gate_device_count(), net.pass_gate_device_count());
-  EXPECT_EQ(back.device_count(), net.device_count());
-}
-
-TEST(DpdnIoTest, ReadFeedsTheTransformer) {
-  // A hand-written schematic in the file format is a valid §4.2 input.
-  const char* text = R"(
-# genuine AND-NAND, Fig. 2 left
-dpdn 2
-var A
-var B
-node W
-switch A  X W
-switch B  W Z
-switch A' Y Z
-switch B' Y Z
-)";
-  VarTable vars;
-  const DpdnNetwork genuine = read_dpdn(text, vars);
-  const TransformResult result = transform_to_fully_connected(genuine, vars);
-  EXPECT_TRUE(result.branches_complementary);
-  EXPECT_TRUE(result.device_count_preserved);
-}
-
-TEST(DpdnIoTest, RejectsMalformedInput) {
-  VarTable vars;
-  EXPECT_THROW(read_dpdn("switch A X Z", vars), ParseError);  // no header
-  EXPECT_THROW(read_dpdn("dpdn 0", vars), ParseError);
-  EXPECT_THROW(read_dpdn("dpdn 2\nvar A\nswitch B X Z", vars), ParseError);
-  EXPECT_THROW(read_dpdn("dpdn 2\nvar A\nswitch A X Q", vars), ParseError);
-  EXPECT_THROW(read_dpdn("dpdn 2\nfrobnicate", vars), ParseError);
-}
 
 TEST(SpiceExportTest, EmitsElementsAndModels) {
   spice::Circuit ckt;

@@ -5,7 +5,7 @@
 #include "core/enhancer.hpp"
 #include "core/fc_synthesizer.hpp"
 #include "expr/parser.hpp"
-#include "netlist/isomorphism.hpp"
+#include "support/isomorphism.hpp"
 
 namespace sable {
 namespace {

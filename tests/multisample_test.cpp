@@ -1,4 +1,4 @@
-// Tests for time-resolved (per-logic-level) traces and multisample CPA.
+// Tests for time-resolved (per-logic-level) traces and time-resolved CPA.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -7,11 +7,9 @@
 #include "cell/builder.hpp"
 #include "cell/circuit_sim.hpp"
 #include "crypto/sboxes.hpp"
-#include "dpa/attack.hpp"
+#include "dpa/streaming.hpp"
 #include "expr/factoring.hpp"
 #include "expr/parser.hpp"
-#include "power/trace.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace sable {
@@ -29,33 +27,6 @@ TEST(GateLevelsTest, LevelizationFollowsTopology) {
   EXPECT_EQ(levels[0], 1u);
   EXPECT_EQ(levels[1], 2u);
   EXPECT_EQ(levels[2], 3u);
-}
-
-TEST(MultiTraceSetTest, RowStorageAndColumns) {
-  MultiTraceSet traces;
-  traces.add(0x3, {1.0, 2.0, 3.0});
-  traces.add(0x7, {4.0, 5.0, 6.0});
-  EXPECT_EQ(traces.width, 3u);
-  EXPECT_EQ(traces.size(), 2u);
-  EXPECT_EQ(traces.at(1, 2), 6.0);
-  const TraceSet col = traces.column(1);
-  EXPECT_EQ(col.samples[0], 2.0);
-  EXPECT_EQ(col.samples[1], 5.0);
-  EXPECT_THROW(traces.column(3), InvalidArgument);
-  EXPECT_THROW(traces.add(0x1, {1.0}), InvalidArgument);
-}
-
-// A hand-built set with fewer samples than size() * width must be refused
-// before column() reads past the sample buffer.
-TEST(MultiTraceSetTest, ColumnRejectsAShortSampleBuffer) {
-  MultiTraceSet traces;
-  traces.width = 3;
-  traces.plaintexts = {0x1, 0x2, 0x3};
-  traces.samples = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
-  EXPECT_THROW(traces.column(0), InvalidArgument);
-  traces.samples.push_back(9.0);
-  EXPECT_EQ(traces.column(2).samples,
-            (std::vector<double>{3.0, 6.0, 9.0}));
 }
 
 TEST(SampledCycleTest, LevelEnergiesSumToCycleEnergy) {
@@ -93,7 +64,8 @@ TEST(MultisampleCpaTest, RecoversKeyAndLocalizesLeak) {
 
   Rng rng(0xBEE);
   const std::uint8_t key = 0x9;
-  MultiTraceSet traces;
+  StreamingCpa cpa =
+      StreamingCpa::time_resolved(spec, PowerModel::kHammingWeight, levels);
   // CMOS level-resolved trace: recompute with a sampled CMOS run by
   // splitting per level through a fresh simulator per trace column is
   // overkill; instead distribute the scalar energy onto the last level and
@@ -104,10 +76,9 @@ TEST(MultisampleCpaTest, RecoversKeyAndLocalizesLeak) {
     std::vector<double> row(levels, 0.0);
     for (auto& v : row) v = 2e-16 * rng.gaussian();
     row[levels - 1] += sim.cycle(x).energy;
-    traces.add(pt, row);
+    cpa.add_block(&pt, row.data(), 1);
   }
-  const MultiAttackResult result = cpa_attack_multisample(
-      traces, spec, PowerModel::kHammingWeight);
+  const MultiAttackResult result = cpa.result();
   EXPECT_EQ(result.combined.rank_of(key), 0u);
   EXPECT_EQ(result.best_sample, levels - 1) << "leak must localize in time";
 }
@@ -124,16 +95,16 @@ TEST(MultisampleCpaTest, FullyConnectedFlatAtEverySample) {
 
   Rng rng(0xFEE);
   const std::uint8_t key = 0x4;
-  MultiTraceSet traces;
+  StreamingCpa cpa = StreamingCpa::time_resolved(
+      spec, PowerModel::kHammingWeight, sim.num_levels());
   for (std::size_t i = 0; i < 2000; ++i) {
     const auto pt = static_cast<std::uint8_t>(rng.below(16));
     const auto x = static_cast<std::uint8_t>(pt ^ key);
     SampledCycleResult cycle = sim.cycle_sampled(x);
     for (auto& v : cycle.level_energy) v += 2e-16 * rng.gaussian();
-    traces.add(pt, cycle.level_energy);
+    cpa.add_block(&pt, cycle.level_energy.data(), 1);
   }
-  const MultiAttackResult result = cpa_attack_multisample(
-      traces, spec, PowerModel::kHammingWeight);
+  const MultiAttackResult result = cpa.result();
   EXPECT_LT(result.combined.score[result.combined.best_guess], 0.12)
       << "every sample of an FC circuit should be noise";
 }

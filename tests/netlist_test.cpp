@@ -41,8 +41,6 @@ TEST(NetworkTest, NodeBookkeeping) {
   EXPECT_EQ(net.internal_node_count(), 0u);
   const NodeId w = net.add_internal_node();
   EXPECT_EQ(net.node_name(w), "W1");
-  EXPECT_EQ(net.node_kind(w), NodeKind::kInternal);
-  EXPECT_EQ(net.node_kind(DpdnNetwork::kNodeX), NodeKind::kX);
   EXPECT_FALSE(net.is_external(w));
   EXPECT_TRUE(net.is_external(DpdnNetwork::kNodeZ));
 }

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "switchsim/cycle_sim.hpp"
@@ -72,8 +73,8 @@ void expect_words_equal(const std::vector<W>& got, const std::vector<W>& ref,
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t v = 0; v < ref.size(); ++v) {
     std::uint64_t g[T::kChunks], r[T::kChunks];
-    lane_chunks(got[v], g);
-    lane_chunks(ref[v], r);
+    std::memcpy(g, &got[v], sizeof g);
+    std::memcpy(r, &ref[v], sizeof r);
     for (std::size_t j = 0; j < T::kChunks; ++j) {
       EXPECT_EQ(g[j], r[j]) << what << " count " << count << " var " << v
                             << " chunk " << j;
@@ -159,7 +160,8 @@ TYPED_TEST(PackTransposeTest, ChunkRoundTrip) {
   for (int round = 0; round < 16; ++round) {
     std::uint64_t a[T::kChunks], out[T::kChunks];
     for (std::size_t j = 0; j < T::kChunks; ++j) a[j] = rng.next();
-    lane_chunks(lane_from_chunks<W>(a), out);
+    const W w = lane_from_chunks<W>(a);
+    std::memcpy(out, &w, sizeof out);
     for (std::size_t j = 0; j < T::kChunks; ++j) EXPECT_EQ(out[j], a[j]);
   }
 }
@@ -178,7 +180,7 @@ TYPED_TEST(PackTransposeTest, PackLaneWordsTransposesEveryLane) {
     pack_lane_words(assignments.data(), count, words);
     for (std::size_t v = 0; v < kVars; ++v) {
       std::uint64_t chunks[T::kChunks];
-      lane_chunks(words[v], chunks);
+      std::memcpy(chunks, &words[v], sizeof chunks);
       for (std::size_t lane = 0; lane < T::kLanes; ++lane) {
         const std::uint64_t bit = (chunks[lane / 64] >> (lane % 64)) & 1u;
         const std::uint64_t expected =

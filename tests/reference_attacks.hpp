@@ -20,6 +20,37 @@
 
 namespace sable {
 
+/// Retained time-resolved traces for the oracles below: `width` samples
+/// per plaintext, row-major — the shape a sampling oscilloscope produces.
+struct MultiTraceSet {
+  std::size_t width = 0;
+  std::vector<std::uint8_t> plaintexts;
+  std::vector<double> samples;  // size() * width values
+
+  std::size_t size() const { return plaintexts.size(); }
+  double at(std::size_t trace, std::size_t sample) const {
+    return samples[trace * width + sample];
+  }
+  /// Appends one trace row; the first row fixes the width.
+  void add(std::uint8_t pt, const double* row, std::size_t row_width) {
+    if (width == 0) width = row_width;
+    plaintexts.push_back(pt);
+    samples.insert(samples.end(), row, row + width);
+  }
+  void add(std::uint8_t pt, const std::vector<double>& row) {
+    add(pt, row.data(), row.size());
+  }
+  /// The single-sample set of column `sample`.
+  TraceSet column(std::size_t sample) const {
+    TraceSet out;
+    out.plaintexts = plaintexts;
+    for (std::size_t t = 0; t < size(); ++t) {
+      out.samples.push_back(at(t, sample));
+    }
+    return out;
+  }
+};
+
 /// Two-pass reference CPA over the first `n` traces (all of them when n
 /// is 0): |Pearson| of every guess's predicted leakage against the
 /// samples.

@@ -15,6 +15,7 @@
 #include "crypto/round_target.hpp"
 #include "dpa/attack.hpp"
 #include "dpa/mtd.hpp"
+#include "dpa/streaming.hpp"
 #include "engine/trace_engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -476,8 +477,8 @@ TEST(RoundEngineTest, AlgorithmicNoiseGrowsMtdWithRoundSize) {
 }
 
 TEST(RoundEngineTest, MultiCpaCampaignMatchesRetainedMultisampleAttack) {
-  // The time-resolved sharded campaign must agree with the batch
-  // multisample attack over the identical retained traces to 1e-12.
+  // The time-resolved sharded campaign must agree to 1e-12 with one
+  // sequential time-resolved accumulator fed the identical traces.
   const RoundSpec round = present_round(3, LogicStyle::kSablGenuine);
   const std::vector<std::size_t> subkeys = {0x9, 0x4, 0xD};
   const AttackSelector selector{.sbox_index = 1,
@@ -495,26 +496,22 @@ TEST(RoundEngineTest, MultiCpaCampaignMatchesRetainedMultisampleAttack) {
       MultiCpaDistinguisher(engine.spec(selector.sbox_index), selector,
                             engine.target().num_levels()));
 
-  // Retain the same campaign via stream_sampled and run the batch attack
-  // on the attacked instance's sub-plaintexts.
+  // Stream the same campaign via stream_sampled into one accumulator, fed
+  // the attacked instance's sub-plaintexts in trace order.
   TraceEngine engine2(round, kTech);
   const std::size_t width = engine2.target().num_levels();
   ASSERT_GT(width, 1u);
-  MultiTraceSet retained;
-  retained.reserve(options.num_traces, width);
+  StreamingCpa sequential = StreamingCpa::time_resolved(
+      round.sboxes[selector.sbox_index], selector.model, width, selector.bit);
   std::vector<std::uint8_t> sub_pts(campaign_shard_size(options));
   engine2.stream_sampled(
       options, [&](const std::uint8_t* pts, const double* rows,
                    std::size_t count) {
         round.sub_words(pts, count, selector.sbox_index, sub_pts.data());
-        for (std::size_t t = 0; t < count; ++t) {
-          retained.add(sub_pts[t], rows + t * width, width);
-        }
+        sequential.add_block(sub_pts.data(), rows, count);
       });
-  ASSERT_EQ(retained.size(), options.num_traces);
-  const MultiAttackResult batch = cpa_attack_multisample(
-      retained, round.sboxes[selector.sbox_index], selector.model,
-      selector.bit);
+  ASSERT_EQ(sequential.count(), options.num_traces);
+  const MultiAttackResult batch = sequential.result();
 
   ASSERT_EQ(streamed.combined.score.size(), batch.combined.score.size());
   for (std::size_t g = 0; g < batch.combined.score.size(); ++g) {
@@ -546,7 +543,12 @@ TEST(RoundEngineTest, RunRetainsWideStatesAndStreamMatches) {
   collected.reserve(options.num_traces);
   engine2.stream(options,
                  [&](const std::uint8_t* pts, const double* samples,
-                     std::size_t n) { collected.append(pts, samples, n); });
+                     std::size_t n) {
+                   collected.plaintexts.insert(collected.plaintexts.end(), pts,
+                                               pts + n * collected.pt_width);
+                   collected.samples.insert(collected.samples.end(), samples,
+                                            samples + n);
+                 });
   ASSERT_EQ(collected.size(), traces.size());
   EXPECT_EQ(collected.plaintexts, traces.plaintexts);
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -560,8 +562,8 @@ TEST(RoundEngineTest, RunRetainsWideStatesAndStreamMatches) {
 }
 
 // Time-resolved campaigns cover the baseline style too: cycle_sampled on
-// the CMOS batch sim feeds the multi-CPA campaign, which must agree with the
-// batch multisample attack over the identically retained traces — and the
+// the CMOS batch sim feeds the multi-CPA campaign, which must agree with a
+// sequential time-resolved accumulator over the identical traces — and the
 // HD leak is strong enough that the oscilloscope-style attack recovers
 // the subkey.
 TEST(RoundEngineTest, MultiCpaCampaignCoversStaticCmos) {
@@ -586,21 +588,17 @@ TEST(RoundEngineTest, MultiCpaCampaignCoversStaticCmos) {
 
   TraceEngine engine2(round, kTech);
   const std::size_t width = engine2.target().num_levels();
-  MultiTraceSet retained;
-  retained.reserve(options.num_traces, width);
+  StreamingCpa sequential = StreamingCpa::time_resolved(
+      round.sboxes[selector.sbox_index], selector.model, width, selector.bit);
   std::vector<std::uint8_t> sub_pts(campaign_shard_size(options));
   engine2.stream_sampled(
       options, [&](const std::uint8_t* pts, const double* rows,
                    std::size_t count) {
         round.sub_words(pts, count, selector.sbox_index, sub_pts.data());
-        for (std::size_t t = 0; t < count; ++t) {
-          retained.add(sub_pts[t], rows + t * width, width);
-        }
+        sequential.add_block(sub_pts.data(), rows, count);
       });
-  ASSERT_EQ(retained.size(), options.num_traces);
-  const MultiAttackResult batch = cpa_attack_multisample(
-      retained, round.sboxes[selector.sbox_index], selector.model,
-      selector.bit);
+  ASSERT_EQ(sequential.count(), options.num_traces);
+  const MultiAttackResult batch = sequential.result();
   ASSERT_EQ(streamed.combined.score.size(), batch.combined.score.size());
   for (std::size_t g = 0; g < batch.combined.score.size(); ++g) {
     EXPECT_NEAR(streamed.combined.score[g], batch.combined.score[g], 1e-12)

@@ -1,4 +1,4 @@
-#include "bdd/bdd.hpp"
+#include "support/bdd.hpp"
 
 #include "util/error.hpp"
 

@@ -1,4 +1,4 @@
-// Reduced ordered binary decision diagrams (ROBDDs).
+// Reduced ordered binary decision diagrams (ROBDDs), a test oracle.
 //
 // The exhaustive checkers in src/core enumerate all 2^n complementary
 // inputs — complete and honest for gate-sized n, but not for wide complex
@@ -6,7 +6,8 @@
 // more). This module provides the standard symbolic alternative: canonical
 // BDDs with a unique table and memoized apply, so functional equality is
 // pointer equality and the §3 full-connectivity condition becomes a
-// tautology check (see bdd/symbolic.hpp).
+// tautology check (see support/symbolic.hpp). It shares no code with
+// core/checks, which is what makes it an independent check of it.
 //
 // Variable order is the natural VarId order; the networks this library
 // builds are small enough that reordering is unnecessary.

@@ -1,4 +1,4 @@
-#include "netlist/isomorphism.hpp"
+#include "support/isomorphism.hpp"
 
 #include <algorithm>
 #include <array>

@@ -2,9 +2,10 @@
 //
 // Two DPDNs are the same circuit if one can be mapped onto the other by a
 // bijection of internal nodes that preserves external nodes and maps every
-// switch (gate literal, endpoints, role) onto a distinct switch. Used by
-// tests and the transformer benches to compare generated networks with
-// reference schematics without depending on construction order.
+// switch (gate literal, endpoints, role) onto a distinct switch. The test
+// oracle behind "the synthesized FC network equals the Fig. 2 reference":
+// it compares generated networks with reference schematics without
+// depending on construction order.
 #pragma once
 
 #include "netlist/network.hpp"

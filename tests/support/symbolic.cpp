@@ -1,4 +1,4 @@
-#include "bdd/symbolic.hpp"
+#include "support/symbolic.hpp"
 
 #include "expr/transforms.hpp"
 #include "util/error.hpp"

@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "bdd/bdd.hpp"
+#include "support/bdd.hpp"
 #include "netlist/network.hpp"
 
 namespace sable {

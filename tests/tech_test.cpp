@@ -6,7 +6,6 @@
 #include "core/fc_synthesizer.hpp"
 #include "expr/parser.hpp"
 #include "tech/capacitance.hpp"
-#include "tech/sizing.hpp"
 
 namespace sable {
 namespace {
@@ -85,22 +84,6 @@ TEST(CapacitanceTest, EnhancementIncreasesInputLoad) {
   const SizingPlan sizing = SizingPlan::defaults(tech);
   EXPECT_GT(input_capacitance(enhanced, tech, sizing, 0, true),
             input_capacitance(fc, tech, sizing, 0, true));
-}
-
-TEST(SizingTest, WidthScalesWithStackDepth) {
-  // Any n-input differential network has an n-deep series side (one branch
-  // is always the dual chain), so stack-aware sizing scales with the input
-  // count, not with the function shape.
-  VarTable vars;
-  const Technology tech = Technology::generic_180nm();
-  const ExprPtr two = parse_expression("A.B", vars);
-  const ExprPtr four = parse_expression("A.B.C.D", vars);
-  const SizingPlan two_plan =
-      size_for_network(synthesize_fc_dpdn(two, 2), tech);
-  const SizingPlan four_plan =
-      size_for_network(synthesize_fc_dpdn(four, 4), tech);
-  EXPECT_GT(four_plan.dpdn_width, two_plan.dpdn_width);
-  EXPECT_NEAR(four_plan.dpdn_width / two_plan.dpdn_width, 2.0, 1e-9);
 }
 
 }  // namespace

@@ -520,8 +520,11 @@ TEST(StreamingMultiCpaTest, MatchesPerColumnTwoPass) {
     for (auto& v : cycle.level_energy) v += 1e-16 * rng.gaussian();
     traces.add(pt, cycle.level_energy);
   }
-  const MultiAttackResult streamed =
-      cpa_attack_multisample(traces, spec, PowerModel::kHammingWeight);
+  StreamingCpa cpa = StreamingCpa::time_resolved(
+      spec, PowerModel::kHammingWeight, traces.width);
+  cpa.add_block(traces.plaintexts.data(), traces.samples.data(),
+                traces.size());
+  const MultiAttackResult streamed = cpa.result();
   const std::vector<double> combined =
       reference_multi_cpa_scores(traces, spec, PowerModel::kHammingWeight);
   for (std::size_t g = 0; g < combined.size(); ++g) {

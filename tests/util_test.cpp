@@ -274,20 +274,6 @@ TEST(ZigguratTest, TablesMatchTheLongDoubleRecurrence) {
   EXPECT_NEAR(kX[255] * (kF[256] - kF[255]), kV, 1e-8 * kV);
 }
 
-TEST(StringsTest, JoinAndSplit) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  const auto parts = split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[2], "");
-}
-
-TEST(StringsTest, Trim) {
-  EXPECT_EQ(trim("  hello \t"), "hello");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(trim("   "), "");
-}
-
 TEST(StringsTest, FormatEng) {
   EXPECT_EQ(format_eng(19.32e-15, "F"), "19.32fF");
   EXPECT_EQ(format_eng(0.0, "A"), "0A");
