@@ -164,36 +164,6 @@ MappedFile::~MappedFile() {
 #endif
 }
 
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : path_(std::move(other.path_)),
-      data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-  if (!fallback_.empty()) data_ = fallback_.data();
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-#if SABLE_HAVE_MMAP
-    if (mapped_) ::munmap(const_cast<std::uint8_t*>(data_), size_);
-#endif
-    path_ = std::move(other.path_);
-    data_ = other.data_;
-    size_ = other.size_;
-    mapped_ = other.mapped_;
-    fallback_ = std::move(other.fallback_);
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.mapped_ = false;
-    if (!fallback_.empty()) data_ = fallback_.data();
-  }
-  return *this;
-}
-
 // ---- ByteReader -----------------------------------------------------------
 
 void ByteReader::require(std::size_t size) const {

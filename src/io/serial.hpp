@@ -118,8 +118,6 @@ class MappedFile {
  public:
   explicit MappedFile(const std::string& path);
   ~MappedFile();
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
