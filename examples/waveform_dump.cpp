@@ -5,7 +5,8 @@
 // voltages, DPDN node voltages and the supply current to stdout (redirect
 // to a file and plot with any tool).
 //
-//   example_waveform_dump [PERIOD]   clock period in seconds (default 4e-9)
+//   example_waveform_dump [PERIOD]   clock period in seconds (default 4e-9;
+//                                    above 1e-10, two 50 ps stimulus edges)
 #include <cstdio>
 #include <string>
 
@@ -13,6 +14,7 @@
 #include "expr/parser.hpp"
 #include "parse_number.hpp"
 #include "sabl/testbench.hpp"
+#include "util/error.hpp"
 
 using namespace sable;
 
@@ -38,8 +40,13 @@ int main(int argc, char** argv) {
 
   // Fig. 3: (0,1)-input (A=0, B=1 -> assignment 0b10) then (1,1).
   const std::vector<std::uint64_t> seq = {0b10, 0b11};
-  const SablRunResult run = run_sabl_sequence(net, vars, tech, sizing, seq,
-                                              opt);
+  SablRunResult run;
+  try {
+    run = run_sabl_sequence(net, vars, tech, sizing, seq, opt);
+  } catch (const InvalidArgument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   const auto& w = run.waves;
 
   std::printf("time_ns,clk,out,outb,x,y,z,w_internal,i_vdd_uA\n");

@@ -2,6 +2,7 @@
 
 #include "spice/measure.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace sable {
 
@@ -58,6 +59,12 @@ SablRunResult run_gate(Gate gate, std::size_t num_vars, double vdd,
                        const std::vector<std::uint64_t>& inputs,
                        double period, bool precharged) {
   SABLE_REQUIRE(!inputs.empty(), "testbench requires at least one input");
+  // Each half period holds one full stimulus edge; at a shorter period the
+  // rails' breakpoints (and the clock's high phase) stop increasing.
+  SABLE_REQUIRE(period > 2 * kEdge,
+                "testbench period must exceed twice the " +
+                    format_eng(kEdge, "s") + " stimulus edge, got " +
+                    format_eng(period, "s"));
   std::vector<std::uint64_t> padded(kWarmupCycles, inputs.front());
   padded.insert(padded.end(), inputs.begin(), inputs.end());
   spice::Circuit& ckt = gate.circuit;

@@ -11,7 +11,9 @@
 //                   when the supply recharges the DPDN nodes that the
 //                   evaluation discharged — and then return to 0.
 // Every stimulus edge takes 50 ps, and two warm-up copies of the first
-// input precede the measured cycles.
+// input precede the measured cycles. Each half period must hold a full
+// edge, so both testbenches throw InvalidArgument for a period of 100 ps
+// or less.
 //
 // Per-cycle measurements: supply energy and charge over the cycle, the peak
 // supply current, and the effective recharged capacitance q_precharge / VDD,
@@ -32,7 +34,7 @@ namespace sable {
 inline constexpr double kTestbenchDt = 2e-12;
 
 struct TestbenchOptions {
-  double period = 4e-9;  ///< clock period [s]
+  double period = 4e-9;  ///< clock period [s]; must exceed 100 ps
 };
 
 struct CycleMeasurement {

@@ -12,6 +12,7 @@
 #include "expr/parser.hpp"
 #include "expr/truth_table.hpp"
 #include "sabl/testbench.hpp"
+#include "util/error.hpp"
 
 namespace sable {
 namespace {
@@ -112,6 +113,30 @@ TEST(SablSpiceTest, RechargedCapacitanceNearlyEqualAcrossInputs) {
   const double c11 = run.cycles[1].recharged_capacitance;
   EXPECT_GT(c01, 5e-15);
   EXPECT_NEAR(c01, c11, 0.02 * c11);
+}
+
+// At a period of twice the 50 ps stimulus edge or less, a half period no
+// longer holds an edge: both testbenches refuse it by name up front.
+TEST(SablSpiceTest, RejectsAPeriodOfTwoEdgesOrLess) {
+  VarTable vars;
+  const ExprPtr f = parse_expression("A.B", vars);
+  const DpdnNetwork net = synthesize_fc_dpdn(f, 2);
+  const SizingPlan sizing = SizingPlan::defaults(kTech);
+  const std::vector<std::uint64_t> seq = {0b10, 0b11};
+  try {
+    run_sabl_sequence(net, vars, kTech, sizing, seq, {.period = 1e-10});
+    ADD_FAILURE() << "a 100 ps period was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(),
+                 "testbench period must exceed twice the 50ps stimulus "
+                 "edge, got 100ps");
+  }
+  EXPECT_THROW(
+      run_sabl_sequence(net, vars, kTech, sizing, seq, {.period = 0.0}),
+      InvalidArgument);
+  EXPECT_THROW(
+      run_cvsl_sequence(net, vars, kTech, sizing, seq, {.period = 1e-10}),
+      InvalidArgument);
 }
 
 TEST(CvslSpiceTest, StaticGateHoldsItsOutputs) {
