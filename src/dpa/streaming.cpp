@@ -243,7 +243,7 @@ MultiAttackResult StreamingCpa::result() const {
 }
 
 // Two layouts, chosen by how the accumulator was built. Both store a
-// column's sample moments as OnlineMoments::save does (count, mean, M2).
+// column's sample moments as (count, mean, M2).
 //   CPA:            tag G model bit | column 0 | mean_h m2_h c_ht
 //   time-resolved:  tag G model bit width n | mean_h m2_h | columns | c_ht
 void StreamingCpa::save(ByteWriter& writer) const {
