@@ -478,7 +478,7 @@ TEST(RoundEngineTest, AlgorithmicNoiseGrowsMtdWithRoundSize) {
 
 TEST(RoundEngineTest, MultiCpaCampaignMatchesRetainedMultisampleAttack) {
   // The time-resolved sharded campaign must agree to 1e-12 with one
-  // sequential time-resolved accumulator fed the identical traces.
+  // time-resolved accumulator fed the identical traces as one block.
   const RoundSpec round = present_round(3, LogicStyle::kSablGenuine);
   const std::vector<std::size_t> subkeys = {0x9, 0x4, 0xD};
   const AttackSelector selector{.sbox_index = 1,
@@ -496,22 +496,31 @@ TEST(RoundEngineTest, MultiCpaCampaignMatchesRetainedMultisampleAttack) {
       MultiCpaDistinguisher(engine.spec(selector.sbox_index), selector,
                             engine.target().num_levels()));
 
-  // Stream the same campaign via stream_sampled into one accumulator, fed
-  // the attacked instance's sub-plaintexts in trace order.
+  // Retain the same campaign via stream_sampled and feed the attacked
+  // instance's sub-plaintexts to one accumulator as a single block, so the
+  // campaign's per-shard merges are checked against a whole-set pass.
   TraceEngine engine2(round, kTech);
   const std::size_t width = engine2.target().num_levels();
   ASSERT_GT(width, 1u);
-  StreamingCpa sequential = StreamingCpa::time_resolved(
-      round.sboxes[selector.sbox_index], selector.model, width, selector.bit);
+  std::vector<std::uint8_t> retained_pts;
+  std::vector<double> retained_rows;
+  retained_pts.reserve(options.num_traces);
+  retained_rows.reserve(options.num_traces * width);
   std::vector<std::uint8_t> sub_pts(campaign_shard_size(options));
   engine2.stream_sampled(
       options, [&](const std::uint8_t* pts, const double* rows,
                    std::size_t count) {
         round.sub_words(pts, count, selector.sbox_index, sub_pts.data());
-        sequential.add_block(sub_pts.data(), rows, count);
+        retained_pts.insert(retained_pts.end(), sub_pts.data(),
+                            sub_pts.data() + count);
+        retained_rows.insert(retained_rows.end(), rows, rows + count * width);
       });
-  ASSERT_EQ(sequential.count(), options.num_traces);
-  const MultiAttackResult batch = sequential.result();
+  ASSERT_EQ(retained_pts.size(), options.num_traces);
+  StreamingCpa whole_set = StreamingCpa::time_resolved(
+      round.sboxes[selector.sbox_index], selector.model, width, selector.bit);
+  whole_set.add_block(retained_pts.data(), retained_rows.data(),
+                      retained_pts.size());
+  const MultiAttackResult batch = whole_set.result();
 
   ASSERT_EQ(streamed.combined.score.size(), batch.combined.score.size());
   for (std::size_t g = 0; g < batch.combined.score.size(); ++g) {
@@ -563,7 +572,7 @@ TEST(RoundEngineTest, RunRetainsWideStatesAndStreamMatches) {
 
 // Time-resolved campaigns cover the baseline style too: cycle_sampled on
 // the CMOS batch sim feeds the multi-CPA campaign, which must agree with a
-// sequential time-resolved accumulator over the identical traces — and the
+// time-resolved accumulator fed the identical traces as one block — and the
 // HD leak is strong enough that the oscilloscope-style attack recovers
 // the subkey.
 TEST(RoundEngineTest, MultiCpaCampaignCoversStaticCmos) {
@@ -588,17 +597,25 @@ TEST(RoundEngineTest, MultiCpaCampaignCoversStaticCmos) {
 
   TraceEngine engine2(round, kTech);
   const std::size_t width = engine2.target().num_levels();
-  StreamingCpa sequential = StreamingCpa::time_resolved(
-      round.sboxes[selector.sbox_index], selector.model, width, selector.bit);
+  std::vector<std::uint8_t> retained_pts;
+  std::vector<double> retained_rows;
+  retained_pts.reserve(options.num_traces);
+  retained_rows.reserve(options.num_traces * width);
   std::vector<std::uint8_t> sub_pts(campaign_shard_size(options));
   engine2.stream_sampled(
       options, [&](const std::uint8_t* pts, const double* rows,
                    std::size_t count) {
         round.sub_words(pts, count, selector.sbox_index, sub_pts.data());
-        sequential.add_block(sub_pts.data(), rows, count);
+        retained_pts.insert(retained_pts.end(), sub_pts.data(),
+                            sub_pts.data() + count);
+        retained_rows.insert(retained_rows.end(), rows, rows + count * width);
       });
-  ASSERT_EQ(sequential.count(), options.num_traces);
-  const MultiAttackResult batch = sequential.result();
+  ASSERT_EQ(retained_pts.size(), options.num_traces);
+  StreamingCpa whole_set = StreamingCpa::time_resolved(
+      round.sboxes[selector.sbox_index], selector.model, width, selector.bit);
+  whole_set.add_block(retained_pts.data(), retained_rows.data(),
+                      retained_pts.size());
+  const MultiAttackResult batch = whole_set.result();
   ASSERT_EQ(streamed.combined.score.size(), batch.combined.score.size());
   for (std::size_t g = 0; g < batch.combined.score.size(); ++g) {
     EXPECT_NEAR(streamed.combined.score[g], batch.combined.score[g], 1e-12)
