@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <fstream>
 #include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +23,8 @@
 #include "dpa/mtd.hpp"
 #include "dpa/streaming.hpp"
 #include "engine/trace_engine.hpp"
+#include "io/corpus.hpp"
+#include "io/manifest.hpp"
 #include "reference_attacks.hpp"
 #include "util/rng.hpp"
 
@@ -697,6 +703,195 @@ TEST(CloneTest, ClonedRoundTargetMatchesFreshTarget) {
       EXPECT_EQ(cloned.trace(state.data(), key.data(), 1e-16, rng_a),
                 fresh.trace(state.data(), key.data(), 1e-16, rng_b))
           << i;
+    }
+  }
+}
+
+
+// ---- reduction bits ---------------------------------------------------------
+
+// FNV-1a 64 over every result bit of one CPA + DoM + MTD + multi-CPA +
+// second-order campaign, and over the bytes of its complete checkpoint.
+// The constants below were computed before the shard states were reduced
+// online, as shards finish, and are never edited: any change to the
+// reduction's pairing, order or hand-off moves them.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void attack(const AttackResult& r) {
+    u64(r.score.size());
+    for (double x : r.score) f64(x);
+    u64(r.best_guess);
+    f64(r.margin);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// n 64-trace shards, the last one ragged (37 traces).
+CampaignOptions pinned_options(std::size_t shards, std::size_t threads) {
+  CampaignOptions options;
+  options.num_traces = 64 * (shards - 1) + 37;
+  options.key = {0xB};
+  options.noise_sigma = 2e-16;
+  options.seed = 0x5EED;
+  options.shard_size = 64;
+  options.num_threads = threads;
+  return options;
+}
+
+struct PinnedSet {
+  CpaDistinguisher cpa;
+  DomDistinguisher dom;
+  MtdDistinguisher mtd;
+  MultiCpaDistinguisher multi;
+  SecondOrderCpaDistinguisher second;
+
+  PinnedSet(TraceEngine& engine, const CampaignOptions& options)
+      : cpa(engine.spec(), AttackSelector{.model = PowerModel::kHammingWeight}),
+        dom(engine.spec(), AttackSelector{.model = PowerModel::kHammingWeight,
+                                          .bit = 1}),
+        mtd(engine.spec(), AttackSelector{.model = PowerModel::kHammingWeight},
+            options.key[0], default_checkpoints(options.num_traces),
+            options.num_traces),
+        multi(engine.spec(),
+              AttackSelector{.model = PowerModel::kHammingWeight},
+              engine.target().num_levels()),
+        second(engine.spec(),
+               AttackSelector{.model = PowerModel::kHammingWeight}) {}
+
+  std::vector<Distinguisher*> all() {
+    return {&cpa, &dom, &mtd, &multi, &second};
+  }
+  std::vector<Distinguisher*> scalar() { return {&cpa, &dom, &mtd}; }
+  std::vector<Distinguisher*> sampled() { return {&multi, &second}; }
+
+  std::uint64_t hash() const {
+    Fnv1a h;
+    h.attack(cpa.result());
+    h.attack(dom.result());
+    const MtdResult& m = mtd.result();
+    h.u64(m.disclosed);
+    h.u64(m.mtd);
+    h.u64(m.rank_history.size());
+    for (const auto& [traces, rank] : m.rank_history) {
+      h.u64(traces);
+      h.u64(rank);
+    }
+    h.attack(multi.result().combined);
+    h.u64(multi.result().best_sample);
+    h.attack(second.result().combined);
+    h.u64(second.result().best_pair_first);
+    h.u64(second.result().best_pair_second);
+    return h.value();
+  }
+};
+
+std::uint64_t file_hash(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  const std::vector<char> bytes{std::istreambuf_iterator<char>(in),
+                                std::istreambuf_iterator<char>()};
+  Fnv1a h;
+  h.bytes(bytes.data(), bytes.size());
+  return h.value();
+}
+
+std::string pinned_path(const std::string& name, std::size_t shards,
+                        std::size_t threads) {
+  return testing::TempDir() + "reduction_bits_" + name + "_" +
+         std::to_string(shards) + "_" + std::to_string(threads);
+}
+
+struct PinnedBits {
+  std::size_t shards;
+  std::uint64_t results;
+  std::uint64_t checkpoint;
+};
+
+constexpr PinnedBits kPinnedBits[] = {
+    {1, 0x1518a01190986271ULL, 0x098183ba9dd23b71ULL},
+    {2, 0x6a335b54133b004aULL, 0x2c3a69ed474b9454ULL},
+    {3, 0x542b8f76d726a6f4ULL, 0x57a3170a318ceaa2ULL},
+    {5, 0x761c5de40d3f13c8ULL, 0x22ffcbd4bc3c176cULL},
+    {7, 0x84369894efaa35d3ULL, 0xae3b122e5ae4278dULL},
+    {33, 0xa01ebe4a81d1b8f0ULL, 0x294619bd34c4a33bULL},
+};
+
+// Every way a campaign reaches its reduction — live, replayed from a
+// corpus, resumed from a mid-run checkpoint, merged from two range
+// partials — at 1 and 4 threads must produce the pinned bits.
+TEST(EngineDeterminismTest, ReductionBitsArePinned) {
+  for (const PinnedBits& pin : kPinnedBits) {
+    const std::size_t n = pin.shards;
+    const std::size_t mid = n / 2;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("shards " + std::to_string(n) + ", threads " +
+                   std::to_string(threads));
+      const CampaignOptions options = pinned_options(n, threads);
+      TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+      ASSERT_EQ(engine.campaign_manifest(options).num_shards, n);
+
+      PinnedSet live(engine, options);
+      engine.run_distinguishers(options, live.all());
+      EXPECT_EQ(live.hash(), pin.results)
+          << "live 0x" << std::hex << live.hash();
+
+      const std::string scalar_corpus = pinned_path("scalar", n, threads);
+      const std::string sampled_corpus = pinned_path("sampled", n, threads);
+      engine.record(options, TraceDataKind::kScalar, scalar_corpus);
+      engine.record(options, TraceDataKind::kSampled, sampled_corpus);
+      PinnedSet replayed(engine, options);
+      engine.replay(CorpusReader(scalar_corpus), replayed.scalar(), {},
+                    threads);
+      engine.replay(CorpusReader(sampled_corpus), replayed.sampled(), {},
+                    threads);
+      EXPECT_EQ(replayed.hash(), pin.results)
+          << "replayed 0x" << std::hex << replayed.hash();
+
+      const std::string checkpoint = pinned_path("ckpt", n, threads);
+      CampaignPersistence first;
+      first.checkpoint_path = checkpoint;
+      first.checkpoint_every_shards = 1;
+      first.shard_end = mid;
+      PinnedSet interrupted(engine, options);
+      EXPECT_FALSE(
+          engine.run_distinguishers(options, interrupted.all(), first));
+      CampaignPersistence rest;
+      rest.resume_path = checkpoint;
+      rest.checkpoint_path = checkpoint;
+      rest.checkpoint_every_shards = 2;
+      PinnedSet resumed(engine, options);
+      EXPECT_TRUE(engine.run_distinguishers(options, resumed.all(), rest));
+      EXPECT_EQ(resumed.hash(), pin.results)
+          << "resumed 0x" << std::hex << resumed.hash();
+      EXPECT_EQ(file_hash(checkpoint), pin.checkpoint)
+          << "checkpoint 0x" << std::hex << file_hash(checkpoint);
+
+      const std::string left = pinned_path("left", n, threads);
+      const std::string right = pinned_path("right", n, threads);
+      CampaignPersistence head;
+      head.checkpoint_path = left;
+      head.shard_end = mid;
+      CampaignPersistence tail;
+      tail.checkpoint_path = right;
+      tail.shard_begin = mid;
+      PinnedSet ignored(engine, options);
+      engine.run_distinguishers(options, ignored.all(), head);
+      engine.run_distinguishers(options, ignored.all(), tail);
+      PinnedSet merged(engine, options);
+      engine.merge_partials(options, merged.all(), {left, right});
+      EXPECT_EQ(merged.hash(), pin.results)
+          << "merged 0x" << std::hex << merged.hash();
     }
   }
 }
