@@ -8,6 +8,10 @@
 // Part 2 — transistor-level: the CVSL AND-NAND gate (§2 cites a variation
 // "as large as 50%" for its per-event power) vs. the SABL-FC gate, both
 // simulated with the mini-SPICE engine over all input events.
+//
+// Exits 1 (naming the claim on stderr) unless the genuine network shows
+// the memory effect, the fully connected one is memoryless, and the
+// fully connected NED is below the genuine one.
 #include <algorithm>
 #include <cstdio>
 
@@ -25,12 +29,15 @@ using namespace sable;
 
 namespace {
 
-void part1_switch_level() {
+// Returns whether the Fig. 2 claim holds.
+bool part1_switch_level() {
   std::printf("== E1 (Fig. 2): memory effect, switch-level =================\n");
   VarTable vars;
   const ExprPtr f = parse_expression("A.B", vars);
   const Technology tech = Technology::generic_180nm();
   const SizingPlan sizing = SizingPlan::defaults(tech);
+  bool memoryless[2] = {};  // [genuine, fully connected]
+  double ned[2] = {};
 
   for (const bool fully_connected : {false, true}) {
     const DpdnNetwork net = fully_connected ? synthesize_fc_dpdn(f, 2)
@@ -57,7 +64,27 @@ void part1_switch_level() {
     std::printf("  memoryless: %s | discharge classes: %zu | NED = %.2f%%\n",
                 mem.memoryless ? "yes" : "NO", mem.num_discharge_classes,
                 profile.spread.ned * 100.0);
+    memoryless[fully_connected] = mem.memoryless;
+    ned[fully_connected] = profile.spread.ned;
   }
+  bool holds = true;
+  if (memoryless[0]) {
+    std::fprintf(stderr, "claim failed: the genuine network is memoryless\n");
+    holds = false;
+  }
+  if (!memoryless[1]) {
+    std::fprintf(stderr,
+                 "claim failed: the fully connected network has memory\n");
+    holds = false;
+  }
+  if (!(ned[1] < ned[0])) {
+    std::fprintf(stderr,
+                 "claim failed: fully connected NED %.17g is not below the "
+                 "genuine NED %.17g\n",
+                 ned[1], ned[0]);
+    holds = false;
+  }
+  return holds;
 }
 
 void part2_spice_cvsl() {
@@ -111,7 +138,7 @@ void part2_spice_cvsl() {
 }  // namespace
 
 int main() {
-  part1_switch_level();
+  const bool holds = part1_switch_level();
   part2_spice_cvsl();
-  return 0;
+  return holds ? 0 : 1;
 }

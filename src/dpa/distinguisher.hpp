@@ -9,7 +9,9 @@
 // block, and the per-shard states reduce either through the fixed-shape
 // binary merge tree (unordered — CPA, DoM, multi-CPA, second-order) or an
 // explicitly ordered left fold in canonical shard order (the MTD
-// checkpoint semantics). finalize() then turns the reduced root into the
+// checkpoint semantics). Both run as the shards finish, on the workers
+// (ShardReducer, engine/shard_reduce.hpp), with the pairing fixed by the
+// shard count. finalize() then turns the reduced root into the
 // distinguisher's typed result.
 //
 // Hot-path contract: accumulate() receives whole shard blocks, so there is
@@ -21,9 +23,9 @@
 //
 // Determinism: a shard accumulator is a pure function of its shard's
 // traces, the reduction shape is a function of the shard count alone, and
-// ordered reductions run on the calling thread — so every distinguisher
-// result is bit-identical for any num_threads and on every machine, like
-// the campaigns they generalize.
+// ordered reductions fold strictly in canonical shard order, one step at
+// a time — so every distinguisher result is bit-identical for any
+// num_threads and on every machine, like the campaigns they generalize.
 //
 // Running several distinguishers in one call shares the simulation: a
 // 16-subkey attack on a 16-S-box round costs one campaign, not sixteen

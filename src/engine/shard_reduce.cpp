@@ -66,58 +66,72 @@ void ShardFeed::feed(std::size_t s, const ShardData& data, Scratch& scratch,
   }
 }
 
+ShardReducer::ShardReducer(std::span<Distinguisher* const> distinguishers,
+                           ShardStates& states)
+    : states_(states),
+      num_shards_(states.empty() ? 0 : states[0].size()),
+      arrivals_(num_shards_),
+      fold_(std::max<std::size_t>(num_shards_, 1)) {
+  SABLE_REQUIRE(states.size() == distinguishers.size() && !states.empty(),
+                "shard-state matrix must match the distinguisher list");
+  SABLE_REQUIRE(num_shards_ > 0, "reduction needs at least one shard");
+  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
+    SABLE_REQUIRE(states[d].size() == num_shards_,
+                  "shard-state matrix must be rectangular");
+    (distinguishers[d]->ordered() ? ordered_ : unordered_).push_back(d);
+  }
+}
+
+void ShardReducer::shard_done(std::size_t s) {
+  if (!ordered_.empty()) {
+    fold_.complete(s, [&](std::size_t j) {
+      if (j == 0) return;  // shard 0 is the fold's target
+      for (const std::size_t d : ordered_) {
+        states_[d][0]->merge(*states_[d][j]);
+        states_[d][j].reset();
+      }
+    });
+  }
+  if (unordered_.empty()) return;
+  // The subtree rooted at `left` of `width` shards is complete; climb
+  // while this party completes the parent too. A node with no right half
+  // (left + width >= n) merges nothing, as in the tree's ragged edge.
+  std::size_t left = s;
+  for (std::size_t width = 1; width < num_shards_; width *= 2) {
+    left &= ~(2 * width - 1);
+    const std::size_t right = left + width;
+    if (right >= num_shards_) continue;
+    // acq_rel: the first arrival publishes its half, the second sees it.
+    if (arrivals_[right].fetch_add(1, std::memory_order_acq_rel) == 0) return;
+    for (const std::size_t d : unordered_) {
+      states_[d][left]->merge(*states_[d][right]);
+      states_[d][right].reset();
+    }
+  }
+}
+
+void finalize_distinguishers(std::span<Distinguisher* const> distinguishers,
+                             ShardStates& states) {
+  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
+    distinguishers[d]->finalize(*states[d][0]);
+  }
+}
+
 void reduce_and_finalize_distinguishers(
     std::span<Distinguisher* const> distinguishers, ShardStates& states,
     WorkerPool& workers, std::size_t threads) {
-  SABLE_REQUIRE(states.size() == distinguishers.size() && !states.empty(),
-                "shard-state matrix must match the distinguisher list");
-  const std::size_t num_shards = states[0].size();
-  SABLE_REQUIRE(num_shards > 0, "reduction needs at least one shard");
-  for (std::size_t d = 0; d < states.size(); ++d) {
-    SABLE_REQUIRE(states[d].size() == num_shards,
-                  "shard-state matrix must be rectangular");
-    const std::size_t missing = static_cast<std::size_t>(
-        std::count(states[d].begin(), states[d].end(), nullptr));
+  for (const auto& row : states) {
+    const std::size_t missing =
+        static_cast<std::size_t>(std::count(row.begin(), row.end(), nullptr));
     SABLE_REQUIRE(missing == 0,
                   "cannot reduce a partially covered campaign (" +
                       std::to_string(missing) + " shard states missing); "
                       "merge every partial state first");
   }
-
-  // Ordered distinguishers (MTD prefix semantics) keep the strict serial
-  // left fold in canonical shard order. Unordered ones reduce through the
-  // fixed-shape binary tree — the exact pairing merge_shard_tree defines
-  // — but with each round's merges spread over the parked workers: within
-  // a round every (d, i) <- (d, i + stride) merge touches disjoint
-  // accumulators, so the rounds parallelize freely while the pairing
-  // (hence the result, bit for bit) stays that of the serial tree.
-  std::vector<std::size_t> unordered;
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    if (distinguishers[d]->ordered()) {
-      for (std::size_t s = 1; s < num_shards; ++s) {
-        states[d][0]->merge(*states[d][s]);
-      }
-    } else if (num_shards > 1) {
-      unordered.push_back(d);
-    }
-  }
-  std::vector<std::size_t> lefts;  // the round's merge targets i
-  for (std::size_t stride = 1; !unordered.empty() && stride < num_shards;
-       stride *= 2) {
-    lefts.clear();
-    for (std::size_t i = 0; i + stride < num_shards; i += 2 * stride) {
-      lefts.push_back(i);
-    }
-    workers.parallel_for(unordered.size() * lefts.size(), threads,
-                         [] { return 0; }, [&](int, std::size_t k) {
-                           const std::size_t d = unordered[k / lefts.size()];
-                           const std::size_t i = lefts[k % lefts.size()];
-                           states[d][i]->merge(*states[d][i + stride]);
-                         });
-  }
-  for (std::size_t d = 0; d < distinguishers.size(); ++d) {
-    distinguishers[d]->finalize(*states[d][0]);
-  }
+  ShardReducer reducer(distinguishers, states);  // checks the shape
+  workers.parallel_for(states[0].size(), threads, [] { return 0; },
+                       [&](int, std::size_t s) { reducer.shard_done(s); });
+  finalize_distinguishers(distinguishers, states);
 }
 
 }  // namespace sable

@@ -1,20 +1,23 @@
 // The attack-campaign driver every path shares. Simulated campaigns and
 // corpus replay feed their shards through ONE per-shard feed on ONE
 // scheduler, and they — like multi-process partial-state merges —
-// reduce and finalize through the SAME code, so their results are
+// reduce and finalize through the SAME reducer, so their results are
 // bit-identical by construction: the same blocks reach the same
 // accumulators and reduce through the same fixed shape. Many attack
 // sets (every subkey of a round) are one flattened distinguisher list,
 // so each shard is produced once for all of them.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "dpa/block_stats.hpp"
 #include "dpa/distinguisher.hpp"
+#include "engine/ordered_drain.hpp"
 #include "engine/worker_pool.hpp"
 #include "io/campaign_state.hpp"
 #include "io/manifest.hpp"
@@ -27,14 +30,54 @@ struct RoundSpec;  // crypto/round_target.hpp
 /// uncovered (null).
 ShardStates make_shard_states(std::size_t distinguishers, std::size_t shards);
 
+/// The online reduction of one shard-state matrix. Each shard is handed
+/// over once, from any party, as soon as its states are final — fed, or
+/// loaded, and serialized when a checkpoint needs them — and is reduced
+/// at once with whatever it completes:
+///   - unordered distinguishers climb the fixed-shape binary tree: round
+///     r merges shard i + 2^r into shard i for every i ≡ 0 (mod 2^(r+1))
+///     with i + 2^r < n, ragged right edge included. Each node has one
+///     arrival counter; the second half to arrive merges the right-hand
+///     states into the left and releases them;
+///   - ordered distinguishers (MTD) fold every shard into shard 0 in
+///     canonical order through an OrderedDrain, releasing each state
+///     once it is folded.
+/// The pairing depends on the shard count alone, never on the order the
+/// shards arrive in or on which party hands them over, so the roots —
+/// states[d][0] once every shard is in — are bit-identical for any
+/// thread count. All other states are released by then.
+class ShardReducer {
+ public:
+  /// `states` must have one row of num_shards (> 0) states per
+  /// distinguisher and outlive the reducer.
+  ShardReducer(std::span<Distinguisher* const> distinguishers,
+               ShardStates& states);
+
+  /// Hands over shard s (once per shard). Until this call the caller
+  /// owns states[·][s]; from here the reducer does.
+  void shard_done(std::size_t s);
+
+ private:
+  ShardStates& states_;
+  std::size_t num_shards_;
+  std::vector<std::size_t> unordered_;
+  std::vector<std::size_t> ordered_;
+  // [num_shards], by the node's midpoint i + 2^r: each midpoint below n
+  // is the right half's first shard of exactly one node.
+  std::vector<std::atomic<std::uint8_t>> arrivals_;
+  OrderedDrain fold_;
+};
+
+/// Finalizes each distinguisher with its reduced root states[d][0].
+void finalize_distinguishers(std::span<Distinguisher* const> distinguishers,
+                             ShardStates& states);
+
 /// Reduces a fully covered shard-state matrix (states[d][s] non-null for
-/// every d, s) and finalizes each distinguisher with its root. Ordered
-/// distinguishers (MTD) reduce by the strict serial left fold in
-/// canonical shard order; unordered ones through the fixed-shape binary
-/// merge tree with each round's disjoint merges spread over `workers`
-/// (up to `threads` parties) — the pairing, and therefore the result,
-/// is bit-identical to the serial tree for any thread count. Throws
-/// InvalidArgument when any shard state is missing.
+/// every d, s) and finalizes each distinguisher with its root: every
+/// shard goes to one ShardReducer from a parallel_for over `workers` (up
+/// to `threads` parties), the same reduction a campaign performs as its
+/// shards finish. Throws InvalidArgument ("cannot reduce a partially
+/// covered campaign") when any shard state is missing.
 void reduce_and_finalize_distinguishers(
     std::span<Distinguisher* const> distinguishers, ShardStates& states,
     WorkerPool& workers, std::size_t threads);
@@ -93,17 +136,22 @@ class ShardFeed {
 
 /// The one attack-campaign driver: owns the shard-state matrix, runs the
 /// persisted pass (resume, range split, checkpoints; see
-/// run_persisted_waves), feeds every shard of the worklist through
-/// ShardFeed in ONE parallel_for on `threads` parties of `workers`, and
-/// reduces and finalizes once every shard is covered. With a checkpoint
-/// path each party also hands its fed shard to the CheckpointDrain, which
-/// serializes it once and publishes checkpoints from an ordered drain
-/// while the parties keep claiming shards: no wave ends in a barrier.
-/// Without one the pass takes no lock and serializes nothing. The source
-/// is the caller's: each party builds one context through make_ctx(),
-/// and fill(ctx, s) returns shard s's ShardData, valid until the party's
-/// next fill. Returns false for a partial persisted run (see
-/// run_persisted_waves), true when the results were finalized.
+/// run_persisted_waves) and feeds every shard of the worklist through
+/// ShardFeed in ONE parallel_for on `threads` parties of `workers`. With
+/// a checkpoint path each party also hands its fed shard to the
+/// CheckpointDrain, which serializes it once and publishes checkpoints
+/// from an ordered drain while the parties keep claiming shards: no wave
+/// ends in a barrier. Without one the pass takes no lock and serializes
+/// nothing. A run that covers every shard reduces as the shards finish:
+/// each party hands its shard to one ShardReducer once it is fed and
+/// serialized, and the resumed shards go to it from the same
+/// parallel_for, so when the pass returns only the roots are left to
+/// finalize. A partial run reduces nothing: its checkpoint needs the raw
+/// states. The source is the caller's: each party builds one context
+/// through make_ctx(), and fill(ctx, s) returns shard s's ShardData,
+/// valid until the party's next fill. Returns false for a partial
+/// persisted run (see run_persisted_waves), true when the results were
+/// finalized.
 template <typename MakeCtx, typename Fill>
 bool drive_attack_campaign(const CampaignManifest& manifest,
                            const RoundSpec& round,
@@ -120,28 +168,37 @@ bool drive_attack_campaign(const CampaignManifest& manifest,
     decltype(make_ctx()) ctx;
     ShardFeed::Scratch scratch;
   };
-  const auto accumulate = [&](std::span<const std::size_t> work,
-                              CheckpointDrain* checkpoints) {
+  const auto accumulate = [&](const PersistedPass& pass) {
+    std::optional<ShardReducer> reducer;
+    if (pass.complete) reducer.emplace(distinguishers, states);
+    // Indices below `resumed` hand a loaded shard to the reducer; the
+    // rest feed work[k - resumed].
+    const std::size_t resumed = reducer ? pass.resumed.size() : 0;
     workers.parallel_for(
-        work.size(), threads,
+        resumed + pass.work.size(), threads,
         [&] { return Party{make_ctx(), feed.make_scratch()}; },
         [&](Party& party, std::size_t k) {
+          if (k < resumed) {
+            reducer->shard_done(pass.resumed[k]);
+            return;
+          }
+          k -= resumed;
           try {
-            feed.feed(work[k], fill(party.ctx, work[k]), party.scratch,
-                      states);
-            if (checkpoints) checkpoints->shard_done(k);
+            feed.feed(pass.work[k], fill(party.ctx, pass.work[k]),
+                      party.scratch, states);
+            if (pass.checkpoints) pass.checkpoints->shard_done(k);
           } catch (...) {
-            if (checkpoints) checkpoints->fail();
+            if (pass.checkpoints) pass.checkpoints->fail();
             throw;
           }
+          if (reducer) reducer->shard_done(pass.work[k]);
         });
   };
   if (!run_persisted_waves(manifest, distinguishers, states, persist,
                            accumulate)) {
     return false;
   }
-  reduce_and_finalize_distinguishers(distinguishers, states, workers,
-                                     threads);
+  finalize_distinguishers(distinguishers, states);
   return true;
 }
 

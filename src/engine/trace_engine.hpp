@@ -124,25 +124,6 @@ std::size_t campaign_thread_count(const CampaignOptions& options);
 std::size_t campaign_lane_width(const CampaignOptions& options,
                                 LogicStyle style);
 
-/// Deterministic fixed-shape binary reduction of per-shard accumulators:
-/// round r merges shard i + 2^r into shard i for every i ≡ 0 (mod
-/// 2^(r+1)), so each intermediate accumulator always covers a contiguous
-/// canonical shard range with the earlier range on the left — the same
-/// ordering semantics as a sequential left fold, at O(log shards) merge
-/// depth instead of O(shards). The tree shape depends only on the shard
-/// count, never on the thread count, so campaign results stay
-/// bit-identical for any num_threads.
-template <typename Accumulator>
-Accumulator merge_shard_tree(std::vector<Accumulator> shards) {
-  SABLE_REQUIRE(!shards.empty(), "merge tree needs at least one shard");
-  for (std::size_t stride = 1; stride < shards.size(); stride *= 2) {
-    for (std::size_t i = 0; i + stride < shards.size(); i += 2 * stride) {
-      shards[i].merge(shards[i + stride]);
-    }
-  }
-  return std::move(shards.front());
-}
-
 /// Receives (plaintexts, samples, count) blocks as the campaign streams.
 /// `plaintexts` holds count * round().state_bytes() packed bytes — one
 /// byte per trace for single-S-box targets, the wide state for rounds
@@ -200,8 +181,8 @@ class TraceEngine {
   /// single-attack shorthand). Per shard, each distinguisher's
   /// ShardAccumulator consumes the shard's block (sub-plaintext
   /// extraction deduplicated per attacked instance, one virtual dispatch
-  /// per distinguisher per shard); per-shard states reduce through the
-  /// fixed-shape merge tree, or the ordered left fold
+  /// per distinguisher per shard); per-shard states reduce as the shards
+  /// finish, through the fixed-shape merge tree, or the ordered left fold
   /// for Distinguisher::ordered() (MTD prefix semantics). Afterwards each
   /// distinguisher holds its typed result. Mixing scalar and
   /// time-resolved distinguishers simulates each shard once per data

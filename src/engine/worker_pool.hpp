@@ -15,10 +15,13 @@
 //
 // parallel_for() is the pool's one public scheduler, and every campaign
 // path runs on it — simulated and replayed shards, shared multi-set
-// replay, merge-tree rounds and the ordered stream — at one atomic
-// fetch_add per index. No party plays a fixed role: the ordered stream
-// and the checkpoint publishing of a persisted attack drain from
-// whichever party finishes the next shard (engine/ordered_drain.hpp).
+// replay, the reduction of merged partial states and the ordered
+// stream — at one atomic fetch_add per index. No party plays a fixed
+// role: the ordered stream, the checkpoint publishing of a persisted
+// attack and the MTD fold drain from whichever party finishes the next
+// shard (engine/ordered_drain.hpp), and the merge tree's nodes are
+// merged by whichever party completes their second half
+// (engine/shard_reduce.hpp).
 #pragma once
 
 #include <algorithm>

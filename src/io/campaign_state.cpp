@@ -196,8 +196,7 @@ bool run_persisted_waves(
     const CampaignManifest& manifest,
     std::span<Distinguisher* const> distinguishers, ShardStates& states,
     const CampaignPersistence& persist,
-    const std::function<void(std::span<const std::size_t>, CheckpointDrain*)>&
-        accumulate) {
+    const std::function<void(const PersistedPass&)>& accumulate) {
   const std::size_t num_shards = static_cast<std::size_t>(manifest.num_shards);
   SABLE_REQUIRE(!states.empty() && states[0].size() == num_shards,
                 "shard-state matrix must span the campaign's shards");
@@ -211,25 +210,29 @@ bool run_persisted_waves(
                 "campaign shard range starts past the campaign");
   const std::size_t end = std::min(persist.shard_end, num_shards);
   std::vector<std::size_t> work;
-  for (std::size_t s = persist.shard_begin; s < end; ++s) {
-    if (!states[0][s]) work.push_back(s);
+  std::vector<std::size_t> resumed;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    if (states[0][s]) {
+      resumed.push_back(s);
+    } else if (s >= persist.shard_begin && s < end) {
+      work.push_back(s);
+    }
   }
-  const std::size_t covered = static_cast<std::size_t>(
-      std::count_if(states[0].begin(), states[0].end(),
-                    [](const auto& state) { return state != nullptr; }));
-  const bool complete = covered + work.size() == num_shards;
+  PersistedPass pass{work, resumed, nullptr,
+                     resumed.size() + work.size() == num_shards};
   // A partial run that was never persisted is lost work — refuse it
   // before any shard runs unless the caller asked for a checkpoint.
-  SABLE_REQUIRE(complete || !persist.checkpoint_path.empty(),
+  SABLE_REQUIRE(pass.complete || !persist.checkpoint_path.empty(),
                 "partial campaign range needs a checkpoint path to persist "
                 "its shard states");
   if (persist.checkpoint_path.empty() || work.empty()) {
-    accumulate(work, nullptr);
+    accumulate(pass);
   } else {
     CheckpointDrain checkpoints(manifest, states, persist, work);
-    accumulate(work, &checkpoints);
+    pass.checkpoints = &checkpoints;
+    accumulate(pass);
   }
-  if (complete) return true;
+  if (pass.complete) return true;
   if (work.empty()) {
     // Nothing new was accumulated (e.g. pure range-split bookkeeping);
     // still publish the state so the invocation has an artifact.

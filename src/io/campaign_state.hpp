@@ -8,7 +8,10 @@
 // fixed-shape merge tree's pairing depends on the shard count (for
 // non-power-of-2 counts a merged prefix would reduce in a DIFFERENT
 // association than the tree), so persisted campaigns keep every shard's
-// state separate and always replay the exact same reduction at the end.
+// state separate. A run that covers every shard — fresh, resumed or
+// merged — then hands each one, once it is serialized, to the same
+// reducer (engine/shard_reduce.hpp), which performs the same pairing as
+// the shards finish.
 //
 // Layout (little-endian):
 //   magic              8 bytes  "SABLSTAT"
@@ -106,26 +109,41 @@ class CheckpointDrain {
   OrderedDrain drain_;
 };
 
+/// What one persisted pass hands its driver.
+struct PersistedPass {
+  /// The uncovered shards of the range, ascending: the driver feeds
+  /// every one of them.
+  std::span<const std::size_t> work;
+  /// The shards loaded from the resume file, ascending.
+  std::span<const std::size_t> resumed;
+  /// Non-null when the run checkpoints (see CheckpointDrain).
+  CheckpointDrain* checkpoints = nullptr;
+  /// True when the resumed shards and the work cover every canonical
+  /// shard, so the run finalizes; a partial run keeps its raw states.
+  bool complete = false;
+};
+
 /// Persistence-aware campaign driver shared by the live engine and the
 /// replay path: optionally resumes from persist.resume_path, derives the
 /// uncovered worklist inside [persist.shard_begin, persist.shard_end)
 /// and hands all of it to `accumulate` at once, with a CheckpointDrain
-/// when persist.checkpoint_path is set (nullptr otherwise).
-/// `accumulate` must fill states[d][s] for every shard s = work[k] and,
-/// given a drain, call shard_done(k) after each (fail() when a shard
-/// throws). Checkpoints are published every persist.checkpoint_every_shards
-/// shards of the worklist's done prefix (0 = once, at its end) — the
-/// same files a range run over each prefix would write. Returns true
-/// when every canonical shard is covered afterwards (the caller may
-/// reduce and finalize), false for a partial run — which requires a
-/// checkpoint path, otherwise the partial work would be unrecoverable
-/// (InvalidArgument, thrown before `accumulate`, so no shard is simulated
-/// or decoded in vain).
+/// when persist.checkpoint_path is set. The drain has serialized every
+/// resumed shard before `accumulate` runs. `accumulate` must fill
+/// states[d][s] for every shard s = work[k] and, given a drain, call
+/// shard_done(k) after each (fail() when a shard throws); only a
+/// complete pass may release states (by reducing them), and only once
+/// the drain has serialized them. Checkpoints are published every
+/// persist.checkpoint_every_shards shards of the worklist's done prefix
+/// (0 = once, at its end) — the same files a range run over each prefix
+/// would write. Returns pass.complete: true when every canonical shard
+/// is covered afterwards (the caller may finalize), false for a partial
+/// run — which requires a checkpoint path, otherwise the partial work
+/// would be unrecoverable (InvalidArgument, thrown before `accumulate`,
+/// so no shard is simulated or decoded in vain).
 bool run_persisted_waves(
     const CampaignManifest& manifest,
     std::span<Distinguisher* const> distinguishers, ShardStates& states,
     const CampaignPersistence& persist,
-    const std::function<void(std::span<const std::size_t>, CheckpointDrain*)>&
-        accumulate);
+    const std::function<void(const PersistedPass&)>& accumulate);
 
 }  // namespace sable

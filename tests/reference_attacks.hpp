@@ -17,6 +17,7 @@
 #include "dpa/second_order.hpp"
 #include "power/stats.hpp"
 #include "power/trace.hpp"
+#include "util/error.hpp"
 
 namespace sable {
 
@@ -179,6 +180,24 @@ inline MtdResult reference_mtd(const TraceSet& traces, const SboxSpec& spec,
     history.emplace_back(n, prefix.rank_of(correct_key));
   }
   return mtd_from_history(std::move(history));
+}
+
+/// The campaign reduction's shape, as a serial oracle: round r merges
+/// shard i + 2^r into shard i for every i ≡ 0 (mod 2^(r+1)) with
+/// i + 2^r < n, so each intermediate accumulator always covers a
+/// contiguous canonical shard range with the earlier range on the left.
+/// The shape depends only on the shard count, never on the thread count;
+/// the engine's online reducer (engine/shard_reduce.hpp) must pair
+/// exactly like this.
+template <typename Accumulator>
+Accumulator merge_shard_tree(std::vector<Accumulator> shards) {
+  SABLE_REQUIRE(!shards.empty(), "merge tree needs at least one shard");
+  for (std::size_t stride = 1; stride < shards.size(); stride *= 2) {
+    for (std::size_t i = 0; i + stride < shards.size(); i += 2 * stride) {
+      shards[i].merge(shards[i + stride]);
+    }
+  }
+  return std::move(shards.front());
 }
 
 }  // namespace sable
