@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -892,6 +893,219 @@ TEST(EngineDeterminismTest, ReductionBitsArePinned) {
       engine.merge_partials(options, merged.all(), {left, right});
       EXPECT_EQ(merged.hash(), pin.results)
           << "merged 0x" << std::hex << merged.hash();
+    }
+  }
+}
+
+
+// ---- feed bits --------------------------------------------------------------
+
+// FNV-1a 64 over every result bit of an all-subkeys CPA + DoM + MTD list
+// (one set per round instance, as `attack --all-subkeys` builds it), over
+// the bytes of its complete checkpoint, and over the results of a
+// time-resolved CPA on instance 0 fed beside the scalar attacks. The
+// constants below were computed while the feed still binned each attacked
+// instance in a pass of its own, and are never edited: any change to the
+// per-instance histograms, the sub-plaintexts an accumulator reads or the
+// blocks it is handed moves them.
+struct FeedSet {
+  std::vector<std::unique_ptr<CpaDistinguisher>> cpa;
+  std::vector<std::unique_ptr<DomDistinguisher>> dom;
+  std::vector<std::unique_ptr<MtdDistinguisher>> mtd;
+  std::unique_ptr<MultiCpaDistinguisher> multi;
+  std::vector<Distinguisher*> list;
+
+  // With `sampled`, the time-resolved CPA joins the list right after
+  // instance 0's scalar set, on the same instance.
+  FeedSet(TraceEngine& engine, const CampaignOptions& options, bool sampled) {
+    const RoundSpec& round = engine.round();
+    for (std::size_t i = 0; i < round.num_sboxes(); ++i) {
+      const AttackSelector selector{.sbox_index = i,
+                                    .model = PowerModel::kHammingWeight};
+      cpa.push_back(
+          std::make_unique<CpaDistinguisher>(engine.spec(i), selector));
+      dom.push_back(
+          std::make_unique<DomDistinguisher>(engine.spec(i), selector));
+      mtd.push_back(std::make_unique<MtdDistinguisher>(
+          engine.spec(i), selector, round.sub_word(options.key.data(), i),
+          default_checkpoints(options.num_traces), options.num_traces));
+      list.insert(list.end(), {cpa.back().get(), dom.back().get(),
+                               mtd.back().get()});
+      if (sampled && i == 0) {
+        multi = std::make_unique<MultiCpaDistinguisher>(
+            engine.spec(0), selector, engine.target().num_levels());
+        list.push_back(multi.get());
+      }
+    }
+  }
+
+  std::uint64_t scalar_hash() const {
+    Fnv1a h;
+    for (std::size_t i = 0; i < cpa.size(); ++i) {
+      h.attack(cpa[i]->result());
+      h.attack(dom[i]->result());
+      const MtdResult& m = mtd[i]->result();
+      h.u64(m.disclosed);
+      h.u64(m.mtd);
+      h.u64(m.rank_history.size());
+      for (const auto& [traces, rank] : m.rank_history) {
+        h.u64(traces);
+        h.u64(rank);
+      }
+    }
+    return h.value();
+  }
+  std::uint64_t multi_hash() const {
+    Fnv1a h;
+    h.attack(multi->result().combined);
+    h.u64(multi->result().best_sample);
+    return h.value();
+  }
+};
+
+// Forwards every call of the Distinguisher and ShardAccumulator
+// interfaces to the real object and nothing else, as a timing or logging
+// wrapper outside the library would: a feed must not depend on any
+// method such a wrapper does not know about.
+class ForwardingAccumulator final : public ShardAccumulator {
+ public:
+  explicit ForwardingAccumulator(std::unique_ptr<ShardAccumulator> inner)
+      : inner_(std::move(inner)) {}
+  void accumulate(const ShardBlock& block) override {
+    inner_->accumulate(block);
+  }
+  void merge(ShardAccumulator& other) override {
+    inner_->merge(*dynamic_cast<ForwardingAccumulator&>(other).inner_);
+  }
+  void save(ByteWriter& writer) const override { inner_->save(writer); }
+  void load(ByteReader& reader) override { inner_->load(reader); }
+  ShardAccumulator& inner() { return *inner_; }
+
+ private:
+  std::unique_ptr<ShardAccumulator> inner_;
+};
+
+class ForwardingDistinguisher final : public Distinguisher {
+ public:
+  explicit ForwardingDistinguisher(Distinguisher& inner) : inner_(inner) {}
+  TraceDataKind data_kind() const override { return inner_.data_kind(); }
+  std::size_t sbox_index() const override { return inner_.sbox_index(); }
+  bool ordered() const override { return inner_.ordered(); }
+  void validate(const RoundSpec& round) const override {
+    inner_.validate(round);
+  }
+  std::unique_ptr<ShardAccumulator> make_shard_accumulator() const override {
+    return std::make_unique<ForwardingAccumulator>(
+        inner_.make_shard_accumulator());
+  }
+  void finalize(ShardAccumulator& root) override {
+    inner_.finalize(dynamic_cast<ForwardingAccumulator&>(root).inner());
+  }
+
+ private:
+  Distinguisher& inner_;
+};
+
+struct ForwardedList {
+  std::vector<std::unique_ptr<ForwardingDistinguisher>> owners;
+  std::vector<Distinguisher*> list;
+  explicit ForwardedList(const std::vector<Distinguisher*>& inner) {
+    for (Distinguisher* d : inner) {
+      owners.push_back(std::make_unique<ForwardingDistinguisher>(*d));
+      list.push_back(owners.back().get());
+    }
+  }
+};
+
+struct FeedRound {
+  const char* name;
+  RoundSpec round;
+  std::uint64_t results;
+  std::uint64_t checkpoint;
+  std::uint64_t multi;
+};
+
+// 2860 traces in 512-trace shards: five full shards and a ragged one. The
+// default MTD ladder cuts shards 0, 1, 2 and 4, leaves shard 3 whole and
+// ends exactly at the last shard's end.
+CampaignOptions feed_options(const std::vector<std::uint8_t>& key,
+                             std::size_t threads) {
+  CampaignOptions options;
+  options.num_traces = 2860;
+  options.key = key;
+  options.noise_sigma = 2e-16;
+  options.seed = 0xFEED5;
+  options.shard_size = 512;
+  options.num_threads = threads;
+  return options;
+}
+
+// The three field layouts a feed reads: sixteen 4-bit PRESENT fields in
+// one 8-byte window, sixteen 8-bit AES fields in two, and one 6-bit DES
+// field in a 1-byte state, narrower than any window. Subkeys are
+// round_subkeys'.
+const FeedRound kFeedRounds[] = {
+    {"present16", present_round(16, LogicStyle::kStaticCmos),
+     0x0044f9281d80d961ULL, 0xadc7966b57e5901eULL, 0x04bc8563f82714c3ULL},
+    {"aes16", aes_subbytes_round(16, LogicStyle::kStaticCmos),
+     0x1b5d79f72afc9365ULL, 0x39a1255782392644ULL, 0xdfe58ccdc81437fcULL},
+    {"des1", single_sbox_round(des1_spec(), LogicStyle::kStaticCmos),
+     0xd981f997a7126ba7ULL, 0x0af5aa34c853c31fULL, 0x15be4d81c32eb705ULL},
+};
+
+// Live and replayed all-subkeys campaigns at 1 and 4 threads, with and
+// without a time-resolved CPA on a scalar-attacked instance, plain and
+// through forwarding wrappers, must produce the pinned bits.
+TEST(EngineDeterminismTest, FeedBitsArePinned) {
+  for (const FeedRound& pin : kFeedRounds) {
+    TraceEngine engine(pin.round, kTech);
+    const std::vector<std::uint8_t> key =
+        pin.round.pack_subkeys(round_subkeys(pin.round.num_sboxes()));
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(pin.name) + ", threads " +
+                   std::to_string(threads));
+      const CampaignOptions options = feed_options(key, threads);
+      ASSERT_EQ(engine.campaign_manifest(options).num_shards, 6u);
+
+      const std::string checkpoint =
+          pinned_path(std::string("feed_ckpt_") + pin.name, 6, threads);
+      CampaignPersistence persist;
+      persist.checkpoint_path = checkpoint;
+      FeedSet live(engine, options, /*sampled=*/false);
+      EXPECT_TRUE(engine.run_distinguishers(options, live.list, persist));
+      EXPECT_EQ(live.scalar_hash(), pin.results)
+          << "live 0x" << std::hex << live.scalar_hash();
+      EXPECT_EQ(file_hash(checkpoint), pin.checkpoint)
+          << "checkpoint 0x" << std::hex << file_hash(checkpoint);
+
+      const std::string corpus =
+          pinned_path(std::string("feed_corpus_") + pin.name, 6, threads);
+      engine.record(options, TraceDataKind::kScalar, corpus);
+      FeedSet replayed(engine, options, /*sampled=*/false);
+      engine.replay(CorpusReader(corpus), replayed.list, {}, threads);
+      EXPECT_EQ(replayed.scalar_hash(), pin.results)
+          << "replayed 0x" << std::hex << replayed.scalar_hash();
+
+      FeedSet mixed(engine, options, /*sampled=*/true);
+      engine.run_distinguishers(options, mixed.list);
+      EXPECT_EQ(mixed.scalar_hash(), pin.results)
+          << "mixed 0x" << std::hex << mixed.scalar_hash();
+      EXPECT_EQ(mixed.multi_hash(), pin.multi)
+          << "mixed multi 0x" << std::hex << mixed.multi_hash();
+
+      FeedSet forwarded(engine, options, /*sampled=*/true);
+      engine.run_distinguishers(options, ForwardedList(forwarded.list).list);
+      EXPECT_EQ(forwarded.scalar_hash(), pin.results)
+          << "forwarded 0x" << std::hex << forwarded.scalar_hash();
+      EXPECT_EQ(forwarded.multi_hash(), pin.multi)
+          << "forwarded multi 0x" << std::hex << forwarded.multi_hash();
+
+      FeedSet forwarded_replay(engine, options, /*sampled=*/false);
+      engine.replay(CorpusReader(corpus),
+                    ForwardedList(forwarded_replay.list).list, {}, threads);
+      EXPECT_EQ(forwarded_replay.scalar_hash(), pin.results)
+          << "forwarded replay 0x" << std::hex
+          << forwarded_replay.scalar_hash();
     }
   }
 }
