@@ -121,24 +121,6 @@ struct RowSum {
   }
 };
 
-// The host is little-endian (as io/serial.cpp also asserts), so a
-// packed state's bytes read as little-endian words in place.
-static_assert(std::endian::native == std::endian::little,
-              "packed states are read as little-endian words");
-std::uint64_t load_le64(const std::uint8_t* bytes) {
-  std::uint64_t word = 0;
-  std::memcpy(&word, bytes, sizeof word);
-  return word;
-}
-// load_le64 of the bytes in [bytes, end), zero past `end`.
-std::uint64_t load_le64_before(const std::uint8_t* bytes,
-                               const std::uint8_t* end) {
-  std::uint64_t word = 0;
-  const auto available = static_cast<std::size_t>(end - bytes);
-  std::memcpy(&word, bytes, std::min(sizeof word, available));
-  return word;
-}
-
 SubWordField field_of(const RoundSpec& round, std::size_t index) {
   return SubWordField(round.bit_offset(index), round.sboxes[index].in_bits);
 }
@@ -166,6 +148,29 @@ std::size_t RoundSpec::bit_offset(std::size_t index) const {
   std::size_t offset = 0;
   for (std::size_t i = 0; i < index; ++i) offset += sboxes[i].in_bits;
   return offset;
+}
+
+std::vector<SubWordWindow> RoundSpec::sub_word_windows(
+    bool room_above) const {
+  std::vector<SubWordWindow> windows;
+  windows.reserve(sboxes.size());
+  std::size_t offset = 0;
+  std::size_t window = 0;
+  for (std::size_t i = 0; i < sboxes.size(); ++i) {
+    const std::size_t bits = sboxes[i].in_bits;
+    require_sub_word_width(bits);
+    // The 8 state bytes from the previous instance's window if they hold
+    // all its bits (and, with room_above, the in_bits above them), else
+    // from its own first byte: a 1-8-bit sub-word spans at most 15 bits
+    // from there, 23 with the room above it.
+    const std::size_t span = room_above ? 2 * bits : bits;
+    if (i == 0 || offset + span > 8 * window + 64) window = offset / 8;
+    windows.push_back(
+        SubWordWindow{.byte = static_cast<std::uint32_t>(window),
+                      .shift = static_cast<std::uint32_t>(offset - 8 * window)});
+    offset += bits;
+  }
+  return windows;
 }
 
 std::size_t RoundSpec::sub_word(const std::uint8_t* state,
@@ -288,8 +293,6 @@ RoundTargetBase::RoundTargetBase(const RoundSpec& round,
   tables_.reserve(round.sboxes.size());
   lookups_.reserve(round.sboxes.size());
   runs_.reserve(round.sboxes.size());
-  std::size_t offset = 0;
-  std::size_t window = 0;
   for (std::size_t i = 0; i < round.sboxes.size(); ++i) {
     const SboxSpec& spec = round.sboxes[i];
     require_sub_word_width(spec.in_bits);
@@ -316,26 +319,24 @@ RoundTargetBase::RoundTargetBase(const RoundSpec& round,
       table = std::make_shared<const LeakageTable>(
           circuit, round.style, tech, 0x3DD1 + static_cast<std::uint64_t>(i));
     }
-    // The sub-word's window: the 8 state bytes from the previous
-    // instance's window if they hold all its bits, else from its own
-    // first byte (a 1-8-bit sub-word spans at most 15 bits from there).
-    // With history, the bits above it must fit too: the kernel reads the
-    // previous input from the window shifted up by in_bits.
-    const std::size_t span =
-        table->has_history() ? 2 * spec.in_bits : spec.in_bits;
-    if (i == 0 || offset + span > 8 * window + 64) window = offset / 8;
     Lookup lookup;
-    lookup.window = static_cast<std::uint32_t>(window);
-    lookup.shift = static_cast<std::uint32_t>(offset - 8 * window);
     lookup.mask = (std::uint64_t{1} << spec.in_bits) - 1;
     lookup.bits = static_cast<std::uint32_t>(spec.in_bits);
-    offset += spec.in_bits;
     num_levels_ = std::max(num_levels_, table->num_levels());
     tables_.push_back(std::move(table));
     lookups_.push_back(lookup);
   }
+  // With history, the bits above each sub-word must fit in its window
+  // too: the kernel reads the previous input from the window shifted up
+  // by in_bits.
+  const std::vector<SubWordWindow> windows =
+      round.sub_word_windows(tables_[0]->has_history());
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    lookups_[i].window = windows[i].byte;
+    lookups_[i].shift = windows[i].shift;
+  }
   stride_ = round.state_bytes();
-  last_window_ = window;
+  last_window_ = windows.back().byte;
   if (tables_[0]->has_history()) {
     // Every lane's last input, plus the slack a window read of lane 63
     // runs past its state.

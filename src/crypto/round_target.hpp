@@ -55,7 +55,10 @@
 // Every RoundTargetT<W> is the same RoundTargetBase: W selects no code.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -111,6 +114,34 @@ struct SubWordField {
   bool straddles;      // shift + bits > 8
 };
 
+/// Where one instance's sub-word sits in the round kernel's window plan:
+/// the 8 state bytes from `byte`, read as one little-endian word
+/// (load_le64), hold it from bit `shift`.
+struct SubWordWindow {
+  std::uint32_t byte = 0;
+  std::uint32_t shift = 0;
+};
+
+/// The host is little-endian (as io/serial.cpp also asserts), so a packed
+/// state's bytes read as little-endian words in place.
+static_assert(std::endian::native == std::endian::little,
+              "packed states are read as little-endian words");
+/// The 8 bytes from `bytes` as one little-endian word.
+inline std::uint64_t load_le64(const std::uint8_t* bytes) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, bytes, sizeof word);
+  return word;
+}
+/// load_le64 of the bytes in [bytes, end), zero past `end`: a window read
+/// that stays inside a buffer ending at `end`.
+inline std::uint64_t load_le64_before(const std::uint8_t* bytes,
+                                      const std::uint8_t* end) {
+  std::uint64_t word = 0;
+  const auto available = static_cast<std::size_t>(end - bytes);
+  std::memcpy(&word, bytes, std::min(sizeof word, available));
+  return word;
+}
+
 /// A round's nonlinear layer: the S-box instances (possibly heterogeneous,
 /// each 1–8 input bits) and the logic style they are all implemented in.
 struct RoundSpec {
@@ -135,6 +166,13 @@ struct RoundSpec {
   /// instance `index` consumes.
   void sub_words(const std::uint8_t* states, std::size_t count,
                  std::size_t index, std::uint8_t* out) const;
+  /// The window plan (see the header comment), one window per instance:
+  /// an instance reads the previous instance's window if its bits fit in
+  /// it — with `room_above`, also the in_bits above them — else the
+  /// window from its own first byte. Sixteen PRESENT nibbles share one
+  /// window, sixteen AES bytes two. Throws InvalidArgument for a width
+  /// outside 1..8.
+  std::vector<SubWordWindow> sub_word_windows(bool room_above) const;
   /// Packs one subkey per instance into a round-key byte vector.
   std::vector<std::uint8_t> pack_subkeys(
       const std::vector<std::size_t>& subkeys) const;

@@ -11,6 +11,21 @@
 
 namespace sable {
 
+const std::uint8_t* SubWordSource::get() {
+  if (!extracted_) {
+    round_.sub_words(states_, count_, sbox_index_, out_);
+    extracted_ = true;
+  }
+  return out_;
+}
+
+const std::uint8_t* ShardBlock::sub_words() const {
+  if (sub_pts != nullptr) return sub_pts;
+  SABLE_ASSERT(sub_word_source != nullptr,
+               "a shard block needs sub-plaintexts or a source of them");
+  return sub_word_source->get();
+}
+
 namespace {
 
 constexpr std::uint32_t kMtdShardTag = 0x53AB1006;
@@ -68,13 +83,14 @@ class StreamingShardAccumulator final : public ShardAccumulator {
   // contraction over the same histogram.
   void accumulate(const ShardBlock& block) override {
     if constexpr (std::is_same_v<Acc, StreamingSecondOrderCpa>) {
-      acc_.add_block(block.sub_pts, block.data, block.count, block.width);
+      acc_.add_block(block.sub_words(), block.data, block.count,
+                     block.width);
     } else {
       require_width(block, acc_.width());
       if (block.histogram != nullptr) {
         acc_.add_histogram(*block.histogram);
       } else {
-        acc_.add_block(block.sub_pts, block.data, block.count);
+        acc_.add_block(block.sub_words(), block.data, block.count);
       }
     }
   }
@@ -123,15 +139,15 @@ class MtdShardAccumulator final : public ShardAccumulator {
       if (it != ladder.end() && *it == end) snapshots_.emplace_back(end, acc_);
       return;
     }
+    const std::uint8_t* sub_pts = block.sub_words();
     std::size_t done = 0;
     for (; it != ladder.end() && *it <= end; ++it) {
       const std::size_t upto = *it - block.start;
-      acc_.add_block(block.sub_pts + done, block.data + done, upto - done);
+      acc_.add_block(sub_pts + done, block.data + done, upto - done);
       done = upto;
       snapshots_.emplace_back(*it, acc_);
     }
-    acc_.add_block(block.sub_pts + done, block.data + done,
-                   block.count - done);
+    acc_.add_block(sub_pts + done, block.data + done, block.count - done);
   }
 
   void merge(ShardAccumulator& other) override {

@@ -29,8 +29,9 @@
 //
 // Running several distinguishers in one call shares the simulation: a
 // 16-subkey attack on a 16-S-box round costs one campaign, not sixteen
-// (sub-plaintext extraction and the scalar block histogram are
-// deduplicated per attacked instance). Mixing
+// (one pass bins every attacked instance's scalar block histogram, and
+// sub-plaintexts are extracted once per instance, only where an
+// accumulator reads them). Mixing
 // scalar and time-resolved distinguishers is allowed; each shard is then
 // simulated once per data kind with identical per-kind streams, keeping
 // both bit-identical to their single-kind campaigns.
@@ -56,18 +57,54 @@ enum class TraceDataKind {
   kSampled,  // num_levels() per-logic-level samples (trace_batch_sampled)
 };
 
+/// One attacked instance's sub-plaintexts of one shard, extracted from the
+/// shard's packed states into a caller's buffer on first use (get()), then
+/// served from there. A feed hands every accumulator on the instance the
+/// same source, so the instance is extracted at most once per shard, and
+/// not at all when every accumulator contracts the block's histogram.
+/// Single-threaded: one party owns the source and its buffer.
+class SubWordSource {
+ public:
+  /// `states` holds `count` packed states of `round`; `out` has room for
+  /// `count` sub-words. All three must outlive the source.
+  SubWordSource(const RoundSpec& round, const std::uint8_t* states,
+                std::size_t count, std::size_t sbox_index, std::uint8_t* out)
+      : round_(round),
+        states_(states),
+        count_(count),
+        sbox_index_(sbox_index),
+        out_(out) {}
+
+  /// The sub-plaintexts (RoundSpec::sub_words), extracted on the first
+  /// call.
+  const std::uint8_t* get();
+
+ private:
+  const RoundSpec& round_;
+  const std::uint8_t* states_;
+  std::size_t count_;
+  std::size_t sbox_index_;
+  std::uint8_t* out_;
+  bool extracted_ = false;
+};
+
 /// One shard's worth of traces, as handed to ShardAccumulator::accumulate:
-/// `sub_pts` are the attacked instance's sub-plaintexts, `data` holds
-/// `count` traces of `width` doubles each (width 1 for kScalar, the
-/// target's level count for kSampled). `start` is the canonical campaign
-/// index of the first trace — ordered distinguishers (MTD) locate their
-/// checkpoints with it. `histogram`, when set, is the block's scalar
-/// BlockHistogram over exactly traces [0, count) (dpa/block_stats.hpp):
-/// the engine bins each shard once per attacked instance and every
-/// scalar accumulator on that instance contracts it instead of re-binning
-/// the block. It is null for sampled blocks and for callers that build
-/// blocks themselves; scalar accumulators then bin the block on their
-/// own, with bit-identical results.
+/// `data` holds `count` traces of `width` doubles each (width 1 for
+/// kScalar, the target's level count for kSampled), and sub_words() are
+/// the attacked instance's sub-plaintexts — `sub_pts` when the caller
+/// filled it, else extracted from `sub_word_source` on the first call.
+/// Accumulators read them through sub_words() only, and only when they
+/// need them. `start` is the canonical campaign index of the first trace
+/// — ordered distinguishers (MTD) locate their checkpoints with it.
+/// `histogram`, when set, is the block's scalar BlockHistogram over
+/// exactly traces [0, count) (dpa/block_stats.hpp): the engine bins every
+/// attacked instance of a shard in one pass and every scalar accumulator
+/// on an instance contracts its histogram instead of re-binning the
+/// block, so the engine extracts an instance's sub-words only for blocks
+/// that are still binned or cut (sampled blocks, MTD shards a checkpoint
+/// cuts). It is null for sampled blocks and for callers that build blocks
+/// themselves; scalar accumulators then bin the block on their own, with
+/// bit-identical results.
 struct ShardBlock {
   std::size_t start = 0;
   const std::uint8_t* sub_pts = nullptr;
@@ -75,6 +112,9 @@ struct ShardBlock {
   std::size_t count = 0;
   std::size_t width = 1;
   const BlockHistogram* histogram = nullptr;
+  SubWordSource* sub_word_source = nullptr;
+
+  const std::uint8_t* sub_words() const;
 };
 
 class ByteReader;

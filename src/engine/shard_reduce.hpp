@@ -94,23 +94,37 @@ struct ShardData {
 };
 
 /// The per-shard feed of one attack set: makes every distinguisher's
-/// accumulator for the shard and walks the distinct attacked instances
-/// (slots; distinguishers attacking the same instance share one). Per
-/// slot it extracts the sub-plaintexts once, bins the scalar block
-/// histogram once if any scalar distinguisher attacks the instance, and
-/// hands each of the slot's accumulators its ShardBlock — one virtual
-/// dispatch per distinguisher per shard.
+/// accumulator for the shard and groups the distinguishers by attacked
+/// instance (slots; distinguishers attacking the same instance share
+/// one). One pass over the shard bins every slot with a scalar
+/// distinguisher at once: per trace it reads each 8-byte window of the
+/// packed state once (RoundSpec::sub_word_windows), forms the shifted
+/// sample and its square once, and adds into compact per-slot bins. Each
+/// such slot's BlockHistogram then holds exactly the additions, in trace
+/// order, that build_block_histogram makes over its sub-plaintexts. Each
+/// of the slot's accumulators gets one ShardBlock — one virtual dispatch
+/// per distinguisher per shard — whose sub-plaintexts are extracted on
+/// first use (SubWordSource), so a slot whose accumulators all contract
+/// its histogram is never extracted.
 class ShardFeed {
  public:
   ShardFeed(const RoundSpec& round,
             std::span<Distinguisher* const> distinguishers,
             std::size_t shard_size, std::size_t levels);
 
-  /// One party's working set, reused slot after slot: the current slot's
-  /// sub-plaintexts and its scalar block histogram.
+  /// One party's working set, reused shard after shard: every binned
+  /// slot's bins side by side, the current slot's histogram and its
+  /// sub-plaintexts when extracted.
   struct Scratch {
-    std::vector<std::uint8_t> sub_pts;  // [shard_size]
+    // One bin of a binned slot: its shifted-sample sum and its count.
+    struct Bin {
+      using Pair = double __attribute__((vector_size(2 * sizeof(double))));
+      Pair pair = {0.0, 0.0};  // {sum, count}
+    };
+    std::vector<Bin> bins;  // [Σ 2^in_bits over the binned slots]
     BlockHistogram histogram;
+    std::size_t histogram_bins = 0;     // histogram bins that may be non-zero
+    std::vector<std::uint8_t> sub_pts;  // [shard_size]
   };
   Scratch make_scratch() const;
 
@@ -124,14 +138,40 @@ class ShardFeed {
   struct Slot {
     std::size_t sbox = 0;               // the attacked instance
     std::vector<std::size_t> members;   // its distinguishers, in list order
-    bool scalar = false;                // some member is kScalar
+    bool scalar = false;                // some member is kScalar: binned
+    std::size_t bins = 0;               // its first bin, when binned
   };
+  // A binned slot as the binning pass reads it: its sub-word in its
+  // window's word, and its first bin.
+  struct Field {
+    std::uint64_t mask = 0;
+    std::uint32_t shift = 0;
+    std::uint32_t bins = 0;
+  };
+  // Consecutive fields (by instance) that read one window.
+  struct Window {
+    std::uint32_t byte = 0;
+    std::uint32_t begin = 0;  // fields [begin, end)
+    std::uint32_t end = 0;
+  };
+
+  // Zeroes scratch.counts/sums and bins the shard's traces into them;
+  // returns Σ (sample - shift)² in trace order.
+  double bin(const ShardData& data, double shift, Scratch& scratch) const;
+  // Expands the slot's bins into scratch.histogram.
+  void expand(const Slot& slot, const ShardData& data, double shift,
+              double sum_sq, Scratch& scratch) const;
 
   const RoundSpec& round_;
   std::span<Distinguisher* const> distinguishers_;
   std::size_t shard_size_;
   std::size_t levels_;
   std::vector<Slot> slots_;
+  std::vector<Field> fields_;
+  std::vector<Window> windows_;
+  std::size_t bins_ = 0;   // Σ 2^in_bits over the binned slots
+  std::size_t stride_ = 0; // round.state_bytes()
+  std::size_t reach_ = 0;  // the last window's first byte + 8
 };
 
 /// The one attack-campaign driver: owns the shard-state matrix, runs the
