@@ -225,20 +225,21 @@ bool run_persisted_waves(
   SABLE_REQUIRE(pass.complete || !persist.checkpoint_path.empty(),
                 "partial campaign range needs a checkpoint path to persist "
                 "its shard states");
-  if (persist.checkpoint_path.empty() || work.empty()) {
+  if (persist.checkpoint_path.empty()) {
+    accumulate(pass);
+  } else if (work.empty()) {
+    // Nothing new will be accumulated (a range already covered, or a
+    // resume of a state that covers every shard): still publish the
+    // state so the invocation has an artifact, before a complete pass's
+    // reduction releases the shard states.
+    save_campaign_state(persist.checkpoint_path, manifest, states);
     accumulate(pass);
   } else {
     CheckpointDrain checkpoints(manifest, states, persist, work);
     pass.checkpoints = &checkpoints;
     accumulate(pass);
   }
-  if (pass.complete) return true;
-  if (work.empty()) {
-    // Nothing new was accumulated (e.g. pure range-split bookkeeping);
-    // still publish the state so the invocation has an artifact.
-    save_campaign_state(persist.checkpoint_path, manifest, states);
-  }
-  return false;
+  return pass.complete;
 }
 
 }  // namespace sable

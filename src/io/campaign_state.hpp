@@ -135,7 +135,10 @@ struct PersistedPass {
 /// the drain has serialized them. Checkpoints are published every
 /// persist.checkpoint_every_shards shards of the worklist's done prefix
 /// (0 = once, at its end) — the same files a range run over each prefix
-/// would write. Returns pass.complete: true when every canonical shard
+/// would write. With a checkpoint path and an empty worklist (a range
+/// already covered, or a resume of a state covering every shard), the
+/// state is published once, before `accumulate` runs, so every
+/// checkpointing invocation leaves a file. Returns pass.complete: true when every canonical shard
 /// is covered afterwards (the caller may finalize), false for a partial
 /// run — which requires a checkpoint path, otherwise the partial work
 /// would be unrecoverable (InvalidArgument, thrown before `accumulate`,

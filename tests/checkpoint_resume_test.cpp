@@ -13,6 +13,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -239,6 +240,51 @@ TEST(CheckpointResumeTest, PeriodicWaveCheckpointsDoNotPerturbTheRun) {
       resumed_engine.run_distinguishers(options, resumed_list, resume));
   expect_same_scores(resumed.cpa.result().score, ref.cpa.result().score);
   EXPECT_EQ(resumed.mtd.result().rank_history, ref.mtd.result().rank_history);
+}
+
+// Resuming a state that already covers every shard feeds nothing, but a
+// checkpoint path still gets its file: the resumed states, published
+// before the reduction releases them, so the new file holds the resumed
+// file's bytes, and resuming it gives the same scores once more.
+TEST(CheckpointResumeTest, ResumingACompleteStateStillWritesTheCheckpoint) {
+  const CampaignOptions options = resume_options();
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  AttackSet ref = make_attacks(engine, options);
+  Distinguisher* const ref_list[] = {&ref.cpa, &ref.dom, &ref.mtd};
+  CampaignPersistence full;
+  full.checkpoint_path = temp_path("complete");
+  EXPECT_TRUE(engine.run_distinguishers(options, ref_list, full));
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CampaignOptions threaded = options;
+    threaded.num_threads = threads;
+    const std::string again = temp_path("complete_again_" +
+                                        std::to_string(threads));
+    std::remove(again.c_str());
+    AttackSet set = make_attacks(engine, threaded);
+    Distinguisher* const list[] = {&set.cpa, &set.dom, &set.mtd};
+    CampaignPersistence resume;
+    resume.resume_path = full.checkpoint_path;
+    resume.checkpoint_path = again;
+    EXPECT_TRUE(engine.run_distinguishers(threaded, list, resume));
+    ASSERT_TRUE(std::ifstream(again).good()) << again;
+    EXPECT_TRUE(read_file(again) == read_file(full.checkpoint_path));
+    expect_same_scores(set.cpa.result().score, ref.cpa.result().score);
+    expect_same_scores(set.dom.result().score, ref.dom.result().score);
+    EXPECT_EQ(set.mtd.result().rank_history, ref.mtd.result().rank_history);
+
+    AttackSet chained = make_attacks(engine, threaded);
+    Distinguisher* const chained_list[] = {&chained.cpa, &chained.dom,
+                                           &chained.mtd};
+    CampaignPersistence from_again;
+    from_again.resume_path = again;
+    EXPECT_TRUE(engine.run_distinguishers(threaded, chained_list, from_again));
+    expect_same_scores(chained.cpa.result().score, ref.cpa.result().score);
+    expect_same_scores(chained.dom.result().score, ref.dom.result().score);
+    EXPECT_EQ(chained.mtd.result().rank_history,
+              ref.mtd.result().rank_history);
+  }
 }
 
 // A checkpoint's bytes depend on the shards it covers and nothing else:
