@@ -14,8 +14,10 @@
 // for scalar CPA, a G×P · P×L GEMM for time-resolved CPA, partitioned
 // counts/sums for DoM. The kernels below are those two stages. The
 // scalar histogram does not depend on the distinguisher, so it is a
-// value of its own (BlockHistogram): the engine bins each shard once per
-// attacked instance and CPA, DoM and MTD all contract that one result.
+// value of its own (BlockHistogram): the engine bins every attacked
+// instance of a shard in one pass (ShardFeed, engine/shard_reduce.hpp),
+// with exactly this kernel's additions per instance, and CPA, DoM and
+// MTD all contract the instance's one result.
 // Second-order CPA (dpa/second_order.hpp) is a contract_sums client too:
 // it bins per-plaintext level deviations and level-pair products itself
 // and contracts them against its block-centred prediction table.
@@ -116,9 +118,10 @@ void block_contract_dom(const std::uint8_t* pred_bit,
 /// One scalar block's per-plaintext histogram: the only input the scalar
 /// distinguishers' contractions read. counts/sums/sum_sq are the
 /// histogram_scalar outputs relative to `shift` over `count` traces.
-/// ShardFeed builds one per attacked instance per shard and every scalar
-/// distinguisher on that instance (CPA, DoM, MTD) contracts it, so a
-/// shard is binned once per instance, not once per distinguisher.
+/// ShardFeed builds one per attacked instance per shard, all of a shard's
+/// in one pass, and every scalar distinguisher on that instance (CPA,
+/// DoM, MTD) contracts it, so a shard is binned once, not once per
+/// distinguisher.
 struct BlockHistogram {
   std::uint64_t counts[detail::kBlockPts];
   double sums[detail::kBlockPts];

@@ -22,9 +22,10 @@
 // contraction per block, then a pairwise fold. At width 1 it splits in
 // two: add_histogram() contracts a prebuilt BlockHistogram, and
 // add_block() is build_block_histogram() followed by add_histogram().
-// The engine bins each shard once per attacked instance and hands that
-// histogram to every scalar accumulator on the instance (MTD too, unless
-// a checkpoint cuts the shard: then it feeds add_block once per segment).
+// The engine bins every attacked instance of a shard in one pass and
+// hands each instance's histogram to every scalar accumulator on it (MTD
+// too, unless a checkpoint cuts the shard: then it feeds add_block once
+// per segment).
 // The block passes' working set is per thread, not per accumulator, so
 // retained shard states and MTD snapshots carry only their logical
 // moments.

@@ -179,9 +179,10 @@ class TraceEngine {
   /// Drives any set of pluggable distinguishers through ONE simulated
   /// campaign — the engine's one attack driver (run_attack is the
   /// single-attack shorthand). Per shard, each distinguisher's
-  /// ShardAccumulator consumes the shard's block (sub-plaintext
-  /// extraction deduplicated per attacked instance, one virtual dispatch
-  /// per distinguisher per shard); per-shard states reduce as the shards
+  /// ShardAccumulator consumes the shard's block (one binning pass for
+  /// every attacked instance, sub-plaintexts extracted only where an
+  /// accumulator reads them, one virtual dispatch per distinguisher per
+  /// shard); per-shard states reduce as the shards
   /// finish, through the fixed-shape merge tree, or the ordered left fold
   /// for Distinguisher::ordered() (MTD prefix semantics). Afterwards each
   /// distinguisher holds its typed result. Mixing scalar and
