@@ -79,14 +79,15 @@ double ShardFeed::bin(const ShardData& data, double shift,
   const std::size_t stride = stride_;
   const std::uint8_t* pts = data.pts;
   const double* samples = data.samples;
-  double q = 0.0;
-  // Traces [t, t + kTraces), side by side: each field's bins take the
-  // traces' adds in trace order, and different fields' bins are disjoint.
-  // Each add is the trace's shifted sample and 1 in one vector add: the
-  // sum lane's add is block_histogram_scalar's scalar add, and the count
-  // lane counts exactly (a shard holds far fewer than 2^53 traces).
-  const auto bin_traces = [&]<std::size_t kTraces>(
-                              std::size_t t, auto&& load) {
+  // Bins traces [t, t + kTraces) side by side and returns q plus their
+  // squared shifted samples, added in trace order. Each field's bins take
+  // the traces' adds in trace order, and different fields' bins are
+  // disjoint. Each add is the trace's shifted sample and 1 in one vector
+  // add: the sum lane's add is block_histogram_scalar's scalar add, and
+  // the count lane counts exactly (a shard holds far fewer than 2^53
+  // traces). q is passed by value so that it stays in a register.
+  const auto bin_traces = [&]<std::size_t kTraces>(std::size_t t, double q,
+                                                   auto&& load) {
     Scratch::Bin::Pair add[kTraces];
     for (std::size_t j = 0; j < kTraces; ++j) {
       const double d = samples[t + j] - shift;
@@ -105,6 +106,7 @@ double ShardFeed::bin(const ShardData& data, double shift,
         }
       }
     }
+    return q;
   };
   // Traces [0, direct) read every window in place; a later trace's last
   // window would run past the end of pts.
@@ -112,14 +114,17 @@ double ShardFeed::bin(const ShardData& data, double shift,
   const std::size_t direct =
       bytes >= reach_ ? (bytes - reach_) / stride + 1 : 0;
   const auto in_place = [](const std::uint8_t* at) { return load_le64(at); };
+  double q = 0.0;
   std::size_t t = 0;
   for (; t + kBinTraces <= direct; t += kBinTraces) {
-    bin_traces.template operator()<kBinTraces>(t, in_place);
+    q = bin_traces.template operator()<kBinTraces>(t, q, in_place);
   }
-  for (; t < direct; ++t) bin_traces.template operator()<1>(t, in_place);
+  for (; t < direct; ++t) {
+    q = bin_traces.template operator()<1>(t, q, in_place);
+  }
   const std::uint8_t* end = pts + bytes;
   for (; t < data.count; ++t) {
-    bin_traces.template operator()<1>(t, [end](const std::uint8_t* at) {
+    q = bin_traces.template operator()<1>(t, q, [end](const std::uint8_t* at) {
       return load_le64_before(at, end);
     });
   }
