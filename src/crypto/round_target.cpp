@@ -165,9 +165,9 @@ std::vector<SubWordWindow> RoundSpec::sub_word_windows(
     // from there, 23 with the room above it.
     const std::size_t span = room_above ? 2 * bits : bits;
     if (i == 0 || offset + span > 8 * window + 64) window = offset / 8;
-    windows.push_back(
-        SubWordWindow{.byte = static_cast<std::uint32_t>(window),
-                      .shift = static_cast<std::uint32_t>(offset - 8 * window)});
+    windows.push_back(SubWordWindow{
+        .byte = static_cast<std::uint32_t>(window),
+        .shift = static_cast<std::uint32_t>(offset - 8 * window)});
     offset += bits;
   }
   return windows;

@@ -104,7 +104,8 @@ class SubWordSource {
 /// that are still binned or cut (sampled blocks, MTD shards a checkpoint
 /// cuts). It is null for sampled blocks and for callers that build blocks
 /// themselves; scalar accumulators then bin the block on their own, with
-/// bit-identical results.
+/// bit-identical results. A block and everything it points to are valid
+/// for the one accumulate() call it is handed to.
 struct ShardBlock {
   std::size_t start = 0;
   const std::uint8_t* sub_pts = nullptr;
