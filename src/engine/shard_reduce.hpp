@@ -99,7 +99,8 @@ struct ShardData {
 /// one). One pass over the shard bins every slot with a scalar
 /// distinguisher at once: per trace it reads each 8-byte window of the
 /// packed state once (RoundSpec::sub_word_windows), forms the shifted
-/// sample and its square once, and adds into compact per-slot bins. Each
+/// sample and its square once, and adds {sample, 1} into compact per-slot
+/// bins with one vector add, several traces side by side. Each
 /// such slot's BlockHistogram then holds exactly the additions, in trace
 /// order, that build_block_histogram makes over its sub-plaintexts. Each
 /// of the slot's accumulators gets one ShardBlock — one virtual dispatch
@@ -121,9 +122,9 @@ class ShardFeed {
       using Pair = double __attribute__((vector_size(2 * sizeof(double))));
       Pair pair = {0.0, 0.0};  // {sum, count}
     };
-    std::vector<Bin> bins;  // [Σ 2^in_bits over the binned slots]
+    std::vector<Bin> bins;              // [Σ 2^in_bits, binned slots]
     BlockHistogram histogram;
-    std::size_t histogram_bins = 0;     // histogram bins that may be non-zero
+    std::size_t histogram_bins = 0;     // its bins that may be non-zero
     std::vector<std::uint8_t> sub_pts;  // [shard_size]
   };
   Scratch make_scratch() const;
@@ -155,8 +156,8 @@ class ShardFeed {
     std::uint32_t end = 0;
   };
 
-  // Zeroes scratch.counts/sums and bins the shard's traces into them;
-  // returns Σ (sample - shift)² in trace order.
+  // Zeroes scratch.bins and bins the shard's traces into them; returns
+  // Σ (sample - shift)² in trace order.
   double bin(const ShardData& data, double shift, Scratch& scratch) const;
   // Expands the slot's bins into scratch.histogram.
   void expand(const Slot& slot, const ShardData& data, double shift,
