@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -477,6 +480,136 @@ TEST(DistinguisherPipelineTest, SharedBlockHistogramIsInvisible) {
                    });
     EXPECT_EQ(with.buffer(), without.buffer()) << "distinguisher " << d;
     EXPECT_EQ(with.buffer(), alone_states[d]) << "distinguisher " << d;
+  }
+}
+
+// Records what a feed hands one accumulator: the block's histogram, if
+// any, and the sub-plaintexts read through sub_words().
+struct FeedRecord {
+  bool has_histogram = false;
+  BlockHistogram histogram{};
+  std::vector<std::uint8_t> sub_words;
+};
+
+class RecordingAccumulator final : public ShardAccumulator {
+ public:
+  explicit RecordingAccumulator(FeedRecord& record) : record_(record) {}
+  void accumulate(const ShardBlock& block) override {
+    record_.has_histogram = block.histogram != nullptr;
+    if (record_.has_histogram) record_.histogram = *block.histogram;
+    const std::uint8_t* sub = block.sub_words();
+    record_.sub_words.assign(sub, sub + block.count);
+  }
+  void merge(ShardAccumulator&) override {}
+  void save(ByteWriter&) const override {}
+  void load(ByteReader&) override {}
+
+ private:
+  FeedRecord& record_;
+};
+
+class RecordingDistinguisher final : public Distinguisher {
+ public:
+  RecordingDistinguisher(std::size_t sbox, TraceDataKind kind)
+      : sbox_(sbox), kind_(kind) {}
+  TraceDataKind data_kind() const override { return kind_; }
+  std::size_t sbox_index() const override { return sbox_; }
+  void validate(const RoundSpec&) const override {}
+  std::unique_ptr<ShardAccumulator> make_shard_accumulator() const override {
+    return std::make_unique<RecordingAccumulator>(record);
+  }
+  void finalize(ShardAccumulator&) override {}
+
+  mutable FeedRecord record;
+
+ private:
+  std::size_t sbox_;
+  TraceDataKind kind_;
+};
+
+SboxSpec identity_spec(std::size_t bits) {
+  SboxSpec spec;
+  spec.name = "identity";
+  spec.in_bits = bits;
+  spec.out_bits = bits;
+  spec.table.resize(std::size_t{1} << bits);
+  for (std::size_t x = 0; x < spec.table.size(); ++x) {
+    spec.table[x] = static_cast<std::uint8_t>(x);
+  }
+  return spec;
+}
+
+// The feed bins every attacked instance of a shard in one pass. On random
+// layouts of 1-8-bit fields (states of 1 to 12 bytes, windows shared or
+// not, fields straddling bytes), random shard lengths (tail traces read
+// short windows) and random attack lists (instances attacked twice, in
+// any order, scalar and sampled), every scalar block's histogram must be
+// bit-identical to sub_words + build_block_histogram over the block, and
+// every accumulator reading sub_words() must see RoundSpec::sub_words.
+// The buffers hold exactly the shard, so a read past it trips the
+// address sanitizer.
+TEST(ShardFeedTest, MatchesPerInstanceBinningOnRandomLayouts) {
+  Rng rng(0xB1A5);
+  for (int trial = 0; trial < 150; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    RoundSpec round;
+    const std::size_t n = 1 + rng.below(12);
+    for (std::size_t i = 0; i < n; ++i) {
+      round.sboxes.push_back(identity_spec(1 + rng.below(8)));
+    }
+    const std::size_t stride = round.state_bytes();
+    const std::size_t count = rng.below(70);
+    std::vector<std::uint8_t> pts(count * stride);
+    for (std::uint8_t& byte : pts) {
+      byte = static_cast<std::uint8_t>(rng.below(256));
+    }
+    std::vector<double> samples(count);
+    for (double& x : samples) {
+      x = 1e-13 + static_cast<double>(rng.below(1000)) * 1e-16;
+    }
+
+    std::vector<std::unique_ptr<RecordingDistinguisher>> owners;
+    std::vector<Distinguisher*> list;
+    const std::size_t attacks = 1 + rng.below(2 * n);
+    for (std::size_t k = 0; k < attacks; ++k) {
+      owners.push_back(std::make_unique<RecordingDistinguisher>(
+          rng.below(n), rng.below(3) == 0 ? TraceDataKind::kSampled
+                                          : TraceDataKind::kScalar));
+      list.push_back(owners.back().get());
+    }
+    const ShardFeed feed(round, list, std::max<std::size_t>(count, 1), 1);
+    ShardFeed::Scratch scratch = feed.make_scratch();
+    ShardStates states = make_shard_states(list.size(), 1);
+    const ShardData data{.pts = pts.data(),
+                         .samples = samples.data(),
+                         .rows = samples.data(),
+                         .count = count};
+    feed.feed(0, data, scratch, states);
+
+    std::vector<std::uint8_t> expected_sub(count);
+    BlockHistogram expected{};
+    for (const auto& d : owners) {
+      const std::size_t i = d->sbox_index();
+      round.sub_words(pts.data(), count, i, expected_sub.data());
+      EXPECT_EQ(d->record.sub_words, expected_sub) << "instance " << i;
+      const bool scalar = d->data_kind() == TraceDataKind::kScalar;
+      ASSERT_EQ(d->record.has_histogram, scalar) << "instance " << i;
+      if (!scalar) continue;
+      build_block_histogram(expected_sub.data(), samples.data(), count,
+                            expected);
+      const BlockHistogram& seen = d->record.histogram;
+      EXPECT_EQ(std::memcmp(seen.counts, expected.counts,
+                            sizeof expected.counts), 0)
+          << "instance " << i;
+      EXPECT_EQ(std::memcmp(seen.sums, expected.sums, sizeof expected.sums),
+                0)
+          << "instance " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(seen.sum_sq),
+                std::bit_cast<std::uint64_t>(expected.sum_sq));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(seen.shift),
+                std::bit_cast<std::uint64_t>(expected.shift));
+      EXPECT_EQ(seen.count, expected.count);
+    }
   }
 }
 
