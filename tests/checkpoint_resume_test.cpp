@@ -287,6 +287,64 @@ TEST(CheckpointResumeTest, ResumingACompleteStateStillWritesTheCheckpoint) {
   }
 }
 
+// The other empty worklist: a range the resumed partial already covers
+// feeds nothing and stays partial, but its checkpoint path still gets
+// the resumed partial's bytes, whatever the wave size or thread count,
+// and that file merges with the rest of the campaign into the plain
+// run's scores.
+TEST(CheckpointResumeTest, ResumingACoveredRangeStillWritesTheCheckpoint) {
+  const CampaignOptions options = resume_options();
+  TraceEngine engine(present_spec(), LogicStyle::kStaticCmos, kTech);
+  AttackSet ref = make_attacks(engine, options);
+  Distinguisher* const ref_list[] = {&ref.cpa, &ref.dom, &ref.mtd};
+  engine.run_distinguishers(options, ref_list);
+
+  CampaignPersistence head;
+  head.shard_end = 3;
+  head.checkpoint_path = temp_path("covered_head");
+  CampaignPersistence tail;
+  tail.shard_begin = 3;
+  tail.checkpoint_path = temp_path("covered_tail");
+  for (const CampaignPersistence* part : {&head, &tail}) {
+    AttackSet set = make_attacks(engine, options);
+    Distinguisher* const list[] = {&set.cpa, &set.dom, &set.mtd};
+    EXPECT_FALSE(engine.run_distinguishers(options, list, *part));
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t every : {std::size_t{0}, std::size_t{2}}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, every "
+                                      << every);
+      CampaignOptions threaded = options;
+      threaded.num_threads = threads;
+      const std::string again =
+          temp_path("covered_again_" + std::to_string(threads) + "_" +
+                    std::to_string(every));
+      std::remove(again.c_str());
+      AttackSet set = make_attacks(engine, threaded);
+      Distinguisher* const list[] = {&set.cpa, &set.dom, &set.mtd};
+      CampaignPersistence resume;
+      resume.resume_path = head.checkpoint_path;
+      resume.shard_end = 3;
+      resume.checkpoint_path = again;
+      resume.checkpoint_every_shards = every;
+      EXPECT_FALSE(engine.run_distinguishers(threaded, list, resume));
+      ASSERT_TRUE(std::ifstream(again).good()) << again;
+      EXPECT_TRUE(read_file(again) == read_file(head.checkpoint_path));
+
+      AttackSet merged = make_attacks(engine, threaded);
+      Distinguisher* const merged_list[] = {&merged.cpa, &merged.dom,
+                                            &merged.mtd};
+      engine.merge_partials(threaded, merged_list,
+                            {again, tail.checkpoint_path});
+      expect_same_scores(merged.cpa.result().score, ref.cpa.result().score);
+      expect_same_scores(merged.dom.result().score, ref.dom.result().score);
+      EXPECT_EQ(merged.mtd.result().rank_history,
+                ref.mtd.result().rank_history);
+    }
+  }
+}
+
 // A checkpoint's bytes depend on the shards it covers and nothing else:
 // the final checkpoint of the 7-shard campaign is the same whether it
 // published a checkpoint every 1, 2, 3 or 7 shards on the way or only at

@@ -11,7 +11,10 @@
 # and a full replay from the corpus. A campaign checkpointed every two
 # shards must write the same state file at 1 and 3 threads and from the
 # corpus, and as one checkpointed every shard at 3 threads, and resuming
-# it must reproduce the single-process report. Recordings at 1 and 3
+# it must reproduce the single-process report. A run with nothing left
+# to feed must still write its state file: resuming that checkpoint with
+# a new --checkpoint, or resuming the 0:3 partial over 0:3 with a new
+# --partial, must write a copy of the resumed file. Recordings at 1 and 3
 # threads must be byte-identical to each other and to the default-thread
 # one, for the delta and the raw codec alike. The default recording is a
 # v3 compressed (delta codec) corpus, so the merge legs also pin the
@@ -89,6 +92,17 @@ cmp "$d/ck" "$d/ckr"
 "$cli" attack --traces 6000 --shard-size 1024 --resume "$d/ck" \
   --json "$d/r.json"
 cmp "$d/r.json" "$d/single.json"
+# A run with nothing left to feed still writes its state file:
+# resuming the complete checkpoint rewrites it unchanged, and
+# resuming a partial over the range it already covers writes that
+# partial unchanged.
+"$cli" attack --traces 6000 --shard-size 1024 --resume "$d/ck" \
+  --checkpoint "$d/again"
+cmp "$d/ck" "$d/again"
+"$cli" attack --traces 6000 --shard-size 1024 --resume "$d/p0" \
+  --shards 0:3 --partial "$d/p0b" --every 2 \
+  | grep -q "partial campaign state written"
+cmp "$d/p0" "$d/p0b"
 r4="--round 4 --traces 6000 --shard-size 1024 --all-subkeys"
 "$cli" record --round 4 --traces 6000 --shard-size 1024 \
   --out "$d/c4"
