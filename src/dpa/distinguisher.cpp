@@ -26,6 +26,16 @@ const std::uint8_t* ShardBlock::sub_words() const {
   return sub_word_source->get();
 }
 
+void validate_distinguishers(const RoundSpec& round,
+                             std::span<Distinguisher* const> distinguishers) {
+  SABLE_REQUIRE(!distinguishers.empty(),
+                "an attack needs at least one distinguisher");
+  for (const Distinguisher* d : distinguishers) {
+    SABLE_REQUIRE(d != nullptr, "distinguisher must not be null");
+    d->validate(round);
+  }
+}
+
 namespace {
 
 constexpr std::uint32_t kMtdShardTag = 0x53AB1006;

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -174,6 +175,12 @@ class Distinguisher {
   /// Consumes the fully reduced root accumulator.
   virtual void finalize(ShardAccumulator& root) = 0;
 };
+
+/// The checks every attack entry point (run, replay, merge) makes of its
+/// list: at least one distinguisher, no null entry, and each one valid
+/// for `round` (Distinguisher::validate). Throws InvalidArgument.
+void validate_distinguishers(const RoundSpec& round,
+                             std::span<Distinguisher* const> distinguishers);
 
 namespace detail {
 

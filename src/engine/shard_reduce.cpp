@@ -228,6 +228,39 @@ void ShardReducer::shard_done(std::size_t s) {
   }
 }
 
+Worklist resume_worklist(const CampaignManifest& manifest,
+                         std::span<Distinguisher* const> distinguishers,
+                         ShardStates& states,
+                         const CampaignPersistence& persist) {
+  const std::size_t num_shards = static_cast<std::size_t>(manifest.num_shards);
+  SABLE_REQUIRE(!states.empty() && states[0].size() == num_shards,
+                "shard-state matrix must span the campaign's shards");
+  if (!persist.resume_path.empty()) {
+    load_campaign_state(persist.resume_path, manifest, distinguishers,
+                        states);
+  }
+  SABLE_REQUIRE(persist.shard_begin <= persist.shard_end,
+                "campaign shard range is reversed");
+  SABLE_REQUIRE(persist.shard_begin <= num_shards,
+                "campaign shard range starts past the campaign");
+  const std::size_t end = std::min(persist.shard_end, num_shards);
+  Worklist list;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    if (states[0][s]) {
+      list.resumed.push_back(s);
+    } else if (s >= persist.shard_begin && s < end) {
+      list.work.push_back(s);
+    }
+  }
+  list.complete = list.resumed.size() + list.work.size() == num_shards;
+  // A partial run that was never persisted is lost work — refuse it
+  // before any shard runs unless the caller asked for a checkpoint.
+  SABLE_REQUIRE(list.complete || !persist.checkpoint_path.empty(),
+                "partial campaign range needs a checkpoint path to persist "
+                "its shard states");
+  return list;
+}
+
 void finalize_distinguishers(std::span<Distinguisher* const> distinguishers,
                              ShardStates& states) {
   for (std::size_t d = 0; d < distinguishers.size(); ++d) {

@@ -175,24 +175,45 @@ class ShardFeed {
   std::size_t reach_ = 0;  // the last window's first byte + 8
 };
 
-/// The one attack-campaign driver: owns the shard-state matrix, runs the
-/// persisted pass (resume, range split, checkpoints; see
-/// run_persisted_waves) and feeds every shard of the worklist through
-/// ShardFeed in ONE parallel_for on `threads` parties of `workers`. With
-/// a checkpoint path each party also hands its fed shard to the
-/// CheckpointDrain, which serializes it once and publishes checkpoints
-/// from an ordered drain while the parties keep claiming shards: no wave
-/// ends in a barrier. Without one the pass takes no lock and serializes
-/// nothing. A run that covers every shard reduces as the shards finish:
-/// each party hands its shard to one ShardReducer once it is fed and
-/// serialized, and the resumed shards go to it from the same
-/// parallel_for, so when the pass returns only the roots are left to
-/// finalize. A partial run reduces nothing: its checkpoint needs the raw
-/// states. The source is the caller's: each party builds one context
-/// through make_ctx(), and fill(ctx, s) returns shard s's ShardData,
-/// valid until the party's next fill. Returns false for a partial
-/// persisted run (see run_persisted_waves), true when the results were
-/// finalized.
+/// One persisted pass's worklist.
+struct Worklist {
+  std::vector<std::size_t> resumed;  // loaded from the resume file
+  std::vector<std::size_t> work;     // the range's uncovered shards
+  bool complete = false;  // together they cover every canonical shard
+};
+
+/// Loads persist.resume_path (when set) into the uncovered `states`,
+/// checks persist's shard range and lists, ascending, the resumed shards
+/// and the uncovered ones inside [persist.shard_begin,
+/// persist.shard_end). A partial run requires a checkpoint path,
+/// otherwise its work would be unrecoverable: it throws InvalidArgument
+/// before any shard is simulated or decoded in vain.
+Worklist resume_worklist(const CampaignManifest& manifest,
+                         std::span<Distinguisher* const> distinguishers,
+                         ShardStates& states,
+                         const CampaignPersistence& persist);
+
+/// The one attack-campaign driver, the whole persisted pass top to
+/// bottom: it owns the shard-state matrix, resumes and derives the
+/// worklist (resume_worklist), and feeds every shard of the worklist
+/// through ShardFeed in ONE parallel_for on `threads` parties of
+/// `workers`. With a checkpoint path a CheckpointDrain serializes the
+/// resumed shards first; each party then hands its fed shard to it, which
+/// serializes the shard once and publishes checkpoints from an ordered
+/// drain every persist.checkpoint_every_shards shards of the worklist's
+/// done prefix (0 = once, at its end) while the parties keep claiming
+/// shards: no wave ends in a barrier. An empty worklist (a range already
+/// covered, or a resume of a complete state) publishes the resumed state
+/// once, so every checkpointing run leaves a file. Without a checkpoint
+/// path the pass takes no lock and serializes nothing. A run that covers
+/// every shard reduces as the shards finish: each party hands its shard
+/// to one ShardReducer once it is fed and serialized, and the resumed
+/// shards go to it from the same parallel_for, so when the pass ends
+/// only the roots are left to finalize. A partial run reduces nothing:
+/// its checkpoint needs the raw states. The source is the caller's: each
+/// party builds one context through make_ctx(), and fill(ctx, s) returns
+/// shard s's ShardData, valid until the party's next fill. Returns false
+/// for a partial run, true when the results were finalized.
 template <typename MakeCtx, typename Fill>
 bool drive_attack_campaign(const CampaignManifest& manifest,
                            const RoundSpec& round,
@@ -205,40 +226,43 @@ bool drive_attack_campaign(const CampaignManifest& manifest,
                        static_cast<std::size_t>(manifest.shard_size), levels);
   ShardStates states = make_shard_states(
       distinguishers.size(), static_cast<std::size_t>(manifest.num_shards));
+  const Worklist list =
+      resume_worklist(manifest, distinguishers, states, persist);
+  // The drain serializes the resumed shards before the reducer may
+  // release them.
+  std::optional<CheckpointDrain> checkpoints;
+  if (!persist.checkpoint_path.empty()) {
+    checkpoints.emplace(manifest, states, persist, list.work);
+  }
+  std::optional<ShardReducer> reducer;
+  if (list.complete) reducer.emplace(distinguishers, states);
+  // Indices below `resumed` hand a loaded shard to the reducer; the rest
+  // feed work[k - resumed].
+  const std::size_t resumed = reducer ? list.resumed.size() : 0;
   struct Party {
     decltype(make_ctx()) ctx;
     ShardFeed::Scratch scratch;
   };
-  const auto accumulate = [&](const PersistedPass& pass) {
-    std::optional<ShardReducer> reducer;
-    if (pass.complete) reducer.emplace(distinguishers, states);
-    // Indices below `resumed` hand a loaded shard to the reducer; the
-    // rest feed work[k - resumed].
-    const std::size_t resumed = reducer ? pass.resumed.size() : 0;
-    workers.parallel_for(
-        resumed + pass.work.size(), threads,
-        [&] { return Party{make_ctx(), feed.make_scratch()}; },
-        [&](Party& party, std::size_t k) {
-          if (k < resumed) {
-            reducer->shard_done(pass.resumed[k]);
-            return;
-          }
-          k -= resumed;
-          try {
-            feed.feed(pass.work[k], fill(party.ctx, pass.work[k]),
-                      party.scratch, states);
-            if (pass.checkpoints) pass.checkpoints->shard_done(k);
-          } catch (...) {
-            if (pass.checkpoints) pass.checkpoints->fail();
-            throw;
-          }
-          if (reducer) reducer->shard_done(pass.work[k]);
-        });
-  };
-  if (!run_persisted_waves(manifest, distinguishers, states, persist,
-                           accumulate)) {
-    return false;
-  }
+  workers.parallel_for(
+      resumed + list.work.size(), threads,
+      [&] { return Party{make_ctx(), feed.make_scratch()}; },
+      [&](Party& party, std::size_t k) {
+        if (k < resumed) {
+          reducer->shard_done(list.resumed[k]);
+          return;
+        }
+        k -= resumed;
+        try {
+          feed.feed(list.work[k], fill(party.ctx, list.work[k]),
+                    party.scratch, states);
+          if (checkpoints) checkpoints->shard_done(k);
+        } catch (...) {
+          if (checkpoints) checkpoints->fail();
+          throw;
+        }
+        if (reducer) reducer->shard_done(list.work[k]);
+      });
+  if (!list.complete) return false;
   finalize_distinguishers(distinguishers, states);
   return true;
 }

@@ -318,52 +318,6 @@ TraceSet run_campaign(const RoundTarget& prototype, detail::EnginePools& pool,
   return traces;
 }
 
-// The live source of the attack driver (engine/shard_reduce.hpp): each
-// party leases a target clone and generates the trace data each data
-// kind needs. A mixed campaign simulates the shard once per kind; the
-// plaintext stream is regenerated identically (same counter-derived seed)
-// and each kind draws its noise exactly as its single-kind campaign
-// would, so sharing a campaign never changes a result.
-bool run_distinguishers_impl(const RoundTarget& prototype,
-                             detail::EnginePools& pool,
-                             const CampaignOptions& options,
-                             const CampaignManifest& manifest,
-                             std::span<Distinguisher* const> distinguishers,
-                             const CampaignPersistence& persist) {
-  const ShardLayout layout = layout_for(options);
-  const std::size_t levels = prototype.num_levels();
-  bool any_scalar = false;
-  bool any_sampled = false;
-  for (Distinguisher* d : distinguishers) {
-    if (d->data_kind() == TraceDataKind::kScalar) {
-      any_scalar = true;
-    } else {
-      any_sampled = true;
-    }
-  }
-  return drive_attack_campaign(
-      manifest, prototype.round(), distinguishers, levels, persist,
-      pool.workers, campaign_thread_count(options),
-      [&] {
-        return WorkerCtx(prototype, pool, layout.shard_size,
-                         any_scalar ? 1 : 0, any_sampled ? levels : 0);
-      },
-      [&](WorkerCtx& ctx, std::size_t s) {
-        if (any_scalar) {
-          simulate_shard(ctx.lease.target(), options, layout, s,
-                         TraceDataKind::kScalar, ctx.pts.data(),
-                         ctx.samples.data());
-        }
-        if (any_sampled) {
-          simulate_shard(ctx.lease.target(), options, layout, s,
-                         TraceDataKind::kSampled, ctx.pts.data(),
-                         ctx.rows.data());
-        }
-        return ShardData{ctx.pts.data(), ctx.samples.data(), ctx.rows.data(),
-                         layout.count(s)};
-      });
-}
-
 }  // namespace
 
 // ---- TraceEngine ----------------------------------------------------------
@@ -404,47 +358,64 @@ void TraceEngine::stream_sampled(const CampaignOptions& options,
                 nullptr);
 }
 
-void TraceEngine::run_distinguishers(
-    const CampaignOptions& options,
-    std::span<Distinguisher* const> distinguishers) {
-  run_distinguishers(options, distinguishers, CampaignPersistence{});
-}
-
+// The live source of the attack driver (engine/shard_reduce.hpp): each
+// party leases a target clone and generates the trace data each data
+// kind needs. A mixed campaign simulates the shard once per kind; the
+// plaintext stream is regenerated identically (same counter-derived seed)
+// and each kind draws its noise exactly as its single-kind campaign
+// would, so sharing a campaign never changes a result.
 bool TraceEngine::run_distinguishers(
     const CampaignOptions& options,
     std::span<Distinguisher* const> distinguishers,
     const CampaignPersistence& persist) {
-  SABLE_REQUIRE(!distinguishers.empty(),
-                "run_distinguishers needs at least one distinguisher");
+  validate_distinguishers(round(), distinguishers);
   SABLE_REQUIRE(options.num_traces >= 2,
                 "attack campaigns require at least two traces");
   validate_options(round(), options);
+  const std::size_t levels = target_.num_levels();
+  bool any_scalar = false;
+  bool any_sampled = false;
   for (Distinguisher* d : distinguishers) {
-    SABLE_REQUIRE(d != nullptr, "distinguisher must not be null");
-    d->validate(round());
-    if (d->data_kind() == TraceDataKind::kSampled) {
-      SABLE_REQUIRE(target_.num_levels() > 0,
-                    "time-resolved campaigns need at least one logic level");
+    if (d->data_kind() == TraceDataKind::kScalar) {
+      any_scalar = true;
+    } else {
+      any_sampled = true;
     }
   }
-  const CampaignManifest manifest = campaign_manifest(options);
-  return run_distinguishers_impl(target_, *pools_, options, manifest,
-                                 distinguishers, persist);
+  SABLE_REQUIRE(!any_sampled || levels > 0,
+                "time-resolved campaigns need at least one logic level");
+  const ShardLayout layout = layout_for(options);
+  return drive_attack_campaign(
+      campaign_manifest(options), round(), distinguishers, levels, persist,
+      pools_->workers, campaign_thread_count(options),
+      [&] {
+        return WorkerCtx(target_, *pools_, layout.shard_size,
+                         any_scalar ? 1 : 0, any_sampled ? levels : 0);
+      },
+      [&](WorkerCtx& ctx, std::size_t s) {
+        if (any_scalar) {
+          simulate_shard(ctx.lease.target(), options, layout, s,
+                         TraceDataKind::kScalar, ctx.pts.data(),
+                         ctx.samples.data());
+        }
+        if (any_sampled) {
+          simulate_shard(ctx.lease.target(), options, layout, s,
+                         TraceDataKind::kSampled, ctx.pts.data(),
+                         ctx.rows.data());
+        }
+        return ShardData{ctx.pts.data(), ctx.samples.data(), ctx.rows.data(),
+                         layout.count(s)};
+      });
 }
 
 void TraceEngine::merge_partials(
     const CampaignOptions& options,
     std::span<Distinguisher* const> distinguishers,
     const std::vector<std::string>& partial_paths) {
-  SABLE_REQUIRE(!distinguishers.empty(),
-                "merge_partials needs at least one distinguisher");
+  validate_distinguishers(round(), distinguishers);
   SABLE_REQUIRE(!partial_paths.empty(),
                 "merge_partials needs at least one partial state file");
   validate_options(round(), options);
-  for (Distinguisher* d : distinguishers) {
-    SABLE_REQUIRE(d != nullptr, "distinguisher must not be null");
-    d->validate(round());
-  }
   const CampaignManifest manifest = campaign_manifest(options);
   ShardStates states = make_shard_states(
       distinguishers.size(), static_cast<std::size_t>(manifest.num_shards));

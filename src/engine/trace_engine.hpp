@@ -190,15 +190,14 @@ class TraceEngine {
   /// kind with identical per-kind streams, so every result is
   /// bit-identical to the same distinguisher run alone. Results are
   /// bit-identical for any num_threads and on every machine.
-  void run_distinguishers(const CampaignOptions& options,
-                          std::span<Distinguisher* const> distinguishers);
-
-  /// Persistence-aware campaign driver (the overload above is this with
-  /// default persistence): optionally resumes shard states from
-  /// persist.resume_path, simulates only the uncovered shards of
-  /// [shard_begin, shard_end) in one pass, checkpoints to
-  /// persist.checkpoint_path every checkpoint_every_shards shards of its
-  /// done prefix, and — when every canonical shard is covered — reduces and
+  ///
+  /// `persist` (default: a plain in-memory run) is the persisted pass of
+  /// drive_attack_campaign (engine/shard_reduce.hpp): it optionally
+  /// resumes shard states from persist.resume_path, simulates only the
+  /// uncovered shards of [shard_begin, shard_end) in one pass,
+  /// checkpoints to persist.checkpoint_path every checkpoint_every_shards
+  /// shards of its done prefix — or once, when nothing is left to
+  /// simulate — and, when every canonical shard is covered, reduces and
   /// finalizes exactly as the plain run. Returns true when results were
   /// finalized, false for a partial (persisted) run whose shard states
   /// went to the checkpoint file. Checkpoints store RAW per-shard states
@@ -206,7 +205,7 @@ class TraceEngine {
   /// are bit-identical to one uninterrupted local run.
   bool run_distinguishers(const CampaignOptions& options,
                           std::span<Distinguisher* const> distinguishers,
-                          const CampaignPersistence& persist);
+                          const CampaignPersistence& persist = {});
 
   /// Folds N partial campaign-state files (each from a
   /// run_distinguishers invocation over a disjoint shard range — the

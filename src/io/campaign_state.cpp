@@ -160,11 +160,13 @@ CheckpointDrain::CheckpointDrain(const CampaignManifest& manifest,
       states_(states),
       path_(persist.checkpoint_path),
       work_(work),
-      every_(persist.checkpoint_every_shards == 0
-                 ? work.size()
-                 : persist.checkpoint_every_shards),
+      // Never 0: a divisor, and an ordered drain's window.
+      every_(std::max<std::size_t>(persist.checkpoint_every_shards == 0
+                                       ? work.size()
+                                       : persist.checkpoint_every_shards,
+                                   1)),
       segments_(states.empty() ? 0 : states[0].size()),
-      drain_(work.size()) {
+      drain_(std::max<std::size_t>(work.size(), 1)) {
   SABLE_REQUIRE(!states.empty(), "campaign state needs at least one "
                                  "distinguisher");
   for (std::size_t s = 0; s < segments_.size(); ++s) {
@@ -172,6 +174,8 @@ CheckpointDrain::CheckpointDrain(const CampaignManifest& manifest,
     resumed_.push_back(s);
     serialize_segment(states, s, segments_[s]);
   }
+  // No shard_done() will come: publish the resumed state now.
+  if (work_.empty()) publish(0);
 }
 
 void CheckpointDrain::shard_done(std::size_t k) {
@@ -190,56 +194,6 @@ void CheckpointDrain::publish(std::size_t done) {
              work_.begin() + static_cast<std::ptrdiff_t>(done),
              std::back_inserter(covered_));
   write_state_file(path_, manifest_, states_.size(), covered_, segments_);
-}
-
-bool run_persisted_waves(
-    const CampaignManifest& manifest,
-    std::span<Distinguisher* const> distinguishers, ShardStates& states,
-    const CampaignPersistence& persist,
-    const std::function<void(const PersistedPass&)>& accumulate) {
-  const std::size_t num_shards = static_cast<std::size_t>(manifest.num_shards);
-  SABLE_REQUIRE(!states.empty() && states[0].size() == num_shards,
-                "shard-state matrix must span the campaign's shards");
-  if (!persist.resume_path.empty()) {
-    load_campaign_state(persist.resume_path, manifest, distinguishers,
-                        states);
-  }
-  SABLE_REQUIRE(persist.shard_begin <= persist.shard_end,
-                "campaign shard range is reversed");
-  SABLE_REQUIRE(persist.shard_begin <= num_shards,
-                "campaign shard range starts past the campaign");
-  const std::size_t end = std::min(persist.shard_end, num_shards);
-  std::vector<std::size_t> work;
-  std::vector<std::size_t> resumed;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (states[0][s]) {
-      resumed.push_back(s);
-    } else if (s >= persist.shard_begin && s < end) {
-      work.push_back(s);
-    }
-  }
-  PersistedPass pass{work, resumed, nullptr,
-                     resumed.size() + work.size() == num_shards};
-  // A partial run that was never persisted is lost work — refuse it
-  // before any shard runs unless the caller asked for a checkpoint.
-  SABLE_REQUIRE(pass.complete || !persist.checkpoint_path.empty(),
-                "partial campaign range needs a checkpoint path to persist "
-                "its shard states");
-  if (persist.checkpoint_path.empty()) {
-    accumulate(pass);
-  } else if (work.empty()) {
-    // Nothing new will be accumulated (a range already covered, or a
-    // resume of a state that covers every shard): still publish the
-    // state so the invocation has an artifact, before a complete pass's
-    // reduction releases the shard states.
-    save_campaign_state(persist.checkpoint_path, manifest, states);
-    accumulate(pass);
-  } else {
-    CheckpointDrain checkpoints(manifest, states, persist, work);
-    pass.checkpoints = &checkpoints;
-    accumulate(pass);
-  }
-  return pass.complete;
 }
 
 }  // namespace sable

@@ -13,6 +13,10 @@
 // reducer (engine/shard_reduce.hpp), which performs the same pairing as
 // the shards finish.
 //
+// This layer only reads, writes and publishes state files; the persisted
+// pass itself (resume, range split, worklist, checkpoint waves) is the
+// attack driver's, drive_attack_campaign in engine/shard_reduce.hpp.
+//
 // Layout (little-endian):
 //   magic              8 bytes  "SABLSTAT"
 //   version            u32      2 (1 in old-stream files: stream 1)
@@ -35,7 +39,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,22 +72,28 @@ std::size_t load_campaign_state(const std::string& path,
                                 std::span<Distinguisher* const> distinguishers,
                                 ShardStates& states);
 
-/// The checkpoint side of one persisted pass (run_persisted_waves over a
-/// worklist, with a checkpoint path). The party that ran work[k] calls
+/// The checkpoint side of one persisted pass (drive_attack_campaign in
+/// engine/shard_reduce.hpp, with a checkpoint path). Construction
+/// serializes every resumed shard once, so the pass may reduce and
+/// release them afterwards. The party that ran work[k] calls
 /// shard_done(k) once it has fed the shard: that serializes the shard's
 /// accumulator blobs once into a per-shard segment, laid out as SABLSTAT
 /// stores them, and completes k in an OrderedDrain
 /// (engine/ordered_drain.hpp). Whichever party drains advances the done
 /// prefix of the worklist, and each time the prefix reaches a multiple of
-/// checkpoint_every_shards (or the end of the worklist) it publishes a
-/// checkpoint of the resumed shards plus exactly that prefix, written
-/// from the cached segments. The other parties keep claiming shards
-/// meanwhile. A throwing shard (the party calls fail()) or checkpoint
+/// checkpoint_every_shards (0 = only at the end of the worklist) or the
+/// end of the worklist it publishes a checkpoint of the resumed shards
+/// plus exactly that prefix, written from the cached segments — the same
+/// file a range run over that prefix would write. The other parties keep
+/// claiming shards meanwhile. With an empty worklist (a range already
+/// covered, or a resume of a state covering every shard) the constructor
+/// publishes the resumed state at once, so every checkpointing pass
+/// leaves a file. A throwing shard (the party calls fail()) or checkpoint
 /// write stops the drain; the last published checkpoint stays.
 class CheckpointDrain {
  public:
   /// `states` holds the resumed shards and nothing of `work` yet; `work`
-  /// (non-empty, ascending) must outlive the drain.
+  /// (ascending) must outlive the drain.
   CheckpointDrain(const CampaignManifest& manifest, const ShardStates& states,
                   const CampaignPersistence& persist,
                   std::span<const std::size_t> work);
@@ -108,45 +117,5 @@ class CheckpointDrain {
   std::vector<std::size_t> covered_;  // publish()'s list; drainer only
   OrderedDrain drain_;
 };
-
-/// What one persisted pass hands its driver.
-struct PersistedPass {
-  /// The uncovered shards of the range, ascending: the driver feeds
-  /// every one of them.
-  std::span<const std::size_t> work;
-  /// The shards loaded from the resume file, ascending.
-  std::span<const std::size_t> resumed;
-  /// Non-null when the run checkpoints (see CheckpointDrain).
-  CheckpointDrain* checkpoints = nullptr;
-  /// True when the resumed shards and the work cover every canonical
-  /// shard, so the run finalizes; a partial run keeps its raw states.
-  bool complete = false;
-};
-
-/// Persistence-aware campaign driver shared by the live engine and the
-/// replay path: optionally resumes from persist.resume_path, derives the
-/// uncovered worklist inside [persist.shard_begin, persist.shard_end)
-/// and hands all of it to `accumulate` at once, with a CheckpointDrain
-/// when persist.checkpoint_path is set. The drain has serialized every
-/// resumed shard before `accumulate` runs. `accumulate` must fill
-/// states[d][s] for every shard s = work[k] and, given a drain, call
-/// shard_done(k) after each (fail() when a shard throws); only a
-/// complete pass may release states (by reducing them), and only once
-/// the drain has serialized them. Checkpoints are published every
-/// persist.checkpoint_every_shards shards of the worklist's done prefix
-/// (0 = once, at its end) — the same files a range run over each prefix
-/// would write. With a checkpoint path and an empty worklist (a range
-/// already covered, or a resume of a state covering every shard), the
-/// state is published once, before `accumulate` runs, so every
-/// checkpointing invocation leaves a file. Returns pass.complete: true when every canonical shard
-/// is covered afterwards (the caller may finalize), false for a partial
-/// run — which requires a checkpoint path, otherwise the partial work
-/// would be unrecoverable (InvalidArgument, thrown before `accumulate`,
-/// so no shard is simulated or decoded in vain).
-bool run_persisted_waves(
-    const CampaignManifest& manifest,
-    std::span<Distinguisher* const> distinguishers, ShardStates& states,
-    const CampaignPersistence& persist,
-    const std::function<void(const PersistedPass&)>& accumulate);
 
 }  // namespace sable

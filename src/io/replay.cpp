@@ -15,7 +15,7 @@ namespace {
 // The per-replay validation performed ONCE up front (the corpus
 // structure itself was already validated when the reader was
 // constructed): stream, spec hash, stride, and every distinguisher's
-// contract.
+// contract and data kind.
 void validate_for_replay(const CorpusManifest& cm, const std::string& path,
                          const RoundSpec& round,
                          std::span<Distinguisher* const> distinguishers) {
@@ -25,8 +25,6 @@ void validate_for_replay(const CorpusManifest& cm, const std::string& path,
   CampaignManifest current = manifest;
   current.stream = kCampaignStream;
   require_manifest_match(path, current, manifest);
-  SABLE_REQUIRE(!distinguishers.empty(),
-                "replay needs at least one distinguisher");
   SABLE_REQUIRE(manifest.num_traces >= 2,
                 "attack campaigns require at least two traces");
   if (round_spec_hash(round) != manifest.spec_hash) {
@@ -38,12 +36,11 @@ void validate_for_replay(const CorpusManifest& cm, const std::string& path,
   SABLE_REQUIRE(cm.pt_stride == round.state_bytes(),
                 "corpus plaintext stride must equal the round's packed "
                 "state width");
+  validate_distinguishers(round, distinguishers);
   const TraceDataKind kind = cm.kind == kCorpusKindScalar
                                  ? TraceDataKind::kScalar
                                  : TraceDataKind::kSampled;
   for (Distinguisher* dist : distinguishers) {
-    SABLE_REQUIRE(dist != nullptr, "distinguisher must not be null");
-    dist->validate(round);
     SABLE_REQUIRE(dist->data_kind() == kind,
                   "distinguisher's trace data kind does not match the "
                   "corpus (scalar vs cycle-sampled)");
