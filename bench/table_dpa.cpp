@@ -18,10 +18,8 @@
 // estimates.
 //
 // Campaign persistence: `--record P` writes each style's corpus to
-// `P.<style>` while attacking, `--replay P` reruns the whole table from
-// those corpora without re-simulating (bit-identical rows), and
-// `--checkpoint P` persists per-shard distinguisher states to
-// `P.<style>` so interrupted tables resume.
+// `P.<style>` while attacking, and `--replay P` reruns the whole table
+// from those corpora without re-simulating (bit-identical rows).
 //
 // Exits 1 (naming the style on stderr) if a constant-power style
 // (SABL-fully-connected, SABL-enhanced) ranks the key with confidence:
@@ -61,8 +59,7 @@ Row evaluate_style(LogicStyle style, std::size_t round_size,
                    std::size_t attack_sbox, std::size_t num_traces,
                    double noise, std::size_t num_threads,
                    const std::string& record_path,
-                   const std::string& replay_path,
-                   const std::string& checkpoint_path) {
+                   const std::string& replay_path) {
   const Technology tech = Technology::generic_180nm();
   const RoundSpec round = present_round(round_size, style);
   const SboxSpec& spec = round.sboxes[attack_sbox];
@@ -95,19 +92,15 @@ Row evaluate_style(LogicStyle style, std::size_t round_size,
   std::vector<Distinguisher*> list = {&cpa};
   for (auto& d : dom) list.push_back(&d);
   list.push_back(&mtd);
-  CampaignPersistence persist;
-  if (!checkpoint_path.empty()) {
-    persist.checkpoint_path = checkpoint_path + "." + to_string(style);
-  }
   if (!record_path.empty()) {
     engine.record(options, TraceDataKind::kScalar,
                   record_path + "." + to_string(style));
   }
   if (!replay_path.empty()) {
     const CorpusReader corpus(replay_path + "." + to_string(style));
-    engine.replay(corpus, list, persist, num_threads);
+    engine.replay(corpus, list, {}, num_threads);
   } else {
-    engine.run_distinguishers(options, list, persist);
+    engine.run_distinguishers(options, list);
   }
 
   Row row{style};
@@ -144,7 +137,6 @@ int main(int argc, char** argv) {
   bool all_subkeys = false;
   std::string record_path;
   std::string replay_path;
-  std::string checkpoint_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       if (!parse_number("--threads", argv[++i], &num_threads)) return 2;
@@ -158,13 +150,10 @@ int main(int argc, char** argv) {
       record_path = argv[++i];
     } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
       replay_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
-      checkpoint_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--round N] [--attack-sbox I] "
-                   "[--all-subkeys] [--record P] [--replay P] "
-                   "[--checkpoint P]\n",
+                   "[--all-subkeys] [--record P] [--replay P]\n",
                    argv[0]);
       return 2;
     }
@@ -199,7 +188,7 @@ int main(int argc, char** argv) {
         LogicStyle::kWddlBalanced, LogicStyle::kWddlMismatched}) {
     const Row row = evaluate_style(style, round_size, attack_sbox, num_traces,
                                    noise, num_threads, record_path,
-                                   replay_path, checkpoint_path);
+                                   replay_path);
     if (row.disclosed && (style == LogicStyle::kSablFullyConnected ||
                           style == LogicStyle::kSablEnhanced)) {
       std::fprintf(stderr,

@@ -20,8 +20,7 @@
 // Campaign persistence (io/): `--record P` writes each style's trace
 // stream to the corpus file `P.<style>` while attacking; `--replay P`
 // feeds the attacks from those corpora instead of simulating (same
-// results, bit for bit); `--checkpoint P` persists the per-shard
-// distinguisher states to `P.<style>` so an interrupted run resumes.
+// results, bit for bit).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -47,8 +46,7 @@ void attack_style(LogicStyle style, std::size_t round_size,
                   double noise, std::size_t num_threads,
                   bool second_order,
                   const std::string& record_path,
-                  const std::string& replay_path,
-                  const std::string& checkpoint_path) {
+                  const std::string& replay_path) {
   const Technology tech = Technology::generic_180nm();
   const RoundSpec round = present_round(round_size, style);
   TraceEngine engine(round, tech);
@@ -70,20 +68,15 @@ void attack_style(LogicStyle style, std::size_t round_size,
   MtdDistinguisher mtd_driver(engine.spec(attack_sbox), selector, subkey,
                               default_checkpoints(num_traces), num_traces);
   Distinguisher* const list[] = {&cpa, &mtd_driver};
-  CampaignPersistence persist;
-  if (!checkpoint_path.empty()) {
-    persist.checkpoint_path =
-        checkpoint_path + "." + to_string(style);
-  }
   if (!record_path.empty()) {
     engine.record(options, TraceDataKind::kScalar,
                   record_path + "." + to_string(style));
   }
   if (!replay_path.empty()) {
     const CorpusReader corpus(replay_path + "." + to_string(style));
-    engine.replay(corpus, list, persist, num_threads);
+    engine.replay(corpus, list, {}, num_threads);
   } else {
-    engine.run_distinguishers(options, list, persist);
+    engine.run_distinguishers(options, list);
   }
   const AttackResult result = cpa.result();
   const MtdResult mtd = mtd_driver.result();
@@ -124,7 +117,6 @@ int main(int argc, char** argv) {
   bool second_order = false;
   std::string record_path;
   std::string replay_path;
-  std::string checkpoint_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       if (!parse_number("--threads", argv[++i], &num_threads)) return 2;
@@ -138,13 +130,10 @@ int main(int argc, char** argv) {
       record_path = argv[++i];
     } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
       replay_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
-      checkpoint_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--round N] [--attack-sbox I] "
-                   "[--second-order] [--record P] [--replay P] "
-                   "[--checkpoint P]\n",
+                   "[--second-order] [--record P] [--replay P]\n",
                    argv[0]);
       return 2;
     }
@@ -175,8 +164,7 @@ int main(int argc, char** argv) {
         LogicStyle::kSablFullyConnected, LogicStyle::kSablEnhanced,
         LogicStyle::kWddlBalanced, LogicStyle::kWddlMismatched}) {
     attack_style(style, round_size, attack_sbox, num_traces, noise,
-                 num_threads, second_order, record_path,
-                 replay_path, checkpoint_path);
+                 num_threads, second_order, record_path, replay_path);
   }
   std::printf(
       "\nThe fully connected/enhanced gates draw an input-independent charge\n"
