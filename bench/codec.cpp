@@ -20,19 +20,15 @@
 //
 // There is no timing assertion: CI runs it with a tiny repeat count as a
 // smoke test of the codec on a full-size shard.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "crypto/round_target.hpp"
 #include "io/codec.hpp"
 #include "io/serial.hpp"
-
-#include "../examples/parse_number.hpp"
+#include "probe.hpp"
 
 using namespace sable;
 
@@ -42,21 +38,6 @@ namespace {
 constexpr std::size_t kCount = 8192;
 // campaign_cli's default --noise.
 constexpr double kNoise = 2e-16;
-
-// The fastest of `repeats` runs of `body`, in ns per trace.
-template <typename Body>
-double best_ns_per_trace(std::size_t repeats, Body&& body) {
-  using Clock = std::chrono::steady_clock;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    const auto start = Clock::now();
-    body();
-    const std::chrono::duration<double, std::nano> took =
-        Clock::now() - start;
-    best = std::min(best, took.count());
-  }
-  return best / static_cast<double>(kCount);
-}
 
 void row(const char* stream, const char* op, double ns,
          std::size_t bytes) {
@@ -73,7 +54,7 @@ void probe_plaintexts(const std::vector<std::uint8_t>& pts,
                       std::size_t stride, std::size_t repeats) {
   CodecScratch scratch;
   std::vector<std::uint8_t> encoded;
-  const double enc = best_ns_per_trace(repeats, [&] {
+  const double enc = probe::best_ns_per_trace(repeats, kCount, [&] {
     encoded.clear();
     corpus_encode_plaintexts(pts.data(), kCount, stride, scratch, encoded);
   });
@@ -84,7 +65,7 @@ void probe_plaintexts(const std::vector<std::uint8_t>& pts,
   };
   decode();
   if (decoded != pts) fail("plaintexts");
-  const double dec = best_ns_per_trace(repeats, decode);
+  const double dec = probe::best_ns_per_trace(repeats, kCount, decode);
   row("plaintexts", "encode", enc, encoded.size());
   row("plaintexts", "decode", dec, encoded.size());
 }
@@ -93,7 +74,7 @@ void probe_samples(const char* name, const std::vector<double>& samples,
                    std::size_t repeats) {
   CodecScratch scratch;
   std::vector<std::uint8_t> encoded;
-  const double enc = best_ns_per_trace(repeats, [&] {
+  const double enc = probe::best_ns_per_trace(repeats, kCount, [&] {
     encoded.clear();
     corpus_encode_samples(samples.data(), kCount, 1, scratch, encoded);
   });
@@ -107,7 +88,7 @@ void probe_samples(const char* name, const std::vector<double>& samples,
                   samples.size() * sizeof(double)) != 0) {
     fail(name);
   }
-  const double dec = best_ns_per_trace(repeats, decode);
+  const double dec = probe::best_ns_per_trace(repeats, kCount, decode);
   row(name, "encode", enc, encoded.size());
   row(name, "decode", dec, encoded.size());
 }
@@ -115,27 +96,12 @@ void probe_samples(const char* name, const std::vector<double>& samples,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t repeats = 1000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      if (!parse_number("--repeats", argv[++i], &repeats)) return 2;
-    } else {
-      std::fprintf(stderr, "usage: %s [--repeats N]\n", argv[0]);
-      return 2;
-    }
-  }
-  if (repeats == 0) {
-    std::fprintf(stderr, "--repeats must be at least 1\n");
-    return 2;
-  }
+  std::size_t repeats = 0;
+  if (!probe::parse_repeats(argc, argv, &repeats)) return 2;
 
   const RoundSpec round = present_round(16, LogicStyle::kStaticCmos);
   RoundTarget target(round, Technology::generic_180nm());
-  std::vector<std::size_t> subkeys(round.num_sboxes());
-  for (std::size_t i = 0; i < subkeys.size(); ++i) {
-    const std::size_t mask = (std::size_t{1} << round.sboxes[i].in_bits) - 1;
-    subkeys[i] = (0x7 + 5 * i) & mask;
-  }
+  const std::vector<std::size_t> subkeys = probe::probe_subkeys(round);
   const std::vector<std::uint8_t> key = round.pack_subkeys(subkeys);
   const std::size_t stride = round.state_bytes();
   std::vector<std::uint8_t> pts(kCount * stride);

@@ -22,11 +22,8 @@
 // shard; the probe exits 1 if one differs. There is no timing assertion:
 // CI runs it with a tiny repeat count as a smoke test of the feed.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -35,8 +32,7 @@
 #include "dpa/distinguisher.hpp"
 #include "dpa/mtd.hpp"
 #include "engine/shard_reduce.hpp"
-
-#include "../examples/parse_number.hpp"
+#include "probe.hpp"
 
 using namespace sable;
 
@@ -110,45 +106,22 @@ struct AttackSet {
 double best_feed_ns(const RoundSpec& round,
                     const std::vector<Distinguisher*>& list, std::size_t s,
                     const ShardData& data, std::size_t repeats) {
-  using Clock = std::chrono::steady_clock;
   const ShardFeed feed(round, list, kCount, 1);
   ShardFeed::Scratch scratch = feed.make_scratch();
   ShardStates states = make_shard_states(list.size(), kTraces / kCount);
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    const auto start = Clock::now();
-    feed.feed(s, data, scratch, states);
-    const std::chrono::duration<double, std::nano> took =
-        Clock::now() - start;
-    best = std::min(best, took.count());
-  }
-  return best / static_cast<double>(kCount);
+  return probe::best_ns_per_trace(
+      repeats, kCount, [&] { feed.feed(s, data, scratch, states); });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t repeats = 1000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      if (!parse_number("--repeats", argv[++i], &repeats)) return 2;
-    } else {
-      std::fprintf(stderr, "usage: %s [--repeats N]\n", argv[0]);
-      return 2;
-    }
-  }
-  if (repeats == 0) {
-    std::fprintf(stderr, "--repeats must be at least 1\n");
-    return 2;
-  }
+  std::size_t repeats = 0;
+  if (!probe::parse_repeats(argc, argv, &repeats)) return 2;
 
   const RoundSpec round = present_round(16, LogicStyle::kStaticCmos);
   RoundTarget target(round, Technology::generic_180nm());
-  std::vector<std::size_t> subkeys(round.num_sboxes());
-  for (std::size_t i = 0; i < subkeys.size(); ++i) {
-    const std::size_t mask = (std::size_t{1} << round.sboxes[i].in_bits) - 1;
-    subkeys[i] = (0x7 + 5 * i) & mask;
-  }
+  const std::vector<std::size_t> subkeys = probe::probe_subkeys(round);
   const std::vector<std::uint8_t> key = round.pack_subkeys(subkeys);
   std::vector<std::uint8_t> pts(kCount * round.state_bytes());
   Rng pt_rng(0xFEED);

@@ -16,16 +16,11 @@
 //
 // There is no timing assertion: CI runs it with a tiny repeat count as a
 // smoke test of the kernels at full width.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <vector>
 
 #include "crypto/round_target.hpp"
-
-#include "../examples/parse_number.hpp"
+#include "probe.hpp"
 
 using namespace sable;
 
@@ -34,38 +29,21 @@ namespace {
 // Traces per timed call.
 constexpr std::size_t kCount = 4096;
 
-// The fastest of `repeats` runs of `body`, in ns per trace. `setup` runs
-// before each one, outside the timed span.
-template <typename Setup, typename Body>
-double best_ns_per_trace(std::size_t repeats, Setup&& setup, Body&& body) {
-  using Clock = std::chrono::steady_clock;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    setup();
-    const auto start = Clock::now();
-    body();
-    const std::chrono::duration<double, std::nano> took =
-        Clock::now() - start;
-    best = std::min(best, took.count());
-  }
-  return best / static_cast<double>(kCount);
-}
-
-void probe(const char* name, const RoundSpec& round, std::size_t repeats) {
+void probe_round(const char* name, const RoundSpec& round, std::size_t repeats) {
   const Technology tech = Technology::generic_180nm();
   RoundTarget target(round, tech);
-  std::vector<std::size_t> subkeys(round.num_sboxes());
-  for (std::size_t i = 0; i < subkeys.size(); ++i) {
-    const std::size_t mask = (std::size_t{1} << round.sboxes[i].in_bits) - 1;
-    subkeys[i] = (0x7 + 5 * i) & mask;
-  }
+  const std::vector<std::size_t> subkeys = probe::probe_subkeys(round);
   const std::vector<std::uint8_t> key = round.pack_subkeys(subkeys);
   std::vector<std::uint8_t> pts(kCount * round.state_bytes());
   Rng pt_rng(0x9E0BE);
   round.fill_random_states(pt_rng, kCount, pts.data());
   std::vector<double> out(kCount * target.num_levels());
   Rng noise(0x7015E);
-  const auto fresh = [&] { target.reset_state(); };
+  // Each kernel call starts from fresh CMOS history.
+  const auto fresh = [&](const auto& body) {
+    return probe::best_ns_per_trace(
+        repeats, kCount, [&] { target.reset_state(); }, body);
+  };
   // Builds the time-resolved rows before anything is timed.
   target.trace_batch_sampled(pts.data(), 1, key.data(), 0.0, noise,
                              out.data());
@@ -74,19 +52,19 @@ void probe(const char* name, const RoundSpec& round, std::size_t repeats) {
     std::printf("%-12s %-14s %-24s %10.2f\n", name, to_string(round.style),
                 kernel, ns);
   };
-  row("trace_batch", best_ns_per_trace(repeats, fresh, [&] {
+  row("trace_batch", fresh([&] {
         target.trace_batch(pts.data(), kCount, key.data(), 0.0, noise,
                            out.data());
       }));
-  row("trace_batch noisy", best_ns_per_trace(repeats, fresh, [&] {
+  row("trace_batch noisy", fresh([&] {
         target.trace_batch(pts.data(), kCount, key.data(), 1e-15, noise,
                            out.data());
       }));
-  row("trace_batch_sampled", best_ns_per_trace(repeats, fresh, [&] {
+  row("trace_batch_sampled", fresh([&] {
         target.trace_batch_sampled(pts.data(), kCount, key.data(), 0.0, noise,
                                    out.data());
       }));
-  row("fill_random_states", best_ns_per_trace(repeats, [] {}, [&] {
+  row("fill_random_states", probe::best_ns_per_trace(repeats, kCount, [&] {
         round.fill_random_states(pt_rng, kCount, pts.data());
       }));
 }
@@ -94,25 +72,14 @@ void probe(const char* name, const RoundSpec& round, std::size_t repeats) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t repeats = 1000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      if (!parse_number("--repeats", argv[++i], &repeats)) return 2;
-    } else {
-      std::fprintf(stderr, "usage: %s [--repeats N]\n", argv[0]);
-      return 2;
-    }
-  }
-  if (repeats == 0) {
-    std::fprintf(stderr, "--repeats must be at least 1\n");
-    return 2;
-  }
+  std::size_t repeats = 0;
+  if (!probe::parse_repeats(argc, argv, &repeats)) return 2;
   std::printf("%-12s %-14s %-24s %10s\n", "round", "style", "kernel",
               "ns/trace");
   for (LogicStyle style :
        {LogicStyle::kSablEnhanced, LogicStyle::kStaticCmos}) {
-    probe("PRESENT x16", present_round(16, style), repeats);
-    probe("AES x16", aes_subbytes_round(16, style), repeats);
+    probe_round("PRESENT x16", present_round(16, style), repeats);
+    probe_round("AES x16", aes_subbytes_round(16, style), repeats);
   }
   return 0;
 }
