@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
 
   const RoundSpec round = present_round(16, LogicStyle::kStaticCmos);
   RoundTarget target(round, Technology::generic_180nm());
-  const std::vector<std::size_t> subkeys = probe::probe_subkeys(round);
+  const std::vector<std::size_t> subkeys = probe::subkeys(round);
   const std::vector<std::uint8_t> key = round.pack_subkeys(subkeys);
   std::vector<std::uint8_t> pts(kCount * round.state_bytes());
   Rng pt_rng(0xFEED);

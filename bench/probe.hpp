@@ -62,13 +62,13 @@ double best_ns_per_trace(std::size_t repeats, std::size_t count,
 }
 
 /// The probes' subkeys: instance i's is (0x7 + 5i) masked to its width.
-inline std::vector<std::size_t> probe_subkeys(const RoundSpec& round) {
-  std::vector<std::size_t> subkeys(round.num_sboxes());
-  for (std::size_t i = 0; i < subkeys.size(); ++i) {
+inline std::vector<std::size_t> subkeys(const RoundSpec& round) {
+  std::vector<std::size_t> keys(round.num_sboxes());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
     const std::size_t mask = (std::size_t{1} << round.sboxes[i].in_bits) - 1;
-    subkeys[i] = (0x7 + 5 * i) & mask;
+    keys[i] = (0x7 + 5 * i) & mask;
   }
-  return subkeys;
+  return keys;
 }
 
 }  // namespace sable::probe

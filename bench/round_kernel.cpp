@@ -29,10 +29,11 @@ namespace {
 // Traces per timed call.
 constexpr std::size_t kCount = 4096;
 
-void probe_round(const char* name, const RoundSpec& round, std::size_t repeats) {
+void probe_round(const char* name, const RoundSpec& round,
+                 std::size_t repeats) {
   const Technology tech = Technology::generic_180nm();
   RoundTarget target(round, tech);
-  const std::vector<std::size_t> subkeys = probe::probe_subkeys(round);
+  const std::vector<std::size_t> subkeys = probe::subkeys(round);
   const std::vector<std::uint8_t> key = round.pack_subkeys(subkeys);
   std::vector<std::uint8_t> pts(kCount * round.state_bytes());
   Rng pt_rng(0x9E0BE);
